@@ -39,11 +39,24 @@ let next_id = ref 0
    1 MiB chunk charges the pacing once per 256 pages instead of once per
    page.  Only the current, partially-carved chunk is referenced here;
    a fully-carved chunk stays alive exactly as long as one of its page
-   proxies does, so memory is reclaimed just as with per-page allocation. *)
+   proxies does, so memory is reclaimed just as with per-page allocation.
+
+   Each chunk is a private mapping of /dev/zero, so the kernel supplies
+   its pages zero-filled on first touch.  Pages are carved linearly and a
+   chunk is never re-carved, so every fresh page already reads as zeros:
+   creating one writes nothing, and the process holds only the pages the
+   simulation actually touches (a channel's payload pool is megabytes, of
+   which a sparse workload writes a few slots). *)
 let chunk_pages = 256
 
+(* Read-write: [map_file] first extends a file shorter than the mapping by
+   writing its last byte, which /dev/zero accepts and discards. *)
+let dev_zero = lazy (Unix.openfile "/dev/zero" [ Unix.O_RDWR ] 0)
+
 let new_chunk () =
-  Bigarray.Array1.create Bigarray.char Bigarray.c_layout (chunk_pages * size)
+  Bigarray.array1_of_genarray
+    (Unix.map_file (Lazy.force dev_zero) Bigarray.char Bigarray.c_layout false
+       [| chunk_pages * size |])
 
 let chunk = ref (new_chunk ())
 let chunk_used = ref 0
@@ -57,8 +70,6 @@ let create () =
   end;
   let data = Bigarray.Array1.sub !chunk (!chunk_used * size) size in
   incr chunk_used;
-  (* Chunks come from malloc unzeroed; a fresh page must read as zeros. *)
-  Bigarray.Array1.fill data '\000';
   { page_id; data }
 
 let id t = t.page_id

@@ -2,8 +2,9 @@ module W = Wheel
 
 (* Event payloads live directly in pooled wheel cells.  [P_resume] carries
    a sleeping process's continuation without a wrapping closure, and
-   [P_timer] lets a periodic timer own one cell for its whole life, so the
-   steady-state schedule/fire cycle touches the allocator not at all. *)
+   [P_timer] and [P_poll] let a periodic timer or a polling process own one
+   cell for its whole life, so the steady-state schedule/fire cycle touches
+   the allocator not at all. *)
 type t = {
   mutable clock_ns : int;
   queue : payload W.t;
@@ -36,6 +37,13 @@ and payload =
       tm_run : unit -> unit;
     }
   | P_resume of (unit, unit) Effect.Deep.continuation
+  (* A process parked in [poll]: each tick runs [pl_check] as a plain
+     callback and resumes [pl_k] only once it says so. *)
+  | P_poll of {
+      pl_span_ns : int;
+      pl_check : unit -> bool;
+      pl_k : (unit, unit) Effect.Deep.continuation;
+    }
 
 (* Handle returned by [every]; cold-path only.  [tmh_active] guards
    double-cancel — the cell may be recycled for an unrelated event after
@@ -49,6 +57,7 @@ type timer = {
 type _ Effect.t +=
   | Sleep : Time.span -> unit Effect.t
   | Suspend : ((unit -> unit) -> unit) -> unit Effect.t
+  | Poll : Time.span * (unit -> bool) -> unit Effect.t
 
 let null_handler : (unit, unit) Effect.Deep.handler =
   { retc = (fun () -> ()); exnc = raise; effc = (fun _ -> None) }
@@ -136,6 +145,12 @@ let create ?(seed = 42) () =
                         schedule t t.clock_ns (P_resume k))
                   in
                   register resume)
+          | Poll (span, check) ->
+              Some
+                (fun (k : (a, unit) continuation) ->
+                  let span_ns = delay_ns span in
+                  schedule t (t.clock_ns + span_ns)
+                    (P_poll { pl_span_ns = span_ns; pl_check = check; pl_k = k }))
           | _ -> None);
     };
   t
@@ -177,6 +192,7 @@ let cancel h =
 
 let sleep span = Effect.perform (Sleep span)
 let suspend ~register = Effect.perform (Suspend register)
+let poll span check = Effect.perform (Poll (span, check))
 
 let exec t c =
   t.clock_ns <- c.W.c_time;
@@ -204,6 +220,23 @@ let exec t c =
         W.insert t.queue c
       end
       else free_cell t c
+  | P_poll pl -> (
+      (* One tick is exactly the event a [sleep span] wake-up would have
+         been: the check runs at the same (time, seq), and an idle tick
+         takes its fresh seq after whatever the check enqueued, as the
+         next [sleep] would have. *)
+      match pl.pl_check () with
+      | false ->
+          c.W.c_time <- c.W.c_time + pl.pl_span_ns;
+          c.W.c_seq <- t.next_seq;
+          t.next_seq <- t.next_seq + 1;
+          W.insert t.queue c
+      | true ->
+          free_cell t c;
+          Effect.Deep.continue pl.pl_k ()
+      | exception e ->
+          free_cell t c;
+          Effect.Deep.discontinue pl.pl_k e)
   | P_none -> invalid_arg "Engine.step: empty event cell"
 
 let step t =

@@ -58,6 +58,19 @@ val suspend : register:((unit -> unit) -> unit) -> unit
     Invoking [resume] more than once is an error and raises
     [Invalid_argument]. *)
 
+val poll : Time.span -> (unit -> bool) -> unit
+(** [poll span check] parks the calling process and runs [check] every
+    [span] of virtual time until it returns [true]; the process then
+    resumes in that same event.  Event for event — the same instants, the
+    same tie-break order, the same {!events_executed} — this is
+
+    {[ while (sleep span; not (check ())) do () done ]}
+
+    but an idle tick costs one plain callback instead of waking the
+    process.  [check] therefore runs outside process context and must not
+    {!sleep}, {!suspend} or {!poll}; an exception it raises is raised in
+    the process.  Non-positive spans are clamped to zero, as in {!sleep}. *)
+
 (** {1 Running} *)
 
 val run : ?until:Time.t -> t -> unit

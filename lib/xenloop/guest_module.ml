@@ -1819,7 +1819,9 @@ let drain_round t q =
    streaming sender keeps seeing our consumer-active flag and never rings
    the doorbell.  Per queue: polling the bulk queue does not keep the rr
    queue's flag set.  Returns [true] when new work appeared before the
-   window expired. *)
+   window expired.  Each re-check is an engine tick, not a process wake-up
+   (DESIGN.md §5); ticks land at [interval] multiples after the start, so
+   the window expires on a tick count. *)
 let poll_for_more t q =
   let p = params t in
   let window = p.Params.xenloop_poll_window in
@@ -1827,24 +1829,27 @@ let poll_for_more t q =
   if not (Sim.Time.span_is_positive window && Sim.Time.span_is_positive interval)
   then false
   else begin
-    let deadline = Sim.Time.add (Sim.Engine.now (engine t)) window in
+    let window_ns = Int64.to_int (Sim.Time.to_ns window) in
+    let interval_ns = Int64.to_int (Sim.Time.to_ns interval) in
+    let rounds = ref 0 in
     let got_work = ref false in
-    let stop = ref false in
-    while not (!got_work || !stop) do
-      Sim.Engine.sleep interval;
-      t.s.poll_rounds <- t.s.poll_rounds + 1;
-      if not (Fifo.is_active q.in_fifo && Fifo.is_active q.out_fifo) then
-        (* Never poll across a teardown: the disengage path must run. *)
-        stop := true
-      else if
-        (not (Fifo.is_empty q.in_fifo))
-        ||
-        match tx_backlog_head_len q with
-        | Some len -> queue_can_accept q len
-        | None -> false
-      then got_work := true
-      else if Sim.Time.(Sim.Engine.now (engine t) >= deadline) then stop := true
-    done;
+    Sim.Engine.poll interval (fun () ->
+        t.s.poll_rounds <- t.s.poll_rounds + 1;
+        incr rounds;
+        if not (Fifo.is_active q.in_fifo && Fifo.is_active q.out_fifo) then
+          (* Never poll across a teardown: the disengage path must run. *)
+          true
+        else if
+          (not (Fifo.is_empty q.in_fifo))
+          ||
+          match tx_backlog_head_len q with
+          | Some len -> queue_can_accept q len
+          | None -> false
+        then begin
+          got_work := true;
+          true
+        end
+        else !rounds * interval_ns >= window_ns);
     !got_work
   end
 

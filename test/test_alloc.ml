@@ -14,7 +14,9 @@
      a fresh fiber (5 minor words per event).
 
    If either number creeps above the bound, engine bookkeeping has started
-   allocating again — the regression these tests exist to catch. *)
+   allocating again — the regression these tests exist to catch.  An idle
+   [Engine.poll] tick enters no fiber and captures no continuation, so it
+   too must be EXACTLY zero. *)
 
 let minor_per_iter ~iters f =
   let before = Gc.minor_words () in
@@ -140,6 +142,27 @@ let test_engine_timer_fire_slack () =
   (* 5 words = the match_with fiber; +1 headroom. *)
   check_words "engine step, periodic timer fire" ~bound:6.0 per
 
+let test_engine_poll_tick_zero_alloc () =
+  (* An idle [Engine.poll] tick is a plain callback plus a reinsert of the
+     poller's own cell: no fiber, no continuation.  The cell, the check
+     closure and the continuation are allocated once per poll episode, so
+     the per-tick cost must be EXACTLY zero. *)
+  let e = Sim.Engine.create () in
+  let ticks = ref 0 in
+  let idle () =
+    incr ticks;
+    false
+  in
+  Sim.Engine.spawn e (fun () -> Sim.Engine.poll (Sim.Time.us 1) idle);
+  Sim.Engine.spawn e (fun () -> Sim.Engine.poll (Sim.Time.us 3) idle);
+  for _ = 1 to 100 do
+    ignore (Sim.Engine.step e)
+  done;
+  let before = !ticks in
+  let per = minor_per_iter ~iters:50_000 (fun () -> ignore (Sim.Engine.step e)) in
+  Alcotest.(check int) "every step was a tick" 50_000 (!ticks - before);
+  check_words "engine step, idle poll tick" ~bound:0.0 per
+
 let suites =
   [
     ( "sim.alloc",
@@ -153,5 +176,7 @@ let suites =
           test_engine_sleep_wake_slack;
         Alcotest.test_case "engine timer fire within fiber slack" `Quick
           test_engine_timer_fire_slack;
+        Alcotest.test_case "engine idle poll tick allocates nothing" `Quick
+          test_engine_poll_tick_zero_alloc;
       ] );
   ]

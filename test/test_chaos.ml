@@ -57,6 +57,37 @@ let test_different_seed_different_plan () =
     (v1.Harness.v_log_digest <> v2.Harness.v_log_digest);
   Alcotest.(check bool) "both clean" true (Harness.ok v1 && Harness.ok v2)
 
+(* Golden digests: the DESIGN.md §10 safety matrix.  A change meant to be
+   host-side only (engine, pages, codec) must leave every simulated event
+   where it was; these MD5s of the event log are the witness.  Re-pin only
+   for a deliberate behaviour change, and say so in CHANGES.md. *)
+let golden_digests =
+  [
+    (Harness.Xenloop_duo, 42, "e495231faca8dc5297992f2868963c2c");
+    (Harness.Xenloop_duo, 43, "5c7e555d7077b64d1a708a256420cf1b");
+    (Harness.Xenloop_duo, 99, "81760e80f7c47e03f82486037786e0d6");
+    (Harness.Netfront_duo, 42, "1d3053ce15a2a2eecb56e7fde0bd45c5");
+    (Harness.Netfront_duo, 43, "1d3053ce15a2a2eecb56e7fde0bd45c5");
+    (Harness.Netfront_duo, 99, "1d3053ce15a2a2eecb56e7fde0bd45c5");
+    (Harness.Cluster3, 42, "31b5f1d54f46f39de5f20dab75e35ed3");
+    (Harness.Cluster3, 43, "6b1cab7bcea26dc6d48692340d59c4d2");
+    (Harness.Cluster3, 99, "92ee7179fe3df5715c3b2a200b6a2eb7");
+    (Harness.Migration_world, 42, "89e19274643951c60432e81e649d170d");
+    (Harness.Migration_world, 43, "7bf4407397d34017f6d4e7be1b96155c");
+    (Harness.Migration_world, 99, "d46f19c5f1a378fc8141768837a47df6");
+  ]
+
+let test_golden_digest_matrix () =
+  List.iter
+    (fun (scenario, seed, expected) ->
+      let v, _ =
+        Harness.run (Harness.default_config ~seed ~faults:(storm scenario) scenario)
+      in
+      let name = Printf.sprintf "%s seed %d" (Harness.scenario_label scenario) seed in
+      Alcotest.(check string) name expected v.Harness.v_log_digest;
+      Alcotest.(check bool) (name ^ " clean") true (Harness.ok v))
+    golden_digests
+
 (* ------------------------------------------------------------------ *)
 (* Soak subset *)
 
@@ -435,6 +466,8 @@ let suites =
         Alcotest.test_case "same seed, same digest" `Quick test_same_seed_same_digest;
         Alcotest.test_case "different seed, different plan" `Quick
           test_different_seed_different_plan;
+        Alcotest.test_case "storm digest matrix matches golden MD5s" `Quick
+          test_golden_digest_matrix;
         Alcotest.test_case "soak subset is clean" `Quick test_soak_subset_clean;
         Alcotest.test_case "loans-on chaos run is clean" `Quick
           test_loans_chaos_clean;

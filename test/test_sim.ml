@@ -447,6 +447,164 @@ let test_engine_nested_timers () =
   Alcotest.(check int64) "at 2ms" 2_000_000L (Sim.Time.instant_to_ns (Sim.Engine.now e))
 
 (* ------------------------------------------------------------------ *)
+(* Engine.poll: event-for-event equivalent to a sleep loop *)
+
+type poll_impl = Sleep_loop | Engine_poll
+
+let poll_with impl span check =
+  match impl with
+  | Engine_poll -> Sim.Engine.poll span check
+  | Sleep_loop ->
+      let fin = ref false in
+      while not !fin do
+        Sim.Engine.sleep span;
+        fin := check ()
+      done
+
+(* Every instant is a multiple of [poll_q] ns, so producers keep landing
+   exactly on poll ticks.  A producer armed at start-up was scheduled
+   before any tick ran; its [chain] follow-up is scheduled from inside the
+   run, after whatever ticks preceded it — so same-instant ties go both
+   ways. *)
+let poll_q = 10
+
+type poller = {
+  interval : int;  (* in [poll_q] units *)
+  window : int;  (* in [poll_q] units *)
+  episodes : int;
+  raise_at : int option;  (* global tick number whose check raises *)
+}
+
+type poll_schedule = {
+  pollers : poller list;
+  producers : (int * int option) list;  (* start instant, chained delay *)
+}
+
+let run_poll_schedule impl sc =
+  let e = Sim.Engine.create () in
+  let now () = Int64.to_int (Sim.Time.instant_to_ns (Sim.Engine.now e)) in
+  let log = ref [] in
+  let say fmt = Printf.ksprintf (fun s -> log := s :: !log) fmt in
+  let work = ref 0 and ticks = ref 0 in
+  let produce name =
+    incr work;
+    say "%s@%d" name (now ())
+  in
+  List.iteri
+    (fun i (start, chain) ->
+      Sim.Engine.after e (Sim.Time.ns (start * poll_q)) (fun () ->
+          produce (Printf.sprintf "p%d" i);
+          Option.iter
+            (fun d ->
+              Sim.Engine.after e (Sim.Time.ns (d * poll_q)) (fun () ->
+                  produce (Printf.sprintf "c%d" i)))
+            chain))
+    sc.producers;
+  List.iteri
+    (fun j p ->
+      Sim.Engine.spawn e (fun () ->
+          for ep = 1 to p.episodes do
+            let rounds = ref 0 in
+            (try
+               poll_with impl (Sim.Time.ns (p.interval * poll_q)) (fun () ->
+                   incr ticks;
+                   incr rounds;
+                   say "t%d@%d" j (now ());
+                   if p.raise_at = Some !ticks then raise Exit;
+                   !work > 0 || !rounds * p.interval >= p.window)
+             with Exit -> say "x%d@%d" j (now ()));
+            say "r%d@%d rounds=%d work=%d" j (now ()) !rounds !work;
+            work := 0;
+            Sim.Engine.sleep (Sim.Time.ns ((ep - 1) * poll_q))
+          done))
+    sc.pollers;
+  Sim.Engine.run e;
+  (List.rev !log, !ticks, Sim.Engine.events_executed e)
+
+let poll_schedule_arb =
+  let open QCheck.Gen in
+  let poller =
+    map
+      (fun (interval, window, episodes, raise_at) -> { interval; window; episodes; raise_at })
+      (quad (1 -- 4) (1 -- 12) (1 -- 4) (opt ~ratio:0.3 (1 -- 20)))
+  in
+  let producer = pair (0 -- 40) (opt (0 -- 6)) in
+  let gen =
+    map2
+      (fun pollers producers -> { pollers; producers })
+      (list_size (1 -- 2) poller) (list_size (0 -- 12) producer)
+  in
+  let print sc =
+    Printf.sprintf "pollers=[%s] producers=[%s]"
+      (String.concat "; "
+         (List.map
+            (fun p ->
+              Printf.sprintf "{iv=%d win=%d eps=%d raise=%s}" p.interval p.window
+                p.episodes
+                (match p.raise_at with Some k -> string_of_int k | None -> "-"))
+            sc.pollers))
+      (String.concat "; "
+         (List.map
+            (fun (s, c) ->
+              Printf.sprintf "%d%s" s
+                (match c with Some d -> "+" ^ string_of_int d | None -> ""))
+            sc.producers))
+  in
+  QCheck.make ~print gen
+
+let prop_poll_matches_sleep_loop =
+  QCheck.Test.make ~name:"Engine.poll matches a sleep loop event for event" ~count:500
+    poll_schedule_arb (fun sc ->
+      run_poll_schedule Sleep_loop sc = run_poll_schedule Engine_poll sc)
+
+let test_engine_poll_same_instant_ties () =
+  (* Poll every 10 ns from t=0; the ticks land at 10, 20, 30, ...
+     - [early] is scheduled for t=20 before any tick ran, so it precedes
+       the t=20 tick, which sees its work;
+     - [late] is scheduled for t=40 by an event at t=35, after the t=30
+       tick already queued the t=40 one, so the t=40 tick misses it and
+       the t=50 tick is the one that resumes. *)
+  List.iter
+    (fun impl ->
+      let e = Sim.Engine.create () in
+      let work = ref false in
+      let resumed = ref [] in
+      let now () = Sim.Time.instant_to_ns (Sim.Engine.now e) in
+      Sim.Engine.after e (Sim.Time.ns 20) (fun () -> work := true);
+      Sim.Engine.after e (Sim.Time.ns 35) (fun () ->
+          Sim.Engine.after e (Sim.Time.ns 5) (fun () -> work := true));
+      Sim.Engine.spawn e (fun () ->
+          for _ = 1 to 2 do
+            poll_with impl (Sim.Time.ns 10) (fun () -> !work);
+            work := false;
+            resumed := now () :: !resumed
+          done);
+      Sim.Engine.run e;
+      Alcotest.(check (list int64)) "resume instants" [ 50L; 20L ] !resumed)
+    [ Sleep_loop; Engine_poll ]
+
+let test_engine_poll_raise_surfaces () =
+  let e = Sim.Engine.create () in
+  let ticks = ref 0 in
+  let caught = ref None in
+  Sim.Engine.spawn e (fun () ->
+      match
+        Sim.Engine.poll (Sim.Time.us 1) (fun () ->
+            incr ticks;
+            if !ticks = 3 then failwith "check failed";
+            false)
+      with
+      | () -> Alcotest.fail "poll returned"
+      | exception Failure msg ->
+          caught := Some (msg, Sim.Time.instant_to_ns (Sim.Engine.now e)));
+  Sim.Engine.run e;
+  Alcotest.(check (option (pair string int64)))
+    "raised in the process at the third tick"
+    (Some ("check failed", 3_000L))
+    !caught;
+  Alcotest.(check int) "no tick left behind" 0 (Sim.Engine.pending_events e)
+
+(* ------------------------------------------------------------------ *)
 (* Trace *)
 
 let t0 = Sim.Time.zero
@@ -675,7 +833,12 @@ let suites =
         Alcotest.test_case "pending events / step" `Quick test_engine_pending_events;
         Alcotest.test_case "spawn inside process" `Quick test_engine_spawn_inside_process;
         Alcotest.test_case "nested timers" `Quick test_engine_nested_timers;
-      ] );
+        Alcotest.test_case "poll: same-instant ties" `Quick
+          test_engine_poll_same_instant_ties;
+        Alcotest.test_case "poll: raising check surfaces" `Quick
+          test_engine_poll_raise_surfaces;
+      ]
+      @ qsuite [ prop_poll_matches_sleep_loop ] );
     ( "sim.trace",
       [
         Alcotest.test_case "enable/disable" `Quick test_trace_enable_disable;
