@@ -298,26 +298,16 @@ let chaos_cmd =
       & info [ "print-log" ]
           ~doc:"Print the deterministic event log (single-scenario form).")
   in
-  let loans =
-    Arg.(
-      value & flag
-      & info [ "loans" ]
-          ~doc:
-            "Build the world with loaned-slot receive negotiated on \
-             (single-scenario form) — the replay path for loans-on soak \
-             cases.")
+  let case =
+    let doc =
+      "Run one case of the soak matrix by name (as a red soak's replay \
+       line prints it, e.g. xenloop-duo/loans-storm): its scenario, fault \
+       set and world — loans, evictions, QoS, gso.  Not combined with \
+       $(b,--scenario) or $(b,--fault)."
+    in
+    Arg.(value & opt (some string) None & info [ "case" ] ~doc)
   in
-  let evictions =
-    Arg.(
-      value & flag
-      & info [ "evictions" ]
-          ~doc:
-            "Build the world with the cluster-scale control plane on: \
-             delta announcements, a tight channel cap and idle-LRU \
-             eviction (single-scenario form) — the replay path for \
-             eviction soak cases.")
-  in
-  let run seed iters scenario faults json print_log loans evictions =
+  let run seed iters scenario faults json print_log case =
     let iters =
       match iters with
       | Some n -> n
@@ -326,23 +316,34 @@ let chaos_cmd =
           | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> n | _ -> 1)
           | None -> 1)
     in
-    match scenario with
-    | Some sc ->
-        (* Single scenario: one run per seed, exact fault set — this is
+    let single =
+      match (case, scenario, faults) with
+      | Some name, None, [] -> (
+          match Chaos.Soak.find_case name with
+          | Some c -> Some (fun seed -> Chaos.Soak.case_config c ~seed)
+          | None ->
+              Printf.eprintf "unknown soak case %S\n" name;
+              exit 2)
+      | Some _, _, _ ->
+          prerr_endline "--case is not combined with --scenario or --fault";
+          exit 2
+      | None, Some sc, _ ->
+          let kinds =
+            match faults with
+            | [] -> List.filter (Chaos.Harness.applicable sc) Chaos.Fault.all
+            | ks -> ks
+          in
+          let faults = List.map Chaos.Fault.default_spec kinds in
+          Some (fun seed -> Chaos.Harness.default_config ~seed ~faults sc)
+      | None, None, _ -> None
+    in
+    match single with
+    | Some config_for ->
+        (* Single case: one run per seed, exact configuration — this is
            the replay path for a failing soak seed. *)
-        let kinds =
-          match faults with
-          | [] -> List.filter (Chaos.Harness.applicable sc) Chaos.Fault.all
-          | ks -> ks
-        in
-        let specs = List.map Chaos.Fault.default_spec kinds in
         let code = ref 0 in
         for i = 0 to iters - 1 do
-          let config =
-            Chaos.Harness.default_config ~seed:(seed + i) ~faults:specs ~loans
-              ~evictions sc
-          in
-          let v, log = Chaos.Harness.run config in
+          let v, log = Chaos.Harness.run (config_for (seed + i)) in
           if print_log then
             List.iter print_endline (Chaos.Event_log.render log);
           Format.printf "%a@." Chaos.Harness.pp_verdict v;
@@ -367,9 +368,7 @@ let chaos_cmd =
          "Deterministic fault-injection soak: inject faults across the \
           control and data planes, check invariants, verify exactly-once \
           delivery.")
-    Term.(
-      const run $ seed $ iters $ scenario $ fault $ json $ print_log $ loans
-      $ evictions)
+    Term.(const run $ seed $ iters $ scenario $ fault $ json $ print_log $ case)
 
 (* --- compare --- *)
 

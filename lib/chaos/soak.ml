@@ -187,11 +187,15 @@ let matrix () =
   List.concat_map scenario_cases Harness.all_scenarios
   @ loan_cases () @ evict_cases () @ qos_cases () @ gso_cases ()
 
+let find_case name = List.find_opt (fun c -> c.c_name = name) (matrix ())
+
+let case_config c ~seed =
+  Harness.default_config ~seed ~faults:c.c_faults ~loans:c.c_loans
+    ~evictions:c.c_evictions ~qos:c.c_qos ~gso:c.c_gso c.c_scenario
+
 type failure = {
   fail_seed : int;
   fail_case : string;
-  fail_scenario : string;
-  fail_fault : string;
   fail_violations : string list;
 }
 
@@ -237,12 +241,7 @@ let run ?cases ?(seed = 42) ?(iters = 1) ?(progress = fun _ -> ()) () =
     List.iter
       (fun c ->
         let run_seed = seed + i in
-        let config =
-          Harness.default_config ~seed:run_seed ~faults:c.c_faults
-            ~loans:c.c_loans ~evictions:c.c_evictions ~qos:c.c_qos
-            ~gso:c.c_gso c.c_scenario
-        in
-        let v, _log = Harness.run config in
+        let v, _log = Harness.run (case_config c ~seed:run_seed) in
         incr runs;
         injected := !injected + v.Harness.v_total_injected;
         sent := !sent + v.Harness.v_sent;
@@ -260,11 +259,6 @@ let run ?cases ?(seed = 42) ?(iters = 1) ?(progress = fun _ -> ()) () =
                 {
                   fail_seed = run_seed;
                   fail_case = c.c_name;
-                  fail_scenario = v.Harness.v_scenario;
-                  fail_fault =
-                    (match c.c_faults with
-                    | [ s ] -> Fault.label s.Fault.f_kind
-                    | _ -> "");
                   fail_violations = v.Harness.v_violations;
                 }
         end;
@@ -316,10 +310,8 @@ let pp fmt s =
       Format.fprintf fmt "  violations: %d run(s); first failing seed %d (%s)@,"
         s.s_violation_runs f.fail_seed f.fail_case;
       List.iter (fun v -> Format.fprintf fmt "    %s@," v) f.fail_violations;
-      Format.fprintf fmt "  replay: xenloopsim chaos --scenario %s%s --seed %d@,"
-        f.fail_scenario
-        (if f.fail_fault = "" then "" else " --fault " ^ f.fail_fault)
-        f.fail_seed);
+      Format.fprintf fmt "  replay: xenloopsim chaos --case %s --seed %d@,"
+        f.fail_case f.fail_seed);
   Format.fprintf fmt "@]"
 
 let json_escape s =

@@ -6,8 +6,8 @@
     whole matrix under a fresh seed ([base seed + i]).  The summary
     aggregates verdicts, recovery-latency percentiles, and the first
     failing seed with its replay command, which is exactly what you need
-    to reproduce a red run: [xenloopsim chaos --scenario S --fault F
-    --seed N]. *)
+    to reproduce a red run: [xenloopsim chaos --case C --seed N] reruns
+    case [C] — scenario, fault set and world — under seed [N]. *)
 
 type case = {
   c_name : string;
@@ -60,11 +60,15 @@ val matrix : unit -> case list
     XenLoop state to fault); [Netfront_duo] runs baseline only, as the
     fault-free control. *)
 
+val find_case : string -> case option
+(** The {!matrix} case with this [c_name]. *)
+
+val case_config : case -> seed:int -> Harness.config
+(** The harness configuration one run of this case uses under [seed]. *)
+
 type failure = {
   fail_seed : int;
-  fail_case : string;
-  fail_scenario : string;
-  fail_fault : string;  (** kind label for replay; "" for baseline/storm *)
+  fail_case : string;  (** [c_name] of the failing case *)
   fail_violations : string list;
 }
 

@@ -95,43 +95,14 @@ let read_grefs ~desc =
   let n = Page.get_u32 desc off_npages in
   List.init n (fun i -> Page.get_u32 desc (off_grefs + (4 * i)))
 
-type t = {
-  desc : Page.t;
-  data : Page.t array;
-  fifo_slots : int;
-  (* Scratch descriptor for [pop_into]: the consumer's per-packet path
-     reads the fields through the accessors below instead of allocating an
-     [entry] per pop. *)
-  mutable e_slot : int;
-  mutable e_off : int;
-  mutable e_len : int;
-  mutable e_proto : int;
-  mutable e_flags : int;
-  (* Jumbo scratch: chunk (slot, len) pairs of the most recent jumbo pop,
-     preallocated so the consumer hot path stays zero-alloc. *)
-  mutable e_nchunks : int;
-  e_chunk_slots : int array;
-  e_chunk_lens : int array;
-}
+type t = { desc : Page.t; data : Page.t array; fifo_slots : int }
 
 let attach ~desc ~data =
   let k = Page.get_u32 desc off_k in
   if k < 1 || k > max_k then invalid_arg "Fifo.attach: descriptor not initialized";
   if Array.length data <> data_pages_for ~k then
     invalid_arg "Fifo.attach: wrong number of data pages";
-  {
-    desc;
-    data;
-    fifo_slots = 1 lsl k;
-    e_slot = 0;
-    e_off = 0;
-    e_len = 0;
-    e_proto = 0;
-    e_flags = 0;
-    e_nchunks = 0;
-    e_chunk_slots = Array.make max_jumbo_chunks 0;
-    e_chunk_lens = Array.make max_jumbo_chunks 0;
-  }
+  { desc; data; fifo_slots = 1 lsl k }
 
 let slots t = t.fifo_slots
 let max_packet t = (t.fifo_slots - 1) * slot_bytes
@@ -267,6 +238,12 @@ let try_push_desc t ?(flags = 0) ~slot ~offset ~len ~proto_hint () =
 
 let jumbo_ring_slots nchunks = 2 + nchunks
 
+(* Page and offset of the [i]th 8-byte word of the entry at [byte_at];
+   an 8-byte slot never straddles a page. *)
+let ring_word t ~byte_at i =
+  let a = (byte_at + (slot_bytes * i)) mod ring_bytes t in
+  (t.data.(a / Page.size), a mod Page.size)
+
 let can_accept_jumbo t ~nchunks =
   nchunks >= 1 && nchunks <= max_jumbo_chunks
   && is_active t
@@ -290,18 +267,12 @@ let try_push_jumbo t ?(flags = 0) ~chunk_slots ~chunk_lens ~nchunks ~total_len
     Page.set_u32 mpage moff total_len;
     Page.set_u16 mpage (moff + 4) entry_magic;
     Page.set_u16 mpage (moff + 6) (flag_desc lor flag_jumbo lor flags);
-    let size = ring_bytes t in
-    let word_at i =
-      (* 8-byte slots never straddle a page. *)
-      let a = (byte_at + (slot_bytes * i)) mod size in
-      (t.data.(a / Page.size), a mod Page.size)
-    in
-    let hpage, hoff = word_at 1 in
+    let hpage, hoff = ring_word t ~byte_at 1 in
     Page.set_u16 hpage hoff nchunks;
     Page.set_u16 hpage (hoff + 2) proto_hint;
     Page.set_u32 hpage (hoff + 4) 0;
     for i = 0 to nchunks - 1 do
-      let cpage, coff = word_at (2 + i) in
+      let cpage, coff = ring_word t ~byte_at (2 + i) in
       Page.set_u16 cpage coff chunk_slots.(i);
       Page.set_u16 cpage (coff + 2) 0;
       Page.set_u32 cpage (coff + 4) chunk_lens.(i)
@@ -317,10 +288,8 @@ let try_push_jumbo t ?(flags = 0) ~chunk_slots ~chunk_lens ~nchunks ~total_len
 let desc_eligible t ~pool ~inline_max len =
   len > inline_max && len <= Payload_pool.slot_bytes pool && len <= max_packet t
 
-type push_outcome = Pushed of { desc : bool; pool_fallback : bool } | Push_failed
-
 (* [push_entry] result codes.  Plain ints: the per-packet producer path
-   must not allocate a [push_outcome] block per call. *)
+   must not allocate a result block per call. *)
 let push_failed = 0
 let pushed_inline = 1
 let pushed_desc = 2
@@ -355,12 +324,6 @@ let push_entry t ~pool ~inline_max ~proto_hint payload =
       then pushed_inline_fallback
       else push_failed
   | _ -> if try_push t payload then pushed_inline else push_failed
-
-let push t ?pool ?(inline_max = max_int) ?(proto_hint = 0) payload =
-  let r = push_entry t ~pool ~inline_max ~proto_hint payload in
-  if r = push_failed then Push_failed
-  else
-    Pushed { desc = r = pushed_desc; pool_fallback = r = pushed_inline_fallback }
 
 let can_accept_entry t ?pool ?(inline_max = max_int) len =
   match pool with
@@ -413,89 +376,6 @@ type entry =
       j_chunks : (int * int) array;  (** (pool slot, chunk length) *)
     }
 
-(* [pop_into] result codes. *)
-let popped_empty = -1
-let popped_desc = -2
-let popped_jumbo = -3
-
-(* Shared by both consumer entry points: park the jumbo header + chunk
-   vector in the scratch fields and advance [front].  The chunk count is
-   the only structurally-load-bearing field — out of range means the ring
-   framing itself is gone (the next entry cannot be located), so it raises
-   like any other corrupt metadata.  Chunk slots/lengths are validated by
-   the caller against its pool, where a bad vector is a droppable frame,
-   not a dead channel. *)
-let pop_jumbo_into_scratch t ~f ~byte_at ~len ~flags =
-  let size = ring_bytes t in
-  let word_at i =
-    let a = (byte_at + (slot_bytes * i)) mod size in
-    (t.data.(a / Page.size), a mod Page.size)
-  in
-  let hpage, hoff = word_at 1 in
-  let nchunks = Page.get_u16 hpage hoff in
-  if nchunks < 1 || nchunks > max_jumbo_chunks then
-    invalid_arg "Fifo.pop: corrupt jumbo entry metadata";
-  t.e_proto <- Page.get_u16 hpage (hoff + 2);
-  t.e_len <- len;
-  t.e_flags <- flags;
-  t.e_nchunks <- nchunks;
-  for i = 0 to nchunks - 1 do
-    let cpage, coff = word_at (2 + i) in
-    t.e_chunk_slots.(i) <- Page.get_u16 cpage coff;
-    t.e_chunk_lens.(i) <- Page.get_u32 cpage (coff + 4)
-  done;
-  Page.set_u32 t.desc off_front (f + jumbo_ring_slots nchunks)
-
-let pop_into t dst =
-  if is_empty t then popped_empty
-  else begin
-    let f = front t in
-    let slot_index = f land (t.fifo_slots - 1) in
-    let byte_at = slot_index * slot_bytes in
-    let mpage = t.data.(byte_at / Page.size) in
-    let moff = byte_at mod Page.size in
-    let len = Page.get_u32 mpage moff in
-    let magic = Page.get_u16 mpage (moff + 4) in
-    let flags = Page.get_u16 mpage (moff + 6) in
-    if magic <> entry_magic || len <= 0 then
-      invalid_arg "Fifo.pop: corrupt entry metadata"
-    else if flags land flag_jumbo <> 0 then begin
-      pop_jumbo_into_scratch t ~f ~byte_at ~len ~flags;
-      popped_jumbo
-    end
-    else if flags land flag_desc <> 0 then begin
-      let at2 = (byte_at + slot_bytes) mod ring_bytes t in
-      let ppage = t.data.(at2 / Page.size) in
-      let poff = at2 mod Page.size in
-      t.e_slot <- Page.get_u16 ppage poff;
-      t.e_proto <- Page.get_u16 ppage (poff + 2);
-      t.e_off <- Page.get_u32 ppage (poff + 4);
-      t.e_len <- len;
-      t.e_flags <- flags;
-      Page.set_u32 t.desc off_front (f + 2);
-      popped_desc
-    end
-    else if len > max_packet t then invalid_arg "Fifo.pop: corrupt entry metadata"
-    else if Bytes.length dst < len then
-      invalid_arg "Fifo.pop_into: destination buffer too small"
-    else begin
-      read_ring t
-        ~at:((byte_at + slot_bytes) mod ring_bytes t)
-        ~dst ~dst_off:0 ~len;
-      Page.set_u32 t.desc off_front (f + slots_for_payload len);
-      len
-    end
-  end
-
-let desc_slot t = t.e_slot
-let desc_off t = t.e_off
-let desc_len t = t.e_len
-let desc_proto t = t.e_proto
-let desc_flags t = t.e_flags
-let desc_nchunks t = t.e_nchunks
-let desc_chunk_slot t i = t.e_chunk_slots.(i)
-let desc_chunk_len t i = t.e_chunk_lens.(i)
-
 let pop_entry t =
   if is_empty t then None
   else begin
@@ -510,12 +390,30 @@ let pop_entry t =
     if magic <> entry_magic || len <= 0 then
       invalid_arg "Fifo.pop: corrupt entry metadata"
     else if flags land flag_jumbo <> 0 then begin
-      pop_jumbo_into_scratch t ~f ~byte_at ~len ~flags;
+      (* The chunk count is the only structurally load-bearing field: out
+         of range means the ring framing itself is gone (the next entry
+         cannot be located), so it raises like any other corrupt metadata.
+         Chunk slots and lengths are validated by the caller against its
+         pool, where a bad vector is a droppable frame, not a dead
+         channel. *)
+      let hpage, hoff = ring_word t ~byte_at 1 in
+      let nchunks = Page.get_u16 hpage hoff in
+      if nchunks < 1 || nchunks > max_jumbo_chunks then
+        invalid_arg "Fifo.pop: corrupt jumbo entry metadata";
       let j_chunks =
-        Array.init t.e_nchunks (fun i ->
-            (t.e_chunk_slots.(i), t.e_chunk_lens.(i)))
+        Array.init nchunks (fun i ->
+            let cpage, coff = ring_word t ~byte_at (2 + i) in
+            (Page.get_u16 cpage coff, Page.get_u32 cpage (coff + 4)))
       in
-      Some (Jumbo { j_len = len; j_proto = t.e_proto; j_flags = flags; j_chunks })
+      Page.set_u32 t.desc off_front (f + jumbo_ring_slots nchunks);
+      Some
+        (Jumbo
+           {
+             j_len = len;
+             j_proto = Page.get_u16 hpage (hoff + 2);
+             j_flags = flags;
+             j_chunks;
+           })
     end
     else if flags land flag_desc <> 0 then begin
       let at2 = (byte_at + slot_bytes) mod ring_bytes t in

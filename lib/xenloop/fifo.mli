@@ -96,25 +96,13 @@ val try_push : t -> Bytes.t -> bool
     place by the receiver (DESIGN.md §7).  Without a pool every call
     below behaves bit-for-bit like the inline path. *)
 
-type push_outcome = Pushed of { desc : bool; pool_fallback : bool } | Push_failed
-(** [desc] — the entry went through the payload pool; [pool_fallback] —
-    it was descriptor-eligible but the pool was exhausted, so it degraded
-    to the inline copy path. *)
-
-val push :
-  t ->
-  ?pool:Payload_pool.t ->
-  ?inline_max:int ->
-  ?proto_hint:int ->
-  Bytes.t ->
-  push_outcome
-
 (** {2 Zero-allocation producer path}
 
-    [push_entry] is {!push} without the [push_outcome] block: the result is
-    one of the int codes below, the labelled arguments are non-optional
-    (optional-argument defaults box), and nothing is allocated on the OCaml
-    heap for an inline push.  The per-packet path of the guest TX engine. *)
+    [push_entry]'s result is one of the int codes below rather than a
+    variant block, its labelled arguments are non-optional
+    (optional-argument defaults box), and nothing is allocated on the
+    OCaml heap for an inline push.  The per-packet path of the guest TX
+    engine. *)
 
 val push_failed : int  (** 0 — the entry did not enter the FIFO *)
 
@@ -156,8 +144,8 @@ val try_push_desc :
 (** Publish a descriptor for a payload already written to the pool
     (two FIFO slots).  [flags] (default none) is OR-ed into the entry's
     flag word next to the descriptor bit — {!flag_app} and
-    {!flag_csum_ok} are the defined extra bits.  {!push} is the normal
-    caller for plain frames. *)
+    {!flag_csum_ok} are the defined extra bits.  {!push_entry} is the
+    normal caller for plain frames. *)
 
 (** {2 Jumbo descriptors (segmentation offload, DESIGN.md §15)}
 
@@ -203,8 +191,8 @@ val try_push_jumbo :
     On [false] the caller owns the pool-slot rollback. *)
 
 val can_accept_entry : t -> ?pool:Payload_pool.t -> ?inline_max:int -> int -> bool
-(** {!can_accept} generalized over the descriptor path: whether {!push}
-    with the same pool and threshold would succeed right now.  The one
+(** {!can_accept} generalized over the descriptor path: whether
+    {!push_entry} with the same pool and threshold would succeed right now.  The one
     authoritative admission check for pooled queues. *)
 
 type push_report = {
@@ -259,42 +247,6 @@ val pop : t -> Bytes.t option
 (** Inline-only consumer view of {!pop_entry}.
     @raise Invalid_argument on corrupt metadata or a descriptor entry
     (an endpoint without a pool must never see one). *)
-
-(** {2 Zero-allocation consumer path}
-
-    [pop_into] is {!pop_entry} without the [entry] allocation: inline
-    payload bytes land in the caller's reusable buffer, and a descriptor
-    entry parks its fields in the view (read them through the accessors
-    below before the next pop). *)
-
-val popped_empty : int  (** -1 — the FIFO was empty *)
-
-val popped_desc : int
-(** -2 — a descriptor entry; fields via {!desc_slot} & co. *)
-
-val popped_jumbo : int
-(** -3 — a jumbo entry; header via {!desc_len}/{!desc_proto}/{!desc_flags},
-    chunk vector via {!desc_nchunks} and {!desc_chunk_slot}/{!desc_chunk_len}. *)
-
-val pop_into : t -> Bytes.t -> int
-(** Consume the next entry.  Returns the inline payload length (written at
-    offset 0 of the buffer), or one of the codes above.
-    @raise Invalid_argument on corrupt metadata or a buffer smaller than
-    the entry's payload (size it with {!max_packet}). *)
-
-val desc_slot : t -> int
-val desc_off : t -> int
-val desc_len : t -> int
-val desc_proto : t -> int
-val desc_flags : t -> int
-(** Fields of the most recent {!popped_desc} entry from {!pop_into};
-    overwritten by the next descriptor pop on this view. *)
-
-val desc_nchunks : t -> int
-val desc_chunk_slot : t -> int -> int
-val desc_chunk_len : t -> int -> int
-(** Chunk vector of the most recent {!popped_jumbo} entry from
-    {!pop_into}; overwritten by the next jumbo pop on this view. *)
 
 val is_active : t -> bool
 val mark_inactive : t -> unit

@@ -3,7 +3,8 @@
    state (pools populated, wheel slots touched), then measures
    [Gc.minor_words] across many iterations.
 
-   The wheel and FIFO paths are plain mutation and must be EXACTLY zero.
+   The wheel and FIFO push paths are plain mutation and must be EXACTLY
+   zero.
    The engine paths carry a documented slack that is the OCaml effects
    runtime, not engine bookkeeping:
 
@@ -51,7 +52,9 @@ let test_wheel_cycle_zero_alloc () =
   in
   check_words "wheel pop+insert" ~bound:0.0 per
 
-let test_fifo_roundtrip_zero_alloc () =
+let test_fifo_push_entry_zero_alloc () =
+  (* The producer's per-frame push.  Rewinding both indices to zero after
+     each push keeps the ring from filling without running a consumer. *)
   let module Page = Memory.Page in
   let module Fifo = Xenloop.Fifo in
   let k = 8 in
@@ -59,60 +62,17 @@ let test_fifo_roundtrip_zero_alloc () =
   let data = Array.init (Fifo.data_pages_for ~k) (fun _ -> Page.create ()) in
   Fifo.init ~desc ~data ~k;
   let tx = Fifo.attach ~desc ~data in
-  let rx = Fifo.attach ~desc ~data in
   let payload = Bytes.make 1_400 'x' in
-  let dst = Bytes.create (Fifo.max_packet rx) in
-  (* Warm one cycle so first-touch effects are outside the window. *)
-  ignore (Fifo.push_entry tx ~pool:None ~inline_max:max_int ~proto_hint:0 payload);
-  ignore (Fifo.pop_into rx dst);
-  let per =
-    minor_per_iter ~iters:50_000 (fun () ->
-        ignore (Fifo.push_entry tx ~pool:None ~inline_max:max_int ~proto_hint:0 payload);
-        ignore (Fifo.pop_into rx dst))
-  in
-  check_words "fifo push_entry+pop_into" ~bound:0.0 per
-
-let test_busy_poll_receive_zero_alloc () =
-  (* The busy-poll receive cycle (DESIGN.md §11): producer writes a slot
-     and publishes a descriptor; the spinning consumer pops it with
-     [pop_into], borrows the slot, reads it into a reusable scratch
-     buffer, and releases the borrow.  Run-to-completion, and — like the
-     FIFO path it extends — it must allocate EXACTLY nothing. *)
-  let module Page = Memory.Page in
-  let module Fifo = Xenloop.Fifo in
-  let module Pool = Xenloop.Payload_pool in
-  let k = 8 in
-  let desc = Page.create () in
-  let data = Array.init (Fifo.data_pages_for ~k) (fun _ -> Page.create ()) in
-  Fifo.init ~desc ~data ~k;
-  let tx = Fifo.attach ~desc ~data in
-  let rx = Fifo.attach ~desc ~data in
-  let slots = 8 in
-  let pctrl = Page.create () in
-  let pdata = Array.init slots (fun _ -> Page.create ()) in
-  let pool =
-    Pool.init ~max_loans:slots ~ctrl:pctrl ~data:pdata ~slots ~slot_pages:1
-      ~inline_max:64 ()
-  in
-  let len = 1_400 in
-  let payload = Bytes.make len 'x' in
-  let scratch = Bytes.create (Fifo.max_packet rx) in
   let cycle () =
-    let slot = Pool.alloc_slot pool in
-    Pool.write pool ~slot ~src:payload ~len;
-    ignore (Fifo.try_push_desc tx ~slot ~offset:0 ~len ~proto_hint:17 ());
-    let code = Fifo.pop_into rx scratch in
-    if code <> Fifo.popped_desc then Alcotest.fail "expected a descriptor";
-    let s = Fifo.desc_slot rx in
-    Pool.loan pool s;
-    Pool.read_into pool ~slot:s ~off:0 ~len:(Fifo.desc_len rx) ~dst:scratch
-      ~dst_off:0;
-    Pool.release pool s
+    if Fifo.push_entry tx ~pool:None ~inline_max:max_int ~proto_hint:0 payload
+       <> Fifo.pushed_inline
+    then Alcotest.fail "expected an inline push";
+    Fifo.force_indices ~desc 0
   in
   (* Warm one cycle so first-touch effects are outside the window. *)
   cycle ();
   let per = minor_per_iter ~iters:50_000 cycle in
-  check_words "busy-poll pop_into+loan+read_into+release" ~bound:0.0 per
+  check_words "fifo push_entry" ~bound:0.0 per
 
 let test_engine_sleep_wake_slack () =
   let e = Sim.Engine.create () in
@@ -168,10 +128,8 @@ let suites =
     ( "sim.alloc",
       [
         Alcotest.test_case "wheel cycle allocates nothing" `Quick test_wheel_cycle_zero_alloc;
-        Alcotest.test_case "fifo roundtrip allocates nothing" `Quick
-          test_fifo_roundtrip_zero_alloc;
-        Alcotest.test_case "busy-poll receive cycle allocates nothing" `Quick
-          test_busy_poll_receive_zero_alloc;
+        Alcotest.test_case "fifo push_entry allocates nothing" `Quick
+          test_fifo_push_entry_zero_alloc;
         Alcotest.test_case "engine sleep/wake within effect slack" `Quick
           test_engine_sleep_wake_slack;
         Alcotest.test_case "engine timer fire within fiber slack" `Quick

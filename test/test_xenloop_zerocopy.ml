@@ -147,19 +147,19 @@ let test_fifo_push_selects_path () =
   let _, _, pool = make_pool ~slots:2 ~slot_pages:1 () in
   let f = make_fifo ~k:8 () in
   let small = Bytes.make 200 's' and big = Bytes.make 1000 'b' in
-  (match Fifo.push f ~pool ~inline_max:256 small with
-  | Fifo.Pushed { desc = false; pool_fallback = false } -> ()
-  | _ -> Alcotest.fail "small payload must stay inline");
+  let push ?(proto_hint = 0) payload =
+    Fifo.push_entry f ~pool:(Some pool) ~inline_max:256 ~proto_hint payload
+  in
+  Alcotest.(check int) "small payload must stay inline" Fifo.pushed_inline
+    (push small);
   Alcotest.(check int) "no slot consumed" 2 (Pool.free_slots pool);
-  (match Fifo.push f ~pool ~inline_max:256 ~proto_hint:6 big with
-  | Fifo.Pushed { desc = true; pool_fallback = false } -> ()
-  | _ -> Alcotest.fail "large payload must take a descriptor");
+  Alcotest.(check int) "large payload must take a descriptor" Fifo.pushed_desc
+    (push ~proto_hint:6 big);
   Alcotest.(check int) "one slot consumed" 1 (Pool.free_slots pool);
-  ignore (Fifo.push f ~pool ~inline_max:256 big);
+  ignore (push big);
   (* Pool exhausted: the next large payload degrades to inline, flagged. *)
-  (match Fifo.push f ~pool ~inline_max:256 big with
-  | Fifo.Pushed { desc = false; pool_fallback = true } -> ()
-  | _ -> Alcotest.fail "exhaustion must degrade to inline");
+  Alcotest.(check int) "exhaustion must degrade to inline"
+    Fifo.pushed_inline_fallback (push big);
   (* Drain and verify content on both paths. *)
   (match Fifo.pop_entry f with
   | Some (Fifo.Inline b) -> Alcotest.(check bytes) "inline bytes" small b
@@ -187,9 +187,9 @@ let test_fifo_refusal_never_burns_slots () =
   while Fifo.can_accept f 24 do
     ignore (Fifo.try_push f (Bytes.make 24 'x'))
   done;
-  (match Fifo.push f ~pool ~inline_max:256 (Bytes.make 1000 'y') with
-  | Fifo.Push_failed -> ()
-  | Fifo.Pushed _ -> Alcotest.fail "full FIFO must refuse");
+  Alcotest.(check int) "full FIFO must refuse" Fifo.push_failed
+    (Fifo.push_entry f ~pool:(Some pool) ~inline_max:256 ~proto_hint:0
+       (Bytes.make 1000 'y'));
   Alcotest.(check int) "no pool slot leaked" 4 (Pool.free_slots pool);
   Alcotest.(check bool) "admission check agrees" false
     (Fifo.can_accept_entry f ~pool ~inline_max:256 1000)
