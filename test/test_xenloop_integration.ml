@@ -225,6 +225,66 @@ let test_waiting_list_engages_under_pressure () =
       Alcotest.(check bool) "waiting list was used" true
         ((Gm.stats m1).Gm.queued_to_waiting > 0))
 
+let test_queued_frames_charged_once () =
+  (* Every frame that crosses the channel costs its sender exactly one
+     [xenloop_fifo_op] plus one copy, whether it lands at once or waits
+     on the waiting list because the ring was full: a push the ring
+     refuses is not charged.  Every other sender-side cost is zeroed so
+     the sender's vCPU busy time is the channel's charges alone; a 2 KiB
+     ring holds one 1400-byte datagram, so a burst must queue. *)
+  let zero = Sim.Time.span_zero in
+  let params =
+    {
+      Hypervisor.Params.default with
+      xenloop_zerocopy = false;
+      xenloop_batch_tx = false;
+      hypercall = zero;
+      syscall = zero;
+      udp_tx = zero;
+      udp_rx = zero;
+      netfilter_hook = zero;
+      ip_rx = zero;
+      arp_proc = zero;
+      app_wakeup = zero;
+      copy_ns_per_byte = 0.0;
+    }
+  in
+  let duo = Setup.build ~params ~fifo_k:8 Setup.Xenloop_path in
+  let m1, _ = modules_of duo in
+  let client = host_of duo.Setup.client and server = host_of duo.Setup.server in
+  Experiment.execute duo (fun () ->
+      let bind ?port udp =
+        match Netstack.Udp.bind udp ?port () with
+        | Ok s -> s
+        | Error _ -> Alcotest.fail "bind"
+      in
+      let server_sock = bind server.Workloads.Host.udp ~port:905 in
+      let client_sock = bind client.Workloads.Host.udp in
+      let cpu = Netstack.Stack.cpu client.Workloads.Host.stack in
+      let stats = Gm.stats m1 in
+      let busy0 = Sim.Resource.busy_time cpu in
+      let tx0 = stats.Gm.via_channel_tx and queued0 = stats.Gm.queued_to_waiting in
+      let n = 40 and payload = 1400 in
+      for i = 0 to n - 1 do
+        Netstack.Udp.sendto client_sock ~dst:duo.Setup.server_ip ~dst_port:905
+          (Bytes.make payload (Char.chr (i land 0xff)))
+      done;
+      for _ = 1 to n do
+        ignore (Netstack.Udp.recvfrom server_sock)
+      done;
+      Alcotest.(check int) "all crossed the channel" n (stats.Gm.via_channel_tx - tx0);
+      Alcotest.(check bool) "the ring filled and frames queued" true
+        (stats.Gm.queued_to_waiting - queued0 > 0);
+      (* Ethernet + IPv4 + UDP headers on top of the payload. *)
+      let frame = payload + 14 + 20 + 8 in
+      let per_frame =
+        Sim.Time.span_add params.Hypervisor.Params.xenloop_fifo_op
+          (Hypervisor.Params.xenloop_copy_cost params frame)
+      in
+      Alcotest.(check int64) "sender busy time = one fifo_op + one copy per frame"
+        (Sim.Time.to_ns (Sim.Time.span_scale n per_frame))
+        (Sim.Time.to_ns (Sim.Time.span_sub (Sim.Resource.busy_time cpu) busy0)))
+
 let prop_channel_random_bidirectional_traffic =
   QCheck.Test.make
     ~name:"xenloop channel delivers random bidirectional datagram mixes" ~count:8
@@ -601,6 +661,8 @@ let suites =
           test_large_packets_fall_back;
         Alcotest.test_case "waiting list under pressure" `Quick
           test_waiting_list_engages_under_pressure;
+        Alcotest.test_case "queued frames are charged once" `Quick
+          test_queued_frames_charged_once;
         Alcotest.test_case "corrupt peer quarantined" `Quick
           test_corrupt_peer_is_quarantined;
         Alcotest.test_case "trace narrates lifecycle" `Quick
