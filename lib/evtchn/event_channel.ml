@@ -15,6 +15,7 @@ type endpoint = {
   mutable pending : bool;
   mutable masked : bool;
   mutable handler : (unit -> unit) option;
+  mutable waiter : Sim.Engine.waiter option;
 }
 
 and state =
@@ -54,7 +55,15 @@ let fresh_port t dom =
 let make_endpoint t ~dom ~state =
   let p = fresh_port t dom in
   let ep =
-    { ep_dom = dom; ep_port = p; state; pending = false; masked = false; handler = None }
+    {
+      ep_dom = dom;
+      ep_port = p;
+      state;
+      pending = false;
+      masked = false;
+      handler = None;
+      waiter = None;
+    }
   in
   Hashtbl.replace t.endpoints (dom, p) ep;
   ep
@@ -82,6 +91,18 @@ let set_handler t ~dom ~port f =
   match find t ~dom ~port with
   | None -> invalid_arg "Event_channel.set_handler: bad port"
   | Some ep -> ep.handler <- Some f
+
+let set_waiter t ~dom ~port w =
+  match find t ~dom ~port with
+  | None -> invalid_arg "Event_channel.set_waiter: bad port"
+  | Some ep -> ep.waiter <- Some w
+
+let peer_endpoint t ~dom ~port =
+  match find t ~dom ~port with
+  | Some { state = Bound peer_ep; _ } -> Some peer_ep
+  | Some _ | None -> None
+
+let wake ep = match ep.waiter with Some w -> Sim.Engine.wake w | None -> ()
 
 let deliver ?(extra = Sim.Time.span_zero) t ep =
   (* Level-triggered with coalescing: a delivery in flight is represented by

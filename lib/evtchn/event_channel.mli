@@ -42,6 +42,29 @@ val notify :
     the peer is unmasked, schedules the peer's handler after the delivery
     latency. *)
 
+(** {2 Host-only wakes}
+
+    A consumer lingering on a shared ring is not waiting for an interrupt:
+    it re-reads memory every poll interval.  The simulator parks it on a
+    {!Sim.Engine.waiter} instead, and the producer side wakes it through
+    the channel at zero simulated cost — no hypercall, no event, no
+    pending bit, and never faulted, because nothing crosses the
+    hypervisor. *)
+
+type endpoint
+
+val set_waiter : t -> dom:domid -> port:port -> Sim.Engine.waiter -> unit
+(** Park target for wakes arriving at [dom]'s [port].
+    @raise Invalid_argument on an unknown port. *)
+
+val peer_endpoint : t -> dom:domid -> port:port -> endpoint option
+(** The far end of [dom]'s bound [port], resolved once and kept: {!wake}
+    through it needs no lookup, and keeps working after the channel is
+    closed. *)
+
+val wake : endpoint -> unit
+(** {!Sim.Engine.wake} the waiter registered at this endpoint, if any. *)
+
 val mask : t -> dom:domid -> port:port -> unit
 val unmask : t -> dom:domid -> port:port -> unit
 (** Unmasking a port with its pending bit set triggers delivery, as in

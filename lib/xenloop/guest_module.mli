@@ -53,7 +53,12 @@ type stats = {
           trailing notification ({!Hypervisor.Params.xenloop_batch_tx}) *)
   mutable poll_rounds : int;
       (** NAPI-style receiver poll iterations inside the event handler
-          ({!Hypervisor.Params.xenloop_poll_window}) *)
+          ({!Hypervisor.Params.xenloop_poll_window}): every tick of every
+          linger, executed or skipped, up to the instant of the read *)
+  mutable poll_missed_wakes : int;
+      (** lingers that expired with work already waiting that nobody
+          woke them for — a mutation that broke the wake contract
+          (DESIGN.md §5); 0 in a correct build *)
   mutable steered_packets : int;
       (** packets placed on a specific queue by the flow hash (hook steals
           plus transport-shortcut payloads) *)
@@ -413,6 +418,11 @@ val kill : t -> unit
     reclaims everything the hypervisor accounted to the domain; peers must
     detect the loss through the soft-state control plane and reclaim their
     own half of every shared channel. *)
+
+val tx_fifo : t -> domid:int -> queue:int -> Fifo.t option
+(** The shared ring this module transmits on towards [domid] on [queue],
+    for self-tests that write to it behind the module's back (a push there
+    wakes nobody: see [poll_missed_wakes]). *)
 
 val invariant_violations : t -> string list
 (** Structural invariants over every live channel: FIFO control-word
