@@ -19,11 +19,24 @@ let frame_conservation name machine acc =
     :: acc
   else acc
 
+(* A linger that expired with work nobody woke it for: a mutation that
+   broke the wake contract, which would make parked polling diverge from
+   polling every tick (DESIGN.md §5). *)
+let missed_wakes name m acc =
+  let missed = (Xenloop.Guest_module.stats m).Xenloop.Guest_module.poll_missed_wakes in
+  if missed > 0 then
+    Printf.sprintf "%s: %d linger(s) expired on work no wake announced" name missed
+    :: acc
+  else acc
+
 let check_runtime ctx =
   let acc =
     List.fold_left
       (fun acc (name, machine) -> frame_conservation name machine acc)
       [] ctx.iv_machines
+  in
+  let acc =
+    List.fold_left (fun acc (name, m) -> missed_wakes name m acc) acc ctx.iv_modules
   in
   let acc =
     List.fold_left

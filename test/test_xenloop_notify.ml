@@ -247,6 +247,74 @@ let test_suppression_off_is_seed_baseline () =
       Alcotest.(check bool) "at least one doorbell per datagram" true
         ((Gm.stats m1).Gm.notifies_sent >= n))
 
+(* ------------------------------------------------------------------ *)
+(* Parked lingers: what a window costs, and the wake contract *)
+
+(* One queue per channel, so exactly one receive handler lingers. *)
+let one_queue = { Hypervisor.Params.default with xenloop_queues = 1 }
+
+(* A channel up and idle, the receiver just back from its first linger;
+   [f] gets the modules and a one-datagram exchange. *)
+let with_quiet_channel f =
+  let duo = Setup.build ~params:one_queue Setup.Xenloop_path in
+  let m1, m2 = modules_of duo in
+  let client = host_of duo.Setup.client and server = host_of duo.Setup.server in
+  Experiment.execute duo (fun () ->
+      let server_sock = bind_or_fail server.Workloads.Host.udp ~port:915 () in
+      let client_sock = bind_or_fail client.Workloads.Host.udp () in
+      let exchange () =
+        Netstack.Udp.sendto client_sock ~dst:duo.Setup.server_ip ~dst_port:915
+          (Bytes.make 200 'q');
+        ignore (Netstack.Udp.recvfrom server_sock)
+      in
+      exchange ();
+      Sim.Engine.sleep (Sim.Time.ms 1);
+      Alcotest.(check bool) "channel up" true
+        (Gm.connected_peer_ids m1 <> []);
+      f duo.Setup.engine m1 m2 exchange)
+
+let test_idle_linger_executes_no_ticks () =
+  (* After one datagram the receiver lingers a whole window: 100 µs of
+     2 µs ticks, 50 of them.  Parked, that window executes at most two
+     events per lingering queue (the expiry, plus a wake), not one per
+     tick — yet poll_rounds still counts all 50. *)
+  with_quiet_channel (fun engine m1 m2 exchange ->
+      let rounds () = (Gm.stats m1).Gm.poll_rounds + (Gm.stats m2).Gm.poll_rounds in
+      let r0 = rounds () in
+      exchange ();
+      let e0 = Sim.Engine.events_executed engine in
+      Sim.Engine.sleep (Sim.Time.us 150);
+      (* Our own wake-up from that sleep is one of the events counted. *)
+      let events = Sim.Engine.events_executed engine - e0 - 1 in
+      Alcotest.(check int) "every tick of the window counted" 50 (rounds () - r0);
+      Alcotest.(check bool)
+        (Printf.sprintf "window cost %d events (at most 2)" events)
+        true (events <= 2);
+      Alcotest.(check int) "no missed wake" 0
+        ((Gm.stats m1).Gm.poll_missed_wakes + (Gm.stats m2).Gm.poll_missed_wakes))
+
+let test_push_behind_module_is_a_missed_wake () =
+  (* Parking is exact only if whatever gives a parked handler work wakes
+     it.  A frame pushed straight into the lingering receiver's ring,
+     behind the sending module's back, wakes nobody: the receiver finds it
+     only at the window's expiry, and counts that as a missed wake. *)
+  with_quiet_channel (fun _ m1 m2 exchange ->
+      exchange ();
+      Sim.Engine.sleep (Sim.Time.us 10);
+      let peer =
+        match Gm.connected_peer_ids m1 with [ d ] -> d | _ -> Alcotest.fail "one peer"
+      in
+      (match Gm.tx_fifo m1 ~domid:peer ~queue:0 with
+      | Some ring ->
+          Alcotest.(check int) "pushed" Fifo.pushed_inline
+            (Fifo.push_entry ring ~pool:None ~inline_max:max_int ~proto_hint:0
+               (Bytes.make 64 'x'))
+      | None -> Alcotest.fail "no ring");
+      Sim.Engine.sleep (Sim.Time.us 150);
+      Alcotest.(check int) "receiver missed one wake" 1
+        (Gm.stats m2).Gm.poll_missed_wakes;
+      Alcotest.(check int) "sender missed none" 0 (Gm.stats m1).Gm.poll_missed_wakes)
+
 let suites =
   [
     ( "xenloop.notify",
@@ -267,5 +335,9 @@ let suites =
           test_teardown_drains_under_suppression;
         Alcotest.test_case "all knobs off matches seed" `Quick
           test_suppression_off_is_seed_baseline;
+        Alcotest.test_case "idle linger executes no ticks" `Quick
+          test_idle_linger_executes_no_ticks;
+        Alcotest.test_case "push behind the module is a missed wake" `Quick
+          test_push_behind_module_is_a_missed_wake;
       ] );
   ]
