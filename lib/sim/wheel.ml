@@ -120,9 +120,14 @@ let heap_pop_top t =
   c
 
 let heap_remove t c =
-  let rec find i = if i >= t.heap_len then -1 else if t.heap.(i) == c then i else find (i + 1) in
-  let i = find 0 in
-  if i < 0 then false
+  (* A loop, not a local recursive function: that would be a closure
+     allocated on every call. *)
+  let i = ref 0 in
+  while !i < t.heap_len && t.heap.(!i) != c do
+    incr i
+  done;
+  let i = !i in
+  if i >= t.heap_len then false
   else begin
     t.heap_len <- t.heap_len - 1;
     let last = t.heap.(t.heap_len) in
