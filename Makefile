@@ -29,9 +29,11 @@ bench: build
 	dune exec bench/main.exe -- --json
 
 # Full engine microbenchmark sweep (sim_events_per_sec per scenario,
-# best-of-three).
+# best-of-three), then the Bechamel host-time microbenchmarks of the core
+# data structures and packet paths.
 perf: build
 	dune exec bench/main.exe -- --engine-bench
+	dune exec bench/main.exe -- --only micro
 
 # Regression gate: re-measure the headline engine scenario in smoke mode
 # and fail loudly if it lost more than 25% against the committed

@@ -365,6 +365,51 @@ let micro () =
       (Bechamel.Staged.stage (fun () ->
            ignore (Netcore.Codec.parse (Netcore.Codec.serialize packet))))
   in
+  (* The receive path at its largest frame: a 64 KiB TCP jumbo parsed
+     from contiguous bytes, and parsed straight out of the 20 KiB pool
+     slots a jumbo descriptor scatters it across. *)
+  let jumbo =
+    Netcore.Codec.serialize
+      (Netcore.Packet.tcp
+         ~src_mac:(Netcore.Mac.of_domid ~machine:0 ~domid:1)
+         ~dst_mac:(Netcore.Mac.of_domid ~machine:0 ~domid:2)
+         ~src_ip:(Netcore.Ip.make ~subnet:1 ~host:1)
+         ~dst_ip:(Netcore.Ip.make ~subnet:1 ~host:2)
+         ~header:
+           {
+             Netcore.Transport.tcp_src_port = 1;
+             tcp_dst_port = 2;
+             seq = 0l;
+             ack_seq = 0l;
+             flags = { Netcore.Transport.no_flags with ack = true };
+             window = 0xffff;
+           }
+         (Bytes.make (65_535 - 40) 'j'))
+  in
+  let test_parse_jumbo =
+    Bechamel.Test.make ~name:"codec parse 64 KiB TCP jumbo"
+      (Bechamel.Staged.stage (fun () -> ignore (Netcore.Codec.parse jumbo)))
+  in
+  let pool =
+    let slots = 8 and slot_pages = 5 in
+    Xenloop.Payload_pool.init ~ctrl:(Memory.Page.create ())
+      ~data:(Array.init (slots * slot_pages) (fun _ -> Memory.Page.create ()))
+      ~slots ~slot_pages ~inline_max:256 ()
+  in
+  let jumbo_len = Bytes.length jumbo and sb = Xenloop.Payload_pool.slot_bytes pool in
+  let chunks =
+    Array.init ((jumbo_len + sb - 1) / sb) (fun i ->
+        let l = min sb (jumbo_len - (i * sb)) in
+        Xenloop.Payload_pool.write_from pool ~slot:i ~src:jumbo ~src_off:(i * sb) ~len:l;
+        (i, l))
+  in
+  let test_pool_jumbo =
+    Bechamel.Test.make ~name:"pool jumbo receive 64 KiB"
+      (Bechamel.Staged.stage (fun () ->
+           ignore
+             (Xenloop.Payload_pool.parse_scatter ~verify_transport:false pool ~off:0
+                ~len:jumbo_len chunks)))
+  in
   let test_heap =
     Bechamel.Test.make ~name:"event heap push+pop x100"
       (Bechamel.Staged.stage (fun () ->
@@ -400,7 +445,16 @@ let micro () =
         | Some _ | None -> Format.fprintf fmt "%-36s (no estimate)@." name)
       ols
   in
-  List.iter run_one [ test_fifo; test_grant; test_codec; test_heap; test_checksum ];
+  List.iter run_one
+    [
+      test_fifo;
+      test_grant;
+      test_codec;
+      test_parse_jumbo;
+      test_pool_jumbo;
+      test_heap;
+      test_checksum;
+    ];
   Format.fprintf fmt "@."
 
 (* ------------------------------------------------------------------ *)

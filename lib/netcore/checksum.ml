@@ -50,6 +50,8 @@ let ones_complement_sum data ~off ~len =
   done;
   if Sys.big_endian then !s else ((!s lsr 8) lor (!s lsl 8)) land 0xFFFF
 
+let add a b = fold16 (a + b)
+
 let compute data ~off ~len = lnot (ones_complement_sum data ~off ~len) land 0xFFFF
 
 let verify data ~off ~len = ones_complement_sum data ~off ~len = 0xFFFF

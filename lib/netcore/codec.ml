@@ -56,42 +56,29 @@ let transport_header_length = function
 let transport_length transport ~payload =
   transport_header_length transport + Bytes.length payload
 
-(* --- Readers (cursor over bytes) --- *)
+(* --- Readers ---
+
+   A frame need not be one contiguous [Bytes.t]: on the XenLoop pool path
+   it lies scattered across grant-mapped slots.  The parser therefore reads
+   every header field at its fixed offset in [head], which holds at least
+   the frame's first [min len max_header_length] bytes (the whole frame,
+   when it is contiguous), and takes each byte range past the headers —
+   payload, fragment blob, control message — with one call to [sub], the
+   single copy out of wherever the frame lives.  [len] is the frame
+   length: a field that does not fit in it is [Short].  Errors unwind as
+   exceptions, so a parsed frame allocates its packet and nothing else. *)
 
 exception Short
+exception Fail of error
 
-type cursor = { data : Bytes.t; mutable pos : int }
+let ethernet_header_length = 14
+let max_header_length = ethernet_header_length + Ipv4.header_length + 20
 
-let r8 c =
-  if c.pos >= Bytes.length c.data then raise Short;
-  let v = Char.code (Bytes.get c.data c.pos) in
-  c.pos <- c.pos + 1;
-  v
+let need len off n = if off + n > len then raise Short
+let r8 head off = Bytes.get_uint8 head off
+let r16 head off = Bytes.get_uint16_be head off
 
-let r16 c =
-  let hi = r8 c in
-  (hi lsl 8) lor r8 c
-
-let r32 c =
-  let hi = r16 c in
-  Int32.logor (Int32.shift_left (Int32.of_int hi) 16) (Int32.of_int (r16 c))
-
-let rmac c =
-  let v = ref 0L in
-  for _ = 1 to 6 do
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (r8 c))
-  done;
-  Mac.of_int64 !v
-
-let rip c = Ip.of_int32 (r32 c)
-
-let rbytes c len =
-  if len < 0 || c.pos + len > Bytes.length c.data then raise Short;
-  let b = Bytes.sub c.data c.pos len in
-  c.pos <- c.pos + len;
-  b
-
-let remaining c = Bytes.length c.data - c.pos
+let rip head off = Ip.of_int32 (Bytes.get_int32_be head off)
 
 (* --- Transport --- *)
 
@@ -102,14 +89,20 @@ let tcp_flag_bits (f : Transport.tcp_flags) =
   lor (if f.psh then 0x08 else 0)
   lor if f.ack then 0x10 else 0
 
-let tcp_flags_of_bits bits : Transport.tcp_flags =
-  {
-    fin = bits land 0x01 <> 0;
-    syn = bits land 0x02 <> 0;
-    rst = bits land 0x04 <> 0;
-    psh = bits land 0x08 <> 0;
-    ack = bits land 0x10 <> 0;
-  }
+(* Flag records are immutable, so the parser shares one per combination
+   of the five bits it knows instead of building one per segment. *)
+let tcp_flags_of_bits =
+  let table =
+    Array.init 32 (fun bits : Transport.tcp_flags ->
+        {
+          fin = bits land 0x01 <> 0;
+          syn = bits land 0x02 <> 0;
+          rst = bits land 0x04 <> 0;
+          psh = bits land 0x08 <> 0;
+          ack = bits land 0x10 <> 0;
+        })
+  in
+  fun bits -> table.(bits land 0x1F)
 
 (* Serialize transport header with a zero checksum field into [w], then
    patch the real checksum (computed over header + payload) in place.
@@ -161,59 +154,70 @@ let serialize_transport ?(csum = true) transport ~payload =
   write_transport ~csum w transport ~payload;
   w.wdata
 
+(* The transport layer of a frame whose transport header starts at [t]
+   and whose payload runs to the frame's end [len].  The payload is taken
+   first, with one [sub], so that with [verify] the checksum over the
+   whole range — the header's raw sum plus the payload's (the header
+   length is even) — is checked before any header error is reported.
+   [k] builds the result from the header and the payload. *)
+let parse_transport_at ~verify protocol head ~len ~t sub k =
+  let region = len - t in
+  let header_len =
+    match protocol with Ipv4.Icmp | Ipv4.Udp -> 8 | Ipv4.Tcp -> 20
+  in
+  let payload =
+    if region >= header_len then sub (t + header_len) (region - header_len)
+    else Bytes.empty
+  in
+  if
+    verify
+    && Checksum.add
+         (Checksum.ones_complement_sum head ~off:t ~len:(min region header_len))
+         (Checksum.ones_complement_sum payload ~off:0 ~len:(Bytes.length payload))
+       <> 0xFFFF
+  then raise (Fail (Bad_checksum "transport"));
+  need len t header_len;
+  let transport =
+    match protocol with
+    | Ipv4.Icmp ->
+        let echo_kind =
+          match r8 head t with
+          | 8 -> `Request
+          | 0 -> `Reply
+          | _ -> raise (Fail (Malformed "transport header"))
+        in
+        Transport.Icmp
+          { echo_kind; icmp_ident = r16 head (t + 4); icmp_seq = r16 head (t + 6) }
+    | Ipv4.Udp ->
+        if r16 head (t + 4) <> region then
+          raise (Fail (Malformed "transport header"));
+        Transport.Udp
+          { udp_src_port = r16 head t; udp_dst_port = r16 head (t + 2) }
+    | Ipv4.Tcp ->
+        let off_flags = r16 head (t + 12) in
+        (* The stack sends no options, so any header length but the bare
+           20 bytes is a corrupted header, not a longer one. *)
+        if off_flags lsr 12 <> 5 then raise (Fail (Malformed "TCP data offset"));
+        Transport.Tcp
+          {
+            tcp_src_port = r16 head t;
+            tcp_dst_port = r16 head (t + 2);
+            seq = Bytes.get_int32_be head (t + 4);
+            ack_seq = Bytes.get_int32_be head (t + 8);
+            flags = tcp_flags_of_bits off_flags;
+            window = r16 head (t + 14);
+          }
+  in
+  k transport payload
+
 let parse_transport ?(verify = true) protocol blob =
-  let c = { data = blob; pos = 0 } in
-  try
-    if verify && not (Checksum.verify blob ~off:0 ~len:(Bytes.length blob)) then
-      Error (Bad_checksum "transport")
-    else begin
-      let transport =
-        match protocol with
-        | Ipv4.Icmp ->
-            let ty = r8 c in
-            let _code = r8 c in
-            let _cksum = r16 c in
-            let icmp_ident = r16 c in
-            let icmp_seq = r16 c in
-            let echo_kind =
-              match ty with
-              | 8 -> `Request
-              | 0 -> `Reply
-              | _ -> raise Exit
-            in
-            Transport.Icmp { echo_kind; icmp_ident; icmp_seq }
-        | Ipv4.Udp ->
-            let udp_src_port = r16 c in
-            let udp_dst_port = r16 c in
-            let len = r16 c in
-            let _cksum = r16 c in
-            if len <> Bytes.length blob then raise Exit;
-            Transport.Udp { udp_src_port; udp_dst_port }
-        | Ipv4.Tcp ->
-            let tcp_src_port = r16 c in
-            let tcp_dst_port = r16 c in
-            let seq = r32 c in
-            let ack_seq = r32 c in
-            let off_flags = r16 c in
-            let window = r16 c in
-            let _cksum = r16 c in
-            let _urgent = r16 c in
-            Transport.Tcp
-              {
-                tcp_src_port;
-                tcp_dst_port;
-                seq;
-                ack_seq;
-                flags = tcp_flags_of_bits (off_flags land 0x3F);
-                window;
-              }
-      in
-      let payload = rbytes c (remaining c) in
-      Ok (transport, payload)
-    end
+  match
+    parse_transport_at ~verify protocol blob ~len:(Bytes.length blob) ~t:0
+      (Bytes.sub blob) (fun transport payload -> (transport, payload))
   with
-  | Short -> Error Truncated
-  | Exit -> Error (Malformed "transport header")
+  | parsed -> Ok parsed
+  | exception Short -> Error Truncated
+  | exception Fail e -> Error e
 
 (* --- IPv4 --- *)
 
@@ -234,52 +238,39 @@ let serialize_ipv4_header w (h : Ipv4.header) ~content_length =
   Bytes.set_uint8 w.wdata (start + 10) (cksum lsr 8);
   Bytes.set_uint8 w.wdata (start + 11) (cksum land 0xFF)
 
-let parse_ipv4 ?(verify_transport = true) c =
-  let start = c.pos in
-  let vihl = r8 c in
-  if vihl <> 0x45 then Error (Malformed "IPv4 version/IHL")
-  else begin
-    let _tos = r8 c in
-    let total_length = r16 c in
-    let ident = r16 c in
-    let flags_frag = r16 c in
-    let ttl = r8 c in
-    let proto = r8 c in
-    let _cksum = r16 c in
-    let src = rip c in
-    let dst = rip c in
-    if not (Checksum.verify c.data ~off:start ~len:Ipv4.header_length) then
-      Error (Bad_checksum "IPv4")
-    else
-      match Ipv4.protocol_of_number proto with
-      | None -> Error (Bad_protocol proto)
-      | Some protocol ->
-          let content_len = total_length - Ipv4.header_length in
-          if content_len <> remaining c then Error Truncated
-          else begin
-            let header : Ipv4.header =
-              {
-                src;
-                dst;
-                protocol;
-                ident;
-                frag_offset = (flags_frag land 0x1FFF) * 8;
-                more_fragments = flags_frag land 0x2000 <> 0;
-                ttl;
-              }
-            in
-            let blob = rbytes c content_len in
-            if Ipv4.is_fragment header then
-              Ok (Packet.Ipv4_body { header; content = Packet.Fragment blob })
-            else
-              match parse_transport ~verify:verify_transport protocol blob with
-              | Error e -> Error e
-              | Ok (transport, payload) ->
-                  Ok
-                    (Packet.Ipv4_body
-                       { header; content = Packet.Full { transport; payload } })
-          end
-  end
+let parse_ipv4 ~verify_transport head ~len sub =
+  let ip = ethernet_header_length in
+  need len ip 1;
+  if r8 head ip <> 0x45 then raise (Fail (Malformed "IPv4 version/IHL"));
+  need len ip Ipv4.header_length;
+  if not (Checksum.verify head ~off:ip ~len:Ipv4.header_length) then
+    raise (Fail (Bad_checksum "IPv4"));
+  let proto = r8 head (ip + 9) in
+  match Ipv4.protocol_of_number proto with
+  | None -> raise (Fail (Bad_protocol proto))
+  | Some protocol ->
+      let t = ip + Ipv4.header_length in
+      let content_len = r16 head (ip + 2) - Ipv4.header_length in
+      if content_len <> len - t then raise Short;
+      let flags_frag = r16 head (ip + 6) in
+      let header : Ipv4.header =
+        {
+          src = rip head (ip + 12);
+          dst = rip head (ip + 16);
+          protocol;
+          ident = r16 head (ip + 4);
+          frag_offset = (flags_frag land 0x1FFF) * 8;
+          more_fragments = flags_frag land 0x2000 <> 0;
+          ttl = r8 head (ip + 8);
+        }
+      in
+      let content =
+        if Ipv4.is_fragment header then Packet.Fragment (sub t content_len)
+        else
+          parse_transport_at ~verify:verify_transport protocol head ~len ~t sub
+            (fun transport payload -> Packet.Full { transport; payload })
+      in
+      Packet.Ipv4_body { header; content }
 
 (* --- ARP --- *)
 
@@ -296,29 +287,32 @@ let serialize_arp w (a : Arp.t) =
   wmac w a.target_mac;
   wip w a.target_ip
 
-let parse_arp c =
-  let htype = r16 c in
-  let ptype = r16 c in
-  let hlen = r8 c in
-  let plen = r8 c in
-  if htype <> 1 || ptype <> 0x0800 || hlen <> 6 || plen <> 4 then
-    Error (Malformed "ARP header")
-  else begin
-    let opn = r16 c in
-    let sender_mac = rmac c in
-    let sender_ip = rip c in
-    let target_mac = rmac c in
-    let target_ip = rip c in
-    match opn with
-    | 1 | 2 ->
-        let op = if opn = 1 then Arp.Request else Arp.Reply in
-        Ok (Packet.Arp_body { Arp.op; sender_mac; sender_ip; target_mac; target_ip })
-    | _ -> Error (Malformed "ARP op")
-  end
+let parse_arp head ~len =
+  let a = ethernet_header_length in
+  need len a 6;
+  if
+    r16 head a <> 1
+    || r16 head (a + 2) <> 0x0800
+    || r8 head (a + 4) <> 6
+    || r8 head (a + 5) <> 4
+  then raise (Fail (Malformed "ARP header"));
+  need len a arp_length;
+  let op =
+    match r16 head (a + 6) with
+    | 1 -> Arp.Request
+    | 2 -> Arp.Reply
+    | _ -> raise (Fail (Malformed "ARP op"))
+  in
+  Packet.Arp_body
+    {
+      Arp.op;
+      sender_mac = Mac.of_bytes head (a + 8);
+      sender_ip = rip head (a + 14);
+      target_mac = Mac.of_bytes head (a + 18);
+      target_ip = rip head (a + 24);
+    }
 
 (* --- Frames --- *)
-
-let ethernet_header_length = 14
 
 let body_length (body : Packet.body) =
   match body with
@@ -353,21 +347,28 @@ let serialize ?(csum = true) (p : Packet.t) =
       wbytes w data);
   w.wdata
 
-let parse ?(verify_transport = true) data =
-  let c = { data; pos = 0 } in
-  try
-    let dst_mac = rmac c in
-    let src_mac = rmac c in
-    let ethertype = r16 c in
-    let body =
-      match ethertype with
-      | 0x0800 -> parse_ipv4 ~verify_transport c
-      | 0x0806 -> parse_arp c
-      | 0x58D0 ->
-          let len = r16 c in
-          if len <> remaining c then Error Truncated
-          else Ok (Packet.Xenloop_body (rbytes c len))
-      | other -> Error (Bad_ethertype other)
-    in
-    Result.map (fun body -> { Packet.src_mac; dst_mac; body }) body
-  with Short -> Error Truncated
+let parse_body ~verify_transport head ~len sub =
+  need len 0 ethernet_header_length;
+  match r16 head 12 with
+  | 0x0800 -> parse_ipv4 ~verify_transport head ~len sub
+  | 0x0806 -> parse_arp head ~len
+  | 0x58D0 ->
+      need len ethernet_header_length 2;
+      let data_len = r16 head ethernet_header_length in
+      let start = ethernet_header_length + 2 in
+      if data_len <> len - start then raise Short;
+      Packet.Xenloop_body (sub start data_len)
+  | other -> raise (Fail (Bad_ethertype other))
+
+let parse_with ?(verify_transport = true) ~head ~len sub =
+  if Bytes.length head < min len max_header_length then
+    invalid_arg "Codec.parse_with: head shorter than the frame's headers";
+  match parse_body ~verify_transport head ~len sub with
+  | body ->
+      Ok { Packet.dst_mac = Mac.of_bytes head 0; src_mac = Mac.of_bytes head 6; body }
+  | exception Short -> Error Truncated
+  | exception Fail e -> Error e
+
+let parse ?verify_transport data =
+  parse_with ?verify_transport ~head:data ~len:(Bytes.length data)
+    (fun off n -> Bytes.sub data off n)

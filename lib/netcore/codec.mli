@@ -27,7 +27,27 @@ val serialize : ?csum:bool -> Packet.t -> Bytes.t
 val parse : ?verify_transport:bool -> Bytes.t -> (Packet.t, error) result
 (** [~verify_transport:false] skips the transport-checksum check (GRO on
     a channel whose descriptor carries the [csum_ok] flag); IPv4 header
-    checksums are still verified. *)
+    checksums are still verified.  Headers are read in place and the
+    payload is copied out once.  A TCP header whose data offset is not 5
+    (the stack sends no options) is [Malformed "TCP data offset"]. *)
+
+val max_header_length : int
+(** 54: Ethernet, IPv4 and TCP headers — the most of a frame's leading
+    bytes the parser ever reads as header fields. *)
+
+val parse_with :
+  ?verify_transport:bool ->
+  head:Bytes.t ->
+  len:int ->
+  (int -> int -> Bytes.t) ->
+  (Packet.t, error) result
+(** {!parse} of a [len]-byte frame that need not be contiguous.  [head]
+    holds at least its first [min len max_header_length] bytes.  The last
+    argument, [sub off n], returns a fresh copy of the [n] frame bytes at
+    [off]; it is called once per payload, fragment blob or control
+    message, always past the headers.  [parse data] is
+    [parse_with ~head:data ~len:(Bytes.length data) (Bytes.sub data)].
+    @raise Invalid_argument if [head] is too short. *)
 
 (** {1 Transport blobs}
 

@@ -5,6 +5,12 @@ let mask48 = 0xFFFF_FFFF_FFFFL
 let of_int64 v = Int64.logand v mask48
 let to_int64 t = t
 
+let of_bytes b off =
+  Int64.of_int
+    ((Bytes.get_uint16_be b off lsl 32)
+    lor (Bytes.get_uint16_be b (off + 2) lsl 16)
+    lor Bytes.get_uint16_be b (off + 4))
+
 let broadcast = mask48
 
 let byte t i = Int64.to_int (Int64.logand (Int64.shift_right_logical t (8 * (5 - i))) 0xFFL)

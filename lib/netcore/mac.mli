@@ -7,6 +7,10 @@ val of_int64 : int64 -> t
 
 val to_int64 : t -> int64
 
+val of_bytes : Bytes.t -> int -> t
+(** The address in the 6 bytes at the given offset, in wire (network)
+    order. *)
+
 val of_string : string -> t option
 (** Parses ["aa:bb:cc:dd:ee:ff"]. *)
 

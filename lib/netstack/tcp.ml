@@ -249,32 +249,32 @@ let append_data c ?release payload =
   c.recv_buffered <- c.recv_buffered + Bytes.length payload;
   c.received_bytes <- c.received_bytes + Bytes.length payload
 
-let take_data c max =
-  let buf = Buffer.create (min max c.recv_buffered) in
-  let rec fill () =
-    if Buffer.length buf < max && not (Queue.is_empty c.recv_chunks) then begin
-      let head, head_release = Queue.peek c.recv_chunks in
-      let available = Bytes.length head - c.head_offset in
-      let want = max - Buffer.length buf in
-      if available <= want then begin
-        Buffer.add_subbytes buf head c.head_offset available;
-        ignore (Queue.pop c.recv_chunks);
-        (* Chunk fully drained into the app's buffer: the borrow ends —
-           the recv copy is the same one the private-buffer path pays. *)
-        (match head_release with Some r -> r ~copied:false | None -> ());
-        c.head_offset <- 0;
-        fill ()
-      end
-      else begin
-        Buffer.add_subbytes buf head c.head_offset want;
-        c.head_offset <- c.head_offset + want
-      end
+(* Move the next [len] buffered bytes into [dst] at [dst_off]: the one
+   copy from the receive queue to the application's buffer.  [len] must
+   not exceed [recv_buffered], which counts exactly the queued bytes past
+   [head_offset]. *)
+let take_into c dst ~dst_off len =
+  let taken = ref 0 in
+  while !taken < len do
+    let head, head_release = Queue.peek c.recv_chunks in
+    let available = Bytes.length head - c.head_offset in
+    let want = len - !taken in
+    if available <= want then begin
+      Bytes.blit head c.head_offset dst (dst_off + !taken) available;
+      taken := !taken + available;
+      ignore (Queue.pop c.recv_chunks);
+      (* Chunk fully drained into the app's buffer: the borrow ends —
+         the recv copy is the same one the private-buffer path pays. *)
+      (match head_release with Some r -> r ~copied:false | None -> ());
+      c.head_offset <- 0
     end
-  in
-  fill ();
-  let taken = Buffer.length buf in
-  c.recv_buffered <- c.recv_buffered - taken;
-  Buffer.to_bytes buf
+    else begin
+      Bytes.blit head c.head_offset dst (dst_off + !taken) want;
+      taken := len;
+      c.head_offset <- c.head_offset + want
+    end
+  done;
+  c.recv_buffered <- c.recv_buffered - len
 
 (* --- Connection cleanup --- *)
 
@@ -682,7 +682,9 @@ let send c data =
     end
   done
 
-let recv c ~max =
+(* The receive syscall up to its copy: charge it and block until data or
+   the end of the stream. *)
+let await_data c =
   let p = params c in
   Sim.Resource.use (cpu c) p.Hypervisor.Params.syscall;
   let blocked = ref false in
@@ -690,25 +692,36 @@ let recv c ~max =
     blocked := true;
     Sim.Condition.await c.data_arrived
   done;
-  if !blocked then Sim.Resource.use (cpu c) p.Hypervisor.Params.app_wakeup;
+  if !blocked then Sim.Resource.use (cpu c) p.Hypervisor.Params.app_wakeup
+
+(* Copy the next [n] buffered bytes into [dst] at [off]; a window-update
+   ACK follows if the drain reopened a nearly-closed window. *)
+let drain_into c dst ~off n =
+  let window_before = current_window c in
+  take_into c dst ~dst_off:off n;
+  if window_before < c.conn_mss && current_window c >= c.conn_mss then
+    send_pure_ack c
+
+let recv c ~max =
+  await_data c;
   if c.recv_buffered = 0 then Bytes.empty
   else begin
-    let window_before = current_window c in
-    let data = take_data c max in
-    (* Window-update ACK if the drain reopened a nearly-closed window. *)
-    if window_before < c.conn_mss && current_window c >= c.conn_mss then
-      send_pure_ack c;
+    let data = Bytes.create (Int.max 0 (min max c.recv_buffered)) in
+    drain_into c data ~off:0 (Bytes.length data);
     data
   end
 
 let recv_exact c n =
-  let buf = Buffer.create n in
-  while Buffer.length buf < n do
-    let chunk = recv c ~max:(n - Buffer.length buf) in
-    if Bytes.length chunk = 0 then raise (Tcp_error Closed);
-    Buffer.add_bytes buf chunk
+  let data = Bytes.create n in
+  let got = ref 0 in
+  while !got < n do
+    await_data c;
+    if c.recv_buffered = 0 then raise (Tcp_error Closed);
+    let k = min (n - !got) c.recv_buffered in
+    drain_into c data ~off:!got k;
+    got := !got + k
   done;
-  Buffer.to_bytes buf
+  data
 
 let close c =
   if not c.fin_sent && c.state <> Conn_closed then begin

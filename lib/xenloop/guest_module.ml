@@ -1198,9 +1198,9 @@ type scatter =
   | Scatter_bad_lengths of int
       (** the chunk lengths (their sum is carried) do not account for the
           frame: this frame alone is undeliverable *)
-  | Scatter_ok of Bytes.t  (** the gathered frame *)
+  | Scatter_ok  (** the vector may be read *)
 
-let gather_scatter pool ~off ~len chunks =
+let check_scatter pool ~off ~len chunks =
   let nslots = Payload_pool.slots pool in
   let sb = Payload_pool.slot_bytes pool in
   let nchunks = Array.length chunks in
@@ -1216,21 +1216,17 @@ let gather_scatter pool ~off ~len chunks =
   else begin
     let sum = Array.fold_left (fun a (_, l) -> a + l) 0 chunks in
     if
-      not
-        (len > 0 && sum = len && off >= 0
-        && Array.for_all (fun (_, l) -> l > 0 && off + l <= sb) chunks)
-    then Scatter_bad_lengths sum
-    else begin
-      let raw = Bytes.create len in
-      let pos = ref 0 in
-      Array.iter
-        (fun (s, l) ->
-          Payload_pool.read_into pool ~slot:s ~off ~len:l ~dst:raw ~dst_off:!pos;
-          pos := !pos + l)
-        chunks;
-      Scatter_ok raw
-    end
+      len > 0 && sum = len && off >= 0
+      && Array.for_all (fun (_, l) -> l > 0 && off + l <= sb) chunks
+    then Scatter_ok
+    else Scatter_bad_lengths sum
   end
+
+(* The frame's raw bytes, for a vector [check_scatter] accepted. *)
+let gather_scatter pool ~off ~len chunks =
+  let raw = Bytes.create len in
+  Payload_pool.read_scatter pool ~off chunks ~pos:0 ~len ~dst:raw ~dst_off:0;
+  raw
 
 (* A [flag_app] descriptor: a socket-shortcut datagram living in the pool
    slot behind an 8-byte app header, delivered to the application layer
@@ -1275,19 +1271,16 @@ let drain_incoming t q =
      only a frame whose sender did not stamp [flag_csum_ok]
      (trusted-channel checksum elision) gets its transport checksum
      verified, and [jumbo_rx] counts jumbo entries only. *)
-  let parse ~flags raw =
+  let parsed ~flags result =
     incr consumed;
-    match
-      Netcore.Codec.parse ~verify_transport:(flags land Fifo.flag_csum_ok = 0) raw
-    with
-    | Ok _ as ok ->
+    (match result with
+    | Ok _ ->
         if flags land Fifo.flag_jumbo <> 0 then t.s.jumbo_rx <- t.s.jumbo_rx + 1;
-        t.s.via_channel_rx <- t.s.via_channel_rx + 1;
-        ok
-    | Error _ as e -> e
+        t.s.via_channel_rx <- t.s.via_channel_rx + 1
+    | Error _ -> ());
+    result
   in
-  let inject ~flags raw =
-    match parse ~flags raw with
+  let inject = function
     | Ok packet -> Stack.inject_rx t.stack packet
     | Error _ ->
         (* An individual frame that fails to parse is dropped; the FIFO
@@ -1296,9 +1289,11 @@ let drain_incoming t q =
   in
   (* One frame held in pool slots: a plain descriptor is a one-chunk
      scatter vector at its offset, a jumbo (GRO receive, DESIGN.md §15)
-     several chunks at offset 0, reassembled and delivered whole. *)
+     several chunks at offset 0, delivered whole.  It is parsed straight
+     out of the slots — headers from the vector's first bytes, the
+     payload copied once into the packet — before the slots go back. *)
   let deliver_pool_frame pool ~off ~len ~flags chunks =
-    match gather_scatter pool ~off ~len chunks with
+    match check_scatter pool ~off ~len chunks with
     | Scatter_bad_framing -> raise Corrupt_channel
     | Scatter_bad_lengths sum ->
         (* A corrupted scatter length (chaos [Jumbo_truncate]) makes
@@ -1312,7 +1307,13 @@ let drain_incoming t q =
           "dom%d: dropped corrupt jumbo on q%d (len=%d chunk-sum=%d chunks=%d)"
           (my_domid t) q.q_index len sum (Array.length chunks);
         incr consumed
-    | Scatter_ok raw ->
+    | Scatter_ok ->
+        let result =
+          parsed ~flags
+            (Payload_pool.parse_scatter
+               ~verify_transport:(flags land Fifo.flag_csum_ok = 0)
+               pool ~off ~len chunks)
+        in
         if
           q.q_max_loans > 0
           && Payload_pool.outstanding_loans pool + Array.length chunks
@@ -1325,7 +1326,7 @@ let drain_incoming t q =
           q.q_loan_rx <- q.q_loan_rx + 1;
           t.s.loan_rx <- t.s.loan_rx + 1;
           let release = make_release t q pool ~chunks ~len in
-          match parse ~flags raw with
+          match result with
           | Ok packet -> Stack.inject_rx_borrowed t.stack packet ~release
           | Error _ -> release ~copied:false
         end
@@ -1333,7 +1334,7 @@ let drain_incoming t q =
           note_copy_out t q len;
           Array.iter (fun (s, _) -> Payload_pool.free pool s) chunks;
           space_freed t q;
-          inject ~flags raw
+          inject result
         end
   in
   let rx_pool () =
@@ -1367,7 +1368,7 @@ let drain_incoming t q =
             Sim.Resource.use (cpu t)
               (Sim.Time.span_add bookkeeping (Params.xenloop_copy_cost p len));
             record_copy t len;
-            inject ~flags:0 raw
+            inject (parsed ~flags:0 (Netcore.Codec.parse raw))
         | Fifo.Desc { d_slot; d_off; d_len; d_proto; d_flags } ->
             let pool = rx_pool () in
             if
@@ -1527,8 +1528,11 @@ let teardown_channel t ~save ch =
                     than read out of range. *)
                  match q.q_tx_pool with
                  | Some pool -> (
-                     match gather_scatter pool ~off:0 ~len:j_len j_chunks with
-                     | Scatter_ok raw -> Queue.push raw stranded
+                     match check_scatter pool ~off:0 ~len:j_len j_chunks with
+                     | Scatter_ok ->
+                         Queue.push
+                           (gather_scatter pool ~off:0 ~len:j_len j_chunks)
+                           stranded
                      | Scatter_bad_framing | Scatter_bad_lengths _ ->
                          t.s.jumbo_drops <- t.s.jumbo_drops + 1)
                  | None -> t.s.jumbo_drops <- t.s.jumbo_drops + 1)
@@ -2950,11 +2954,17 @@ let kill t =
     t.loaded <- false
   end
 
-let tx_fifo t ~domid ~queue =
+let tx_queue t ~domid ~queue =
   match Hashtbl.find_opt t.peers domid with
   | Some (Active ch) when queue >= 0 && queue < Array.length ch.queues ->
-      Some ch.queues.(queue).out_fifo
+      Some ch.queues.(queue)
   | Some _ | None -> None
+
+let tx_fifo t ~domid ~queue =
+  Option.map (fun q -> q.out_fifo) (tx_queue t ~domid ~queue)
+
+let tx_pool t ~domid ~queue =
+  Option.bind (tx_queue t ~domid ~queue) (fun q -> q.q_tx_pool)
 
 let set_ctrl_fault_injector t f = t.ctrl_fault <- f
 let set_push_fault_injector t f = t.push_fault <- f

@@ -424,6 +424,10 @@ val tx_fifo : t -> domid:int -> queue:int -> Fifo.t option
     for self-tests that write to it behind the module's back (a push there
     wakes nobody: see [poll_missed_wakes]). *)
 
+val tx_pool : t -> domid:int -> queue:int -> Payload_pool.t option
+(** The payload pool behind {!tx_fifo}'s descriptors, for self-tests that
+    write or damage slot bytes behind the module's back. *)
+
 val invariant_violations : t -> string list
 (** Structural invariants over every live channel: FIFO control-word
     sanity both directions, payload-pool slot conservation, waiting lists

@@ -44,6 +44,10 @@ type t = {
      after the slots were force-returned must be a silent no-op, not a
      double-free onto a ring someone else now owns. *)
   mutable pl_dead : bool;
+  (* The receiver's copy of a scattered frame's leading bytes, which may
+     straddle chunks, for {!parse_scatter} to read headers from; reused
+     for every frame, as the parser keeps nothing of it. *)
+  pl_head : Bytes.t;
 }
 
 let check_geometry ~what ~slots ~slot_pages =
@@ -66,6 +70,7 @@ let make_view ~ctrl ~data ~slots ~slot_pages =
     pl_loaned = Array.make slots false;
     pl_outstanding = 0;
     pl_dead = false;
+    pl_head = Bytes.create Netcore.Codec.max_header_length;
   }
 
 let init ?(max_loans = 0) ?(gso_max = 0) ~ctrl ~data ~slots ~slot_pages
@@ -246,8 +251,8 @@ let read t ~slot ~off ~len =
   go off 0 len;
   dst
 
-(* Zero-alloc variant for the busy-poll receive loop: same walk as [read]
-   but into a caller-owned scratch buffer. *)
+(* [read] into a caller-owned buffer at an offset, allocating nothing:
+   the step a scatter-vector read takes per chunk. *)
 let read_into t ~slot ~off ~len ~dst ~dst_off =
   check_span t ~what:"read_into" ~slot ~off ~len;
   if dst_off < 0 || dst_off + len > Bytes.length dst then
@@ -263,6 +268,33 @@ let read_into t ~slot ~off ~len ~dst ~dst_off =
     d := !d + chunk;
     left := !left - chunk
   done
+
+(* A walk over a scatter vector's chunks, skipping the [pos] frame bytes
+   before the range; the loop keeps the per-chunk step allocation-free. *)
+let read_scatter t ~off chunks ~pos ~len ~dst ~dst_off =
+  let skip = ref pos and d = ref dst_off and left = ref len and i = ref 0 in
+  while !left > 0 do
+    let slot, chunk_len = chunks.(!i) in
+    if !skip >= chunk_len then skip := !skip - chunk_len
+    else begin
+      let n = min !left (chunk_len - !skip) in
+      read_into t ~slot ~off:(off + !skip) ~len:n ~dst ~dst_off:!d;
+      skip := 0;
+      d := !d + n;
+      left := !left - n
+    end;
+    incr i
+  done
+
+let parse_scatter ?verify_transport t ~off ~len chunks =
+  let head = t.pl_head in
+  read_scatter t ~off chunks ~pos:0
+    ~len:(min len (Bytes.length head))
+    ~dst:head ~dst_off:0;
+  Netcore.Codec.parse_with ?verify_transport ~head ~len (fun pos n ->
+      let dst = Bytes.create n in
+      read_scatter t ~off chunks ~pos ~len:n ~dst ~dst_off:0;
+      dst)
 
 let sanity t =
   (* Slot conservation over the shared free ring: the live window

@@ -130,8 +130,44 @@ val read : t -> slot:int -> off:int -> len:int -> Bytes.t
 
 val read_into :
   t -> slot:int -> off:int -> len:int -> dst:Bytes.t -> dst_off:int -> unit
-(** {!read} into a caller-owned scratch buffer — the busy-poll receive
-    loop's zero-allocation path. *)
+(** {!read} into a caller-owned buffer at [dst_off], allocating nothing:
+    the per-chunk step of {!read_scatter}. *)
+
+(** {1 Scatter vectors}
+
+    A frame held in pool slots is a scatter vector: chunk [i] is a pair
+    [(slot, n)] naming the frame's next [n] bytes, stored at [off] within
+    [slot].  A plain descriptor is a one-chunk vector at its offset, a
+    jumbo several chunks at offset 0.  Both functions expect a vector the
+    receiver has validated (slots in range, lengths summing to the frame
+    length and fitting their slots). *)
+
+val read_scatter :
+  t ->
+  off:int ->
+  (int * int) array ->
+  pos:int ->
+  len:int ->
+  dst:Bytes.t ->
+  dst_off:int ->
+  unit
+(** Copy the [len] frame bytes at [pos] out of the vector into [dst] at
+    [dst_off], allocating nothing. *)
+
+val parse_scatter :
+  ?verify_transport:bool ->
+  t ->
+  off:int ->
+  len:int ->
+  (int * int) array ->
+  (Netcore.Packet.t, Netcore.Codec.error) result
+(** {!Netcore.Codec.parse} of the [len]-byte frame the vector holds,
+    without gathering it: the headers are read from a copy of the
+    vector's first bytes (they may straddle chunks) and the payload is
+    copied from the slots straight into the packet — one copy.  With
+    verification on, the transport checksum is the header's sum plus the
+    payload's.  Returns exactly what [Codec.parse] returns on the
+    gathered bytes. *)
 
 val sanity : t -> string option
 (** Chaos-harness invariant: slot conservation over the shared free ring —

@@ -160,6 +160,82 @@ let test_engine_wake_resume_zero_alloc () =
   Alcotest.(check int) "every step resumed" 50_000 (!resumes - before);
   check_words "engine wake, resume and re-park" ~bound:12.0 per
 
+(* The receive path copies a frame's payload once, into the packet: the
+   bytes a parse allocates are that copy plus the parsed headers' small
+   records.  Averaged over many parses of a 64 KiB TCP jumbo, anything
+   beyond payload + 512 B means a second copy (or a gathered frame) has
+   crept back in.  [Gc.allocated_bytes] counts direct major-heap
+   allocations too, which is where a payload this size goes. *)
+
+let jumbo_payload_len = 65_535 - 40
+
+let jumbo_tcp_frame () =
+  let header =
+    {
+      Netcore.Transport.tcp_src_port = 5001;
+      tcp_dst_port = 80;
+      seq = 1l;
+      ack_seq = 1l;
+      flags = { Netcore.Transport.no_flags with ack = true; psh = true };
+      window = 0xffff;
+    }
+  in
+  Netcore.Codec.serialize
+    (Netcore.Packet.tcp
+       ~src_mac:(Netcore.Mac.of_domid ~machine:0 ~domid:1)
+       ~dst_mac:(Netcore.Mac.of_domid ~machine:0 ~domid:2)
+       ~src_ip:(Netcore.Ip.make ~subnet:1 ~host:1)
+       ~dst_ip:(Netcore.Ip.make ~subnet:1 ~host:2)
+       ~header
+       (Bytes.make jumbo_payload_len 'j'))
+
+(* The runtime folds minor-heap words into [Gc.allocated_bytes] only at a
+   minor collection, so one is forced at each end of the window. *)
+let bytes_per_iter ~iters f =
+  ignore (f ());
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  for _ = 1 to iters do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  Gc.minor ();
+  (Gc.allocated_bytes () -. before) /. float_of_int iters
+
+let check_single_copy name per =
+  let bound = float_of_int (jumbo_payload_len + 512) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %.0f B/parse (bound %.0f)" name per bound)
+    true (per <= bound)
+
+let expect_ok = function
+  | Ok p -> p
+  | Error e -> Alcotest.failf "parse failed: %a" Netcore.Codec.pp_error e
+
+let test_parse_jumbo_single_copy () =
+  let raw = jumbo_tcp_frame () in
+  check_single_copy "Codec.parse 64 KiB TCP"
+    (bytes_per_iter ~iters:200 (fun () -> expect_ok (Netcore.Codec.parse raw)))
+
+let test_pool_jumbo_receive_single_copy () =
+  (* The frame scatter-written across 20 KiB slots, as a jumbo descriptor
+     carries it, and parsed straight out of them. *)
+  let module Pool = Xenloop.Payload_pool in
+  let slots = 8 and slot_pages = 5 in
+  let ctrl = Memory.Page.create () in
+  let data = Array.init (slots * slot_pages) (fun _ -> Memory.Page.create ()) in
+  let pool = Pool.init ~ctrl ~data ~slots ~slot_pages ~inline_max:256 () in
+  let raw = jumbo_tcp_frame () in
+  let len = Bytes.length raw and sb = Pool.slot_bytes pool in
+  let chunks =
+    Array.init ((len + sb - 1) / sb) (fun i ->
+        let l = min sb (len - (i * sb)) in
+        Pool.write_from pool ~slot:i ~src:raw ~src_off:(i * sb) ~len:l;
+        (i, l))
+  in
+  check_single_copy "Payload_pool.parse_scatter 64 KiB TCP"
+    (bytes_per_iter ~iters:200 (fun () ->
+         expect_ok (Pool.parse_scatter pool ~off:0 ~len chunks)))
+
 let suites =
   [
     ( "sim.alloc",
@@ -175,5 +251,9 @@ let suites =
           test_engine_poll_tick_zero_alloc;
         Alcotest.test_case "engine wake/resume within effect slack" `Quick
           test_engine_wake_resume_zero_alloc;
+        Alcotest.test_case "parse of a TCP jumbo copies the payload once" `Quick
+          test_parse_jumbo_single_copy;
+        Alcotest.test_case "pool jumbo receive copies the payload once" `Quick
+          test_pool_jumbo_receive_single_copy;
       ] );
   ]

@@ -342,6 +342,482 @@ let prop_csum_elision_fallback =
       | Error _ -> false
       | Ok p' -> Bytes.equal (Codec.serialize p') baseline)
 
+let test_codec_tcp_data_offset () =
+  (* The stack sends no TCP options, so a data offset other than 5 words
+     can only be a corrupted header.  With verification off (a csum_ok
+     channel) nothing else would catch it. *)
+  let header =
+    {
+      Transport.tcp_src_port = 1;
+      tcp_dst_port = 2;
+      seq = 7l;
+      ack_seq = 0l;
+      flags = { Transport.no_flags with Transport.ack = true };
+      window = 100;
+    }
+  in
+  let p =
+    Packet.tcp ~src_mac:mac_a ~dst_mac:mac_b ~src_ip:ip_a ~dst_ip:ip_b ~header
+      (Bytes.of_string "payload")
+  in
+  let raw = Codec.serialize ~csum:false p in
+  let off_byte = Packet.ethernet_header_length + Ipv4.header_length + 12 in
+  Alcotest.(check int) "serialized offset is 5 words" 5 (Bytes.get_uint8 raw off_byte lsr 4);
+  List.iter
+    (fun words ->
+      let bad = Bytes.copy raw in
+      Bytes.set_uint8 bad off_byte ((words lsl 4) lor (Bytes.get_uint8 raw off_byte land 0x0F));
+      Alcotest.(check (result reject codec_error))
+        (Printf.sprintf "data offset %d" words)
+        (Error (Codec.Malformed "TCP data offset"))
+        (Result.map ignore (Codec.parse ~verify_transport:false bad)))
+    [ 0; 4; 6; 15 ];
+  match Codec.parse ~verify_transport:false raw with
+  | Ok p' -> Alcotest.(check bool) "offset 5 parses" true (Packet.equal p p')
+  | Error e -> Alcotest.failf "unexpected error: %a" Codec.pp_error e
+
+(* The parser as it was before it read headers in place: it copied the
+   IPv4 body into a blob and the payload out of that blob.  It stays here
+   as the oracle the in-place parser is checked against; the two differ
+   only in that the old one ignored the TCP data offset. *)
+module Blob_parser = struct
+  exception Short
+
+  type cursor = { data : Bytes.t; mutable pos : int }
+
+  let r8 c =
+    if c.pos >= Bytes.length c.data then raise Short;
+    let v = Char.code (Bytes.get c.data c.pos) in
+    c.pos <- c.pos + 1;
+    v
+
+  let r16 c =
+    let hi = r8 c in
+    (hi lsl 8) lor r8 c
+
+  let r32 c =
+    let hi = r16 c in
+    Int32.logor (Int32.shift_left (Int32.of_int hi) 16) (Int32.of_int (r16 c))
+
+  let rmac c =
+    let v = ref 0L in
+    for _ = 1 to 6 do
+      v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (r8 c))
+    done;
+    Mac.of_int64 !v
+
+  let rip c = Ip.of_int32 (r32 c)
+
+  let rbytes c len =
+    if len < 0 || c.pos + len > Bytes.length c.data then raise Short;
+    let b = Bytes.sub c.data c.pos len in
+    c.pos <- c.pos + len;
+    b
+
+  let remaining c = Bytes.length c.data - c.pos
+
+  let tcp_flags_of_bits bits : Transport.tcp_flags =
+    {
+      fin = bits land 0x01 <> 0;
+      syn = bits land 0x02 <> 0;
+      rst = bits land 0x04 <> 0;
+      psh = bits land 0x08 <> 0;
+      ack = bits land 0x10 <> 0;
+    }
+
+  let parse_transport ~verify protocol blob =
+    let c = { data = blob; pos = 0 } in
+    try
+      if verify && not (Checksum.verify blob ~off:0 ~len:(Bytes.length blob)) then
+        Error (Codec.Bad_checksum "transport")
+      else begin
+        let transport =
+          match protocol with
+          | Ipv4.Icmp ->
+              let ty = r8 c in
+              let _code = r8 c in
+              let _cksum = r16 c in
+              let icmp_ident = r16 c in
+              let icmp_seq = r16 c in
+              let echo_kind =
+                match ty with 8 -> `Request | 0 -> `Reply | _ -> raise Exit
+              in
+              Transport.Icmp { echo_kind; icmp_ident; icmp_seq }
+          | Ipv4.Udp ->
+              let udp_src_port = r16 c in
+              let udp_dst_port = r16 c in
+              let len = r16 c in
+              let _cksum = r16 c in
+              if len <> Bytes.length blob then raise Exit;
+              Transport.Udp { udp_src_port; udp_dst_port }
+          | Ipv4.Tcp ->
+              let tcp_src_port = r16 c in
+              let tcp_dst_port = r16 c in
+              let seq = r32 c in
+              let ack_seq = r32 c in
+              let off_flags = r16 c in
+              let window = r16 c in
+              let _cksum = r16 c in
+              let _urgent = r16 c in
+              Transport.Tcp
+                {
+                  tcp_src_port;
+                  tcp_dst_port;
+                  seq;
+                  ack_seq;
+                  flags = tcp_flags_of_bits (off_flags land 0x3F);
+                  window;
+                }
+        in
+        let payload = rbytes c (remaining c) in
+        Ok (transport, payload)
+      end
+    with
+    | Short -> Error Codec.Truncated
+    | Exit -> Error (Codec.Malformed "transport header")
+
+  let parse_ipv4 ~verify_transport c =
+    let start = c.pos in
+    let vihl = r8 c in
+    if vihl <> 0x45 then Error (Codec.Malformed "IPv4 version/IHL")
+    else begin
+      let _tos = r8 c in
+      let total_length = r16 c in
+      let ident = r16 c in
+      let flags_frag = r16 c in
+      let ttl = r8 c in
+      let proto = r8 c in
+      let _cksum = r16 c in
+      let src = rip c in
+      let dst = rip c in
+      if not (Checksum.verify c.data ~off:start ~len:Ipv4.header_length) then
+        Error (Codec.Bad_checksum "IPv4")
+      else
+        match Ipv4.protocol_of_number proto with
+        | None -> Error (Codec.Bad_protocol proto)
+        | Some protocol ->
+            let content_len = total_length - Ipv4.header_length in
+            if content_len <> remaining c then Error Codec.Truncated
+            else begin
+              let header : Ipv4.header =
+                {
+                  src;
+                  dst;
+                  protocol;
+                  ident;
+                  frag_offset = (flags_frag land 0x1FFF) * 8;
+                  more_fragments = flags_frag land 0x2000 <> 0;
+                  ttl;
+                }
+              in
+              let blob = rbytes c content_len in
+              if Ipv4.is_fragment header then
+                Ok (Packet.Ipv4_body { header; content = Packet.Fragment blob })
+              else
+                match parse_transport ~verify:verify_transport protocol blob with
+                | Error e -> Error e
+                | Ok (transport, payload) ->
+                    Ok
+                      (Packet.Ipv4_body
+                         { header; content = Packet.Full { transport; payload } })
+            end
+    end
+
+  let parse_arp c =
+    let htype = r16 c in
+    let ptype = r16 c in
+    let hlen = r8 c in
+    let plen = r8 c in
+    if htype <> 1 || ptype <> 0x0800 || hlen <> 6 || plen <> 4 then
+      Error (Codec.Malformed "ARP header")
+    else begin
+      let opn = r16 c in
+      let sender_mac = rmac c in
+      let sender_ip = rip c in
+      let target_mac = rmac c in
+      let target_ip = rip c in
+      match opn with
+      | 1 | 2 ->
+          let op = if opn = 1 then Arp.Request else Arp.Reply in
+          Ok
+            (Packet.Arp_body
+               { Arp.op; sender_mac; sender_ip; target_mac; target_ip })
+      | _ -> Error (Codec.Malformed "ARP op")
+    end
+
+  let parse ~verify_transport data =
+    let c = { data; pos = 0 } in
+    try
+      let dst_mac = rmac c in
+      let src_mac = rmac c in
+      let ethertype = r16 c in
+      let body =
+        match ethertype with
+        | 0x0800 -> parse_ipv4 ~verify_transport c
+        | 0x0806 -> parse_arp c
+        | 0x58D0 ->
+            let len = r16 c in
+            if len <> remaining c then Error Codec.Truncated
+            else Ok (Packet.Xenloop_body (rbytes c len))
+        | other -> Error (Codec.Bad_ethertype other)
+      in
+      Result.map (fun body -> { Packet.src_mac; dst_mac; body }) body
+    with Short -> Error Codec.Truncated
+end
+
+(* Random frames of every kind the codec knows, 0–64 KiB of payload
+   (mostly small), serialized with or without their transport checksum,
+   then damaged: a few byte flips biased toward the headers, and/or a
+   truncation. *)
+let frame_payload_gen =
+  QCheck.Gen.(
+    let* big = int_bound 9 in
+    let* n = if big = 0 then 0 -- 65_495 else 0 -- 1_600 in
+    map Bytes.of_string (string_size (return n)))
+
+let frame_kinds = 6
+
+let frame_of_kind kind =
+  QCheck.Gen.(
+    let* sp = 0 -- 0xffff and* dp = 0 -- 0xffff and* ident = 0 -- 0xffff in
+    let* payload = frame_payload_gen in
+    match kind with
+    | 0 ->
+        let payload = Bytes.sub payload 0 (min (Bytes.length payload) 65_507) in
+        return
+          (Packet.udp ~src_mac:mac_a ~dst_mac:mac_b ~src_ip:ip_a ~dst_ip:ip_b
+             ~src_port:sp ~dst_port:dp ~ident payload)
+    | 1 ->
+        let* seq = map Int32.of_int (0 -- 0x3FFFFFFF) in
+        let* bits = 0 -- 0x1F and* window = 0 -- 0xffff in
+        let header =
+          {
+            Transport.tcp_src_port = sp;
+            tcp_dst_port = dp;
+            seq;
+            ack_seq = Int32.of_int ident;
+            flags = Blob_parser.tcp_flags_of_bits bits;
+            window;
+          }
+        in
+        return
+          (Packet.tcp ~src_mac:mac_a ~dst_mac:mac_b ~src_ip:ip_a ~dst_ip:ip_b
+             ~header ~ident payload)
+    | 2 ->
+        let* request = bool in
+        return
+          (Packet.icmp_echo ~src_mac:mac_a ~dst_mac:mac_b ~src_ip:ip_a ~dst_ip:ip_b
+             ~kind:(if request then `Request else `Reply)
+             ~icmp_ident:sp ~icmp_seq:dp ~ident payload)
+    | 3 ->
+        let* more_fragments = bool and* units = 0 -- 1000 in
+        let frag_offset = if more_fragments then 8 * units else 8 * (units + 1) in
+        let header =
+          {
+            Ipv4.src = ip_a;
+            dst = ip_b;
+            protocol = Ipv4.Udp;
+            ident;
+            frag_offset;
+            more_fragments;
+            ttl = 64;
+          }
+        in
+        return
+          {
+            Packet.src_mac = mac_a;
+            dst_mac = mac_b;
+            body = Packet.Ipv4_body { header; content = Packet.Fragment payload };
+          }
+    | 4 ->
+        return
+          (Packet.arp ~src_mac:mac_a ~dst_mac:Mac.broadcast
+             (Arp.request ~sender_mac:mac_a ~sender_ip:ip_a ~target_ip:ip_b))
+    | _ ->
+        let payload = Bytes.sub payload 0 (min (Bytes.length payload) 0xffff) in
+        return (Packet.xenloop_ctrl ~src_mac:mac_a ~dst_mac:mac_b payload))
+
+let frame_packet_gen = QCheck.Gen.(int_bound (frame_kinds - 1) >>= frame_of_kind)
+
+let damage_gen raw =
+  QCheck.Gen.(
+    let n = Bytes.length raw in
+    let* flips = frequency [ (2, return 0); (3, 1 -- 3) ] in
+    let* positions =
+      list_repeat flips
+        (let* in_headers = bool in
+         if in_headers then 0 -- (min n Codec.max_header_length - 1)
+         else 0 -- (n - 1))
+    in
+    let* bits = list_repeat flips (1 -- 255) in
+    let* truncate = int_bound 4 in
+    let* near_headers = bool in
+    let* cut = if near_headers then 0 -- min n (Codec.max_header_length + 2) else 0 -- n in
+    let b = Bytes.copy raw in
+    List.iter2
+      (fun pos bit -> Bytes.set_uint8 b pos (Bytes.get_uint8 b pos lxor bit))
+      positions bits;
+    return (if truncate = 0 then Bytes.sub b 0 cut else b))
+
+let damaged_frame_gen =
+  QCheck.Gen.(
+    let* p = frame_packet_gen in
+    let* csum = bool in
+    damage_gen (Codec.serialize ~csum p))
+
+let arbitrary_damaged_frame =
+  QCheck.make
+    ~print:(fun b ->
+      Printf.sprintf "%d bytes: %s..." (Bytes.length b)
+        (String.concat " "
+           (List.init (min 64 (Bytes.length b)) (fun i ->
+                Printf.sprintf "%02x" (Bytes.get_uint8 b i)))))
+    damaged_frame_gen
+
+let tcp_data_offset_byte = Packet.ethernet_header_length + Ipv4.header_length + 12
+
+let same_result a b =
+  match (a, b) with
+  | Ok p, Ok q -> Packet.equal p q
+  | Error e, Error f -> e = f
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+let expected_parse ~verify_transport raw =
+  match Blob_parser.parse ~verify_transport raw with
+  | Ok
+      {
+        Packet.body =
+          Packet.Ipv4_body
+            { content = Packet.Full { transport = Transport.Tcp _; _ }; _ };
+        _;
+      }
+    when Bytes.get_uint8 raw tcp_data_offset_byte lsr 4 <> 5 ->
+      Error (Codec.Malformed "TCP data offset")
+  | r -> r
+
+let parse_agrees raw =
+  List.for_all
+    (fun verify_transport ->
+      same_result (expected_parse ~verify_transport raw)
+        (Codec.parse ~verify_transport raw))
+    [ true; false ]
+
+let prop_parse_matches_blob_parser =
+  QCheck.Test.make ~name:"in-place parse matches the blob parser" ~count:300
+    arbitrary_damaged_frame parse_agrees
+
+let test_parse_matches_blob_parser_near_headers () =
+  (* Which error wins depends on where a frame ends relative to each
+     header field, so every cut through the headers of one small frame of
+     each kind is tried, alone and with each header byte flipped. *)
+  let frames =
+    List.concat_map
+      (fun kind ->
+        List.map
+          (fun seed ->
+            QCheck.Gen.generate1 ~rand:(Random.State.make [| seed |]) (frame_of_kind kind))
+          [ 1; 2 ])
+      (List.init frame_kinds Fun.id)
+  in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun csum ->
+          let raw = Codec.serialize ~csum p in
+          let n = Bytes.length raw in
+          for cut = 0 to min n (Codec.max_header_length + 2) do
+            let b = Bytes.sub raw 0 cut in
+            if not (parse_agrees b) then Alcotest.failf "cut at %d of %d disagrees" cut n;
+            for pos = 0 to cut - 1 do
+              List.iter
+                (fun bit ->
+                  let f = Bytes.copy b in
+                  Bytes.set_uint8 f pos (Bytes.get_uint8 f pos lxor bit);
+                  if not (parse_agrees f) then
+                    Alcotest.failf "cut at %d of %d, byte %d ^ 0x%02x disagrees" cut n pos
+                      bit)
+                [ 0x01; 0x10; 0xFF ]
+            done
+          done)
+        [ true; false ])
+    frames
+
+(* A frame's chunking across pool slots: a run of 1-byte chunks first (so
+   the headers straddle chunks), then random cuts, each chunk fitting its
+   slot from offset [off]. *)
+let scatter_pool =
+  lazy
+    (let slots = 128 and slot_pages = 5 in
+     let ctrl = Memory.Page.create () in
+     let data = Array.init (slots * slot_pages) (fun _ -> Memory.Page.create ()) in
+     Xenloop.Payload_pool.init ~ctrl ~data ~slots ~slot_pages ~inline_max:256 ())
+
+let chunking_gen ~slot_bytes n =
+  QCheck.Gen.(
+    let* off = 0 -- 64 in
+    let cap = slot_bytes - off in
+    let* ones = frequency [ (1, return 0); (1, 0 -- min n 70) ] in
+    let rec cuts pos acc =
+      if pos >= n then return (List.rev acc)
+      else
+        let* l = 1 -- min cap (n - pos) in
+        let* whole = int_bound 3 in
+        let l = if whole = 0 then min cap (n - pos) else l in
+        cuts (pos + l) (l :: acc)
+    in
+    let* rest = cuts ones [] in
+    return (off, List.init ones (fun _ -> 1) @ rest))
+
+let arbitrary_scattered_frame =
+  let slot_bytes = Xenloop.Payload_pool.slot_bytes (Lazy.force scatter_pool) in
+  QCheck.make
+    ~print:(fun (raw, (off, lens)) ->
+      Printf.sprintf "%d bytes at off %d in chunks [%s]" (Bytes.length raw) off
+        (String.concat ";" (List.map string_of_int lens)))
+    QCheck.Gen.(
+      let* raw = damaged_frame_gen in
+      let raw = if Bytes.length raw = 0 then Bytes.make 1 'x' else raw in
+      let* chunking = chunking_gen ~slot_bytes (Bytes.length raw) in
+      return (raw, chunking))
+
+let prop_parse_scatter_matches_parse =
+  QCheck.Test.make ~name:"parse from a pool scatter vector matches parse"
+    ~count:300 arbitrary_scattered_frame (fun (raw, (off, lens)) ->
+      let pool = Lazy.force scatter_pool in
+      QCheck.assume (List.length lens <= Xenloop.Payload_pool.slots pool);
+      (* Each chunk goes to its own slot behind [off] bytes of filler. *)
+      let pos = ref 0 in
+      let chunks =
+        Array.of_list
+          (List.mapi
+             (fun slot l ->
+               let src = Bytes.make (off + l) '\xAA' in
+               Bytes.blit raw !pos src off l;
+               Xenloop.Payload_pool.write pool ~slot ~src ~len:(off + l);
+               pos := !pos + l;
+               (slot, l))
+             lens)
+      in
+      List.for_all
+        (fun verify_transport ->
+          same_result
+            (Codec.parse ~verify_transport raw)
+            (Xenloop.Payload_pool.parse_scatter ~verify_transport pool ~off
+               ~len:(Bytes.length raw) chunks))
+        [ true; false ])
+
+let prop_checksum_add =
+  QCheck.Test.make ~name:"checksum add joins an even split" ~count:300
+    QCheck.(pair (string_of_size Gen.(0 -- 300)) small_nat)
+    (fun (s, k) ->
+      let b = Bytes.of_string s in
+      let n = Bytes.length b in
+      let split = min n (2 * (k / 2)) in
+      Checksum.add
+        (Checksum.ones_complement_sum b ~off:0 ~len:split)
+        (Checksum.ones_complement_sum b ~off:split ~len:(n - split))
+      = Checksum.ones_complement_sum b ~off:0 ~len:n)
+
 let prop_mac_string_roundtrip =
   QCheck.Test.make ~name:"mac to_string/of_string roundtrip" ~count:200
     QCheck.(map Int64.of_int int)
@@ -516,6 +992,7 @@ let suites =
             prop_checksum_detects_single_bit_flips;
             prop_checksum_matches_reference;
             prop_checksum_incremental_matches_full;
+            prop_checksum_add;
           ]
     );
     ( "netcore.codec",
@@ -529,12 +1006,18 @@ let suites =
         Alcotest.test_case "rejects corruption" `Quick test_codec_rejects_corruption;
         Alcotest.test_case "rejects truncation" `Quick test_codec_truncated;
         Alcotest.test_case "rejects unknown ethertype" `Quick test_codec_bad_ethertype;
+        Alcotest.test_case "rejects a TCP data offset other than 5" `Quick
+          test_codec_tcp_data_offset;
+        Alcotest.test_case "in-place parse matches the blob parser near headers" `Quick
+          test_parse_matches_blob_parser_near_headers;
       ]
       @ qsuite
           [
             prop_codec_roundtrip;
             prop_codec_tcp_roundtrip;
             prop_csum_elision_fallback;
+            prop_parse_matches_blob_parser;
+            prop_parse_scatter_matches_parse;
           ] );
     ( "netcore.fragment",
       [

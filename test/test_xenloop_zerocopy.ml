@@ -460,6 +460,78 @@ let test_migration_with_descriptors_in_flight () =
       Alcotest.(check int) "payload arrived over the new channel" 1
         (List.length !received))
 
+let test_corrupt_pool_payload_is_dropped () =
+  (* A plain descriptor carries no [flag_csum_ok], so the receiver verifies
+     its transport checksum while parsing straight out of the slot: the
+     header's sum plus the payload's.  One payload byte flipped in the
+     slot after the descriptor is published must cost that frame, and only
+     that frame. *)
+  let params = { Hypervisor.Params.default with Hypervisor.Params.xenloop_queues = 1 } in
+  let duo = Setup.build ~params Setup.Xenloop_path in
+  let m1, m2 = modules_of duo in
+  let client = host_of duo.Setup.client and server = host_of duo.Setup.server in
+  Experiment.execute duo (fun () ->
+      let bind host ?port () =
+        match Netstack.Udp.bind host.Workloads.Host.udp ?port () with
+        | Ok s -> s
+        | Error _ -> Alcotest.fail "bind"
+      in
+      let server_sock = bind server ~port:925 () and client_sock = bind client () in
+      let send fill =
+        Netstack.Udp.sendto client_sock ~dst:duo.Setup.server_ip ~dst_port:925
+          (Bytes.make 200 fill)
+      in
+      let payload_of () =
+        let _, _, data = Netstack.Udp.recvfrom server_sock in
+        Bytes.get data 0
+      in
+      send 'w';
+      Alcotest.(check char) "channel warm-up delivered" 'w' (payload_of ());
+      Sim.Engine.sleep (Sim.Time.ms 1);
+      let ring, pool =
+        match (Gm.tx_fifo m1 ~domid:2 ~queue:0, Gm.tx_pool m1 ~domid:2 ~queue:0) with
+        | Some ring, Some pool -> (ring, pool)
+        | _ -> Alcotest.fail "no descriptor channel"
+      in
+      let frame fill =
+        let cstack = client.Workloads.Host.stack in
+        Netcore.Codec.serialize
+          (Netcore.Packet.udp ~src_mac:(Stack.mac_addr cstack)
+             ~dst_mac:(Stack.mac_addr server.Workloads.Host.stack)
+             ~src_ip:(Stack.ip_addr cstack) ~dst_ip:duo.Setup.server_ip
+             ~src_port:(Netstack.Udp.port client_sock) ~dst_port:925
+             (Bytes.make 1000 fill))
+      in
+      let push raw =
+        let len = Bytes.length raw in
+        let slot = Pool.alloc_slot pool in
+        Pool.write pool ~slot ~src:raw ~len;
+        Alcotest.(check bool) "descriptor published" true
+          (Fifo.try_push_desc ring ~slot ~offset:0 ~len ~proto_hint:0x0800 ());
+        slot
+      in
+      let free_before = Pool.free_slots pool in
+      let rx_before = (Gm.stats m2).Gm.via_channel_rx in
+      let bad = frame 'b' in
+      let slot = push bad in
+      let in_slot = Pool.read pool ~slot ~off:0 ~len:(Bytes.length bad) in
+      let last = Bytes.length bad - 1 in
+      Bytes.set_uint8 in_slot last (Bytes.get_uint8 in_slot last lxor 0x01);
+      Pool.write pool ~slot ~src:in_slot ~len:(Bytes.length in_slot);
+      ignore (push (frame 'g'));
+      (* Nothing woke the receiver for those two; a datagram through the
+         stack rings the doorbell, and the drain takes all three. *)
+      send 'n';
+      Alcotest.(check char) "intact descriptor delivered" 'g' (payload_of ());
+      Alcotest.(check char) "stack datagram delivered" 'n' (payload_of ());
+      Sim.Engine.sleep (Sim.Time.ms 1);
+      Alcotest.(check bool) "corrupted frame never delivered" true
+        (Netstack.Udp.recv_opt server_sock = None);
+      Alcotest.(check int) "two frames accepted off the channel" 2
+        ((Gm.stats m2).Gm.via_channel_rx - rx_before);
+      Alcotest.(check int) "every slot back on the free ring" free_before
+        (Pool.free_slots pool))
+
 let suites =
   [
     ( "xenloop.zerocopy",
@@ -489,6 +561,8 @@ let suites =
           test_slot_starvation_degrades_to_inline;
         Alcotest.test_case "stranded descriptor teardown reclaim" `Quick
           test_stranded_descriptor_teardown_reclaim;
+        Alcotest.test_case "corrupted pool payload is dropped" `Quick
+          test_corrupt_pool_payload_is_dropped;
         Alcotest.test_case "migration with descriptors in flight" `Slow
           test_migration_with_descriptors_in_flight;
       ] );
