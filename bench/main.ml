@@ -365,27 +365,29 @@ let micro () =
       (Bechamel.Staged.stage (fun () ->
            ignore (Netcore.Codec.parse (Netcore.Codec.serialize packet))))
   in
-  (* The receive path at its largest frame: a 64 KiB TCP jumbo parsed
-     from contiguous bytes, and parsed straight out of the 20 KiB pool
-     slots a jumbo descriptor scatters it across. *)
-  let jumbo =
-    Netcore.Codec.serialize
-      (Netcore.Packet.tcp
-         ~src_mac:(Netcore.Mac.of_domid ~machine:0 ~domid:1)
-         ~dst_mac:(Netcore.Mac.of_domid ~machine:0 ~domid:2)
-         ~src_ip:(Netcore.Ip.make ~subnet:1 ~host:1)
-         ~dst_ip:(Netcore.Ip.make ~subnet:1 ~host:2)
-         ~header:
-           {
-             Netcore.Transport.tcp_src_port = 1;
-             tcp_dst_port = 2;
-             seq = 0l;
-             ack_seq = 0l;
-             flags = { Netcore.Transport.no_flags with ack = true };
-             window = 0xffff;
-           }
-         (Bytes.make (65_535 - 40) 'j'))
+  (* The data path at its largest frame, a 64 KiB TCP jumbo: parsed from
+     contiguous bytes; written from the packet straight into the 20 KiB
+     pool slots a jumbo descriptor scatters it across (headers into a
+     reused head buffer, then the payload behind them); and parsed
+     straight out of those slots. *)
+  let jumbo_packet =
+    Netcore.Packet.tcp
+      ~src_mac:(Netcore.Mac.of_domid ~machine:0 ~domid:1)
+      ~dst_mac:(Netcore.Mac.of_domid ~machine:0 ~domid:2)
+      ~src_ip:(Netcore.Ip.make ~subnet:1 ~host:1)
+      ~dst_ip:(Netcore.Ip.make ~subnet:1 ~host:2)
+      ~header:
+        {
+          Netcore.Transport.tcp_src_port = 1;
+          tcp_dst_port = 2;
+          seq = 0l;
+          ack_seq = 0l;
+          flags = { Netcore.Transport.no_flags with ack = true };
+          window = 0xffff;
+        }
+      (Bytes.make (65_535 - 40) 'j')
   in
+  let jumbo = Netcore.Codec.serialize jumbo_packet in
   let test_parse_jumbo =
     Bechamel.Test.make ~name:"codec parse 64 KiB TCP jumbo"
       (Bechamel.Staged.stage (fun () -> ignore (Netcore.Codec.parse jumbo)))
@@ -397,11 +399,21 @@ let micro () =
       ~slots ~slot_pages ~inline_max:256 ()
   in
   let jumbo_len = Bytes.length jumbo and sb = Xenloop.Payload_pool.slot_bytes pool in
-  let chunks =
-    Array.init ((jumbo_len + sb - 1) / sb) (fun i ->
-        let l = min sb (jumbo_len - (i * sb)) in
-        Xenloop.Payload_pool.write_from pool ~slot:i ~src:jumbo ~src_off:(i * sb) ~len:l;
-        (i, l))
+  let nchunks = (jumbo_len + sb - 1) / sb in
+  let slots = Array.init nchunks Fun.id in
+  let lens = Array.init nchunks (fun i -> min sb (jumbo_len - (i * sb))) in
+  let head = Bytes.create Netcore.Codec.max_header_length in
+  let write_jumbo () =
+    let head_len = Netcore.Codec.serialize_head jumbo_packet head in
+    let tail = Netcore.Codec.tail jumbo_packet in
+    Xenloop.Payload_pool.write_scatter pool ~off:0 ~slots ~lens ~head ~head_len
+      ~src:tail ~src_off:0 ~len:(Bytes.length tail)
+  in
+  write_jumbo ();
+  let chunks = Array.map2 (fun slot l -> (slot, l)) slots lens in
+  let test_pool_jumbo_tx =
+    Bechamel.Test.make ~name:"pool jumbo transmit 64 KiB"
+      (Bechamel.Staged.stage write_jumbo)
   in
   let test_pool_jumbo =
     Bechamel.Test.make ~name:"pool jumbo receive 64 KiB"
@@ -451,6 +463,7 @@ let micro () =
       test_grant;
       test_codec;
       test_parse_jumbo;
+      test_pool_jumbo_tx;
       test_pool_jumbo;
       test_heap;
       test_checksum;

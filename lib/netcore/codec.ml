@@ -104,48 +104,61 @@ let tcp_flags_of_bits =
   in
   fun bits -> table.(bits land 0x1F)
 
-(* Serialize transport header with a zero checksum field into [w], then
-   patch the real checksum (computed over header + payload) in place.
-   [~csum:false] leaves the field zero — the checksum-elision contract on
-   the trusted xenloop channel (DESIGN.md §15): such bytes are only valid
-   against [parse ~verify_transport:false], and any path that re-enters
-   an untrusted transport (netfront, physnet) must re-serialize, which
-   recomputes. *)
+(* The transport header, its checksum field zero; the payload of
+   [payload_len] bytes follows it. *)
+let write_transport_header w transport ~payload_len =
+  match transport with
+  | Transport.Icmp i ->
+      w8 w (match i.echo_kind with `Request -> 8 | `Reply -> 0);
+      w8 w 0;
+      w16 w 0;
+      w16 w i.icmp_ident;
+      w16 w i.icmp_seq
+  | Transport.Udp u ->
+      w16 w u.udp_src_port;
+      w16 w u.udp_dst_port;
+      w16 w (8 + payload_len);
+      w16 w 0
+  | Transport.Tcp t ->
+      w16 w t.tcp_src_port;
+      w16 w t.tcp_dst_port;
+      w32 w t.seq;
+      w32 w t.ack_seq;
+      w16 w (0x5000 lor tcp_flag_bits t.flags);
+      w16 w t.window;
+      w16 w 0;
+      w16 w 0
+
+let checksum_field_offset = function
+  | Ipv4.Icmp -> 2
+  | Ipv4.Udp -> 6
+  | Ipv4.Tcp -> 16
+
+let transport_protocol = function
+  | Transport.Icmp _ -> Ipv4.Icmp
+  | Transport.Udp _ -> Ipv4.Udp
+  | Transport.Tcp _ -> Ipv4.Tcp
+
+(* Compute the checksum of the [len] transport bytes at [start] (header
+   + payload) and store it in the header's field, which is zeroed first
+   so that a frame that already carries a checksum gets the same one. *)
+let set_transport_checksum data ~start ~len protocol =
+  let field = start + checksum_field_offset protocol in
+  Bytes.set_uint16_be data field 0;
+  Bytes.set_uint16_be data field (Checksum.compute data ~off:start ~len)
+
+(* [~csum:false] leaves the checksum field zero — the checksum-elision
+   contract on the trusted xenloop channel (DESIGN.md §15): such bytes
+   are only valid against [parse ~verify_transport:false], and any path
+   that re-enters an untrusted transport (netfront, physnet) must
+   re-serialize, which recomputes. *)
 let write_transport ?(csum = true) w transport ~payload =
   let start = w.wpos in
-  let cksum_off =
-    match transport with
-    | Transport.Icmp i ->
-        w8 w (match i.echo_kind with `Request -> 8 | `Reply -> 0);
-        w8 w 0;
-        w16 w 0;
-        w16 w i.icmp_ident;
-        w16 w i.icmp_seq;
-        2
-    | Transport.Udp u ->
-        w16 w u.udp_src_port;
-        w16 w u.udp_dst_port;
-        w16 w (8 + Bytes.length payload);
-        w16 w 0;
-        6
-    | Transport.Tcp t ->
-        w16 w t.tcp_src_port;
-        w16 w t.tcp_dst_port;
-        w32 w t.seq;
-        w32 w t.ack_seq;
-        w16 w (0x5000 lor tcp_flag_bits t.flags);
-        w16 w t.window;
-        w16 w 0;
-        w16 w 0;
-        16
-  in
+  write_transport_header w transport ~payload_len:(Bytes.length payload);
   wbytes w payload;
-  if csum then begin
-    let cksum = Checksum.compute w.wdata ~off:start ~len:(w.wpos - start) in
-    Bytes.set_uint8 w.wdata (start + cksum_off) (cksum lsr 8);
-    Bytes.set_uint8 w.wdata (start + cksum_off + 1) (cksum land 0xFF)
-  end
-  else ignore cksum_off
+  if csum then
+    set_transport_checksum w.wdata ~start ~len:(w.wpos - start)
+      (transport_protocol transport)
 
 let serialize_transport ?(csum = true) transport ~payload =
   let w =
@@ -323,29 +336,70 @@ let body_length (body : Packet.body) =
   | Packet.Arp_body _ -> arp_length
   | Packet.Xenloop_body data -> 2 + Bytes.length data
 
-let serialize ?(csum = true) (p : Packet.t) =
-  let w =
-    { wdata = Bytes.create (ethernet_header_length + body_length p.body);
-      wpos = 0 }
-  in
+(* Everything a frame carries before its tail (the payload, fragment
+   blob or control message), transport checksum field zero. *)
+let write_head w (p : Packet.t) =
   wmac w p.dst_mac;
   wmac w p.src_mac;
   w16 w (Packet.ethertype p.body);
-  (match p.body with
+  match p.body with
   | Packet.Ipv4_body { header; content } -> (
       match content with
       | Packet.Full { transport; payload } ->
           serialize_ipv4_header w header
             ~content_length:(transport_length transport ~payload);
-          write_transport ~csum w transport ~payload
+          write_transport_header w transport ~payload_len:(Bytes.length payload)
       | Packet.Fragment blob ->
-          serialize_ipv4_header w header ~content_length:(Bytes.length blob);
-          wbytes w blob)
+          serialize_ipv4_header w header ~content_length:(Bytes.length blob))
   | Packet.Arp_body a -> serialize_arp w a
-  | Packet.Xenloop_body data ->
-      w16 w (Bytes.length data);
-      wbytes w data);
+  | Packet.Xenloop_body data -> w16 w (Bytes.length data)
+
+let tail (p : Packet.t) =
+  match p.body with
+  | Packet.Ipv4_body { content = Packet.Full { payload; _ }; _ } -> payload
+  | Packet.Ipv4_body { content = Packet.Fragment blob; _ } -> blob
+  | Packet.Arp_body _ -> Bytes.empty
+  | Packet.Xenloop_body data -> data
+
+let serialize_head p buf =
+  if Bytes.length buf < max_header_length then
+    invalid_arg "Codec.serialize_head: buffer shorter than max_header_length";
+  let w = { wdata = buf; wpos = 0 } in
+  write_head w p;
+  w.wpos
+
+let transport_start = ethernet_header_length + Ipv4.header_length
+
+let serialize ?(csum = true) (p : Packet.t) =
+  let w =
+    { wdata = Bytes.create (ethernet_header_length + body_length p.body);
+      wpos = 0 }
+  in
+  write_head w p;
+  wbytes w (tail p);
+  (match p.body with
+  | Packet.Ipv4_body { content = Packet.Full { transport; _ }; _ } when csum ->
+      set_transport_checksum w.wdata ~start:transport_start
+        ~len:(w.wpos - transport_start) (transport_protocol transport)
+  | _ -> ());
   w.wdata
+
+(* The frames [serialize] checksums: IPv4, not a fragment, a known
+   transport whose header fits.  Anything else is left as it is. *)
+let restore_transport_checksum raw =
+  let len = Bytes.length raw in
+  if
+    len >= transport_start
+    && r16 raw 12 = 0x0800
+    && r8 raw ethernet_header_length = 0x45
+    && r16 raw (ethernet_header_length + 6) land 0x3FFF = 0
+  then
+    match Ipv4.protocol_of_number (r8 raw (ethernet_header_length + 9)) with
+    | Some protocol
+      when len >= transport_start + checksum_field_offset protocol + 2 ->
+        set_transport_checksum raw ~start:transport_start
+          ~len:(len - transport_start) protocol
+    | Some _ | None -> ()
 
 let parse_body ~verify_transport head ~len sub =
   need len 0 ethernet_header_length;

@@ -24,6 +24,27 @@ val serialize : ?csum:bool -> Packet.t -> Bytes.t
     reproduces the always-compute baseline bit for bit.  IPv4 header
     checksums are always computed. *)
 
+val serialize_head : Packet.t -> Bytes.t -> int
+(** [serialize_head p buf] writes the leading bytes of
+    [serialize ~csum:false p] into [buf] and returns how many: every
+    header, up to {!tail}.  With the tail written after them, they make
+    the frame without building it in one buffer.
+    @raise Invalid_argument if [buf] is shorter than {!max_header_length}. *)
+
+val tail : Packet.t -> Bytes.t
+(** The bytes a frame carries after its headers: the transport payload,
+    the fragment blob or the control message ([Bytes.empty] for ARP).
+    The frame is [serialize_head]'s bytes followed by these; the tail is
+    the packet's own buffer, not a copy. *)
+
+val restore_transport_checksum : Bytes.t -> unit
+(** Compute the transport checksum of a serialized frame and store it in
+    place: [restore_transport_checksum (serialize ~csum:false p)] leaves
+    exactly the bytes of [serialize p].  A frame that already carries its
+    checksum is unchanged; one [serialize] does not checksum (not IPv4, a
+    fragment, an unknown protocol, a truncated header) is left as it
+    is. *)
+
 val parse : ?verify_transport:bool -> Bytes.t -> (Packet.t, error) result
 (** [~verify_transport:false] skips the transport-checksum check (GRO on
     a channel whose descriptor carries the [csum_ok] flag); IPv4 header

@@ -196,6 +196,10 @@ type t = {
           (delta announcements only; 0 otherwise) *)
   mutable expiry_timer : Sim.Engine.timer option;
   mutable lingering : queue list;  (** queues whose handler is parked now *)
+  tx_head : Bytes.t;
+      (** the head of a frame being written into pool slots — a jumbo's
+          serialized headers, an app descriptor's 8-byte header — with the
+          payload written behind it; filled and consumed within one push *)
   (* Chaos-harness hooks (lib/chaos); [None] in production. *)
   mutable ctrl_fault : (Proto.t -> ctrl_fault) option;
   mutable push_fault : (unit -> bool) option;
@@ -589,6 +593,61 @@ let jumbo_eligible q len =
       && jumbo_nchunks pool len <= Fifo.max_jumbo_chunks
   | None -> false
 
+(* A frame on its way into a queue.  A gso-bound super-frame stays a
+   packet until {!push_jumbo} writes it straight into its pool slots; it
+   is serialized only if it must wait, go through the QoS scheduler or
+   leave by netfront ({!frame_bytes}).  Everything else is serialized
+   when it is steered. *)
+type tx_frame = Raw of Bytes.t | Jumbo of P.t
+
+let frame_length = function
+  | Raw raw -> Bytes.length raw
+  | Jumbo packet -> P.wire_length packet
+
+(* A jumbo's bytes keep their transport checksum elided, as the jumbo
+   descriptor they are bound for carries [flag_csum_ok]. *)
+let frame_bytes = function
+  | Raw raw -> raw
+  | Jumbo packet -> Netcore.Codec.serialize ~csum:false packet
+
+(* [unalloc] rewinds only the most recent allocation, so a rollback walks
+   the vector most-recent-first. *)
+let unalloc_chunks pool chunk_slots n =
+  for i = n - 1 downto 0 do
+    Payload_pool.unalloc pool chunk_slots.(i)
+  done
+
+(* Fill [chunk_slots] from the free ring; the number of slots allocated
+   before the ring ran out (or a chaos alloc fault struck). *)
+let alloc_chunks pool chunk_slots =
+  let allocated = ref 0 and exhausted = ref false in
+  while (not !exhausted) && !allocated < Array.length chunk_slots do
+    let slot = Payload_pool.alloc_slot pool in
+    if slot < 0 then exhausted := true
+    else begin
+      chunk_slots.(!allocated) <- slot;
+      incr allocated
+    end
+  done;
+  !allocated
+
+(* Write the frame across its vector — headers and payload straight from
+   the packet, or a waiting frame's bytes behind an empty head — and
+   return the descriptor's protocol hint. *)
+let write_jumbo t pool frame ~chunk_slots ~chunk_lens =
+  match frame with
+  | Jumbo packet ->
+      let head = t.tx_head in
+      let head_len = Netcore.Codec.serialize_head packet head in
+      let tail = Netcore.Codec.tail packet in
+      Payload_pool.write_scatter pool ~off:0 ~slots:chunk_slots ~lens:chunk_lens
+        ~head ~head_len ~src:tail ~src_off:0 ~len:(Bytes.length tail);
+      proto_hint_of head
+  | Raw raw ->
+      Payload_pool.write_scatter pool ~off:0 ~slots:chunk_slots ~lens:chunk_lens
+        ~head:Bytes.empty ~head_len:0 ~src:raw ~src_off:0 ~len:(Bytes.length raw);
+      proto_hint_of raw
+
 (* Push one frame as a jumbo descriptor: allocate the scatter vector,
    write the frame across the slots, publish one descriptor covering all
    of them.  Any refusal (ring room, slot exhaustion, a chaos alloc
@@ -601,12 +660,12 @@ let jumbo_eligible q len =
    come from a trusted co-resident sender, so the receiver may skip
    transport-checksum verification whether or not this particular frame
    had its checksum elided at serialization time. *)
-let push_jumbo ?(amortized = false) t q raw =
+let push_jumbo ?(amortized = false) t q frame =
   match q.q_tx_pool with
   | None -> false
   | Some pool ->
       let p = params t in
-      let len = Bytes.length raw in
+      let len = frame_length frame in
       let sb = Payload_pool.slot_bytes pool in
       let nchunks = jumbo_nchunks pool len in
       if not (jumbo_room q pool nchunks) then false
@@ -620,34 +679,17 @@ let push_jumbo ?(amortized = false) t q raw =
           record_copy t len
         end;
         let chunk_slots = Array.make nchunks 0 in
-        let chunk_lens = Array.make nchunks 0 in
-        let allocated = ref 0 in
-        (try
-           for i = 0 to nchunks - 1 do
-             let slot = Payload_pool.alloc_slot pool in
-             if slot < 0 then raise Exit;
-             chunk_slots.(i) <- slot;
-             allocated := i + 1;
-             let off = i * sb in
-             let clen = min sb (len - off) in
-             chunk_lens.(i) <- clen;
-             Payload_pool.write_from pool ~slot ~src:raw ~src_off:off ~len:clen
-           done
-         with Exit -> ());
-        (* [unalloc] rewinds only the most recent allocation, so the
-           rollback must walk the vector most-recent-first. *)
-        let rollback () =
-          for i = !allocated - 1 downto 0 do
-            Payload_pool.unalloc pool chunk_slots.(i)
-          done
-        in
-        if !allocated < nchunks then begin
-          rollback ();
+        let allocated = alloc_chunks pool chunk_slots in
+        if allocated < nchunks then begin
+          unalloc_chunks pool chunk_slots allocated;
           q.q_pool_fallbacks <- q.q_pool_fallbacks + 1;
           t.s.pool_fallbacks <- t.s.pool_fallbacks + 1;
           false
         end
         else begin
+          let chunk_lens = Array.make nchunks sb in
+          chunk_lens.(nchunks - 1) <- len - ((nchunks - 1) * sb);
+          let proto_hint = write_jumbo t pool frame ~chunk_slots ~chunk_lens in
           (* Chaos hook: corrupt one chunk length in the published vector
              — [total_len] stays honest and the payload was written
              intact, so the receiver must catch the sum mismatch and drop
@@ -658,15 +700,14 @@ let push_jumbo ?(amortized = false) t q raw =
           | _ -> ());
           if
             Fifo.try_push_jumbo q.out_fifo ~flags:Fifo.flag_csum_ok ~chunk_slots
-              ~chunk_lens ~nchunks ~total_len:len ~proto_hint:(proto_hint_of raw)
-              ()
+              ~chunk_lens ~nchunks ~total_len:len ~proto_hint ()
           then begin
             t.s.jumbo_tx <- t.s.jumbo_tx + 1;
             t.s.jumbo_chunks_tx <- t.s.jumbo_chunks_tx + nchunks;
             note_outcome t q Fifo.pushed_desc
           end
           else begin
-            rollback ();
+            unalloc_chunks pool chunk_slots nchunks;
             false
           end
         end
@@ -683,43 +724,50 @@ let push_jumbo ?(amortized = false) t q raw =
    on the descriptor and jumbo paths — except on a loan channel, where a
    descriptor or jumbo is built in the slots the receiver borrows
    ({!tx_loan_desc}).  A jumbo-eligible frame the pool or ring refuses
-   degrades to the chunked inline copy, its elided transport checksum
-   restored first (an inline entry carries no [flag_csum_ok], so the
-   receiver verifies it): a gso sender never parks frames behind an empty
-   ring, where no peer notification would come to flush them. *)
-let push_frame ?(amortized = false) t q raw =
+   degrades to the chunked inline copy with its transport checksum
+   (an inline entry carries no [flag_csum_ok], so the receiver verifies
+   it): a gso sender never parks frames behind an empty ring, where no
+   peer notification would come to flush them. *)
+let push_frame ?(amortized = false) t q frame =
+  let entry_fits len =
+    Fifo.can_accept_entry q.out_fifo ?pool:q.q_tx_pool
+      ~inline_max:q.q_inline_max len
+  in
   let push_entry raw =
     let p = params t in
     let len = Bytes.length raw in
-    Fifo.can_accept_entry q.out_fifo ?pool:q.q_tx_pool
-      ~inline_max:q.q_inline_max len
-    && begin
-      let loan_desc = tx_loan_desc q len in
-      let copy =
-        if loan_desc then Sim.Time.span_zero else Params.xenloop_copy_cost p len
-      in
-      if not amortized then
-        Sim.Resource.use (cpu t) (Sim.Time.span_add p.Params.xenloop_fifo_op copy)
-      else if not loan_desc then Sim.Resource.use (cpu t) copy;
-      let outcome =
-        Fifo.push_entry q.out_fifo ~pool:q.q_tx_pool ~inline_max:q.q_inline_max
-          ~proto_hint:(proto_hint_of raw) raw
-      in
-      let ok = note_outcome t q outcome in
-      if ok && not (outcome = Fifo.pushed_desc && q.q_max_loans > 0) then
-        record_copy t len;
-      ok
-    end
+    let loan_desc = tx_loan_desc q len in
+    let copy =
+      if loan_desc then Sim.Time.span_zero else Params.xenloop_copy_cost p len
+    in
+    if not amortized then
+      Sim.Resource.use (cpu t) (Sim.Time.span_add p.Params.xenloop_fifo_op copy)
+    else if not loan_desc then Sim.Resource.use (cpu t) copy;
+    let outcome =
+      Fifo.push_entry q.out_fifo ~pool:q.q_tx_pool ~inline_max:q.q_inline_max
+        ~proto_hint:(proto_hint_of raw) raw
+    in
+    let ok = note_outcome t q outcome in
+    if ok && not (outcome = Fifo.pushed_desc && q.q_max_loans > 0) then
+      record_copy t len;
+    ok
   in
   (amortized || not (push_refused t))
   &&
-  if jumbo_eligible q (Bytes.length raw) then
-    push_jumbo ~amortized t q raw
-    ||
-    match Netcore.Codec.parse ~verify_transport:false raw with
-    | Ok packet -> push_entry (Netcore.Codec.serialize packet)
-    | Error _ -> false
-  else push_entry raw
+  match frame with
+  | Raw raw when not (jumbo_eligible q (Bytes.length raw)) ->
+      entry_fits (Bytes.length raw) && push_entry raw
+  | Raw raw ->
+      push_jumbo ~amortized t q frame
+      || entry_fits (Bytes.length raw)
+         && begin
+           Netcore.Codec.restore_transport_checksum raw;
+           push_entry raw
+         end
+  | Jumbo packet ->
+      push_jumbo ~amortized t q frame
+      || entry_fits (P.wire_length packet)
+         && push_entry (Netcore.Codec.serialize packet)
 
 (* Whether a frame of this size would enter the queue right now —
    {!Fifo.can_accept} generalized over this queue's descriptor path,
@@ -758,12 +806,12 @@ let route_overflow_standard t raw =
   t.s.waiting_overflows <- t.s.waiting_overflows + 1;
   transmit_standard t raw
 
-let enqueue_waiting t q raw =
+let enqueue_waiting t q frame =
   let p = params t in
   if Queue.length q.waiting >= p.Params.xenloop_waiting_list_max then
-    route_overflow_standard t raw
+    route_overflow_standard t (frame_bytes frame)
   else begin
-    Queue.push raw q.waiting;
+    Queue.push (frame_bytes frame) q.waiting;
     t.s.queued_to_waiting <- t.s.queued_to_waiting + 1;
     (* Published through the shared descriptor so the peer knows freed
        space on this queue is worth a notification back to us. *)
@@ -909,7 +957,7 @@ let qos_drain t qs q sched =
                 | [] -> continue_draining := false
                 | (raw, len) :: rest ->
                     Sim.Resource.use (cpu t) p.Params.xenloop_fifo_op;
-                    if push_frame ~amortized:true t q raw then begin
+                    if push_frame ~amortized:true t q (Raw raw) then begin
                       pushed_total := !pushed_total + 1;
                       t.s.via_channel_tx <- t.s.via_channel_tx + 1;
                       flow.Qos.Flow_table.f_descs <-
@@ -1004,7 +1052,7 @@ let drain_waiting_legacy t q =
     let continue_draining = ref true in
     while !continue_draining && not (Queue.is_empty q.waiting) do
       let raw = Queue.peek q.waiting in
-      if queue_can_accept q (Bytes.length raw) && push_frame t q raw
+      if queue_can_accept q (Bytes.length raw) && push_frame t q (Raw raw)
       then begin
         ignore (Queue.pop q.waiting);
         wake_self q;
@@ -1037,7 +1085,7 @@ let qos_send_batch t qs q sched keyed_frames =
   ignore (qos_drain t qs q sched);
   notify_peer t q
 
-let send_via_channel t q raw =
+let send_via_channel t q frame =
   (* Packets behind a non-empty waiting list must queue too (per-queue
      ordering).  Like the batch path, the waiting list is first serviced
      from the sending context: forward progress must not depend solely
@@ -1049,23 +1097,24 @@ let send_via_channel t q raw =
      what makes the FIFO size matter (Fig. 5): a small FIFO forces an
      event-channel round trip per FIFO-full of packets. *)
   if not (Queue.is_empty q.waiting) then ignore (drain_waiting t q);
-  if Queue.is_empty q.waiting && push_frame t q raw then
+  if Queue.is_empty q.waiting && push_frame t q frame then
     t.s.via_channel_tx <- t.s.via_channel_tx + 1
-  else enqueue_waiting t q raw;
+  else enqueue_waiting t q frame;
   (* Signal the receiver; also when we only queued, so the peer's next
      consumption round notifies us back to drain the waiting list. *)
   notify_peer t q
 
-let send_batch t q raws =
+let send_batch t q frames =
   (* One burst — all fragments of one datagram, or several back-to-back
      steals steered to the same queue — enters the FIFO under a single
      amortized bookkeeping charge and a single trailing notification. *)
   let p = params t in
-  match raws with
+  match frames with
   | [] -> ()
-  | [ raw ] -> send_via_channel t q raw
-  | raws when not p.Params.xenloop_batch_tx -> List.iter (send_via_channel t q) raws
-  | first :: _ as raws ->
+  | [ frame ] -> send_via_channel t q frame
+  | frames when not p.Params.xenloop_batch_tx ->
+      List.iter (send_via_channel t q) frames
+  | first :: _ as frames ->
       t.s.batches <- t.s.batches + 1;
       (* Service the waiting list from the sending context first: leaving
          it to the event handler alone starves it behind this process's
@@ -1075,11 +1124,11 @@ let send_batch t q raws =
       if
         (not (Queue.is_empty q.waiting))
         || push_refused t
-        || not (queue_can_accept q (Bytes.length first))
+        || not (queue_can_accept q (frame_length first))
       then
         (* Ordering: everything behind a non-empty waiting list queues;
            so does a burst the ring refuses outright. *)
-        List.iter (enqueue_waiting t q) raws
+        List.iter (enqueue_waiting t q) frames
       else begin
         (* The burst is one submission: one refusal draw and one
            [xenloop_fifo_op]; each frame still pays its copy before
@@ -1087,14 +1136,14 @@ let send_batch t q raws =
         Sim.Resource.use (cpu t) p.Params.xenloop_fifo_op;
         let overflowed = ref false in
         List.iter
-          (fun raw ->
-            if (not !overflowed) && push_frame ~amortized:true t q raw then
+          (fun frame ->
+            if (not !overflowed) && push_frame ~amortized:true t q frame then
               t.s.via_channel_tx <- t.s.via_channel_tx + 1
             else begin
               overflowed := true;
-              enqueue_waiting t q raw
+              enqueue_waiting t q frame
             end)
-          raws
+          frames
       end;
       notify_peer t q
 
@@ -2648,29 +2697,27 @@ let on_ctrl_packet t (packet : P.t) =
 (* The netfilter hook: the guest-specific software bridge *)
 
 let frame_for_queue t q (packet : P.t) =
-  (* Jumbo intent is decided before serializing ({!Packet.wire_length}
-     sizes without building) so the transport-checksum compute can be
-     elided over the whole super-frame — the jumbo descriptor carries
-     [flag_csum_ok] and the trusted receiver skips verification
-     (DESIGN.md §15).  If the push later degrades to a fallback path,
-     {!transmit_standard} parses our own bytes without verifying and the
-     device codec recomputes the checksum on re-serialization. *)
-  let jumbo = jumbo_eligible q (P.wire_length packet) in
-  let raw =
-    if jumbo then begin
-      t.s.csum_elided <- t.s.csum_elided + 1;
-      Netcore.Codec.serialize ~csum:false packet
-    end
-    else Netcore.Codec.serialize packet
-  in
-  if (not jumbo) && Bytes.length raw > Fifo.max_packet q.out_fifo then begin
+  (* Jumbo intent is decided from the packet ({!Packet.wire_length}
+     sizes without building), and a jumbo is written into its pool
+     slots straight from the packet, its transport checksum elided — the
+     jumbo descriptor carries [flag_csum_ok] and the trusted receiver
+     skips verification (DESIGN.md §15).  If the push later degrades to
+     the inline path the checksum is computed then; on netfront the
+     device codec recomputes it when the packet is next serialized. *)
+  let len = P.wire_length packet in
+  let jumbo = jumbo_eligible q len in
+  if (not jumbo) && len > Fifo.max_packet q.out_fifo then begin
     t.s.too_big_fallback <- t.s.too_big_fallback + 1;
     `Standard_path
   end
   else begin
     q.q_steered <- q.q_steered + 1;
     t.s.steered_packets <- t.s.steered_packets + 1;
-    `Channel (q, raw, packet)
+    if jumbo then begin
+      t.s.csum_elided <- t.s.csum_elided + 1;
+      `Channel (q, Jumbo packet, packet)
+    end
+    else `Channel (q, Raw (Netcore.Codec.serialize packet), packet)
   end
 
 (* Slow path of the routing decision: mapping-table lookup plus steering
@@ -2764,9 +2811,10 @@ let hook_fn t (packets : P.t list) =
           | Some qs, Some sched ->
               qos_send_batch t qs q sched
                 (List.map
-                   (fun (_, raw, pkt) -> (Steering.qos_flow_key pkt, raw))
+                   (fun (_, frame, pkt) ->
+                     (Steering.qos_flow_key pkt, frame_bytes frame))
                    frames)
-          | _ -> send_batch t q (List.map (fun (_, raw, _) -> raw) frames))
+          | _ -> send_batch t q (List.map (fun (_, frame, _) -> frame) frames))
     in
     let pending =
       List.fold_left
@@ -2775,11 +2823,12 @@ let hook_fn t (packets : P.t list) =
           | `Standard_path, pending ->
               flush pending;
               []
-          | `Channel (q, raw, pkt), ((q', _, _) :: _ as pending) when q == q' ->
-              (q, raw, pkt) :: pending
-          | `Channel (q, raw, pkt), pending ->
+          | `Channel ((q, _, _) as steal), ((q', _, _) :: _ as pending)
+            when q == q' ->
+              steal :: pending
+          | `Channel steal, pending ->
               flush pending;
-              [ (q, raw, pkt) ])
+              [ steal ])
         [] decisions
     in
     flush pending;
@@ -2838,12 +2887,14 @@ let send_app_payload t ~dst_ip ~src_port ~dst_port payload =
                     match Payload_pool.alloc_slot pool with
                     | -1 -> false
                     | slot ->
-                        let buf = Bytes.create total in
-                        Bytes.set_int32_be buf 0
+                        let head = t.tx_head in
+                        Bytes.set_int32_be head 0
                           (Netcore.Ip.to_int32 (Stack.ip_addr t.stack));
-                        Bytes.set_uint16_be buf 4 src_port;
-                        Bytes.blit payload 0 buf 8 (Bytes.length payload);
-                        Payload_pool.write pool ~slot ~src:buf ~len:total;
+                        Bytes.set_uint16_be head 4 src_port;
+                        Bytes.set_uint16_be head 6 0;
+                        Payload_pool.write_scatter pool ~off:0 ~slots:[| slot |]
+                          ~lens:[| total |] ~head ~head_len:8 ~src:payload
+                          ~src_off:0 ~len:(Bytes.length payload);
                         if
                           Fifo.try_push_desc q.out_fifo ~flags:Fifo.flag_app
                             ~slot ~offset:0 ~len:total ~proto_hint:dst_port ()
@@ -2891,7 +2942,7 @@ let send_app_payload t ~dst_ip ~src_port ~dst_port payload =
                 t.s.steered_packets <- t.s.steered_packets + 1;
                 (match (t.qos, q.q_sched) with
                 | Some qs, Some sched -> qos_send_batch t qs q sched [ (key, raw) ]
-                | _ -> send_via_channel t q raw);
+                | _ -> send_via_channel t q (Raw raw));
                 true
               end
             end
@@ -3252,6 +3303,7 @@ let create ~domain ~stack ~current_machine ?(fifo_k = Fifo.default_k) ?max_queue
       announce_epoch = 0;
       expiry_timer = None;
       lingering = [];
+      tx_head = Bytes.create Netcore.Codec.max_header_length;
       ctrl_fault = None;
       push_fault = None;
       pool_fault = None;

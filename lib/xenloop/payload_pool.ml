@@ -214,15 +214,15 @@ let check_span t ~what ~slot ~off ~len =
     invalid_arg (Printf.sprintf "Payload_pool.%s: out of slot bounds" what)
 
 (* Iterative copy (the sender's once-per-packet path must not allocate,
-   and a local recursive helper would close over the arguments).
-   [write_from] is the scatter variant a jumbo sender uses to carve one
-   oversized frame across several slots. *)
-let write_from t ~slot ~src ~src_off ~len =
-  check_span t ~what:"write" ~slot ~off:0 ~len;
+   and a local recursive helper would close over the arguments) of [len]
+   bytes of [src] into the slot at [off]: the per-chunk step of
+   {!write_scatter}. *)
+let write_into t ~what ~slot ~off ~src ~src_off ~len =
+  check_span t ~what ~slot ~off ~len;
   if src_off < 0 || src_off + len > Bytes.length src then
-    invalid_arg "Payload_pool.write_from: out of src bounds";
+    invalid_arg (Printf.sprintf "Payload_pool.%s: out of src bounds" what);
   let base = slot * t.p_slot_pages in
-  let at = ref 0 and src_off = ref src_off and left = ref len in
+  let at = ref off and src_off = ref src_off and left = ref len in
   while !left > 0 do
     let page = t.data.(base + (!at / Page.size)) in
     let page_off = !at mod Page.size in
@@ -233,7 +233,8 @@ let write_from t ~slot ~src ~src_off ~len =
     left := !left - chunk
   done
 
-let write t ~slot ~src ~len = write_from t ~slot ~src ~src_off:0 ~len
+let write t ~slot ~src ~len =
+  write_into t ~what:"write" ~slot ~off:0 ~src ~src_off:0 ~len
 
 let read t ~slot ~off ~len =
   check_span t ~what:"read" ~slot ~off ~len;
@@ -283,6 +284,32 @@ let read_scatter t ~off chunks ~pos ~len ~dst ~dst_off =
       d := !d + n;
       left := !left - n
     end;
+    incr i
+  done
+
+(* The transmit mirror of [read_scatter]: frame byte [i] is [head.(i)]
+   below [head_len] and [src.(src_off + i - head_len)] above it.  Each
+   chunk takes its share of the head, then of [src]; the loop keeps the
+   per-chunk step allocation-free. *)
+let write_scatter t ~off ~slots ~lens ~head ~head_len ~src ~src_off ~len =
+  if head_len < 0 || head_len > Bytes.length head then
+    invalid_arg "Payload_pool.write_scatter: out of head bounds";
+  let h = ref 0 and s = ref src_off and left = ref (head_len + len) in
+  let i = ref 0 in
+  while !left > 0 do
+    let slot = slots.(!i) in
+    let n = min lens.(!i) !left in
+    let hn = min n (head_len - !h) in
+    if hn > 0 then begin
+      write_into t ~what:"write_scatter" ~slot ~off ~src:head ~src_off:!h ~len:hn;
+      h := !h + hn
+    end;
+    if n > hn then begin
+      write_into t ~what:"write_scatter" ~slot ~off:(off + hn) ~src ~src_off:!s
+        ~len:(n - hn);
+      s := !s + (n - hn)
+    end;
+    left := !left - n;
     incr i
   done
 

@@ -119,11 +119,6 @@ val force_return_loans : t -> int
 val write : t -> slot:int -> src:Bytes.t -> len:int -> unit
 (** The sender's single payload copy, into the slot's pages. *)
 
-val write_from :
-  t -> slot:int -> src:Bytes.t -> src_off:int -> len:int -> unit
-(** {!write} from an offset within [src] — the jumbo sender's scatter
-    path, carving one oversized frame across several slots. *)
-
 val read : t -> slot:int -> off:int -> len:int -> Bytes.t
 (** The receiver's in-place view of a slot (materialized as bytes for the
     simulated stack; no copy is charged for it). *)
@@ -153,6 +148,28 @@ val read_scatter :
   unit
 (** Copy the [len] frame bytes at [pos] out of the vector into [dst] at
     [dst_off], allocating nothing. *)
+
+val write_scatter :
+  t ->
+  off:int ->
+  slots:int array ->
+  lens:int array ->
+  head:Bytes.t ->
+  head_len:int ->
+  src:Bytes.t ->
+  src_off:int ->
+  len:int ->
+  unit
+(** The transmit mirror of {!parse_scatter}: write a frame of
+    [head_len + len] bytes — the first [head_len] bytes of [head], then
+    the [len] bytes of [src] at [src_off] — across the vector whose
+    chunk [i] is [(slots.(i), lens.(i))], allocating nothing.  The head
+    may straddle chunks.  The sender builds a frame this way straight
+    from its packet ({!Netcore.Codec.serialize_head} and
+    {!Netcore.Codec.tail}), or from a serialized frame with an empty
+    head.  The vector is the sender's own allocation; it must cover the
+    frame.
+    @raise Invalid_argument on a slot, span or buffer out of bounds. *)
 
 val parse_scatter :
   ?verify_transport:bool ->

@@ -169,7 +169,7 @@ let test_engine_wake_resume_zero_alloc () =
 
 let jumbo_payload_len = 65_535 - 40
 
-let jumbo_tcp_frame () =
+let jumbo_tcp_packet () =
   let header =
     {
       Netcore.Transport.tcp_src_port = 5001;
@@ -180,14 +180,22 @@ let jumbo_tcp_frame () =
       window = 0xffff;
     }
   in
-  Netcore.Codec.serialize
-    (Netcore.Packet.tcp
-       ~src_mac:(Netcore.Mac.of_domid ~machine:0 ~domid:1)
-       ~dst_mac:(Netcore.Mac.of_domid ~machine:0 ~domid:2)
-       ~src_ip:(Netcore.Ip.make ~subnet:1 ~host:1)
-       ~dst_ip:(Netcore.Ip.make ~subnet:1 ~host:2)
-       ~header
-       (Bytes.make jumbo_payload_len 'j'))
+  Netcore.Packet.tcp
+    ~src_mac:(Netcore.Mac.of_domid ~machine:0 ~domid:1)
+    ~dst_mac:(Netcore.Mac.of_domid ~machine:0 ~domid:2)
+    ~src_ip:(Netcore.Ip.make ~subnet:1 ~host:1)
+    ~dst_ip:(Netcore.Ip.make ~subnet:1 ~host:2)
+    ~header
+    (Bytes.make jumbo_payload_len 'j')
+
+let jumbo_tcp_frame () = Netcore.Codec.serialize (jumbo_tcp_packet ())
+
+(* 20 KiB slots, as a jumbo descriptor's scatter vector uses them. *)
+let jumbo_pool () =
+  let slots = 8 and slot_pages = 5 in
+  let ctrl = Memory.Page.create () in
+  let data = Array.init (slots * slot_pages) (fun _ -> Memory.Page.create ()) in
+  Xenloop.Payload_pool.init ~ctrl ~data ~slots ~slot_pages ~inline_max:256 ()
 
 (* The runtime folds minor-heap words into [Gc.allocated_bytes] only at a
    minor collection, so one is forced at each end of the window. *)
@@ -220,21 +228,54 @@ let test_pool_jumbo_receive_single_copy () =
   (* The frame scatter-written across 20 KiB slots, as a jumbo descriptor
      carries it, and parsed straight out of them. *)
   let module Pool = Xenloop.Payload_pool in
-  let slots = 8 and slot_pages = 5 in
-  let ctrl = Memory.Page.create () in
-  let data = Array.init (slots * slot_pages) (fun _ -> Memory.Page.create ()) in
-  let pool = Pool.init ~ctrl ~data ~slots ~slot_pages ~inline_max:256 () in
+  let pool = jumbo_pool () in
   let raw = jumbo_tcp_frame () in
   let len = Bytes.length raw and sb = Pool.slot_bytes pool in
-  let chunks =
-    Array.init ((len + sb - 1) / sb) (fun i ->
-        let l = min sb (len - (i * sb)) in
-        Pool.write_from pool ~slot:i ~src:raw ~src_off:(i * sb) ~len:l;
-        (i, l))
-  in
+  let nchunks = (len + sb - 1) / sb in
+  let lens = Array.init nchunks (fun i -> min sb (len - (i * sb))) in
+  Pool.write_scatter pool ~off:0 ~slots:(Array.init nchunks Fun.id) ~lens
+    ~head:Bytes.empty ~head_len:0 ~src:raw ~src_off:0 ~len;
+  let chunks = Array.mapi (fun i l -> (i, l)) lens in
   check_single_copy "Payload_pool.parse_scatter 64 KiB TCP"
     (bytes_per_iter ~iters:200 (fun () ->
          expect_ok (Pool.parse_scatter pool ~off:0 ~len chunks)))
+
+(* The transmit side writes a jumbo into its slots straight from the
+   packet: the scatter vector is taken from the free ring, the headers
+   are serialized into a reused head buffer and written with the payload
+   behind them.  A push allocates the vector and the writer's cursor; a
+   frame-sized buffer (or a payload copy) would put it past 1 KiB. *)
+let test_pool_jumbo_transmit_no_frame_buffer () =
+  let module Pool = Xenloop.Payload_pool in
+  let pool = jumbo_pool () in
+  let packet = jumbo_tcp_packet () in
+  let head = Bytes.create Netcore.Codec.max_header_length in
+  let len = Netcore.Packet.wire_length packet and sb = Pool.slot_bytes pool in
+  let nchunks = (len + sb - 1) / sb in
+  let push () =
+    let slots = Array.make nchunks 0 and lens = Array.make nchunks sb in
+    lens.(nchunks - 1) <- len - ((nchunks - 1) * sb);
+    for i = 0 to nchunks - 1 do
+      slots.(i) <- Pool.alloc_slot pool
+    done;
+    let head_len = Netcore.Codec.serialize_head packet head in
+    let tail = Netcore.Codec.tail packet in
+    Pool.write_scatter pool ~off:0 ~slots ~lens ~head ~head_len ~src:tail ~src_off:0
+      ~len:(Bytes.length tail);
+    Array.iter (Pool.free pool) slots;
+    slots
+  in
+  let per = bytes_per_iter ~iters:200 push in
+  Alcotest.(check bool)
+    (Printf.sprintf "jumbo push from a packet: %.0f B/push (bound 1024)" per)
+    true (per <= 1024.);
+  (* The slots hold the frame's bytes, transport checksum elided. *)
+  let slots = push () in
+  let chunks = Array.mapi (fun i slot -> (slot, min sb (len - (i * sb)))) slots in
+  let got = Bytes.create len in
+  Pool.read_scatter pool ~off:0 chunks ~pos:0 ~len ~dst:got ~dst_off:0;
+  Alcotest.(check bool) "slots hold serialize ~csum:false" true
+    (Bytes.equal got (Netcore.Codec.serialize ~csum:false packet))
 
 let suites =
   [
@@ -255,5 +296,7 @@ let suites =
           test_parse_jumbo_single_copy;
         Alcotest.test_case "pool jumbo receive copies the payload once" `Quick
           test_pool_jumbo_receive_single_copy;
+        Alcotest.test_case "pool jumbo transmit builds no frame buffer" `Quick
+          test_pool_jumbo_transmit_no_frame_buffer;
       ] );
   ]

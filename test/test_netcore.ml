@@ -577,10 +577,10 @@ let frame_payload_gen =
 
 let frame_kinds = 6
 
-let frame_of_kind kind =
+let frame_of_kind ?(payload_gen = frame_payload_gen) kind =
   QCheck.Gen.(
     let* sp = 0 -- 0xffff and* dp = 0 -- 0xffff and* ident = 0 -- 0xffff in
-    let* payload = frame_payload_gen in
+    let* payload = payload_gen in
     match kind with
     | 0 ->
         let payload = Bytes.sub payload 0 (min (Bytes.length payload) 65_507) in
@@ -806,6 +806,130 @@ let prop_parse_scatter_matches_parse =
                ~len:(Bytes.length raw) chunks))
         [ true; false ])
 
+(* Frames of every kind whose payload length is often odd or zero, the
+   lengths where a checksum's trailing byte and empty range show. *)
+let odd_payload_gen =
+  QCheck.Gen.(
+    let* n =
+      frequency
+        [
+          (1, return 0);
+          (1, return 1);
+          (3, map (fun k -> (2 * k) + 1) (0 -- 800));
+          (1, 0 -- 65_495);
+        ]
+    in
+    map Bytes.of_string (string_size (return n)))
+
+let arbitrary_odd_frame_packet =
+  QCheck.make
+    ~print:(fun p -> Format.asprintf "%a" Packet.pp p)
+    QCheck.Gen.(
+      int_bound (frame_kinds - 1) >>= frame_of_kind ~payload_gen:odd_payload_gen)
+
+let prop_restore_transport_checksum =
+  QCheck.Test.make
+    ~name:"restoring the checksum of an elided frame gives serialize"
+    ~count:400 arbitrary_odd_frame_packet (fun p ->
+      let baseline = Codec.serialize p in
+      let elided = Codec.serialize ~csum:false p in
+      Codec.restore_transport_checksum elided;
+      let again = Bytes.copy baseline in
+      Codec.restore_transport_checksum again;
+      Bytes.equal elided baseline && Bytes.equal again baseline)
+
+(* The transmit half of the pool path: a frame written across a scatter
+   vector of small slots — headers straight from the packet with its
+   payload behind them, or a serialized frame behind an empty head — is
+   [serialize ~csum:false] byte for byte, and parses back to the
+   packet. *)
+let write_pool =
+  lazy
+    (let slots = 256 and slot_pages = 1 in
+     let ctrl = Memory.Page.create () in
+     let data = Array.init (slots * slot_pages) (fun _ -> Memory.Page.create ()) in
+     Xenloop.Payload_pool.init ~ctrl ~data ~slots ~slot_pages ~inline_max:256 ())
+
+let arbitrary_written_frame =
+  let slot_bytes = Xenloop.Payload_pool.slot_bytes (Lazy.force write_pool) in
+  QCheck.make
+    ~print:(fun (p, from_packet, (off, lens)) ->
+      Printf.sprintf "%s from %s at off %d in chunks [%s]"
+        (Format.asprintf "%a" Packet.pp p)
+        (if from_packet then "packet" else "bytes")
+        off
+        (String.concat ";" (List.map string_of_int lens)))
+    QCheck.Gen.(
+      let* p = frame_packet_gen and* from_packet = bool in
+      let* chunking = chunking_gen ~slot_bytes (Packet.wire_length p) in
+      return (p, from_packet, chunking))
+
+let prop_write_scatter_matches_serialize =
+  QCheck.Test.make ~name:"a frame written across a pool scatter vector is serialize"
+    ~count:300 arbitrary_written_frame (fun (p, from_packet, (off, lens)) ->
+      let module Pool = Xenloop.Payload_pool in
+      let pool = Lazy.force write_pool in
+      let nchunks = List.length lens in
+      QCheck.assume (nchunks <= Pool.slots pool);
+      (* The vector runs through the slots backwards, so chunk order and
+         slot order differ. *)
+      let slots = Array.init nchunks (fun i -> Pool.slots pool - 1 - i) in
+      let lens = Array.of_list lens in
+      let expected = Codec.serialize ~csum:false p in
+      let len = Bytes.length expected in
+      (if from_packet then begin
+         let head = Bytes.make Codec.max_header_length '\xAA' in
+         let head_len = Codec.serialize_head p head in
+         let tail = Codec.tail p in
+         Pool.write_scatter pool ~off ~slots ~lens ~head ~head_len ~src:tail
+           ~src_off:0 ~len:(Bytes.length tail)
+       end
+       else
+         Pool.write_scatter pool ~off ~slots ~lens ~head:Bytes.empty ~head_len:0
+           ~src:expected ~src_off:0 ~len);
+      let chunks = Array.mapi (fun i slot -> (slot, lens.(i))) slots in
+      let got = Bytes.create len in
+      Pool.read_scatter pool ~off chunks ~pos:0 ~len ~dst:got ~dst_off:0;
+      Bytes.equal got expected
+      && same_result (Ok p)
+           (Pool.parse_scatter ~verify_transport:false pool ~off ~len chunks))
+
+let test_write_scatter_head_straddles () =
+  (* A TCP frame's 54 header bytes split 1 + 13 + 30 + 10 across four
+     chunks, the last of which also starts the payload. *)
+  let module Pool = Xenloop.Payload_pool in
+  let pool = Lazy.force write_pool in
+  let header =
+    {
+      Transport.tcp_src_port = 7;
+      tcp_dst_port = 9;
+      seq = 0x01020304l;
+      ack_seq = 0x0A0B0C0Dl;
+      flags = { Transport.no_flags with Transport.ack = true; psh = true };
+      window = 4096;
+    }
+  in
+  let payload = Bytes.init 6_001 (fun i -> Char.chr (i land 0xFF)) in
+  let p = Packet.tcp ~src_mac:mac_a ~dst_mac:mac_b ~src_ip:ip_a ~dst_ip:ip_b ~header payload in
+  let expected = Codec.serialize ~csum:false p in
+  let len = Bytes.length expected in
+  let sb = Pool.slot_bytes pool in
+  let lens = [| 1; 13; 30; 100; sb; len - 144 - sb |] in
+  let slots = [| 9; 3; 200; 4; 17; 0 |] in
+  let head = Bytes.create Codec.max_header_length in
+  let head_len = Codec.serialize_head p head in
+  Alcotest.(check int) "TCP head" Codec.max_header_length head_len;
+  Pool.write_scatter pool ~off:0 ~slots ~lens ~head ~head_len ~src:payload ~src_off:0
+    ~len:(Bytes.length payload);
+  let chunks = Array.mapi (fun i slot -> (slot, lens.(i))) slots in
+  let got = Bytes.create len in
+  Pool.read_scatter pool ~off:0 chunks ~pos:0 ~len ~dst:got ~dst_off:0;
+  Alcotest.(check bool) "slot bytes are serialize ~csum:false" true
+    (Bytes.equal got expected);
+  match Pool.parse_scatter ~verify_transport:false pool ~off:0 ~len chunks with
+  | Ok q -> Alcotest.(check bool) "parses back to the packet" true (Packet.equal p q)
+  | Error e -> Alcotest.failf "parse failed: %a" Codec.pp_error e
+
 let prop_checksum_add =
   QCheck.Test.make ~name:"checksum add joins an even split" ~count:300
     QCheck.(pair (string_of_size Gen.(0 -- 300)) small_nat)
@@ -1010,6 +1134,8 @@ let suites =
           test_codec_tcp_data_offset;
         Alcotest.test_case "in-place parse matches the blob parser near headers" `Quick
           test_parse_matches_blob_parser_near_headers;
+        Alcotest.test_case "a pool write splits the headers across chunks" `Quick
+          test_write_scatter_head_straddles;
       ]
       @ qsuite
           [
@@ -1018,6 +1144,8 @@ let suites =
             prop_csum_elision_fallback;
             prop_parse_matches_blob_parser;
             prop_parse_scatter_matches_parse;
+            prop_restore_transport_checksum;
+            prop_write_scatter_matches_serialize;
           ] );
     ( "netcore.fragment",
       [

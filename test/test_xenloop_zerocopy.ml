@@ -532,6 +532,83 @@ let test_corrupt_pool_payload_is_dropped () =
       Alcotest.(check int) "every slot back on the free ring" free_before
         (Pool.free_slots pool))
 
+(* A jumbo the pool cannot give slots degrades to an inline entry, which
+   carries no [flag_csum_ok], so it must get its transport checksum: a
+   frame still held as a packet is serialized with it, and one that waited
+   (its first push refused) is held as bytes with the checksum elided,
+   which is put back in place.  Without it the receiver drops the frame
+   and the data waits for a TCP retransmission timeout. *)
+let degraded_jumbo_delivered ~wait_first () =
+  let params =
+    {
+      Hypervisor.Params.default with
+      Hypervisor.Params.xenloop_queues = 1;
+      xenloop_pool_slot_pages = 1;
+    }
+  in
+  let duo = Setup.build ~params Setup.Xenloop_path in
+  let m1, _ = modules_of duo in
+  let client = host_of duo.Setup.client and server = host_of duo.Setup.server in
+  Experiment.execute duo (fun () ->
+      let listener =
+        match Netstack.Tcp.listen server.Workloads.Host.tcp ~port:7001 with
+        | Ok l -> l
+        | Error _ -> Alcotest.fail "listen"
+      in
+      let server_conn = ref None in
+      Sim.Engine.spawn duo.Setup.engine (fun () ->
+          server_conn := Some (Netstack.Tcp.accept listener));
+      let conn =
+        match
+          Netstack.Tcp.connect client.Workloads.Host.tcp ~dst:duo.Setup.server_ip
+            ~dst_port:7001 ()
+        with
+        | Ok c -> c
+        | Error _ -> Alcotest.fail "connect"
+      in
+      Netstack.Tcp.send conn (Bytes.make 100 'w');
+      Sim.Engine.sleep (Sim.Time.ms 5);
+      let sconn = match !server_conn with Some c -> c | None -> Alcotest.fail "accept" in
+      ignore (Netstack.Tcp.recv_exact sconn 100);
+      Sim.Engine.sleep (Sim.Time.ms 5);
+      let kick =
+        match Netstack.Udp.bind client.Workloads.Host.udp () with
+        | Ok s -> s
+        | Error _ -> Alcotest.fail "bind"
+      in
+      let s = Gm.stats m1 in
+      let waited = s.Gm.queued_to_waiting and jumbos = s.Gm.jumbo_tx in
+      let fallbacks = s.Gm.pool_fallbacks in
+      (* Starve the pool and, to make the jumbo wait, refuse its push
+         once. *)
+      let refusals = ref (if wait_first then 1 else 0) in
+      Gm.set_push_fault_injector m1
+        (Some
+           (fun () ->
+             decr refusals;
+             !refusals = 0));
+      Gm.set_pool_fault_injector m1 (Some (fun () -> true));
+      let data = Bytes.init 10_000 (fun i -> Char.chr (i land 0xff)) in
+      Netstack.Tcp.send conn data;
+      Alcotest.(check int) "the jumbo waits"
+        (if wait_first then waited + 1 else waited)
+        s.Gm.queued_to_waiting;
+      (* A datagram on the same queue services the waiting list first. *)
+      let start = Sim.Engine.now duo.Setup.engine in
+      Netstack.Udp.sendto kick ~dst:duo.Setup.server_ip ~dst_port:7002
+        (Bytes.of_string "kick");
+      let got = Netstack.Tcp.recv_exact sconn (Bytes.length data) in
+      let took = Sim.Time.diff (Sim.Engine.now duo.Setup.engine) start in
+      Alcotest.(check bool) "data intact" true (Bytes.equal got data);
+      Alcotest.(check bool)
+        (Printf.sprintf "delivered without a retransmission (%Ld ns)"
+           (Sim.Time.to_ns took))
+        true
+        (Int64.compare (Sim.Time.to_ns took) (Sim.Time.to_ns (Sim.Time.ms 50)) < 0);
+      Alcotest.(check int) "never published as a jumbo" jumbos s.Gm.jumbo_tx;
+      Alcotest.(check bool) "degraded for want of slots" true
+        (s.Gm.pool_fallbacks > fallbacks))
+
 let suites =
   [
     ( "xenloop.zerocopy",
@@ -557,6 +634,10 @@ let suites =
           test_negotiation_enables_pools;
         Alcotest.test_case "fallback without peer support" `Quick
           test_negotiation_falls_back_without_peer_support;
+        Alcotest.test_case "starved jumbo degrades with its checksum" `Quick
+          (degraded_jumbo_delivered ~wait_first:false);
+        Alcotest.test_case "waiting jumbo degrades with its checksum" `Quick
+          (degraded_jumbo_delivered ~wait_first:true);
         Alcotest.test_case "slot starvation degrades to inline" `Quick
           test_slot_starvation_degrades_to_inline;
         Alcotest.test_case "stranded descriptor teardown reclaim" `Quick
