@@ -4,7 +4,7 @@
 # data path loses or duplicates a single application byte relative to the
 # baseline (see bench/main.ml).
 
-.PHONY: all build test bench-smoke bench perf engine-check datapath-check gso-check mesh-check fairness-check soak ci check-tracked-artifacts clean
+.PHONY: all build test bench-smoke bench perf engine-check datapath-check gso-check mesh-check fairness-check soak soak-wide ci check-tracked-artifacts clean
 
 all: build
 
@@ -76,6 +76,20 @@ fairness-check: build
 # the first failing seed and its replay command.
 soak: build
 	dune exec xenloopsim -- chaos
+
+# Wide chaos soak, opt-in and not part of `ci`: 40 iterations of the
+# full fault matrix at base seeds 0 and 100.  Both sweeps run; the target
+# exits nonzero if either fails.  It currently reports the known
+# exactly-once loss on cluster3/evict-teardown (one datagram of 250 lost
+# per failing run): seeds 3 and 25 in the base-0 sweep and seed 129 in the
+# base-100 sweep, each with its replay line, e.g.
+# `xenloopsim chaos --case cluster3/evict-teardown --seed 129`.
+soak-wide: build
+	@status=0; \
+	for seed in 0 100; do \
+	  dune exec xenloopsim -- chaos --iters 40 --seed $$seed || status=1; \
+	done; \
+	exit $$status
 
 ci: check-tracked-artifacts build test bench-smoke engine-check datapath-check gso-check mesh-check fairness-check soak
 	@echo "ci: artifact check + build + tests + bench smoke (delivery check) + engine perf gate + data-path copy gate + gso offload gate + mesh control-plane gate + QoS fairness gate + chaos soak all green"

@@ -1166,99 +1166,6 @@ let run_mixed ~params ~smoke () =
         mx_queue_stats;
       })
 
-(* ------------------------------------------------------------------ *)
-(* Poll-mode sweep: TCP_RR with the adaptive doorbell + poll-window
-   receiver against the run-to-completion busy-poll receiver (DESIGN.md
-   §11), at 1 and 4 queues.  Busy-poll trades a spinning receiver fiber
-   for the doorbell round-trip on every transaction, so the win shows up
-   in the tail: busy-poll p99 must land below adaptive p99. *)
-
-type poll_point = {
-  pp_mode : string;  (* "adaptive" | "busy-poll" *)
-  pp_queues : int;
-  pp_transactions : int;
-  pp_p50_us : float;
-  pp_p99_us : float;
-  pp_poll_rounds : int;
-  pp_notifies_sent : int;
-}
-
-let run_poll_point ~smoke ~poll ~queues () =
-  let params =
-    {
-      Hypervisor.Params.default with
-      Hypervisor.Params.xenloop_poll_mode = poll;
-      xenloop_queues = queues;
-    }
-  in
-  let ctx = make_ctx ~params Setup.Xenloop_path in
-  in_ctx ctx (fun { duo; client; server; dst } ->
-      (* The rr flow runs against a concurrent paced UDP stream between
-         the same guest pair: an idle deterministic channel gives every
-         transaction the identical latency (p50 == p99 exactly, which is
-         a sampling artifact, not a tail), while the background load
-         injects real queueing variance so the busy-poll-vs-adaptive
-         comparison actually measures the tail it claims to. *)
-      let engine = Host.engine client in
-      let stop = ref false in
-      let sink =
-        match Netstack.Udp.bind server.Host.udp ~port:9200 () with
-        | Ok s -> s
-        | Error _ -> failwith "poll_sweep: sink bind"
-      in
-      Sim.Engine.spawn (Host.engine server) (fun () ->
-          while not !stop do
-            match Netstack.Udp.recv_opt sink with
-            | Some _ -> ()
-            | None -> Sim.Engine.sleep (Sim.Time.us 50)
-          done);
-      let blast =
-        match Netstack.Udp.bind client.Host.udp () with
-        | Ok s -> s
-        | Error _ -> failwith "poll_sweep: blast bind"
-      in
-      let payload = Bytes.make 4096 'p' in
-      Sim.Engine.spawn engine (fun () ->
-          while not !stop do
-            for _ = 1 to 4 do
-              Netstack.Udp.sendto blast ~dst ~dst_port:9200 payload
-            done;
-            Sim.Engine.sleep (Sim.Time.us 50)
-          done);
-      (* Let the blast establish a standing backlog before sampling. *)
-      Sim.Engine.sleep (Sim.Time.us 300);
-      let before = counters_of_modules duo.Setup.modules in
-      let n = if smoke then 150 else 1500 in
-      let r = Netperf.tcp_rr ~client ~server ~dst ~transactions:n () in
-      stop := true;
-      Sim.Engine.sleep (Sim.Time.ms 1);
-      let after = counters_of_modules duo.Setup.modules in
-      let c = sub_counters after before in
-      {
-        pp_mode = (if poll then "busy-poll" else "adaptive");
-        pp_queues = queues;
-        pp_transactions = r.Netperf.transactions;
-        pp_p50_us = r.Netperf.p50_latency_us;
-        pp_p99_us = r.Netperf.p99_latency_us;
-        pp_poll_rounds = c.c_poll_rounds;
-        pp_notifies_sent = c.c_notifies_sent;
-      })
-
-let poll_sweep ~smoke =
-  List.concat_map
-    (fun queues ->
-      List.map (fun poll -> run_poll_point ~smoke ~poll ~queues ()) [ false; true ])
-    [ 1; 4 ]
-
-let json_of_poll_point buf p =
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"mode\": \"%s\", \"queues\": %d, \"transactions\": %d, \
-        \"rr_p50_latency_us\": %.3f, \"rr_p99_latency_us\": %.3f, \
-        \"poll_rounds\": %d, \"notifies_sent\": %d}"
-       p.pp_mode p.pp_queues p.pp_transactions p.pp_p50_us p.pp_p99_us
-       p.pp_poll_rounds p.pp_notifies_sent)
-
 let notifies_per_packet c =
   if c.c_delivered = 0 then 0.0
   else float_of_int c.c_notifies_sent /. float_of_int c.c_delivered
@@ -2282,7 +2189,6 @@ let json_mode ~smoke path =
           ~smoke ())
       qs
   in
-  let poll_points = poll_sweep ~smoke in
   let sweep =
     (* Fig. 5 sensitivity under the optimized path. *)
     let ks = if smoke then [ 9; 13 ] else [ 9; 10; 11; 12; 13; 14; 15 ] in
@@ -2371,13 +2277,6 @@ let json_mode ~smoke path =
       Buffer.add_string buf "    ";
       json_of_mixed buf m)
     queue_sweep;
-  Buffer.add_string buf "\n  ],\n  \"poll_sweep\": [\n";
-  List.iteri
-    (fun i p ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf "    ";
-      json_of_poll_point buf p)
-    poll_points;
   Buffer.add_string buf "\n  ],\n  \"fifo_sweep_udp_stream\": [\n";
   List.iteri
     (fun i (k, mbps) ->
@@ -2442,11 +2341,6 @@ let json_mode ~smoke path =
         m.mx_queues m.mx_stream_mbps m.mx_rr_p99_us)
     queue_sweep;
   List.iter
-    (fun p ->
-      Printf.printf "poll %-9s q=%d  rr p50 %7.1f us  p99 %7.1f us  notifies %d\n"
-        p.pp_mode p.pp_queues p.pp_p50_us p.pp_p99_us p.pp_notifies_sent)
-    poll_points;
-  List.iter
     (fun (name, points) ->
       List.iter
         (fun (size, on, off) ->
@@ -2495,20 +2389,6 @@ let json_mode ~smoke path =
             size on.gp_delivered off.gp_delivered
           :: !failures)
     gso_points;
-  (match poll_points with
-  | first :: rest ->
-      List.iter
-        (fun p ->
-          if p.pp_transactions <> first.pp_transactions then
-            failures :=
-              Printf.sprintf
-                "poll_sweep: %s q=%d completed %d transactions but %s q=%d \
-                 completed %d"
-                p.pp_mode p.pp_queues p.pp_transactions first.pp_mode
-                first.pp_queues first.pp_transactions
-              :: !failures)
-        rest
-  | [] -> ());
   (match queue_sweep with
   | first :: rest ->
       List.iter

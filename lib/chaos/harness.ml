@@ -131,10 +131,9 @@ let chaos_params =
     xenloop_bootstrap_cooldown = Sim.Time.ms 100;
     migration_downtime = Sim.Time.ms 2;
     (* Pinned off so the standard matrix stays bit-for-bit reproducible
-       against captures taken before loaned-slot receive and poll mode
-       existed; loans-on runs opt in through [config.loans]. *)
+       against captures taken before loaned-slot receive existed; loans-on
+       runs opt in through [config.loans]. *)
     xenloop_loans = false;
-    xenloop_poll_mode = false;
     (* Same story for the cluster-scale control plane (DESIGN.md §12):
        with these pinned, discovery performs exactly the legacy sequence
        of XenStore reads, announce encodes, sends, and injector draws, so

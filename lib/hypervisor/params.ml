@@ -33,12 +33,6 @@ type t = {
   xenloop_max_loans : int;
   xenloop_gso : bool;
   xenloop_gso_max : int;
-  xenloop_poll_mode : bool;
-  xenloop_poll_spin : Sim.Time.span;
-  xenloop_poll_pause : Sim.Time.span;
-  xenloop_poll_sleep : Sim.Time.span;
-  xenloop_poll_spin_iters : int;
-  xenloop_poll_pause_iters : int;
   discovery_period : Sim.Time.span;
   xenloop_softstate_ttl : Sim.Time.span;
   xenloop_bootstrap_cooldown : Sim.Time.span;
@@ -116,12 +110,6 @@ let default =
        [xenloop_zerocopy]. *)
     xenloop_gso = true;
     xenloop_gso_max = 65536;
-    xenloop_poll_mode = false;
-    xenloop_poll_spin = Sim.Time.ns 100;
-    xenloop_poll_pause = Sim.Time.of_us_f 1.0;
-    xenloop_poll_sleep = Sim.Time.of_us_f 20.0;
-    xenloop_poll_spin_iters = 64;
-    xenloop_poll_pause_iters = 256;
     discovery_period = Sim.Time.sec 5;
     xenloop_softstate_ttl = Sim.Time.sec 15;
     xenloop_bootstrap_cooldown = Sim.Time.sec 1;

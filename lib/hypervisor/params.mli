@@ -105,23 +105,6 @@ type t = {
   xenloop_gso_max : int;
       (** largest TCP payload one jumbo descriptor may carry; each side
           uses min(own, peer's control-page stamp) *)
-  xenloop_poll_mode : bool;
-      (** DPDK-style busy-poll receive: a pinned receiver fiber spins
-          run-to-completion on the descriptor rings with event-channel
-          doorbells suppressed in both directions; idle channels back off
-          spin → pause → sleep.  Assumes symmetric deployment (both ends
-          poll), like a DPDK l2fwd pair *)
-  xenloop_poll_spin : Sim.Time.span;
-      (** poll-mode spin-phase re-check interval (hot loop granularity) *)
-  xenloop_poll_pause : Sim.Time.span;
-      (** poll-mode pause-phase re-check interval (PAUSE-instruction
-          analogue; still far below [evtchn_delivery]) *)
-  xenloop_poll_sleep : Sim.Time.span;
-      (** poll-mode sleep-phase re-check interval after a long idle *)
-  xenloop_poll_spin_iters : int;
-      (** idle iterations spent in the spin phase before easing to pause *)
-  xenloop_poll_pause_iters : int;
-      (** idle iterations spent in the pause phase before easing to sleep *)
   discovery_period : Sim.Time.span;
       (** Dom0 domain-discovery scan interval (paper: 5 s) *)
   xenloop_softstate_ttl : Sim.Time.span;

@@ -483,7 +483,7 @@ let notify_peer ?(force = false) t q =
   wake_peer t q;
   if
     (not force)
-    && (p.Params.xenloop_notify_suppression || p.Params.xenloop_poll_mode)
+    && p.Params.xenloop_notify_suppression
     && Fifo.consumer_active q.out_fifo
   then begin
     t.s.notifies_suppressed <- t.s.notifies_suppressed + 1;
@@ -670,14 +670,6 @@ let push_jumbo ?(amortized = false) t q frame =
       let nchunks = jumbo_nchunks pool len in
       if not (jumbo_room q pool nchunks) then false
       else begin
-        if not amortized then Sim.Resource.use (cpu t) p.Params.xenloop_fifo_op;
-        (* Like the loaned descriptor path, on a loan channel the slots
-           are the frame's only resting place — no sender copy charged or
-           recorded; a plain gso channel pays the one real copy. *)
-        if q.q_max_loans = 0 then begin
-          Sim.Resource.use (cpu t) (Params.xenloop_copy_cost p len);
-          record_copy t len
-        end;
         let chunk_slots = Array.make nchunks 0 in
         let allocated = alloc_chunks pool chunk_slots in
         if allocated < nchunks then begin
@@ -687,6 +679,17 @@ let push_jumbo ?(amortized = false) t q frame =
           false
         end
         else begin
+          (* Charged only once the vector is ours: a refused jumbo costs
+             nothing, and the inline retry in {!push_frame} pays its own
+             way. *)
+          if not amortized then Sim.Resource.use (cpu t) p.Params.xenloop_fifo_op;
+          (* Like the loaned descriptor path, on a loan channel the slots
+             are the frame's only resting place — no sender copy charged or
+             recorded; a plain gso channel pays the one real copy. *)
+          if q.q_max_loans = 0 then begin
+            Sim.Resource.use (cpu t) (Params.xenloop_copy_cost p len);
+            record_copy t len
+          end;
           let chunk_lens = Array.make nchunks sb in
           chunk_lens.(nchunks - 1) <- len - ((nchunks - 1) * sb);
           let proto_hint = write_jumbo t pool frame ~chunk_slots ~chunk_lens in
@@ -1855,76 +1858,8 @@ let poll_for_more t q =
     queue_live q && queue_has_work q
   end
 
-(* ------------------------------------------------------------------ *)
-(* Busy-poll receive mode (DPDK-style run-to-completion) *)
-
-let channel_current t peer_domid ch =
-  match Hashtbl.find_opt t.peers peer_domid with
-  | Some (Active ch') -> ch' == ch
-  | Some (Bootstrapping _ | Failed_until _) | None -> false
-
-(* One pinned poller fiber per queue, started when the channel connects:
-   it publishes consumer-active permanently (so the peer's sends are
-   doorbell-free from the first packet) and spins run-to-completion on the
-   descriptor rings.  An idle queue eases off in three phases —
-   spin (hot loop) → pause (PAUSE-instruction analogue) → sleep — each a
-   re-check granularity far below [evtchn_delivery], which is where the
-   rr latency win comes from.  Idle iterations advance only this fiber's
-   virtual time, not the shared CPU resource: the model is a core pinned
-   to the poller, burning cycles nobody else wanted (DESIGN.md §11). *)
-let start_poller t peer_domid ch q =
-  Sim.Engine.spawn (engine t) (fun () ->
-      let p = params t in
-      (try Fifo.set_consumer_active q.in_fifo true with Invalid_argument _ -> ());
-      let idle = ref 0 in
-      let running = ref true in
-      while !running do
-        if not (t.loaded && channel_current t peer_domid ch) then
-          (* Unloaded, migrated, or the channel was replaced/torn down
-             while we slept; never touch pages that may be reclaimed. *)
-          running := false
-        else if not (queue_live q) then begin
-          (* Peer-initiated teardown: with event handlers disengaged, the
-             poller is the one who notices and runs the disengage. *)
-          running := false;
-          handle_peer_teardown t peer_domid ch
-        end
-        else begin
-          match
-            let consumed = drain_incoming t q in
-            let pushed = drain_waiting t q in
-            consumed + pushed
-          with
-          | exception Corrupt_channel ->
-              running := false;
-              if channel_current t peer_domid ch then quarantine t peer_domid ch
-          | 0 ->
-              incr idle;
-              t.s.poll_rounds <- t.s.poll_rounds + 1;
-              let span =
-                if !idle <= p.Params.xenloop_poll_spin_iters then
-                  p.Params.xenloop_poll_spin
-                else if
-                  !idle
-                  <= p.Params.xenloop_poll_spin_iters
-                     + p.Params.xenloop_poll_pause_iters
-                then p.Params.xenloop_poll_pause
-                else p.Params.xenloop_poll_sleep
-              in
-              Sim.Engine.sleep span
-          | _ -> idle := 0
-        end
-      done)
-
-let maybe_start_pollers t peer_domid ch =
-  if (params t).Params.xenloop_poll_mode then
-    Array.iter (fun q -> start_poller t peer_domid ch q) ch.queues
-
 let on_event t peer_domid qi () =
-  (* In busy-poll mode the pollers own the receive path: the doorbell
-     handler stands down entirely (notifies are suppressed anyway, but
-     bootstrap-era stragglers must not interleave with a poller's drain). *)
-  if t.loaded && not (params t).Params.xenloop_poll_mode then begin
+  if t.loaded then begin
     match Hashtbl.find_opt t.peers peer_domid with
     | Some (Active ch) when qi < Array.length ch.queues -> (
         let q = ch.queues.(qi) in
@@ -2523,12 +2458,9 @@ let connector_accept t ~listener_domid ~listener_mac ~queue_grants =
             listener_domid (Array.length queues);
           send_ctrl t ~dst_mac:listener_mac
             (Proto.Channel_ack { connector_domid = domid });
-          maybe_start_pollers t listener_domid ch;
           (* Anything already in the FIFOs must not wait for another
-             notification that may never come (in poll mode the pollers
-             just spawned cover this). *)
-          if not p.Params.xenloop_poll_mode then
-            Array.iteri (fun qi _ -> on_event t listener_domid qi ()) queues)
+             notification that may never come. *)
+          Array.iteri (fun qi _ -> on_event t listener_domid qi ()) queues)
 
 (* ------------------------------------------------------------------ *)
 (* Control-plane input *)
@@ -2680,15 +2612,12 @@ let on_ctrl_packet t (packet : P.t) =
                   "dom%d: channel to dom%d connected (listener, %d queue(s))"
                   (my_domid t) connector_domid
                   (Array.length ba.ba_channel.queues);
-                maybe_start_pollers t connector_domid ba.ba_channel;
                 (* The connector may have pushed data before its ack reached
                    us; the matching notification was consumed while we were
-                   still awaiting the ack, so drain every queue now (in poll
-                   mode the pollers just spawned cover this). *)
-                if not (params t).Params.xenloop_poll_mode then
-                  Array.iteri
-                    (fun qi _ -> on_event t connector_domid qi ())
-                    ba.ba_channel.queues
+                   still awaiting the ack, so drain every queue now. *)
+                Array.iteri
+                  (fun qi _ -> on_event t connector_domid qi ())
+                  ba.ba_channel.queues
             | Some _ | None -> ()))
     | P.Ipv4_body _ | P.Arp_body _ -> ()
   end

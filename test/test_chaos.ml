@@ -100,7 +100,7 @@ let golden_receive_digests =
     (false, 99, "3e361a8d3670e8060c432e9989754d1a");
     (true, 42, "4ba735150efcd45c32c60fd20f85dbf5");
     (true, 43, "bd2c76fbe450d8ea9c2d99d8a7d8c253");
-    (true, 99, "7b646e897c7c79f3c1fe5358fefbbd93");
+    (true, 99, "e0706564af7139ed70218c60d392b00d");
   ]
 
 let test_golden_receive_digests () =

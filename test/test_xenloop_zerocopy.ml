@@ -537,13 +537,17 @@ let test_corrupt_pool_payload_is_dropped () =
    frame still held as a packet is serialized with it, and one that waited
    (its first push refused) is held as bytes with the checksum elided,
    which is put back in place.  Without it the receiver drops the frame
-   and the data waits for a TCP retransmission timeout. *)
-let degraded_jumbo_delivered ~wait_first () =
+   and the data waits for a TCP retransmission timeout.  Only the push
+   that lands is charged: on a copy channel ([loans = false]) the sender
+   copies the degraded frame once, not once for the refused jumbo and
+   again for the inline entry. *)
+let degraded_jumbo_delivered ?(loans = true) ~wait_first () =
   let params =
     {
       Hypervisor.Params.default with
       Hypervisor.Params.xenloop_queues = 1;
       xenloop_pool_slot_pages = 1;
+      xenloop_loans = loans;
     }
   in
   let duo = Setup.build ~params Setup.Xenloop_path in
@@ -589,7 +593,16 @@ let degraded_jumbo_delivered ~wait_first () =
              !refusals = 0));
       Gm.set_pool_fault_injector m1 (Some (fun () -> true));
       let data = Bytes.init 10_000 (fun i -> Char.chr (i land 0xff)) in
+      let meter =
+        Hypervisor.Domain.meter
+          (Option.get (Hypervisor.Machine.domain (Option.get duo.Setup.machine) 1))
+      in
+      let copied = Memory.Cost_meter.bytes_copied meter in
       Netstack.Tcp.send conn data;
+      (* Ethernet, IPv4 and TCP headers ride in front of the payload. *)
+      Alcotest.(check int) "the sender copies what lands, once"
+        (if wait_first then 0 else Bytes.length data + 54)
+        (Memory.Cost_meter.bytes_copied meter - copied);
       Alcotest.(check int) "the jumbo waits"
         (if wait_first then waited + 1 else waited)
         s.Gm.queued_to_waiting;
@@ -636,6 +649,9 @@ let suites =
           test_negotiation_falls_back_without_peer_support;
         Alcotest.test_case "starved jumbo degrades with its checksum" `Quick
           (degraded_jumbo_delivered ~wait_first:false);
+        Alcotest.test_case "starved jumbo on a copy channel is copied once"
+          `Quick
+          (degraded_jumbo_delivered ~loans:false ~wait_first:false);
         Alcotest.test_case "waiting jumbo degrades with its checksum" `Quick
           (degraded_jumbo_delivered ~wait_first:true);
         Alcotest.test_case "slot starvation degrades to inline" `Quick
