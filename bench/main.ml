@@ -1914,15 +1914,17 @@ let jain = function
       if s2 = 0.0 then 1.0 else s *. s /. (n *. s2)
 
 let fairness_params ~qos =
+  let p = Hypervisor.Params.default in
   {
-    Hypervisor.Params.default with
+    p with
     Hypervisor.Params.qos_enabled = qos;
     (* One queue: every flow contends for the same channel, the regime
        the per-flow scheduler exists for. *)
     xenloop_queues = 1;
     (* Small sub-queues so the heavy flow trips its watermark (and the
-       misbehaving sender's EWOULDBLOCK clamp) within the bench window. *)
-    qos_flow_queue_max = 32;
+       misbehaving sender's EWOULDBLOCK clamp) within the bench window.
+       QoS on only: the QoS-off baseline keeps the default bound. *)
+    xenloop_waiting_list_max = (if qos then 32 else p.xenloop_waiting_list_max);
   }
 
 (* Senders are (udp port, payload bytes, datagrams per 10 us tick,

@@ -142,9 +142,9 @@ let chaos_params =
     xenloop_delta_announce = false;
     xenloop_channel_cap = 0;
     xenloop_channel_idle_ttl = Sim.Time.span_zero;
-    (* And for the QoS subsystem (DESIGN.md §14): off, the tx path is the
-       legacy FIFO-order waiting list bit-for-bit; QoS runs opt in
-       through [config.qos]. *)
+    (* And for the QoS subsystem (DESIGN.md §14): off, every frame is one
+       flow and each backlog is a FIFO-order waiting list; QoS runs opt
+       in through [config.qos]. *)
     qos_enabled = false;
     (* And for segmentation offload (DESIGN.md §15): off, negotiation
        never advertises "gs", announce wires carry the legacy tags, and
@@ -625,10 +625,10 @@ let run ?sabotage config =
     in
     let p =
       if config.qos then
-        (* QoS world: scheduler on, per-flow bound shallow enough that a
-           flooding tenant actually overflows (to netfront, per flow)
-           inside one run. *)
-        { p with Params.qos_enabled = true; qos_flow_queue_max = 16 }
+        (* QoS world: scheduler on, per-flow backlog bound shallow enough
+           that a flooding tenant actually overflows (to netfront, per
+           flow) inside one run. *)
+        { p with Params.qos_enabled = true; xenloop_waiting_list_max = 16 }
       else p
     in
     if config.evictions then

@@ -23,7 +23,7 @@ val check_runtime : ctx -> string list
       queue (indices within capacity, geometry intact, flags boolean);
     - payload-pool slot conservation (free ring within bounds, each slot
       distinct and valid);
-    - waiting lists within {!Hypervisor.Params.xenloop_waiting_list_max};
+    - every backlog flow within {!Hypervisor.Params.xenloop_waiting_list_max};
     - no module's lingering receive handler ever expired on work that no
       wake announced ([poll_missed_wakes] = 0).
 

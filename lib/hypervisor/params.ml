@@ -44,7 +44,6 @@ type t = {
   xenloop_bootstrap_max_inflight : int;
   qos_enabled : bool;
   qos_quantum : int;
-  qos_flow_queue_max : int;
   qos_max_flows : int;
   qos_high_watermark : float;
   qos_low_watermark : float;
@@ -135,12 +134,10 @@ let default =
        retry on their next packet. *)
     xenloop_bootstrap_max_inflight = 32;
     (* Multi-tenant QoS (DESIGN.md §14).  Off by default: with
-       [qos_enabled = false] every channel keeps the legacy FIFO-order
-       waiting list and the tx path is bit-for-bit identical to the
-       pre-QoS tree. *)
+       [qos_enabled = false] every frame is one flow, so each queue's
+       backlog is the paper's FIFO-order waiting list. *)
     qos_enabled = false;
     qos_quantum = 1500;
-    qos_flow_queue_max = 128;
     qos_max_flows = 4096;
     qos_high_watermark = 0.75;
     qos_low_watermark = 0.25;

@@ -59,8 +59,11 @@ type t = {
           pair); each side uses min(own, peer's advertised), so 1 restores
           the paper-faithful single channel *)
   xenloop_waiting_list_max : int;
-      (** per-queue waiting-list bound; overflow frames take the standard
-          netfront path instead of growing the queue without limit *)
+      (** per-flow bound on a queue's transmit backlog (the paper's
+          waiting list), in frames; with QoS off a queue has one flow, so
+          this bounds the whole backlog.  A frame whose flow is at the
+          bound takes the standard netfront path instead of growing the
+          queue without limit, and spills only its own flow's traffic *)
   xenloop_zerocopy : bool;
       (** advertise and use the zero-copy descriptor channel: payloads above
           [xenloop_inline_max] are written once into a grant-mapped payload
@@ -146,25 +149,23 @@ type t = {
           refused bootstraps retry on later traffic.  0 = unbounded *)
   (* --- Multi-tenant QoS (DESIGN.md §14) --- *)
   qos_enabled : bool;
-      (** per-flow fairness on the channel tx path: each queue's waiting
-          list becomes per-flow sub-queues served by weighted deficit
-          round robin, with per-flow overflow-to-netfront and
-          watermark-driven congestion signals into the socket layer.
-          [false] (the default) keeps the legacy FIFO-order waiting list
-          bit-for-bit *)
+      (** per-flow fairness on the channel tx path: each queue's backlog
+          keys frames by their accounting flow, so its per-flow
+          sub-queues are served by weighted deficit round robin, with
+          tenant hooks, per-flow accounting and watermark-driven
+          congestion signals into the socket layer.  [false] (the
+          default) gives every frame one key, so the backlog is the
+          FIFO-order waiting list *)
   qos_quantum : int;
       (** DRR byte credit per scheduler visit for a weight-1 flow; a
           flow's share per round is quantum * weight *)
-  qos_flow_queue_max : int;
-      (** per-flow sub-queue depth bound (frames); a flow at its bound
-          overflows its *own* frames to netfront instead of evicting
-          other flows' *)
   qos_max_flows : int;
       (** flow-table bound per channel; on overflow the table resets
           wholesale (accounting restarts, frames unaffected) *)
   qos_high_watermark : float;
-      (** fraction of [qos_flow_queue_max] at which a flow's congestion
-          signal is raised (once per crossing) *)
+      (** fraction of [xenloop_waiting_list_max] (a flow's sub-queue
+          bound) at which its congestion signal is raised (once per
+          crossing) *)
   qos_low_watermark : float;
       (** fraction at which a raised signal clears; the gap provides
           hysteresis so a hovering producer gets one edge per genuine

@@ -1,18 +1,19 @@
 (* Weighted deficit round robin over per-flow sub-queues.
 
    Each flow key owns a bounded FIFO of (value, length) items and a
-   deficit counter.  Active flows sit on a ring; [select] visits the
-   ring head, replenishes its deficit by quantum * weight, peels the
-   longest prefix whose lengths fit the deficit, and rotates the flow
-   to the ring tail.  A flow whose queue drains leaves the ring with
-   its deficit zeroed (the classic DRR rule that stops an idle flow
-   from banking credit).
+   deficit counter.  Active flows sit on a ring.  A visit to the ring
+   head replenishes its deficit by quantum * weight and serves items
+   while the head item fits the deficit; then the flow rotates to the
+   ring tail.  A flow whose queue drains leaves the ring with its
+   deficit zeroed (the classic DRR rule that stops an idle flow from
+   banking credit).
 
-   [restore] exists for the consumer-full case: when the caller could
-   only push part of a selected batch downstream, the unpushed suffix
-   goes back to the *front* of the flow's queue, its deficit is
-   refunded, and the flow returns to the ring *front* so the next
-   round resumes exactly where this one stopped. *)
+   Service is item by item: [peek] positions the ring on the next item
+   (opening a visit if none is open) and leaves it queued, [pop]
+   removes it and closes the visit once the flow empties or its next
+   item no longer fits.  A consumer that cannot take the peeked item
+   simply stops; the open visit and its credit wait for the next
+   [peek].  [select] is the batch form of the same service. *)
 
 module Dq = struct
   type 'a t = {
@@ -26,7 +27,6 @@ module Dq = struct
   let is_empty t = t.len = 0
   let clear t = t.front <- []; t.back <- []; t.len <- 0
   let push_back t v = t.back <- v :: t.back; t.len <- t.len + 1
-  let push_front t v = t.front <- v :: t.front; t.len <- t.len + 1
 
   let normalize t =
     match t.front with
@@ -62,6 +62,8 @@ type ('k, 'v) t = {
   max_per_flow : int;
   classes : ('k, ('k, 'v) cls) Hashtbl.t;
   ring : ('k, 'v) cls Dq.t;
+  mutable visiting : bool;
+      (* the ring head's visit is open: its deficit is replenished *)
   mutable total_items : int;
   mutable total_bytes : int;
 }
@@ -72,13 +74,13 @@ let create ~quantum ~max_per_flow () =
   {
     quantum;
     max_per_flow;
-    classes = Hashtbl.create 64;
+    classes = Hashtbl.create 1;
     ring = Dq.create ();
+    visiting = false;
     total_items = 0;
     total_bytes = 0;
   }
 
-let quantum t = t.quantum
 let max_per_flow t = t.max_per_flow
 let length t = t.total_items
 let bytes t = t.total_bytes
@@ -103,18 +105,6 @@ let find_class t key weight =
       Hashtbl.replace t.classes key c;
       c
 
-let activate_back t c =
-  if not c.c_on_ring then begin
-    c.c_on_ring <- true;
-    Dq.push_back t.ring c
-  end
-
-let activate_front t c =
-  if not c.c_on_ring then begin
-    c.c_on_ring <- true;
-    Dq.push_front t.ring c
-  end
-
 let enqueue t ~key ~weight ~len v =
   let c = find_class t key weight in
   if Dq.length c.c_items >= t.max_per_flow then false
@@ -123,7 +113,10 @@ let enqueue t ~key ~weight ~len v =
     c.c_bytes <- c.c_bytes + len;
     t.total_items <- t.total_items + 1;
     t.total_bytes <- t.total_bytes + len;
-    activate_back t c;
+    if not c.c_on_ring then begin
+      c.c_on_ring <- true;
+      Dq.push_back t.ring c
+    end;
     true
   end
 
@@ -131,11 +124,6 @@ let flow_length t key =
   match Hashtbl.find_opt t.classes key with
   | None -> 0
   | Some c -> Dq.length c.c_items
-
-let flow_bytes t key =
-  match Hashtbl.find_opt t.classes key with
-  | None -> 0
-  | Some c -> c.c_bytes
 
 let head_len t =
   match Dq.peek_front t.ring with
@@ -145,56 +133,76 @@ let head_len t =
       | None -> None (* unreachable: on-ring classes are non-empty *)
       | Some (_, len) -> Some len)
 
-let take_prefix t c =
-  let out = ref [] in
-  let continue = ref true in
-  while !continue do
-    match Dq.peek_front c.c_items with
-    | Some (v, len) when len <= c.c_deficit ->
-        ignore (Dq.pop_front c.c_items);
-        c.c_deficit <- c.c_deficit - len;
-        c.c_bytes <- c.c_bytes - len;
-        t.total_items <- t.total_items - 1;
-        t.total_bytes <- t.total_bytes - len;
-        out := (v, len) :: !out
-    | _ -> continue := false
-  done;
-  List.rev !out
+let head_fits c =
+  match Dq.peek_front c.c_items with
+  | Some (_, len) -> len <= c.c_deficit
+  | None -> false
+
+(* Close the ring head's visit: a drained flow leaves the ring with its
+   deficit zeroed, any other rotates to the tail with its credit
+   banked. *)
+let end_visit t c =
+  ignore (Dq.pop_front t.ring);
+  t.visiting <- false;
+  if Dq.is_empty c.c_items then begin
+    c.c_deficit <- 0;
+    c.c_on_ring <- false
+  end
+  else Dq.push_back t.ring c
+
+(* The flow whose head item DRR serves next, its visit open.  A visit
+   whose head item exceeds the replenished deficit banks the credit and
+   rotates, so each pass strictly grows that flow's credit and the loop
+   terminates. *)
+let rec serving t =
+  match Dq.peek_front t.ring with
+  | None -> None
+  | Some c ->
+      if not t.visiting then begin
+        c.c_deficit <- c.c_deficit + (t.quantum * c.c_weight);
+        t.visiting <- true
+      end;
+      if head_fits c then Some c
+      else begin
+        end_visit t c;
+        serving t
+      end
+
+(* Remove the serving flow's head item; the visit ends once the flow
+   empties or its next item no longer fits. *)
+let take t c =
+  match Dq.pop_front c.c_items with
+  | None -> invalid_arg "Drr: serving flow is empty"
+  | Some ((_, len) as item) ->
+      c.c_deficit <- c.c_deficit - len;
+      c.c_bytes <- c.c_bytes - len;
+      t.total_items <- t.total_items - 1;
+      t.total_bytes <- t.total_bytes - len;
+      if not (head_fits c) then end_visit t c;
+      item
+
+let peek t =
+  match serving t with
+  | None -> None
+  | Some c -> (
+      match Dq.peek_front c.c_items with
+      | Some (v, len) -> Some (c.c_key, v, len)
+      | None -> None)
+
+let pop t =
+  match serving t with
+  | None -> invalid_arg "Drr.pop: empty scheduler"
+  | Some c -> ignore (take t c)
 
 let select t =
-  (* Visit ring classes until one yields a non-empty prefix.  An empty
-     visit (head item larger than the replenished deficit) banks the
-     deficit and rotates, so each pass strictly grows that class's
-     credit and the loop terminates. *)
-  let rec visit () =
-    match Dq.pop_front t.ring with
-    | None -> None
-    | Some c ->
-        c.c_deficit <- c.c_deficit + (t.quantum * c.c_weight);
-        let batch = take_prefix t c in
-        if Dq.is_empty c.c_items then begin
-          c.c_deficit <- 0;
-          c.c_on_ring <- false
-        end
-        else Dq.push_back t.ring c;
-        (match batch with [] -> visit () | _ -> Some (c.c_key, batch))
-  in
-  visit ()
-
-let restore t key items =
-  match items with
-  | [] -> ()
-  | _ ->
-      let c = find_class t key 1 in
-      List.iter
-        (fun (v, len) ->
-          Dq.push_front c.c_items (v, len);
-          c.c_deficit <- c.c_deficit + len;
-          c.c_bytes <- c.c_bytes + len;
-          t.total_items <- t.total_items + 1;
-          t.total_bytes <- t.total_bytes + len)
-        (List.rev items);
-      activate_front t c
+  match serving t with
+  | None -> None
+  | Some c ->
+      let rec visit acc =
+        let acc = take t c :: acc in
+        if t.visiting then visit acc else Some (c.c_key, List.rev acc)
+      in
+      visit []
 
 let drain_all t =
   let out = ref [] in
@@ -210,6 +218,7 @@ let drain_all t =
         loop ()
   in
   loop ();
+  t.visiting <- false;
   t.total_items <- 0;
   t.total_bytes <- 0;
   List.rev !out

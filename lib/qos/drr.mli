@@ -15,7 +15,6 @@ type ('k, 'v) t
     Raises [Invalid_argument] if either is non-positive. *)
 val create : quantum:int -> max_per_flow:int -> unit -> ('k, 'v) t
 
-val quantum : ('k, 'v) t -> int
 val max_per_flow : ('k, 'v) t -> int
 
 (** [enqueue t ~key ~weight ~len v] appends [v] to [key]'s sub-queue.
@@ -24,34 +23,39 @@ val max_per_flow : ('k, 'v) t -> int
     (XenLoop reroutes that frame through netfront). *)
 val enqueue : ('k, 'v) t -> key:'k -> weight:int -> len:int -> 'v -> bool
 
-(** One DRR visit: replenish the ring-head flow's deficit, dequeue the
-    longest prefix of its sub-queue whose byte lengths fit, rotate the
-    flow to the ring tail.  Flows whose head item exceeds the
-    replenished deficit bank the credit and are skipped this call.
-    [None] iff the scheduler is empty. *)
+(** The item DRR serves next, as [(key, value, len)], left queued; [None]
+    iff the scheduler is empty.  Opens the ring-head flow's visit
+    (replenishing its deficit by [quantum * weight]) unless one is open,
+    and rotates past flows whose head item exceeds their replenished
+    deficit, which bank the credit.  Repeated peeks without a [pop]
+    return the same item, so a consumer that cannot take it yet just
+    stops and peeks again later. *)
+val peek : ('k, 'v) t -> ('k * 'v * int) option
+
+(** Remove the item [peek] returns.  The flow's visit ends — it rotates
+    to the ring tail, or leaves the ring with its deficit zeroed once
+    empty — when its next item no longer fits the deficit.  Raises
+    [Invalid_argument] on an empty scheduler. *)
+val pop : ('k, 'v) t -> unit
+
+(** One whole DRR visit: the [peek]/[pop] sequence up to the end of the
+    serving flow's visit, as [(key, items)].  [None] iff empty. *)
 val select : ('k, 'v) t -> ('k * ('v * int) list) option
 
-(** [restore t key items] returns the unpushed suffix of a selected
-    batch to the front of [key]'s sub-queue (order preserved),
-    refunds the consumed deficit, and puts the flow back at the ring
-    front so the next [select] resumes with it. *)
-val restore : ('k, 'v) t -> 'k -> ('v * int) list -> unit
-
-(** Byte length of the item the next [select] would serve first, or
-    [None] when empty.  Used by the drain loop's "does the head fit in
-    the FIFO" check. *)
+(** Byte length of the ring-head flow's head item, or [None] when empty.
+    A pure read: unlike [peek] it opens no visit, so it may name an item
+    [peek] would skip this round.  Used by the "does the head fit in the
+    FIFO" check. *)
 val head_len : ('k, 'v) t -> int option
 
 val flow_length : ('k, 'v) t -> 'k -> int
-val flow_bytes : ('k, 'v) t -> 'k -> int
 val length : ('k, 'v) t -> int
 val bytes : ('k, 'v) t -> int
 val is_empty : ('k, 'v) t -> bool
 
 (** Remove and return every queued item, grouped by flow in ring
     (service) order, each flow's items in FIFO order.  Deficits are
-    zeroed.  Used at channel teardown to hand frames back to the
-    legacy waiting list. *)
+    zeroed.  Used at channel teardown to flush or save the backlog. *)
 val drain_all : ('k, 'v) t -> ('k * 'v * int) list
 
 val clear : ('k, 'v) t -> unit

@@ -51,7 +51,7 @@ type stats = {
 type role = Listener | Connector
 
 (* One of a channel's N independent queue pairs: its own FIFO pair, its own
-   event-channel port, its own waiting list, and its own suppression/poll
+   event-channel port, its own transmit backlog, and its own suppression/poll
    state, so a bulk stream saturating one queue never head-of-line-blocks
    flows steered to another. *)
 type queue = {
@@ -59,11 +59,11 @@ type queue = {
   out_fifo : Fifo.t;
   in_fifo : Fifo.t;
   q_port : Ec.port;  (** this endpoint's event-channel port for this queue *)
-  waiting : Bytes.t Queue.t;  (** serialized frames awaiting FIFO space *)
-  q_sched : (Steering.flow_key, Bytes.t) Qos.Drr.t option;
-      (** QoS mode only (DESIGN.md §14): the waiting list becomes per-flow
-          sub-queues served by weighted deficit round robin; [None] keeps
-          the legacy FIFO-order list bit-for-bit *)
+  backlog : (Steering.flow_key, Bytes.t) Qos.Drr.t;
+      (** serialized frames awaiting FIFO space (the paper's waiting
+          list), in per-flow sub-queues served by weighted deficit round
+          robin (DESIGN.md §14); with QoS off every frame has the one key
+          {!one_flow}, so the backlog is a FIFO *)
   q_tx_pool : Payload_pool.t option;
       (** payload pool our sends write into (zero-copy channels only);
           per queue, so steering stays lock-free *)
@@ -87,7 +87,7 @@ type queue = {
       (** an event handler is draining this queue (guards against
           re-entrant handlers interleaving across CPU charges) *)
   mutable q_tx_draining : bool;
-      (** some process is inside [drain_waiting]; CPU charges yield, so the
+      (** some process is inside [drain_backlog]; CPU charges yield, so the
           handler and a sender batch-flush could otherwise double-pop *)
   mutable q_notifies_sent : int;
   mutable q_notifies_suppressed : int;
@@ -144,7 +144,7 @@ type cache_entry = { ce_epoch : int; ce_decision : cached_decision }
 (* Multi-tenant QoS (DESIGN.md §14): per-module flow table (keys carry
    the peer address, so one table covers every channel), installed
    tenant policies, and the composed classifier.  [None] on t.qos means
-   QoS is off and every path below stays bit-for-bit legacy. *)
+   QoS is off: the backlog hooks do nothing and every frame is one flow. *)
 type qos_state = {
   qt_flows : Steering.flow_key Qos.Flow_table.t;
   qt_policies : (int, Steering.flow_key Qos.Policy.t) Hashtbl.t;
@@ -262,30 +262,10 @@ let failed_peer_ids t =
     t.peers []
   |> List.sort compare
 
-(* The tx backlog is the per-flow DRR scheduler in QoS mode, the legacy
-   FIFO-order waiting list otherwise.  These helpers let the rest of the
-   module stay agnostic about which one a queue carries. *)
-let tx_backlog_length q =
-  match q.q_sched with
-  | Some sched -> Qos.Drr.length sched
-  | None -> Queue.length q.waiting
-
-let tx_backlog_empty q =
-  match q.q_sched with
-  | Some sched -> Qos.Drr.is_empty sched && Queue.is_empty q.waiting
-  | None -> Queue.is_empty q.waiting
-
-let tx_backlog_head_len q =
-  match Option.bind q.q_sched Qos.Drr.head_len with
-  | Some _ as l -> l
-  | None ->
-      if Queue.is_empty q.waiting then None
-      else Some (Bytes.length (Queue.peek q.waiting))
-
 let waiting_list_length t ~domid =
   match Hashtbl.find_opt t.peers domid with
   | Some (Active ch) ->
-      Array.fold_left (fun acc q -> acc + tx_backlog_length q) 0 ch.queues
+      Array.fold_left (fun acc q -> acc + Qos.Drr.length q.backlog) 0 ch.queues
   | Some (Bootstrapping _ | Failed_until _) | None -> 0
 
 let queue_count t ~domid =
@@ -316,7 +296,7 @@ let queue_stats t ~domid =
             qs_notifies_sent = q.q_notifies_sent;
             qs_notifies_suppressed = q.q_notifies_suppressed;
             qs_steered = q.q_steered;
-            qs_waiting = tx_backlog_length q;
+            qs_waiting = Qos.Drr.length q.backlog;
             qs_desc_tx = q.q_desc_tx;
             qs_inline_tx = q.q_inline_tx;
             qs_pool_fallbacks = q.q_pool_fallbacks;
@@ -510,7 +490,7 @@ let record_copy t len =
   Memory.Cost_meter.record (meter t) (Memory.Cost_meter.Page_copy len)
 
 (* Chaos-harness hook: a forced FIFO push refusal, indistinguishable from
-   a full ring to every caller (the frame queues on the waiting list and
+   a full ring to every caller (the frame queues on the backlog and
    is retried or flushed via netfront — never dropped). *)
 let push_refused t =
   match t.push_fault with None -> false | Some f -> f ()
@@ -595,9 +575,8 @@ let jumbo_eligible q len =
 
 (* A frame on its way into a queue.  A gso-bound super-frame stays a
    packet until {!push_jumbo} writes it straight into its pool slots; it
-   is serialized only if it must wait, go through the QoS scheduler or
-   leave by netfront ({!frame_bytes}).  Everything else is serialized
-   when it is steered. *)
+   is serialized only if it must wait in the backlog or leave by netfront
+   ({!frame_bytes}).  Everything else is serialized when it is steered. *)
 type tx_frame = Raw of Bytes.t | Jumbo of P.t
 
 let frame_length = function
@@ -802,41 +781,24 @@ let transmit_standard t raw =
       | Ok packet -> Netstack.Netdevice.transmit dev packet
       | Error _ -> ())
 
-(* A frame the bounded waiting list cannot hold leaves through the standard
+(* A frame the bounded backlog cannot hold leaves through the standard
    netfront path instead: the fast path degrades to the baseline, it never
    drops or queues without bound. *)
 let route_overflow_standard t raw =
   t.s.waiting_overflows <- t.s.waiting_overflows + 1;
   transmit_standard t raw
 
-let enqueue_waiting t q frame =
-  let p = params t in
-  if Queue.length q.waiting >= p.Params.xenloop_waiting_list_max then
-    route_overflow_standard t (frame_bytes frame)
-  else begin
-    Queue.push (frame_bytes frame) q.waiting;
-    t.s.queued_to_waiting <- t.s.queued_to_waiting + 1;
-    (* Published through the shared descriptor so the peer knows freed
-       space on this queue is worth a notification back to us. *)
-    Fifo.set_producer_waiting q.out_fifo true;
-    wake_self q
-  end
-
 (* ------------------------------------------------------------------ *)
-(* Multi-tenant QoS tx path (DESIGN.md §14).  Active only when t.qos is
-   Some — the legacy functions above are untouched, so qos-off runs are
-   bit-for-bit identical to the pre-QoS tree. *)
+(* Transmit backlog: a frame that does not fit in the FIFO waits and is
+   "sent once enough resources are available" (paper Sect. 3.1).  Each
+   queue has one backlog, a DRR scheduler over per-flow sub-queues of at
+   most [xenloop_waiting_list_max] frames (DESIGN.md §14).  With QoS off
+   every frame has the key [one_flow], so the backlog is a FIFO.  With
+   QoS on the key is the frame's accounting flow, and the three hooks
+   below do the multi-tenant part; each does nothing when [t.qos] is
+   [None]. *)
 
-let make_queue_sched t =
-  match t.qos with
-  | None -> None
-  | Some _ ->
-      let p = params t in
-      Some
-        (Qos.Drr.create
-           ~quantum:(max 1 p.Params.qos_quantum)
-           ~max_per_flow:(max 1 p.Params.qos_flow_queue_max)
-           ())
+let one_flow = Steering.Mac_flow 0L
 
 let qos_policy_for qs flow =
   Hashtbl.find_opt qs.qt_policies flow.Qos.Flow_table.f_tenant
@@ -860,237 +822,133 @@ let qos_signal t qs flow ~congested =
           ~dst:(Netcore.Ip.of_int32 dst) ~dport ~congested
     | Steering.Mac_flow _ -> ()
 
-let qos_update_watermark t qs sched flow =
-  let used = Qos.Drr.flow_length sched flow.Qos.Flow_table.f_key in
+(* Re-check [flow]'s watermark against its sub-queue depth, after each
+   enqueue and each push of one of its frames. *)
+let qos_update_watermark t qs q flow =
   match
-    Qos.Watermark.update flow.Qos.Flow_table.f_mark ~used
-      ~capacity:(Qos.Drr.max_per_flow sched)
+    Qos.Watermark.update flow.Qos.Flow_table.f_mark
+      ~used:(Qos.Drr.flow_length q.backlog flow.Qos.Flow_table.f_key)
+      ~capacity:(Qos.Drr.max_per_flow q.backlog)
   with
   | `Raise -> qos_signal t qs flow ~congested:true
   | `Clear -> qos_signal t qs flow ~congested:false
   | `None -> ()
 
-(* Classify, account, apply the tenant enqueue hook, and queue one frame
-   on its flow's sub-queue.  A full sub-queue reroutes THIS flow's frame
-   through netfront — per-flow overflow, so a flooder spills its own
-   traffic instead of evicting other tenants' frames. *)
-let qos_enqueue_frame t qs q sched ~key raw =
-  let flow = Qos.Flow_table.lookup qs.qt_flows key in
-  let len = Bytes.length raw in
-  flow.Qos.Flow_table.f_bytes <- flow.Qos.Flow_table.f_bytes + len;
-  flow.Qos.Flow_table.f_frames <- flow.Qos.Flow_table.f_frames + 1;
-  let action =
-    match qos_policy_for qs flow with
-    | Some pol ->
-        pol.Qos.Policy.p_enqueue
-          {
-            Qos.Policy.pe_key = key;
-            pe_len = len;
-            pe_desc = len > q.q_inline_max && q.q_tx_pool <> None;
-          }
-    | None -> Qos.Policy.Pass
+(* Admission hook: account the frame to its flow and run the tenant
+   enqueue hook.  [false]: the tenant dropped the frame or diverted it
+   through netfront, so it enters neither the FIFO nor the backlog. *)
+let qos_admit t q ~key frame =
+  match t.qos with
+  | None -> true
+  | Some qs -> (
+      let flow = Qos.Flow_table.lookup qs.qt_flows key in
+      let len = frame_length frame in
+      flow.Qos.Flow_table.f_bytes <- flow.Qos.Flow_table.f_bytes + len;
+      flow.Qos.Flow_table.f_frames <- flow.Qos.Flow_table.f_frames + 1;
+      match qos_policy_for qs flow with
+      | None -> true
+      | Some pol -> (
+          match
+            pol.Qos.Policy.p_enqueue
+              {
+                Qos.Policy.pe_key = key;
+                pe_len = len;
+                pe_desc = len > q.q_inline_max && q.q_tx_pool <> None;
+              }
+          with
+          | Qos.Policy.Pass -> true
+          | Qos.Policy.Drop -> false
+          | Qos.Policy.Divert ->
+              transmit_standard t (frame_bytes frame);
+              false))
+
+(* Push hook: the frame is in the FIFO (and out of the backlog). *)
+let qos_pushed t q ~key frame ~desc =
+  match t.qos with
+  | None -> ()
+  | Some qs ->
+      let flow = Qos.Flow_table.lookup qs.qt_flows key in
+      if desc then flow.Qos.Flow_table.f_descs <- flow.Qos.Flow_table.f_descs + 1;
+      (match qos_policy_for qs flow with
+      | Some pol ->
+          pol.Qos.Policy.p_dequeue
+            { Qos.Policy.pe_key = key; pe_len = frame_length frame; pe_desc = desc }
+      | None -> ());
+      qos_update_watermark t qs q flow
+
+(* Overflow hook: [key]'s sub-queue was full, so the frame left through
+   netfront — per flow, so a flooder spills its own traffic instead of
+   evicting other tenants' frames. *)
+let qos_overflowed t ~key =
+  match t.qos with
+  | None -> ()
+  | Some qs ->
+      let flow = Qos.Flow_table.lookup qs.qt_flows key in
+      flow.Qos.Flow_table.f_overflows <- flow.Qos.Flow_table.f_overflows + 1
+
+let enqueue_backlog t q ~key frame =
+  let raw = frame_bytes frame in
+  let flow =
+    match t.qos with
+    | None -> None
+    | Some qs -> Some (qs, Qos.Flow_table.lookup qs.qt_flows key)
   in
-  match action with
-  | Qos.Policy.Drop -> ()
-  | Qos.Policy.Divert -> transmit_standard t raw
-  | Qos.Policy.Pass ->
-      if Qos.Drr.enqueue sched ~key ~weight:flow.Qos.Flow_table.f_weight ~len raw
-      then begin
-        t.s.queued_to_waiting <- t.s.queued_to_waiting + 1;
-        Fifo.set_producer_waiting q.out_fifo true;
-        wake_self q;
-        qos_update_watermark t qs sched flow
-      end
-      else begin
-        flow.Qos.Flow_table.f_overflows <- flow.Qos.Flow_table.f_overflows + 1;
-        route_overflow_standard t raw
-      end
-
-let rec take_drop n xs =
-  if n <= 0 then ([], xs)
-  else
-    match xs with
-    | [] -> ([], [])
-    | x :: rest ->
-        let taken, rem = take_drop (n - 1) rest in
-        (x :: taken, rem)
-
-(* DRR service loop: move scheduled frames into the FIFO in weighted
-   round-robin order.  Each selected batch pays one [xenloop_fifo_op]
-   (the same amortization as the legacy batch path) plus per-frame copy
-   charges; a batch the FIFO cannot finish is restored to its flow's
-   sub-queue front with the deficit refunded, and draining stops until
-   the peer frees space. *)
-let qos_drain t qs q sched =
-  if q.q_tx_draining then 0
+  let weight =
+    match flow with None -> 1 | Some (_, f) -> f.Qos.Flow_table.f_weight
+  in
+  if Qos.Drr.enqueue q.backlog ~key ~weight ~len:(Bytes.length raw) raw then begin
+    t.s.queued_to_waiting <- t.s.queued_to_waiting + 1;
+    (* Published through the shared descriptor so the peer knows freed
+       space on this queue is worth a notification back to us. *)
+    Fifo.set_producer_waiting q.out_fifo true;
+    wake_self q;
+    match flow with Some (qs, f) -> qos_update_watermark t qs q f | None -> ()
+  end
   else begin
-    q.q_tx_draining <- true;
-    let p = params t in
-    let pushed_total = ref 0 in
-    let continue_draining = ref true in
-    while
-      !continue_draining
-      &&
-      match Qos.Drr.head_len sched with
-      | Some len -> queue_can_accept q len
-      | None -> false
-    do
-      if push_refused t then continue_draining := false
-      else
-        match Qos.Drr.select sched with
-        | None -> continue_draining := false
-        | Some (key, items) -> (
-            wake_self q;
-            let flow = Qos.Flow_table.lookup qs.qt_flows key in
-            (* Jumbo frames cannot ride [push_many]: split the batch at
-               the first jumbo-eligible frame — the plain prefix takes
-               the bulk push below, a jumbo head is pushed singly, and
-               whatever remains is restored to the flow's sub-queue
-               front (deficit refunded) for the next round. *)
-            let rec split acc = function
-              | ((raw, _) as it) :: rest
-                when not (jumbo_eligible q (Bytes.length raw)) ->
-                  split (it :: acc) rest
-              | rest -> (List.rev acc, rest)
-            in
-            let plain, jumbo_rest = split [] items in
-            match plain with
-            | [] -> (
-                match jumbo_rest with
-                | [] -> continue_draining := false
-                | (raw, len) :: rest ->
-                    Sim.Resource.use (cpu t) p.Params.xenloop_fifo_op;
-                    if push_frame ~amortized:true t q (Raw raw) then begin
-                      pushed_total := !pushed_total + 1;
-                      t.s.via_channel_tx <- t.s.via_channel_tx + 1;
-                      flow.Qos.Flow_table.f_descs <-
-                        flow.Qos.Flow_table.f_descs + 1;
-                      (match qos_policy_for qs flow with
-                      | Some pol ->
-                          pol.Qos.Policy.p_dequeue
-                            {
-                              Qos.Policy.pe_key = key;
-                              pe_len = len;
-                              pe_desc = true;
-                            }
-                      | None -> ());
-                      if rest <> [] then Qos.Drr.restore sched key rest
-                    end
-                    else begin
-                      Qos.Drr.restore sched key jumbo_rest;
-                      continue_draining := false
-                    end;
-                    wake_self q;
-                    qos_update_watermark t qs sched flow)
-            | _ :: _ ->
-            let items = plain in
-            Sim.Resource.use (cpu t) p.Params.xenloop_fifo_op;
-            let report =
-              Fifo.push_many q.out_fifo ?pool:q.q_tx_pool
-                ~inline_max:q.q_inline_max
-                ~proto_hint:
-                  (match items with (raw, _) :: _ -> proto_hint_of raw | [] -> 0)
-                ~loans:(q.q_max_loans > 0)
-                (List.map fst items)
-            in
-            if report.Fifo.pr_pushed > 0 then wake_peer t q;
-            let pushed_items, leftover = take_drop report.Fifo.pr_pushed items in
-            q.q_desc_tx <- q.q_desc_tx + report.Fifo.pr_desc;
-            t.s.desc_tx <- t.s.desc_tx + report.Fifo.pr_desc;
-            q.q_inline_tx <- q.q_inline_tx + report.Fifo.pr_inline;
-            t.s.inline_tx <- t.s.inline_tx + report.Fifo.pr_inline;
-            q.q_pool_fallbacks <- q.q_pool_fallbacks + report.Fifo.pr_fallbacks;
-            t.s.pool_fallbacks <- t.s.pool_fallbacks + report.Fifo.pr_fallbacks;
-            q.q_loan_tx <- q.q_loan_tx + report.Fifo.pr_loans;
-            t.s.loan_tx <- t.s.loan_tx + report.Fifo.pr_loans;
-            t.s.via_channel_tx <- t.s.via_channel_tx + report.Fifo.pr_pushed;
-            pushed_total := !pushed_total + report.Fifo.pr_pushed;
-            (* Per-frame charges and tenant dequeue hooks, attributing
-               descriptor outcomes in push order: the first size-eligible
-               frames took the [pr_desc] descriptor slots.  A descriptor
-               on a loan-negotiated channel lives its whole life in the
-               pool slot — no sender copy to charge or record. *)
-            let desc_left = ref report.Fifo.pr_desc in
-            let policy = qos_policy_for qs flow in
-            List.iter
-              (fun (raw, len) ->
-                let is_desc = !desc_left > 0 && len > q.q_inline_max in
-                if is_desc then begin
-                  decr desc_left;
-                  flow.Qos.Flow_table.f_descs <-
-                    flow.Qos.Flow_table.f_descs + 1
-                end;
-                let loan_desc = is_desc && q.q_max_loans > 0 in
-                if not loan_desc then begin
-                  Sim.Resource.use (cpu t) (Params.xenloop_copy_cost p len);
-                  record_copy t len
-                end;
-                match policy with
-                | Some pol ->
-                    pol.Qos.Policy.p_dequeue
-                      { Qos.Policy.pe_key = key; pe_len = len; pe_desc = is_desc }
-                | None -> ignore raw)
-              pushed_items;
-            (* Frames the FIFO refused, plus any jumbo tail we carved
-               off, go back to the sub-queue front; only a FIFO refusal
-               stops the drain (a restored jumbo tail is simply the next
-               round's head). *)
-            if leftover @ jumbo_rest <> [] then begin
-              Qos.Drr.restore sched key (leftover @ jumbo_rest);
-              wake_self q
-            end;
-            if leftover <> [] then continue_draining := false;
-            qos_update_watermark t qs sched flow)
-    done;
-    if Qos.Drr.is_empty sched then Fifo.set_producer_waiting q.out_fifo false;
-    q.q_tx_draining <- false;
-    !pushed_total
+    qos_overflowed t ~key;
+    route_overflow_standard t raw
   end
 
-let drain_waiting_legacy t q =
+(* [push_frame] for a frame of [key]'s flow, counted as sent once it is
+   in.  [queued]: the frame is the backlog's peeked head, popped only
+   after the push succeeds — the push yields the CPU, and a concurrent
+   sender must still find the frame queued, or it would overtake it. *)
+let push_sent ?amortized ?(queued = false) t q ~key frame =
+  let descs = q.q_desc_tx in
+  push_frame ?amortized t q frame
+  && begin
+       if queued then begin
+         Qos.Drr.pop q.backlog;
+         wake_self q
+       end;
+       t.s.via_channel_tx <- t.s.via_channel_tx + 1;
+       qos_pushed t q ~key frame ~desc:(q.q_desc_tx > descs);
+       true
+     end
+
+(* Move backlogged frames into the FIFO in DRR order, one frame at a
+   time, until the backlog is empty or its head does not fit. *)
+let drain_backlog t q =
   if q.q_tx_draining then 0
   else begin
     q.q_tx_draining <- true;
     let pushed = ref 0 in
     let continue_draining = ref true in
-    while !continue_draining && not (Queue.is_empty q.waiting) do
-      let raw = Queue.peek q.waiting in
-      if queue_can_accept q (Bytes.length raw) && push_frame t q (Raw raw)
-      then begin
-        ignore (Queue.pop q.waiting);
-        wake_self q;
-        t.s.via_channel_tx <- t.s.via_channel_tx + 1;
-        incr pushed
-      end
-      else continue_draining := false
+    while !continue_draining do
+      match Qos.Drr.peek q.backlog with
+      | Some (key, raw, len) when queue_can_accept q len ->
+          if push_sent ~queued:true t q ~key (Raw raw) then incr pushed
+          else continue_draining := false
+      | Some _ | None -> continue_draining := false
     done;
-    if Queue.is_empty q.waiting then Fifo.set_producer_waiting q.out_fifo false;
+    if Qos.Drr.is_empty q.backlog then Fifo.set_producer_waiting q.out_fifo false;
     q.q_tx_draining <- false;
     !pushed
   end
 
-let drain_waiting t q =
-  match (t.qos, q.q_sched) with
-  | Some qs, Some sched -> qos_drain t qs q sched
-  | _ -> drain_waiting_legacy t q
-
-(* QoS-mode frame admission: every frame enters its flow's sub-queue
-   first and reaches the FIFO only through the DRR drain — scheduling
-   order is always weighted-fair, never FIFO-arrival.  One trailing
-   notification per burst, exactly like the legacy batch path. *)
-let qos_send_batch t qs q sched keyed_frames =
-  (match keyed_frames with
-  | _ :: _ :: _ -> t.s.batches <- t.s.batches + 1
-  | _ -> ());
-  List.iter
-    (fun (key, raw) -> qos_enqueue_frame t qs q sched ~key raw)
-    keyed_frames;
-  ignore (qos_drain t qs q sched);
-  notify_peer t q
-
-let send_via_channel t q frame =
-  (* Packets behind a non-empty waiting list must queue too (per-queue
-     ordering).  Like the batch path, the waiting list is first serviced
+let send_via_channel t q ~key frame =
+  (* Packets behind a non-empty backlog must queue too (per-queue
+     ordering).  Like the batch path, the backlog is first serviced
      from the sending context: forward progress must not depend solely
      on a peer notify-back, because a frame parked while the ring was
      {e empty} (a refused push, an exhausted pool) leaves the peer
@@ -1099,70 +957,65 @@ let send_via_channel t q frame =
      once enough resources are available" (paper Sect. 3.1).  This is
      what makes the FIFO size matter (Fig. 5): a small FIFO forces an
      event-channel round trip per FIFO-full of packets. *)
-  if not (Queue.is_empty q.waiting) then ignore (drain_waiting t q);
-  if Queue.is_empty q.waiting && push_frame t q frame then
-    t.s.via_channel_tx <- t.s.via_channel_tx + 1
-  else enqueue_waiting t q frame;
+  if not (Qos.Drr.is_empty q.backlog) then ignore (drain_backlog t q);
+  if
+    qos_admit t q ~key frame
+    && ((not (Qos.Drr.is_empty q.backlog)) || not (push_sent t q ~key frame))
+  then enqueue_backlog t q ~key frame;
   (* Signal the receiver; also when we only queued, so the peer's next
-     consumption round notifies us back to drain the waiting list. *)
+     consumption round notifies us back to drain the backlog. *)
   notify_peer t q
 
-let send_batch t q frames =
+(* The backlog key of a frame the transmit hook stole. *)
+let key_of_packet t pkt =
+  match t.qos with None -> one_flow | Some _ -> Steering.qos_flow_key pkt
+
+let send_steal t q (_, frame, pkt) =
+  send_via_channel t q ~key:(key_of_packet t pkt) frame
+
+let send_batch t q steals =
   (* One burst — all fragments of one datagram, or several back-to-back
      steals steered to the same queue — enters the FIFO under a single
      amortized bookkeeping charge and a single trailing notification. *)
   let p = params t in
-  match frames with
+  match steals with
   | [] -> ()
-  | [ frame ] -> send_via_channel t q frame
-  | frames when not p.Params.xenloop_batch_tx ->
-      List.iter (send_via_channel t q) frames
-  | first :: _ as frames ->
+  | [ steal ] -> send_steal t q steal
+  | steals when not p.Params.xenloop_batch_tx -> List.iter (send_steal t q) steals
+  | (_, first, _) :: _ ->
       t.s.batches <- t.s.batches + 1;
-      (* Service the waiting list from the sending context first: leaving
-         it to the event handler alone starves it behind this process's
-         own CPU charges, and ordering only needs queued frames to leave
+      (* Service the backlog from the sending context first: leaving it
+         to the event handler alone starves it behind this process's own
+         CPU charges, and ordering only needs queued frames to leave
          before the new burst. *)
-      if not (Queue.is_empty q.waiting) then ignore (drain_waiting t q);
-      if
-        (not (Queue.is_empty q.waiting))
-        || push_refused t
-        || not (queue_can_accept q (frame_length first))
-      then
-        (* Ordering: everything behind a non-empty waiting list queues;
-           so does a burst the ring refuses outright. *)
-        List.iter (enqueue_waiting t q) frames
-      else begin
-        (* The burst is one submission: one refusal draw and one
-           [xenloop_fifo_op]; each frame still pays its copy before
-           becoming visible to the consumer. *)
-        Sim.Resource.use (cpu t) p.Params.xenloop_fifo_op;
-        let overflowed = ref false in
-        List.iter
-          (fun frame ->
-            if (not !overflowed) && push_frame ~amortized:true t q frame then
-              t.s.via_channel_tx <- t.s.via_channel_tx + 1
-            else begin
-              overflowed := true;
-              enqueue_waiting t q frame
-            end)
-          frames
-      end;
+      if not (Qos.Drr.is_empty q.backlog) then ignore (drain_backlog t q);
+      (* Ordering: everything behind a non-empty backlog queues; so does
+         a burst the ring refuses outright.  Otherwise the burst is one
+         submission: one refusal draw and one [xenloop_fifo_op]; each
+         frame still pays its copy before becoming visible to the
+         consumer. *)
+      let direct =
+        Qos.Drr.is_empty q.backlog
+        && (not (push_refused t))
+        && queue_can_accept q (frame_length first)
+      in
+      if direct then Sim.Resource.use (cpu t) p.Params.xenloop_fifo_op;
+      let overflowed = ref (not direct) in
+      List.iter
+        (fun (_, frame, pkt) ->
+          let key = key_of_packet t pkt in
+          if
+            qos_admit t q ~key frame
+            && (!overflowed || not (push_sent ~amortized:true t q ~key frame))
+          then begin
+            overflowed := true;
+            enqueue_backlog t q ~key frame
+          end)
+        steals;
       notify_peer t q
 
 (* ------------------------------------------------------------------ *)
 (* Teardown *)
-
-(* Hand a scheduler's frames back to the legacy waiting list (service
-   order, each flow FIFO) so the teardown paths below need only one
-   backlog representation. *)
-let spill_sched_to_waiting q =
-  match q.q_sched with
-  | None -> ()
-  | Some sched ->
-      List.iter
-        (fun (_, raw, _) -> Queue.push raw q.waiting)
-        (Qos.Drr.drain_all sched)
 
 (* Channel death must not leave sockets clamped behind a congestion
    signal that will never clear: reset every latched flow watermark and
@@ -1179,15 +1032,15 @@ let qos_release_congestion t =
           end)
         (Qos.Flow_table.flows qs.qt_flows)
 
-(* Every queue's unsent frames in queue order, leaving each waiting list
-   (and QoS scheduler) empty. *)
-let take_unsent ch =
+(* Every queue's unsent frames in queue order — per queue, the frames
+   [stranded] reclaims from its FIFO, then its backlog — leaving each
+   backlog empty. *)
+let take_unsent ?(stranded = fun _ -> []) ch =
   Array.fold_left
     (fun acc q ->
-      spill_sched_to_waiting q;
-      let fs = List.of_seq (Queue.to_seq q.waiting) in
-      Queue.clear q.waiting;
-      acc @ fs)
+      let reclaimed = stranded q in
+      let backlog = List.map (fun (_, raw, _) -> raw) (Qos.Drr.drain_all q.backlog) in
+      acc @ reclaimed @ backlog)
     [] ch.queues
 
 (* Transparent fallback: packets that never made it into any queue's FIFO
@@ -1195,8 +1048,8 @@ let take_unsent ch =
    Every queue is emptied before the first transmit: each transmit yields
    the CPU, and a handler waking mid-flush must find the queues already
    empty rather than race the iteration. *)
-let flush_waiting_via_standard_path t ch =
-  List.iter (transmit_standard t) (take_unsent ch)
+let flush_waiting_via_standard_path ?stranded t ch =
+  List.iter (transmit_standard t) (take_unsent ?stranded ch)
 
 exception Corrupt_channel
 
@@ -1487,8 +1340,7 @@ let quarantine t peer_domid ch =
     (my_domid t) peer_domid;
   Array.iter
     (fun q ->
-      Queue.clear q.waiting;
-      (match q.q_sched with Some sched -> Qos.Drr.clear sched | None -> ());
+      Qos.Drr.clear q.backlog;
       (try Fifo.mark_inactive q.out_fifo with Invalid_argument _ -> ());
       (try Fifo.mark_inactive q.in_fifo with Invalid_argument _ -> ());
       wake_self q;
@@ -1503,6 +1355,72 @@ let quarantine t peer_domid ch =
   Hashtbl.remove t.peers peer_domid;
   bump_epoch t
 
+(* The frames queue [q]'s peer never popped from its FIFO, in FIFO
+   order, read back out of the ring and our own tx pool. *)
+let reclaim_stranded t ch q =
+  let stranded = ref [] in
+  (try
+     let reclaiming = ref true in
+     while !reclaiming do
+       match Fifo.pop_entry q.out_fifo with
+       | Some (Fifo.Inline raw) -> stranded := raw :: !stranded
+       | Some (Fifo.Desc { d_slot; d_off; d_len; d_proto; d_flags }) -> (
+           (* A descriptor the peer never consumed: we wrote the
+              payload, so we can read it back out of our own tx pool
+              before the pool pages are released with the channel.
+              No slot return needed — the free ring dies with the
+              pages. *)
+           match q.q_tx_pool with
+           | Some pool ->
+               let raw =
+                 Payload_pool.read pool ~slot:d_slot ~off:d_off ~len:d_len
+               in
+               if d_flags land Fifo.flag_app <> 0 && d_len > 8 then begin
+                 (* App descriptor: the slot holds [app header |
+                    datagram], not a serialized frame.  Rebuild the
+                    equivalent control frame so the save/flush path
+                    can carry it over netfront. *)
+                 let msg =
+                   Proto.App_payload
+                     {
+                       src_ip =
+                         Netcore.Ip.of_int32 (Bytes.get_int32_be raw 0);
+                       src_port = Bytes.get_uint16_be raw 4;
+                       dst_port = d_proto;
+                       payload = Bytes.sub raw 8 (d_len - 8);
+                     }
+                 in
+                 stranded :=
+                   Netcore.Codec.serialize
+                     (Netcore.Packet.xenloop_ctrl
+                        ~src_mac:(Stack.mac_addr t.stack)
+                        ~dst_mac:ch.peer_mac (Proto.encode msg))
+                   :: !stranded
+               end
+               else stranded := raw :: !stranded
+           | None -> ())
+       | Some (Fifo.Jumbo { j_len; j_chunks; _ }) -> (
+           (* A jumbo the peer never consumed: gather it back out
+              of our own tx pool so the save/flush can carry
+              it (it re-enters as one frame; netfront re-segments).
+              A scatter vector we cannot trust — a chaos fault
+              corrupted it before teardown — is dropped rather
+              than read out of range. *)
+           match q.q_tx_pool with
+           | Some pool -> (
+               match check_scatter pool ~off:0 ~len:j_len j_chunks with
+               | Scatter_ok ->
+                   stranded :=
+                     gather_scatter pool ~off:0 ~len:j_len j_chunks
+                     :: !stranded
+               | Scatter_bad_framing | Scatter_bad_lengths _ ->
+                   t.s.jumbo_drops <- t.s.jumbo_drops + 1)
+           | None -> t.s.jumbo_drops <- t.s.jumbo_drops + 1)
+       | None -> reclaiming := false
+     done
+   with Invalid_argument _ -> ());
+  List.rev !stranded
+
 let teardown_channel t ~save ch =
   trace t Sim.Trace.Teardown "dom%d: tearing down channel to dom%d (save=%b, queues=%d)"
     (my_domid t) ch.peer_domid save (Array.length ch.queues);
@@ -1516,86 +1434,17 @@ let teardown_channel t ~save ch =
      reclaim and release.  This is what makes multi-queue teardown
      atomic. *)
   Array.iter (mark_queue_inactive t) ch.queues;
-  (* QoS mode: scheduled frames rejoin the plain waiting list so the
-     save/flush below handles one backlog representation; any latched
-     congestion signal is released so no socket stays clamped behind a
-     dead channel. *)
-  Array.iter spill_sched_to_waiting ch.queues;
+  (* Any latched congestion signal is released so no socket stays
+     clamped behind a dead channel. *)
   qos_release_congestion t;
-  if ch.connected then
-    Array.iter
-      (fun q ->
-        (* Frames the peer has not yet popped would be stranded once the
-           FIFO pages go back to the frame pool (the peer reads them only
-           after its event latency, by which time the pages may be
-           reused).  Reclaim them per queue and let the save/flush below
-           carry them, in order, ahead of that queue's waiting list. *)
-        let stranded = Queue.create () in
-        (try
-           let reclaiming = ref true in
-           while !reclaiming do
-             match Fifo.pop_entry q.out_fifo with
-             | Some (Fifo.Inline raw) -> Queue.push raw stranded
-             | Some (Fifo.Desc { d_slot; d_off; d_len; d_proto; d_flags }) -> (
-                 (* A descriptor the peer never consumed: we wrote the
-                    payload, so we can read it back out of our own tx pool
-                    before the pool pages are released with the channel.
-                    No slot return needed — the free ring dies with the
-                    pages. *)
-                 match q.q_tx_pool with
-                 | Some pool ->
-                     let raw =
-                       Payload_pool.read pool ~slot:d_slot ~off:d_off ~len:d_len
-                     in
-                     if d_flags land Fifo.flag_app <> 0 && d_len > 8 then begin
-                       (* App descriptor: the slot holds [app header |
-                          datagram], not a serialized frame.  Rebuild the
-                          equivalent control frame so the save/flush path
-                          can carry it over netfront. *)
-                       let msg =
-                         Proto.App_payload
-                           {
-                             src_ip =
-                               Netcore.Ip.of_int32 (Bytes.get_int32_be raw 0);
-                             src_port = Bytes.get_uint16_be raw 4;
-                             dst_port = d_proto;
-                             payload = Bytes.sub raw 8 (d_len - 8);
-                           }
-                       in
-                       Queue.push
-                         (Netcore.Codec.serialize
-                            (Netcore.Packet.xenloop_ctrl
-                               ~src_mac:(Stack.mac_addr t.stack)
-                               ~dst_mac:ch.peer_mac (Proto.encode msg)))
-                         stranded
-                     end
-                     else Queue.push raw stranded
-                 | None -> ())
-             | Some (Fifo.Jumbo { j_len; j_chunks; _ }) -> (
-                 (* A jumbo the peer never consumed: gather it back out
-                    of our own tx pool so the save/flush below can carry
-                    it (it re-enters as one frame; netfront re-segments).
-                    A scatter vector we cannot trust — a chaos fault
-                    corrupted it before teardown — is dropped rather
-                    than read out of range. *)
-                 match q.q_tx_pool with
-                 | Some pool -> (
-                     match check_scatter pool ~off:0 ~len:j_len j_chunks with
-                     | Scatter_ok ->
-                         Queue.push
-                           (gather_scatter pool ~off:0 ~len:j_len j_chunks)
-                           stranded
-                     | Scatter_bad_framing | Scatter_bad_lengths _ ->
-                         t.s.jumbo_drops <- t.s.jumbo_drops + 1)
-                 | None -> t.s.jumbo_drops <- t.s.jumbo_drops + 1)
-             | None -> reclaiming := false
-           done
-         with Invalid_argument _ -> ());
-        Queue.transfer q.waiting stranded;
-        Queue.transfer stranded q.waiting)
-      ch.queues;
-  if save then t.saved_frames <- t.saved_frames @ take_unsent ch
-  else flush_waiting_via_standard_path t ch;
+  (* Frames the peer has not yet popped would be stranded once the FIFO
+     pages go back to the frame pool (the peer reads them only after its
+     event latency, by which time the pages may be reused).  Reclaim them
+     per queue and let the save/flush carry them, in order, ahead of that
+     queue's backlog. *)
+  let stranded = if ch.connected then reclaim_stranded t ch else fun _ -> [] in
+  if save then t.saved_frames <- t.saved_frames @ take_unsent ~stranded ch
+  else flush_waiting_via_standard_path ~stranded t ch;
   if ch.connected then Array.iter (fun q -> notify_peer ~force:true t q) ch.queues;
   release_channel t ch
 
@@ -1801,13 +1650,13 @@ let handle_peer_teardown t peer_domid ch =
   | _ -> ()
 
 (* One quiescence round on one queue: receive everything pending, then
-   service our own waiting list into the space that popping just freed. *)
+   service our own backlog into the space that popping just freed. *)
 let drain_round t q =
   let total_consumed = ref 0 and total_pushed = ref 0 in
   let quiescent = ref false in
   while not !quiescent do
     let consumed = drain_incoming t q in
-    let pushed = drain_waiting t q in
+    let pushed = drain_backlog t q in
     total_consumed := !total_consumed + consumed;
     total_pushed := !total_pushed + pushed;
     if consumed = 0 && pushed = 0 then quiescent := true
@@ -1821,7 +1670,7 @@ let queue_live q = Fifo.is_active q.in_fifo && Fifo.is_active q.out_fifo
 let queue_has_work q =
   (not (Fifo.is_empty q.in_fifo))
   ||
-  match tx_backlog_head_len q with
+  match Qos.Drr.head_len q.backlog with
   | Some len -> queue_can_accept q len
   | None -> false
 
@@ -1875,7 +1724,7 @@ let on_event t peer_domid qi () =
               let serving = ref true in
               while !serving do
                 let consumed = drain_incoming t q in
-                let pushed = drain_waiting t q in
+                let pushed = drain_backlog t q in
                 total_consumed := !total_consumed + consumed;
                 total_pushed := !total_pushed + pushed;
                 if suppressing then begin
@@ -1952,15 +1801,18 @@ let new_queue t ~index ~out_fifo ~in_fifo ~port ~tx_pool ~rx_pool ~inline_max
   | None -> ());
   let waiter = Sim.Engine.waiter (engine t) in
   Ec.set_waiter (Machine.evtchn (t.current_machine ())) ~dom:(my_domid t) ~port waiter;
-  let waiting = Queue.create () and q_sched = make_queue_sched t in
+  let p = params t in
+  let backlog =
+    Qos.Drr.create ~quantum:(max 1 p.Params.qos_quantum)
+      ~max_per_flow:(max 1 p.Params.xenloop_waiting_list_max) ()
+  in
   let rec q =
   {
     q_index = index;
     out_fifo;
     in_fifo;
     q_port = port;
-    waiting;
-    q_sched;
+    backlog;
     q_tx_pool = tx_pool;
     q_rx_pool = rx_pool;
     q_inline_max = inline_max;
@@ -2731,19 +2583,7 @@ let hook_fn t (packets : P.t list) =
     let flush group =
       match List.rev group with
       | [] -> ()
-      | (q, _, _) :: _ as frames -> (
-          (* QoS mode keys each frame by its accounting flow (5-tuple for
-             unfragmented UDP, so concurrent sockets are distinct flows)
-             and admits the burst through the DRR scheduler; legacy mode
-             is the FIFO-order batch path, untouched. *)
-          match (t.qos, q.q_sched) with
-          | Some qs, Some sched ->
-              qos_send_batch t qs q sched
-                (List.map
-                   (fun (_, frame, pkt) ->
-                     (Steering.qos_flow_key pkt, frame_bytes frame))
-                   frames)
-          | _ -> send_batch t q (List.map (fun (_, frame, _) -> frame) frames))
+      | (q, _, _) :: _ as steals -> send_batch t q steals
     in
     let pending =
       List.fold_left
@@ -2797,11 +2637,11 @@ let send_app_payload t ~dst_ip ~src_port ~dst_port payload =
                pool slot behind the 8-byte app header and the FIFO carries
                only a two-slot descriptor the receiver's socket layer
                borrows in place — no Proto encode, no inline copy, no
-               copy-out.  Ordering demands an empty waiting list; any
+               copy-out.  Ordering demands an empty backlog; any
                refusal falls through to the ctrl-frame path unchanged. *)
             let app_desc_sent =
               q.q_max_loans > 0
-              && tx_backlog_empty q
+              && Qos.Drr.is_empty q.backlog
               &&
               match q.q_tx_pool with
               | None -> false
@@ -2869,9 +2709,9 @@ let send_app_payload t ~dst_ip ~src_port ~dst_port payload =
               else begin
                 q.q_steered <- q.q_steered + 1;
                 t.s.steered_packets <- t.s.steered_packets + 1;
-                (match (t.qos, q.q_sched) with
-                | Some qs, Some sched -> qos_send_batch t qs q sched [ (key, raw) ]
-                | _ -> send_via_channel t q (Raw raw));
+                send_via_channel t q
+                  ~key:(match t.qos with None -> one_flow | Some _ -> key)
+                  (Raw raw);
                 true
               end
             end
@@ -2896,7 +2736,7 @@ let restore_after_migration t =
   trace t Sim.Trace.Migration "dom%d: restored; re-advertising, %d saved frame(s)"
     (my_domid t) (List.length t.saved_frames);
   advertise t;
-  (* Resend packets saved from the waiting lists (paper Sect. 3.4). *)
+  (* Resend packets saved from the backlogs (paper Sect. 3.4). *)
   List.iter (transmit_standard t) t.saved_frames;
   t.saved_frames <- []
 
@@ -3038,7 +2878,6 @@ let flow_stats t =
         (Qos.Flow_table.flows qs.qt_flows)
 
 let invariant_violations t =
-  let p = params t in
   let violations = ref [] in
   let note fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
   let check_channel domid ch =
@@ -3066,20 +2905,13 @@ let invariant_violations t =
               note "%s loans over credit: %d > %d" (where "rx") out
                 q.q_max_loans
         | None -> ());
-        (match q.q_sched with
-        | Some sched ->
-            (* QoS mode: the bound is per flow sub-queue, not global. *)
-            Qos.Drr.fold_flows
-              (fun () key ~items ~bytes:_ ->
-                if items > Qos.Drr.max_per_flow sched then
-                  note "%s flow %s sub-queue over bound: %d > %d" (where "tx")
-                    (Steering.describe_key key) items
-                    (Qos.Drr.max_per_flow sched))
-              sched ()
-        | None ->
-            if Queue.length q.waiting > p.Params.xenloop_waiting_list_max then
-              note "%s waiting list over bound: %d > %d" (where "tx")
-                (Queue.length q.waiting) p.Params.xenloop_waiting_list_max))
+        Qos.Drr.fold_flows
+          (fun () key ~items ~bytes:_ ->
+            if items > Qos.Drr.max_per_flow q.backlog then
+              note "%s backlog flow %s over bound: %d > %d" (where "tx")
+                (Steering.describe_key key) items
+                (Qos.Drr.max_per_flow q.backlog))
+          q.backlog ())
       ch.queues
   in
   Hashtbl.fold (fun domid state acc -> (domid, state) :: acc) t.peers []

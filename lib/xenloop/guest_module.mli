@@ -33,8 +33,9 @@ type stats = {
   mutable queued_to_waiting : int;
   mutable waiting_overflows : int;
       (** frames rerouted through the standard netfront path because their
-          queue's waiting list was already at
-          {!Hypervisor.Params.xenloop_waiting_list_max} *)
+          flow's share of the queue's waiting list was already at
+          {!Hypervisor.Params.xenloop_waiting_list_max} (with QoS off a
+          queue has one flow) *)
   mutable too_big_fallback : int;
   mutable channels_established : int;
   mutable channels_torn_down : int;
@@ -164,9 +165,9 @@ val create :
     keeps every frame on the per-MSS paths bit-for-bit.
     [qos] enables the multi-tenant QoS subsystem (default
     {!Hypervisor.Params.qos_enabled}, DESIGN.md §14): per-flow accounting,
-    weighted-DRR transmit scheduling in place of the FIFO-order waiting
-    list, watermark backpressure into the socket layer, and tenant
-    policies; off, every path is bit-for-bit the legacy behavior.
+    weighted-DRR service of the waiting list by flow, watermark
+    backpressure into the socket layer, and tenant policies; off, every
+    frame is one flow and the waiting list is served in FIFO order.
     [trace] receives bootstrap/channel/teardown/migration events when its
     categories are enabled. *)
 

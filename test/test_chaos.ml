@@ -353,6 +353,41 @@ let test_qos_soak_subset_clean () =
   Alcotest.(check int) "duplicates" 0 s.Soak.s_duplicates;
   Alcotest.(check bool) "summary ok" true (Soak.ok s)
 
+(* Golden digests for the QoS worlds: every xenloop-duo QoS soak case at
+   the matrix seeds.  Only flood-full logs seed-dependent events, so the
+   other cases repeat one digest across seeds; it still pins the
+   simulated time of each logged milestone.  Same re-pin rule as the
+   matrices above. *)
+let golden_qos_digests =
+  [
+    ("xenloop-duo/qos-baseline", 42, "2d608401d5259577d60eb22c0b6376b3");
+    ("xenloop-duo/qos-baseline", 43, "2d608401d5259577d60eb22c0b6376b3");
+    ("xenloop-duo/qos-baseline", 99, "2d608401d5259577d60eb22c0b6376b3");
+    ("xenloop-duo/qos-flood", 42, "7df8bbf1859f67838bdfeca691dbdbad");
+    ("xenloop-duo/qos-flood", 43, "7df8bbf1859f67838bdfeca691dbdbad");
+    ("xenloop-duo/qos-flood", 99, "7df8bbf1859f67838bdfeca691dbdbad");
+    ("xenloop-duo/qos-flood-full", 42, "fcc2228b2a14b2d727a617e90693772a");
+    ("xenloop-duo/qos-flood-full", 43, "361af08a972641fe286521fb54b8dd72");
+    ("xenloop-duo/qos-flood-full", 99, "aec4ac8bf0e4f784289bcd2e3d1e1a57");
+    ("xenloop-duo/qos-flood-teardown", 42, "d2341645e7db75f2d63ab9b0e71037a7");
+    ("xenloop-duo/qos-flood-teardown", 43, "d2341645e7db75f2d63ab9b0e71037a7");
+    ("xenloop-duo/qos-flood-teardown", 99, "d2341645e7db75f2d63ab9b0e71037a7");
+  ]
+
+let test_golden_qos_digests () =
+  List.iter
+    (fun (name, seed, expected) ->
+      let case =
+        match Soak.find_case name with
+        | Some c -> c
+        | None -> Alcotest.failf "no soak case %s" name
+      in
+      let v, _ = Harness.run (Soak.case_config case ~seed) in
+      let label = Printf.sprintf "%s seed %d" name seed in
+      Alcotest.(check string) label expected v.Harness.v_log_digest;
+      Alcotest.(check bool) (label ^ " clean") true (Harness.ok v))
+    golden_qos_digests
+
 (* ------------------------------------------------------------------ *)
 (* GSO chaos: corrupting a jumbo descriptor's scatter length vector must
    cost nothing — the receiver drops the frame loudly (accounted, never
@@ -593,6 +628,8 @@ let suites =
           test_qos_off_digest_unperturbed;
         Alcotest.test_case "qos soak subset is clean" `Quick
           test_qos_soak_subset_clean;
+        Alcotest.test_case "qos soak digests match golden MD5s" `Quick
+          test_golden_qos_digests;
         Alcotest.test_case "gso truncate run is clean" `Quick
           test_gso_truncate_clean;
         Alcotest.test_case "gso-off digest unperturbed by new kind" `Quick

@@ -1,8 +1,10 @@
 (* QoS subsystem tests (DESIGN.md §14): DRR weight proportionality and
    the per-flow sub-queue bound, watermark hysteresis (one edge per
    genuine crossing), tenant-policy install/teardown against a live
-   channel, and a qcheck property that every DRR visit serves at most
-   one replenishment past the flow's banked credit. *)
+   channel, and qcheck properties: every DRR visit serves at most one
+   replenishment past the flow's banked credit, item-by-item service
+   ([peek]/[pop]) is the batch service ([select]) cut into items, and one
+   flow is served in FIFO order. *)
 
 module Drr = Qos.Drr
 module Watermark = Qos.Watermark
@@ -60,23 +62,34 @@ let test_drr_per_flow_bound () =
   Alcotest.(check bool) "room after drain" true
     (Drr.enqueue d ~key:"a" ~weight:1 ~len:10 ())
 
-let test_drr_restore_resumes () =
+(* A consumer that cannot take the peeked item leaves it queued: it
+   stays counted, and the next peek names it again, until [pop]. *)
+let test_drr_peek_keeps_item () =
   let d = Drr.create ~quantum:1000 ~max_per_flow:16 () in
-  List.iter
-    (fun (k, v) -> assert (Drr.enqueue d ~key:"f" ~weight:1 ~len:100 (k, v)))
-    [ (1, 'a'); (2, 'b'); (3, 'c') ];
-  assert (Drr.enqueue d ~key:"g" ~weight:1 ~len:100 (9, 'z'));
-  (match Drr.select d with
-  | Some ("f", batch) ->
-      (* Consumer-full: only the first item fit; hand back the rest. *)
-      Drr.restore d "f" (List.tl batch)
-  | _ -> Alcotest.fail "expected flow f first");
-  (* The next select resumes with f's restored suffix, ahead of g. *)
-  (match Drr.select d with
-  | Some ("f", ((2, 'b'), 100) :: _) -> ()
-  | Some ("f", _) -> Alcotest.fail "restored suffix out of order"
-  | _ -> Alcotest.fail "restore must put the flow back at the ring front");
-  Alcotest.(check int) "g still queued" 1 (Drr.flow_length d "g")
+  assert (Drr.enqueue d ~key:"f" ~weight:1 ~len:100 'a');
+  assert (Drr.enqueue d ~key:"f" ~weight:1 ~len:100 'b');
+  assert (Drr.enqueue d ~key:"g" ~weight:1 ~len:100 'z');
+  let peeked () =
+    match Drr.peek d with
+    | Some (key, v, len) -> (key, v, len)
+    | None -> Alcotest.fail "peek on a non-empty scheduler"
+  in
+  let first = peeked () in
+  Alcotest.(check bool) "f's head first" true (first = ("f", 'a', 100));
+  Alcotest.(check int) "peeked item still counted" 3 (Drr.length d);
+  Alcotest.(check int) "peeked bytes still counted" 300 (Drr.bytes d);
+  Alcotest.(check int) "peeked flow still holds it" 2 (Drr.flow_length d "f");
+  Alcotest.(check bool) "a second peek names the same item" true
+    (peeked () = first);
+  Drr.pop d;
+  Alcotest.(check int) "pop removes it" 2 (Drr.length d);
+  Alcotest.(check bool) "the visit resumes at f's next item" true
+    (peeked () = ("f", 'b', 100));
+  Drr.pop d;
+  Drr.pop d;
+  Alcotest.(check bool) "empty" true (Drr.is_empty d && Drr.peek d = None);
+  Alcotest.check_raises "pop on empty" (Invalid_argument "Drr.pop: empty scheduler")
+    (fun () -> Drr.pop d)
 
 (* ------------------------------------------------------------------ *)
 (* Watermark: one edge per genuine crossing, latched between *)
@@ -158,7 +171,11 @@ let test_tenant_policy_install_teardown () =
       Gm.install_tenant_policy m1 ~tenant:7 policy;
       send_one ();
       Alcotest.(check bool) "enqueue hook fired" true (!enq > 0);
-      Alcotest.(check bool) "dequeue hook fired" true (!deq > 0);
+      (* Every frame the enqueue hook passed reached the FIFO exactly
+         once, whether it was pushed directly or drained from the
+         backlog. *)
+      Alcotest.(check int) "dequeue hook fired once per passed frame" !enq
+        !deq;
       let tenant7 =
         List.filter (fun fs -> fs.Gm.fs_tenant = 7) (Gm.flow_stats m1)
       in
@@ -266,6 +283,58 @@ let prop_drr_visit_bounded =
       && Array.for_all2 (fun a b -> a = b) served enqueued
       && Drr.is_empty d)
 
+(* A scheduler holding [items], (flow, len) pairs; each item's value is
+   its index, and flow [f] has weight [f + 1]. *)
+let fill items ~quantum =
+  let d = Drr.create ~quantum ~max_per_flow:10_000 () in
+  List.iteri
+    (fun i (f, len) -> assert (Drr.enqueue d ~key:f ~weight:(f + 1) ~len i))
+    items;
+  d
+
+let prop_drr_peek_pop_is_select =
+  QCheck.Test.make ~name:"drr peek/pop sequence = concatenated select batches"
+    ~count:300
+    QCheck.(pair (int_range 1 300) (list (pair (int_range 0 3) (int_range 1 200))))
+    (fun (quantum, items) ->
+      let by_select =
+        let d = fill items ~quantum in
+        let rec go acc =
+          match Drr.select d with
+          | None -> List.rev acc
+          | Some (f, batch) ->
+              go (List.rev_append (List.map (fun (i, len) -> (f, i, len)) batch) acc)
+        in
+        go []
+      in
+      let by_peek =
+        let d = fill items ~quantum in
+        let rec go acc =
+          match Drr.peek d with
+          | None -> List.rev acc
+          | Some item ->
+              Drr.pop d;
+              go (item :: acc)
+        in
+        go []
+      in
+      by_select = by_peek)
+
+let prop_drr_one_flow_is_fifo =
+  QCheck.Test.make ~name:"drr with one flow serves in FIFO order" ~count:300
+    QCheck.(pair (int_range 1 3000) (list (int_range 1 9000)))
+    (fun (quantum, lens) ->
+      let d = Drr.create ~quantum ~max_per_flow:10_000 () in
+      List.iteri (fun i len -> assert (Drr.enqueue d ~key:() ~weight:1 ~len i)) lens;
+      let rec go acc =
+        match Drr.peek d with
+        | None -> List.rev acc
+        | Some ((), i, _) ->
+            Drr.pop d;
+            go (i :: acc)
+      in
+      go [] = List.init (List.length lens) Fun.id)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suites =
@@ -275,8 +344,8 @@ let suites =
         Alcotest.test_case "weight proportionality" `Quick
           test_drr_weight_proportionality;
         Alcotest.test_case "per-flow bound" `Quick test_drr_per_flow_bound;
-        Alcotest.test_case "restore resumes at the ring front" `Quick
-          test_drr_restore_resumes;
+        Alcotest.test_case "a peeked item stays counted until pop" `Quick
+          test_drr_peek_keeps_item;
       ] );
     ( "qos.watermark",
       [ Alcotest.test_case "hysteresis" `Quick test_watermark_hysteresis ] );
@@ -287,5 +356,8 @@ let suites =
         Alcotest.test_case "drop and divert actions" `Quick
           test_tenant_policy_drop_and_divert;
       ] );
-    ("qos.qcheck", qsuite [ prop_drr_visit_bounded ]);
+    ( "qos.qcheck",
+      qsuite
+        [ prop_drr_visit_bounded; prop_drr_peek_pop_is_select; prop_drr_one_flow_is_fifo ]
+    );
   ]
