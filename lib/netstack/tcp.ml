@@ -694,21 +694,40 @@ let await_data c =
   done;
   if !blocked then Sim.Resource.use (cpu c) p.Hypervisor.Params.app_wakeup
 
-(* Copy the next [n] buffered bytes into [dst] at [off]; a window-update
-   ACK follows if the drain reopened a nearly-closed window. *)
-let drain_into c dst ~off n =
-  let window_before = current_window c in
-  take_into c dst ~dst_off:off n;
+(* A window-update ACK follows a drain that reopened a nearly-closed
+   window. *)
+let ack_if_reopened c ~window_before =
   if window_before < c.conn_mss && current_window c >= c.conn_mss then
     send_pure_ack c
 
+(* Copy the next [n] buffered bytes into [dst] at [off]. *)
+let drain_into c dst ~off n =
+  let window_before = current_window c in
+  take_into c dst ~dst_off:off n;
+  ack_if_reopened c ~window_before
+
+(* A read that takes exactly the whole head chunk hands that chunk over
+   instead of copying it, as [Udp.recvfrom] hands over its datagram: the
+   same release, debit and window-update ACK as [drain_into]. *)
 let recv c ~max =
   await_data c;
   if c.recv_buffered = 0 then Bytes.empty
   else begin
-    let data = Bytes.create (Int.max 0 (min max c.recv_buffered)) in
-    drain_into c data ~off:0 (Bytes.length data);
-    data
+    let n = Int.max 0 (min max c.recv_buffered) in
+    let head, head_release = Queue.peek c.recv_chunks in
+    if c.head_offset = 0 && Bytes.length head = n then begin
+      let window_before = current_window c in
+      ignore (Queue.pop c.recv_chunks);
+      (match head_release with Some r -> r ~copied:false | None -> ());
+      c.recv_buffered <- c.recv_buffered - n;
+      ack_if_reopened c ~window_before;
+      head
+    end
+    else begin
+      let data = Bytes.create n in
+      drain_into c data ~off:0 n;
+      data
+    end
   end
 
 let recv_exact c n =

@@ -51,7 +51,10 @@ val set_nodelay : conn -> bool -> unit
     transports. *)
 
 val recv : conn -> max:int -> Bytes.t
-(** Blocking; returns 1..max bytes, or the empty string at end-of-stream. *)
+(** Blocking; returns 1..max bytes, or the empty string at end-of-stream.
+    A read that takes exactly one whole queued chunk returns that chunk
+    itself rather than a copy, as {!Udp.recvfrom} returns its datagram;
+    the caller owns it. *)
 
 val recv_exact : conn -> int -> Bytes.t
 (** Loop {!recv} until exactly [n] bytes arrive.

@@ -14,6 +14,10 @@ type t = {
       (* key of the event running now ([max_int] between runs): tells
          [wake] whether a tick at the current instant has run yet *)
   mutable events_run : int;
+  mutable inline_ok : bool;
+      (* the running event resumed a process: a [sleep] from it may
+         continue inline (see [sleep]) *)
+  mutable run_limit : int;  (* the active [run]'s [until], in ns *)
   engine_rng : Rng.t;
   (* [now] returns a boxed Time.t; cache the box so bursts of same-instant
      queries (every packet touches the clock several times) allocate once
@@ -142,6 +146,8 @@ let create ?(seed = 42) () =
       next_seq = 0;
       cur_seq = max_int;
       events_run = 0;
+      inline_ok = false;
+      run_limit = max_int;
       engine_rng = Rng.create ~seed;
       clock_box = Time.zero;
       clock_box_ns = 0;
@@ -227,7 +233,30 @@ let cancel h =
     if W.remove t.queue h.tmh_cell then free_cell t h.tmh_cell
   end
 
-let sleep span = Effect.perform (Sleep span)
+(* The engine whose [run] is executing events, if any.  [step] clears it
+   for its one event, so only [run] ever continues a sleep inline. *)
+let running : t option ref = ref None
+
+(* A sleep whose wake-up would be the next event continues inline: the
+   resume cell would take [next_seq] and run at [w] before anything else,
+   since every queued cell is later than [w] (a cell at [w] has a lower
+   seq, and a tick at [w] runs first).  So the clock moves to [w], the
+   resume's seq is taken and the event is counted, exactly as the perform,
+   insert, pop and continue would have left them.  Not from a timer
+   callback's first segment, whose rearm takes its seq when the callback
+   returns, nor from a waiter's [ready]: [exec] clears [inline_ok] there. *)
+let sleep span =
+  match !running with
+  | Some t when t.inline_ok ->
+      let w = t.clock_ns + delay_ns span in
+      if w <= t.run_limit && W.clear_through t.queue w then begin
+        t.clock_ns <- w;
+        t.cur_seq <- t.next_seq;
+        t.next_seq <- t.next_seq + 1;
+        t.events_run <- t.events_run + 1
+      end
+      else Effect.perform (Sleep span)
+  | _ -> Effect.perform (Sleep span)
 let suspend ~register = Effect.perform (Suspend register)
 
 let waiter t =
@@ -321,12 +350,15 @@ let exec t c =
       (* Recycle before running so the callback's own scheduling reuses
          this cell. *)
       free_cell t c;
+      t.inline_ok <- true;
       f ()
   | P_resume k ->
       free_cell t c;
+      t.inline_ok <- true;
       Effect.Deep.continue k ()
   | P_timer tm ->
       let fired_ns = c.W.c_time in
+      t.inline_ok <- false;
       run_process t tm.tm_run;
       if tm.tm_active then begin
         (* Rearm from the scheduled fire time, not the clock after the
@@ -343,9 +375,11 @@ let exec t c =
       (* A woken tick, or the expiry tick.  A woken tick that finds nothing
          sends the cell back to expiry, keeping its key. *)
       let tick = (c.W.c_time - w.w_start) / w.w_interval in
+      t.inline_ok <- false;
       match w.w_ready () with
       | ready when ready || tick >= w.w_max ->
           w.w_missed <- ready && not w.w_woken;
+          t.inline_ok <- true;
           Effect.Deep.continue (resume_waiter w tick) ()
       | _ ->
           w.w_woken <- false;
@@ -358,26 +392,54 @@ let step t =
   let c = W.pop t.queue in
   if c == W.nil t.queue then false
   else begin
-    exec t c;
-    true
+    let outer = !running in
+    running := None;
+    match exec t c with
+    | () ->
+        running := outer;
+        true
+    | exception e ->
+        running := outer;
+        raise e
   end
 
 let run ?until t =
-  match until with
-  | None -> while step t do () done
-  | Some limit ->
-      let limit_ns = Int64.to_int (Time.instant_to_ns limit) in
-      let nil = W.nil t.queue in
-      let continue_ = ref true in
-      while !continue_ do
-        let c = W.pop_before t.queue limit_ns in
-        if c == nil then begin
-          t.clock_ns <- limit_ns;
-          t.cur_seq <- max_int;
-          continue_ := false
-        end
-        else exec t c
+  let limit_ns =
+    match until with
+    | None -> max_int
+    | Some limit -> Int64.to_int (Time.instant_to_ns limit)
+  in
+  let outer = !running and outer_limit = t.run_limit in
+  let restore () =
+    running := outer;
+    t.run_limit <- outer_limit;
+    t.inline_ok <- false
+  in
+  running := Some t;
+  t.run_limit <- limit_ns;
+  let nil = W.nil t.queue in
+  match
+    if Option.is_none until then begin
+      let c = ref (W.pop t.queue) in
+      while !c != nil do
+        exec t !c;
+        c := W.pop t.queue
       done
+    end
+    else begin
+      let c = ref (W.pop_before t.queue limit_ns) in
+      while !c != nil do
+        exec t !c;
+        c := W.pop_before t.queue limit_ns
+      done;
+      t.clock_ns <- limit_ns;
+      t.cur_seq <- max_int
+    end
+  with
+  | () -> restore ()
+  | exception e ->
+      restore ();
+      raise e
 
 let pending_events t = W.length t.queue
 let events_executed t = t.events_run

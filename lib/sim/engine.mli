@@ -49,7 +49,14 @@ val cancel : timer -> unit
 
 val sleep : Time.span -> unit
 (** Advance this process's virtual time.  Non-positive spans yield the
-    processor but do not advance the clock. *)
+    processor but do not advance the clock.
+
+    Under {!run}, a sleep whose wake-up would be the next event — no
+    queued event at or before it, and within [until] — continues inline:
+    the clock, the event count and every later tie-break are as if the
+    wake-up had been queued and popped, but no effect is performed.  A
+    timer callback's first segment and a waiter's [ready] never continue
+    inline, and {!step} never does. *)
 
 val suspend : register:((unit -> unit) -> unit) -> unit
 (** [suspend ~register] parks the calling process.  [register] receives a
@@ -123,10 +130,13 @@ val run : ?until:Time.t -> t -> unit
     even if the queue drained earlier, so repeated bounded runs compose. *)
 
 val step : t -> bool
-(** Process a single event.  Returns [false] if the queue was empty. *)
+(** Process a single event.  Returns [false] if the queue was empty.  A
+    sleep inside it always queues its wake-up, so a [step] loop runs
+    the same events in the same order as {!run}, one per call. *)
 
 val pending_events : t -> int
 
 val events_executed : t -> int
 (** Total events this engine has run since creation — the numerator of the
-    [sim_events_per_sec] benchmark metric. *)
+    [sim_events_per_sec] benchmark metric.  A sleep that continued inline
+    counts as the event its wake-up would have been. *)

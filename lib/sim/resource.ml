@@ -1,7 +1,7 @@
 type serial = {
   mutable held : bool;
   waiters : (unit -> unit) Queue.t;
-  mutable accumulated : Time.span;
+  mutable accumulated_ns : int;  (* an int, so a [use] boxes nothing *)
 }
 
 type backend =
@@ -14,7 +14,7 @@ let create ~name =
   {
     resource_name = name;
     backend =
-      Serial { held = false; waiters = Queue.create (); accumulated = Time.span_zero };
+      Serial { held = false; waiters = Queue.create (); accumulated_ns = 0 };
   }
 
 let custom ~name ~use ~busy_time =
@@ -49,7 +49,7 @@ let use t span =
   | Serial s ->
       acquire t;
       Engine.sleep span;
-      s.accumulated <- Time.span_add s.accumulated (Time.span_max span Time.span_zero);
+      s.accumulated_ns <- s.accumulated_ns + Int.max 0 (Int64.to_int (Time.to_ns span));
       release t
 
 let is_busy t = match t.backend with Serial s -> s.held | Custom _ -> false
@@ -58,4 +58,6 @@ let queue_length t =
   match t.backend with Serial s -> Queue.length s.waiters | Custom _ -> 0
 
 let busy_time t =
-  match t.backend with Serial s -> s.accumulated | Custom c -> c.busy_fn ()
+  match t.backend with
+  | Serial s -> Time.ns s.accumulated_ns
+  | Custom c -> c.busy_fn ()

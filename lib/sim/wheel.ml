@@ -304,24 +304,41 @@ let pop_before t limit_ns =
     end
   end
 
-(* Earliest pending time in ns, or [max_int] when empty.  Read-only: the
-   cursor must not move, because a bounded [run ~until] that stops here may
-   later enqueue events earlier than what it peeked at. *)
-let next_time t =
-  let wheel_min =
-    if t.wheel_len = 0 then max_int
+(* Whether every queued cell is later than [limit_ns].  The cursor's own
+   slot is read first: it also holds the cells scheduled behind the
+   cursor (after a declined [pop_before] the cursor can sit ahead of the
+   clock), so its head is the wheel's minimum when it is occupied.
+   Otherwise the cursor moves across empty slots up to the first occupied
+   one or the limit's tick, whichever comes first: every queued cell is
+   at or past the new cursor, and the caller's clock only moves to
+   [limit_ns] when the answer is yes, so the scan amortises like [pop]'s. *)
+let clear_through t limit_ns =
+  if t.heap_len > 0 && t.heap.(0).c_time <= limit_ns then false
+  else if t.wheel_len = 0 then true
+  else begin
+    let nil = t.nil in
+    let head = head_get t (t.cur_tick land slot_mask) in
+    if head != nil then head.c_time > limit_ns
     else begin
-      let d = ref 0 and found = ref (-1) in
-      while !found < 0 do
+      let span = tick_of_time limit_ns - t.cur_tick in
+      let d = ref 1 and found = ref nil in
+      while !found == nil && !d <= span do
         let s = (t.cur_tick + !d) land slot_mask in
-        if s land ((1 lsl group_bits) - 1) = 0 && t.group_fill.(s lsr group_bits) = 0
+        if s land ((1 lsl group_bits) - 1) = 0
+           && Array.unsafe_get t.group_fill (s lsr group_bits) = 0
         then d := !d + (1 lsl group_bits)
-        else if t.heads.(s) != t.nil then found := s
-        else incr d
+        else begin
+          let h = head_get t s in
+          if h != nil then found := h else incr d
+        end
       done;
-      t.heads.(!found).c_time
+      if !found == nil then begin
+        if span > 0 then t.cur_tick <- t.cur_tick + span;
+        true
+      end
+      else begin
+        t.cur_tick <- t.cur_tick + !d;
+        !found.c_time > limit_ns
+      end
     end
-  in
-  if t.heap_len = 0 then wheel_min
-  else if wheel_min <= t.heap.(0).c_time then wheel_min
-  else t.heap.(0).c_time
+  end

@@ -53,6 +53,9 @@ val pop_before : 'a t -> int -> 'a cell
     One slot scan instead of the peek-then-pop two — the bounded run
     loop's fast path. *)
 
-val next_time : 'a t -> int
-(** Earliest pending [c_time], or [max_int] when empty.  Never moves the
-    cursor, so it is safe around bounded runs that stop short. *)
+val clear_through : 'a t -> int -> bool
+(** [clear_through t limit_ns] is [true] iff no queued cell has
+    [c_time <= limit_ns].  It may advance the internal cursor across
+    empty slots, up to [limit_ns]'s tick, so callers must only move their
+    clock past the cells they have seen, as with {!pop_before}: the
+    engine moves it to [limit_ns] only on a [true]. *)

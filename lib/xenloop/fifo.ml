@@ -333,39 +333,6 @@ let can_accept_entry t ?pool ?(inline_max = max_int) len =
       else can_accept t len
   | _ -> can_accept t len
 
-type push_report = {
-  pr_pushed : int;
-  pr_desc : int;
-  pr_inline : int;
-  pr_fallbacks : int;
-  pr_loans : int;
-}
-
-let push_many t ?pool ?(inline_max = max_int) ?(proto_hint = 0) ?(loans = false)
-    payloads =
-  let pushed = ref 0 and descs = ref 0 and inlines = ref 0 and fallbacks = ref 0 in
-  let rec go = function
-    | [] -> ()
-    | payload :: rest ->
-        let r = push_entry t ~pool ~inline_max ~proto_hint payload in
-        if r <> push_failed then begin
-          incr pushed;
-          if r = pushed_desc then incr descs else incr inlines;
-          if r = pushed_inline_fallback then incr fallbacks;
-          go rest
-        end
-  in
-  go payloads;
-  {
-    pr_pushed = !pushed;
-    pr_desc = !descs;
-    pr_inline = !inlines;
-    pr_fallbacks = !fallbacks;
-    (* On a loan-negotiated channel every descriptor push is loan-eligible
-       at the receiver; inline and fallback entries are always copied. *)
-    pr_loans = (if loans then !descs else 0);
-  }
-
 type entry =
   | Inline of Bytes.t
   | Desc of { d_slot : int; d_off : int; d_len : int; d_proto : int; d_flags : int }

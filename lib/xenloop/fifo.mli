@@ -195,34 +195,6 @@ val can_accept_entry : t -> ?pool:Payload_pool.t -> ?inline_max:int -> int -> bo
     {!push_entry} with the same pool and threshold would succeed right now.  The one
     authoritative admission check for pooled queues. *)
 
-type push_report = {
-  pr_pushed : int;  (** entries that entered the FIFO *)
-  pr_desc : int;  (** of those, descriptor-backed *)
-  pr_inline : int;  (** of those, inline (copy path) *)
-  pr_fallbacks : int;  (** inline entries that were pool-exhaustion degradations *)
-  pr_loans : int;
-      (** of the descriptor-backed entries, how many are loan-eligible at
-          the receiver — [pr_desc] when the burst went to a loan-negotiated
-          channel, [0] otherwise (loaned vs copied deliveries stay
-          distinguishable in per-queue counters) *)
-}
-
-val push_many :
-  t ->
-  ?pool:Payload_pool.t ->
-  ?inline_max:int ->
-  ?proto_hint:int ->
-  ?loans:bool ->
-  Bytes.t list ->
-  push_report
-(** Push a burst of payloads in order, stopping at the first that does not
-    fit; reports how many entered and how they were backed (so per-queue
-    stats distinguish descriptor from copy traffic).  [loans] (default
-    [false]) declares the burst bound for a loan-negotiated channel and
-    only affects [pr_loans] accounting.  One batched producer publish — the
-    caller charges the amortized CPU cost and issues the single trailing
-    notification. *)
-
 type entry =
   | Inline of Bytes.t
   | Desc of { d_slot : int; d_off : int; d_len : int; d_proto : int; d_flags : int }

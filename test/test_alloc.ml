@@ -160,6 +160,45 @@ let test_engine_wake_resume_zero_alloc () =
   Alcotest.(check int) "every step resumed" 50_000 (!resumes - before);
   check_words "engine wake, resume and re-park" ~bound:12.0 per
 
+let test_engine_inline_sleep_zero_alloc () =
+  (* A lone process's sleep is always the next event, so under [run] it
+     continues inline: no effect, no continuation, no cell.  EXACTLY
+     zero, and still one event per sleep. *)
+  let e = Sim.Engine.create () in
+  let span = Sim.Time.us 1 in
+  let sleep () = Sim.Engine.sleep span in
+  let per = ref nan in
+  Sim.Engine.spawn e (fun () ->
+      for _ = 1 to 100 do
+        sleep ()
+      done;
+      per := minor_per_iter ~iters:50_000 sleep);
+  Sim.Engine.run e;
+  Alcotest.(check int) "one event per sleep, plus the spawn" 50_101
+    (Sim.Engine.events_executed e);
+  check_words "engine inline sleep" ~bound:0.0 !per
+
+let test_tcp_whole_chunk_recv_zero_alloc () =
+  (* Chunks queued one segment each, then read whole: each read hands the
+     queued buffer over, so the read path itself allocates nothing. *)
+  let module Tcp = Netstack.Tcp in
+  Test_netstack.run_sim (fun engine ->
+      Test_netstack.with_tcp_pair engine (fun ~client ~server ~a:_ ~b:_ ->
+          Tcp.set_nodelay client true;
+          let chunks = 64 and len = 1_000 in
+          let write = Bytes.make len 'r' in
+          for _ = 1 to chunks do
+            Tcp.send client write;
+            Sim.Engine.sleep (Sim.Time.ms 1)
+          done;
+          let read () =
+            if Bytes.length (Tcp.recv server ~max:len) <> len then
+              Alcotest.fail "expected a whole chunk"
+          in
+          read ();
+          check_words "tcp whole-chunk recv" ~bound:0.0
+            (minor_per_iter ~iters:(chunks - 1) read)))
+
 (* The receive path copies a frame's payload once, into the packet: the
    bytes a parse allocates are that copy plus the parsed headers' small
    records.  Averaged over many parses of a 64 KiB TCP jumbo, anything
@@ -292,6 +331,10 @@ let suites =
           test_engine_poll_tick_zero_alloc;
         Alcotest.test_case "engine wake/resume within effect slack" `Quick
           test_engine_wake_resume_zero_alloc;
+        Alcotest.test_case "engine inline sleep allocates nothing" `Quick
+          test_engine_inline_sleep_zero_alloc;
+        Alcotest.test_case "tcp whole-chunk recv allocates nothing" `Quick
+          test_tcp_whole_chunk_recv_zero_alloc;
         Alcotest.test_case "parse of a TCP jumbo copies the payload once" `Quick
           test_parse_jumbo_single_copy;
         Alcotest.test_case "pool jumbo receive copies the payload once" `Quick

@@ -13,7 +13,8 @@ type host = { stack : Stack.t; udp : Udp.t; tcp : Tcp.t; dev : Netdevice.t }
 (* Two hosts joined by a constant-latency cable.  The cable transfers the
    serialized bytes, so everything below the socket API is exercised
    end-to-end through the codec. *)
-let make_pair ?(cable_latency = Sim.Time.us 2) ?(mtu = 1500) engine =
+let make_pair ?(cable_latency = Sim.Time.us 2) ?(mtu = 1500) ?(on_deliver = ignore)
+    engine =
   let params = Hypervisor.Params.default in
   let make i =
     let mac = Mac.of_domid ~machine:9 ~domid:i in
@@ -32,7 +33,9 @@ let make_pair ?(cable_latency = Sim.Time.us 2) ?(mtu = 1500) engine =
         let raw = Netcore.Codec.serialize packet in
         Sim.Engine.after engine cable_latency (fun () ->
             match Netcore.Codec.parse raw with
-            | Ok p -> Netdevice.receive dst.dev p
+            | Ok p ->
+                on_deliver p;
+                Netdevice.receive dst.dev p
             | Error e -> Alcotest.failf "cable corruption: %a" Netcore.Codec.pp_error e))
   in
   connect_cable a b;
@@ -176,8 +179,8 @@ let test_udp_unknown_port_dropped () =
 (* ------------------------------------------------------------------ *)
 (* TCP *)
 
-let with_tcp_pair engine f =
-  let a, b = make_pair engine in
+let with_tcp_pair ?on_deliver engine f =
+  let a, b = make_pair ?on_deliver engine in
   let listener =
     match Tcp.listen b.tcp ~port:80 with
     | Ok l -> l
@@ -279,6 +282,80 @@ let test_tcp_flow_control_blocks_sender () =
           drain 0;
           Sim.Engine.sleep (Sim.Time.sec 1);
           Alcotest.(check int) "all sent after drain" (chunks * 16_384) !sent))
+
+(* Every data payload the cable delivered, as parsed: the buffers a
+   whole-chunk [Tcp.recv] may hand over. *)
+let delivered_payloads () =
+  let seen = ref [] in
+  let on_deliver p =
+    match Netcore.Packet.payload p with
+    | Some b when Bytes.length b > 0 -> seen := b :: !seen
+    | _ -> ()
+  in
+  (seen, on_deliver)
+
+let test_tcp_recv_hands_over_whole_chunk () =
+  run_sim (fun engine ->
+      let seen, on_deliver = delivered_payloads () in
+      with_tcp_pair ~on_deliver engine (fun ~client ~server ~a:_ ~b:_ ->
+          Tcp.set_nodelay client true;
+          let chunk i = Bytes.make 1_000 (Char.chr (0x41 + i)) in
+          let delivered got = List.exists (fun b -> b == got) !seen in
+          (* One queued chunk, read whole: the queued buffer itself. *)
+          Tcp.send client (chunk 0);
+          Sim.Engine.sleep (Sim.Time.ms 1);
+          let got = Tcp.recv server ~max:65_536 in
+          Alcotest.(check bytes) "whole chunk" (chunk 0) got;
+          Alcotest.(check bool) "the queued buffer itself" true (delivered got);
+          (* Partial reads copy, the rest of the chunk too. *)
+          Tcp.send client (chunk 1);
+          Sim.Engine.sleep (Sim.Time.ms 1);
+          let head = Tcp.recv server ~max:400 in
+          let tail = Tcp.recv server ~max:65_536 in
+          Alcotest.(check bytes) "partial read" (Bytes.sub (chunk 1) 0 400) head;
+          Alcotest.(check bytes) "rest of the chunk" (Bytes.sub (chunk 1) 400 600) tail;
+          Alcotest.(check bool) "partial reads copy" false (delivered head || delivered tail);
+          (* Two chunks read at once are gathered into a copy. *)
+          Tcp.send client (chunk 2);
+          Sim.Engine.sleep (Sim.Time.ms 1);
+          Tcp.send client (chunk 3);
+          Sim.Engine.sleep (Sim.Time.ms 1);
+          let both = Tcp.recv server ~max:65_536 in
+          Alcotest.(check bytes) "two chunks" (Bytes.cat (chunk 2) (chunk 3)) both;
+          Alcotest.(check bool) "multi-chunk read copies" false (delivered both)))
+
+let test_tcp_whole_chunk_recv_reopens_window () =
+  run_sim (fun engine ->
+      let seen, on_deliver = delivered_payloads () in
+      with_tcp_pair ~on_deliver engine (fun ~client ~server ~a:_ ~b:_ ->
+          Tcp.set_nodelay client true;
+          let mss = Tcp.mss server in
+          let writes = 200 in
+          let sent = ref 0 in
+          Sim.Engine.spawn engine (fun () ->
+              let write = Bytes.make mss 'w' in
+              for _ = 1 to writes do
+                Tcp.send client write;
+                incr sent
+              done);
+          Sim.Engine.sleep (Sim.Time.sec 1);
+          let stalled = !sent in
+          Alcotest.(check bool) "sender stalled on the closed window" true
+            (stalled < writes);
+          (* One whole-chunk read reopens the window; its window-update
+             ACK alone must restart the sender. *)
+          let got = Tcp.recv server ~max:mss in
+          Alcotest.(check bool) "handed over" true (List.exists (fun b -> b == got) !seen);
+          Sim.Engine.sleep (Sim.Time.sec 1);
+          Alcotest.(check bool) "sender resumed" true (!sent > stalled);
+          let rec drain n =
+            if n < writes * mss then drain (n + Bytes.length (Tcp.recv server ~max:mss))
+            else n
+          in
+          Alcotest.(check int) "every byte read" (writes * mss)
+            (drain (Bytes.length got));
+          Sim.Engine.sleep (Sim.Time.ms 10);
+          Alcotest.(check int) "all sent" writes !sent))
 
 let test_tcp_mss_respects_path_mtu () =
   run_sim (fun engine ->
@@ -633,6 +710,10 @@ let suites =
         Alcotest.test_case "close delivers EOF" `Quick test_tcp_close_eof;
         Alcotest.test_case "flow control blocks sender" `Quick
           test_tcp_flow_control_blocks_sender;
+        Alcotest.test_case "whole-chunk recv hands the buffer over" `Quick
+          test_tcp_recv_hands_over_whole_chunk;
+        Alcotest.test_case "whole-chunk recv reopens the window" `Quick
+          test_tcp_whole_chunk_recv_reopens_window;
         Alcotest.test_case "mss from path mtu" `Quick test_tcp_mss_respects_path_mtu;
         Alcotest.test_case "sequence wraparound" `Quick test_tcp_seq_wraparound;
         Alcotest.test_case "double listen rejected" `Quick test_tcp_double_listen_rejected;

@@ -723,6 +723,227 @@ let test_engine_park_raise_surfaces () =
   Alcotest.(check int) "no tick left behind" 0 (Sim.Engine.pending_events e)
 
 (* ------------------------------------------------------------------ *)
+(* Engine.run = Engine.step: a sleep whose wake-up is the next event
+   continues inline under [run], never under [step], and nothing a
+   program can observe may tell the two apart. *)
+
+(* One unit of simulated time: a few units per 1.024 us wheel tick, so
+   programs collide within ticks and cross them. *)
+let unit_ns = 300
+
+type prog_op =
+  | Sleep of int  (* units; 0 and negative included *)
+  | Send of int  (* mailbox *)
+  | Recv of int
+  | Signal of int  (* condition *)
+  | Await of int
+  | Use of int * int  (* resource, units *)
+  | Produce of int  (* work for process [i]'s waiter, and a wake *)
+  | Park of int * int  (* tick span (units, >= 1), max ticks *)
+  | Timer of int * int * int  (* period (units, >= 1), fires, sleep per fire *)
+
+type prog = { procs : (int * prog_op list) list; slices : int list }
+
+(* Runs [prog] by [drive]; the (instant, process, label) log, the final
+   clock and the events executed. *)
+let run_prog prog drive =
+  let e = Sim.Engine.create () in
+  let now () = Int64.to_int (Sim.Time.instant_to_ns (Sim.Engine.now e)) in
+  let log = ref [] in
+  let note pid label = log := (now (), pid, label) :: !log in
+  let units n = Sim.Time.ns (n * unit_ns) in
+  let boxes = Array.init 2 (fun _ -> Sim.Mailbox.create ()) in
+  let conds = Array.init 2 (fun _ -> Sim.Condition.create ()) in
+  let cpus = Array.init 2 (fun i -> Sim.Resource.create ~name:(string_of_int i)) in
+  let nprocs = List.length prog.procs in
+  let work = Array.make nprocs 0 in
+  let waiters = Array.init nprocs (fun _ -> Sim.Engine.waiter e) in
+  List.iteri
+    (fun pid (start, ops) ->
+      let step i op =
+        let label = 10 * i in
+        match op with
+        | Sleep n ->
+            Sim.Engine.sleep (units n);
+            note pid label
+        | Send b -> Sim.Mailbox.send boxes.(b) (pid, i)
+        | Recv b ->
+            let from, j = Sim.Mailbox.recv boxes.(b) in
+            note pid (label + 1 + (100 * ((100 * from) + j)))
+        | Signal c -> Sim.Condition.signal conds.(c)
+        | Await c ->
+            Sim.Condition.await conds.(c);
+            note pid label
+        | Use (r, n) ->
+            Sim.Resource.use cpus.(r) (units n);
+            note pid label
+        | Produce j ->
+            let j = j mod nprocs in
+            work.(j) <- work.(j) + 1;
+            Sim.Engine.wake waiters.(j)
+        | Park (span, max_ticks) ->
+            Sim.Engine.park waiters.(pid) (units span) ~max_ticks (fun () ->
+                work.(pid) > 0);
+            note pid (label + 2 + (100 * work.(pid)));
+            work.(pid) <- 0
+        | Timer (period, fires, nap) ->
+            let fired = ref 0 and handle = ref None in
+            handle :=
+              Some
+                (Sim.Engine.every e (units period) (fun () ->
+                     incr fired;
+                     note pid (label + 3 + (100 * !fired));
+                     Sim.Engine.sleep (units nap);
+                     note pid (label + 4 + (100 * !fired));
+                     if !fired >= fires then Option.iter Sim.Engine.cancel !handle))
+      in
+      Sim.Engine.after e (units start) (fun () -> List.iteri step ops))
+    prog.procs;
+  let last_limit = ref 0 in
+  (match drive with
+  | `Step -> while Sim.Engine.step e do () done
+  | `Run_slices ->
+      List.iter
+        (fun n ->
+          last_limit := now () + (n * unit_ns);
+          Sim.Engine.run ~until:(Sim.Time.instant_of_ns (Int64.of_int !last_limit)) e)
+        prog.slices;
+      Sim.Engine.run e);
+  (List.rev !log, now (), !last_limit, Sim.Engine.events_executed e)
+
+let prog_arb =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (6, map (fun n -> Sleep n) (-2 -- 6));
+        (1, map (fun n -> Sleep n) (20 -- 60));
+        (* Past the wheel's ~8.4 ms window: the overflow heap. *)
+        (1, return (Sleep 30_000));
+        (2, map (fun b -> Send b) (0 -- 1));
+        (2, map (fun b -> Recv b) (0 -- 1));
+        (2, map (fun c -> Signal c) (0 -- 1));
+        (1, map (fun c -> Await c) (0 -- 1));
+        (3, map2 (fun r n -> Use (r, n)) (0 -- 1) (0 -- 4));
+        (2, map (fun j -> Produce j) (0 -- 4));
+        (2, map2 (fun sp k -> Park (sp, k)) (1 -- 3) (1 -- 5));
+        (1, map3 (fun p k n -> Timer (p, k, n)) (1 -- 5) (1 -- 4) (-1 -- 7));
+      ]
+  in
+  let gen =
+    map2
+      (fun procs slices -> { procs; slices })
+      (list_size (1 -- 5) (pair (0 -- 8) (list_size (0 -- 8) op)))
+      (list_size (0 -- 6) (0 -- 40))
+  in
+  let print_op = function
+    | Sleep n -> Printf.sprintf "sleep %d" n
+    | Send b -> Printf.sprintf "send %d" b
+    | Recv b -> Printf.sprintf "recv %d" b
+    | Signal c -> Printf.sprintf "signal %d" c
+    | Await c -> Printf.sprintf "await %d" c
+    | Use (r, n) -> Printf.sprintf "use %d %d" r n
+    | Produce j -> Printf.sprintf "produce %d" j
+    | Park (sp, k) -> Printf.sprintf "park %d %d" sp k
+    | Timer (p, k, n) -> Printf.sprintf "every %d x%d sleep %d" p k n
+  in
+  let print prog =
+    Printf.sprintf "procs=[%s] slices=[%s]"
+      (String.concat "; "
+         (List.map
+            (fun (start, ops) ->
+              Printf.sprintf "@%d: %s" start (String.concat ", " (List.map print_op ops)))
+            prog.procs))
+      (String.concat "," (List.map string_of_int prog.slices))
+  in
+  QCheck.make ~print gen
+
+let prop_run_matches_step =
+  QCheck.Test.make ~name:"Engine.run in slices = Engine.step loop" ~count:500 prog_arb
+    (fun prog ->
+      let log_r, clock_r, last_limit, events_r = run_prog prog `Run_slices in
+      let log_s, clock_s, _, events_s = run_prog prog `Step in
+      log_r = log_s && clock_r = max clock_s last_limit && events_r = events_s)
+
+(* Declined bounded pops leave the wheel's cursor ahead of the clock; a
+   cell scheduled behind it is clamped into the cursor's slot, and a
+   sleep past that cell must not continue inline. *)
+let test_engine_inline_sleep_sees_clamped_cell () =
+  let drive ~step =
+    let e = Sim.Engine.create () in
+    let log = ref [] in
+    let note name =
+      log := (name, Sim.Time.instant_to_ns (Sim.Engine.now e)) :: !log
+    in
+    Sim.Engine.after e (Sim.Time.us 100) (fun () -> note "far");
+    Sim.Engine.run ~until:(Sim.Time.instant_of_ns 10_000L) e;
+    Sim.Engine.after e (Sim.Time.us 5) (fun () -> note "clamped");
+    Sim.Engine.spawn e (fun () ->
+        Sim.Engine.sleep (Sim.Time.us 20);
+        note "sleeper");
+    if step then while Sim.Engine.step e do () done else Sim.Engine.run e;
+    (List.rev !log, Sim.Engine.events_executed e)
+  in
+  let expected = [ ("clamped", 15_000L); ("sleeper", 30_000L); ("far", 100_000L) ] in
+  Alcotest.(check (list (pair string int64))) "run order" expected
+    (fst (drive ~step:false));
+  Alcotest.(check int) "events as under step"
+    (snd (drive ~step:true))
+    (snd (drive ~step:false))
+
+(* A timer callback's first segment never continues inline: its rearm
+   takes its seq when the callback returns, so a callback that sleeps
+   past its next fire must see that fire first. *)
+let test_engine_timer_callback_sleep_keeps_rearm_order () =
+  let e = Sim.Engine.create () in
+  let log = ref [] in
+  let fires = ref 0 and handle = ref None in
+  let note name =
+    log := (name, Sim.Time.instant_to_ns (Sim.Engine.now e)) :: !log
+  in
+  handle :=
+    Some
+      (Sim.Engine.every e (Sim.Time.us 10) (fun () ->
+           incr fires;
+           let n = !fires in
+           note (Printf.sprintf "fire %d" n);
+           if n = 1 then begin
+             Sim.Engine.sleep (Sim.Time.us 15);
+             note "slept 1";
+             (* The continuation is an ordinary resume: this one may run
+                inline, and must land in the same place. *)
+             Sim.Engine.sleep (Sim.Time.us 1);
+             note "slept 1 again"
+           end;
+           if n = 3 then Option.iter Sim.Engine.cancel !handle));
+  Sim.Engine.run e;
+  Alcotest.(check (list (pair string int64)))
+    "rearm order"
+    [
+      ("fire 1", 10_000L);
+      ("fire 2", 20_000L);
+      ("slept 1", 25_000L);
+      ("slept 1 again", 26_000L);
+      ("fire 3", 30_000L);
+    ]
+    (List.rev !log)
+
+let test_engine_sleep_outside_process_unhandled () =
+  let e = Sim.Engine.create () in
+  let outside () =
+    match Sim.Engine.sleep (Sim.Time.us 1) with
+    | () -> Alcotest.fail "sleep outside a process returned"
+    | exception Effect.Unhandled _ -> ()
+  in
+  outside ();
+  Sim.Engine.spawn e (fun () -> Sim.Engine.sleep (Sim.Time.us 1));
+  Sim.Engine.run e;
+  (* A finished run leaves no engine behind for a stray sleep to use. *)
+  outside ();
+  Alcotest.(check int64) "clock stayed at the last event" 1_000L
+    (Sim.Time.instant_to_ns (Sim.Engine.now e))
+
+(* ------------------------------------------------------------------ *)
 (* Trace *)
 
 let t0 = Sim.Time.zero
@@ -963,8 +1184,19 @@ let suites =
           test_engine_park_rejects_nonpositive_span;
         Alcotest.test_case "poll: raising check surfaces" `Quick
           test_engine_park_raise_surfaces;
+        Alcotest.test_case "inline sleep sees a clamped cell" `Quick
+          test_engine_inline_sleep_sees_clamped_cell;
+        Alcotest.test_case "timer callback sleep keeps rearm order" `Quick
+          test_engine_timer_callback_sleep_keeps_rearm_order;
+        Alcotest.test_case "sleep outside a process is unhandled" `Quick
+          test_engine_sleep_outside_process_unhandled;
       ]
-      @ qsuite [ prop_park_matches_oracle; prop_park_overwake_is_invisible ] );
+      @ qsuite
+          [
+            prop_park_matches_oracle;
+            prop_park_overwake_is_invisible;
+            prop_run_matches_step;
+          ] );
     ( "sim.trace",
       [
         Alcotest.test_case "enable/disable" `Quick test_trace_enable_disable;

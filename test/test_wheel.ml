@@ -51,7 +51,8 @@ let test_far_future_promotion () =
   ignore (insert_at w ~time:(100 * window_ns) ~seq:0 0);
   ignore (insert_at w ~time:500 ~seq:1 1);
   Alcotest.(check int) "both counted" 2 (W.length w);
-  Alcotest.(check int) "peek sees the near one" 500 (W.next_time w);
+  Alcotest.(check bool) "nothing before the near one" true (W.clear_through w 499);
+  Alcotest.(check bool) "the near one is at 500" false (W.clear_through w 500);
   let order = List.map (fun (_, _, v) -> v) (drain w) in
   Alcotest.(check (list int)) "near then far" [ 1; 0 ] order;
   Alcotest.(check bool) "empty after drain" true (W.is_empty w)
@@ -94,7 +95,8 @@ let test_pop_before () =
   Alcotest.(check bool) "declines the 9us event" true (c == W.nil w);
   (* Declining must leave the queue intact for a later bounded run. *)
   Alcotest.(check int) "still pending" 1 (W.length w);
-  Alcotest.(check int) "peek unchanged" 9_000 (W.next_time w)
+  Alcotest.(check bool) "clear before 9us" true (W.clear_through w 8_999);
+  Alcotest.(check bool) "the 9us event still there" false (W.clear_through w 9_000)
 
 (* Property: a random workload pops in exactly the (time, seq) order of a
    reference model (stable sort by time — seq is the insertion index, so
@@ -159,6 +161,80 @@ let prop_wheel_interleaved =
       finish ();
       !ok)
 
+(* Property: [clear_through] answers as a sorted-list model does, over
+   random inserts, removes, bounded pops (declined ones included) and
+   queries, used the way the engine uses them: the clock moves to a
+   popped cell's time, to a declined pop's limit, or to a query's limit
+   when the query said yes; inserts land at or after the clock. *)
+type wheel_op =
+  | Insert of int  (* ns after the clock *)
+  | Remove of int  (* index into the queued cells *)
+  | Pop_before of int  (* limit, ns after the clock *)
+  | Query of int * bool  (* limit, ns after the clock; advance on yes *)
+
+let prop_clear_through_matches_model =
+  let open QCheck.Gen in
+  let offset =
+    frequency
+      [ (6, 0 -- 5_000); (3, 0 -- 200_000); (1, 0 -- (3 * window_ns)) ]
+  in
+  let op =
+    frequency
+      [
+        (4, map (fun d -> Insert d) offset);
+        (1, map (fun i -> Remove i) (0 -- 50));
+        (3, map (fun d -> Pop_before d) offset);
+        (4, map2 (fun d adv -> Query (d, adv)) offset bool);
+      ]
+  in
+  let print = function
+    | Insert d -> Printf.sprintf "insert +%d" d
+    | Remove i -> Printf.sprintf "remove #%d" i
+    | Pop_before d -> Printf.sprintf "pop_before +%d" d
+    | Query (d, adv) -> Printf.sprintf "query +%d%s" d (if adv then " (advance)" else "")
+  in
+  QCheck.Test.make ~count:300 ~name:"wheel clear_through matches a sorted model"
+    (QCheck.make ~print:QCheck.Print.(list print) (list_size (1 -- 200) op))
+    (fun ops ->
+      let w = W.create ~dummy:(-1) in
+      let clock = ref 0 and seq = ref 0 in
+      (* Queued cells, sorted by (time, seq). *)
+      let model = ref [] in
+      let key c = (c.W.c_time, c.W.c_seq) in
+      List.for_all
+        (fun op ->
+          match op with
+          | Insert d ->
+              let c = insert_at w ~time:(!clock + d) ~seq:!seq !seq in
+              incr seq;
+              model := List.sort (fun a b -> compare (key a) (key b)) (c :: !model);
+              true
+          | Remove i -> (
+              match List.nth_opt !model i with
+              | None -> true
+              | Some c ->
+                  model := List.filter (fun x -> x != c) !model;
+                  W.remove w c)
+          | Pop_before d -> (
+              let limit = !clock + d in
+              let c = W.pop_before w limit in
+              match !model with
+              | m :: rest when m.W.c_time <= limit ->
+                  model := rest;
+                  clock := m.W.c_time;
+                  c == m
+              | _ ->
+                  clock := limit;
+                  c == W.nil w)
+          | Query (d, advance) ->
+              let limit = !clock + d in
+              let expect = List.for_all (fun c -> c.W.c_time > limit) !model in
+              let got = W.clear_through w limit in
+              if got && advance then clock := limit;
+              got = expect)
+        ops
+      && List.map (fun (t, s, _) -> (t, s)) (drain w) = List.map key !model)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suites =
@@ -172,5 +248,10 @@ let suites =
         Alcotest.test_case "remove" `Quick test_remove;
         Alcotest.test_case "pop_before" `Quick test_pop_before;
       ]
-      @ qsuite [ prop_wheel_matches_model; prop_wheel_interleaved ] );
+      @ qsuite
+          [
+            prop_wheel_matches_model;
+            prop_wheel_interleaved;
+            prop_clear_through_matches_model;
+          ] );
   ]

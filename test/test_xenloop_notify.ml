@@ -56,16 +56,29 @@ let test_can_accept_bounds () =
     (Fifo.can_accept f (Fifo.max_packet f + 1))
 
 (* ------------------------------------------------------------------ *)
-(* Batched pushes *)
+(* Bursts of pushes *)
 
-let test_push_many_roundtrip_across_pages () =
+(* Push a burst in order, stopping at the first payload that does not
+   fit, as a backlog drain does; the number that entered. *)
+let push_burst f batch =
+  let rec go n = function
+    | [] -> n
+    | payload :: rest ->
+        if Fifo.push_entry f ~pool:None ~inline_max:max_int ~proto_hint:0 payload
+           = Fifo.push_failed
+        then n
+        else go (n + 1) rest
+  in
+  go 0 batch
+
+let test_push_burst_roundtrip_across_pages () =
   (* k = 10: 1024 slots over two 4 KiB data pages.  20 x 300-byte payloads
      occupy 780 slots = 6240 bytes, so the burst crosses the page
      boundary; every byte must come back out in order. *)
   let _, _, f = make_fifo ~k:10 () in
   let payload i = Bytes.init 300 (fun j -> Char.chr ((i + (j * 7)) land 0xff)) in
   let batch = List.init 20 payload in
-  Alcotest.(check int) "all 20 pushed" 20 (Fifo.push_many f batch).Fifo.pr_pushed;
+  Alcotest.(check int) "all 20 pushed" 20 (push_burst f batch);
   List.iteri
     (fun i expected ->
       match Fifo.pop f with
@@ -75,11 +88,11 @@ let test_push_many_roundtrip_across_pages () =
     batch;
   Alcotest.(check bool) "drained" true (Fifo.is_empty f)
 
-let test_push_many_stops_at_full () =
+let test_push_burst_stops_at_full () =
   let _, _, f = make_fifo ~k:6 () in
   (* Each 100-byte payload needs 14 slots; 64 slots admit 4 of them. *)
   let batch = List.init 10 (fun i -> Bytes.make 100 (Char.chr (0x30 + i))) in
-  Alcotest.(check int) "prefix pushed" 4 (Fifo.push_many f batch).Fifo.pr_pushed;
+  Alcotest.(check int) "prefix pushed" 4 (push_burst f batch);
   (* The prefix that made it is intact and in order. *)
   for i = 0 to 3 do
     match Fifo.pop f with
@@ -321,9 +334,9 @@ let suites =
       [
         Alcotest.test_case "can_accept exact fit" `Quick test_can_accept_exact_fit;
         Alcotest.test_case "can_accept bounds" `Quick test_can_accept_bounds;
-        Alcotest.test_case "push_many across page boundary" `Quick
-          test_push_many_roundtrip_across_pages;
-        Alcotest.test_case "push_many stops at full" `Quick test_push_many_stops_at_full;
+        Alcotest.test_case "push burst across page boundary" `Quick
+          test_push_burst_roundtrip_across_pages;
+        Alcotest.test_case "pushes stop at a full FIFO" `Quick test_push_burst_stops_at_full;
         Alcotest.test_case "flags shared between views" `Quick
           test_notify_flags_shared_between_views;
         Alcotest.test_case "burst suppresses doorbells" `Quick

@@ -194,7 +194,7 @@ let test_fifo_refusal_never_burns_slots () =
   Alcotest.(check bool) "admission check agrees" false
     (Fifo.can_accept_entry f ~pool ~inline_max:256 1000)
 
-let test_push_many_reports_paths () =
+let test_push_burst_reports_paths () =
   let _, _, pool = make_pool ~slots:2 ~slot_pages:1 () in
   let f = make_fifo ~k:10 () in
   let batch =
@@ -206,11 +206,17 @@ let test_push_many_reports_paths () =
       Bytes.make 50 'e';  (* inline *)
     ]
   in
-  let r = Fifo.push_many f ~pool ~inline_max:256 batch in
-  Alcotest.(check int) "all pushed" 5 r.Fifo.pr_pushed;
-  Alcotest.(check int) "descriptor-backed" 2 r.Fifo.pr_desc;
-  Alcotest.(check int) "inline" 3 r.Fifo.pr_inline;
-  Alcotest.(check int) "fallbacks" 1 r.Fifo.pr_fallbacks
+  let outcomes =
+    List.map
+      (fun payload ->
+        Fifo.push_entry f ~pool:(Some pool) ~inline_max:256 ~proto_hint:0 payload)
+      batch
+  in
+  let count o = List.length (List.filter (( = ) o) outcomes) in
+  Alcotest.(check int) "none refused" 0 (count Fifo.push_failed);
+  Alcotest.(check int) "descriptor-backed" 2 (count Fifo.pushed_desc);
+  Alcotest.(check int) "inline" 2 (count Fifo.pushed_inline);
+  Alcotest.(check int) "fallbacks" 1 (count Fifo.pushed_inline_fallback)
 
 (* ------------------------------------------------------------------ *)
 (* End to end *)
@@ -641,8 +647,8 @@ let suites =
           test_fifo_push_selects_path;
         Alcotest.test_case "refused push never burns a slot" `Quick
           test_fifo_refusal_never_burns_slots;
-        Alcotest.test_case "push_many reports both paths" `Quick
-          test_push_many_reports_paths;
+        Alcotest.test_case "push burst reports both paths" `Quick
+          test_push_burst_reports_paths;
         Alcotest.test_case "negotiation enables pools" `Quick
           test_negotiation_enables_pools;
         Alcotest.test_case "fallback without peer support" `Quick
