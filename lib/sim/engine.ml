@@ -419,19 +419,12 @@ let run ?until t =
   t.run_limit <- limit_ns;
   let nil = W.nil t.queue in
   match
-    if Option.is_none until then begin
-      let c = ref (W.pop t.queue) in
-      while !c != nil do
-        exec t !c;
-        c := W.pop t.queue
-      done
-    end
-    else begin
-      let c = ref (W.pop_before t.queue limit_ns) in
-      while !c != nil do
-        exec t !c;
-        c := W.pop_before t.queue limit_ns
-      done;
+    let c = ref (W.pop_before t.queue limit_ns) in
+    while !c != nil do
+      exec t !c;
+      c := W.pop_before t.queue limit_ns
+    done;
+    if Option.is_some until then begin
       t.clock_ns <- limit_ns;
       t.cur_seq <- max_int
     end
