@@ -257,6 +257,7 @@ let sleep span =
       end
       else Effect.perform (Sleep span)
   | _ -> Effect.perform (Sleep span)
+
 let suspend ~register = Effect.perform (Suspend register)
 
 let waiter t =

@@ -17,7 +17,8 @@
    If either number creeps above the bound, engine bookkeeping has started
    allocating again — the regression these tests exist to catch.  An idle
    tick of a parked poller enters no fiber and captures no continuation,
-   so it too must be EXACTLY zero. *)
+   and a sleep whose wake-up is the next event continues inline under
+   [run] without performing its effect, so both must be EXACTLY zero. *)
 
 let minor_per_iter ~iters f =
   let before = Gc.minor_words () in
