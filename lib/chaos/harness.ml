@@ -916,6 +916,22 @@ let run ?sabotage config =
             note_violation
               (Printf.sprintf "%d jumbo drop(s) accounted for %d truncation(s)"
                  drops truncations));
+      (* QoS worlds fold each flow's accounting into the log, so the
+         digest pins per-flow scheduling and not only the milestones. *)
+      if config.qos then
+        List.iter
+          (fun (name, m) ->
+            List.iter
+              (fun fs ->
+                rec_
+                  (Printf.sprintf
+                     "%s flow %s: bytes=%d frames=%d descs=%d overflows=%d \
+                      raises=%d clears=%d"
+                     name fs.Gm.fs_label fs.Gm.fs_bytes fs.Gm.fs_frames
+                     fs.Gm.fs_descs fs.Gm.fs_overflows fs.Gm.fs_congestion_raises
+                     fs.Gm.fs_congestion_clears))
+              (Gm.flow_stats m))
+          !(w.w_modules);
       (* Tenant-flood fairness: per-flow sub-queues mean only the flooder
          may be forced to spill to netfront; a victim flow overflowing
          means the flood evicted someone else's frames. *)

@@ -354,24 +354,26 @@ let test_qos_soak_subset_clean () =
   Alcotest.(check bool) "summary ok" true (Soak.ok s)
 
 (* Golden digests for the QoS worlds: every xenloop-duo QoS soak case at
-   the matrix seeds.  Only flood-full logs seed-dependent events, so the
-   other cases repeat one digest across seeds; it still pins the
-   simulated time of each logged milestone.  Same re-pin rule as the
-   matrices above. *)
+   the matrix seeds.  A QoS world's log ends with one line per flow
+   (bytes, frames, descriptors, overflows, congestion raises and
+   clears), so these pin per-flow scheduling as well as the simulated
+   time of each milestone.  Only flood-full logs seed-dependent events,
+   so the other cases repeat one digest across seeds.  Same re-pin rule
+   as the matrices above. *)
 let golden_qos_digests =
   [
-    ("xenloop-duo/qos-baseline", 42, "2d608401d5259577d60eb22c0b6376b3");
-    ("xenloop-duo/qos-baseline", 43, "2d608401d5259577d60eb22c0b6376b3");
-    ("xenloop-duo/qos-baseline", 99, "2d608401d5259577d60eb22c0b6376b3");
-    ("xenloop-duo/qos-flood", 42, "7df8bbf1859f67838bdfeca691dbdbad");
-    ("xenloop-duo/qos-flood", 43, "7df8bbf1859f67838bdfeca691dbdbad");
-    ("xenloop-duo/qos-flood", 99, "7df8bbf1859f67838bdfeca691dbdbad");
-    ("xenloop-duo/qos-flood-full", 42, "fcc2228b2a14b2d727a617e90693772a");
-    ("xenloop-duo/qos-flood-full", 43, "361af08a972641fe286521fb54b8dd72");
-    ("xenloop-duo/qos-flood-full", 99, "aec4ac8bf0e4f784289bcd2e3d1e1a57");
-    ("xenloop-duo/qos-flood-teardown", 42, "d2341645e7db75f2d63ab9b0e71037a7");
-    ("xenloop-duo/qos-flood-teardown", 43, "d2341645e7db75f2d63ab9b0e71037a7");
-    ("xenloop-duo/qos-flood-teardown", 99, "d2341645e7db75f2d63ab9b0e71037a7");
+    ("xenloop-duo/qos-baseline", 42, "8b95953fe7b1cf74bfb324e68f9cd70a");
+    ("xenloop-duo/qos-baseline", 43, "8b95953fe7b1cf74bfb324e68f9cd70a");
+    ("xenloop-duo/qos-baseline", 99, "8b95953fe7b1cf74bfb324e68f9cd70a");
+    ("xenloop-duo/qos-flood", 42, "630121b3abeb1fa9545c886511ddd743");
+    ("xenloop-duo/qos-flood", 43, "630121b3abeb1fa9545c886511ddd743");
+    ("xenloop-duo/qos-flood", 99, "630121b3abeb1fa9545c886511ddd743");
+    ("xenloop-duo/qos-flood-full", 42, "377f971f719eafcd3fa8f1058b7e6b75");
+    ("xenloop-duo/qos-flood-full", 43, "72ad116f4dc9536637c45e9605b3507a");
+    ("xenloop-duo/qos-flood-full", 99, "a81db7f5061741a362812c4509108130");
+    ("xenloop-duo/qos-flood-teardown", 42, "6ae36a64b0c09b77d1a3023910ffd684");
+    ("xenloop-duo/qos-flood-teardown", 43, "6ae36a64b0c09b77d1a3023910ffd684");
+    ("xenloop-duo/qos-flood-teardown", 99, "6ae36a64b0c09b77d1a3023910ffd684");
   ]
 
 let test_golden_qos_digests () =
