@@ -22,7 +22,6 @@ type t = {
   xenloop_notify_suppression : bool;
   xenloop_batch_tx : bool;
   xenloop_poll_window : Sim.Time.span;
-  xenloop_poll_interval : Sim.Time.span;
   xenloop_queues : int;
   xenloop_waiting_list_max : int;
   xenloop_zerocopy : bool;
@@ -32,7 +31,6 @@ type t = {
   xenloop_loans : bool;
   xenloop_max_loans : int;
   xenloop_gso : bool;
-  xenloop_gso_max : int;
   discovery_period : Sim.Time.span;
   xenloop_softstate_ttl : Sim.Time.span;
   xenloop_bootstrap_cooldown : Sim.Time.span;
@@ -41,15 +39,8 @@ type t = {
   xenloop_channel_cap : int;
   xenloop_channel_idle_ttl : Sim.Time.span;
   xenloop_evict_cooldown : Sim.Time.span;
-  xenloop_bootstrap_max_inflight : int;
   qos_enabled : bool;
   qos_quantum : int;
-  qos_max_flows : int;
-  qos_high_watermark : float;
-  qos_low_watermark : float;
-  qos_default_weight : int;
-  qos_tenant_weights : (int * int) list;
-  qos_udp_sendspace : int;
   netfront_tx : Sim.Time.span;
   netfront_rx : Sim.Time.span;
   netback_per_packet : Sim.Time.span;
@@ -92,7 +83,6 @@ let default =
     xenloop_notify_suppression = true;
     xenloop_batch_tx = true;
     xenloop_poll_window = Sim.Time.of_us_f 100.0;
-    xenloop_poll_interval = Sim.Time.of_us_f 2.0;
     xenloop_queues = 4;
     xenloop_waiting_list_max = 1024;
     xenloop_zerocopy = true;
@@ -103,12 +93,11 @@ let default =
     xenloop_max_loans = 32;
     (* Segmentation offload on the trusted channel (DESIGN.md §15).  A
        gso-capable pair moves one jumbo descriptor (multi-slot scatter
-       list, checksum elided) per TCP send of up to [xenloop_gso_max]
-       payload bytes instead of per-MSS frames; off (or a peer without
+       list, checksum elided) per TCP send of up to 64 KiB of payload
+       instead of per-MSS frames; off (or a peer without
        "gs") keeps the per-MSS path bit-for-bit.  Requires
        [xenloop_zerocopy]. *)
     xenloop_gso = true;
-    xenloop_gso_max = 65536;
     discovery_period = Sim.Time.sec 5;
     xenloop_softstate_ttl = Sim.Time.sec 15;
     xenloop_bootstrap_cooldown = Sim.Time.sec 1;
@@ -129,24 +118,11 @@ let default =
        this long is evicted by the soft-state expiry timer. *)
     xenloop_channel_idle_ttl = Sim.Time.span_zero;
     xenloop_evict_cooldown = Sim.Time.ms 100;
-    (* Join-storm damping: a guest runs at most this many concurrent
-       channel bootstraps; excess co-resident flows stay on netfront and
-       retry on their next packet. *)
-    xenloop_bootstrap_max_inflight = 32;
     (* Multi-tenant QoS (DESIGN.md §14).  Off by default: with
        [qos_enabled = false] every frame is one flow, so each queue's
        backlog is the paper's FIFO-order waiting list. *)
     qos_enabled = false;
     qos_quantum = 1500;
-    qos_max_flows = 4096;
-    qos_high_watermark = 0.75;
-    qos_low_watermark = 0.25;
-    qos_default_weight = 1;
-    qos_tenant_weights = [];
-    (* UDP sendspace budget (bytes) a congested socket may have
-       outstanding before sendto blocks / sendto_nb reports
-       EWOULDBLOCK. *)
-    qos_udp_sendspace = 65536;
     netfront_tx = Sim.Time.of_us_f 1.0;
     netfront_rx = Sim.Time.of_us_f 1.0;
     netback_per_packet = Sim.Time.of_us_f 2.3;

@@ -1,6 +1,5 @@
 (* Per-flow accounting keyed by the caller's flow key (XenLoop uses
-   the steering tuple).  Flows are created on first lookup, classified
-   into a tenant class, and given the tenant's weight; each flow also
+   the steering tuple).  Flows are created on first lookup; each flow
    carries its own congestion watermark so backpressure is per-flow,
    not per-channel.
 
@@ -12,8 +11,6 @@ type 'k flow = {
   f_key : 'k;
   f_label : string;
   f_seq : int;
-  mutable f_tenant : int;
-  mutable f_weight : int;
   mutable f_bytes : int;
   mutable f_frames : int;
   mutable f_descs : int;
@@ -23,72 +20,40 @@ type 'k flow = {
 
 type 'k t = {
   flows : ('k, 'k flow) Hashtbl.t;
-  max_flows : int;
-  high : float;
-  low : float;
   label_of : 'k -> string;
-  mutable classify : 'k -> int;
-  mutable weight_of : int -> int;
   mutable next_seq : int;
-  mutable resets : int;
 }
 
-let create ~max_flows ~high ~low ~label_of ~classify ~weight_of () =
-  if max_flows <= 0 then invalid_arg "Flow_table.create: max_flows";
-  {
-    flows = Hashtbl.create 64;
-    max_flows;
-    high;
-    low;
-    label_of;
-    classify;
-    weight_of;
-    next_seq = 0;
-    resets = 0;
-  }
+(* Table bound, and the watermark fractions of a flow's sub-queue bound
+   at which its congestion signal is raised and cleared; the gap gives a
+   hovering producer one edge per genuine crossing. *)
+let max_flows = 4096
+let high_watermark = 0.75
+let low_watermark = 0.25
+
+let create ~label_of () = { flows = Hashtbl.create 64; label_of; next_seq = 0 }
 
 let lookup t key =
   match Hashtbl.find_opt t.flows key with
   | Some f -> f
   | None ->
-      if Hashtbl.length t.flows >= t.max_flows then begin
-        Hashtbl.reset t.flows;
-        t.resets <- t.resets + 1
-      end;
-      let tenant = t.classify key in
+      if Hashtbl.length t.flows >= max_flows then Hashtbl.reset t.flows;
       let f =
         {
           f_key = key;
           f_label = t.label_of key;
           f_seq = t.next_seq;
-          f_tenant = tenant;
-          f_weight = max 1 (t.weight_of tenant);
           f_bytes = 0;
           f_frames = 0;
           f_descs = 0;
           f_overflows = 0;
-          f_mark = Watermark.create ~high:t.high ~low:t.low;
+          f_mark = Watermark.create ~high:high_watermark ~low:low_watermark;
         }
       in
       t.next_seq <- t.next_seq + 1;
       Hashtbl.replace t.flows key f;
       f
 
-let find_opt t key = Hashtbl.find_opt t.flows key
-
-let set_classify t classify weight_of =
-  t.classify <- classify;
-  t.weight_of <- weight_of;
-  Hashtbl.iter
-    (fun _ f ->
-      f.f_tenant <- classify f.f_key;
-      f.f_weight <- max 1 (weight_of f.f_tenant))
-    t.flows
-
 let flows t =
   let all = Hashtbl.fold (fun _ f acc -> f :: acc) t.flows [] in
   List.sort (fun a b -> compare a.f_seq b.f_seq) all
-
-let length t = Hashtbl.length t.flows
-let resets t = t.resets
-let clear t = Hashtbl.reset t.flows

@@ -1,55 +1,30 @@
-(** Bounded per-flow accounting table with tenant classification.
+(** Bounded per-flow accounting table.
 
     Each flow records bytes/frames/descriptors sent and overflow
     reroutes, plus its own {!Watermark} so congestion is signalled per
-    flow.  Tenant id and weight come from caller-supplied [classify]
-    and [weight_of] functions, re-resolvable at runtime via
-    {!set_classify}. *)
+    flow.  Every flow has DRR weight 1. *)
 
 type 'k flow = {
   f_key : 'k;
   f_label : string;  (** human-readable key, fixed at creation *)
   f_seq : int;  (** creation order, for deterministic listings *)
-  mutable f_tenant : int;
-  mutable f_weight : int;
   mutable f_bytes : int;
   mutable f_frames : int;
   mutable f_descs : int;
   mutable f_overflows : int;
   f_mark : Watermark.t;
+      (** raised at 3/4 of the flow's sub-queue bound, cleared at 1/4 *)
 }
 
 type 'k t
 
-(** [create ~max_flows ~high ~low ~label_of ~classify ~weight_of ()].
-    [high]/[low] are the watermark fractions installed on every new
-    flow.  When the table holds [max_flows] entries the next miss
-    resets it wholesale (accounting restarts; no frames are lost). *)
-val create :
-  max_flows:int ->
-  high:float ->
-  low:float ->
-  label_of:('k -> string) ->
-  classify:('k -> int) ->
-  weight_of:(int -> int) ->
-  unit ->
-  'k t
+(** [create ~label_of ()]: an empty table.  When it holds 4096 flows the
+    next miss resets it wholesale (accounting restarts; no frames are
+    lost). *)
+val create : label_of:('k -> string) -> unit -> 'k t
 
 (** Find or create the flow for [key]. *)
 val lookup : 'k t -> 'k -> 'k flow
 
-val find_opt : 'k t -> 'k -> 'k flow option
-
-(** Swap the classifier and weight function, re-resolving the tenant
-    and weight of every existing flow. *)
-val set_classify : 'k t -> ('k -> int) -> (int -> int) -> unit
-
 (** All flows in creation order. *)
 val flows : 'k t -> 'k flow list
-
-val length : 'k t -> int
-
-(** Number of wholesale resets forced by table overflow. *)
-val resets : 'k t -> int
-
-val clear : 'k t -> unit

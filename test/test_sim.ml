@@ -46,68 +46,6 @@ let test_time_pp () =
   Alcotest.(check string) "s" "2.000s" (str (Sim.Time.sec 2))
 
 (* ------------------------------------------------------------------ *)
-(* Heap *)
-
-let test_heap_basic () =
-  let h = Sim.Heap.create ~cmp:compare in
-  Alcotest.(check bool) "empty" true (Sim.Heap.is_empty h);
-  Sim.Heap.push h 5;
-  Sim.Heap.push h 1;
-  Sim.Heap.push h 3;
-  Alcotest.(check int) "length" 3 (Sim.Heap.length h);
-  Alcotest.(check (option int)) "peek" (Some 1) (Sim.Heap.peek h);
-  Alcotest.(check (option int)) "pop1" (Some 1) (Sim.Heap.pop h);
-  Alcotest.(check (option int)) "pop2" (Some 3) (Sim.Heap.pop h);
-  Alcotest.(check (option int)) "pop3" (Some 5) (Sim.Heap.pop h);
-  Alcotest.(check (option int)) "pop empty" None (Sim.Heap.pop h)
-
-let test_heap_pop_exn_empty () =
-  let h = Sim.Heap.create ~cmp:compare in
-  Alcotest.check_raises "pop_exn"
-    (Invalid_argument "Heap.pop_exn: empty heap")
-    (fun () -> ignore (Sim.Heap.pop_exn h))
-
-let test_heap_clear () =
-  let h = Sim.Heap.create ~cmp:compare in
-  List.iter (Sim.Heap.push h) [ 4; 2; 9 ];
-  Sim.Heap.clear h;
-  Alcotest.(check int) "cleared" 0 (Sim.Heap.length h);
-  Sim.Heap.push h 7;
-  Alcotest.(check (option int)) "usable after clear" (Some 7) (Sim.Heap.pop h)
-
-let prop_heap_sorts =
-  QCheck.Test.make ~name:"heap pops in sorted order" ~count:200
-    QCheck.(list int)
-    (fun xs ->
-      let h = Sim.Heap.create ~cmp:compare in
-      List.iter (Sim.Heap.push h) xs;
-      let rec drain acc =
-        match Sim.Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-      in
-      drain [] = List.sort compare xs)
-
-let prop_heap_interleaved =
-  QCheck.Test.make ~name:"heap handles interleaved push/pop" ~count:200
-    QCheck.(list (pair bool small_int))
-    (fun ops ->
-      let h = Sim.Heap.create ~cmp:compare in
-      let model = ref [] in
-      List.iter
-        (fun (is_push, v) ->
-          if is_push then begin
-            Sim.Heap.push h v;
-            model := List.sort compare (v :: !model)
-          end
-          else begin
-            match (Sim.Heap.pop h, !model) with
-            | None, [] -> ()
-            | Some x, m :: rest when x = m -> model := rest
-            | _ -> failwith "mismatch"
-          end)
-        ops;
-      Sim.Heap.length h = List.length !model)
-
-(* ------------------------------------------------------------------ *)
 (* Rng *)
 
 let test_rng_deterministic () =
@@ -1119,13 +1057,6 @@ let suites =
         Alcotest.test_case "span ops" `Quick test_time_span_ops;
         Alcotest.test_case "pretty printing" `Quick test_time_pp;
       ] );
-    ( "sim.heap",
-      [
-        Alcotest.test_case "basic operations" `Quick test_heap_basic;
-        Alcotest.test_case "pop_exn on empty" `Quick test_heap_pop_exn_empty;
-        Alcotest.test_case "clear" `Quick test_heap_clear;
-      ]
-      @ qsuite [ prop_heap_sorts; prop_heap_interleaved ] );
     ( "sim.rng",
       [
         Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
