@@ -26,13 +26,6 @@ val loan_cases : unit -> case list
     kinds, and across mid-window teardowns (suspend/resume and the
     migration world), which force-return every outstanding loan. *)
 
-val evict_cases : unit -> case list
-(** Cluster-scale control-plane cases (DESIGN.md §12): eviction worlds
-    (delta announcements on, channel cap 2, short idle TTL) soaked
-    fault-free, under the forced [Evict_storm], under the storm mixed
-    with the control-plane kinds it races, and across a mid-window
-    teardown. *)
-
 val qos_cases : unit -> case list
 (** Multi-tenant QoS cases (DESIGN.md §14): QoS worlds (per-flow DRR on,
     deliberately small sub-queues) soaked fault-free, under the

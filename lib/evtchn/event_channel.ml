@@ -31,7 +31,6 @@ type t = {
   endpoints : (domid * port, endpoint) Hashtbl.t;
   next_port : (domid, int) Hashtbl.t;
   mutable fault_injector : (dom:domid -> port:port -> notify_fault) option;
-  mutable notify_faults : int;
 }
 
 let create ~engine ~delivery_latency =
@@ -41,11 +40,9 @@ let create ~engine ~delivery_latency =
     endpoints = Hashtbl.create 32;
     next_port = Hashtbl.create 8;
     fault_injector = None;
-    notify_faults = 0;
   }
 
 let set_fault_injector t f = t.fault_injector <- f
-let notify_faults t = t.notify_faults
 
 let fresh_port t dom =
   let p = Option.value ~default:1 (Hashtbl.find_opt t.next_port dom) in
@@ -137,14 +134,11 @@ let notify t ~dom ~port ~meter =
                  never reaches the peer — a lost doorbell.  The peer's
                  pending bit stays clear, so a later successful notify on
                  the same port recovers everything still in the ring. *)
-              t.notify_faults <- t.notify_faults + 1;
               Ok ()
           | Notify_deliver | Notify_delay _ ->
               let extra =
                 match fault with
-                | Notify_delay d ->
-                    t.notify_faults <- t.notify_faults + 1;
-                    d
+                | Notify_delay d -> d
                 | _ -> Sim.Time.span_zero
               in
               if not peer_ep.pending then begin

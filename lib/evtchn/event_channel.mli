@@ -94,6 +94,3 @@ type notify_fault =
 val set_fault_injector :
   t -> (dom:domid -> port:port -> notify_fault) option -> unit
 (** [dom]/[port] identify the notifying end.  [None] removes the hook. *)
-
-val notify_faults : t -> int
-(** Notifications dropped or delayed by the injector since [create]. *)

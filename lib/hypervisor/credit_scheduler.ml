@@ -62,17 +62,10 @@ let create ~engine ~physical_cpus ?(timeslice = Sim.Time.ms 30)
   in
   t
 
-let vcpu_name v = v.name
-let credits v = v.credit_ns
-
 let priority_of v =
   if v.boost then Boost else if v.credit_ns > 0 then Under else Over
 
 let cpu_time v = Sim.Time.ns_int64 (Int64.of_int v.serviced_ns)
-
-let runnable t =
-  Queue.length t.queue_boost + Queue.length t.queue_under + Queue.length t.queue_over
-  + (t.physical_cpus - t.free_cpus)
 
 let cap_reached v =
   match v.cap_percent with

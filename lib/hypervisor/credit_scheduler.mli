@@ -38,10 +38,6 @@ val add_vcpu : t -> name:string -> weight:int -> ?cap_percent:int -> unit -> vcp
     limits the vCPU to that share of one physical CPU even when idle
     capacity exists. *)
 
-val vcpu_name : vcpu -> string
-val priority_of : vcpu -> priority
-val credits : vcpu -> int
-
 val run : vcpu -> Sim.Time.span -> unit
 (** Execute a CPU burst on this vCPU (process context): blocks until the
     scheduler has granted enough physical-CPU time.  A vCPU that was idle
@@ -49,6 +45,3 @@ val run : vcpu -> Sim.Time.span -> unit
 
 val cpu_time : vcpu -> Sim.Time.span
 (** Physical CPU time consumed so far. *)
-
-val runnable : t -> int
-(** vCPUs currently queued or running. *)

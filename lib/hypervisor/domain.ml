@@ -52,7 +52,3 @@ let on_shutdown t f = t.shutdown <- f :: t.shutdown
 let run_pre_migrate t = List.iter (fun f -> f ()) t.pre_migrate
 let run_post_restore t = List.iter (fun f -> f ()) (List.rev t.post_restore)
 let run_shutdown t = List.iter (fun f -> f ()) t.shutdown
-
-let pp fmt t =
-  Format.fprintf fmt "%s(dom%d %a %a)" t.dom_name t.dom_id Netcore.Mac.pp t.dom_mac
-    Netcore.Ip.pp t.dom_ip

@@ -51,5 +51,3 @@ val on_shutdown : t -> (unit -> unit) -> unit
 val run_pre_migrate : t -> unit
 val run_post_restore : t -> unit
 val run_shutdown : t -> unit
-
-val pp : Format.formatter -> t -> unit

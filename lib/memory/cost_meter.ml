@@ -52,7 +52,6 @@ let page_zeroes t = t.zeroes
 let event_notifies t = t.notifies
 let domain_switches t = t.switches
 let grant_maps t = t.maps
-let grant_unmaps t = t.unmaps
 
 let reset t =
   Hashtbl.reset t.by_hypercall;
@@ -77,8 +76,3 @@ let merge_into ~src ~dst =
   dst.switches <- dst.switches + src.switches;
   dst.maps <- dst.maps + src.maps;
   dst.unmaps <- dst.unmaps + src.unmaps
-
-let pp fmt t =
-  Format.fprintf fmt
-    "hypercalls=%d copied=%dB zeroes=%d notifies=%d switches=%d maps=%d unmaps=%d"
-    t.total_hypercalls t.copied t.zeroes t.notifies t.switches t.maps t.unmaps

@@ -36,10 +36,6 @@ val grant_maps : t -> int
 (** Granted pages mapped (one-time per-connect costs, amortized over the
     channel lifetime — not per-packet work). *)
 
-val grant_unmaps : t -> int
-
 val reset : t -> unit
 
 val merge_into : src:t -> dst:t -> unit
-
-val pp : Format.formatter -> t -> unit

@@ -6,24 +6,19 @@ type t = {
   owners : (int, int) Hashtbl.t;  (* page id -> owner domid *)
   per_owner : (int, int) Hashtbl.t;  (* domid -> frame count *)
   mutable fault_injector : (owner:int -> count:int -> bool) option;
-  mutable alloc_faults : int;
 }
 
 let create ~total_frames =
   if total_frames <= 0 then invalid_arg "Frame_allocator.create: no frames";
   { total = total_frames; allocated = 0; owners = Hashtbl.create 256;
-    per_owner = Hashtbl.create 16; fault_injector = None; alloc_faults = 0 }
+    per_owner = Hashtbl.create 16; fault_injector = None }
 
 let set_fault_injector t f = t.fault_injector <- f
-let alloc_faults t = t.alloc_faults
 
 let fault_exhausted t ~owner ~count =
   match t.fault_injector with
   | None -> false
-  | Some f ->
-      let hit = f ~owner ~count in
-      if hit then t.alloc_faults <- t.alloc_faults + 1;
-      hit
+  | Some f -> f ~owner ~count
 
 let total_frames t = t.total
 let free_frames t = t.total - t.allocated

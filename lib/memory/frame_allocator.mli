@@ -43,4 +43,3 @@ val release_all : t -> owner:int -> unit
     the caller must handle like the real thing. *)
 
 val set_fault_injector : t -> (owner:int -> count:int -> bool) option -> unit
-val alloc_faults : t -> int

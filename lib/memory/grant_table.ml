@@ -32,17 +32,13 @@ type t = {
   entries : (gref, entry) Hashtbl.t;
   mutable next_ref : gref;
   mutable map_fault_injector : (by:domid -> gref -> bool) option;
-  mutable map_faults : int;
 }
 
 let create ~owner =
   { table_owner = owner; entries = Hashtbl.create 64; next_ref = 0;
-    map_fault_injector = None; map_faults = 0 }
+    map_fault_injector = None }
 
 let set_map_fault_injector t f = t.map_fault_injector <- f
-let map_faults t = t.map_faults
-
-let owner t = t.table_owner
 
 let fresh_ref t =
   let r = t.next_ref in
@@ -108,10 +104,7 @@ let map t gref ~by ~meter =
   let faulted =
     match t.map_fault_injector with
     | None -> false
-    | Some f ->
-        let hit = f ~by gref in
-        if hit then t.map_faults <- t.map_faults + 1;
-        hit
+    | Some f -> f ~by gref
   in
   if faulted then Error Bad_ref
   else

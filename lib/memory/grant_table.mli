@@ -29,7 +29,6 @@ val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
 
 val create : owner:domid -> t
-val owner : t -> domid
 
 (** {1 Granter-side operations (no hypercall)} *)
 
@@ -102,4 +101,3 @@ val transfer :
     retried map can succeed. *)
 
 val set_map_fault_injector : t -> (by:domid -> gref -> bool) option -> unit
-val map_faults : t -> int

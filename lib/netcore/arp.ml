@@ -16,8 +16,6 @@ let reply ~sender_mac ~sender_ip ~target_mac ~target_ip =
 
 let length = 28
 
-let equal a b = a = b
-
 let pp fmt t =
   match t.op with
   | Request ->

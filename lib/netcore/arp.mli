@@ -16,5 +16,4 @@ val reply : sender_mac:Mac.t -> sender_ip:Ip.t -> target_mac:Mac.t -> target_ip:
 val length : int
 (** 28 bytes on the wire. *)
 
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -1,8 +1,5 @@
 (** IP fragmentation and reassembly. *)
 
-val max_fragment_payload : mtu:int -> int
-(** Usable bytes per fragment: (mtu - 20) rounded down to a multiple of 8. *)
-
 val fragment : mtu:int -> Packet.t -> Packet.t list
 (** Split an IPv4 packet whose IP length exceeds [mtu] into fragments; a
     packet that fits (or a non-IPv4 packet) is returned unchanged as a

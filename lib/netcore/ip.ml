@@ -32,6 +32,4 @@ let localhost = of_octets 127 0 0 1
 let make ~subnet ~host = of_octets 10 subnet 0 host
 
 let equal = Int32.equal
-let compare = Int32.compare
-let hash t = Int32.to_int t land max_int
 let pp fmt t = Format.pp_print_string fmt (to_string t)

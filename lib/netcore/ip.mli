@@ -17,6 +17,4 @@ val make : subnet:int -> host:int -> t
     addressing scheme. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
-val hash : t -> int
 val pp : Format.formatter -> t -> unit

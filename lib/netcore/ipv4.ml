@@ -28,11 +28,6 @@ let make ~src ~dst ~protocol ?(ident = 0) () =
 
 let is_fragment h = h.more_fragments || h.frag_offset > 0
 
-let equal_header a b =
-  Ip.equal a.src b.src && Ip.equal a.dst b.dst && a.protocol = b.protocol
-  && a.ident = b.ident && a.frag_offset = b.frag_offset
-  && a.more_fragments = b.more_fragments && a.ttl = b.ttl
-
 let pp_header fmt h =
   Format.fprintf fmt "%a -> %a %a id=%d%s" Ip.pp h.src Ip.pp h.dst pp_protocol
     h.protocol h.ident

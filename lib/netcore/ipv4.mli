@@ -4,7 +4,6 @@ type protocol = Icmp | Tcp | Udp
 
 val protocol_number : protocol -> int
 val protocol_of_number : int -> protocol option
-val pp_protocol : Format.formatter -> protocol -> unit
 
 type header = {
   src : Ip.t;
@@ -26,5 +25,4 @@ val make :
 val is_fragment : header -> bool
 (** True for any packet that is part of a fragmented datagram. *)
 
-val equal_header : header -> header -> bool
 val pp_header : Format.formatter -> header -> unit

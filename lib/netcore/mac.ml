@@ -45,6 +45,4 @@ let of_domid ~machine ~domid =
 
 let is_broadcast t = Int64.equal t broadcast
 let equal = Int64.equal
-let compare = Int64.compare
-let hash t = Int64.to_int t land max_int
 let pp fmt t = Format.pp_print_string fmt (to_string t)

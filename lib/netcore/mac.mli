@@ -24,6 +24,4 @@ val of_domid : machine:int -> domid:int -> t
 
 val is_broadcast : t -> bool
 val equal : t -> t -> bool
-val compare : t -> t -> int
-val hash : t -> int
 val pp : Format.formatter -> t -> unit

@@ -61,12 +61,6 @@ let body_length = function
 
 let wire_length t = ethernet_header_length + body_length t.body
 
-let payload_length t =
-  match t.body with
-  | Ipv4_body { content = Full { payload; _ }; _ } -> Bytes.length payload
-  | Ipv4_body { content = Fragment blob; _ } -> Bytes.length blob
-  | Arp_body _ | Xenloop_body _ -> 0
-
 let is_ipv4 t = match t.body with Ipv4_body _ -> true | _ -> false
 
 let equal a b = a = b

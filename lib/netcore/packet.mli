@@ -74,10 +74,6 @@ val payload : t -> Bytes.t option
 val wire_length : t -> int
 (** Total frame length in bytes: Ethernet header + body as serialized. *)
 
-val payload_length : t -> int
-(** Application bytes in the frame (0 for ARP/control frames; blob length
-    for fragments). *)
-
 val is_ipv4 : t -> bool
 
 val equal : t -> t -> bool

@@ -48,8 +48,6 @@ let protocol = function
   | Udp _ -> Ipv4.Udp
   | Tcp _ -> Ipv4.Tcp
 
-let equal a b = a = b
-
 let pp fmt = function
   | Icmp i ->
       Format.fprintf fmt "icmp-%s id=%d seq=%d"

@@ -25,12 +25,10 @@ val length : t -> int
 (** On-the-wire header length: ICMP 8, UDP 8, TCP 20. *)
 
 val no_flags : tcp_flags
-val flags_to_string : tcp_flags -> string
 
 val src_port : t -> int option
 val dst_port : t -> int option
 
 val protocol : t -> Ipv4.protocol
 
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

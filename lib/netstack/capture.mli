@@ -18,9 +18,6 @@ type record = {
 val attach : engine:Sim.Engine.t -> Netdevice.t -> t
 (** Start capturing on a device (capture begins with the next frame). *)
 
-val attach_many : engine:Sim.Engine.t -> Netdevice.t list -> t
-(** One merged capture across several devices. *)
-
 val stop : t -> unit
 (** Stop recording (records are retained). *)
 
@@ -33,8 +30,5 @@ val filter : t -> (record -> bool) -> record list
 
 val tcp_only : record -> bool
 val udp_only : record -> bool
-
-val pp_record : Format.formatter -> record -> unit
-(** ["[12.50us] vif1.0 Tx [00:16:3e.. -> .. 10.2.0.1 -> 10.2.0.2 tcp ...]"] *)
 
 val pp : Format.formatter -> t -> unit

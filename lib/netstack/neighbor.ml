@@ -7,9 +7,6 @@ let create () = { cache = Hashtbl.create 16; waiters = Hashtbl.create 4 }
 
 let lookup t ip = Hashtbl.find_opt t.cache ip
 let insert t ip mac = Hashtbl.replace t.cache ip mac
-let remove t ip = Hashtbl.remove t.cache ip
-
-let entries t = Hashtbl.fold (fun ip mac acc -> (ip, mac) :: acc) t.cache []
 
 let add_waiter t ip f =
   let existing = Option.value ~default:[] (Hashtbl.find_opt t.waiters ip) in
@@ -22,5 +19,3 @@ let resolved t ip mac =
   | Some fs ->
       Hashtbl.remove t.waiters ip;
       List.iter (fun f -> f mac) (List.rev fs)
-
-let waiting t ip = Hashtbl.mem t.waiters ip

@@ -9,9 +9,6 @@ type t
 val create : unit -> t
 
 val lookup : t -> Netcore.Ip.t -> Netcore.Mac.t option
-val insert : t -> Netcore.Ip.t -> Netcore.Mac.t -> unit
-val remove : t -> Netcore.Ip.t -> unit
-val entries : t -> (Netcore.Ip.t * Netcore.Mac.t) list
 
 (** {1 Pending resolutions} *)
 
@@ -20,5 +17,3 @@ val add_waiter : t -> Netcore.Ip.t -> (Netcore.Mac.t -> unit) -> unit
 
 val resolved : t -> Netcore.Ip.t -> Netcore.Mac.t -> unit
 (** Insert and fire all waiters. *)
-
-val waiting : t -> Netcore.Ip.t -> bool

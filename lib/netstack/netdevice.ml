@@ -9,10 +9,6 @@ type t = {
   mutable deliver : (Netcore.Packet.t -> unit) option;
   mutable taps : (direction -> Netcore.Packet.t -> unit) list;
   mutable tx_count : int;
-  mutable tx_byte_count : int;
-  mutable rx_count : int;
-  mutable rx_byte_count : int;
-  mutable drop_count : int;
 }
 
 let create ~name ~mtu ?gso_size ~mac () =
@@ -25,10 +21,6 @@ let create ~name ~mtu ?gso_size ~mac () =
     deliver = None;
     taps = [];
     tx_count = 0;
-    tx_byte_count = 0;
-    rx_count = 0;
-    rx_byte_count = 0;
-    drop_count = 0;
   }
 
 let name t = t.dev_name
@@ -45,10 +37,9 @@ let run_taps t direction packet =
 
 let transmit t packet =
   match t.xmit with
-  | None -> t.drop_count <- t.drop_count + 1
+  | None -> ()
   | Some f ->
       t.tx_count <- t.tx_count + 1;
-      t.tx_byte_count <- t.tx_byte_count + Netcore.Packet.wire_length packet;
       run_taps t Tx packet;
       f packet
 
@@ -56,15 +47,9 @@ let set_receive_handler t f = t.deliver <- Some f
 
 let receive t packet =
   match t.deliver with
-  | None -> t.drop_count <- t.drop_count + 1
+  | None -> ()
   | Some f ->
-      t.rx_count <- t.rx_count + 1;
-      t.rx_byte_count <- t.rx_byte_count + Netcore.Packet.wire_length packet;
       run_taps t Rx packet;
       f packet
 
 let tx_packets t = t.tx_count
-let tx_bytes t = t.tx_byte_count
-let rx_packets t = t.rx_count
-let rx_bytes t = t.rx_byte_count
-let drops t = t.drop_count

@@ -42,7 +42,3 @@ val add_tap : t -> (direction -> Netcore.Packet.t -> unit) -> unit
 (** {1 Statistics} *)
 
 val tx_packets : t -> int
-val tx_bytes : t -> int
-val rx_packets : t -> int
-val rx_bytes : t -> int
-val drops : t -> int

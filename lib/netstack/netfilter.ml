@@ -24,19 +24,6 @@ let register_batch t f = add t (Batch f)
 
 let unregister t handle = t.hooks <- List.filter (fun (h, _) -> h <> handle) t.hooks
 
-let apply_one hook packet =
-  match hook with
-  | Single f -> f packet
-  | Batch f -> ( match f [ packet ] with [ v ] -> v | _ -> Accept)
-
-let run t packet =
-  let rec go = function
-    | [] -> Accept
-    | (_, hook) :: rest -> (
-        match apply_one hook packet with Steal -> Steal | Accept -> go rest)
-  in
-  go t.hooks
-
 let pad_verdicts packets vs =
   (* The general path treats a short verdict list as Accept for the rest;
      the single-hook fast path must agree. *)

@@ -17,13 +17,10 @@ val register : t -> (Netcore.Packet.t -> verdict) -> hook_handle
 val register_batch : t -> (Netcore.Packet.t list -> verdict list) -> hook_handle
 (** A hook that sees a whole transmit burst at once (e.g. all fragments of
     one datagram) and returns one verdict per packet, in order.  Under
-    {!run} (single-packet traversal) it receives one-element lists.  A
+    single-packet traversal it receives one-element lists.  A
     short verdict list leaves the remaining packets [Accept]ed. *)
 
 val unregister : t -> hook_handle -> unit
-
-val run : t -> Netcore.Packet.t -> verdict
-(** [Steal] as soon as any hook steals; [Accept] if all accept. *)
 
 val run_batch : t -> Netcore.Packet.t list -> verdict list
 (** Traverse all hooks with a burst of packets, preserving per-hook

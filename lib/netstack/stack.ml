@@ -266,8 +266,6 @@ let egress_device t dst =
   if Netcore.Ip.equal dst t.s_ip || Netcore.Ip.equal dst Netcore.Ip.localhost then t.lo
   else match t.eth with Some dev -> dev | None -> raise (No_route dst)
 
-let path_mtu t dst = Netdevice.mtu (egress_device t dst)
-
 let tcp_mss t dst =
   let dev = egress_device t dst in
   let limit =

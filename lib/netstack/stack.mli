@@ -41,10 +41,6 @@ val post_routing : t -> Netfilter.t
 
 (** {1 Output path} *)
 
-val resolve : t -> Netcore.Ip.t -> Netcore.Mac.t
-(** Next-hop MAC: neighbour cache, or blocking ARP (3 × 1 s retries).
-    @raise Unreachable when resolution fails. *)
-
 val ip_send :
   t -> dst:Netcore.Ip.t -> transport:Netcore.Transport.t -> payload:Bytes.t -> unit
 (** Route, resolve, build, fragment to the egress MTU, run POST_ROUTING
@@ -52,10 +48,6 @@ val ip_send :
     user-to-kernel copy on the host CPU.  Process context.
     @raise No_route when the destination is off-host and no device is
     attached. *)
-
-val path_mtu : t -> Netcore.Ip.t -> int
-(** The MTU IP fragmentation applies for this destination (loopback MTU
-    for self-addressed traffic). *)
 
 val tcp_mss : t -> Netcore.Ip.t -> int
 (** Segment size for TCP towards this destination: on a TSO-capable egress

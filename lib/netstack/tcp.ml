@@ -87,7 +87,6 @@ type conn = {
   state_changed : Sim.Condition.t;
   mutable sent_bytes : int;
   mutable received_bytes : int;
-  mutable window_announced : int;  (** last advertised window *)
 }
 
 and listener = { l_port : int; accept_q : conn Sim.Mailbox.t; l_tcp : t }
@@ -101,7 +100,6 @@ and t = {
 }
 
 let mss c = c.conn_mss
-let is_congested c = c.congested
 let peer c = (c.key.peer_ip, c.key.peer_port)
 let local_port c = c.key.local_port
 let bytes_sent c = c.sent_bytes
@@ -169,7 +167,6 @@ and send_segment c ~seq ~flags ~payload =
       window = current_window c / window_scale;
     }
   in
-  c.window_announced <- header.T.window * window_scale;
   Stack.ip_send c.tcp.stack ~dst:c.key.peer_ip ~transport:(T.Tcp header) ~payload
 
 (* Transmit a sequence-consuming segment and keep it for retransmission. *)
@@ -454,7 +451,6 @@ let make_conn t ~key ~mss ~state ~isn =
     state_changed = Sim.Condition.create ();
     sent_bytes = 0;
     received_bytes = 0;
-    window_announced = default_recv_capacity;
   }
 
 let handle_syn t (header : Netcore.Ipv4.header) (h : T.tcp) =

@@ -63,12 +63,6 @@ val recv_exact : conn -> int -> Bytes.t
 val close : conn -> unit
 (** Send FIN.  Receiving is still possible until the peer closes. *)
 
-val is_congested : conn -> bool
-(** Whether the channel below has this flow's congestion signal raised
-    (QoS backpressure, DESIGN.md §14).  While raised, the effective
-    send window is clamped to one MSS and flight-drained autocork
-    flushes wait for the clear edge. *)
-
 val mss : conn -> int
 val peer : conn -> Netcore.Ip.t * int
 val local_port : conn -> int

@@ -17,8 +17,6 @@ val create :
   name:string ->
   t
 
-val mac : t -> Netcore.Mac.t
-
 val send : t -> Netcore.Packet.t -> unit
 (** Process context. *)
 
@@ -30,13 +28,6 @@ val attach_to_device : t -> Netstack.Netdevice.t -> unit
 
 val frames_sent : t -> int
 val frames_received : t -> int
-
-val rx_backlog_limit : int
-(** Maximum frames queued for receive processing; beyond it the NIC drops
-    (the netdev backlog bound — prevents receive livelock under small-frame
-    floods, as in a real kernel). *)
-
-val frames_dropped_rx : t -> int
 
 val detach : t -> unit
 (** Remove the NIC from the switch. *)

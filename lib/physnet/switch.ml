@@ -10,7 +10,6 @@ type t = {
   mutable port_list : port list;
   fdb : (Netcore.Mac.t, port) Hashtbl.t;
   mutable next_port : int;
-  mutable forwarded : int;
 }
 
 let create ~engine ~params =
@@ -20,7 +19,6 @@ let create ~engine ~params =
     port_list = [];
     fdb = Hashtbl.create 16;
     next_port = 0;
-    forwarded = 0;
   }
 
 let attach t ~name ~deliver =
@@ -42,7 +40,6 @@ let detach t port =
 let transmit t ~from packet =
   Hashtbl.replace t.fdb packet.Netcore.Packet.src_mac from;
   Sim.Engine.sleep t.params.Hypervisor.Params.wire_latency;
-  t.forwarded <- t.forwarded + 1;
   let dst = packet.Netcore.Packet.dst_mac in
   if Netcore.Mac.is_broadcast dst then
     List.iter
@@ -57,6 +54,3 @@ let transmit t ~from packet =
           (fun p -> if p.port_id <> from.port_id then p.deliver packet)
           t.port_list
   end
-
-let ports t = List.length t.port_list
-let frames_forwarded t = t.forwarded

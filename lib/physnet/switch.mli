@@ -11,6 +11,3 @@ val detach : t -> port -> unit
 val transmit : t -> from:port -> Netcore.Packet.t -> unit
 (** Forward a frame: learns the source MAC, waits the switch latency, then
     delivers to the learned port (or floods).  Process context. *)
-
-val ports : t -> int
-val frames_forwarded : t -> int

@@ -37,7 +37,6 @@ let attach ~desc ~data =
     invalid_arg "Bytestream.attach: wrong number of data pages";
   { desc; data; size }
 
-let capacity t = t.size
 let used t = (get t.desc off_head - get t.desc off_tail) land mask32
 let free t = t.size - used t
 

@@ -19,7 +19,6 @@ val init : desc:Memory.Page.t -> data:Memory.Page.t array -> size:int -> unit
 
 val attach : desc:Memory.Page.t -> data:Memory.Page.t array -> t
 
-val capacity : t -> int
 val used : t -> int
 val free : t -> int
 

@@ -106,11 +106,4 @@ let recv conn ~max =
   | Shm { rx; _ } -> Xensocket.recv rx ~max
   | Plain c -> Tcp.recv c ~max
 
-let close conn =
-  match conn with
-  | Shm { rx; tx } ->
-      Xensocket.close_writer tx;
-      Xensocket.close_reader rx
-  | Plain c -> Tcp.close c
-
 let is_shared_memory = function Shm _ -> true | Plain _ -> false

@@ -41,7 +41,6 @@ val connect :
 
 val send : conn -> Bytes.t -> unit
 val recv : conn -> max:int -> Bytes.t
-val close : conn -> unit
 
 val is_shared_memory : conn -> bool
 (** Which path this connection took. *)

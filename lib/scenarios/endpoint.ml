@@ -13,4 +13,3 @@ let make ~engine ~params ~cpu ~name ~ip ~mac =
   { ep_name = name; cpu; stack; udp; tcp }
 
 let ip t = Netstack.Stack.ip_addr t.stack
-let mac t = Netstack.Stack.mac_addr t.stack

@@ -21,4 +21,3 @@ val make :
     pure-loopback hosts). *)
 
 val ip : t -> Netcore.Ip.t
-val mac : t -> Netcore.Mac.t

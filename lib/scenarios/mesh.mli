@@ -56,14 +56,6 @@ val guest_ip : int -> Netcore.Ip.t
 (** Address of the guest with the given global index: 10.2.x.y, unique
     far past one /24. *)
 
-val scan_all : t -> unit
-(** One synchronous discovery round on every host. *)
-
-val prime_arp : t -> unit
-(** Boot-time gratuitous ARP from every guest: warms every neighbour
-    cache and the bridge/switch forwarding databases, so first-contact
-    traffic does not pay an O(N) broadcast flood per destination. *)
-
 val warmup : t -> unit
 (** [prime_arp] and [scan_all] plus settle time: mapping tables
     populated, caches warm, no channels. *)

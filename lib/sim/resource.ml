@@ -20,8 +20,6 @@ let create ~name =
 let custom ~name ~use ~busy_time =
   { resource_name = name; backend = Custom { use_fn = use; busy_fn = busy_time } }
 
-let name t = t.resource_name
-
 (* Strict FIFO with ownership handoff on release: a releaser passes the
    resource directly to the longest-waiting process, so later acquirers can
    never barge in front of earlier ones.  Without this, back-to-back packet

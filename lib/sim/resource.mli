@@ -17,12 +17,7 @@ val custom :
   t
 (** A resource whose {!use} is delegated — e.g. a vCPU whose time comes
     from the credit scheduler rather than a dedicated serial queue.
-    {!acquire}/{!release} are not supported on custom resources. *)
-
-val name : t -> string
-
-val acquire : t -> unit
-(** Block (process context) until the resource is free, then hold it. *)
+    Holding one ({!release}) is not supported. *)
 
 val release : t -> unit
 (** @raise Invalid_argument if the resource is not held. *)

@@ -28,8 +28,6 @@ let float t bound =
   let bits = Int64.shift_right_logical (int64 t) 11 in
   Int64.to_float bits /. 9007199254740992.0 *. bound
 
-let bool t = Int64.logand (int64 t) 1L = 1L
-
 let exponential t ~mean =
   let u = float t 1.0 in
   let u = if u <= 0.0 then 1e-12 else u in

@@ -2,13 +2,9 @@ type t = { series_name : string; mutable rev_points : (float * float) list }
 
 let create ~name = { series_name = name; rev_points = [] }
 
-let name t = t.series_name
-
 let record t ~x ~y = t.rev_points <- (x, y) :: t.rev_points
 
 let points t = List.rev t.rev_points
-
-let length t = List.length t.rev_points
 
 let bucketize ~width pts =
   if width <= 0.0 then invalid_arg "Series.bucketize: width must be positive";
@@ -23,7 +19,3 @@ let bucketize ~width pts =
   Hashtbl.fold (fun b total acc -> (b, total) :: acc) table []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
   |> List.map (fun (b, total) -> ((float_of_int b +. 0.5) *. width, total))
-
-let pp fmt t =
-  Format.fprintf fmt "# %s@." t.series_name;
-  List.iter (fun (x, y) -> Format.fprintf fmt "%12.3f %12.3f@." x y) (points t)

@@ -5,20 +5,13 @@ type t
 
 val create : name:string -> t
 
-val name : t -> string
-
 val record : t -> x:float -> y:float -> unit
 
 val points : t -> (float * float) list
 (** In insertion order. *)
-
-val length : t -> int
 
 val bucketize : width:float -> (float * float) list -> (float * float) list
 (** [bucketize ~width pts] groups points into fixed-width buckets of the x
     axis and returns one [(bucket_midpoint, sum_of_y)] per non-empty bucket,
     in x order.  Used to turn per-transaction timestamps into a
     rate-per-interval plot (paper Fig. 11). *)
-
-val pp : Format.formatter -> t -> unit
-(** Renders the series as aligned [x y] rows, gnuplot-style. *)

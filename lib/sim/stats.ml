@@ -68,11 +68,3 @@ let percentile t p =
   end
 
 let median t = percentile t 50.0
-
-let observations t = Array.sub t.data 0 t.size
-
-let pp_summary fmt t =
-  if t.size = 0 then Format.fprintf fmt "(no observations)"
-  else
-    Format.fprintf fmt "n=%d mean=%.3f stddev=%.3f min=%.3f p50=%.3f p99=%.3f max=%.3f"
-      t.size (mean t) (stddev t) t.lo (median t) (percentile t 99.0) t.hi

@@ -11,9 +11,6 @@ val total : t -> float
 val mean : t -> float
 (** 0. when empty. *)
 
-val variance : t -> float
-(** Population variance; 0. when fewer than two observations. *)
-
 val stddev : t -> float
 val min : t -> float
 (** @raise Invalid_argument when empty. *)
@@ -27,8 +24,3 @@ val percentile : t -> float -> float
     @raise Invalid_argument when empty or [p] out of range. *)
 
 val median : t -> float
-
-val observations : t -> float array
-(** A copy of the raw observations, in insertion order. *)
-
-val pp_summary : Format.formatter -> t -> unit

@@ -28,10 +28,3 @@ let pp fmt t =
   let rule = List.map (fun w -> String.make w '-') widths in
   Format.fprintf fmt "%s@." (render_row rule);
   List.iter (fun row -> Format.fprintf fmt "%s@." (render_row row)) rows
-
-let cell_f v =
-  if Float.is_integer v && Float.abs v < 1e15 then
-    Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.4g" v
-
-let cell_i = string_of_int

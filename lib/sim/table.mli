@@ -9,8 +9,3 @@ val add_row : t -> string list -> unit
 
 val pp : Format.formatter -> t -> unit
 (** Renders with a title line, a header, a rule, and aligned columns. *)
-
-val cell_f : float -> string
-(** Formats a float with 4 significant digits, dropping a trailing ".0". *)
-
-val cell_i : int -> string

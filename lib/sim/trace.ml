@@ -62,10 +62,3 @@ let clear t =
   Array.fill t.ring 0 t.capacity None;
   t.next <- 0;
   t.emitted <- 0
-
-let pp fmt t =
-  List.iter
-    (fun r ->
-      Format.fprintf fmt "[%a] %-10s %s@." Time.pp r.at (category_label r.cat)
-        r.message)
-    (records t)

@@ -9,15 +9,12 @@ type t
 
 type category = Discovery | Bootstrap | Channel | Migration | Teardown | Custom of string
 
-val category_label : category -> string
-
 val create : ?capacity:int -> unit -> t
 (** Ring capacity defaults to 1024 records. *)
 
 val enable : t -> category -> unit
 val enable_all : t -> unit
 val disable : t -> category -> unit
-val enabled : t -> category -> bool
 
 val emit : t -> category -> time:Time.t -> string -> unit
 (** Record an event (dropped silently when the category is disabled;
@@ -40,5 +37,3 @@ val total_emitted : t -> int
 (** Including records that have been overwritten. *)
 
 val clear : t -> unit
-
-val pp : Format.formatter -> t -> unit

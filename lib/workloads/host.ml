@@ -5,4 +5,3 @@ type t = {
 }
 
 let engine t = Netstack.Stack.engine t.stack
-let now_s t = Sim.Time.instant_to_sec_f (Sim.Engine.now (engine t))

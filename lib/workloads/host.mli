@@ -7,5 +7,3 @@ type t = {
 }
 
 val engine : t -> Sim.Engine.t
-val now_s : t -> float
-(** Current simulated time in seconds. *)

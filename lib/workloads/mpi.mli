@@ -24,5 +24,3 @@ val send_empty : conn -> unit
 (** A 0-byte message (used as the OSU window acknowledgement). *)
 
 val close : conn -> unit
-
-val fresh_port : unit -> int

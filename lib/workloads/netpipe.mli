@@ -3,9 +3,6 @@
 
 type point = { size : int; latency_us : float; mbps : float }
 
-val default_sizes : int list
-(** Powers of two from 1 B to 256 KiB. *)
-
 val sweep :
   client:Host.t ->
   server:Host.t ->

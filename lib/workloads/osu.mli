@@ -5,9 +5,6 @@
 type bw_point = { size : int; mbps : float }
 type lat_point = { size : int; latency_us : float }
 
-val default_sizes : int list
-(** Powers of four from 1 B to 256 KiB. *)
-
 val uni_bandwidth :
   client:Host.t ->
   server:Host.t ->

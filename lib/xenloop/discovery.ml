@@ -17,7 +17,6 @@ let delta_log_window = 256
 (* Per-recipient delta bookkeeping, kept only while the guest is in the
    scan result. *)
 type peer_track = {
-  mutable pt_delta : bool;  (** advertised the "dl" token this scan *)
   mutable pt_sent_epoch : int;  (** epoch as of our last actual send *)
   mutable pt_last_sent : Sim.Time.t;
 }
@@ -31,7 +30,6 @@ type t = {
   mutable last_scan : Proto.entry list;
   mutable sent : int;
   mutable announce_fault : (domid:int -> bool) option;
-  mutable dropped : int;
   (* Delta-announcement state (DESIGN.md §12); inert when
      [xenloop_delta_announce] is off. *)
   mutable epoch : int;
@@ -40,8 +38,6 @@ type t = {
   tracks : (int, peer_track) Hashtbl.t;
   mutable suppressed : int;
   mutable bytes_sent : int;
-  mutable batches : int;
-  mutable full_resyncs : int;
 }
 
 (* One scan returns each willing guest's announcement entry plus whether
@@ -111,8 +107,7 @@ let deliver t ~dst_domid ~dst_mac message =
   let drop =
     match t.announce_fault with None -> false | Some f -> f ~domid:dst_domid
   in
-  if drop then t.dropped <- t.dropped + 1
-  else begin
+  if not drop then begin
     t.sent <- t.sent + 1;
     t.bytes_sent <- t.bytes_sent + Bytes.length message;
     Netstack.Stack.send_ctrl t.dom0_stack ~dst_mac message
@@ -208,11 +203,9 @@ let announce_delta t scanned =
     | None ->
         let m = Proto.encode (build ()) in
         Hashtbl.replace encoded key m;
-        t.batches <- t.batches + 1;
         m
   in
   let full_resync () =
-    t.full_resyncs <- t.full_resyncs + 1;
     message (-1) (fun () ->
         Proto.Delta_announce
           {
@@ -231,12 +224,11 @@ let announce_delta t scanned =
         | Some tr -> tr
         | None ->
             let tr =
-              { pt_delta = dl; pt_sent_epoch = -1; pt_last_sent = Sim.Time.zero }
+              { pt_sent_epoch = -1; pt_last_sent = Sim.Time.zero }
             in
             Hashtbl.replace t.tracks domid tr;
             tr
       in
-      track.pt_delta <- dl;
       let due_refresh =
         track.pt_sent_epoch < 0
         || (not (Sim.Time.span_is_positive refresh))
@@ -384,14 +376,11 @@ let start ~machine ~dom0_stack () =
         last_scan = [];
         sent = 0;
         announce_fault = None;
-        dropped = 0;
         epoch = 0;
         delta_log = [];
         tracks = Hashtbl.create 16;
         suppressed = 0;
         bytes_sent = 0;
-        batches = 0;
-        full_resyncs = 0;
       }
   in
   let t = Lazy.force t in
@@ -417,9 +406,6 @@ let willing_guests t = t.last_scan
 let announcements_sent t = t.sent
 let announcements_suppressed t = t.suppressed
 let announce_bytes t = t.bytes_sent
-let announce_batches t = t.batches
-let full_resyncs t = t.full_resyncs
 let current_epoch t = t.epoch
 
 let set_announce_fault t f = t.announce_fault <- f
-let announcements_dropped t = t.dropped

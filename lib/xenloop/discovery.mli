@@ -23,16 +23,7 @@
 
 type t
 
-val advert_key : string
-(** ["xenloop"] — the XenStore key guests advertise under their subtree. *)
-
 val advert_path : domid:int -> string
-
-val ack_key : string
-(** ["xenloop-ack"] — where a delta-capable guest records the announce
-    epoch it last applied.  In the guest's own subtree (guests may only
-    write there) and deliberately not ending in "/xenloop", so ack writes
-    never trigger the discovery watch. *)
 
 val ack_path : domid:int -> string
 
@@ -61,15 +52,6 @@ val announce_bytes : t -> int
 (** Total payload bytes across every announcement copy sent — the
     numerator of the bench's announce-bytes-per-guest metric. *)
 
-val announce_batches : t -> int
-(** Distinct messages encoded across all rounds; recipients sharing a
-    base epoch share one encode (delta mode; legacy rounds count one per
-    round). *)
-
-val full_resyncs : t -> int
-(** Delta-capable recipients that had to be sent the complete list
-    because their acked epoch fell out of the bounded delta log. *)
-
 val current_epoch : t -> int
 (** The version of the current willing-guest list (0 until the first
     change in delta mode; always 0 with the knob off). *)
@@ -85,4 +67,3 @@ val current_epoch : t -> int
     recover when they resume. *)
 
 val set_announce_fault : t -> (domid:int -> bool) option -> unit
-val announcements_dropped : t -> int

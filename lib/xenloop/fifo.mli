@@ -25,10 +25,6 @@ val data_pages_for : k:int -> int
     (allocated in a single atomic grab) carved into per-queue
     [desc_lc | data_lc | desc_cl | data_cl] stripes. *)
 
-val pages_per_queue : k:int -> int
-(** Pages one bidirectional queue pair needs: two descriptor pages plus
-    the data pages of both directions. *)
-
 val pages_for_queues : k:int -> queues:int -> int
 
 type queue_pages = {
@@ -42,15 +38,12 @@ val carve_queue : pool:Memory.Page.t array -> k:int -> index:int -> queue_pages
 (** The pages of queue [index] within [pool].
     @raise Invalid_argument when the pool cannot hold that queue. *)
 
-val max_k : int
-(** Largest supported k (descriptor-page gref table is the limit). *)
-
 (** {1 Setup (listener side)} *)
 
 val init : desc:Memory.Page.t -> data:Memory.Page.t array -> k:int -> unit
 (** Format the descriptor and mark the FIFO active.
     @raise Invalid_argument if the page count does not match [k] or [k]
-    exceeds {!max_k}. *)
+    exceeds the largest the descriptor page's gref table supports. *)
 
 val write_grefs : desc:Memory.Page.t -> Memory.Grant_table.gref list -> unit
 val read_grefs : desc:Memory.Page.t -> Memory.Grant_table.gref list
@@ -167,9 +160,6 @@ val flag_csum_ok : int
 val max_jumbo_chunks : int
 (** Structural bound on a jumbo entry's chunk count (32). *)
 
-val jumbo_ring_slots : int -> int
-(** Ring slots a jumbo entry with this many chunks occupies (2 + n). *)
-
 val can_accept_jumbo : t -> nchunks:int -> bool
 (** Whether a jumbo entry with this many chunks would fit right now.  Pool
     slot availability is the caller's check — the chunk payloads are
@@ -253,7 +243,6 @@ val force_indices : desc:Memory.Page.t -> int -> unit
     exercise wrap-around. *)
 
 val front : t -> int
-val back : t -> int
 
 val sanity : t -> string option
 (** Chaos-harness invariant: checks the shared descriptor header for

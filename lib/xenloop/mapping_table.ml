@@ -59,7 +59,6 @@ let lookup_by_ip t ip = Hashtbl.find_opt t.by_ip ip
 let mem_domid t domid = Hashtbl.mem t.by_domid domid
 let find_domid t domid = Hashtbl.find_opt t.by_domid domid
 
-let entries t = t.current
 let size t = List.length t.current
 
 let clear t =

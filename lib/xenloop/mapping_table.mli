@@ -31,6 +31,5 @@ val find_domid : t -> int -> Proto.entry option
 (** The full announcement entry for this guest id (the listener reads the
     peer's advertised queue count from it before allocating a channel). *)
 
-val entries : t -> Proto.entry list
 val size : t -> int
 val clear : t -> unit

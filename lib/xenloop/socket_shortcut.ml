@@ -5,7 +5,6 @@ type t = {
   mutable sent : int;
   mutable received : int;
   mutable received_views : int;
-  mutable fell_back : int;
 }
 
 let enable ~xl_module ~udp () =
@@ -17,7 +16,6 @@ let enable ~xl_module ~udp () =
       sent = 0;
       received = 0;
       received_views = 0;
-      fell_back = 0;
     }
   in
   Netstack.Udp.set_tx_shortcut udp (fun ~dst ~dst_port ~src_port payload ->
@@ -28,10 +26,7 @@ let enable ~xl_module ~udp () =
         t.sent <- t.sent + 1;
         true
       end
-      else begin
-        t.fell_back <- t.fell_back + 1;
-        false
-      end);
+      else false);
   Guest_module.set_app_payload_handler xl_module
     (fun ~src_ip ~src_port ~dst_port payload ->
       if t.enabled then begin
@@ -57,8 +52,6 @@ let disable t =
   t.enabled <- false;
   Netstack.Udp.clear_tx_shortcut t.udp
 
-let is_enabled t = t.enabled
 let sent_via_shortcut t = t.sent
 let received_via_shortcut t = t.received
 let received_as_view t = t.received_views
-let fallbacks t = t.fell_back

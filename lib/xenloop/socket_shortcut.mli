@@ -27,8 +27,6 @@ val enable :
 val disable : t -> unit
 (** Remove the hooks; traffic reverts to the packet-level path. *)
 
-val is_enabled : t -> bool
-
 val sent_via_shortcut : t -> int
 
 val received_via_shortcut : t -> int
@@ -37,5 +35,3 @@ val received_via_shortcut : t -> int
 val received_as_view : t -> int
 (** The subset of {!received_via_shortcut} delivered as borrowed pool-slot
     views (loaned-slot receive, DESIGN.md §11) rather than copied out. *)
-
-val fallbacks : t -> int

@@ -35,8 +35,5 @@ val describe_key : flow_key -> string
 (** Stable human-readable rendering, e.g. ["udp:10.0.0.1:5001>10.0.0.2:9000"],
     used as the flow label in stats and bench JSON. *)
 
-val hash : flow_key -> int
-(** Non-negative FNV-1a hash of the key. *)
-
 val queue_index : flow_key -> queues:int -> int
 (** [hash key mod queues]; always 0 when [queues <= 1]. *)

@@ -69,5 +69,3 @@ let inject t ~from batch =
 
 let ports t = List.length t.port_list
 let lookup t mac = Hashtbl.find_opt t.fdb mac
-
-let flush_learning t = Hashtbl.reset t.fdb

@@ -35,4 +35,3 @@ val inject : t -> from:port -> Netcore.Packet.t list -> unit
 
 val ports : t -> int
 val lookup : t -> Netcore.Mac.t -> port option
-val flush_learning : t -> unit

@@ -14,7 +14,6 @@ let create ~capacity =
     not_empty = Sim.Condition.create ();
   }
 
-let capacity t = t.ring_capacity
 let length t = Queue.length t.items
 let is_empty t = Queue.is_empty t.items
 let is_full t = Queue.length t.items >= t.ring_capacity

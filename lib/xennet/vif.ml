@@ -22,8 +22,6 @@ type t = {
   mutable netback_packets : int;
 }
 
-let device t = t.dev
-let guest t = t.vif_guest
 let is_attached t = t.attached
 let tx_batches t = t.batches
 let tx_packets_through_netback t = t.netback_packets

@@ -23,9 +23,6 @@ val create :
 (** Builds the split driver, attaches the device to the guest's stack as
     its Ethernet device, and plugs the netback side into the bridge. *)
 
-val device : t -> Netstack.Netdevice.t
-val guest : t -> Hypervisor.Domain.t
-
 val detach : t -> unit
 (** Disconnect (guest shutdown or migration out): unplugs the bridge port
     and closes the event channel.  Frames transmitted afterwards are

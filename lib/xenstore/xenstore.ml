@@ -32,7 +32,6 @@ type t = {
      read returns.  Keyed by canonical path string. *)
   prev_values : (string, string) Hashtbl.t;
   mutable fault_injector : (op:[ `Read | `Watch ] -> path:string -> fault) option;
-  mutable faults_injected : int;
 }
 
 let dom0 = 0
@@ -43,10 +42,9 @@ let make_node () = { value = None; children = Hashtbl.create 4 }
 
 let create () =
   { root = make_node (); watches = []; next_watch = 0;
-    prev_values = Hashtbl.create 32; fault_injector = None; faults_injected = 0 }
+    prev_values = Hashtbl.create 32; fault_injector = None }
 
 let set_fault_injector t f = t.fault_injector <- f
-let faults_injected t = t.faults_injected
 
 let consult t ~op ~path =
   match t.fault_injector with None -> Pass | Some f -> f ~op ~path
@@ -104,9 +102,7 @@ let fire_watches t segments event =
     (fun w ->
       if is_prefix w.prefix segments then
         match consult t ~op:`Watch ~path with
-        | Lost_watch ->
-            (* The event evaporates for this watcher. *)
-            t.faults_injected <- t.faults_injected + 1
+        | Lost_watch -> (* The event evaporates for this watcher. *) ()
         | Pass | Stale_read -> w.callback path event)
     t.watches
 
@@ -134,9 +130,7 @@ let read t ~caller ~path =
         let stale =
           match consult t ~op:`Read ~path with
           | Stale_read ->
-              let prev = Hashtbl.find_opt t.prev_values path in
-              if prev <> None then t.faults_injected <- t.faults_injected + 1;
-              prev
+              Hashtbl.find_opt t.prev_values path
           | Pass | Lost_watch -> None
         in
         match stale with

@@ -66,6 +66,3 @@ type fault = Pass | Lost_watch | Stale_read
 
 val set_fault_injector :
   t -> (op:[ `Read | `Watch ] -> path:string -> fault) option -> unit
-
-val faults_injected : t -> int
-(** Watch events lost plus reads served stale since [create]. *)
