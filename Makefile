@@ -1,10 +1,11 @@
 # Convenience wrappers around dune.  `make ci` is the gate a PR must pass:
-# no build artifacts snuck into the index, build, full test suite, and a
-# smoke benchmark run whose JSON writer exits nonzero if the optimized
-# data path loses or duplicates a single application byte relative to the
-# baseline (see bench/main.ml).
+# no build artifacts snuck into the index, build, full test suite, no
+# export without a caller and no stale doc reference, a smoke benchmark
+# run whose JSON writer exits nonzero if the optimized data path loses or
+# duplicates a single application byte relative to the baseline (see
+# bench/main.ml), the perf and behaviour gates below, and the chaos soak.
 
-.PHONY: all build test bench-smoke bench perf engine-check datapath-check gso-check mesh-check fairness-check soak soak-wide ci check-tracked-artifacts clean
+.PHONY: all build test surface-check bench-smoke bench perf engine-check datapath-check gso-check mesh-check fairness-check soak soak-wide ci check-tracked-artifacts clean
 
 all: build
 
@@ -22,6 +23,16 @@ build:
 test: build
 	dune runtest --force
 
+# Public-surface gate (tools/surface_check.ml): every `val` in lib/*/*.mli
+# has a caller outside its own module in lib/, bench/, benchmark/, bin/ or
+# examples/, or is a test seam listed in tools/surface_allowlist; and every
+# backticked `Module.value` in DESIGN.md, EXPERIMENTS.md and README.md
+# resolves.  The self-test first checks that an added unused `val` and a
+# stale doc reference in a temporary copy of the tree both fail.
+surface-check: build
+	dune exec tools/surface_check.exe -- --self-test $(CURDIR)
+	dune exec tools/surface_check.exe -- $(CURDIR)
+
 bench-smoke: build
 	dune exec bench/main.exe -- --json-smoke /tmp/bench_smoke.json
 
@@ -29,11 +40,11 @@ bench: build
 	dune exec bench/main.exe -- --json
 
 # Full engine microbenchmark sweep (sim_events_per_sec per scenario,
-# best-of-three), then the Bechamel host-time microbenchmarks of the core
-# data structures and packet paths.
+# best-of-three).  Per-layer host costs of the packet path (codec,
+# checksum, FIFO, steering, DRR, timer wheel) come from the traced
+# benchmark run: `bash benchmark/run.sh --workload bulk --trace 1`.
 perf: build
 	dune exec bench/main.exe -- --engine-bench
-	dune exec bench/main.exe -- --only micro
 
 # Regression gate: re-measure the headline engine scenario in smoke mode
 # and fail loudly if it lost more than 25% against the committed
@@ -91,8 +102,8 @@ soak-wide: build
 	done; \
 	exit $$status
 
-ci: check-tracked-artifacts build test bench-smoke engine-check datapath-check gso-check mesh-check fairness-check soak
-	@echo "ci: artifact check + build + tests + bench smoke (delivery check) + engine perf gate + data-path copy gate + gso offload gate + mesh control-plane gate + QoS fairness gate + chaos soak all green"
+ci: check-tracked-artifacts build test surface-check bench-smoke engine-check datapath-check gso-check mesh-check fairness-check soak
+	@echo "ci: artifact check + build + tests + surface check + bench smoke (delivery check) + engine perf gate + data-path copy gate + gso offload gate + mesh control-plane gate + QoS fairness gate + chaos soak all green"
 
 clean:
 	dune clean
