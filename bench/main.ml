@@ -1,17 +1,26 @@
 (* Benchmark harness: regenerates every table and figure of the XenLoop
    paper's evaluation (Sect. 4), plus the ablations, the related-work
-   baselines and the sweeps behind the CI gates.  Per-layer host costs
-   (codec, checksum, FIFO, steering, DRR, timer wheel) are measured by
-   the traced run of the repository benchmark (benchmark/run.ml), not
-   here.
+   baselines and the bench document behind the gate table
+   (bench/gates.ml).  Per-layer host costs (codec, checksum, FIFO,
+   steering, DRR, timer wheel) are measured by the traced run of the
+   repository benchmark (benchmark/run.ml), not here.
 
    Usage:
      dune exec bench/main.exe                 # every experiment
      dune exec bench/main.exe -- --list
      dune exec bench/main.exe -- --only table1,fig4
+     dune exec bench/main.exe -- --json-smoke OUT BENCH_results.json
+         # smoke plan: write the document to OUT, check every gate row
+     dune exec bench/main.exe -- --json [OUT]
+         # full plan, the same rows; recorded values are read from
+         # ./BENCH_results.json (OUT defaults to it)
      dune exec bench/main.exe -- --engine-bench   # engine events/sec
+     dune exec bench/main.exe -- --engine-bench-check BENCH_results.json
+         # host-time gate: callback_churn >= 75% of the recorded rate
 *)
 
+module Json = Bench_gates.Json
+module Gates = Bench_gates.Gates
 module Setup = Scenarios.Setup
 module Experiment = Scenarios.Experiment
 module Mw = Scenarios.Migration_world
@@ -658,12 +667,19 @@ let related_baselines () =
   Format.fprintf fmt "@."
 
 (* ------------------------------------------------------------------ *)
-(* JSON results: the notification fast path, before vs after.
+(* The bench document: the notification fast path before vs after, and
+   the sweeps behind the gate table (bench/gates.ml), as one JSON value.
 
    Baseline = per-packet notifications exactly as the paper describes
    (suppression, batching, and polling all disabled); optimized = the
    calibrated defaults.  Counters are snapshotted around the measured run
-   so warmup traffic is excluded. *)
+   so warmup traffic is excluded.  Floats keep the precision the document
+   has always printed them with. *)
+
+let int n = Json.Num (float_of_int n)
+let fixed digits v = Json.Num (float_of_string (Printf.sprintf "%.*f" digits v))
+let fixed_opt digits = function None -> Json.Null | Some v -> fixed digits v
+let field k j = Json.to_num (Json.member k j)
 
 let baseline_params =
   {
@@ -675,111 +691,38 @@ let baseline_params =
     xenloop_zerocopy = false;
   }
 
-type counters = {
-  c_delivered : int;
-  c_notifies_sent : int;
-  c_notifies_suppressed : int;
-  c_batches : int;
-  c_poll_rounds : int;
-  c_steered : int;
-  c_waiting_overflows : int;
-  c_desc_tx : int;
-  c_inline_tx : int;
-  c_pool_fallbacks : int;
-  c_loan_tx : int;
-  c_loan_rx : int;
-  c_loan_returns : int;
-  c_loan_credit_stalls : int;
-  c_jumbo_tx : int;
-  c_jumbo_rx : int;
-  c_jumbo_chunks_tx : int;
-  c_jumbo_drops : int;
-}
+(* Module counters, summed over both guests, under their document keys. *)
+let counter_keys : (string * (Gm.stats -> int)) list =
+  [
+    ("packets_delivered", fun s -> s.Gm.via_channel_rx);
+    ("notifies_sent", fun s -> s.Gm.notifies_sent);
+    ("notifies_suppressed", fun s -> s.Gm.notifies_suppressed);
+    ("batches", fun s -> s.Gm.batches);
+    ("poll_rounds", fun s -> s.Gm.poll_rounds);
+    ("steered_packets", fun s -> s.Gm.steered_packets);
+    ("waiting_overflows", fun s -> s.Gm.waiting_overflows);
+    ("desc_tx", fun s -> s.Gm.desc_tx);
+    ("inline_tx", fun s -> s.Gm.inline_tx);
+    ("pool_fallbacks", fun s -> s.Gm.pool_fallbacks);
+    ("loan_tx", fun s -> s.Gm.loan_tx);
+    ("loan_rx", fun s -> s.Gm.loan_rx);
+    ("loan_returns", fun s -> s.Gm.loan_returns);
+    ("loan_credit_stalls", fun s -> s.Gm.loan_credit_stalls);
+    ("jumbo_tx", fun s -> s.Gm.jumbo_tx);
+    ("jumbo_rx", fun s -> s.Gm.jumbo_rx);
+    ("jumbo_chunks_tx", fun s -> s.Gm.jumbo_chunks_tx);
+    ("jumbo_drops", fun s -> s.Gm.jumbo_drops);
+  ]
 
-let counters_of_modules modules =
-  List.fold_left
-    (fun acc m ->
-      let s = Gm.stats m in
-      {
-        c_delivered = acc.c_delivered + s.Gm.via_channel_rx;
-        c_notifies_sent = acc.c_notifies_sent + s.Gm.notifies_sent;
-        c_notifies_suppressed = acc.c_notifies_suppressed + s.Gm.notifies_suppressed;
-        c_batches = acc.c_batches + s.Gm.batches;
-        c_poll_rounds = acc.c_poll_rounds + s.Gm.poll_rounds;
-        c_steered = acc.c_steered + s.Gm.steered_packets;
-        c_waiting_overflows = acc.c_waiting_overflows + s.Gm.waiting_overflows;
-        c_desc_tx = acc.c_desc_tx + s.Gm.desc_tx;
-        c_inline_tx = acc.c_inline_tx + s.Gm.inline_tx;
-        c_pool_fallbacks = acc.c_pool_fallbacks + s.Gm.pool_fallbacks;
-        c_loan_tx = acc.c_loan_tx + s.Gm.loan_tx;
-        c_loan_rx = acc.c_loan_rx + s.Gm.loan_rx;
-        c_loan_returns = acc.c_loan_returns + s.Gm.loan_returns;
-        c_loan_credit_stalls = acc.c_loan_credit_stalls + s.Gm.loan_credit_stalls;
-        c_jumbo_tx = acc.c_jumbo_tx + s.Gm.jumbo_tx;
-        c_jumbo_rx = acc.c_jumbo_rx + s.Gm.jumbo_rx;
-        c_jumbo_chunks_tx = acc.c_jumbo_chunks_tx + s.Gm.jumbo_chunks_tx;
-        c_jumbo_drops = acc.c_jumbo_drops + s.Gm.jumbo_drops;
-      })
-    {
-      c_delivered = 0;
-      c_notifies_sent = 0;
-      c_notifies_suppressed = 0;
-      c_batches = 0;
-      c_poll_rounds = 0;
-      c_steered = 0;
-      c_waiting_overflows = 0;
-      c_desc_tx = 0;
-      c_inline_tx = 0;
-      c_pool_fallbacks = 0;
-      c_loan_tx = 0;
-      c_loan_rx = 0;
-      c_loan_returns = 0;
-      c_loan_credit_stalls = 0;
-      c_jumbo_tx = 0;
-      c_jumbo_rx = 0;
-      c_jumbo_chunks_tx = 0;
-      c_jumbo_drops = 0;
-    }
-    modules
+let counters modules =
+  let stats = List.map Gm.stats modules in
+  List.map
+    (fun (k, f) -> (k, List.fold_left (fun acc s -> acc + f s) 0 stats))
+    counter_keys
 
-let sub_counters a b =
-  {
-    c_delivered = a.c_delivered - b.c_delivered;
-    c_notifies_sent = a.c_notifies_sent - b.c_notifies_sent;
-    c_notifies_suppressed = a.c_notifies_suppressed - b.c_notifies_suppressed;
-    c_batches = a.c_batches - b.c_batches;
-    c_poll_rounds = a.c_poll_rounds - b.c_poll_rounds;
-    c_steered = a.c_steered - b.c_steered;
-    c_waiting_overflows = a.c_waiting_overflows - b.c_waiting_overflows;
-    c_desc_tx = a.c_desc_tx - b.c_desc_tx;
-    c_inline_tx = a.c_inline_tx - b.c_inline_tx;
-    c_pool_fallbacks = a.c_pool_fallbacks - b.c_pool_fallbacks;
-    c_loan_tx = a.c_loan_tx - b.c_loan_tx;
-    c_loan_rx = a.c_loan_rx - b.c_loan_rx;
-    c_loan_returns = a.c_loan_returns - b.c_loan_returns;
-    c_loan_credit_stalls = a.c_loan_credit_stalls - b.c_loan_credit_stalls;
-    c_jumbo_tx = a.c_jumbo_tx - b.c_jumbo_tx;
-    c_jumbo_rx = a.c_jumbo_rx - b.c_jumbo_rx;
-    c_jumbo_chunks_tx = a.c_jumbo_chunks_tx - b.c_jumbo_chunks_tx;
-    c_jumbo_drops = a.c_jumbo_drops - b.c_jumbo_drops;
-  }
-
-type wl_result = {
-  w_mbps : float option;
-  w_latency_us : float option;
-  w_delivered_app : int;
-      (* Application-level delivery: bytes received for streams,
-         completed transactions for request/response.  Must be invariant
-         across parameter settings — the fast path may change timing,
-         never delivery. *)
-  w_cycles_per_byte : float;
-      (* vCPU busy time across both guests over the measured run, at the
-         nominal 1 GHz simulated clock, per application byte moved.  For
-         rr workloads the byte basis is the 1 B request + 1 B response
-         per transaction, so the number is dominated by per-packet fixed
-         costs — which is the point of reporting it. *)
-  w_counters : counters;
-}
+(* What the measured run moved: the counters now, minus [before]. *)
+let moved before modules =
+  List.map2 (fun (k, now) (_, was) -> (k, now - was)) (counters modules) before
 
 let nominal_hz = 1e9
 
@@ -793,13 +736,25 @@ let host_busy_meter hosts =
 let cycles_per_byte ~busy_s ~bytes =
   if bytes <= 0 then 0.0 else busy_s *. nominal_hz /. float_of_int bytes
 
+let notifies_per_packet side =
+  let packets = field "packets_delivered" side in
+  if packets = 0.0 then 0.0 else field "notifies_sent" side /. packets
+
+(* One side of a workload: [delivered_app] is application-level delivery
+   (bytes received for streams, completed transactions for
+   request/response), which must be invariant across parameter settings —
+   the fast path may change timing, never delivery.  [cycles_per_byte] is
+   vCPU busy time across both guests at the nominal 1 GHz clock per
+   application byte moved; for rr workloads the byte basis is the 1 B
+   request + 1 B response per transaction, so per-packet fixed costs
+   dominate it — which is the point of reporting it. *)
 let run_json_workload ~params ~smoke name =
   let ctx = make_ctx ~params Setup.Xenloop_path in
   in_ctx ctx (fun { duo; client; server; dst } ->
       let busy = host_busy_meter [ client; server ] in
       let busy0 = busy () in
-      let before = counters_of_modules duo.Setup.modules in
-      let w_mbps, w_latency_us, w_delivered_app =
+      let before = counters duo.Setup.modules in
+      let mbps, latency_us, delivered =
         match name with
         | "udp_stream" ->
             let total = if smoke then 512 * 1024 else 8 * 1024 * 1024 in
@@ -819,19 +774,39 @@ let run_json_workload ~params ~smoke name =
             (None, Some r.Netperf.avg_latency_us, r.Netperf.transactions)
         | _ -> invalid_arg "run_json_workload"
       in
-      let after = counters_of_modules duo.Setup.modules in
+      let c = moved before duo.Setup.modules in
       let app_bytes =
-        match name with
-        | "udp_rr" | "tcp_rr" -> w_delivered_app * 2
-        | _ -> w_delivered_app
+        match name with "udp_rr" | "tcp_rr" -> delivered * 2 | _ -> delivered
       in
-      {
-        w_mbps;
-        w_latency_us;
-        w_delivered_app;
-        w_cycles_per_byte = cycles_per_byte ~busy_s:(busy () -. busy0) ~bytes:app_bytes;
-        w_counters = sub_counters after before;
-      })
+      let side =
+        [
+          ("mbps", fixed_opt 3 mbps);
+          ("latency_us", fixed_opt 3 latency_us);
+          ("delivered_app", int delivered);
+        ]
+        @ List.map (fun (k, v) -> (k, int v)) c
+        @ [
+            ( "cycles_per_byte",
+              fixed 4 (cycles_per_byte ~busy_s:(busy () -. busy0) ~bytes:app_bytes) );
+          ]
+      in
+      Json.Obj
+        (side @ [ ("notifies_per_packet", fixed 4 (notifies_per_packet (Json.Obj side))) ]))
+
+let workload_entry ~smoke name =
+  let base = run_json_workload ~params:baseline_params ~smoke name in
+  let opt = run_json_workload ~params:Hypervisor.Params.default ~smoke name in
+  let reduction =
+    let o = notifies_per_packet opt in
+    if o > 0.0 then fixed 2 (notifies_per_packet base /. o) else Json.Null
+  in
+  Json.Obj
+    [
+      ("name", Json.Str name);
+      ("baseline", base);
+      ("optimized", opt);
+      ("notify_reduction_factor", reduction);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Zero-copy message-size sweep (NetPIPE-style, 64 B to 64 KiB): the
@@ -842,18 +817,6 @@ let run_json_workload ~params ~smoke name =
    separately from Page_copy), reported in their own field rather than
    amortized into the per-byte number. *)
 
-type zc_point = {
-  zp_size : int;
-  zp_mbps : float;
-  zp_delivered_app : int;
-  zp_copied_bytes : int;
-  zp_copies_per_byte : float;
-  zp_desc_tx : int;
-  zp_inline_tx : int;
-  zp_pool_fallbacks : int;
-  zp_grant_maps : int;  (* connect-time total, not per-packet *)
-}
-
 let machine_meters duo =
   match duo.Setup.machine with
   | None -> []
@@ -861,7 +824,7 @@ let machine_meters duo =
       List.map Hypervisor.Domain.meter
         (Hypervisor.Machine.dom0 m :: Hypervisor.Machine.guests m)
 
-let run_zc_point ~params ~smoke ~workload size =
+let run_zc_point ~params ~smoke ~udp size =
   let ctx = make_ctx ~params Setup.Xenloop_path in
   in_ctx ctx (fun { duo; client; server; dst } ->
       let meters = machine_meters duo in
@@ -869,56 +832,51 @@ let run_zc_point ~params ~smoke ~workload size =
       (* Snapshots around the measured run: warmup (ARP, handshake, pool
          grant/map) happened before this point, so the copy delta is the
          data path's alone. *)
-      let before = counters_of_modules duo.Setup.modules in
+      let before = counters duo.Setup.modules in
       let copied0 = sum Memory.Cost_meter.bytes_copied in
       let total =
         if smoke then max (128 * 1024) (size * 4)
         else max (512 * 1024) (size * 64)
       in
       let r =
-        match workload with
-        | `Udp_stream ->
-            Netperf.udp_stream ~client ~server ~dst ~message_size:size
-              ~total_bytes:total ()
-        | `Tcp_stream ->
-            Netperf.tcp_stream ~client ~server ~dst ~message_size:size
-              ~total_bytes:total ()
+        if udp then
+          Netperf.udp_stream ~client ~server ~dst ~message_size:size ~total_bytes:total ()
+        else
+          Netperf.tcp_stream ~client ~server ~dst ~message_size:size ~total_bytes:total ()
       in
-      let after = counters_of_modules duo.Setup.modules in
-      let c = sub_counters after before in
+      let c = moved before duo.Setup.modules in
       let copied = sum Memory.Cost_meter.bytes_copied - copied0 in
-      {
-        zp_size = size;
-        zp_mbps = r.Netperf.mbps;
-        zp_delivered_app = r.Netperf.bytes_received;
-        zp_copied_bytes = copied;
-        zp_copies_per_byte =
-          (if r.Netperf.bytes_received = 0 then 0.0
-           else float_of_int copied /. float_of_int r.Netperf.bytes_received);
-        zp_desc_tx = c.c_desc_tx;
-        zp_inline_tx = c.c_inline_tx;
-        zp_pool_fallbacks = c.c_pool_fallbacks;
-        zp_grant_maps = sum Memory.Cost_meter.grant_maps;
-      })
+      let delivered = r.Netperf.bytes_received in
+      Json.Obj
+        [
+          ("mbps", fixed 3 r.Netperf.mbps);
+          ("delivered_app", int delivered);
+          ("copied_bytes", int copied);
+          ( "copies_per_byte",
+            fixed 4
+              (if delivered = 0 then 0.0
+               else float_of_int copied /. float_of_int delivered) );
+          ("desc_tx", int (List.assoc "desc_tx" c));
+          ("inline_tx", int (List.assoc "inline_tx" c));
+          ("pool_fallbacks", int (List.assoc "pool_fallbacks" c));
+          ("grant_maps_connect", int (sum Memory.Cost_meter.grant_maps));
+        ])
 
-let zc_sweep ~smoke =
-  (* UDP datagrams cap below 64 KiB; netperf's traditional large send is
-     60 KiB.  TCP has no such limit, so it sweeps to the full 64 KiB. *)
-  let sizes udp =
-    let top = if udp then 61440 else 65536 in
-    if smoke then [ 64; 4096; top ] else [ 64; 256; 1024; 4096; 16384; top ]
+let zerocopy_sweep ~smoke =
+  let zc_off =
+    { Hypervisor.Params.default with Hypervisor.Params.xenloop_zerocopy = false }
   in
-  let zc_off = { Hypervisor.Params.default with Hypervisor.Params.xenloop_zerocopy = false } in
-  List.map
-    (fun (name, workload, udp) ->
-      ( name,
-        List.map
-          (fun size ->
-            let on = run_zc_point ~params:Hypervisor.Params.default ~smoke ~workload size in
-            let off = run_zc_point ~params:zc_off ~smoke ~workload size in
-            (size, on, off))
-          (sizes udp) ))
-    [ ("udp_stream", `Udp_stream, true); ("tcp_stream", `Tcp_stream, false) ]
+  Json.Arr
+    (List.map
+       (fun (name, sizes) ->
+         let udp = name = "udp_stream" in
+         let point size =
+           let on = run_zc_point ~params:Hypervisor.Params.default ~smoke ~udp size in
+           let off = run_zc_point ~params:zc_off ~smoke ~udp size in
+           Json.Obj [ ("size", int size); ("zerocopy", on); ("inline", off) ]
+         in
+         Json.Obj [ ("name", Json.Str name); ("points", Json.Arr (List.map point sizes)) ])
+       (Gates.zerocopy_sizes ~smoke))
 
 (* ------------------------------------------------------------------ *)
 (* Mixed workload: a bulk UDP stream and a latency-sensitive TCP_RR
@@ -927,18 +885,7 @@ let zc_sweep ~smoke =
    with several queues the steering hash keeps the two flows on separate
    queue pairs and rr tail latency collapses back toward the idle case. *)
 
-type mixed_result = {
-  mx_queues : int;
-  mx_stream_mbps : float;
-  mx_stream_bytes : int;
-  mx_rr_transactions : int;
-  mx_rr_avg_us : float;
-  mx_rr_p99_us : float;
-  mx_counters : counters;
-  mx_queue_stats : Gm.queue_stat array;  (* client module, tx side *)
-}
-
-let run_mixed ~params ~smoke () =
+let run_mixed ~smoke nq =
   (* Hold notification behavior constant across queue counts: with the
      default 100us poll window, only the single-queue run gets its poller
      kept warm through the burst gaps (by the rr flow sharing the queue),
@@ -946,13 +893,16 @@ let run_mixed ~params ~smoke () =
      doorbell wake-ups at burst boundaries.  A window covering the pacing
      gap keeps every configuration in polling mode throughout. *)
   let params =
-    { params with Hypervisor.Params.xenloop_poll_window = Sim.Time.us 2000 }
+    {
+      Hypervisor.Params.default with
+      Hypervisor.Params.xenloop_queues = nq;
+      xenloop_poll_window = Sim.Time.us 2000;
+    }
   in
   let ctx = make_ctx ~params Setup.Xenloop_path in
   in_ctx ctx (fun { duo; client; server; dst } ->
       let engine = duo.Setup.engine in
-      let before = counters_of_modules duo.Setup.modules in
-      let nq = params.Hypervisor.Params.xenloop_queues in
+      let before = counters duo.Setup.modules in
       let src = Netstack.Stack.ip_addr client.Host.stack in
       (* UDP steers on the 3-tuple, so the stream's queue is fixed by the
          IP pair; pick a TCP_RR client port whose 5-tuple hashes to a
@@ -1005,81 +955,63 @@ let run_mixed ~params ~smoke () =
         Sim.Condition.await done_cond
       done;
       let stream = Option.get !stream_res in
-      let after = counters_of_modules duo.Setup.modules in
+      let c = moved before duo.Setup.modules in
       let client_module = List.hd duo.Setup.modules in
-      let mx_queue_stats =
+      let per_queue =
         match Gm.connected_peer_ids client_module with
         | peer :: _ -> Gm.queue_stats client_module ~domid:peer
         | [] -> [||]
       in
-      {
-        mx_queues = nq;
-        mx_stream_mbps = stream.Netperf.mbps;
-        mx_stream_bytes = stream.Netperf.bytes_received;
-        mx_rr_transactions = rr.Netperf.transactions;
-        mx_rr_avg_us = rr.Netperf.avg_latency_us;
-        mx_rr_p99_us = rr.Netperf.p99_latency_us;
-        mx_counters = sub_counters after before;
-        mx_queue_stats;
-      })
+      Json.Obj
+        ([
+           ("queues", int nq);
+           ("stream_mbps", fixed 3 stream.Netperf.mbps);
+           ("stream_bytes", int stream.Netperf.bytes_received);
+           ("rr_transactions", int rr.Netperf.transactions);
+           ("rr_avg_latency_us", fixed 3 rr.Netperf.avg_latency_us);
+           ("rr_p99_latency_us", fixed 3 rr.Netperf.p99_latency_us);
+         ]
+        @ List.map
+            (fun k -> (k, int (List.assoc k c)))
+            [
+              "steered_packets"; "waiting_overflows"; "notifies_sent"; "notifies_suppressed";
+            ]
+        @ [
+            ( "per_queue",
+              Json.Arr
+                (Array.to_list
+                   (Array.mapi
+                      (fun i (q : Gm.queue_stat) ->
+                        Json.Obj
+                          [
+                            ("queue", int i);
+                            ("notifies_sent", int q.Gm.qs_notifies_sent);
+                            ("notifies_suppressed", int q.Gm.qs_notifies_suppressed);
+                            ("steered", int q.Gm.qs_steered);
+                          ])
+                      per_queue)) );
+          ]))
 
-let notifies_per_packet c =
-  if c.c_delivered = 0 then 0.0
-  else float_of_int c.c_notifies_sent /. float_of_int c.c_delivered
-
-let json_of_side buf r =
-  let jopt = function None -> "null" | Some v -> Printf.sprintf "%.3f" v in
-  let c = r.w_counters in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"mbps\": %s, \"latency_us\": %s, \"delivered_app\": %d, \
-        \"packets_delivered\": %d, \
-        \"notifies_sent\": %d, \"notifies_suppressed\": %d, \"batches\": %d, \
-        \"poll_rounds\": %d, \"steered_packets\": %d, \
-        \"waiting_overflows\": %d, \"desc_tx\": %d, \"inline_tx\": %d, \
-        \"pool_fallbacks\": %d, \"loan_tx\": %d, \"loan_rx\": %d, \
-        \"loan_returns\": %d, \"loan_credit_stalls\": %d, \
-        \"jumbo_tx\": %d, \"jumbo_rx\": %d, \"jumbo_chunks_tx\": %d, \
-        \"jumbo_drops\": %d, \"cycles_per_byte\": %.4f, \
-        \"notifies_per_packet\": %.4f}"
-       (jopt r.w_mbps) (jopt r.w_latency_us) r.w_delivered_app c.c_delivered
-       c.c_notifies_sent c.c_notifies_suppressed c.c_batches c.c_poll_rounds
-       c.c_steered c.c_waiting_overflows c.c_desc_tx c.c_inline_tx
-       c.c_pool_fallbacks c.c_loan_tx c.c_loan_rx c.c_loan_returns
-       c.c_loan_credit_stalls c.c_jumbo_tx c.c_jumbo_rx c.c_jumbo_chunks_tx
-       c.c_jumbo_drops r.w_cycles_per_byte (notifies_per_packet c))
-
-let json_of_mixed buf m =
-  let c = m.mx_counters in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"queues\": %d, \"stream_mbps\": %.3f, \"stream_bytes\": %d, \
-        \"rr_transactions\": %d, \"rr_avg_latency_us\": %.3f, \
-        \"rr_p99_latency_us\": %.3f, \"steered_packets\": %d, \
-        \"waiting_overflows\": %d, \"notifies_sent\": %d, \
-        \"notifies_suppressed\": %d,\n      \"per_queue\": ["
-       m.mx_queues m.mx_stream_mbps m.mx_stream_bytes m.mx_rr_transactions
-       m.mx_rr_avg_us m.mx_rr_p99_us c.c_steered c.c_waiting_overflows
-       c.c_notifies_sent c.c_notifies_suppressed);
-  Array.iteri
-    (fun i (q : Gm.queue_stat) ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"queue\": %d, \"notifies_sent\": %d, \"notifies_suppressed\": %d, \
-            \"steered\": %d}"
-           i q.Gm.qs_notifies_sent q.Gm.qs_notifies_suppressed q.Gm.qs_steered))
-    m.mx_queue_stats;
-  Buffer.add_string buf "]}"
-
-let json_of_zc_point buf p =
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"mbps\": %.3f, \"delivered_app\": %d, \"copied_bytes\": %d, \
-        \"copies_per_byte\": %.4f, \"desc_tx\": %d, \"inline_tx\": %d, \
-        \"pool_fallbacks\": %d, \"grant_maps_connect\": %d}"
-       p.zp_mbps p.zp_delivered_app p.zp_copied_bytes p.zp_copies_per_byte
-       p.zp_desc_tx p.zp_inline_tx p.zp_pool_fallbacks p.zp_grant_maps)
+(* Fig. 5 sensitivity under the optimized path. *)
+let fifo_sweep ~smoke =
+  let ks = if smoke then [ 9; 13 ] else [ 9; 10; 11; 12; 13; 14; 15 ] in
+  Json.Arr
+    (List.map
+       (fun k ->
+         let ctx = make_ctx ~fifo_k:k Setup.Xenloop_path in
+         let total = if smoke then 512 * 1024 else 8 * 1024 * 1024 in
+         let mbps =
+           in_ctx ctx (fun { client; server; dst; _ } ->
+               (Netperf.udp_stream ~client ~server ~dst ~total_bytes:total ())
+                 .Netperf.mbps)
+         in
+         Json.Obj
+           [
+             ("fifo_k", int k);
+             ("fifo_kib", int (1 lsl k * 8 / 1024));
+             ("mbps", fixed 2 mbps);
+           ])
+       ks)
 
 (* ------------------------------------------------------------------ *)
 (* Engine microbenchmark: sim_events_per_sec as a first-class metric.
@@ -1207,116 +1139,48 @@ let engine_bench_report pts =
       Printf.printf "engine_bench %-12s %10d events  %8.3f s  %12.0f events/sec\n"
         p.ebp_name p.ebp_events p.ebp_wall (ebp_rate p))
     pts;
-  let head = List.hd pts in
-  let rate = ebp_rate head in
-  let factor =
-    if pre_pr_events_per_sec > 0.0 then rate /. pre_pr_events_per_sec else 1.0
-  in
+  let rate = ebp_rate (List.hd pts) in
   Printf.printf "sim_events_per_sec %.0f  (pre-PR baseline %.0f, x%.2f)\n" rate
-    pre_pr_events_per_sec factor;
-  pts
+    pre_pr_events_per_sec (rate /. pre_pr_events_per_sec)
 
-let json_of_engine_bench buf pts =
-  let head = List.hd pts in
-  let rate = ebp_rate head in
-  let factor =
-    if pre_pr_events_per_sec > 0.0 then rate /. pre_pr_events_per_sec else 1.0
-  in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\n    \"pre_pr_events_per_sec\": %.0f,\n    \"sim_events_per_sec\": \
-        %.0f,\n    \"improvement_factor\": %.2f,\n    \"scenarios\": [\n"
-       pre_pr_events_per_sec rate factor);
-  List.iteri
-    (fun i p ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "      {\"name\": \"%s\", \"events\": %d, \"wall_seconds\": %.4f, \
-            \"sim_events_per_sec\": %.0f}"
-           p.ebp_name p.ebp_events p.ebp_wall (ebp_rate p)))
-    pts;
-  Buffer.add_string buf "\n    ]}"
+let engine_bench_json pts =
+  let rate = ebp_rate (List.hd pts) in
+  Json.Obj
+    [
+      ("pre_pr_events_per_sec", fixed 0 pre_pr_events_per_sec);
+      ("sim_events_per_sec", fixed 0 rate);
+      ("improvement_factor", fixed 2 (rate /. pre_pr_events_per_sec));
+      ( "scenarios",
+        Json.Arr
+          (List.map
+             (fun p ->
+               Json.Obj
+                 [
+                   ("name", Json.Str p.ebp_name);
+                   ("events", int p.ebp_events);
+                   ("wall_seconds", fixed 4 p.ebp_wall);
+                   ("sim_events_per_sec", fixed 0 (ebp_rate p));
+                 ])
+             pts) );
+    ]
 
-(* The CI regression gate re-measures the headline scenario (smoke size —
-   the rate, not the event count, is what matters) and compares it to the
-   number recorded in BENCH_results.json.  No JSON library in the tree, so
-   scan for the key by hand. *)
-
-let find_substring hay needle from =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i =
-    if i + nn > nh then None
-    else if String.sub hay i nn = needle then Some (i + nn)
-    else go (i + 1)
-  in
-  go from
-
-let recorded_events_per_sec path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  match find_substring s "\"engine_bench\"" 0 with
-  | None -> None
-  | Some i -> (
-      match find_substring s "\"sim_events_per_sec\":" i with
-      | None -> None
-      | Some j ->
-          let k = ref j in
-          let n = String.length s in
-          while !k < n && s.[!k] = ' ' do incr k done;
-          let e = ref !k in
-          while
-            !e < n
-            && (match s.[!e] with
-               | '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' -> true
-               | _ -> false)
-          do
-            incr e
-          done;
-          float_of_string_opt (String.sub s !k (!e - !k)))
-
+(* The host-time regression gate: re-measure the headline scenario (smoke
+   size — the rate, not the event count, is what matters) and hold it to
+   75% of the rate recorded in BENCH_results.json.  It is not a row of
+   the gate table because host time is not deterministic. *)
 let engine_bench_check path =
-  match recorded_events_per_sec path with
-  | None ->
-      Printf.eprintf "engine-check: no engine_bench record in %s\n" path;
-      exit 1
-  | Some recorded ->
-      let p = best_of 3 (eb_callback_churn ~smoke:true) in
-      let rate = ebp_rate p in
-      Printf.printf
-        "engine-check: sim_events_per_sec %.0f vs recorded %.0f (%.0f%%)\n" rate
-        recorded
-        (100.0 *. rate /. recorded);
-      if rate < 0.75 *. recorded then begin
-        Printf.eprintf
-          "ENGINE PERF REGRESSION: sim_events_per_sec %.0f is more than 25%% \
-           below the recorded %.0f\n"
-          rate recorded;
-        exit 1
-      end
-
-let datapath_check () =
-  (* CI gate for the loaned receive path (make datapath-check): with
-     loans negotiated (the default), a 16 KiB TCP stream must cross the
-     channel with almost no memcpy — copies/byte above 0.1 means the
-     borrow degenerated back into copy-out somewhere.  TCP deliberately:
-     large UDP datagrams fragment and the reassembly merge is an honest
-     copy this gate must not count against the loan path. *)
-  let size = 16384 in
-  let p =
-    run_zc_point ~params:Hypervisor.Params.default ~smoke:true
-      ~workload:`Tcp_stream size
+  let recorded =
+    Json.(parse (read_file path) |> member "engine_bench" |> member "sim_events_per_sec")
+    |> Json.to_num
   in
-  Printf.printf
-    "datapath-check: tcp_stream %dB  %.1f Mbps  copies/byte %.4f (budget \
-     0.10)  desc %d  fallbacks %d\n"
-    size p.zp_mbps p.zp_copies_per_byte p.zp_desc_tx p.zp_pool_fallbacks;
-  if p.zp_copies_per_byte > 0.1 then begin
+  let rate = ebp_rate (best_of 3 (eb_callback_churn ~smoke:true)) in
+  Printf.printf "engine-check: sim_events_per_sec %.0f vs recorded %.0f (%.0f%%)\n"
+    rate recorded (100.0 *. rate /. recorded);
+  if rate < 0.75 *. recorded then begin
     Printf.eprintf
-      "DATA PATH REGRESSION: %.4f copies per delivered byte at %d B with \
-       loans on (budget 0.10) — loaned receive is copying out\n"
-      p.zp_copies_per_byte size;
+      "ENGINE PERF REGRESSION: sim_events_per_sec %.0f is more than 25%% below \
+       the recorded %.0f\n"
+      rate recorded;
     exit 1
   end
 
@@ -1328,24 +1192,11 @@ let datapath_check () =
    descriptor rate collapses — plus cycles/byte, since what the offload
    actually buys is fewer per-descriptor fixed costs. *)
 
-type gso_point = {
-  gp_size : int;  (* application message size *)
-  gp_gso : bool;
-  gp_mbps : float;
-  gp_delivered : int;
-  gp_descs : int;  (* channel entries pushed: descriptor + inline *)
-  gp_descs_per_mib : float;
-  gp_jumbo_tx : int;
-  gp_jumbo_rx : int;
-  gp_jumbo_chunks_tx : int;
-  gp_cycles_per_byte : float;
-}
-
 let run_gso_point ?(wire = false) ~smoke ~gso size =
   (* [wire]: strip the vif's TSO budget too, so the sender emits
      wire-exact-MSS (~1460 B) frames — the per-MSS fallback baseline of
-     DESIGN.md §15 that the descriptor-collapse clause of the gso gate
-     is defined against.  The plain gso-off point keeps netfront TSO
+     DESIGN.md §15 that the descriptor-collapse row of the gate table is
+     defined against.  The plain gso-off point keeps netfront TSO
      (16 KiB super-frames), which is the fair throughput baseline but
      already amortizes descriptors ~11x over the wire path. *)
   let params =
@@ -1360,117 +1211,60 @@ let run_gso_point ?(wire = false) ~smoke ~gso size =
   in_ctx ctx (fun { duo; client; server; dst } ->
       let busy = host_busy_meter [ client; server ] in
       let busy0 = busy () in
-      let before = counters_of_modules duo.Setup.modules in
+      let before = counters duo.Setup.modules in
       let total = if smoke then 2 * 1024 * 1024 else 8 * 1024 * 1024 in
       let r =
         Netperf.tcp_stream ~client ~server ~dst ~message_size:size
           ~total_bytes:total ()
       in
-      let c = sub_counters (counters_of_modules duo.Setup.modules) before in
+      let c = moved before duo.Setup.modules in
       let busy_s = busy () -. busy0 in
-      let descs = c.c_desc_tx + c.c_inline_tx in
+      let count k = List.assoc k c in
+      let descs = count "desc_tx" + count "inline_tx" in
       let mib = float_of_int r.Netperf.bytes_received /. (1024.0 *. 1024.0) in
-      {
-        gp_size = size;
-        gp_gso = gso;
-        gp_mbps = r.Netperf.mbps;
-        gp_delivered = r.Netperf.bytes_received;
-        gp_descs = descs;
-        gp_descs_per_mib = (if mib > 0.0 then float_of_int descs /. mib else 0.0);
-        gp_jumbo_tx = c.c_jumbo_tx;
-        gp_jumbo_rx = c.c_jumbo_rx;
-        gp_jumbo_chunks_tx = c.c_jumbo_chunks_tx;
-        gp_cycles_per_byte =
-          cycles_per_byte ~busy_s ~bytes:r.Netperf.bytes_received;
-      })
+      Json.Obj
+        [
+          ("mbps", fixed 3 r.Netperf.mbps);
+          ("delivered_app", int r.Netperf.bytes_received);
+          ("descriptors", int descs);
+          ( "descriptors_per_mib",
+            fixed 1 (if mib > 0.0 then float_of_int descs /. mib else 0.0) );
+          ("jumbo_tx", int (count "jumbo_tx"));
+          ("jumbo_rx", int (count "jumbo_rx"));
+          ("jumbo_chunks_tx", int (count "jumbo_chunks_tx"));
+          ( "cycles_per_byte",
+            fixed 4 (cycles_per_byte ~busy_s ~bytes:r.Netperf.bytes_received) );
+        ])
 
 let gso_sweep ~smoke =
-  let sizes = if smoke then [ 16384; 65536 ] else [ 4096; 16384; 65536 ] in
-  List.map
-    (fun size ->
-      let on = run_gso_point ~smoke ~gso:true size in
-      let off = run_gso_point ~smoke ~gso:false size in
-      (size, on, off))
-    sizes
+  Json.Arr
+    (List.map
+       (fun size ->
+         let on = run_gso_point ~smoke ~gso:true size in
+         let off = run_gso_point ~smoke ~gso:false size in
+         let wire =
+           if size = Gates.gso_wire_size then
+             [ ("gso_off_wire", run_gso_point ~wire:true ~smoke ~gso:false size) ]
+           else []
+         in
+         Json.Obj ([ ("size", int size); ("gso", on); ("gso_off", off) ] @ wire))
+       (Gates.gso_sizes ~smoke))
 
-let json_of_gso_point buf p =
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"mbps\": %.3f, \"delivered_app\": %d, \"descriptors\": %d, \
-        \"descriptors_per_mib\": %.1f, \"jumbo_tx\": %d, \"jumbo_rx\": %d, \
-        \"jumbo_chunks_tx\": %d, \"cycles_per_byte\": %.4f}"
-       p.gp_mbps p.gp_delivered p.gp_descs p.gp_descs_per_mib p.gp_jumbo_tx
-       p.gp_jumbo_rx p.gp_jumbo_chunks_tx p.gp_cycles_per_byte)
+(* Offload-off must be invisible: the chaos digest of a gso-off world is
+   bit-for-bit identical whether or not the Jumbo_truncate fault is armed
+   — the gso machinery contributes nothing, not even an RNG draw, to a
+   world that did not negotiate it.
 
-let gso_point_report (size, on, off) =
-  Printf.printf
-    "gso %6dB  off %8.1f Mbps (%7.1f desc/MiB)  on %8.1f Mbps (%7.1f \
-     desc/MiB)  jumbos %d  cycles/B %.3f -> %.3f\n"
-    size off.gp_mbps off.gp_descs_per_mib on.gp_mbps on.gp_descs_per_mib
-    on.gp_jumbo_tx off.gp_cycles_per_byte on.gp_cycles_per_byte
-
-(* CI gate (make gso-check): three independent clauses.
-   (a) Offload must pay: gso-on 64 KiB TCP_STREAM >= 1.2x the gso-off
-       throughput (gso-off keeps netfront TSO, so this is the hard
-       baseline), with the jumbo path actually engaged, and the channel
-       descriptor rate down at least 10x against the per-MSS wire
-       baseline (vif TSO stripped) — the frame population the receiver
-       would software-segment back to on netfront fallback, and the
-       granularity the paper's loopback moves at.
-   (b) Offload may not change delivery: byte counts identical on vs off.
-   (c) Offload-off must be invisible: the chaos digest matrix with gso
-       off is bit-for-bit identical whether or not the Jumbo_truncate
-       fault is armed — the gso machinery contributes nothing, not even
-       an RNG draw, to a world that did not negotiate it. *)
-let gso_check () =
-  let on = run_gso_point ~smoke:true ~gso:true 65536 in
-  let off = run_gso_point ~smoke:true ~gso:false 65536 in
-  let wire = run_gso_point ~wire:true ~smoke:true ~gso:false 65536 in
-  gso_point_report (65536, on, off);
-  Printf.printf
-    "gso  wire-MSS baseline (vif TSO off): %8.1f Mbps (%7.1f desc/MiB)\n"
-    wire.gp_mbps wire.gp_descs_per_mib;
-  let failed = ref false in
-  if on.gp_mbps < 1.2 *. off.gp_mbps then begin
-    Printf.eprintf
-      "GSO REGRESSION: 64 KiB tcp_stream %.1f Mbps with offload on vs %.1f \
-       off (%.2fx, floor 1.20x)\n"
-      on.gp_mbps off.gp_mbps
-      (if off.gp_mbps > 0.0 then on.gp_mbps /. off.gp_mbps else 0.0);
-    failed := true
-  end;
-  if on.gp_descs_per_mib > wire.gp_descs_per_mib /. 10.0 then begin
-    Printf.eprintf
-      "GSO REGRESSION: %.1f descriptors/MiB with offload on vs %.1f on the \
-       per-MSS wire baseline — the jumbo path is not coalescing 10x\n"
-      on.gp_descs_per_mib wire.gp_descs_per_mib;
-    failed := true
-  end;
-  if on.gp_jumbo_tx = 0 then begin
-    Printf.eprintf
-      "GSO REGRESSION: no jumbo descriptors moved on a 64 KiB gso-on stream\n";
-    failed := true
-  end;
-  if on.gp_delivered <> off.gp_delivered then begin
-    Printf.eprintf
-      "GSO DELIVERY MISMATCH: offload on delivered %d bytes, off delivered \
-       %d\n"
-      on.gp_delivered off.gp_delivered;
-    failed := true
-  end;
-  (* (c): gso-off digest matrix, armed vs unarmed Jumbo_truncate.
-
-     One caveat bounds which fault sets can be compared this way: the
-     harness logs a generic "fault windows cleared" event at
-     [Fault.clearance] (the max [f_stop] over every armed spec,
-     whatever its kind), so appending ANY spec to a set whose window
-     envelope it extends moves that bookkeeping timestamp — for any
-     fault kind, armed or not, gso or not.  That is harness scheduling,
-     not gso machinery.  The invisibility claim under test is that the
-     jumbo fault contributes no *draws or injections*, so the matrix
-     compares exactly the sets whose envelope already covers the jumbo
-     window: each applicable single whose default window ends no
-     earlier, plus the full storm. *)
+   One caveat bounds which fault sets can be compared this way: the
+   harness logs a generic "fault windows cleared" event at
+   [Fault.clearance] (the max [f_stop] over every armed spec, whatever
+   its kind), so appending ANY spec to a set whose window envelope it
+   extends moves that bookkeeping timestamp.  That is harness
+   scheduling, not gso machinery.  The matrix therefore compares exactly
+   the sets whose envelope already covers the jumbo window: each
+   applicable single whose default window ends no earlier, plus the full
+   storm, each at seeds 42 and 43. *)
+let gso_off_digest_matrix () =
   let digest_of ~seed ~faults =
     let v, _ =
       Chaos.Harness.run
@@ -1478,7 +1272,7 @@ let gso_check () =
     in
     (v.Chaos.Harness.v_log_digest, v.Chaos.Harness.v_log_length)
   in
-  let applicable_specs =
+  let applicable =
     List.filter_map
       (fun k ->
         if Chaos.Harness.applicable Chaos.Harness.Xenloop_duo k then
@@ -1486,39 +1280,32 @@ let gso_check () =
         else None)
       Chaos.Fault.all
   in
-  let jumbo_spec = Chaos.Fault.default_spec Chaos.Fault.Jumbo_truncate in
-  let envelope_stable specs =
-    List.exists
-      (fun s -> s.Chaos.Fault.f_stop >= jumbo_spec.Chaos.Fault.f_stop)
-      specs
-  in
-  let singles =
+  let jumbo = Chaos.Fault.default_spec Chaos.Fault.Jumbo_truncate in
+  let sets =
     List.filter_map
       (fun s ->
-        if envelope_stable [ s ] then
+        if s.Chaos.Fault.f_stop >= jumbo.Chaos.Fault.f_stop then
           Some (Chaos.Fault.label s.Chaos.Fault.f_kind, [ s ])
         else None)
-      applicable_specs
+      applicable
+    @ [ ("storm", applicable) ]
   in
-  List.iter
-    (fun (name, faults) ->
-      List.iter
-        (fun seed ->
-          let d0 = digest_of ~seed ~faults in
-          let d1 = digest_of ~seed ~faults:(faults @ [ jumbo_spec ]) in
-          if d0 = d1 then
-            Printf.printf "gso-check: %s seed=%d digest %s unperturbed\n" name
-              seed (fst d0)
-          else begin
-            Printf.eprintf
-              "GSO DIGEST PERTURBATION: %s seed=%d digest %s (len %d) became \
-               %s (len %d) when Jumbo_truncate was armed in a gso-off world\n"
-              name seed (fst d0) (snd d0) (fst d1) (snd d1);
-            failed := true
-          end)
-        [ 42; 43 ])
-    (singles @ [ ("storm", applicable_specs) ]);
-  if !failed then exit 1
+  let cases = List.concat_map (fun set -> [ (set, 42); (set, 43) ]) sets in
+  let perturbed =
+    List.filter
+      (fun ((name, faults), seed) ->
+        let d0 = digest_of ~seed ~faults in
+        let d1 = digest_of ~seed ~faults:(faults @ [ jumbo ]) in
+        if d0 <> d1 then
+          Printf.eprintf
+            "gso-off digest %s seed=%d: %s (len %d) became %s (len %d) with \
+             Jumbo_truncate armed\n"
+            name seed (fst d0) (snd d0) (fst d1) (snd d1);
+        d0 <> d1)
+      cases
+  in
+  Json.Obj
+    [ ("compared", int (List.length cases)); ("perturbed", int (List.length perturbed)) ]
 
 (* ------------------------------------------------------------------ *)
 (* Mesh sweep: the cluster-scale control plane (DESIGN.md §12).
@@ -1534,22 +1321,6 @@ let gso_check () =
 
 module Mesh = Scenarios.Mesh
 
-type mesh_point = {
-  me_guests : int;
-  me_delta : bool;
-  me_hosts : int;
-  me_channels_per_sec : float;
-  me_established : int;
-  me_evicted : int;
-  me_live_channels : int;
-  me_pool_bytes : int;
-  me_grant_entries : int;
-  me_steady_bytes_per_guest : float;  (** over {!mesh_steady_window} *)
-  me_announces_sent : int;
-  me_suppressed : int;
-}
-
-let mesh_channel_cap = 8
 let mesh_ring_degree = 4
 
 (* The control-plane cadence must scale with per-host population: a scan
@@ -1560,13 +1331,9 @@ let mesh_ring_degree = 4
    per-host guest count (floor 10 ms) keeps Dom0 load roughly constant
    across mesh sizes; the steady-state window is a fixed 20 scan periods
    so announce bytes per guest stays comparable across N. *)
-let mesh_period ~guests ~hosts =
-  Sim.Time.ms (max 10 (guests / hosts))
+let mesh_period ~guests ~hosts = Sim.Time.ms (max 10 (guests / hosts))
 
-let mesh_steady_window ~guests ~hosts =
-  Sim.Time.span_scale 20 (mesh_period ~guests ~hosts)
-
-let run_mesh_point ~guests ~hosts ~delta () =
+let run_mesh_point (guests, hosts, delta) =
   let period = mesh_period ~guests ~hosts in
   let params =
     {
@@ -1574,7 +1341,7 @@ let run_mesh_point ~guests ~hosts ~delta () =
       Hypervisor.Params.discovery_period = period;
       xenloop_softstate_ttl = Sim.Time.span_scale 8 period;
       xenloop_delta_announce = delta;
-      xenloop_channel_cap = mesh_channel_cap;
+      xenloop_channel_cap = Gates.mesh_channel_cap;
     }
   in
   (* Smallest channel geometry: the sweep measures the control plane, not
@@ -1598,132 +1365,24 @@ let run_mesh_point ~guests ~hosts ~delta () =
       let b0 = Mesh.announce_bytes m in
       let a0 = Mesh.announcements_sent m in
       let s0 = Mesh.announcements_suppressed m in
-      Sim.Engine.sleep (mesh_steady_window ~guests ~hosts);
-      {
-        me_guests = guests;
-        me_delta = delta;
-        me_hosts = hosts;
-        me_channels_per_sec =
-          (if secs > 0.0 then float_of_int established /. secs else 0.0);
-        me_established = established;
-        me_evicted = Mesh.channels_evicted m;
-        me_live_channels = Mesh.live_channels m;
-        me_pool_bytes = Mesh.channel_pool_bytes m;
-        me_grant_entries = Mesh.grant_entries m;
-        me_steady_bytes_per_guest =
-          float_of_int (Mesh.announce_bytes m - b0) /. float_of_int guests;
-        me_announces_sent = Mesh.announcements_sent m - a0;
-        me_suppressed = Mesh.announcements_suppressed m - s0;
-      })
-
-let mesh_sweep ~smoke =
-  (* Single host up to 128 guests — per-host population is what the
-     legacy rebroadcast is linear in — then 512 guests spread over 4
-     hosts for the cluster-scale point the cap is sized against. *)
-  let sizes =
-    if smoke then [ (8, 1); (32, 1) ]
-    else [ (8, 1); (32, 1); (128, 1); (512, 4) ]
-  in
-  List.concat_map
-    (fun (guests, hosts) ->
-      List.map (fun delta -> run_mesh_point ~guests ~hosts ~delta ()) [ true; false ])
-    sizes
-
-let json_of_mesh_point buf p =
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"guests\": %d, \"delta\": %b, \"hosts\": %d, \"channels_per_sec\": \
-        %.1f, \"channels_established\": %d, \"channels_evicted\": %d, \
-        \"live_channels\": %d, \"channel_pool_bytes\": %d, \"grant_entries\": \
-        %d, \"steady_announce_bytes_per_guest\": %.1f, \"announcements_sent\": \
-        %d, \"announcements_suppressed\": %d}"
-       p.me_guests p.me_delta p.me_hosts p.me_channels_per_sec p.me_established
-       p.me_evicted p.me_live_channels p.me_pool_bytes p.me_grant_entries
-       p.me_steady_bytes_per_guest p.me_announces_sent p.me_suppressed)
-
-let mesh_point_report p =
-  Printf.printf
-    "mesh N=%-3d %s  %7.0f ch/s  live %4d  pool %8d B  grants %5d  \
-     announce %8.1f B/guest  suppressed %d\n"
-    p.me_guests
-    (if p.me_delta then "delta " else "legacy")
-    p.me_channels_per_sec p.me_live_channels p.me_pool_bytes p.me_grant_entries
-    p.me_steady_bytes_per_guest p.me_suppressed
-
-(* CI gate (make mesh-check): re-measure the 128-guest delta point and
-   hold it to (a) a hard ceiling on steady-state announce bytes per guest
-   — O(churn) means a churn-free window costs heartbeats only, orders of
-   magnitude under the legacy full-list rebroadcast — (b) no more than a
-   25% channel bring-up regression vs the recorded run, and (c) the
-   per-guest channel cap actually bounding the live population. *)
-
-let mesh_announce_budget = 1024.0 (* bytes/guest over mesh_steady_window *)
-
-let mesh_recorded_channels_per_sec path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  match find_substring s "\"mesh_sweep\"" 0 with
-  | None -> None
-  | Some i -> (
-      match find_substring s "\"guests\": 128, \"delta\": true" i with
-      | None -> None
-      | Some j -> (
-          match find_substring s "\"channels_per_sec\":" j with
-          | None -> None
-          | Some k ->
-              let k = ref k in
-              let n = String.length s in
-              while !k < n && s.[!k] = ' ' do incr k done;
-              let e = ref !k in
-              while
-                !e < n
-                && (match s.[!e] with
-                   | '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' -> true
-                   | _ -> false)
-              do
-                incr e
-              done;
-              float_of_string_opt (String.sub s !k (!e - !k))))
-
-let mesh_check path =
-  match mesh_recorded_channels_per_sec path with
-  | None ->
-      Printf.eprintf "mesh-check: no 128-guest delta mesh record in %s\n" path;
-      exit 1
-  | Some recorded ->
-      let p = run_mesh_point ~guests:128 ~hosts:1 ~delta:true () in
-      Printf.printf
-        "mesh-check: channels/sec %.0f vs recorded %.0f (%.0f%%)  steady \
-         announce %.1f B/guest (budget %.0f)  live %d (cap %d)\n"
-        p.me_channels_per_sec recorded
-        (100.0 *. p.me_channels_per_sec /. recorded)
-        p.me_steady_bytes_per_guest mesh_announce_budget p.me_live_channels
-        (p.me_guests * mesh_channel_cap);
-      let failed = ref false in
-      if p.me_steady_bytes_per_guest > mesh_announce_budget then begin
-        Printf.eprintf
-          "MESH CONTROL-PLANE REGRESSION: steady-state announce %.1f \
-           bytes/guest exceeds the O(churn) budget %.0f — delta \
-           announcements have degenerated toward full-list rebroadcast\n"
-          p.me_steady_bytes_per_guest mesh_announce_budget;
-        failed := true
-      end;
-      if p.me_channels_per_sec < 0.75 *. recorded then begin
-        Printf.eprintf
-          "MESH BRING-UP REGRESSION: %.0f channels/sec is more than 25%% \
-           below the recorded %.0f\n"
-          p.me_channels_per_sec recorded;
-        failed := true
-      end;
-      if p.me_live_channels > p.me_guests * mesh_channel_cap then begin
-        Printf.eprintf
-          "MESH CAP VIOLATION: %d live channels across %d guests exceeds \
-           the per-guest cap of %d\n"
-          p.me_live_channels p.me_guests mesh_channel_cap;
-        failed := true
-      end;
-      if !failed then exit 1
+      Sim.Engine.sleep (Sim.Time.span_scale 20 period);
+      Json.Obj
+        [
+          ("guests", int guests);
+          ("delta", Json.Bool delta);
+          ("hosts", int hosts);
+          ( "channels_per_sec",
+            fixed 1 (if secs > 0.0 then float_of_int established /. secs else 0.0) );
+          ("channels_established", int established);
+          ("channels_evicted", int (Mesh.channels_evicted m));
+          ("live_channels", int (Mesh.live_channels m));
+          ("channel_pool_bytes", int (Mesh.channel_pool_bytes m));
+          ("grant_entries", int (Mesh.grant_entries m));
+          ( "steady_announce_bytes_per_guest",
+            fixed 1 (float_of_int (Mesh.announce_bytes m - b0) /. float_of_int guests) );
+          ("announcements_sent", int (Mesh.announcements_sent m - a0));
+          ("announcements_suppressed", int (Mesh.announcements_suppressed m - s0));
+        ])
 
 (* ------------------------------------------------------------------ *)
 (* Fairness sweep (DESIGN.md §14): incast fan-in and elephant-vs-mice,
@@ -1732,19 +1391,8 @@ let mesh_check path =
    tenant (non-blocking sends, ignores EWOULDBLOCK) while the victims
    use the blocking socket path and feel the backpressure.  Jain's index
    is computed over per-flow bytes delivered inside a fixed window; the
-   mice are a concurrent TCP_RR whose p99 is the victim latency the CI
-   gate tracks. *)
-
-type fairness_side = {
-  fz_qos : bool;
-  fz_jain : float option;  (* incast: over raw per-flow delivered bytes *)
-  fz_flows : (int * int * bool) list;  (* port, window bytes, misbehaving *)
-  fz_victim_transactions : int;
-  fz_victim_p50_us : float;
-  fz_victim_p99_us : float;
-  fz_udp_mbps : float;  (* aggregate UDP goodput over the window *)
-  fz_flow_stats : Gm.flow_stat list;  (* client tx module; [] when QoS off *)
-}
+   mice are a concurrent TCP_RR whose p99 is the victim latency the gate
+   table tracks. *)
 
 let jain = function
   | [] -> 1.0
@@ -1779,6 +1427,7 @@ let fairness_params ~qos =
    qos on/off are indistinguishable. *)
 let fairness_burners = 3
 
+(* One side as its document entry, with the victim's unrounded rr p99. *)
 let run_fairness_side ~smoke ~qos ~with_jain ~senders () =
   let ctx =
     make_ctx ~params:(fairness_params ~qos) ~fifo_k:9 Setup.Xenloop_path
@@ -1855,25 +1504,54 @@ let run_fairness_side ~smoke ~qos ~with_jain ~senders () =
       let flow_bytes =
         List.mapi (fun i (port, _, _, mis) -> (port, received.(i), mis)) senders
       in
-      let client_module = List.hd duo.Setup.modules in
-      let fz_flow_stats = Gm.flow_stats client_module in
+      let flow_stats = Gm.flow_stats (List.hd duo.Setup.modules) in
       stop := true;
       Sim.Engine.sleep (Sim.Time.ms 2);
-      {
-        fz_qos = qos;
-        fz_jain =
-          (if with_jain then
-             Some (jain (List.map (fun (_, b, _) -> float_of_int b) flow_bytes))
-           else None);
-        fz_flows = flow_bytes;
-        fz_victim_transactions = rr.Netperf.transactions;
-        fz_victim_p50_us = rr.Netperf.p50_latency_us;
-        fz_victim_p99_us = rr.Netperf.p99_latency_us;
-        fz_udp_mbps =
-          (let total = Array.fold_left ( + ) 0 received in
-           float_of_int (total * 8) /. Sim.Time.to_us_f window);
-        fz_flow_stats;
-      })
+      let total = Array.fold_left ( + ) 0 received in
+      ( Json.Obj
+          [
+            ("qos", Json.Bool qos);
+            ( "jain",
+              fixed_opt 4
+                (if with_jain then
+                   Some (jain (List.map (fun (_, b, _) -> float_of_int b) flow_bytes))
+                 else None) );
+            ("udp_mbps", fixed 1 (float_of_int (total * 8) /. Sim.Time.to_us_f window));
+            ( "victim_rr",
+              Json.Obj
+                [
+                  ("transactions", int rr.Netperf.transactions);
+                  ("p50_us", fixed 1 rr.Netperf.p50_latency_us);
+                  ("p99_us", fixed 1 rr.Netperf.p99_latency_us);
+                ] );
+            ( "flows",
+              Json.Arr
+                (List.map
+                   (fun (port, bytes, mis) ->
+                     Json.Obj
+                       [
+                         ("port", int port);
+                         ("bytes", int bytes);
+                         ("misbehaving", Json.Bool mis);
+                       ])
+                   flow_bytes) );
+            ( "flow_stats",
+              Json.Arr
+                (List.map
+                   (fun fs ->
+                     Json.Obj
+                       [
+                         ("flow", Json.Str fs.Gm.fs_label);
+                         ("bytes", int fs.Gm.fs_bytes);
+                         ("frames", int fs.Gm.fs_frames);
+                         ("descs", int fs.Gm.fs_descs);
+                         ("waiting_overflows", int fs.Gm.fs_overflows);
+                         ("congestion_raises", int fs.Gm.fs_congestion_raises);
+                         ("congestion_clears", int fs.Gm.fs_congestion_clears);
+                       ])
+                   flow_stats) );
+          ],
+        rr.Netperf.p99_latency_us ))
 
 (* Incast fan-in: 8 sockets on one guest into one receiver, one of them
    a jumbo-datagram flood (fragmented, so it keys one heavy flow while
@@ -1887,175 +1565,43 @@ let incast_senders =
    the figure of merit (Jain over one UDP flow says nothing). *)
 let elephant_senders = [ (8100, 4096, 6, true) ]
 
-type fairness_sweep = {
-  fw_incast_off : fairness_side;
-  fw_incast_on : fairness_side;
-  fw_elephant_off : fairness_side;
-  fw_elephant_on : fairness_side;
-}
-
-let run_fairness_sweep ~smoke =
-  {
-    fw_incast_off =
-      run_fairness_side ~smoke ~qos:false ~with_jain:true
-        ~senders:incast_senders ();
-    fw_incast_on =
-      run_fairness_side ~smoke ~qos:true ~with_jain:true
-        ~senders:incast_senders ();
-    fw_elephant_off =
-      run_fairness_side ~smoke ~qos:false ~with_jain:false
-        ~senders:elephant_senders ();
-    fw_elephant_on =
-      run_fairness_side ~smoke ~qos:true ~with_jain:false
-        ~senders:elephant_senders ();
-  }
-
-let json_of_fairness_side buf z =
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"qos\": %b, \"jain\": %s, \"udp_mbps\": %.1f,\n       \
-        \"victim_rr\": {\"transactions\": %d, \"p50_us\": %.1f, \"p99_us\": \
-        %.1f},\n       \"flows\": ["
-       z.fz_qos
-       (match z.fz_jain with Some j -> Printf.sprintf "%.4f" j | None -> "null")
-       z.fz_udp_mbps z.fz_victim_transactions z.fz_victim_p50_us
-       z.fz_victim_p99_us);
-  List.iteri
-    (fun i (port, bytes, mis) ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf
-        (Printf.sprintf "{\"port\": %d, \"bytes\": %d, \"misbehaving\": %b}"
-           port bytes mis))
-    z.fz_flows;
-  Buffer.add_string buf "],\n       \"flow_stats\": [";
-  List.iteri
-    (fun i fs ->
-      if i > 0 then Buffer.add_string buf ",\n         ";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"flow\": \"%s\", \"bytes\": %d, \"frames\": %d, \
-            \"descs\": %d, \"waiting_overflows\": %d, \
-            \"congestion_raises\": %d, \"congestion_clears\": %d}"
-           fs.Gm.fs_label fs.Gm.fs_bytes fs.Gm.fs_frames fs.Gm.fs_descs fs.Gm.fs_overflows
-           fs.Gm.fs_congestion_raises fs.Gm.fs_congestion_clears))
-    z.fz_flow_stats;
-  Buffer.add_string buf "]}"
-
-let json_of_fairness buf s =
-  Buffer.add_string buf "{\n    \"incast\": {\n      \"qos_off\": ";
-  json_of_fairness_side buf s.fw_incast_off;
-  Buffer.add_string buf ",\n      \"qos_on\": ";
-  json_of_fairness_side buf s.fw_incast_on;
-  Buffer.add_string buf "},\n    \"elephant_mice\": {\n      \"qos_off\": ";
-  json_of_fairness_side buf s.fw_elephant_off;
-  Buffer.add_string buf ",\n      \"qos_on\": ";
-  json_of_fairness_side buf s.fw_elephant_on;
-  let improvement =
-    if s.fw_elephant_on.fz_victim_p99_us > 0.0 then
-      s.fw_elephant_off.fz_victim_p99_us /. s.fw_elephant_on.fz_victim_p99_us
-    else Float.infinity
+let fairness_sweep ~smoke =
+  let incast ~qos =
+    run_fairness_side ~smoke ~qos ~with_jain:true ~senders:incast_senders ()
   in
-  Buffer.add_string buf
-    (Printf.sprintf "},\n    \"victim_p99_improvement\": %s\n  }"
-       (if Float.is_finite improvement then Printf.sprintf "%.2f" improvement
-        else "null"))
+  let elephant ~qos =
+    run_fairness_side ~smoke ~qos ~with_jain:false ~senders:elephant_senders ()
+  in
+  let incast_off, _ = incast ~qos:false in
+  let incast_on, _ = incast ~qos:true in
+  let elephant_off, p99_off = elephant ~qos:false in
+  let elephant_on, p99_on = elephant ~qos:true in
+  Json.Obj
+    [
+      ("incast", Json.Obj [ ("qos_off", incast_off); ("qos_on", incast_on) ]);
+      ("elephant_mice", Json.Obj [ ("qos_off", elephant_off); ("qos_on", elephant_on) ]);
+      ( "victim_p99_improvement",
+        if p99_on > 0.0 then fixed 2 (p99_off /. p99_on) else Json.Null );
+    ]
 
-let fairness_report s =
-  let side name z =
-    Printf.printf
-      "fairness %-22s jain %-6s udp %8.1f Mbps  victim rr p99 %8.1f us  \
-       overflowing flows %d\n"
-      name
-      (match z.fz_jain with Some j -> Printf.sprintf "%.3f" j | None -> "-")
-      z.fz_udp_mbps z.fz_victim_p99_us
-      (List.length (List.filter (fun f -> f.Gm.fs_overflows > 0) z.fz_flow_stats))
-  in
-  side "incast/qos-off" s.fw_incast_off;
-  side "incast/qos-on" s.fw_incast_on;
-  side "elephant-mice/qos-off" s.fw_elephant_off;
-  side "elephant-mice/qos-on" s.fw_elephant_on
-
-(* CI gate (make fairness-check): re-measure the sweep in smoke mode;
-   QoS-on incast must hold Jain >= 0.95 and the elephant-vs-mice victim
-   p99 must be >= 5x better than the unisolated baseline. *)
-let fairness_check () =
-  let s = run_fairness_sweep ~smoke:true in
-  fairness_report s;
-  let jain_on = Option.value ~default:0.0 s.fw_incast_on.fz_jain in
-  let improvement =
-    if s.fw_elephant_on.fz_victim_p99_us > 0.0 then
-      s.fw_elephant_off.fz_victim_p99_us /. s.fw_elephant_on.fz_victim_p99_us
-    else Float.infinity
-  in
-  Printf.printf
-    "fairness-check: qos-on incast jain %.3f (floor 0.95)  victim p99 %.1f \
-     -> %.1f us (%.1fx, floor 5x)\n"
-    jain_on s.fw_elephant_off.fz_victim_p99_us s.fw_elephant_on.fz_victim_p99_us
-    improvement;
-  let failed = ref false in
-  if jain_on < 0.95 then begin
-    Printf.eprintf
-      "FAIRNESS REGRESSION: QoS-on incast Jain index %.3f below the 0.95 \
-       floor — the DRR scheduler is no longer isolating the flooder\n"
-      jain_on;
-    failed := true
-  end;
-  if improvement < 5.0 then begin
-    Printf.eprintf
-      "VICTIM LATENCY REGRESSION: elephant-vs-mice rr p99 improved only \
-       %.1fx with QoS on (floor 5x): off %.1f us, on %.1f us\n"
-      improvement s.fw_elephant_off.fz_victim_p99_us
-      s.fw_elephant_on.fz_victim_p99_us;
-    failed := true
-  end;
-  if !failed then exit 1
-
-let json_mode ~smoke path =
-  let names = [ "udp_stream"; "tcp_stream"; "udp_rr"; "tcp_rr" ] in
-  let results =
-    List.map
-      (fun name ->
-        let base = run_json_workload ~params:baseline_params ~smoke name in
-        let opt = run_json_workload ~params:Hypervisor.Params.default ~smoke name in
-        (name, base, opt))
-      names
-  in
-  let queue_sweep =
-    (* Mixed stream+rr under queues = 1, 2, 4, 8: the multi-queue
-       head-of-line-blocking experiment. *)
-    let qs = if smoke then [ 1; 4 ] else [ 1; 2; 4; 8 ] in
-    List.map
-      (fun q ->
-        run_mixed
-          ~params:{ Hypervisor.Params.default with Hypervisor.Params.xenloop_queues = q }
-          ~smoke ())
-      qs
-  in
-  let sweep =
-    (* Fig. 5 sensitivity under the optimized path. *)
-    let ks = if smoke then [ 9; 13 ] else [ 9; 10; 11; 12; 13; 14; 15 ] in
-    List.map
-      (fun k ->
-        let ctx = make_ctx ~fifo_k:k Setup.Xenloop_path in
-        let total = if smoke then 512 * 1024 else 8 * 1024 * 1024 in
-        let mbps =
-          in_ctx ctx (fun { client; server; dst; _ } ->
-              (Netperf.udp_stream ~client ~server ~dst ~total_bytes:total ())
-                .Netperf.mbps)
-        in
-        (k, mbps))
-      ks
-  in
-  let zerocopy_sweep = zc_sweep ~smoke in
-  let gso_points = gso_sweep ~smoke in
-  let mesh_points = mesh_sweep ~smoke in
-  let fairness = run_fairness_sweep ~smoke in
-  let engine_points = engine_bench_run ~smoke () in
-  let chaos_summary =
-    (* The chaos soak rides along: the numbers above are only worth
-       publishing if the same data path survives fault injection without
-       losing, duplicating, or leaking anything. *)
+(* The chaos soak rides along: the numbers above are only worth
+   publishing if the same data path survives fault injection without
+   losing, duplicating, or leaking anything.  The smoke plan soaks the
+   xenloop duo fault-free and under the storm of every applicable kind. *)
+let chaos_soak ~smoke =
+  let summary =
     if smoke then
+      let case name faults =
+        {
+          Chaos.Soak.c_name = name;
+          c_scenario = Chaos.Harness.Xenloop_duo;
+          c_faults = faults;
+          c_loans = false;
+          c_evictions = false;
+          c_qos = false;
+          c_gso = false;
+        }
+      in
       let storm =
         List.filter_map
           (fun k ->
@@ -2065,205 +1611,59 @@ let json_mode ~smoke path =
           Chaos.Fault.all
       in
       Chaos.Soak.run
-        ~cases:
-          [
-            {
-              Chaos.Soak.c_name = "xenloop-duo/baseline";
-              c_scenario = Chaos.Harness.Xenloop_duo;
-              c_faults = [];
-              c_loans = false;
-              c_evictions = false;
-              c_qos = false;
-              c_gso = false;
-            };
-            {
-              Chaos.Soak.c_name = "xenloop-duo/storm";
-              c_scenario = Chaos.Harness.Xenloop_duo;
-              c_faults = storm;
-              c_loans = false;
-              c_evictions = false;
-              c_qos = false;
-              c_gso = false;
-            };
-          ]
+        ~cases:[ case "xenloop-duo/baseline" []; case "xenloop-duo/storm" storm ]
         ~seed:42 ()
     else Chaos.Soak.run ~seed:42 ()
   in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\n  \"smoke\": %b,\n  \"scenario\": \"xenloop_path\",\n"
-       smoke);
-  Buffer.add_string buf "  \"workloads\": [\n";
-  List.iteri
-    (fun i (name, base, opt) ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf (Printf.sprintf "    {\"name\": \"%s\",\n" name);
-      Buffer.add_string buf "     \"baseline\": ";
-      json_of_side buf base;
-      Buffer.add_string buf ",\n     \"optimized\": ";
-      json_of_side buf opt;
-      let reduction =
-        let b = notifies_per_packet base.w_counters
-        and o = notifies_per_packet opt.w_counters in
-        if o > 0.0 then b /. o else Float.infinity
-      in
-      Buffer.add_string buf
-        (Printf.sprintf ",\n     \"notify_reduction_factor\": %s}"
-           (if Float.is_finite reduction then Printf.sprintf "%.2f" reduction
-            else "null")))
-    results;
-  Buffer.add_string buf "\n  ],\n  \"mixed_queue_sweep\": [\n";
-  List.iteri
-    (fun i m ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf "    ";
-      json_of_mixed buf m)
-    queue_sweep;
-  Buffer.add_string buf "\n  ],\n  \"fifo_sweep_udp_stream\": [\n";
-  List.iteri
-    (fun i (k, mbps) ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf
-        (Printf.sprintf "    {\"fifo_k\": %d, \"fifo_kib\": %d, \"mbps\": %.2f}" k
-           (1 lsl k * 8 / 1024) mbps))
-    sweep;
-  Buffer.add_string buf "\n  ],\n  \"zerocopy_sweep\": [\n";
-  List.iteri
-    (fun i (name, points) ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf (Printf.sprintf "    {\"name\": \"%s\", \"points\": [\n" name);
-      List.iteri
-        (fun j (size, on, off) ->
-          if j > 0 then Buffer.add_string buf ",\n";
-          Buffer.add_string buf (Printf.sprintf "      {\"size\": %d,\n       \"zerocopy\": " size);
-          json_of_zc_point buf on;
-          Buffer.add_string buf ",\n       \"inline\": ";
-          json_of_zc_point buf off;
-          Buffer.add_string buf "}")
-        points;
-      Buffer.add_string buf "\n    ]}")
-    zerocopy_sweep;
-  Buffer.add_string buf "\n  ],\n  \"gso_sweep\": [\n";
-  List.iteri
-    (fun i (size, on, off) ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf
-        (Printf.sprintf "    {\"size\": %d,\n     \"gso\": " size);
-      json_of_gso_point buf on;
-      Buffer.add_string buf ",\n     \"gso_off\": ";
-      json_of_gso_point buf off;
-      Buffer.add_string buf "}")
-    gso_points;
-  Buffer.add_string buf "\n  ],\n  \"mesh_sweep\": [\n";
-  List.iteri
-    (fun i p ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf "    ";
-      json_of_mesh_point buf p)
-    mesh_points;
-  Buffer.add_string buf "\n  ],\n  \"fairness_sweep\": ";
-  json_of_fairness buf fairness;
-  Buffer.add_string buf ",\n  \"engine_bench\": ";
-  json_of_engine_bench buf engine_points;
-  Buffer.add_string buf ",\n  \"chaos\": ";
-  Buffer.add_string buf (Chaos.Soak.to_json chaos_summary);
-  Buffer.add_string buf "\n}\n";
+  Json.parse (Chaos.Soak.to_json summary)
+
+(* Measure the plan once, write the document, and evaluate every row of
+   the gate table against it; [recorded] is the committed
+   BENCH_results.json the recorded-value rows read. *)
+let json_mode ~smoke ~recorded path =
+  let workloads = List.map (workload_entry ~smoke) Gates.workloads in
+  let mixed = List.map (run_mixed ~smoke) (Gates.queue_counts ~smoke) in
+  let fifo = fifo_sweep ~smoke in
+  let zerocopy = zerocopy_sweep ~smoke in
+  let gso = gso_sweep ~smoke in
+  let digests = gso_off_digest_matrix () in
+  let mesh = List.map run_mesh_point (Gates.mesh_points ~smoke) in
+  let fairness = fairness_sweep ~smoke in
+  let engine = engine_bench_json (engine_bench_run ~smoke ()) in
+  let chaos = chaos_soak ~smoke in
+  let doc =
+    Json.Obj
+      [
+        ("smoke", Json.Bool smoke);
+        ("scenario", Json.Str "xenloop_path");
+        ("workloads", Json.Arr workloads);
+        ("mixed_queue_sweep", Json.Arr mixed);
+        ("fifo_sweep_udp_stream", fifo);
+        ("zerocopy_sweep", zerocopy);
+        ("gso_sweep", gso);
+        ("gso_off_digest_matrix", digests);
+        ("mesh_sweep", Json.Arr mesh);
+        ("fairness_sweep", fairness);
+        ("engine_bench", engine);
+        ("chaos", chaos);
+      ]
+  in
   let oc = open_out path in
-  output_string oc (Buffer.contents buf);
+  output_string oc (Gates.layout doc);
   close_out oc;
-  List.iter
-    (fun (name, base, opt) ->
-      Printf.printf "%-12s notifies/packet %8.4f -> %8.4f\n" name
-        (notifies_per_packet base.w_counters)
-        (notifies_per_packet opt.w_counters))
-    results;
-  List.iter
-    (fun m ->
-      Printf.printf "mixed q=%d    stream %8.1f Mbps  rr p99 %8.1f us\n"
-        m.mx_queues m.mx_stream_mbps m.mx_rr_p99_us)
-    queue_sweep;
-  List.iter
-    (fun (name, points) ->
-      List.iter
-        (fun (size, on, off) ->
-          Printf.printf
-            "zc %-10s %6dB  %8.1f -> %8.1f Mbps  copies/byte %5.2f -> %5.2f  \
-             fallbacks %d\n"
-            name size off.zp_mbps on.zp_mbps off.zp_copies_per_byte
-            on.zp_copies_per_byte on.zp_pool_fallbacks)
-        points)
-    zerocopy_sweep;
-  List.iter gso_point_report gso_points;
-  List.iter mesh_point_report mesh_points;
-  fairness_report fairness;
-  ignore (engine_bench_report engine_points);
   Printf.printf "wrote %s\n" path;
-  (* Delivery invariance: the fast path may change timing, never what the
-     application receives.  A mismatch is a data-path bug — fail loudly so
-     CI goes red instead of silently publishing wrong numbers. *)
-  let failures = ref [] in
+  let recorded = match recorded with Some r -> r | None -> doc in
+  let verdicts = List.map (Gates.check ~recorded doc) (Gates.rows ~smoke) in
   List.iter
-    (fun (name, base, opt) ->
-      if base.w_delivered_app <> opt.w_delivered_app then
-        failures :=
-          Printf.sprintf "%s: baseline delivered %d, optimized delivered %d" name
-            base.w_delivered_app opt.w_delivered_app
-          :: !failures)
-    results;
-  List.iter
-    (fun (name, points) ->
-      List.iter
-        (fun (size, on, off) ->
-          if on.zp_delivered_app <> off.zp_delivered_app then
-            failures :=
-              Printf.sprintf
-                "%s size=%d: zerocopy delivered %d bytes, inline delivered %d"
-                name size on.zp_delivered_app off.zp_delivered_app
-              :: !failures)
-        points)
-    zerocopy_sweep;
-  List.iter
-    (fun (size, on, off) ->
-      if on.gp_delivered <> off.gp_delivered then
-        failures :=
-          Printf.sprintf
-            "gso size=%d: offload on delivered %d bytes, off delivered %d"
-            size on.gp_delivered off.gp_delivered
-          :: !failures)
-    gso_points;
-  (match queue_sweep with
-  | first :: rest ->
-      List.iter
-        (fun m ->
-          if
-            m.mx_stream_bytes <> first.mx_stream_bytes
-            || m.mx_rr_transactions <> first.mx_rr_transactions
-          then
-            failures :=
-              Printf.sprintf
-                "mixed: queues=%d delivered (%d bytes, %d transactions) but \
-                 queues=%d delivered (%d bytes, %d transactions)"
-                m.mx_queues m.mx_stream_bytes m.mx_rr_transactions
-                first.mx_queues first.mx_stream_bytes first.mx_rr_transactions
-              :: !failures)
-        rest
-  | [] -> ());
-  if !failures <> [] then begin
-    prerr_endline "DELIVERY MISMATCH: application-level delivery changed across data-path settings:";
-    List.iter (fun f -> Printf.eprintf "  %s\n" f) (List.rev !failures);
-    exit 1
-  end;
-  Format.printf "%a@." Chaos.Soak.pp chaos_summary;
-  if not (Chaos.Soak.ok chaos_summary) then begin
-    prerr_endline
-      "CHAOS SOAK FAILED: invariant violation or delivery defect under fault \
-       injection:";
-    (match chaos_summary.Chaos.Soak.s_first_failure with
-    | Some f ->
-        Printf.eprintf "  first failing seed %d (%s)\n" f.Chaos.Soak.fail_seed
-          f.Chaos.Soak.fail_case;
-        List.iter (fun v -> Printf.eprintf "  %s\n" v) f.Chaos.Soak.fail_violations
-    | None -> ());
+    (function
+      | Ok line -> Printf.printf "ok    %s\n" line
+      | Error line -> Printf.printf "FAIL  %s\n" line)
+    verdicts;
+  let failed = List.filter Result.is_error verdicts in
+  if failed <> [] then begin
+    Printf.eprintf "%d of %d gate rows failed:\n" (List.length failed)
+      (List.length verdicts);
+    List.iter (function Error l -> Printf.eprintf "  %s\n" l | Ok _ -> ()) failed;
     exit 1
   end
 
@@ -2299,60 +1699,10 @@ let ablation_notify () =
   List.iter
     (fun (name, params) ->
       let r = run_json_workload ~params ~smoke:false "udp_stream" in
-      Format.fprintf fmt "%-32s %8.1f Mbps  notifies %5d  polls %6d@." name
-        (Option.value ~default:0.0 r.w_mbps)
-        r.w_counters.c_notifies_sent r.w_counters.c_poll_rounds)
+      Format.fprintf fmt "%-32s %8.1f Mbps  notifies %5.0f  polls %6.0f@." name
+        (field "mbps" r) (field "notifies_sent" r) (field "poll_rounds" r))
     combos;
   Format.fprintf fmt "@."
-
-let queue_sweep_experiment () =
-  Format.fprintf fmt
-    "=== Queue sweep: concurrent UDP_STREAM + TCP_RR vs queue count ===@.";
-  Format.fprintf fmt
-    "# bulk stream and rr flow steered to distinct queues when queues > 1@.";
-  List.iter
-    (fun q ->
-      let m =
-        run_mixed
-          ~params:{ Hypervisor.Params.default with Hypervisor.Params.xenloop_queues = q }
-          ~smoke:false ()
-      in
-      Format.fprintf fmt
-        "queues=%d  stream %8.1f Mbps  rr avg %7.1f us  p99 %7.1f us  overflows %d@."
-        m.mx_queues m.mx_stream_mbps m.mx_rr_avg_us m.mx_rr_p99_us
-        m.mx_counters.c_waiting_overflows;
-      Format.fprintf fmt
-        "    notifies %d  suppressed %d  batches %d  polls %d  delivered %d@."
-        m.mx_counters.c_notifies_sent m.mx_counters.c_notifies_suppressed
-        m.mx_counters.c_batches m.mx_counters.c_poll_rounds
-        m.mx_counters.c_delivered;
-      Array.iteri
-        (fun i (qs : Gm.queue_stat) ->
-          Format.fprintf fmt
-            "    q%d: steered %6d  notifies %5d  suppressed %6d@." i
-            qs.Gm.qs_steered qs.Gm.qs_notifies_sent qs.Gm.qs_notifies_suppressed)
-        m.mx_queue_stats)
-    [ 1; 2; 4; 8 ];
-  Format.fprintf fmt "@."
-
-let zerocopy_sweep_experiment () =
-  Format.fprintf fmt
-    "=== Zero-copy: descriptor channel vs inline two-copy path ===@.";
-  Format.fprintf fmt
-    "# message-size sweep, copies/byte counts actual memcpy traffic@.";
-  List.iter
-    (fun (name, points) ->
-      Format.fprintf fmt "# workload: %s@." name;
-      List.iter
-        (fun (size, on, off) ->
-          Format.fprintf fmt
-            "%6d B  inline %8.1f Mbps (%4.2f cp/B)  zerocopy %8.1f Mbps \
-             (%4.2f cp/B)  desc %6d  fallbacks %d@."
-            size off.zp_mbps off.zp_copies_per_byte on.zp_mbps
-            on.zp_copies_per_byte on.zp_desc_tx on.zp_pool_fallbacks)
-        points;
-      Format.fprintf fmt "@.")
-    (zc_sweep ~smoke:false)
 
 (* ------------------------------------------------------------------ *)
 
@@ -2385,21 +1735,19 @@ let experiments =
     ( "ablation-notify",
       "Ablation: notification suppression / batching / polling",
       ablation_notify );
-    ( "queue-sweep",
-      "Multi-queue: mixed stream+rr vs queue count",
-      queue_sweep_experiment );
-    ( "zerocopy-sweep",
-      "Zero-copy: descriptor channel vs inline path by message size",
-      zerocopy_sweep_experiment );
   ]
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
   let args = List.filter (fun a -> a <> "--") args in
+  let read path = Json.parse (Json.read_file path) in
   match args with
-  | [ "--json" ] -> json_mode ~smoke:false "BENCH_results.json"
-  | [ "--json"; path ] -> json_mode ~smoke:false path
-  | [ "--json-smoke"; path ] -> json_mode ~smoke:true path
+  | "--json" :: ([] | [ _ ] as out) ->
+      let default = "BENCH_results.json" in
+      let recorded = if Sys.file_exists default then Some (read default) else None in
+      json_mode ~smoke:false ~recorded (match out with [ path ] -> path | _ -> default)
+  | [ "--json-smoke"; path; recorded ] ->
+      json_mode ~smoke:true ~recorded:(Some (read recorded)) path
   | [ "--list" ] ->
       List.iter (fun (name, doc, _) -> Printf.printf "%-20s %s\n" name doc) experiments
   | [ "--only"; names ] ->
@@ -2412,20 +1760,8 @@ let () =
               Printf.eprintf "unknown experiment %s (try --list)\n" name;
               exit 1)
         wanted
-  | [ "--engine-bench" ] -> ignore (engine_bench_report (engine_bench_run ~smoke:false ()))
-  | [ "--engine-bench-smoke" ] ->
-      ignore (engine_bench_report (engine_bench_run ~smoke:true ()))
+  | [ "--engine-bench" ] -> engine_bench_report (engine_bench_run ~smoke:false ())
   | [ "--engine-bench-check"; path ] -> engine_bench_check path
-  | [ "--datapath-check" ] -> datapath_check ()
-  | [ "--gso-check" ] -> gso_check ()
-  | [ "--gso-sweep" ] -> List.iter gso_point_report (gso_sweep ~smoke:false)
-  | [ "--mesh-check"; path ] -> mesh_check path
-  | [ "--fairness-check" ] -> fairness_check ()
-  | [ "--fairness-sweep" ] -> fairness_report (run_fairness_sweep ~smoke:false)
-  | [ "--mesh-point"; g; h; d ] ->
-      mesh_point_report
-        (run_mesh_point ~guests:(int_of_string g) ~hosts:(int_of_string h)
-           ~delta:(bool_of_string d) ())
   | [] ->
       Format.fprintf fmt
         "XenLoop reproduction benchmark suite (simulated Xen substrate)@.@.";
@@ -2433,8 +1769,6 @@ let () =
   | _ ->
       prerr_endline
         "usage: main.exe [--list | --only name1,name2,... | --json [path] | \
-         --json-smoke path | --engine-bench | --engine-bench-smoke | \
-         --engine-bench-check path | --datapath-check | --gso-check | \
-         --gso-sweep | --mesh-check path | --fairness-check | \
-         --fairness-sweep]";
+         --json-smoke path recorded.json | --engine-bench | \
+         --engine-bench-check recorded.json]";
       exit 1

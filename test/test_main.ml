@@ -8,4 +8,5 @@ let () =
    @ Test_xenloop_multiqueue.suites @ Test_xenloop_zerocopy.suites
    @ Test_xenloop_loans.suites @ Test_qos.suites
    @ Test_hypervisor.suites
-   @ Test_workloads.suites @ Test_socket_shortcut.suites @ Test_cluster.suites @ Test_mesh.suites @ Test_related.suites @ Test_credit_scheduler.suites @ Test_chaos.suites)
+   @ Test_workloads.suites @ Test_socket_shortcut.suites @ Test_cluster.suites @ Test_mesh.suites @ Test_related.suites @ Test_credit_scheduler.suites @ Test_chaos.suites
+   @ Test_bench.suites)
