@@ -6,7 +6,7 @@
 # against its own document and the committed BENCH_results.json, the
 # host-time engine gate, and the chaos soak.
 
-.PHONY: all build test surface-check bench-smoke bench perf engine-check soak soak-wide ci check-tracked-artifacts clean
+.PHONY: all build test surface-check bench-smoke bench perf engine-check soak soak-wide bench-pair ci check-tracked-artifacts clean
 
 all: build
 
@@ -76,6 +76,39 @@ soak-wide: build
 	  dune exec xenloopsim -- chaos --iters 40 --seed $$seed || status=1; \
 	done; \
 	exit $$status
+
+# Paired benchmark comparison, opt-in and not part of `ci`: export
+# PARENT (default HEAD^, the commit before the current one; PARENT=HEAD
+# compares uncommitted changes) into _build/pair/, then run workload W
+# N times in each tree, alternating which tree goes first, with seed
+# SEED+i for pair i and S host seconds per run (benchmark/README.md,
+# "Comparing two commits").  Runs append to _build/pair/parent.jsonl and
+# _build/pair/child.jsonl; `run.exe --compare` judges them at the end.
+# Each run takes about S + 5 seconds, so N=10 takes 2N of them.
+#   make bench-pair W=bulk N=10
+W ?= bulk
+N ?= 10
+S ?= 24
+SEED ?= 1000
+PARENT ?= HEAD^
+bench-pair:
+	rm -rf _build/pair && mkdir -p _build/pair
+	git archive $(PARENT) | tar -x -C _build/pair
+	@set -e; \
+	run() { \
+	  (cd $$1 && bash benchmark/run.sh --workload $(W) --seed $$2 --seconds $(S) \
+	     --json $(CURDIR)/_build/pair/$$3.jsonl > /dev/null); \
+	}; \
+	for i in $$(seq 1 $(N)); do \
+	  seed=$$(($(SEED) + i)); \
+	  echo "pair $$i/$(N): $(W) seed $$seed"; \
+	  if [ $$((i % 2)) = 1 ]; then \
+	    run _build/pair $$seed parent; run . $$seed child; \
+	  else \
+	    run . $$seed child; run _build/pair $$seed parent; \
+	  fi; \
+	done
+	./_build/default/benchmark/run.exe --compare _build/pair/parent.jsonl _build/pair/child.jsonl
 
 ci: check-tracked-artifacts build test surface-check bench-smoke engine-check soak
 	@echo "ci: artifact check + build + tests + surface check + bench smoke (gate table: delivery, chaos, copies/byte, gso, mesh, fairness) + engine perf gate + chaos soak all green"

@@ -1615,7 +1615,7 @@ let chaos_soak ~smoke =
         ~seed:42 ()
     else Chaos.Soak.run ~seed:42 ()
   in
-  Json.parse (Chaos.Soak.to_json summary)
+  Bench_gates.Chaos_doc.of_summary summary
 
 (* Measure the plan once, write the document, and evaluate every row of
    the gate table against it; [recorded] is the committed

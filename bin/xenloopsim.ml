@@ -358,7 +358,9 @@ let chaos_cmd =
               if not json then Printf.printf "  %s\n%!" line)
             ()
         in
-        if json then print_endline (Chaos.Soak.to_json summary)
+        if json then
+          print_endline
+            (Bench_gates.Json.to_string (Bench_gates.Chaos_doc.of_summary summary))
         else Format.printf "%a@." Chaos.Soak.pp summary;
         exit (if Chaos.Soak.ok summary then 0 else 1)
   in

@@ -313,49 +313,3 @@ let pp fmt s =
       Format.fprintf fmt "  replay: xenloopsim chaos --case %s --seed %d@,"
         f.fail_case f.fail_seed);
   Format.fprintf fmt "@]"
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let to_json s =
-  let b = Buffer.create 512 in
-  let field ?(last = false) name value =
-    Buffer.add_string b (Printf.sprintf "    %S: %s%s\n" name value (if last then "" else ","))
-  in
-  let strings l =
-    "[" ^ String.concat ", " (List.map (fun x -> "\"" ^ json_escape x ^ "\"") l) ^ "]"
-  in
-  Buffer.add_string b "{\n";
-  field "base_seed" (string_of_int s.s_base_seed);
-  field "iterations" (string_of_int s.s_iters);
-  field "runs" (string_of_int s.s_runs);
-  field "scenarios" (strings s.s_scenarios);
-  field "fault_kinds" (strings s.s_kinds);
-  field "faults_injected" (string_of_int s.s_total_injected);
-  field "datagrams_sent" (string_of_int s.s_sent);
-  field "datagrams_delivered" (string_of_int s.s_delivered);
-  field "datagrams_lost" (string_of_int s.s_lost);
-  field "datagrams_duplicated" (string_of_int s.s_duplicates);
-  field "violation_runs" (string_of_int s.s_violation_runs);
-  field "recovery_p50_us" (Printf.sprintf "%.1f" s.s_recovery_p50_us);
-  field "recovery_p99_us" (Printf.sprintf "%.1f" s.s_recovery_p99_us);
-  field "recovery_max_us" (Printf.sprintf "%.1f" s.s_recovery_max_us);
-  (match s.s_first_failure with
-  | None -> field ~last:true "first_failure" "null"
-  | Some f ->
-      field ~last:true "first_failure"
-        (Printf.sprintf
-           "{\"seed\": %d, \"case\": \"%s\", \"violations\": %s}" f.fail_seed
-           (json_escape f.fail_case) (strings f.fail_violations)));
-  Buffer.add_string b "  }";
-  Buffer.contents b

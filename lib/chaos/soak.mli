@@ -97,6 +97,3 @@ val run :
     run with a one-line status. *)
 
 val pp : Format.formatter -> summary -> unit
-
-val to_json : summary -> string
-(** The [chaos] summary object embedded in BENCH_results.json. *)

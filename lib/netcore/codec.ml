@@ -43,18 +43,17 @@ let wmac w mac =
 
 let wip w ip = w32 w (Ip.to_int32 ip)
 
-let wbytes w b =
-  let len = Bytes.length b in
-  Bytes.blit b 0 w.wdata w.wpos len;
-  w.wpos <- w.wpos + len
+let wview w (v : View.t) =
+  Bytes.blit v.buf v.off w.wdata w.wpos v.len;
+  w.wpos <- w.wpos + v.len
 
 let transport_header_length = function
   | Transport.Icmp _ -> 8
   | Transport.Udp _ -> 8
   | Transport.Tcp _ -> 20
 
-let transport_length transport ~payload =
-  transport_header_length transport + Bytes.length payload
+let transport_length transport ~(payload : View.t) =
+  transport_header_length transport + payload.len
 
 (* --- Readers ---
 
@@ -64,8 +63,9 @@ let transport_length transport ~payload =
    the frame's first [min len max_header_length] bytes (the whole frame,
    when it is contiguous), and takes each byte range past the headers —
    payload, fragment blob, control message — with one call to [sub], the
-   single copy out of wherever the frame lives.  [len] is the frame
-   length: a field that does not fit in it is [Short].  Errors unwind as
+   single copy out of wherever the frame lives; a payload or fragment
+   blob is the view of that whole copy.  [len] is the frame length: a
+   field that does not fit in it is [Short].  Errors unwind as
    exceptions, so a parsed frame allocates its packet and nothing else. *)
 
 exception Short
@@ -152,10 +152,10 @@ let set_transport_checksum data ~start ~len protocol =
    are only valid against [parse ~verify_transport:false], and any path
    that re-enters an untrusted transport (netfront, physnet) must
    re-serialize, which recomputes. *)
-let write_transport ?(csum = true) w transport ~payload =
+let write_transport ?(csum = true) w transport ~(payload : View.t) =
   let start = w.wpos in
-  write_transport_header w transport ~payload_len:(Bytes.length payload);
-  wbytes w payload;
+  write_transport_header w transport ~payload_len:payload.len;
+  wview w payload;
   if csum then
     set_transport_checksum w.wdata ~start ~len:(w.wpos - start)
       (transport_protocol transport)
@@ -167,67 +167,64 @@ let serialize_transport ?(csum = true) transport ~payload =
   write_transport ~csum w transport ~payload;
   w.wdata
 
-(* The transport layer of a frame whose transport header starts at [t]
-   and whose payload runs to the frame's end [len].  The payload is taken
-   first, with one [sub], so that with [verify] the checksum over the
-   whole range — the header's raw sum plus the payload's (the header
-   length is even) — is checked before any header error is reported.
-   [k] builds the result from the header and the payload. *)
-let parse_transport_at ~verify protocol head ~len ~t sub k =
+let transport_header_bytes = function Ipv4.Icmp | Ipv4.Udp -> 8 | Ipv4.Tcp -> 20
+
+(* The transport header at [t] of a [len]-byte frame whose [payload] is
+   every byte past that header (none when the header itself is short).
+   The caller takes the payload first, so that with [verify] the checksum
+   over the whole range (the header's raw sum plus the payload's; the
+   header length is even) is checked before any header error is
+   reported. *)
+let parse_transport_at ~verify protocol head ~len ~t (payload : View.t) =
   let region = len - t in
-  let header_len =
-    match protocol with Ipv4.Icmp | Ipv4.Udp -> 8 | Ipv4.Tcp -> 20
-  in
-  let payload =
-    if region >= header_len then sub (t + header_len) (region - header_len)
-    else Bytes.empty
-  in
+  let header_len = transport_header_bytes protocol in
   if
     verify
     && Checksum.add
          (Checksum.ones_complement_sum head ~off:t ~len:(min region header_len))
-         (Checksum.ones_complement_sum payload ~off:0 ~len:(Bytes.length payload))
+         (Checksum.ones_complement_sum payload.buf ~off:payload.off ~len:payload.len)
        <> 0xFFFF
   then raise (Fail (Bad_checksum "transport"));
   need len t header_len;
-  let transport =
-    match protocol with
-    | Ipv4.Icmp ->
-        let echo_kind =
-          match r8 head t with
-          | 8 -> `Request
-          | 0 -> `Reply
-          | _ -> raise (Fail (Malformed "transport header"))
-        in
-        Transport.Icmp
-          { echo_kind; icmp_ident = r16 head (t + 4); icmp_seq = r16 head (t + 6) }
-    | Ipv4.Udp ->
-        if r16 head (t + 4) <> region then
-          raise (Fail (Malformed "transport header"));
-        Transport.Udp
-          { udp_src_port = r16 head t; udp_dst_port = r16 head (t + 2) }
-    | Ipv4.Tcp ->
-        let off_flags = r16 head (t + 12) in
-        (* The stack sends no options, so any header length but the bare
-           20 bytes is a corrupted header, not a longer one. *)
-        if off_flags lsr 12 <> 5 then raise (Fail (Malformed "TCP data offset"));
-        Transport.Tcp
-          {
-            tcp_src_port = r16 head t;
-            tcp_dst_port = r16 head (t + 2);
-            seq = Bytes.get_int32_be head (t + 4);
-            ack_seq = Bytes.get_int32_be head (t + 8);
-            flags = tcp_flags_of_bits off_flags;
-            window = r16 head (t + 14);
-          }
-  in
-  k transport payload
+  match protocol with
+  | Ipv4.Icmp ->
+      let echo_kind =
+        match r8 head t with
+        | 8 -> `Request
+        | 0 -> `Reply
+        | _ -> raise (Fail (Malformed "transport header"))
+      in
+      Transport.Icmp
+        { echo_kind; icmp_ident = r16 head (t + 4); icmp_seq = r16 head (t + 6) }
+  | Ipv4.Udp ->
+      if r16 head (t + 4) <> region then
+        raise (Fail (Malformed "transport header"));
+      Transport.Udp
+        { udp_src_port = r16 head t; udp_dst_port = r16 head (t + 2) }
+  | Ipv4.Tcp ->
+      let off_flags = r16 head (t + 12) in
+      (* The stack sends no options, so any header length but the bare
+         20 bytes is a corrupted header, not a longer one. *)
+      if off_flags lsr 12 <> 5 then raise (Fail (Malformed "TCP data offset"));
+      Transport.Tcp
+        {
+          tcp_src_port = r16 head t;
+          tcp_dst_port = r16 head (t + 2);
+          seq = Bytes.get_int32_be head (t + 4);
+          ack_seq = Bytes.get_int32_be head (t + 8);
+          flags = tcp_flags_of_bits off_flags;
+          window = r16 head (t + 14);
+        }
 
+(* The payload is a view of [blob] itself: the reassembler's blob is
+   already the datagram's own copy. *)
 let parse_transport ?(verify = true) protocol blob =
-  match
-    parse_transport_at ~verify protocol blob ~len:(Bytes.length blob) ~t:0
-      (Bytes.sub blob) (fun transport payload -> (transport, payload))
-  with
+  let len = Bytes.length blob and hl = transport_header_bytes protocol in
+  let payload =
+    if len >= hl then View.sub (View.of_bytes blob) ~off:hl ~len:(len - hl)
+    else View.empty
+  in
+  match (parse_transport_at ~verify protocol blob ~len ~t:0 payload, payload) with
   | parsed -> Ok parsed
   | exception Short -> Error Truncated
   | exception Fail e -> Error e
@@ -278,10 +275,20 @@ let parse_ipv4 ~verify_transport head ~len sub =
         }
       in
       let content =
-        if Ipv4.is_fragment header then Packet.Fragment (sub t content_len)
+        if Ipv4.is_fragment header then
+          Packet.Fragment (View.of_bytes (sub t content_len))
         else
-          parse_transport_at ~verify:verify_transport protocol head ~len ~t sub
-            (fun transport payload -> Packet.Full { transport; payload })
+          let hl = transport_header_bytes protocol in
+          let payload =
+            if content_len >= hl then View.of_bytes (sub (t + hl) (content_len - hl))
+            else View.empty
+          in
+          Packet.Full
+            {
+              transport =
+                parse_transport_at ~verify:verify_transport protocol head ~len ~t payload;
+              payload;
+            }
       in
       Packet.Ipv4_body { header; content }
 
@@ -332,7 +339,7 @@ let body_length (body : Packet.body) =
   | Packet.Ipv4_body { content = Packet.Full { transport; payload }; _ } ->
       Ipv4.header_length + transport_length transport ~payload
   | Packet.Ipv4_body { content = Packet.Fragment blob; _ } ->
-      Ipv4.header_length + Bytes.length blob
+      Ipv4.header_length + blob.len
   | Packet.Arp_body _ -> arp_length
   | Packet.Xenloop_body data -> 2 + Bytes.length data
 
@@ -348,9 +355,9 @@ let write_head w (p : Packet.t) =
       | Packet.Full { transport; payload } ->
           serialize_ipv4_header w header
             ~content_length:(transport_length transport ~payload);
-          write_transport_header w transport ~payload_len:(Bytes.length payload)
+          write_transport_header w transport ~payload_len:payload.len
       | Packet.Fragment blob ->
-          serialize_ipv4_header w header ~content_length:(Bytes.length blob))
+          serialize_ipv4_header w header ~content_length:blob.len)
   | Packet.Arp_body a -> serialize_arp w a
   | Packet.Xenloop_body data -> w16 w (Bytes.length data)
 
@@ -358,8 +365,8 @@ let tail (p : Packet.t) =
   match p.body with
   | Packet.Ipv4_body { content = Packet.Full { payload; _ }; _ } -> payload
   | Packet.Ipv4_body { content = Packet.Fragment blob; _ } -> blob
-  | Packet.Arp_body _ -> Bytes.empty
-  | Packet.Xenloop_body data -> data
+  | Packet.Arp_body _ -> View.empty
+  | Packet.Xenloop_body data -> View.of_bytes data
 
 let serialize_head p buf =
   if Bytes.length buf < max_header_length then
@@ -376,7 +383,7 @@ let serialize ?(csum = true) (p : Packet.t) =
       wpos = 0 }
   in
   write_head w p;
-  wbytes w (tail p);
+  wview w (tail p);
   (match p.body with
   | Packet.Ipv4_body { content = Packet.Full { transport; _ }; _ } when csum ->
       set_transport_checksum w.wdata ~start:transport_start

@@ -31,11 +31,11 @@ val serialize_head : Packet.t -> Bytes.t -> int
     the frame without building it in one buffer.
     @raise Invalid_argument if [buf] is shorter than {!max_header_length}. *)
 
-val tail : Packet.t -> Bytes.t
+val tail : Packet.t -> View.t
 (** The bytes a frame carries after its headers: the transport payload,
-    the fragment blob or the control message ([Bytes.empty] for ARP).
+    the fragment blob or the control message ({!View.empty} for ARP).
     The frame is [serialize_head]'s bytes followed by these; the tail is
-    the packet's own buffer, not a copy. *)
+    a view of the packet's own buffer, not a copy. *)
 
 val restore_transport_checksum : Bytes.t -> unit
 (** Compute the transport checksum of a serialized frame and store it in
@@ -49,7 +49,8 @@ val parse : ?verify_transport:bool -> Bytes.t -> (Packet.t, error) result
 (** [~verify_transport:false] skips the transport-checksum check (GRO on
     a channel whose descriptor carries the [csum_ok] flag); IPv4 header
     checksums are still verified.  Headers are read in place and the
-    payload is copied out once.  A TCP header whose data offset is not 5
+    payload is copied out once; the packet's payload is the view of that
+    whole copy.  A TCP header whose data offset is not 5
     (the stack sends no options) is [Malformed "TCP data offset"]. *)
 
 val max_header_length : int
@@ -75,10 +76,12 @@ val parse_with :
     IP fragmentation slices the serialized transport-header+payload blob;
     these are the helpers the fragmenter and reassembler use. *)
 
-val serialize_transport : ?csum:bool -> Transport.t -> payload:Bytes.t -> Bytes.t
+val serialize_transport : ?csum:bool -> Transport.t -> payload:View.t -> Bytes.t
 
 (** Length of [serialize_transport transport ~payload] without building
     it — the fragmenter's fits-in-one-MTU test needs only the size. *)
-val transport_length : Transport.t -> payload:Bytes.t -> int
+val transport_length : Transport.t -> payload:View.t -> int
+
 val parse_transport :
-  ?verify:bool -> Ipv4.protocol -> Bytes.t -> (Transport.t * Bytes.t, error) result
+  ?verify:bool -> Ipv4.protocol -> Bytes.t -> (Transport.t * View.t, error) result
+(** The payload is a view of the blob itself, not a copy. *)

@@ -11,19 +11,20 @@ let fragment ~mtu packet =
         match content with
         | Packet.Full { transport; payload } ->
             Codec.transport_length transport ~payload
-        | Packet.Fragment blob -> Bytes.length blob
+        | Packet.Fragment blob -> blob.View.len
       in
       if Ipv4.header_length + content_length <= mtu then [ packet ]
       else begin
+        (* Every fragment is a view of the one serialized blob. *)
         let blob =
           match content with
           | Packet.Full { transport; payload } ->
-              Codec.serialize_transport transport ~payload
+              View.of_bytes (Codec.serialize_transport transport ~payload)
           | Packet.Fragment blob -> blob
         in
         let chunk = max_fragment_payload ~mtu in
         if chunk <= 0 then invalid_arg "Fragment.fragment: mtu too small";
-        let total = Bytes.length blob in
+        let total = blob.View.len in
         let rec slice off acc =
           if off >= total then List.rev acc
           else begin
@@ -39,7 +40,7 @@ let fragment ~mtu packet =
                   Packet.Ipv4_body
                     {
                       header = fragment_header;
-                      content = Packet.Fragment (Bytes.sub blob off len);
+                      content = Packet.Fragment (View.sub blob ~off ~len);
                     };
               }
             in
@@ -52,7 +53,7 @@ let fragment ~mtu packet =
 type key = { k_src : Ip.t; k_dst : Ip.t; k_proto : Ipv4.protocol; k_ident : int }
 
 type datagram = {
-  mutable chunks : (int * Bytes.t) list;  (** (offset, blob) *)
+  mutable chunks : (int * View.t) list;  (** (offset, blob) *)
   mutable total : int option;  (** known once the last fragment arrives *)
   mutable frame : Packet.t;  (** source of MAC addresses for the rebuild *)
 }
@@ -66,14 +67,14 @@ let coverage_complete chunks total =
   let rec walk expected = function
     | [] -> expected = total
     | (off, blob) :: rest ->
-        off = expected && walk (off + Bytes.length blob) rest
+        off = expected && walk (off + blob.View.len) rest
   in
   walk 0 sorted
 
 let assemble chunks total =
   let blob = Bytes.create total in
   List.iter
-    (fun (off, piece) -> Bytes.blit piece 0 blob off (Bytes.length piece))
+    (fun (off, piece) -> View.blit piece ~src_off:0 blob ~dst_off:off ~len:piece.View.len)
     chunks;
   blob
 
@@ -104,7 +105,7 @@ let push reasm packet =
           if not (List.mem_assoc off datagram.chunks) then
             datagram.chunks <- (off, blob) :: datagram.chunks;
           if not header.Ipv4.more_fragments then
-            datagram.total <- Some (off + Bytes.length blob);
+            datagram.total <- Some (off + blob.View.len);
           (match datagram.total with
           | Some total when coverage_complete datagram.chunks total -> (
               Hashtbl.remove reasm key;

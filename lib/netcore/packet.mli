@@ -4,11 +4,15 @@
     either a parsed transport header plus payload ([Full]) or, for IP
     fragments other than a whole datagram, an opaque slice of the original
     transport-header+payload blob ([Fragment]) — mirroring how real IP
-    fragmentation works on raw bytes. *)
+    fragmentation works on raw bytes.
+
+    Both are {!View.t}s: a TCP segment is a view of the application's
+    write and a fragment a view of the datagram's serialized blob, so
+    neither is copied on the way down the stack. *)
 
 type ipv4_content =
-  | Full of { transport : Transport.t; payload : Bytes.t }
-  | Fragment of Bytes.t
+  | Full of { transport : Transport.t; payload : View.t }
+  | Fragment of View.t
 
 type body =
   | Ipv4_body of { header : Ipv4.header; content : ipv4_content }
@@ -69,7 +73,7 @@ val xenloop_ctrl : src_mac:Mac.t -> dst_mac:Mac.t -> Bytes.t -> t
 val ip_header : t -> Ipv4.header option
 val transport : t -> Transport.t option
 val payload : t -> Bytes.t option
-(** Payload of a [Full] IPv4 body. *)
+(** Payload of a [Full] IPv4 body ({!View.to_bytes}). *)
 
 val wire_length : t -> int
 (** Total frame length in bytes: Ethernet header + body as serialized. *)
@@ -77,4 +81,6 @@ val wire_length : t -> int
 val is_ipv4 : t -> bool
 
 val equal : t -> t -> bool
+(** Same headers and same payload bytes, wherever the payloads live. *)
+
 val pp : Format.formatter -> t -> unit

@@ -111,15 +111,16 @@ let wire_seg_max dev =
    hook, or steering diverted the flow — must not reach netfront or the
    physical wire oversized.  Re-segment it into exactly the wire-MSS
    frames the sender would have emitted without the hint: sequence
-   numbers advance per chunk, PSH/FIN ride only on the last chunk, and
-   each chunk gets its own IP ident.  Checksums need no special care
-   here: elision exists only in the FIFO's serialized bytes, and every
-   device-boundary serialization recomputes them from scratch. *)
+   numbers advance per chunk, PSH/FIN ride only on the last chunk, each
+   chunk gets its own IP ident, and its payload is a view of the jumbo's,
+   not a copy.  Checksums need no special care here: elision exists only
+   in the FIFO's serialized bytes, and every device-boundary
+   serialization recomputes them from scratch. *)
 let resegment_tcp t ~mss frame =
   match frame.P.body with
   | P.Ipv4_body { header; content = P.Full { transport = T.Tcp tcp; payload } }
     ->
-      let total = Bytes.length payload in
+      let total = payload.Netcore.View.len in
       let mss = max 1 mss in
       t.s_stats.sw_segmented <- t.s_stats.sw_segmented + 1;
       let rec chunks off acc =
@@ -148,7 +149,8 @@ let resegment_tcp t ~mss frame =
                   {
                     header = { header with Netcore.Ipv4.ident = fresh_ident t };
                     content =
-                      P.Full { transport; payload = Bytes.sub payload off len };
+                      P.Full
+                        { transport; payload = Netcore.View.sub payload ~off ~len };
                   };
             }
           in
@@ -180,9 +182,9 @@ let transmit_fragments t dev frags =
           match frag.P.body with
           | P.Ipv4_body
               { content = P.Full { transport = T.Tcp _; payload }; _ }
-            when Bytes.length payload > wire_max ->
+            when payload.Netcore.View.len > wire_max ->
               (* Extra per-segment tx work the jumbo send skipped. *)
-              let n = (Bytes.length payload + wire_max - 1) / wire_max in
+              let n = (payload.Netcore.View.len + wire_max - 1) / wire_max in
               use_cpu t
                 (Sim.Time.span_scale (n - 1) p.Hypervisor.Params.tcp_tx);
               List.iter (Netdevice.transmit dev)
@@ -199,7 +201,7 @@ let send_ip_packet t ~dst ~dst_mac ~dev ~transport ~payload =
     | T.Tcp _ -> p.Hypervisor.Params.tcp_tx
   in
   use_cpu t
-    (Sim.Time.span_add tx_cost (Hypervisor.Params.copy_cost p (Bytes.length payload)));
+    (Sim.Time.span_add tx_cost (Hypervisor.Params.copy_cost p payload.Netcore.View.len));
   let header =
     Netcore.Ipv4.make ~src:t.s_ip ~dst ~protocol:(T.protocol transport)
       ~ident:(fresh_ident t) ()
@@ -430,7 +432,7 @@ let ping t ~dst ?(payload_len = 56) ?(timeout = Sim.Time.sec 1) () =
       Sim.Condition.broadcast done_cond);
   let sent_at = Sim.Engine.now t.s_engine in
   let transport = T.Icmp { T.echo_kind = `Request; icmp_ident = ident; icmp_seq = 0 } in
-  ip_send t ~dst ~transport ~payload:(Bytes.make payload_len 'p');
+  ip_send t ~dst ~transport ~payload:(Netcore.View.of_bytes (Bytes.make payload_len 'p'));
   Sim.Engine.after t.s_engine timeout (fun () ->
       timed_out := true;
       Sim.Condition.broadcast done_cond);

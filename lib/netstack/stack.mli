@@ -42,10 +42,11 @@ val post_routing : t -> Netfilter.t
 (** {1 Output path} *)
 
 val ip_send :
-  t -> dst:Netcore.Ip.t -> transport:Netcore.Transport.t -> payload:Bytes.t -> unit
+  t -> dst:Netcore.Ip.t -> transport:Netcore.Transport.t -> payload:Netcore.View.t -> unit
 (** Route, resolve, build, fragment to the egress MTU, run POST_ROUTING
     hooks on each fragment, and transmit.  Charges protocol tx cost and the
-    user-to-kernel copy on the host CPU.  Process context.
+    user-to-kernel copy on the host CPU (simulated: the host keeps the
+    view and copies nothing).  Process context.
     @raise No_route when the destination is off-host and no device is
     attached. *)
 

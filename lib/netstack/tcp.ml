@@ -1,5 +1,6 @@
 module T = Netcore.Transport
 module P = Netcore.Packet
+module View = Netcore.View
 
 type error = Refused | Closed | Already_bound
 
@@ -64,10 +65,11 @@ type conn = {
           channel's sub-queue *)
   (* Receive side *)
   mutable rcv_nxt : int32;
-  recv_chunks : (Bytes.t * (copied:bool -> unit) option) Queue.t;
-      (** in-order data; a chunk delivered as a borrowed pool-slot view
-          (loaned-slot receive, DESIGN.md §11) carries its release, fired
-          when the app drains past it *)
+  recv_chunks : (View.t * (copied:bool -> unit) option) Queue.t;
+      (** in-order data, each chunk the payload view of one segment; a
+          chunk delivered as a borrowed pool-slot view (loaned-slot
+          receive, DESIGN.md §11) carries its release, fired when the app
+          drains past it *)
   mutable head_offset : int;
   mutable recv_buffered : int;
   recv_capacity : int;
@@ -75,12 +77,14 @@ type conn = {
   mutable fin_sent : bool;
   mutable unacked_segments : int;
       (** received data segments not yet acknowledged (delayed ACK) *)
-  mutable ooo_segments : (int32 * Bytes.t) list;
+  mutable ooo_segments : (int32 * View.t) list;
       (** out-of-order data held for reassembly, sorted by sequence *)
   (* Retransmission: the substrate is normally lossless, but frames die
      during vif detach / migration blackout, so sequence-consuming segments
-     are kept until acknowledged and retransmitted on timeout. *)
-  retx_queue : (int32 * Bytes.t * Netcore.Transport.tcp_flags) Queue.t;
+     are kept until acknowledged and retransmitted on timeout.  A data
+     segment is a view of the application's write (or of a cork flush),
+     so keeping it copies nothing. *)
+  retx_queue : (int32 * View.t * Netcore.Transport.tcp_flags) Queue.t;
   mutable rto_armed : bool;
   mutable rto_backoff : int;
   data_arrived : Sim.Condition.t;
@@ -119,8 +123,8 @@ let send_window c = if c.congested then min c.peer_window c.conn_mss else c.peer
 
 (* --- Segment transmission --- *)
 
-let seq_consumed payload (flags : T.tcp_flags) =
-  Bytes.length payload + (if flags.T.syn then 1 else 0) + if flags.T.fin then 1 else 0
+let seq_consumed (payload : View.t) (flags : T.tcp_flags) =
+  payload.len + (if flags.T.syn then 1 else 0) + if flags.T.fin then 1 else 0
 
 let prune_retx c =
   let pruned = ref false in
@@ -185,7 +189,8 @@ let cork_flush_avail c =
     let window_room = send_window c - in_flight in
     if window_room > 0 then begin
       let len = min c.cork_len window_room in
-      let payload = Bytes.sub c.cork 0 len in
+      (* A copy: the cork buffer is reused by the next write. *)
+      let payload = View.of_bytes (Bytes.sub c.cork 0 len) in
       if len < c.cork_len then Bytes.blit c.cork len c.cork 0 (c.cork_len - len);
       c.cork_len <- c.cork_len - len;
       (* Advance [snd_nxt] before transmitting: [send_tracked] yields
@@ -218,7 +223,7 @@ let send_pure_ack c =
   Sim.Resource.use (cpu c) (params c).Hypervisor.Params.tcp_ack;
   send_segment c ~seq:c.snd_nxt
     ~flags:{ T.no_flags with T.ack = true }
-    ~payload:Bytes.empty
+    ~payload:View.empty
 
 (* Delayed ACK (no timer needed: the substrate is lossless, and senders
    set PSH on the tail of every write, which forces an immediate ACK). *)
@@ -237,14 +242,14 @@ let send_rst t ~dst ~dst_port ~src_port ~seq =
       window = 0;
     }
   in
-  Stack.ip_send t.stack ~dst ~transport:(T.Tcp header) ~payload:Bytes.empty
+  Stack.ip_send t.stack ~dst ~transport:(T.Tcp header) ~payload:View.empty
 
 (* --- Receive-side buffering --- *)
 
-let append_data c ?release payload =
+let append_data c ?release (payload : View.t) =
   Queue.push (payload, release) c.recv_chunks;
-  c.recv_buffered <- c.recv_buffered + Bytes.length payload;
-  c.received_bytes <- c.received_bytes + Bytes.length payload
+  c.recv_buffered <- c.recv_buffered + payload.len;
+  c.received_bytes <- c.received_bytes + payload.len
 
 (* Move the next [len] buffered bytes into [dst] at [dst_off]: the one
    copy from the receive queue to the application's buffer.  [len] must
@@ -254,10 +259,11 @@ let take_into c dst ~dst_off len =
   let taken = ref 0 in
   while !taken < len do
     let head, head_release = Queue.peek c.recv_chunks in
-    let available = Bytes.length head - c.head_offset in
+    let available = head.View.len - c.head_offset in
     let want = len - !taken in
     if available <= want then begin
-      Bytes.blit head c.head_offset dst (dst_off + !taken) available;
+      View.blit head ~src_off:c.head_offset dst ~dst_off:(dst_off + !taken)
+        ~len:available;
       taken := !taken + available;
       ignore (Queue.pop c.recv_chunks);
       (* Chunk fully drained into the app's buffer: the borrow ends —
@@ -266,7 +272,8 @@ let take_into c dst ~dst_off len =
       c.head_offset <- 0
     end
     else begin
-      Bytes.blit head c.head_offset dst (dst_off + !taken) want;
+      View.blit head ~src_off:c.head_offset dst ~dst_off:(dst_off + !taken)
+        ~len:want;
       taken := len;
       c.head_offset <- c.head_offset + want
     end
@@ -313,18 +320,18 @@ let handle_ack c (h : T.tcp) =
     Sim.Condition.broadcast c.window_avail
   end
 
-let handle_segment_for_conn c ~release (h : T.tcp) payload =
+let handle_segment_for_conn c ~release (h : T.tcp) (payload : View.t) =
   let p = params c in
   (* A borrowed payload is consumed out of the pool slot — no kernel copy
      to charge on this edge. *)
   Sim.Resource.use (cpu c)
-    (if Bytes.length payload = 0 then p.Hypervisor.Params.tcp_ack
+    (if payload.len = 0 then p.Hypervisor.Params.tcp_ack
      else
        match release with
        | Some _ -> p.Hypervisor.Params.tcp_rx
        | None ->
            Sim.Time.span_add p.Hypervisor.Params.tcp_rx
-             (Hypervisor.Params.copy_cost p (Bytes.length payload)));
+             (Hypervisor.Params.copy_cost p payload.len));
   let release_pending = ref release in
   let end_borrow ~copied =
     match !release_pending with
@@ -359,7 +366,7 @@ let handle_segment_for_conn c ~release (h : T.tcp) payload =
         end
     | Established | Conn_closed ->
         handle_ack c h;
-        let seg_len = Bytes.length payload in
+        let seg_len = payload.len in
         if seg_len > 0 then begin
           if Int32.equal h.T.seq c.rcv_nxt then begin
             (* In-order: the borrowed view parks in the receive queue and
@@ -374,7 +381,7 @@ let handle_segment_for_conn c ~release (h : T.tcp) payload =
               | (seq, data) :: rest when Int32.equal seq c.rcv_nxt ->
                   c.ooo_segments <- rest;
                   append_data c data;
-                  c.rcv_nxt <- seq_add c.rcv_nxt (Bytes.length data);
+                  c.rcv_nxt <- seq_add c.rcv_nxt data.View.len;
                   drain ()
               | (seq, _) :: rest when seq_lt seq c.rcv_nxt ->
                   (* Stale duplicate overtaken by the contiguous stream. *)
@@ -475,7 +482,7 @@ let handle_syn t (header : Netcore.Ipv4.header) (h : T.tcp) =
       (* SYN-ACK consumes one sequence number. *)
       send_tracked c ~seq:c.snd_nxt
         ~flags:{ T.no_flags with T.syn = true; ack = true }
-        ~payload:Bytes.empty;
+        ~payload:View.empty;
       c.snd_nxt <- seq_add c.snd_nxt 1
 
 let handle_packet t (packet : P.t) =
@@ -578,16 +585,19 @@ let connect t ?src_port ~dst ~dst_port () =
   Hashtbl.replace t.conns key c;
   send_tracked c ~seq:c.snd_nxt
     ~flags:{ T.no_flags with T.syn = true }
-    ~payload:Bytes.empty;
+    ~payload:View.empty;
   c.snd_nxt <- seq_add c.snd_nxt 1;
   while c.state = Syn_sent do
     Sim.Condition.await c.state_changed
   done;
   if c.state = Established then Ok c else Error Refused
 
+(* Segments are views of [data], kept for retransmission until
+   acknowledged: the caller must leave [data] unchanged. *)
 let send c data =
   let p = params c in
   Sim.Resource.use (cpu c) p.Hypervisor.Params.syscall;
+  let whole = View.of_bytes data in
   let total = Bytes.length data in
   let off = ref 0 in
   (* Jumbo segmentation offload (DESIGN.md §15): when the stack's hint
@@ -662,7 +672,7 @@ let send c data =
       else begin
         let len = min (min seg_limit remaining) window_room in
         let last = !off + len >= total in
-        let payload = Bytes.sub data !off len in
+        let payload = View.sub whole ~off:!off ~len in
         (* Same pre-update discipline as [cork_flush_avail]: an ACK
            arriving while [send_tracked] yields can flush the cork from
            the receive fiber, which must see this segment's sequence
@@ -702,22 +712,24 @@ let drain_into c dst ~off n =
   take_into c dst ~dst_off:off n;
   ack_if_reopened c ~window_before
 
-(* A read that takes exactly the whole head chunk hands that chunk over
-   instead of copying it, as [Udp.recvfrom] hands over its datagram: the
-   same release, debit and window-update ACK as [drain_into]. *)
+(* A read that takes exactly the whole head chunk, when that chunk is a
+   view of its entire buffer, hands the buffer over instead of copying
+   it, as [Udp.recvfrom] hands over its datagram: the same release, debit
+   and window-update ACK as [drain_into].  A chunk that is a slice (of a
+   sender's larger write, of a reassembled blob) is copied. *)
 let recv c ~max =
   await_data c;
   if c.recv_buffered = 0 then Bytes.empty
   else begin
     let n = Int.max 0 (min max c.recv_buffered) in
     let head, head_release = Queue.peek c.recv_chunks in
-    if c.head_offset = 0 && Bytes.length head = n then begin
+    if c.head_offset = 0 && head.View.len = n && View.is_whole head then begin
       let window_before = current_window c in
       ignore (Queue.pop c.recv_chunks);
       (match head_release with Some r -> r ~copied:false | None -> ());
       c.recv_buffered <- c.recv_buffered - n;
       ack_if_reopened c ~window_before;
-      head
+      head.View.buf
     end
     else begin
       let data = Bytes.create n in
@@ -755,7 +767,7 @@ let close c =
     if c.state <> Conn_closed then begin
       send_tracked c ~seq:c.snd_nxt
         ~flags:{ T.no_flags with T.fin = true; ack = true }
-        ~payload:Bytes.empty;
+        ~payload:View.empty;
       c.snd_nxt <- seq_add c.snd_nxt 1;
       maybe_reap c
     end

@@ -42,6 +42,12 @@ val send : conn -> Bytes.t -> unit
     peer's advertised window.  Whole writes of at most half an MSS issued
     while data is in flight are autocorked (Nagle) unless {!set_nodelay}
     was called.
+
+    Segments are views of the buffer, not copies, and the stack keeps
+    them for retransmission until they are acknowledged, as
+    {!Udp.sendto} keeps its datagram: the caller must not change the
+    buffer after the call.  Sending the same unchanged buffer again is
+    fine.
     @raise Tcp_error if the connection is closed under us. *)
 
 val set_nodelay : conn -> bool -> unit
@@ -52,9 +58,12 @@ val set_nodelay : conn -> bool -> unit
 
 val recv : conn -> max:int -> Bytes.t
 (** Blocking; returns 1..max bytes, or the empty string at end-of-stream.
-    A read that takes exactly one whole queued chunk returns that chunk
-    itself rather than a copy, as {!Udp.recvfrom} returns its datagram;
-    the caller owns it. *)
+    A read that takes exactly one whole queued chunk, when that chunk is
+    a view of its entire buffer, returns the buffer itself rather than a
+    copy, as {!Udp.recvfrom} returns its datagram.  On XenLoop that is the
+    buffer the frame was parsed into; on a path that passes packets by
+    reference it can be the sender's own buffer, so the caller must only
+    read it.  Any other read copies. *)
 
 val recv_exact : conn -> int -> Bytes.t
 (** Loop {!recv} until exactly [n] bytes arrive.

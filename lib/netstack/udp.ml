@@ -65,10 +65,10 @@ let handle_packet t (packet : P.t) =
             (match release with
             | None ->
                 Sim.Time.span_add params.Hypervisor.Params.udp_rx
-                  (Hypervisor.Params.copy_cost params (Bytes.length payload))
+                  (Hypervisor.Params.copy_cost params payload.Netcore.View.len)
             | Some _ -> params.Hypervisor.Params.udp_rx);
           enqueue sock ~src:header.Netcore.Ipv4.src ~src_port:udp.T.udp_src_port
-            payload release)
+            (Netcore.View.to_bytes payload) release)
   | _ -> ()
 
 let attach stack =
@@ -180,7 +180,7 @@ let transmit_datagram sock ~dst ~dst_port payload =
     let transport =
       T.Udp { T.udp_src_port = sock.sock_port; udp_dst_port = dst_port }
     in
-    Stack.ip_send stack ~dst ~transport ~payload
+    Stack.ip_send stack ~dst ~transport ~payload:(Netcore.View.of_bytes payload)
   end
 
 let check_sendable sock payload =

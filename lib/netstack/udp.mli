@@ -20,7 +20,9 @@ val max_datagram : int
 (** 65507 bytes, as for real UDP over IPv4. *)
 
 val sendto : socket -> dst:Netcore.Ip.t -> dst_port:int -> Bytes.t -> unit
-(** Blocking (process context); charges syscall plus stack costs.
+(** Blocking (process context); charges syscall plus stack costs.  The
+    stack keeps the buffer, not a copy, so the caller must not change it
+    after the call.
     While the socket's congestion signal is raised (QoS backpressure,
     DESIGN.md §14) the send is charged against a 64 KiB sendspace
     budget ([sendspace] in udp.ml) and blocks at the limit until the

@@ -607,7 +607,8 @@ let write_jumbo t pool frame ~chunk_slots ~chunk_lens =
       let head_len = Netcore.Codec.serialize_head packet head in
       let tail = Netcore.Codec.tail packet in
       Payload_pool.write_scatter pool ~off:0 ~slots:chunk_slots ~lens:chunk_lens
-        ~head ~head_len ~src:tail ~src_off:0 ~len:(Bytes.length tail);
+        ~head ~head_len ~src:tail.Netcore.View.buf ~src_off:tail.Netcore.View.off
+        ~len:tail.Netcore.View.len;
       proto_hint_of head
   | Raw raw ->
       Payload_pool.write_scatter pool ~off:0 ~slots:chunk_slots ~lens:chunk_lens

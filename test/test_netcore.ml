@@ -512,14 +512,21 @@ module Blob_parser = struct
               in
               let blob = rbytes c content_len in
               if Ipv4.is_fragment header then
-                Ok (Packet.Ipv4_body { header; content = Packet.Fragment blob })
+                Ok
+                  (Packet.Ipv4_body
+                     { header; content = Packet.Fragment (Netcore.View.of_bytes blob) })
               else
                 match parse_transport ~verify:verify_transport protocol blob with
                 | Error e -> Error e
                 | Ok (transport, payload) ->
                     Ok
                       (Packet.Ipv4_body
-                         { header; content = Packet.Full { transport; payload } })
+                         {
+                           header;
+                           content =
+                             Packet.Full
+                               { transport; payload = Netcore.View.of_bytes payload };
+                         })
             end
     end
 
@@ -627,7 +634,9 @@ let frame_of_kind ?(payload_gen = frame_payload_gen) kind =
           {
             Packet.src_mac = mac_a;
             dst_mac = mac_b;
-            body = Packet.Ipv4_body { header; content = Packet.Fragment payload };
+            body =
+              Packet.Ipv4_body
+                { header; content = Packet.Fragment (Netcore.View.of_bytes payload) };
           }
     | 4 ->
         return
@@ -881,8 +890,9 @@ let prop_write_scatter_matches_serialize =
          let head = Bytes.make Codec.max_header_length '\xAA' in
          let head_len = Codec.serialize_head p head in
          let tail = Codec.tail p in
-         Pool.write_scatter pool ~off ~slots ~lens ~head ~head_len ~src:tail
-           ~src_off:0 ~len:(Bytes.length tail)
+         Pool.write_scatter pool ~off ~slots ~lens ~head ~head_len
+           ~src:tail.Netcore.View.buf ~src_off:tail.Netcore.View.off
+           ~len:tail.Netcore.View.len
        end
        else
          Pool.write_scatter pool ~off ~slots ~lens ~head:Bytes.empty ~head_len:0

@@ -461,11 +461,9 @@ let test_netfilter_hooks_run_in_order () =
 (* ------------------------------------------------------------------ *)
 (* Loss recovery *)
 
-(* A pair whose cable can drop frames (every [period]-th IPv4 frame when
-   [period > 0]) or be cut entirely via the returned switch.  TCP must
-   recover through retransmission — this is the migration-blackout
-   situation. *)
-let make_lossy_pair engine ~period =
+(* Two hosts joined by a cable that hands each frame over by reference,
+   as netfront does, unless [keep] refuses it. *)
+let make_ref_pair engine ~keep =
   let params = Hypervisor.Params.default in
   let make i =
     let mac = Mac.of_domid ~machine:8 ~domid:i in
@@ -479,22 +477,33 @@ let make_lossy_pair engine ~period =
     { stack; udp; tcp; dev }
   in
   let a = make 1 and b = make 2 in
-  let counter = ref 0 in
-  let cut = ref false in
   let connect_cable src dst =
     Netdevice.set_transmit src.dev (fun packet ->
-        let periodic_drop =
-          period > 0 && Netcore.Packet.is_ipv4 packet
-          &&
-          (incr counter;
-           !counter mod period = 0)
-        in
-        if (not !cut) && not periodic_drop then
+        if keep packet then
           Sim.Engine.after engine (Sim.Time.us 2) (fun () ->
               Netdevice.receive dst.dev packet))
   in
   connect_cable a b;
   connect_cable b a;
+  (a, b)
+
+(* A pair whose cable can drop frames (every [period]-th IPv4 frame when
+   [period > 0]) or be cut entirely via the returned switch.  TCP must
+   recover through retransmission — this is the migration-blackout
+   situation. *)
+let make_lossy_pair engine ~period =
+  let counter = ref 0 in
+  let cut = ref false in
+  let keep packet =
+    let periodic_drop =
+      period > 0 && Netcore.Packet.is_ipv4 packet
+      &&
+      (incr counter;
+       !counter mod period = 0)
+    in
+    (not !cut) && not periodic_drop
+  in
+  let a, b = make_ref_pair engine ~keep in
   (a, b, cut)
 
 let test_tcp_retransmits_through_loss () =
@@ -516,6 +525,159 @@ let test_tcp_retransmits_through_loss () =
       | Error e -> Alcotest.failf "connect through loss failed: %a" Tcp.pp_error e);
       Sim.Engine.sleep (Sim.Time.sec 30);
       Alcotest.(check bool) "every byte recovered" true (Bytes.equal data !got))
+
+(* The sequence number and payload view of a TCP segment that carries
+   data. *)
+let data_segment (packet : Netcore.Packet.t) =
+  match packet.Netcore.Packet.body with
+  | Netcore.Packet.Ipv4_body
+      {
+        content =
+          Netcore.Packet.Full { transport = Netcore.Transport.Tcp h; payload };
+        _;
+      }
+    when payload.Netcore.View.len > 0 ->
+      Some (h.Netcore.Transport.seq, payload)
+  | _ -> None
+
+(* One write of [data] over a by-reference cable that drops the [nth]
+   data segment once.  Checks that the server read every byte, and
+   returns every data segment the client sent, in order. *)
+let stream_dropping_once engine ~nth data =
+  let sent = ref [] and seen = ref 0 in
+  let keep packet =
+    match data_segment packet with
+    | Some seg ->
+        sent := seg :: !sent;
+        incr seen;
+        !seen <> nth
+    | None -> true
+  in
+  let a, b = make_ref_pair engine ~keep in
+  let listener =
+    match Tcp.listen b.tcp ~port:80 with Ok l -> l | Error _ -> Alcotest.fail "listen"
+  in
+  let got = ref Bytes.empty in
+  Sim.Engine.spawn engine (fun () ->
+      let conn = Tcp.accept listener in
+      got := Tcp.recv_exact conn (Bytes.length data));
+  (match Tcp.connect a.tcp ~dst:(Stack.ip_addr b.stack) ~dst_port:80 () with
+  | Ok conn -> Tcp.send conn data
+  | Error _ -> Alcotest.fail "connect");
+  Sim.Engine.sleep (Sim.Time.sec 2);
+  Alcotest.(check bool) "every byte arrived" true (Bytes.equal data !got);
+  List.rev !sent
+
+let is_view_of data ~off (v : Netcore.View.t) =
+  v.Netcore.View.buf == data && v.Netcore.View.off = off
+
+let test_tcp_rto_resends_from_view () =
+  run_sim (fun engine ->
+      let data = Bytes.init 3_000 (fun i -> Char.chr (i * 7 land 0xff)) in
+      match stream_dropping_once engine ~nth:1 data with
+      | (seq, first) :: rest ->
+          Alcotest.(check bool) "the segment is a view of the write" true
+            (is_view_of data ~off:0 first);
+          (* Every timeout resends the very bytes of the caller's buffer. *)
+          let resent = List.filter (fun (s, _) -> Int32.equal s seq) rest in
+          Alcotest.(check bool) "resent" true (resent <> []);
+          List.iter
+            (fun (_, v) ->
+              Alcotest.(check bool) "resent from the same view" true
+                (is_view_of data ~off:0 v && v.Netcore.View.len = first.Netcore.View.len))
+            resent
+      | [] -> Alcotest.fail "no data segment sent")
+
+let test_tcp_partial_ack_prunes_by_sequence () =
+  run_sim (fun engine ->
+      let data = Bytes.init 3_000 (fun i -> Char.chr (i * 3 land 0xff)) in
+      match stream_dropping_once engine ~nth:2 data with
+      | (seq1, _) :: (seq2, second) :: _ :: retransmitted ->
+          (* The segment after the gap draws a duplicate ACK that covers
+             the first segment: its view leaves the queue, so the timeout
+             resends the second segment first and never the first. *)
+          Alcotest.(check bool) "no acknowledged segment resent" false
+            (List.exists (fun (s, _) -> Int32.equal s seq1) retransmitted);
+          (match retransmitted with
+          | (s, v) :: _ ->
+              Alcotest.(check bool) "the oldest unacknowledged view resent" true
+                (Int32.equal s seq2 && is_view_of data ~off:second.Netcore.View.off v
+                && second.Netcore.View.off > 0)
+          | [] -> Alcotest.fail "nothing retransmitted")
+      | _ -> Alcotest.fail "expected three data segments")
+
+let test_tcp_recv_copies_slices () =
+  run_sim (fun engine ->
+      let a, b = make_ref_pair engine ~keep:(fun _ -> true) in
+      let listener =
+        match Tcp.listen b.tcp ~port:80 with Ok l -> l | Error _ -> Alcotest.fail "listen"
+      in
+      let server = ref None in
+      Sim.Engine.spawn engine (fun () -> server := Some (Tcp.accept listener));
+      let client =
+        match Tcp.connect a.tcp ~dst:(Stack.ip_addr b.stack) ~dst_port:80 () with
+        | Ok c -> c
+        | Error _ -> Alcotest.fail "connect"
+      in
+      Sim.Engine.sleep (Sim.Time.ms 1);
+      let server = Option.get !server in
+      Tcp.set_nodelay client true;
+      let mss = Tcp.mss client in
+      (* A write cut into segments: each queued chunk is a slice of the
+         write, so a read of exactly one chunk still copies. *)
+      let data = Bytes.init (2 * mss) (fun i -> Char.chr (i land 0xff)) in
+      Tcp.send client data;
+      Sim.Engine.sleep (Sim.Time.ms 1);
+      let got = Tcp.recv server ~max:mss in
+      Alcotest.(check bytes) "first segment" (Bytes.sub data 0 mss) got;
+      Alcotest.(check bool) "a slice is copied" true (got != data);
+      ignore (Tcp.recv_exact server mss);
+      (* A one-segment write is a view of its whole buffer, handed over as
+         it is: over a cable that copies nothing, the sender's own. *)
+      let small = Bytes.make 100 's' in
+      Tcp.send client small;
+      Sim.Engine.sleep (Sim.Time.ms 1);
+      Alcotest.(check bool) "a whole view is handed over" true
+        (Tcp.recv server ~max:100 == small))
+
+let test_tcp_recv_hands_over_xenloop_chunk () =
+  (* On XenLoop the receive buffer is the one a frame's payload was
+     parsed into out of the pool; a read of that whole chunk returns it
+     without a second copy, so the read allocates far less than the
+     chunk.  The chunk is small enough that a copy of it would be
+     allocated on the minor heap. *)
+  let module Setup = Scenarios.Setup in
+  let duo = Setup.build Setup.Xenloop_path in
+  Scenarios.Experiment.execute duo (fun () ->
+      let listener =
+        match Tcp.listen duo.Setup.server.Scenarios.Endpoint.tcp ~port:7200 with
+        | Ok l -> l
+        | Error _ -> Alcotest.fail "listen"
+      in
+      let server = ref None in
+      Sim.Engine.spawn duo.Setup.engine (fun () -> server := Some (Tcp.accept listener));
+      let client =
+        match
+          Tcp.connect duo.Setup.client.Scenarios.Endpoint.tcp ~dst:duo.Setup.server_ip
+            ~dst_port:7200 ()
+        with
+        | Ok c -> c
+        | Error _ -> Alcotest.fail "connect"
+      in
+      let len = 1_600 in
+      let data = Bytes.init len (fun i -> Char.chr (i land 0xff)) in
+      Tcp.send client data;
+      Sim.Engine.sleep (Sim.Time.ms 5);
+      let server = Option.get !server in
+      let before = Gc.minor_words () in
+      let got = Tcp.recv server ~max:len in
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check bytes) "the write" data got;
+      Alcotest.(check bool) "not the sender's buffer" true (got != data);
+      Alcotest.(check bool)
+        (Printf.sprintf "handed over: %.0f minor words for a %d-byte read" words len)
+        true
+        (words < float_of_int (len / 16)))
 
 let test_tcp_survives_total_blackout () =
   run_sim (fun engine ->
@@ -721,6 +883,14 @@ let suites =
         Alcotest.test_case "connection metadata" `Quick test_tcp_conn_metadata;
         Alcotest.test_case "retransmits through loss" `Quick
           test_tcp_retransmits_through_loss;
+        Alcotest.test_case "rto resends the original view" `Quick
+          test_tcp_rto_resends_from_view;
+        Alcotest.test_case "partial ack prunes views by sequence" `Quick
+          test_tcp_partial_ack_prunes_by_sequence;
+        Alcotest.test_case "recv copies a slice, hands a whole view over" `Quick
+          test_tcp_recv_copies_slices;
+        Alcotest.test_case "recv hands a xenloop chunk over" `Quick
+          test_tcp_recv_hands_over_xenloop_chunk;
         Alcotest.test_case "survives total blackout" `Quick
           test_tcp_survives_total_blackout;
       ]
