@@ -81,26 +81,25 @@ soak-wide: build
 # PARENT (default HEAD^, the commit before the current one; PARENT=HEAD
 # compares uncommitted changes) into _build/pair/, then run workload W
 # N times in each tree, alternating which tree goes first, with seed
-# SEED+i for pair i and S host seconds per run (benchmark/README.md,
-# "Comparing two commits").  Runs append to _build/pair/parent.jsonl and
-# _build/pair/child.jsonl; `run.exe --compare` judges them at the end.
-# Each run takes about S + 5 seconds, so N=10 takes 2N of them.
+# 1000+i for pair i and the benchmark's own run length
+# (benchmark/README.md, "Comparing two commits").  Runs append to
+# _build/pair/parent.jsonl and _build/pair/child.jsonl; `run.exe
+# --compare` judges them at the end.  Each run takes about half a
+# minute, so N=10 takes about ten minutes.
 #   make bench-pair W=bulk N=10
 W ?= bulk
 N ?= 10
-S ?= 24
-SEED ?= 1000
 PARENT ?= HEAD^
 bench-pair:
 	rm -rf _build/pair && mkdir -p _build/pair
 	git archive $(PARENT) | tar -x -C _build/pair
 	@set -e; \
 	run() { \
-	  (cd $$1 && bash benchmark/run.sh --workload $(W) --seed $$2 --seconds $(S) \
+	  (cd $$1 && bash benchmark/run.sh --workload $(W) --seed $$2 \
 	     --json $(CURDIR)/_build/pair/$$3.jsonl > /dev/null); \
 	}; \
 	for i in $$(seq 1 $(N)); do \
-	  seed=$$(($(SEED) + i)); \
+	  seed=$$((1000 + i)); \
 	  echo "pair $$i/$(N): $(W) seed $$seed"; \
 	  if [ $$((i % 2)) = 1 ]; then \
 	    run _build/pair $$seed parent; run . $$seed child; \

@@ -276,11 +276,11 @@ let parse_ipv4 ~verify_transport head ~len sub =
       in
       let content =
         if Ipv4.is_fragment header then
-          Packet.Fragment (View.of_bytes (sub t content_len))
+          Packet.Fragment (View.of_fresh (sub t content_len))
         else
           let hl = transport_header_bytes protocol in
           let payload =
-            if content_len >= hl then View.of_bytes (sub (t + hl) (content_len - hl))
+            if content_len >= hl then View.of_fresh (sub (t + hl) (content_len - hl))
             else View.empty
           in
           Packet.Full

@@ -7,12 +7,18 @@
     view covers are shared, never copied, so whoever made the buffer must
     not change it while a view of it is alive. *)
 
-type t = private { buf : Bytes.t; off : int; len : int }
+type t = private { buf : Bytes.t; off : int; len : int; fresh : bool }
+(** [fresh] marks a view of a buffer made by {!of_fresh}. *)
 
 val empty : t
 
 val of_bytes : Bytes.t -> t
-(** The view of the whole buffer. *)
+(** The view of the whole buffer, which its maker keeps (a sender's
+    write, a retransmitted segment). *)
+
+val of_fresh : Bytes.t -> t
+(** The view of the whole of a buffer just allocated for it, which no
+    one else holds: the bytes a receive path parsed a frame into. *)
 
 val sub : t -> off:int -> len:int -> t
 (** [sub v ~off ~len] is the [len] bytes of [v] from [off] (relative to
@@ -20,6 +26,10 @@ val sub : t -> off:int -> len:int -> t
 
 val is_whole : t -> bool
 (** The view covers its entire buffer. *)
+
+val is_owned : t -> bool
+(** The view covers the entire buffer of a {!of_fresh} view: whoever
+    holds it may hand the buffer on as its own. *)
 
 val to_bytes : t -> Bytes.t
 (** The buffer itself when the view covers it whole, else a fresh copy

@@ -712,18 +712,20 @@ let drain_into c dst ~off n =
   take_into c dst ~dst_off:off n;
   ack_if_reopened c ~window_before
 
-(* A read that takes exactly the whole head chunk, when that chunk is a
-   view of its entire buffer, hands the buffer over instead of copying
-   it, as [Udp.recvfrom] hands over its datagram: the same release, debit
-   and window-update ACK as [drain_into].  A chunk that is a slice (of a
-   sender's larger write, of a reassembled blob) is copied. *)
+(* A read that takes exactly the whole head chunk, when that chunk is the
+   entire buffer a receive path parsed it into ([View.is_owned]), hands
+   the buffer over instead of copying it, as [Udp.recvfrom] hands over
+   its datagram: the same release, debit and window-update ACK as
+   [drain_into].  Any other chunk is copied: a slice (of a reassembled
+   blob) or a buffer that arrived by reference, which the sender may
+   still hold for retransmission. *)
 let recv c ~max =
   await_data c;
   if c.recv_buffered = 0 then Bytes.empty
   else begin
     let n = Int.max 0 (min max c.recv_buffered) in
     let head, head_release = Queue.peek c.recv_chunks in
-    if c.head_offset = 0 && head.View.len = n && View.is_whole head then begin
+    if c.head_offset = 0 && head.View.len = n && View.is_owned head then begin
       let window_before = current_window c in
       ignore (Queue.pop c.recv_chunks);
       (match head_release with Some r -> r ~copied:false | None -> ());

@@ -59,11 +59,11 @@ val set_nodelay : conn -> bool -> unit
 val recv : conn -> max:int -> Bytes.t
 (** Blocking; returns 1..max bytes, or the empty string at end-of-stream.
     A read that takes exactly one whole queued chunk, when that chunk is
-    a view of its entire buffer, returns the buffer itself rather than a
-    copy, as {!Udp.recvfrom} returns its datagram.  On XenLoop that is the
-    buffer the frame was parsed into; on a path that passes packets by
-    reference it can be the sender's own buffer, so the caller must only
-    read it.  Any other read copies. *)
+    the entire buffer its frame was parsed into (the XenLoop receive
+    path), returns that buffer itself rather than a copy, as
+    {!Udp.recvfrom} returns its datagram.  Any other read copies,
+    including a chunk that arrived by reference, which may still be the
+    sender's buffer.  Either way the caller owns what is returned. *)
 
 val recv_exact : conn -> int -> Bytes.t
 (** Loop {!recv} until exactly [n] bytes arrive.

@@ -9,11 +9,6 @@
    exactly the binary-heap order the engine used before: time first, then
    insertion sequence.
 
-   An occupancy bitmap, one bit per slot, finds the first occupied slot
-   of a range a word at a time: that is both [pop]'s scan and the
-   "is any slot before the limit occupied?" test that lets
-   [clear_through] refuse without reading a cell.
-
    Cells are caller-owned mutable records linked through [c_next] with the
    wheel's own [nil] cell as the end-of-list marker, so steady-state
    insert/remove/pop never allocates. *)
@@ -30,9 +25,7 @@ let tick_bits = 10 (* 1.024 us per tick *)
 let slot_bits = 13
 let slot_count = 1 lsl slot_bits
 let slot_mask = slot_count - 1
-let group_bits = 5 (* 32 slots per occupancy word *)
-let group_size = 1 lsl group_bits
-let group_mask = group_size - 1
+let group_bits = 6 (* 64 slots per occupancy group *)
 let group_count = slot_count lsr group_bits
 
 (* [c_loc] values: a slot index, or one of these. *)
@@ -42,9 +35,7 @@ let loc_heap = -2
 type 'a t = {
   nil : 'a cell;
   heads : 'a cell array;
-  (* Bit [s land group_mask] of word [s lsr group_bits] is set iff slot
-     [s] is non-empty. *)
-  occupied : int array;
+  group_fill : int array;  (* occupied-slot count per group, for fast scans *)
   mutable wheel_len : int;
   mutable cur_tick : int;
   mutable heap : 'a cell array;
@@ -58,7 +49,7 @@ let create ~dummy =
   {
     nil;
     heads = Array.make slot_count nil;
-    occupied = Array.make group_count 0;
+    group_fill = Array.make group_count 0;
     wheel_len = 0;
     cur_tick = 0;
     heap = [||];
@@ -78,37 +69,8 @@ let before a b = a.c_time < b.c_time || (a.c_time = b.c_time && a.c_seq < b.c_se
    them, so the hot paths use unchecked array accesses. *)
 let head_get t s = Array.unsafe_get t.heads s
 let head_set t s c = Array.unsafe_set t.heads s c
-let mark_occupied t s =
-  let g = s lsr group_bits in
-  Array.unsafe_set t.occupied g
-    (Array.unsafe_get t.occupied g lor (1 lsl (s land group_mask)))
-
-let mark_empty t s =
-  let g = s lsr group_bits in
-  Array.unsafe_set t.occupied g
-    (Array.unsafe_get t.occupied g land lnot (1 lsl (s land group_mask)))
-
-(* Index of the lowest set bit of a non-zero word of at most 32 bits, by
-   de Bruijn multiplication. *)
-let debruijn =
-  [| 0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8;
-     31; 27; 13; 23; 21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9 |]
-
-let lowest_bit x =
-  Array.unsafe_get debruijn ((((x land (-x)) * 0x077CB531) land 0xFFFFFFFF) lsr 27)
-
-(* The smallest [d] in [0, max_d] with slot [(from + d) land slot_mask]
-   occupied, or [-1]: whole empty words are skipped in one step and the
-   first occupied slot of a word is found without a per-slot walk. *)
-let first_occupied t from max_d =
-  let d = ref 0 and found = ref (-1) in
-  while !found < 0 && !d <= max_d do
-    let s = (from + !d) land slot_mask in
-    let off = s land group_mask in
-    let bits = Array.unsafe_get t.occupied (s lsr group_bits) lsr off in
-    if bits = 0 then d := !d + group_size - off else found := !d + lowest_bit bits
-  done;
-  if !found > max_d then -1 else !found
+let fill_incr t g d =
+  Array.unsafe_set t.group_fill g (Array.unsafe_get t.group_fill g + d)
 
 (* Overflow heap: an array binary min-heap of cells ordered by [before]. *)
 
@@ -187,7 +149,7 @@ let slot_insert t c tick =
   let s = tick land slot_mask in
   let head = head_get t s in
   if head == t.nil then begin
-    mark_occupied t s;
+    fill_incr t (s lsr group_bits) 1;
     c.c_next <- t.nil;
     head_set t s c
   end
@@ -231,7 +193,7 @@ let slot_unlink t c =
   let head = t.heads.(s) in
   if head == c then begin
     t.heads.(s) <- c.c_next;
-    if c.c_next == t.nil then mark_empty t s
+    if c.c_next == t.nil then fill_incr t (s lsr group_bits) (-1)
   end
   else begin
     let prev = ref head in
@@ -261,17 +223,23 @@ let cascade t =
     slot_insert t c tick
   done
 
-(* First occupied slot at or after the cursor (circularly); the wheel
-   must hold a cell.  A busy wheel's next cell is usually in the
-   cursor's own slot. *)
+(* First occupied slot at or after the cursor (circularly), skipping empty
+   64-slot groups in one comparison each. *)
 let scan_to_next_occupied t =
-  let s = t.cur_tick land slot_mask in
-  if head_get t s != t.nil then s
-  else begin
-    let d = first_occupied t (t.cur_tick + 1) (slot_mask - 1) in
-    t.cur_tick <- t.cur_tick + 1 + d;
-    t.cur_tick land slot_mask
-  end
+  let base = t.cur_tick in
+  let nil = t.nil in
+  let d = ref 0 in
+  let found = ref (-1) in
+  while !found < 0 do
+    let s = (base + !d) land slot_mask in
+    if s land ((1 lsl group_bits) - 1) = 0
+       && Array.unsafe_get t.group_fill (s lsr group_bits) = 0
+    then d := !d + (1 lsl group_bits)
+    else if head_get t s != nil then found := s
+    else incr d
+  done;
+  t.cur_tick <- base + !d;
+  !found
 
 let pop t =
   if t.wheel_len = 0 && t.heap_len = 0 then t.nil
@@ -287,7 +255,7 @@ let pop t =
     let s = scan_to_next_occupied t in
     let c = head_get t s in
     head_set t s c.c_next;
-    if c.c_next == t.nil then mark_empty t s;
+    if c.c_next == t.nil then fill_incr t (s lsr group_bits) (-1);
     c.c_next <- t.nil;
     c.c_loc <- loc_free;
     t.wheel_len <- t.wheel_len - 1;
@@ -310,7 +278,7 @@ let pop_before t limit_ns =
         let s = scan_to_next_occupied t in
         let c = head_get t s in
         head_set t s c.c_next;
-        if c.c_next == t.nil then mark_empty t s;
+        if c.c_next == t.nil then fill_incr t (s lsr group_bits) (-1);
         c.c_next <- t.nil;
         c.c_loc <- loc_free;
         t.wheel_len <- t.wheel_len - 1;
@@ -327,7 +295,7 @@ let pop_before t limit_ns =
       if c.c_time > limit_ns then t.nil
       else begin
         head_set t s c.c_next;
-        if c.c_next == t.nil then mark_empty t s;
+        if c.c_next == t.nil then fill_incr t (s lsr group_bits) (-1);
         c.c_next <- t.nil;
         c.c_loc <- loc_free;
         t.wheel_len <- t.wheel_len - 1;
@@ -340,35 +308,37 @@ let pop_before t limit_ns =
    slot is read first: it also holds the cells scheduled behind the
    cursor (after a declined [pop_before] the cursor can sit ahead of the
    clock), so its head is the wheel's minimum when it is occupied.
-   Otherwise the bitmap answers: an occupied slot before the limit's tick
-   holds a cell before the limit, so the answer is no without reading
-   it; only a cell in the limit's own slot needs its time compared.  The
-   cursor moves up to the first occupied slot or the limit's tick,
-   whichever comes first: every queued cell is at or past the new cursor,
-   and the caller's clock only moves to [limit_ns] when the answer is
-   yes, so the scan amortises like [pop]'s.  A limit beyond the window
-   is later than every cell the wheel holds. *)
+   Otherwise the cursor moves across empty slots up to the first occupied
+   one or the limit's tick, whichever comes first: every queued cell is
+   at or past the new cursor, and the caller's clock only moves to
+   [limit_ns] when the answer is yes, so the scan amortises like [pop]'s. *)
 let clear_through t limit_ns =
   if t.heap_len > 0 && t.heap.(0).c_time <= limit_ns then false
   else if t.wheel_len = 0 then true
   else begin
-    let cur = t.cur_tick in
-    let head = head_get t (cur land slot_mask) in
-    if head != t.nil then head.c_time > limit_ns
+    let nil = t.nil in
+    let head = head_get t (t.cur_tick land slot_mask) in
+    if head != nil then head.c_time > limit_ns
     else begin
-      let span = tick_of_time limit_ns - cur in
-      if span <= 0 then true
-      else if span >= slot_count then false
-      else begin
-        let d = first_occupied t (cur + 1) (span - 1) in
-        if d < 0 then begin
-          t.cur_tick <- cur + span;
-          true
-        end
+      let span = tick_of_time limit_ns - t.cur_tick in
+      let d = ref 1 and found = ref nil in
+      while !found == nil && !d <= span do
+        let s = (t.cur_tick + !d) land slot_mask in
+        if s land ((1 lsl group_bits) - 1) = 0
+           && Array.unsafe_get t.group_fill (s lsr group_bits) = 0
+        then d := !d + (1 lsl group_bits)
         else begin
-          t.cur_tick <- cur + 1 + d;
-          d = span - 1 && (head_get t (t.cur_tick land slot_mask)).c_time > limit_ns
+          let h = head_get t s in
+          if h != nil then found := h else incr d
         end
+      done;
+      if !found == nil then begin
+        if span > 0 then t.cur_tick <- t.cur_tick + span;
+        true
+      end
+      else begin
+        t.cur_tick <- t.cur_tick + !d;
+        !found.c_time > limit_ns
       end
     end
   end

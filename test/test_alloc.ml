@@ -317,61 +317,99 @@ let test_pool_jumbo_transmit_no_frame_buffer () =
   Alcotest.(check bool) "slots hold serialize ~csum:false" true
     (Bytes.equal got (Netcore.Codec.serialize ~csum:false packet))
 
+(* Major-heap bytes allocated per delivered byte while a stream of
+   writes of [lens] bytes crosses the default (gso, loaned) XenLoop duo,
+   read [read_max] bytes at a time.  The writes are allocated before the
+   measurement starts; they are the application's own bytes. *)
+let xenloop_stream_bytes_per_byte ~port ~lens ~read_max =
+  let module Setup = Scenarios.Setup in
+  let module Tcp = Netstack.Tcp in
+  let duo = Setup.build Setup.Xenloop_path in
+  let total = Array.fold_left ( + ) 0 lens in
+  let major_bytes () =
+    let _, _, major = Gc.counters () in
+    major *. float_of_int (Sys.word_size / 8)
+  in
+  Scenarios.Experiment.execute duo (fun () ->
+      let engine = duo.Setup.engine in
+      let listener =
+        match Tcp.listen duo.Setup.server.Scenarios.Endpoint.tcp ~port with
+        | Ok l -> l
+        | Error _ -> Alcotest.fail "listen"
+      in
+      let received = ref 0 in
+      Sim.Engine.spawn engine (fun () ->
+          let conn = Tcp.accept listener in
+          while !received < total do
+            let got = Tcp.recv conn ~max:read_max in
+            if Bytes.length got = 0 then Alcotest.fail "stream ended early";
+            received := !received + Bytes.length got
+          done);
+      let conn =
+        match
+          Tcp.connect duo.Setup.client.Scenarios.Endpoint.tcp ~dst:duo.Setup.server_ip
+            ~dst_port:port ()
+        with
+        | Ok c -> c
+        | Error _ -> Alcotest.fail "connect"
+      in
+      let data = Array.mapi (fun i len -> Bytes.make len (Char.chr (65 + (i mod 26)))) lens in
+      let before = major_bytes () in
+      Array.iter (Tcp.send conn) data;
+      while !received < total do
+        Sim.Engine.sleep (Sim.Time.ms 1)
+      done;
+      (major_bytes () -. before) /. float_of_int total)
+
 (* The bulk data path allocates one host copy per byte: the receive
    buffer a frame's payload is parsed into out of the pool.  The sender
    cuts segments as views of the application's write and the
    retransmission queue keeps the views, so a second, per-segment copy
    would show as about 2 allocated bytes per delivered byte.  Each write
-   is one jumbo segment (65495 B, the most an IPv4 length admits) and
-   each read takes one, so every read hands the received buffer over.
-   The writes are allocated before the window opens; they are the
-   application's own bytes. *)
-let test_xenloop_stream_one_copy () =
-  let module Setup = Scenarios.Setup in
-  let module Tcp = Netstack.Tcp in
-  let duo = Setup.build Setup.Xenloop_path in
-  let write_len = 65_495 and writes = 64 in
-  let total = write_len * writes in
-  let major_bytes () =
-    let _, _, major = Gc.counters () in
-    major *. float_of_int (Sys.word_size / 8)
-  in
+   here is one jumbo segment (65495 B, the most an IPv4 length admits)
+   and each read takes one, so no write leaves a corked tail and every
+   read hands the received buffer over. *)
+let test_xenloop_stream_jumbo_aligned_one_copy () =
   let per_byte =
-    Scenarios.Experiment.execute duo (fun () ->
-        let engine = duo.Setup.engine in
-        let listener =
-          match Tcp.listen duo.Setup.server.Scenarios.Endpoint.tcp ~port:7100 with
-          | Ok l -> l
-          | Error _ -> Alcotest.fail "listen"
-        in
-        let received = ref 0 in
-        Sim.Engine.spawn engine (fun () ->
-            let conn = Tcp.accept listener in
-            while !received < total do
-              let got = Tcp.recv conn ~max:write_len in
-              if Bytes.length got = 0 then Alcotest.fail "stream ended early";
-              received := !received + Bytes.length got
-            done);
-        let conn =
-          match
-            Tcp.connect duo.Setup.client.Scenarios.Endpoint.tcp ~dst:duo.Setup.server_ip
-              ~dst_port:7100 ()
-          with
-          | Ok c -> c
-          | Error _ -> Alcotest.fail "connect"
-        in
-        let data = Array.init writes (fun i -> Bytes.make write_len (Char.chr (65 + (i mod 26)))) in
-        let before = major_bytes () in
-        Array.iter (Tcp.send conn) data;
-        while !received < total do
-          Sim.Engine.sleep (Sim.Time.ms 1)
-        done;
-        (major_bytes () -. before) /. float_of_int total)
+    xenloop_stream_bytes_per_byte ~port:7100 ~lens:(Array.make 64 65_495) ~read_max:65_495
   in
   Alcotest.(check bool)
-    (Printf.sprintf "gso xenloop stream: %.2f major-heap bytes per delivered byte (bound 1.1)"
+    (Printf.sprintf
+       "jumbo-aligned xenloop stream: %.2f major-heap bytes per delivered byte (bound 1.1)"
        per_byte)
     true (per_byte <= 1.1)
+
+(* Writes of log-uniform size over 1 KiB .. 256 KiB, read 64 KiB at a
+   time, as the bulk benchmark does.  Most writes end in a runt that the
+   gso channel corks and tops up from the next write: [Tcp.send] blits
+   the runt and the next bytes into the reused cork buffer and flushes it
+   with [Bytes.sub], an allocated copy of those bytes, and a read that
+   spans two chunks gathers them into a fresh buffer.  About 1.4 bytes
+   are allocated per delivered byte today (the bulk benchmark's 2.4 also
+   counts its own write records); the bound holds that level, so a copy
+   that creeps back into the segment path, about one more byte per
+   byte, shows past it.  Sending the cork as a gathered pair of views
+   would bring the figure towards 1. *)
+let test_xenloop_stream_unaligned_cork_copies () =
+  let st = Random.State.make [| 23 |] in
+  let log_uniform () =
+    let lo = log 1024. and hi = log 262_144. in
+    int_of_float (exp (lo +. Random.State.float st (hi -. lo)))
+  in
+  let rec draw acc sum =
+    if sum >= 4 * 1024 * 1024 then Array.of_list (List.rev acc)
+    else
+      let n = log_uniform () in
+      draw (n :: acc) (sum + n)
+  in
+  let per_byte =
+    xenloop_stream_bytes_per_byte ~port:7101 ~lens:(draw [] 0) ~read_max:65_536
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "unaligned xenloop stream: %.2f major-heap bytes per delivered byte (bound 1.5)"
+       per_byte)
+    true (per_byte <= 1.5)
 
 let suites =
   [
@@ -398,7 +436,9 @@ let suites =
           test_pool_jumbo_receive_single_copy;
         Alcotest.test_case "pool jumbo transmit builds no frame buffer" `Quick
           test_pool_jumbo_transmit_no_frame_buffer;
-        Alcotest.test_case "xenloop tcp stream copies each byte once" `Quick
-          test_xenloop_stream_one_copy;
+        Alcotest.test_case "xenloop tcp stream of jumbo-aligned writes copies each byte once"
+          `Quick test_xenloop_stream_jumbo_aligned_one_copy;
+        Alcotest.test_case "xenloop tcp stream of unaligned writes stays within the cork copies"
+          `Quick test_xenloop_stream_unaligned_cork_copies;
       ] );
   ]

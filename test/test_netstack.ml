@@ -632,13 +632,17 @@ let test_tcp_recv_copies_slices () =
       Alcotest.(check bytes) "first segment" (Bytes.sub data 0 mss) got;
       Alcotest.(check bool) "a slice is copied" true (got != data);
       ignore (Tcp.recv_exact server mss);
-      (* A one-segment write is a view of its whole buffer, handed over as
-         it is: over a cable that copies nothing, the sender's own. *)
+      (* A one-segment write is a view of its whole buffer, which over a
+         cable that copies nothing arrives as the sender's own: the read
+         copies it, so the reader owns what it gets and a write into it
+         cannot reach the sender's buffer. *)
       let small = Bytes.make 100 's' in
       Tcp.send client small;
       Sim.Engine.sleep (Sim.Time.ms 1);
-      Alcotest.(check bool) "a whole view is handed over" true
-        (Tcp.recv server ~max:100 == small))
+      let got = Tcp.recv server ~max:100 in
+      Alcotest.(check bool) "a by-reference buffer is copied" true (got != small);
+      Bytes.fill got 0 100 'r';
+      Alcotest.(check bytes) "the sender's buffer is untouched" (Bytes.make 100 's') small)
 
 let test_tcp_recv_hands_over_xenloop_chunk () =
   (* On XenLoop the receive buffer is the one a frame's payload was
@@ -887,7 +891,7 @@ let suites =
           test_tcp_rto_resends_from_view;
         Alcotest.test_case "partial ack prunes views by sequence" `Quick
           test_tcp_partial_ack_prunes_by_sequence;
-        Alcotest.test_case "recv copies a slice, hands a whole view over" `Quick
+        Alcotest.test_case "recv copies a slice and a by-reference buffer" `Quick
           test_tcp_recv_copies_slices;
         Alcotest.test_case "recv hands a xenloop chunk over" `Quick
           test_tcp_recv_hands_over_xenloop_chunk;
