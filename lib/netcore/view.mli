@@ -24,9 +24,6 @@ val sub : t -> off:int -> len:int -> t
 (** [sub v ~off ~len] is the [len] bytes of [v] from [off] (relative to
     [v]).  @raise Invalid_argument if they are not all inside [v]. *)
 
-val is_whole : t -> bool
-(** The view covers its entire buffer. *)
-
 val is_owned : t -> bool
 (** The view covers the entire buffer of a {!of_fresh} view: whoever
     holds it may hand the buffer on as its own. *)
