@@ -65,11 +65,10 @@ soak: build
 
 # Wide chaos soak, opt-in and not part of `ci`: 40 iterations of the
 # full fault matrix at base seeds 0 and 100.  Both sweeps run; the target
-# exits nonzero if either fails.  It currently reports the known
-# exactly-once loss on cluster3/evict-teardown (one datagram of 250 lost
-# per failing run): seeds 3 and 25 in the base-0 sweep and seed 129 in the
-# base-100 sweep, each with its replay line, e.g.
-# `xenloopsim chaos --case cluster3/evict-teardown --seed 129`.
+# exits nonzero if either fails.  It currently reports one known
+# exactly-once loss (one datagram of 250): the base-0 sweep is clean and
+# the base-100 sweep fails only cluster3/evict-storm at seed 117, replay
+# `xenloopsim chaos --case cluster3/evict-storm --seed 117`.
 soak-wide: build
 	@status=0; \
 	for seed in 0 100; do \

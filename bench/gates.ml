@@ -29,14 +29,11 @@ let gso_sizes ~smoke = if smoke then [ 16384; 65536 ] else [ 4096; 16384; 65536 
 (* The gso size whose gso-off point is also measured at wire MSS. *)
 let gso_wire_size = 65536
 
-(* (guests, hosts, delta announcements).  Single host up to 128 guests —
-   per-host population is what the legacy rebroadcast is linear in —
-   then 512 guests over 4 hosts, the cluster-scale point the cap is
-   sized against. *)
+(* (guests, hosts).  Single host up to 128 guests — per-host population
+   is what a full-list rebroadcast would be linear in — then 512 guests
+   over 4 hosts, the cluster-scale point the cap is sized against. *)
 let mesh_points ~smoke =
-  let both (g, h) = [ (g, h, true); (g, h, false) ] in
-  if smoke then both (8, 1) @ both (32, 1) @ [ (128, 1, true) ]
-  else List.concat_map both [ (8, 1); (32, 1); (128, 1); (512, 4) ]
+  if smoke then [ (8, 1); (32, 1); (128, 1) ] else [ (8, 1); (32, 1); (128, 1); (512, 4) ]
 
 let mesh_channel_cap = 8
 
@@ -99,9 +96,7 @@ let rows ~smoke =
   in
   let gso size s = [ Key "gso_sweep"; at "size" size; Key s ] in
   let mixed q k = [ Key "mixed_queue_sweep"; at "queues" q; Key k ] in
-  let mesh k =
-    [ Key "mesh_sweep"; Where [ ("guests", num 128); ("delta", Json.Bool true) ]; Key k ]
-  in
+  let mesh k = [ Key "mesh_sweep"; at "guests" 128; Key k ] in
   let victim_p99 s =
     [ Key "fairness_sweep"; Key "elephant_mice"; Key s; Key "victim_rr"; Key "p99_us" ]
   in
@@ -162,9 +157,19 @@ let rows ~smoke =
       row "gso jumbo descriptors moved"
         (gso gso_wire_size "gso" @ [ Key "jumbo_tx" ])
         Gt (Const 0.0);
-      row "gso-off digests unperturbed"
-        [ Key "gso_off_digest_matrix"; Key "perturbed" ]
-        Eq (Const 0.0);
+    ]
+  (* With gso off no jumbo descriptor moves, whatever the TSO budget. *)
+  @ List.concat_map
+      (fun size ->
+        let off side =
+          row
+            (Printf.sprintf "gso off moves no jumbo, %s %d" side size)
+            (gso size side @ [ Key "jumbo_tx" ])
+            Eq (Const 0.0)
+        in
+        off "gso_off" :: (if size = gso_wire_size then [ off "gso_off_wire" ] else []))
+      (gso_sizes ~smoke)
+  @ [
       (* O(churn): a churn-free window costs heartbeats only. *)
       row "mesh N=128 announce bytes/guest"
         (mesh "steady_announce_bytes_per_guest")

@@ -1250,63 +1250,6 @@ let gso_sweep ~smoke =
          Json.Obj ([ ("size", int size); ("gso", on); ("gso_off", off) ] @ wire))
        (Gates.gso_sizes ~smoke))
 
-(* Offload-off must be invisible: the chaos digest of a gso-off world is
-   bit-for-bit identical whether or not the Jumbo_truncate fault is armed
-   — the gso machinery contributes nothing, not even an RNG draw, to a
-   world that did not negotiate it.
-
-   One caveat bounds which fault sets can be compared this way: the
-   harness logs a generic "fault windows cleared" event at
-   [Fault.clearance] (the max [f_stop] over every armed spec, whatever
-   its kind), so appending ANY spec to a set whose window envelope it
-   extends moves that bookkeeping timestamp.  That is harness
-   scheduling, not gso machinery.  The matrix therefore compares exactly
-   the sets whose envelope already covers the jumbo window: each
-   applicable single whose default window ends no earlier, plus the full
-   storm, each at seeds 42 and 43. *)
-let gso_off_digest_matrix () =
-  let digest_of ~seed ~faults =
-    let v, _ =
-      Chaos.Harness.run
-        (Chaos.Harness.default_config ~seed ~faults Chaos.Harness.Xenloop_duo)
-    in
-    (v.Chaos.Harness.v_log_digest, v.Chaos.Harness.v_log_length)
-  in
-  let applicable =
-    List.filter_map
-      (fun k ->
-        if Chaos.Harness.applicable Chaos.Harness.Xenloop_duo k then
-          Some (Chaos.Fault.default_spec k)
-        else None)
-      Chaos.Fault.all
-  in
-  let jumbo = Chaos.Fault.default_spec Chaos.Fault.Jumbo_truncate in
-  let sets =
-    List.filter_map
-      (fun s ->
-        if s.Chaos.Fault.f_stop >= jumbo.Chaos.Fault.f_stop then
-          Some (Chaos.Fault.label s.Chaos.Fault.f_kind, [ s ])
-        else None)
-      applicable
-    @ [ ("storm", applicable) ]
-  in
-  let cases = List.concat_map (fun set -> [ (set, 42); (set, 43) ]) sets in
-  let perturbed =
-    List.filter
-      (fun ((name, faults), seed) ->
-        let d0 = digest_of ~seed ~faults in
-        let d1 = digest_of ~seed ~faults:(faults @ [ jumbo ]) in
-        if d0 <> d1 then
-          Printf.eprintf
-            "gso-off digest %s seed=%d: %s (len %d) became %s (len %d) with \
-             Jumbo_truncate armed\n"
-            name seed (fst d0) (snd d0) (fst d1) (snd d1);
-        d0 <> d1)
-      cases
-  in
-  Json.Obj
-    [ ("compared", int (List.length cases)); ("perturbed", int (List.length perturbed)) ]
-
 (* ------------------------------------------------------------------ *)
 (* Mesh sweep: the cluster-scale control plane (DESIGN.md §12).
 
@@ -1314,10 +1257,9 @@ let gso_off_digest_matrix () =
    timescales, establishes ring-neighbour traffic, then sits through a
    churn-free steady-state window.  Reported per point: channel bring-up
    rate, steady-state announcement bytes per guest — the O(churn) claim:
-   flat as N grows with delta announcements on, linear in N under the
-   legacy full-list rebroadcast ablation — and the live memory footprint
-   (channel pool bytes, grant-table entries) the per-guest channel cap
-   keeps bounded regardless of mesh size. *)
+   flat as N grows — and the live memory footprint (channel pool bytes,
+   grant-table entries) the per-guest channel cap keeps bounded
+   regardless of mesh size. *)
 
 module Mesh = Scenarios.Mesh
 
@@ -1333,14 +1275,13 @@ let mesh_ring_degree = 4
    so announce bytes per guest stays comparable across N. *)
 let mesh_period ~guests ~hosts = Sim.Time.ms (max 10 (guests / hosts))
 
-let run_mesh_point (guests, hosts, delta) =
+let run_mesh_point (guests, hosts) =
   let period = mesh_period ~guests ~hosts in
   let params =
     {
       Hypervisor.Params.default with
       Hypervisor.Params.discovery_period = period;
       xenloop_softstate_ttl = Sim.Time.span_scale 8 period;
-      xenloop_delta_announce = delta;
       xenloop_channel_cap = Gates.mesh_channel_cap;
     }
   in
@@ -1360,8 +1301,7 @@ let run_mesh_point (guests, hosts, delta) =
       in
       let established = Mesh.channels_established m in
       (* Steady state: no churn, so every announced byte from here on is
-         protocol overhead — heartbeats under delta, the full list under
-         legacy. *)
+         protocol overhead: heartbeats. *)
       let b0 = Mesh.announce_bytes m in
       let a0 = Mesh.announcements_sent m in
       let s0 = Mesh.announcements_suppressed m in
@@ -1369,7 +1309,6 @@ let run_mesh_point (guests, hosts, delta) =
       Json.Obj
         [
           ("guests", int guests);
-          ("delta", Json.Bool delta);
           ("hosts", int hosts);
           ( "channels_per_sec",
             fixed 1 (if secs > 0.0 then float_of_int established /. secs else 0.0) );
@@ -1596,10 +1535,8 @@ let chaos_soak ~smoke =
           Chaos.Soak.c_name = name;
           c_scenario = Chaos.Harness.Xenloop_duo;
           c_faults = faults;
-          c_loans = false;
           c_evictions = false;
           c_qos = false;
-          c_gso = false;
         }
       in
       let storm =
@@ -1626,7 +1563,6 @@ let json_mode ~smoke ~recorded path =
   let fifo = fifo_sweep ~smoke in
   let zerocopy = zerocopy_sweep ~smoke in
   let gso = gso_sweep ~smoke in
-  let digests = gso_off_digest_matrix () in
   let mesh = List.map run_mesh_point (Gates.mesh_points ~smoke) in
   let fairness = fairness_sweep ~smoke in
   let engine = engine_bench_json (engine_bench_run ~smoke ()) in
@@ -1641,7 +1577,6 @@ let json_mode ~smoke ~recorded path =
         ("fifo_sweep_udp_stream", fifo);
         ("zerocopy_sweep", zerocopy);
         ("gso_sweep", gso);
-        ("gso_off_digest_matrix", digests);
         ("mesh_sweep", Json.Arr mesh);
         ("fairness_sweep", fairness);
         ("engine_bench", engine);

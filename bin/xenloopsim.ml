@@ -301,9 +301,10 @@ let chaos_cmd =
   let case =
     let doc =
       "Run one case of the soak matrix by name (as a red soak's replay \
-       line prints it, e.g. xenloop-duo/loans-storm): its scenario, fault \
-       set and world — loans, evictions, QoS, gso.  Not combined with \
-       $(b,--scenario) or $(b,--fault)."
+       line prints it, e.g. xenloop-duo/stale-read): its scenario, fault \
+       set and world — the shipped configuration, or the eviction or QoS \
+       world its case asks for.  Not combined with $(b,--scenario) or \
+       $(b,--fault)."
     in
     Arg.(value & opt (some string) None & info [ "case" ] ~doc)
   in

@@ -28,23 +28,19 @@ let scenario_of_label s =
 
 let applicable scenario kind =
   match (scenario, kind) with
-  (* Loan faults only bite in a loans-on world; the standard matrix runs
-     with loans pinned off (see [chaos_params]), so they are armed only by
-     the explicit loans-on cases ([config.loans]). *)
-  | _, (Fault.Loan_leak | Fault.Slow_consumer) -> false
-  (* Forced eviction needs the bounded-channel knobs on; the standard
-     matrix pins them off, so the storm is armed only by the explicit
+  (* Forced eviction needs a channel cap and an idle TTL, which the
+     defaults leave off, so the storm is armed only by the explicit
      eviction cases ([config.evictions]). *)
   | _, Fault.Evict_storm -> false
   (* The flood needs the QoS scheduler on to have fairness to attack;
-     the standard matrix pins QoS off, so it is armed only by the
-     explicit QoS cases ([config.qos]). *)
+     QoS is off by default, so it is armed only by the explicit QoS cases
+     ([config.qos]). *)
   | _, Fault.Tenant_flood -> false
-  (* Truncation corrupts jumbo scatter vectors, which only exist in a
-     gso world; the standard matrix pins gso off, so it is armed only by
-     the explicit gso cases ([config.gso]). *)
-  | _, Fault.Jumbo_truncate -> false
   | Netfront_duo, _ -> false
+  (* The migration world's guests meet only after the migration, by which
+     time the auxiliary bulk stream has been written over the wire: it
+     moves no jumbo descriptor for the truncation to corrupt. *)
+  | Migration_world, Fault.Jumbo_truncate -> false
   | Cluster3, Fault.Peer_crash -> true
   | _, Fault.Peer_crash -> false
   | Migration_world, Fault.Migrate_midstream -> true
@@ -60,21 +56,16 @@ type config = {
   packets : int;
   payload : int;
   check_period : Sim.Time.span;
-  loans : bool;
   evictions : bool;
-      (** eviction world: delta announcements on, tight channel cap,
-          short idle TTL — the regime [Fault.Evict_storm] bites in *)
+      (** eviction world: tight channel cap, short idle TTL — the regime
+          [Fault.Evict_storm] bites in *)
   qos : bool;
       (** QoS world: the multi-tenant scheduler on, with a deliberately
           shallow per-flow bound so [Fault.Tenant_flood] overflows *)
-  gso : bool;
-      (** gso world: jumbo segmentation offload negotiated, plus an
-          auxiliary TCP bulk stream that keeps jumbo descriptors in
-          flight for [Fault.Jumbo_truncate] to corrupt *)
 }
 
-let default_config ?(seed = 1) ?(faults = []) ?(loans = false)
-    ?(evictions = false) ?(qos = false) ?(gso = false) scenario =
+let default_config ?(seed = 1) ?(faults = []) ?(evictions = false) ?(qos = false)
+    scenario =
   {
     seed;
     scenario;
@@ -82,10 +73,8 @@ let default_config ?(seed = 1) ?(faults = []) ?(loans = false)
     packets = 250;
     payload = 256;
     check_period = Sim.Time.ms 1;
-    loans;
     evictions;
     qos;
-    gso;
   }
 
 type verdict = {
@@ -121,8 +110,9 @@ let pp_verdict fmt v =
 (* ------------------------------------------------------------------ *)
 (* Worlds *)
 
-(* Compressed soft-state timescales so one run exercises full discovery /
-   TTL / cooldown cycles in tens of simulated milliseconds. *)
+(* The shipped configuration with compressed soft-state timescales, so
+   one run exercises full discovery / TTL / cooldown cycles in tens of
+   simulated milliseconds. *)
 let chaos_params =
   {
     Params.default with
@@ -130,27 +120,6 @@ let chaos_params =
     xenloop_softstate_ttl = Sim.Time.ms 40;
     xenloop_bootstrap_cooldown = Sim.Time.ms 100;
     migration_downtime = Sim.Time.ms 2;
-    (* Pinned off so the standard matrix stays bit-for-bit reproducible
-       against captures taken before loaned-slot receive existed; loans-on
-       runs opt in through [config.loans]. *)
-    xenloop_loans = false;
-    (* Same story for the cluster-scale control plane (DESIGN.md §12):
-       with these pinned, discovery performs exactly the legacy sequence
-       of XenStore reads, announce encodes, sends, and injector draws, so
-       pre-delta scenario digests replay unchanged; eviction runs opt in
-       through [config.evictions]. *)
-    xenloop_delta_announce = false;
-    xenloop_channel_cap = 0;
-    xenloop_channel_idle_ttl = Sim.Time.span_zero;
-    (* And for the QoS subsystem (DESIGN.md §14): off, every frame is one
-       flow and each backlog is a FIFO-order waiting list; QoS runs opt
-       in through [config.qos]. *)
-    qos_enabled = false;
-    (* And for segmentation offload (DESIGN.md §15): off, negotiation
-       never advertises "gs", announce wires carry the legacy tags, and
-       the tx path never consults the jumbo injector, so pre-gso digests
-       replay unchanged; gso runs opt in through [config.gso]. *)
-    xenloop_gso = false;
   }
 
 type world = {
@@ -477,8 +446,7 @@ let wire w plan rec_ =
                true
              end
              else false));
-      (* Consulted only at loaned-delivery time, so in a loans-off world
-         these kinds never draw and never perturb another kind's stream. *)
+      (* Consulted only at loaned-delivery time. *)
       Gm.set_loan_fault_injector m
         (Some
            (fun () ->
@@ -494,9 +462,7 @@ let wire w plan rec_ =
                Gm.Loan_delay d
              end
              else Gm.Loan_pass));
-      (* Consulted only when a jumbo descriptor is pushed, so in a
-         gso-off world this kind never draws and never perturbs another
-         kind's stream. *)
+      (* Consulted only when a jumbo descriptor is pushed. *)
       Gm.set_jumbo_fault_injector m
         (Some
            (fun () ->
@@ -615,30 +581,20 @@ let run ?sabotage config =
   if config.packets < 1 then invalid_arg "Harness.run: no packets";
   let params =
     let p =
-      if config.loans then { chaos_params with Params.xenloop_loans = true }
-      else chaos_params
-    in
-    let p =
-      (* gso world: jumbo negotiation back on (zerocopy pools are already
-         on in [chaos_params], which gso rides on). *)
-      if config.gso then { p with Params.xenloop_gso = true } else p
-    in
-    let p =
       if config.qos then
         (* QoS world: scheduler on, per-flow backlog bound shallow enough
            that a flooding tenant actually overflows (to netfront, per
            flow) inside one run. *)
-        { p with Params.qos_enabled = true; xenloop_waiting_list_max = 16 }
-      else p
+        { chaos_params with Params.qos_enabled = true; xenloop_waiting_list_max = 16 }
+      else chaos_params
     in
     if config.evictions then
-      (* Eviction world: the bounded-channel knobs come back on, tight
-         enough that the cap, the idle TTL and the post-eviction cooldown
-         all cycle several times inside one run. *)
+      (* Eviction world: the bounded-channel knobs come on, tight enough
+         that the cap, the idle TTL and the post-eviction cooldown all
+         cycle several times inside one run. *)
       {
         p with
-        Params.xenloop_delta_announce = true;
-        xenloop_channel_cap = 2;
+        Params.xenloop_channel_cap = 2;
         xenloop_channel_idle_ttl = Sim.Time.ms 20;
         xenloop_evict_cooldown = Sim.Time.ms 2;
       }
@@ -709,13 +665,13 @@ let run ?sabotage config =
                        Sim.Engine.sleep (Sim.Time.us 100)
                      done)
        end);
-      (* Jumbo-truncate (gso worlds): the stamped UDP datagrams are far
-         below jumbo size, so an auxiliary TCP bulk stream keeps jumbo
-         descriptors in flight while the fault window is open.  The
-         stream must still land byte-identical — a truncated jumbo is
-         dropped loudly at rx and recovered by TCP retransmission. *)
+      (* Jumbo-truncate: the stamped UDP datagrams are far below jumbo
+         size, so an auxiliary TCP bulk stream keeps jumbo descriptors in
+         flight while the fault window is open.  The stream must still
+         land byte-identical — a truncated jumbo is dropped loudly at rx
+         and recovered by TCP retransmission. *)
       let aux_bulk =
-        if not config.gso then None
+        if not (Fault.armed plan Fault.Jumbo_truncate) then None
         else
           match w.w_flows with
           | [] -> None
@@ -877,9 +833,9 @@ let run ?sabotage config =
         w.w_stir ();
         Sim.Engine.sleep (Sim.Time.ms 1)
       done;
-      (* gso worlds: the bulk stream must have completed byte-identical,
-         jumbo descriptors must actually have moved (else the world
-         tested nothing), and every injected truncation must show up as
+      (* Jumbo-truncate runs: the bulk stream must have completed
+         byte-identical, jumbo descriptors must actually have moved (else
+         the run tested nothing), and every injected truncation must show up as
          an accounted rx drop — never as delivered bytes. *)
       (match aux_bulk with
       | None -> ()
@@ -902,7 +858,7 @@ let run ?sabotage config =
             List.fold_left (fun a (_, m) -> a + f (Gm.stats m)) 0 !(w.w_modules)
           in
           if sum (fun s -> s.Gm.jumbo_tx) = 0 then
-            note_violation "gso world moved no jumbo descriptors";
+            note_violation "bulk stream moved no jumbo descriptors";
           let truncations =
             match List.assoc_opt "jumbo-truncate" (Fault.injections plan) with
             | Some n -> n

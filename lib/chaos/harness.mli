@@ -31,13 +31,13 @@ val applicable : scenario -> Fault.kind -> bool
     [Peer_crash] needs a flow-free third guest ([Cluster3]),
     [Migrate_midstream] needs two machines ([Migration_world]),
     [Suspend_resume] needs a co-resident pair from the start,
-    [Netfront_duo] is the fault-free control, the loan kinds
-    ([Loan_leak], [Slow_consumer]) only bite in a loans-on world so they
-    are armed only by explicit loans-on cases ([config.loans]),
-    [Evict_storm] likewise only bites with the bounded-channel knobs on
-    ([config.evictions]), [Tenant_flood] only in a QoS world
-    ([config.qos]), and [Jumbo_truncate] only in a gso world
-    ([config.gso]). *)
+    [Netfront_duo] is the fault-free control, [Jumbo_truncate] needs
+    guests that are co-resident while the bulk stream is written (not
+    [Migration_world]), and the two kinds that
+    need a world tuned away from the defaults are armed only by explicit
+    cases: [Evict_storm] bites only with a channel cap and idle TTL
+    ([config.evictions]), [Tenant_flood] only with QoS on
+    ([config.qos]). *)
 
 type config = {
   seed : int;
@@ -46,41 +46,35 @@ type config = {
   packets : int;  (** datagrams per flow (two flows, one per direction) *)
   payload : int;  (** datagram payload bytes (>= 8 for the stamp) *)
   check_period : Sim.Time.span;  (** runtime invariant-checker cadence *)
-  loans : bool;
-      (** build the world with loaned-slot receive negotiated on
-          ({!Hypervisor.Params.xenloop_loans}); the standard matrix runs
-          with it pinned off so digests match pre-loan captures *)
   evictions : bool;
-      (** build the world with the cluster-scale control plane on: delta
-          announcements, a channel cap of 2, a 20 ms idle TTL and a 2 ms
-          eviction cooldown — the regime {!Fault.Evict_storm} bites in;
-          the standard matrix pins all of that off so pre-delta digests
-          replay unchanged *)
+      (** build the world with a channel cap of 2, a 20 ms idle TTL and a
+          2 ms eviction cooldown — the regime {!Fault.Evict_storm} bites
+          in; the defaults leave channels unbounded *)
   qos : bool;
       (** build the world with the multi-tenant QoS subsystem on
           ({!Hypervisor.Params.qos_enabled}) and deliberately small
           per-flow sub-queues, the regime {!Fault.Tenant_flood} bites in;
-          the standard matrix pins QoS off so pre-QoS digests replay
-          unchanged *)
-  gso : bool;
-      (** build the world with jumbo segmentation offload negotiated on
-          ({!Hypervisor.Params.xenloop_gso}) and run an auxiliary TCP
-          bulk stream that keeps jumbo descriptors in flight — the
-          regime {!Fault.Jumbo_truncate} bites in; the standard matrix
-          pins gso off so pre-gso digests replay unchanged *)
+          QoS is off by default *)
 }
+
+val chaos_params : Hypervisor.Params.t
+(** The parameters every chaos world starts from:
+    {!Hypervisor.Params.default} with the discovery period, soft-state
+    TTL, bootstrap cooldown and migration downtime compressed to
+    milliseconds.  Everything else is the shipped configuration. *)
 
 val default_config :
   ?seed:int ->
   ?faults:Fault.spec list ->
-  ?loans:bool ->
   ?evictions:bool ->
   ?qos:bool ->
-  ?gso:bool ->
   scenario ->
   config
-(** 250 packets of 256 B per flow, 1 ms checker cadence, loans,
-    evictions, QoS and gso off. *)
+(** 250 packets of 256 B per flow, 1 ms checker cadence, evictions and
+    QoS off.  Every world runs {!Hypervisor.Params.default} with the
+    soft-state timescales compressed to milliseconds; arming
+    {!Fault.Jumbo_truncate} adds an auxiliary TCP bulk stream that keeps
+    jumbo descriptors in flight. *)
 
 type verdict = {
   v_seed : int;

@@ -2,11 +2,8 @@ type case = {
   c_name : string;
   c_scenario : Harness.scenario;
   c_faults : Fault.spec list;
-  c_loans : bool;  (** loans-on world: loaned-slot receive negotiated *)
-  c_evictions : bool;
-      (** eviction world: delta announcements on, tight channel cap *)
+  c_evictions : bool;  (** eviction world: tight channel cap, idle TTL *)
   c_qos : bool;  (** QoS world: per-flow DRR scheduler, small sub-queues *)
-  c_gso : bool;  (** gso world: jumbo offload negotiated, TCP bulk aux flow *)
 }
 
 (* In the migration world the guests start apart: there is no XenLoop
@@ -42,47 +39,14 @@ let case scenario kinds suffix =
     c_name = Printf.sprintf "%s/%s" (Harness.scenario_label scenario) label;
     c_scenario = scenario;
     c_faults = specs;
-    c_loans = false;
     c_evictions = false;
     c_qos = false;
-    c_gso = false;
   }
 
-(* Loaned-slot receive soaks its own corner of the matrix: worlds with
-   loans negotiated on, against the loan faults alone, mixed with the
-   data-plane kinds, and across a mid-window teardown (suspend/resume
-   forces a force-return of every outstanding loan, then re-bootstrap). *)
-let loan_cases () =
-  let mk scenario kinds label =
-    {
-      (case scenario kinds label) with
-      c_name =
-        Printf.sprintf "%s/loans-%s" (Harness.scenario_label scenario) label;
-      c_loans = true;
-    }
-  in
-  [
-    mk Harness.Xenloop_duo [] "baseline";
-    mk Harness.Xenloop_duo [ Fault.Loan_leak ] "leak";
-    mk Harness.Xenloop_duo [ Fault.Slow_consumer ] "slow-consumer";
-    mk Harness.Xenloop_duo
-      [ Fault.Loan_leak; Fault.Suspend_resume ]
-      "leak-teardown";
-    mk Harness.Xenloop_duo
-      [
-        Fault.Loan_leak; Fault.Slow_consumer; Fault.Drop_notify;
-        Fault.Push_refusal; Fault.Pool_exhaustion;
-      ]
-      "storm";
-    mk Harness.Migration_world
-      [ Fault.Migrate_midstream; Fault.Loan_leak; Fault.Slow_consumer ]
-      "migrate";
-  ]
-
-(* The cluster-scale control plane (DESIGN.md §12) soaks the same way:
-   eviction worlds run with delta announcements on and a tight channel
-   cap, first fault-free, then under the forced eviction storm, then the
-   storm mixed with the control-plane kinds it races against. *)
+(* The cluster-scale control plane (DESIGN.md §12) soaks its own worlds:
+   a tight channel cap and a short idle TTL, first fault-free, then under
+   the forced eviction storm, then the storm mixed with the control-plane
+   kinds it races against. *)
 let evict_cases () =
   let mk scenario kinds label =
     {
@@ -129,30 +93,15 @@ let qos_cases () =
       "flood-teardown";
   ]
 
-(* Segmentation offload (DESIGN.md §15) soaks its own worlds: jumbo
-   descriptors negotiated on and an auxiliary TCP bulk stream in flight,
-   first fault-free, then under scatter-vector truncation alone (plain
-   and loaned receive), mixed with the data-plane kinds that starve the
-   jumbo allocator, and across a mid-window teardown (which must reclaim
-   or drop stranded multi-slot frames, never leak or mis-deliver). *)
-let gso_cases () =
-  let mk ?(loans = false) scenario kinds label =
-    {
-      (case scenario kinds label) with
-      c_name =
-        Printf.sprintf "%s/gso-%s" (Harness.scenario_label scenario) label;
-      c_gso = true;
-      c_loans = loans;
-    }
-  in
+(* Teardown in the middle of the loan and jumbo fault windows: suspend/
+   resume must force-return every leaked or held loan, and reclaim or
+   drop stranded multi-slot frames, never leak or mis-deliver. *)
+let teardown_cases () =
   [
-    mk Harness.Xenloop_duo [] "baseline";
-    mk Harness.Xenloop_duo [ Fault.Jumbo_truncate ] "truncate";
-    mk ~loans:true Harness.Xenloop_duo [ Fault.Jumbo_truncate ] "truncate-loans";
-    mk Harness.Xenloop_duo
-      [ Fault.Jumbo_truncate; Fault.Push_refusal; Fault.Pool_exhaustion ]
-      "storm";
-    mk ~loans:true Harness.Xenloop_duo
+    case Harness.Xenloop_duo
+      [ Fault.Loan_leak; Fault.Suspend_resume ]
+      "leak-teardown";
+    case Harness.Xenloop_duo
       [ Fault.Jumbo_truncate; Fault.Suspend_resume ]
       "truncate-teardown";
   ]
@@ -185,13 +134,13 @@ let matrix () =
         @ [ case scenario kinds "storm" ]
   in
   List.concat_map scenario_cases Harness.all_scenarios
-  @ loan_cases () @ evict_cases () @ qos_cases () @ gso_cases ()
+  @ teardown_cases () @ evict_cases () @ qos_cases ()
 
 let find_case name = List.find_opt (fun c -> c.c_name = name) (matrix ())
 
 let case_config c ~seed =
-  Harness.default_config ~seed ~faults:c.c_faults ~loans:c.c_loans
-    ~evictions:c.c_evictions ~qos:c.c_qos ~gso:c.c_gso c.c_scenario
+  Harness.default_config ~seed ~faults:c.c_faults ~evictions:c.c_evictions
+    ~qos:c.c_qos c.c_scenario
 
 type failure = {
   fail_seed : int;

@@ -13,18 +13,9 @@ type case = {
   c_name : string;
   c_scenario : Harness.scenario;
   c_faults : Fault.spec list;
-  c_loans : bool;  (** loans-on world: loaned-slot receive negotiated *)
-  c_evictions : bool;
-      (** eviction world: delta announcements on, tight channel cap *)
+  c_evictions : bool;  (** eviction world: tight channel cap, idle TTL *)
   c_qos : bool;  (** QoS world: per-flow DRR scheduler, small sub-queues *)
-  c_gso : bool;  (** gso world: jumbo offload negotiated, TCP bulk aux flow *)
 }
-
-val loan_cases : unit -> case list
-(** Loaned-slot receive cases (DESIGN.md §11): loans-on worlds soaked
-    against [Loan_leak] / [Slow_consumer] alone, mixed with data-plane
-    kinds, and across mid-window teardowns (suspend/resume and the
-    migration world), which force-return every outstanding loan. *)
 
 val qos_cases : unit -> case list
 (** Multi-tenant QoS cases (DESIGN.md §14): QoS worlds (per-flow DRR on,
@@ -34,20 +25,10 @@ val qos_cases : unit -> case list
     and at cluster scale.  Victims must stay exactly-once and must never
     be forced to overflow to netfront. *)
 
-val gso_cases : unit -> case list
-(** Segmentation-offload cases (DESIGN.md §15): gso worlds (jumbo
-    descriptors negotiated, an auxiliary TCP bulk stream in flight)
-    soaked fault-free, under scatter-vector [Jumbo_truncate] alone
-    (plain and loaned receive), mixed with [Push_refusal] and
-    [Pool_exhaustion] (so the multi-slot allocator actually fails), and
-    across a mid-window teardown.  The bulk stream must land
-    byte-identical and every truncation must be accounted as a loud rx
-    drop. *)
-
 val matrix : unit -> case list
 (** The stock matrix: every scenario × {baseline, each applicable kind,
-    storm}, plus {!loan_cases}, {!evict_cases}, {!qos_cases} and
-    {!gso_cases}.  [Migration_world]
+    storm}, plus the loan and jumbo kinds across a mid-window teardown,
+    the eviction cases and {!qos_cases}.  [Migration_world]
     pairs each probabilistic kind with the migration itself (windows
     shifted past the migration instant, since guests apart have no
     XenLoop state to fault); [Netfront_duo] runs baseline only, as the

@@ -34,7 +34,6 @@ type t = {
   discovery_period : Sim.Time.span;
   xenloop_softstate_ttl : Sim.Time.span;
   xenloop_bootstrap_cooldown : Sim.Time.span;
-  xenloop_delta_announce : bool;
   xenloop_announce_refresh : Sim.Time.span;
   xenloop_channel_cap : int;
   xenloop_channel_idle_ttl : Sim.Time.span;
@@ -101,14 +100,12 @@ let default =
     discovery_period = Sim.Time.sec 5;
     xenloop_softstate_ttl = Sim.Time.sec 15;
     xenloop_bootstrap_cooldown = Sim.Time.sec 1;
-    (* Cluster-scale control plane (DESIGN.md §12).  Delta announcements
-       are on by default: a delta-capable guest advertises "dl" and Dom0
-       sends it joins/leaves since its acked epoch instead of the full
+    (* Cluster-scale control plane (DESIGN.md §12).  Dom0 sends each
+       guest the joins/leaves since its acked epoch instead of the full
        list.  The refresh span bounds announce suppression — an unchanged
        peer still hears from Dom0 at least this often, which must stay
        well under [xenloop_softstate_ttl] or idle guests expire their
        whole mapping table. *)
-    xenloop_delta_announce = true;
     xenloop_announce_refresh = Sim.Time.sec 10;
     (* 0 = unbounded (the pre-cap behaviour).  A positive cap bounds the
        number of Active channels per guest; bootstrap evicts the

@@ -115,16 +115,10 @@ type t = {
           unanswered Request_channel), the peer is marked failed and no new
           bootstrap is attempted until this much time has passed — bounds
           the retry storm against a dead or deaf peer *)
-  xenloop_delta_announce : bool;
-      (** Dom0 sends versioned delta announcements to guests advertising
-          the "dl" token (epoch-stamped joins/leaves since the guest's
-          acked epoch, DESIGN.md §12) instead of rebroadcasting the full
-          list every scan; off reproduces the legacy full-list broadcast
-          bit for bit *)
   xenloop_announce_refresh : Sim.Time.span;
       (** ceiling on announce silence towards an up-to-date guest: when
-          nothing changed, Dom0 still sends a keep-alive (empty delta, or
-          a full list to a legacy guest) this often so the soft-state TTL
+          nothing changed, Dom0 still sends a keep-alive (an empty delta
+          announcement, DESIGN.md §12) this often so the soft-state TTL
           keeps being refreshed; must stay below [xenloop_softstate_ttl] *)
   xenloop_channel_cap : int;
       (** per-guest bound on simultaneously Active channels; establishing

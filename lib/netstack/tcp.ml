@@ -376,22 +376,26 @@ let handle_segment_for_conn c ~release (h : T.tcp) (payload : View.t) =
             append_data c ?release:r payload;
             c.rcv_nxt <- seq_add c.rcv_nxt seg_len;
             (* Drain any out-of-order segments that are now contiguous. *)
-            let rec drain () =
+            let rec drain filled =
               match c.ooo_segments with
               | (seq, data) :: rest when Int32.equal seq c.rcv_nxt ->
                   c.ooo_segments <- rest;
                   append_data c data;
                   c.rcv_nxt <- seq_add c.rcv_nxt data.View.len;
-                  drain ()
+                  drain true
               | (seq, _) :: rest when seq_lt seq c.rcv_nxt ->
                   (* Stale duplicate overtaken by the contiguous stream. *)
                   c.ooo_segments <- rest;
-                  drain ()
-              | _ -> ()
+                  drain filled
+              | _ -> filled
             in
-            drain ();
+            let filled = drain false in
             Sim.Condition.broadcast c.data_arrived;
-            ack_received_data c ~pushed:h.T.flags.T.psh
+            (* A segment that fills a gap is acknowledged at once
+               (RFC 5681 §4.2): the sender is waiting on its RTO for
+               exactly this, and the held data behind it is ours. *)
+            if filled then send_pure_ack c
+            else ack_received_data c ~pushed:h.T.flags.T.psh
           end
           else if seq_lt h.T.seq c.rcv_nxt then
             (* Duplicate: re-ACK so the peer can make progress. *)

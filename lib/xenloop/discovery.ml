@@ -14,13 +14,6 @@ let ack_path ~domid = Xenstore.domain_path domid ^ "/" ^ ack_key
    epoch fell out of the window gets a full resync instead of a delta. *)
 let delta_log_window = 256
 
-(* Per-recipient delta bookkeeping, kept only while the guest is in the
-   scan result. *)
-type peer_track = {
-  mutable pt_sent_epoch : int;  (** epoch as of our last actual send *)
-  mutable pt_last_sent : Sim.Time.t;
-}
-
 type t = {
   machine : Hypervisor.Machine.t;
   dom0_stack : Netstack.Stack.t;
@@ -30,19 +23,18 @@ type t = {
   mutable last_scan : Proto.entry list;
   mutable sent : int;
   mutable announce_fault : (domid:int -> bool) option;
-  (* Delta-announcement state (DESIGN.md §12); inert when
-     [xenloop_delta_announce] is off. *)
+  (* Delta-announcement state (DESIGN.md §12). *)
   mutable epoch : int;
   mutable delta_log : (int * Proto.entry list * int list) list;
       (** newest first: (epoch, joins, leaves) *)
-  tracks : (int, peer_track) Hashtbl.t;
+  last_sent : (int, Sim.Time.t) Hashtbl.t;
+      (** when each recipient was last sent to, kept only while the guest
+          is in the scan result *)
   mutable suppressed : int;
   mutable bytes_sent : int;
 }
 
-(* One scan returns each willing guest's announcement entry plus whether
-   it advertised delta capability ("dl"); the capability is Dom0-private —
-   other guests never need to know it, so it stays out of [Proto.entry]. *)
+(* One scan returns each willing guest's announcement entry. *)
 let scan t =
   let xs = Hypervisor.Machine.xenstore t.machine in
   let ids =
@@ -63,7 +55,7 @@ let scan t =
                anything unparsable is treated the same way (version
                gating); an old Dom0 reading "4 zc" likewise fails its
                int parse and falls back to one queue, no pools. *)
-            let queues, zc, loans, gso, delta =
+            let queues, zc, loans, gso =
               match String.split_on_char ' ' (String.trim advert) with
               | count :: caps ->
                   ( (match int_of_string_opt count with
@@ -75,9 +67,8 @@ let scan t =
                        "zc" is malformed and version-gates down to plain
                        zero-copy-off. *)
                     List.mem "zc" caps && List.mem "ln" caps,
-                    List.mem "zc" caps && List.mem "gs" caps,
-                    List.mem "dl" caps )
-              | [] -> (1, false, false, false, false)
+                    List.mem "zc" caps && List.mem "gs" caps )
+              | [] -> (1, false, false, false)
             in
             match
               ( Xenstore.read xs ~caller:Xenstore.dom0
@@ -89,16 +80,15 @@ let scan t =
                 match (Netcore.Mac.of_string mac_str, Netcore.Ip.of_string ip_str) with
                 | Some mac, Some ip ->
                     Some
-                      ( {
-                          Proto.entry_domid = domid;
-                          entry_mac = mac;
-                          entry_ip = ip;
-                          entry_queues = queues;
-                          entry_zc = zc;
-                          entry_loans = loans;
-                          entry_gso = gso;
-                        },
-                        delta )
+                      {
+                        Proto.entry_domid = domid;
+                        entry_mac = mac;
+                        entry_ip = ip;
+                        entry_queues = queues;
+                        entry_zc = zc;
+                        entry_loans = loans;
+                        entry_gso = gso;
+                      }
                 | _ -> None)
             | _ -> None))
     (List.sort compare ids)
@@ -112,16 +102,6 @@ let deliver t ~dst_domid ~dst_mac message =
     t.bytes_sent <- t.bytes_sent + Bytes.length message;
     Netstack.Stack.send_ctrl t.dom0_stack ~dst_mac message
   end
-
-(* Legacy announcement round: encode the full list once, send a copy to
-   every willing guest.  This is the paper's behaviour and the exact byte
-   stream every pre-delta configuration keeps producing. *)
-let announce t entries =
-  let message = Proto.encode (Proto.Announce entries) in
-  List.iter
-    (fun e ->
-      deliver t ~dst_domid:e.Proto.entry_domid ~dst_mac:e.Proto.entry_mac message)
-    entries
 
 let read_ack t domid =
   let xs = Hypervisor.Machine.xenstore t.machine in
@@ -169,10 +149,10 @@ let aggregate t ~base =
   end
 
 (* Delta announcement round.  Recipients are grouped by the message they
-   need — one encode per distinct (base, kind) serves the whole group —
-   and a recipient with nothing new to hear is skipped entirely until the
-   refresh deadline, where it gets a tiny heartbeat (delta peers) or one
-   full list (legacy peers) to keep its soft-state TTL alive. *)
+   need — one encode per distinct base serves the whole group — and a
+   recipient with nothing new to hear is skipped entirely until the
+   refresh deadline, where it gets a tiny heartbeat to keep its
+   soft-state TTL alive. *)
 let announce_delta t scanned =
   let engine = Hypervisor.Machine.engine t.machine in
   let p = Hypervisor.Machine.params t.machine in
@@ -195,8 +175,7 @@ let announce_delta t scanned =
     end
   in
   let encoded : (int, Bytes.t) Hashtbl.t = Hashtbl.create 4 in
-  (* Message cache keys: base epoch for a delta, -1 full resync, -2
-     legacy full list. *)
+  (* Message cache keys: base epoch for a delta, -1 full resync. *)
   let message key build =
     match Hashtbl.find_opt encoded key with
     | Some m -> m
@@ -217,126 +196,93 @@ let announce_delta t scanned =
           })
   in
   List.iter
-    (fun (e, dl) ->
+    (fun e ->
       let domid = e.Proto.entry_domid in
-      let track =
-        match Hashtbl.find_opt t.tracks domid with
-        | Some tr -> tr
-        | None ->
-            let tr =
-              { pt_sent_epoch = -1; pt_last_sent = Sim.Time.zero }
-            in
-            Hashtbl.replace t.tracks domid tr;
-            tr
-      in
       let due_refresh =
-        track.pt_sent_epoch < 0
-        || (not (Sim.Time.span_is_positive refresh))
-        || Sim.Time.(now >= Sim.Time.add track.pt_last_sent refresh)
+        match Hashtbl.find_opt t.last_sent domid with
+        | None -> true
+        | Some last ->
+            (not (Sim.Time.span_is_positive refresh))
+            || Sim.Time.(now >= Sim.Time.add last refresh)
       in
       let send m =
-        track.pt_sent_epoch <- t.epoch;
-        track.pt_last_sent <- now;
+        Hashtbl.replace t.last_sent domid now;
         deliver t ~dst_domid:domid ~dst_mac:e.Proto.entry_mac m
       in
-      if dl then begin
-        let acked = read_ack t domid in
-        if acked < t.epoch then
-          match aggregate t ~base:acked with
-          | Some (joins, leaves) ->
-              (* A guest's own entry may ride along (it filters itself on
-                 receipt, like it does for full announcements); keeping the
-                 message recipient-independent is what lets one encode
-                 serve every guest acked at the same epoch. *)
-              send
-                (message acked (fun () ->
-                     Proto.Delta_announce
-                       {
-                         da_base = acked;
-                         da_epoch = t.epoch;
-                         da_full = false;
-                         da_joins = joins;
-                         da_leaves = leaves;
-                       }))
-          | None -> send (full_resync ())
-        else if due_refresh then
-          (* Nothing new — a heartbeat only refreshes the TTL. *)
-          send
-            (message t.epoch (fun () ->
-                 Proto.Delta_announce
-                   {
-                     da_base = t.epoch;
-                     da_epoch = t.epoch;
-                     da_full = false;
-                     da_joins = [];
-                     da_leaves = [];
-                   }))
-        else t.suppressed <- t.suppressed + 1
-      end
-      else if track.pt_sent_epoch < t.epoch || due_refresh then
-        (* Version gating: a legacy peer keeps hearing the classic full
-           list — tags 1/6/9/12, exactly the pre-delta byte stream —
-           whenever anything changed or its refresh is due. *)
-        send (message (-2) (fun () -> Proto.Announce t.last_scan))
+      let acked = read_ack t domid in
+      if acked < t.epoch then
+        match aggregate t ~base:acked with
+        | Some (joins, leaves) ->
+            (* A guest's own entry may ride along (it filters itself on
+               receipt, like it does for full announcements); keeping the
+               message recipient-independent is what lets one encode
+               serve every guest acked at the same epoch. *)
+            send
+              (message acked (fun () ->
+                   Proto.Delta_announce
+                     {
+                       da_base = acked;
+                       da_epoch = t.epoch;
+                       da_full = false;
+                       da_joins = joins;
+                       da_leaves = leaves;
+                     }))
+        | None -> send (full_resync ())
+      else if due_refresh then
+        (* Nothing new — a heartbeat only refreshes the TTL. *)
+        send
+          (message t.epoch (fun () ->
+               Proto.Delta_announce
+                 {
+                   da_base = t.epoch;
+                   da_epoch = t.epoch;
+                   da_full = false;
+                   da_joins = [];
+                   da_leaves = [];
+                 }))
       else t.suppressed <- t.suppressed + 1)
     scanned
 
 let scan_now t =
-  let scanned = scan t in
-  let entries = List.map fst scanned in
-  let p = Hypervisor.Machine.params t.machine in
-  if not p.Hypervisor.Params.xenloop_delta_announce then begin
-    (* Pre-delta behaviour, bit for bit: full list to everyone, every
-       round, no acked-epoch reads, no suppression. *)
-    t.last_scan <- entries;
-    announce t entries
-  end
-  else begin
-    let prev = t.last_scan in
-    let joins =
-      List.filter
-        (fun e ->
-          match
-            List.find_opt
-              (fun o -> o.Proto.entry_domid = e.Proto.entry_domid)
-              prev
-          with
-          | None -> true
-          | Some o -> o <> e)
-        entries
-    in
-    let leaves =
-      List.filter_map
-        (fun o ->
-          if
-            List.exists
-              (fun e -> e.Proto.entry_domid = o.Proto.entry_domid)
-              entries
-          then None
-          else Some o.Proto.entry_domid)
-        prev
-    in
-    if joins <> [] || leaves <> [] then begin
-      t.epoch <- t.epoch + 1;
-      t.delta_log <- (t.epoch, joins, leaves) :: t.delta_log;
-      (* Bound the log; a guest acked before the window resyncs in full. *)
-      if List.length t.delta_log > delta_log_window then
-        t.delta_log <-
-          List.filteri (fun i _ -> i < delta_log_window) t.delta_log
-    end;
-    t.last_scan <- entries;
-    (* Forget recipients that left; a rejoin starts from a fresh track
-       (and a fresh ack node, written by the guest's advertise). *)
-    let present = Hashtbl.create 16 in
-    List.iter (fun (e, _) -> Hashtbl.replace present e.Proto.entry_domid ()) scanned;
-    let stale =
-      Hashtbl.fold
-        (fun d _ acc -> if Hashtbl.mem present d then acc else d :: acc)
-        t.tracks []
-    in
-    List.iter (Hashtbl.remove t.tracks) stale;
-    announce_delta t scanned
-  end
+  let entries = scan t in
+  let prev = t.last_scan in
+  let joins =
+    List.filter
+      (fun e ->
+        match
+          List.find_opt (fun o -> o.Proto.entry_domid = e.Proto.entry_domid) prev
+        with
+        | None -> true
+        | Some o -> o <> e)
+      entries
+  in
+  let leaves =
+    List.filter_map
+      (fun o ->
+        if List.exists (fun e -> e.Proto.entry_domid = o.Proto.entry_domid) entries
+        then None
+        else Some o.Proto.entry_domid)
+      prev
+  in
+  if joins <> [] || leaves <> [] then begin
+    t.epoch <- t.epoch + 1;
+    t.delta_log <- (t.epoch, joins, leaves) :: t.delta_log;
+    (* Bound the log; a guest acked before the window resyncs in full. *)
+    if List.length t.delta_log > delta_log_window then
+      t.delta_log <- List.filteri (fun i _ -> i < delta_log_window) t.delta_log
+  end;
+  t.last_scan <- entries;
+  (* Forget recipients that left; a rejoin starts afresh (with a fresh ack
+     node, written by the guest's advertise). *)
+  let present = Hashtbl.create 16 in
+  List.iter (fun e -> Hashtbl.replace present e.Proto.entry_domid ()) entries;
+  let stale =
+    Hashtbl.fold
+      (fun d _ acc -> if Hashtbl.mem present d then acc else d :: acc)
+      t.last_sent []
+  in
+  List.iter (Hashtbl.remove t.last_sent) stale;
+  announce_delta t entries
 
 (* React to xenbus traffic on the advert nodes: insmod/rmmod updates the
    mapping table within ~100us instead of waiting out a full period.  The
@@ -378,7 +324,7 @@ let start ~machine ~dom0_stack () =
         announce_fault = None;
         epoch = 0;
         delta_log = [];
-        tracks = Hashtbl.create 16;
+        last_sent = Hashtbl.create 16;
         suppressed = 0;
         bytes_sent = 0;
       }

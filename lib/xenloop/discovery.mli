@@ -7,19 +7,15 @@
     announcement message (a XenLoop-type layer-3 packet) to each willing
     guest.
 
-    {b Delta announcements} (DESIGN.md §12).  With
-    {!Hypervisor.Params.t.xenloop_delta_announce} on, Dom0 versions the
+    {b Delta announcements} (DESIGN.md §12).  Dom0 versions the
     willing-guest list with an epoch, keeps a bounded log of per-epoch
-    joins/leaves, and reads each delta-capable guest's acked epoch back
-    from its {!ack_path} XenStore node: a guest behind the current epoch
-    receives only the aggregated joins/leaves since its acked epoch (one
-    encode shared by every guest at the same base), a guest that is up to
-    date is skipped entirely until the announce-refresh deadline, and a
-    guest whose base fell out of the log gets a full resync.  Legacy
-    guests (no "dl" token in their advert) keep receiving the classic
-    full-list announcement whenever anything changed or their refresh is
-    due — version gating.  With the knob off, every round is the
-    pre-delta full-list broadcast, bit for bit. *)
+    joins/leaves, and reads each guest's acked epoch back from its
+    {!ack_path} XenStore node: a guest behind the current epoch receives
+    only the aggregated joins/leaves since its acked epoch (one encode
+    shared by every guest at the same base), a guest that is up to date
+    is skipped entirely until the announce-refresh deadline, where it
+    gets an empty heartbeat, and a guest whose base fell out of the log
+    gets a full resync. *)
 
 type t
 
@@ -46,7 +42,7 @@ val announcements_sent : t -> int
 
 val announcements_suppressed : t -> int
 (** Recipients skipped because they were up to date and inside their
-    refresh window (delta mode only; always 0 with the knob off). *)
+    refresh window. *)
 
 val announce_bytes : t -> int
 (** Total payload bytes across every announcement copy sent — the
@@ -54,16 +50,16 @@ val announce_bytes : t -> int
 
 val current_epoch : t -> int
 (** The version of the current willing-guest list (0 until the first
-    change in delta mode; always 0 with the knob off). *)
+    change). *)
 
 (** {1 Fault injection}
 
-    Chaos-harness hook.  The injector is consulted once per recipient per
-    announcement round (in delta mode: once per recipient actually being
-    sent to — suppressed recipients are not consulted); [true] silently
-    drops that guest's copy (the scan still ran, the others still hear).
-    A guest starved of announcements long enough must expire its whole
-    mapping table ({!Hypervisor.Params.xenloop_softstate_ttl}) and
-    recover when they resume. *)
+    Chaos-harness hook.  The injector is consulted once per recipient
+    actually being sent to (suppressed recipients are not consulted);
+    [true] silently drops that guest's copy (the scan still ran, the
+    others still hear).  A guest starved of announcements long enough
+    must expire its whole mapping table
+    ({!Hypervisor.Params.xenloop_softstate_ttl}) and recover when they
+    resume. *)
 
 val set_announce_fault : t -> (domid:int -> bool) option -> unit

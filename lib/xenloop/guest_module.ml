@@ -351,29 +351,25 @@ let meter t = Domain.meter t.domain
    own subtree (the only place a guest may write) and does not end in
    "/xenloop", so ack writes never retrigger the discovery watch. *)
 let write_ack t epoch =
-  if (params t).Params.xenloop_delta_announce then begin
-    t.announce_epoch <- epoch;
-    let machine = t.current_machine () in
-    let domid = my_domid t in
-    match
-      Xenstore.write (Machine.xenstore machine) ~caller:domid
-        ~path:(Discovery.ack_path ~domid)
-        ~value:(string_of_int epoch)
-    with
-    | Ok () | Error _ -> ()
-  end
+  t.announce_epoch <- epoch;
+  let machine = t.current_machine () in
+  let domid = my_domid t in
+  match
+    Xenstore.write (Machine.xenstore machine) ~caller:domid
+      ~path:(Discovery.ack_path ~domid)
+      ~value:(string_of_int epoch)
+  with
+  | Ok () | Error _ -> ()
 
 let advertise t =
   let machine = t.current_machine () in
   let domid = my_domid t in
-  let delta = (params t).Params.xenloop_delta_announce in
   (* The advert value is the advertised queue count, plus a "zc" token
      when this guest speaks the zero-copy descriptor channel, an "ln"
-     token when it additionally speaks loaned-slot receive, a "gs" token
-     when it additionally speaks jumbo segmentation offload, and a "dl"
-     token when it understands delta announcements; the original module
-     wrote "1", which is exactly what a single-queue non-zero-copy
-     non-delta configuration still produces (version gating). *)
+     token when it additionally speaks loaned-slot receive, and a "gs"
+     token when it additionally speaks jumbo segmentation offload; the
+     original module wrote "1", which is exactly what a single-queue
+     non-zero-copy configuration still produces (version gating). *)
   (match
      Xenstore.write (Machine.xenstore machine) ~caller:domid
        ~path:(Discovery.advert_path ~domid)
@@ -381,8 +377,7 @@ let advertise t =
          (string_of_int t.max_queues
          ^ (if t.zerocopy then " zc" else "")
          ^ (if t.zerocopy && t.loans then " ln" else "")
-         ^ (if t.zerocopy && t.gso then " gs" else "")
-         ^ if delta then " dl" else "")
+         ^ if t.zerocopy && t.gso then " gs" else "")
    with
   | Ok () | Error _ -> ());
   (* A fresh advert means a fresh mapping table: ack epoch 0 so Dom0's
@@ -398,12 +393,11 @@ let unadvertise t =
        ~path:(Discovery.advert_path ~domid)
    with
   | Ok () | Error _ -> ());
-  if (params t).Params.xenloop_delta_announce then
-    match
-      Xenstore.rm (Machine.xenstore machine) ~caller:domid
-        ~path:(Discovery.ack_path ~domid)
-    with
-    | Ok () | Error _ -> ()
+  match
+    Xenstore.rm (Machine.xenstore machine) ~caller:domid
+      ~path:(Discovery.ack_path ~domid)
+  with
+  | Ok () | Error _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Channel data path (all per queue) *)
@@ -2354,11 +2348,16 @@ let on_ctrl_packet t (packet : P.t) =
               end;
               write_ack t da_epoch
             end
-            (* A delta against a base we do not hold is dropped whole —
-               applying it could strand a guest that joined and left inside
-               the gap.  No ack update either: Dom0 rereads our real acked
-               epoch next scan and resends from the right base (or a full
-               resync). *)
+            else
+              (* A delta against a base we do not hold is dropped whole —
+                 applying it could strand a guest that joined and left
+                 inside the gap.  Dom0 sent it because it read an ack that
+                 is not ours: a stale read returns the node's previous
+                 value.  Rewriting our real epoch makes the previous value
+                 the real one too, so Dom0's next read, stale or not,
+                 resends from the right base (or a full resync) instead of
+                 heartbeating a base we lack until our TTL expires. *)
+              write_ack t t.announce_epoch
         | Ok
             (Proto.Request_channel
                { requester_domid; max_queues; zerocopy; loans; gso })

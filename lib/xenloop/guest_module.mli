@@ -221,8 +221,8 @@ val evict_lru : t -> bool
 
 val announce_epoch : t -> int
 (** The Dom0 announce epoch this guest has applied and acked (delta
-    announcements, DESIGN.md §12); 0 under legacy full-list
-    announcements. *)
+    announcements, DESIGN.md §12); 0 until the first delta is applied
+    and again after the mapping table is dropped. *)
 
 (** {1 Multi-queue observability} *)
 

@@ -51,11 +51,10 @@ type t =
    negotiated-down handshake therefore reproduces the earlier byte
    streams exactly.  Create_channel needs no loan variant: the loan
    credit rides as a stamp in the payload-pool control page, invisible
-   to the wire format.  The delta-announcement variant (14) is only ever
-   sent to a guest that advertised the "dl" token, so its entries always
-   carry the full queues/zc/loans capability set — no per-list gating
-   needed; a legacy peer keeps receiving tags 1/6/9/12 and never sees a
-   14.  The gso variants (15 = Announce, 16 = Delta_announce, 17 =
+   to the wire format.  The delta-announcement variant (14) is what Dom0
+   sends every guest; its entries always carry the full queues/zc/loans
+   capability set — no per-list gating needed.  The full-list Announce
+   tags (1/6/9/12) are still decoded as control input.  The gso variants (15 = Announce, 16 = Delta_announce, 17 =
    Request_channel) add one capability byte per entry and are only
    emitted when a segmentation-offload capability actually needs
    expressing; Create_channel again needs no variant because the

@@ -84,9 +84,9 @@ type t =
       da_joins : entry list;
       da_leaves : int list;  (** domids gone since [da_base] *)
     }
-      (** Versioned delta announcement (DESIGN.md §12): sent only to
-          guests that advertised the "dl" token, so steady-state announce
-          bytes per guest are O(churn), not O(cluster size).  An empty
+      (** Versioned delta announcement (DESIGN.md §12), what Dom0 sends
+          every guest, so steady-state announce bytes per guest are
+          O(churn), not O(cluster size).  An empty
           delta ([da_base = da_epoch], no joins/leaves) is the keep-alive
           heartbeat that refreshes the recipient's soft-state TTL. *)
   | Request_channel of {

@@ -59,22 +59,24 @@ let test_different_seed_different_plan () =
 
 (* Golden digests: the DESIGN.md §10 safety matrix.  A change meant to be
    host-side only (engine, pages, codec) must leave every simulated event
-   where it was; these MD5s of the event log are the witness.  Re-pin only
-   for a deliberate behaviour change, and say so in CHANGES.md. *)
+   where it was; these MD5s of the event log are the witness.  The storm
+   arms the loan and jumbo kinds too, so the loaned and multi-slot
+   receive paths are covered.  Re-pin only for a deliberate behaviour
+   change, and say so in CHANGES.md. *)
 let golden_digests =
   [
-    (Harness.Xenloop_duo, 42, "e495231faca8dc5297992f2868963c2c");
-    (Harness.Xenloop_duo, 43, "5c7e555d7077b64d1a708a256420cf1b");
-    (Harness.Xenloop_duo, 99, "81760e80f7c47e03f82486037786e0d6");
+    (Harness.Xenloop_duo, 42, "e452ec16c220ff3decb9e2e3d73a52ef");
+    (Harness.Xenloop_duo, 43, "602eb902e1af74e8c49f7f970262e50f");
+    (Harness.Xenloop_duo, 99, "b6dc2e2ed48e8b899d28d5821563d0b2");
     (Harness.Netfront_duo, 42, "1d3053ce15a2a2eecb56e7fde0bd45c5");
     (Harness.Netfront_duo, 43, "1d3053ce15a2a2eecb56e7fde0bd45c5");
     (Harness.Netfront_duo, 99, "1d3053ce15a2a2eecb56e7fde0bd45c5");
-    (Harness.Cluster3, 42, "31b5f1d54f46f39de5f20dab75e35ed3");
-    (Harness.Cluster3, 43, "6b1cab7bcea26dc6d48692340d59c4d2");
-    (Harness.Cluster3, 99, "92ee7179fe3df5715c3b2a200b6a2eb7");
-    (Harness.Migration_world, 42, "89e19274643951c60432e81e649d170d");
-    (Harness.Migration_world, 43, "7bf4407397d34017f6d4e7be1b96155c");
-    (Harness.Migration_world, 99, "d46f19c5f1a378fc8141768837a47df6");
+    (Harness.Cluster3, 42, "1ad10a2a691f91f7413f3ea4b3f0cece");
+    (Harness.Cluster3, 43, "b67739a4111ca4219200b4327f82d8e8");
+    (Harness.Cluster3, 99, "0a78f648d176a22f01f00f717a7694a1");
+    (Harness.Migration_world, 42, "cb0a044a1dc7d55a66783db628392b1f");
+    (Harness.Migration_world, 43, "b9a920cee77680d25a409907b179f3b8");
+    (Harness.Migration_world, 99, "cee9a67ca40022541c642acb8da08575");
   ]
 
 let test_golden_digest_matrix () =
@@ -88,44 +90,33 @@ let test_golden_digest_matrix () =
       Alcotest.(check bool) (name ^ " clean") true (Harness.ok v))
     golden_digests
 
-(* The matrix above runs with loans and gso off, so it never reaches the
-   loaned or multi-slot receive paths.  These pin the xenloop-duo storm
-   again in a loans-on world and in a gso+loans world, each with its own
-   fault kinds armed on top (leaked and slow loans; truncated jumbo
-   scatter vectors). *)
-let golden_receive_digests =
-  [
-    (false, 42, "02f45312afa36cd2f72c12ec84185c6e");
-    (false, 43, "7202db8ffdfb0106d839bfacb67d6fa7");
-    (false, 99, "3e361a8d3670e8060c432e9989754d1a");
-    (true, 42, "4ba735150efcd45c32c60fd20f85dbf5");
-    (true, 43, "bd2c76fbe450d8ea9c2d99d8a7d8c253");
-    (true, 99, "e0706564af7139ed70218c60d392b00d");
-  ]
-
-let test_golden_receive_digests () =
+(* The soak runs what ships: the chaos world is the default
+   configuration with the soft-state timescales compressed, and nothing
+   else pinned.  A feature that needs its own world gets an explicit
+   case family ([evictions], [qos]), never a pin here. *)
+let test_chaos_params_are_defaults () =
+  let d = Hypervisor.Params.default and c = Harness.chaos_params in
+  let module P = Hypervisor.Params in
+  Alcotest.(check bool) "only the four timescales differ" true
+    ({
+       c with
+       P.discovery_period = d.P.discovery_period;
+       xenloop_softstate_ttl = d.P.xenloop_softstate_ttl;
+       xenloop_bootstrap_cooldown = d.P.xenloop_bootstrap_cooldown;
+       migration_downtime = d.P.migration_downtime;
+     }
+    = d);
   List.iter
-    (fun (gso, seed, expected) ->
-      let extra =
-        [ Fault.Loan_leak; Fault.Slow_consumer ]
-        @ if gso then [ Fault.Jumbo_truncate ] else []
-      in
-      let faults =
-        storm Harness.Xenloop_duo @ List.map Fault.default_spec extra
-      in
-      let v, _ =
-        Harness.run
-          (Harness.default_config ~seed ~faults ~loans:true ~gso
-             Harness.Xenloop_duo)
-      in
-      let name =
-        Printf.sprintf "xenloop-duo %s seed %d"
-          (if gso then "gso+loans" else "loans")
-          seed
-      in
-      Alcotest.(check string) name expected v.Harness.v_log_digest;
-      Alcotest.(check bool) (name ^ " clean") true (Harness.ok v))
-    golden_receive_digests
+    (fun (name, a, b) ->
+      Alcotest.(check bool) (name ^ " compressed") true (Sim.Time.span_compare a b < 0))
+    [
+      ("discovery_period", c.P.discovery_period, d.P.discovery_period);
+      ("xenloop_softstate_ttl", c.P.xenloop_softstate_ttl, d.P.xenloop_softstate_ttl);
+      ( "xenloop_bootstrap_cooldown",
+        c.P.xenloop_bootstrap_cooldown,
+        d.P.xenloop_bootstrap_cooldown );
+      ("migration_downtime", c.P.migration_downtime, d.P.migration_downtime);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Soak subset *)
@@ -137,37 +128,29 @@ let test_soak_subset_clean () =
         Soak.c_name = "xenloop-duo/baseline";
         c_scenario = Harness.Xenloop_duo;
         c_faults = [];
-        c_loans = false;
         c_evictions = false;
         c_qos = false;
-        c_gso = false;
       };
       {
         Soak.c_name = "xenloop-duo/storm";
         c_scenario = Harness.Xenloop_duo;
         c_faults = storm Harness.Xenloop_duo;
-        c_loans = false;
         c_evictions = false;
         c_qos = false;
-        c_gso = false;
       };
       {
         Soak.c_name = "cluster3/peer-crash";
         c_scenario = Harness.Cluster3;
         c_faults = [ Fault.default_spec Fault.Peer_crash ];
-        c_loans = false;
         c_evictions = false;
         c_qos = false;
-        c_gso = false;
       };
       {
         Soak.c_name = "migration-world/migrate-midstream";
         c_scenario = Harness.Migration_world;
         c_faults = [ Fault.default_spec Fault.Migrate_midstream ];
-        c_loans = false;
         c_evictions = false;
         c_qos = false;
-        c_gso = false;
       };
     ]
   in
@@ -182,7 +165,7 @@ let test_soak_subset_clean () =
 
 (* A red soak prints one replay line.  Run as printed, it must rebuild the
    failing case's exact configuration — scenario, fault set and world
-   (loans, evictions, qos, gso) — for every case of the matrix, the
+   (evictions, qos) — for every case of the matrix, the
    multi-fault and opt-in-world cases included. *)
 let test_replay_line_rebuilds_every_case () =
   let cases = Soak.matrix () in
@@ -252,7 +235,7 @@ let test_replay_line_rebuilds_every_case () =
     cases
 
 (* ------------------------------------------------------------------ *)
-(* Loans-on chaos: leaked and slow-released borrows must not break
+(* Loan chaos: leaked and slow-released borrows must not break
    exactly-once delivery, and a mid-window teardown must force-return
    every outstanding loan (zero outstanding at quiescence). *)
 
@@ -265,7 +248,7 @@ let test_loans_chaos_clean () =
     ]
   in
   let config =
-    Harness.default_config ~seed:7 ~faults ~loans:true Harness.Xenloop_duo
+    Harness.default_config ~seed:7 ~faults Harness.Xenloop_duo
   in
   let v, _ = Harness.run config in
   if not (Harness.ok v) then
@@ -274,18 +257,33 @@ let test_loans_chaos_clean () =
   Alcotest.(check bool) "loan faults fired" true
     (List.mem_assoc "loan-leak" v.Harness.v_faults
     || List.mem_assoc "slow-consumer" v.Harness.v_faults);
-  (* Determinism holds for loans-on runs too. *)
+  (* Determinism holds for loan faults too. *)
   let v2, _ = Harness.run config in
   Alcotest.(check string) "digest stable" v.Harness.v_log_digest
     v2.Harness.v_log_digest
 
-let test_loans_soak_subset_clean () =
+(* The loan and jumbo kinds are ordinary kinds of the xenloop-duo
+   matrix: alone, in the storm, and across a mid-window teardown. *)
+let test_receive_kinds_soak_clean () =
+  let receive_kind s =
+    List.mem s.Fault.f_kind [ Fault.Loan_leak; Fault.Slow_consumer; Fault.Jumbo_truncate ]
+  in
   let cases =
     List.filter
-      (fun c -> c.Soak.c_scenario = Harness.Xenloop_duo)
-      (Soak.loan_cases ())
+      (fun c ->
+        c.Soak.c_scenario = Harness.Xenloop_duo
+        && (not c.Soak.c_evictions) && (not c.Soak.c_qos)
+        && List.exists receive_kind c.Soak.c_faults)
+      (Soak.matrix ())
   in
-  Alcotest.(check bool) "duo loan cases exist" true (List.length cases >= 4);
+  Alcotest.(check (list string))
+    "duo cases arming a receive kind"
+    [
+      "xenloop-duo/loan-leak"; "xenloop-duo/slow-consumer";
+      "xenloop-duo/jumbo-truncate"; "xenloop-duo/storm";
+      "xenloop-duo/leak-teardown"; "xenloop-duo/truncate-teardown";
+    ]
+    (List.map (fun c -> c.Soak.c_name) cases);
   let s = Soak.run ~cases ~seed:42 ~iters:1 () in
   Alcotest.(check int) "violation runs" 0 s.Soak.s_violation_runs;
   Alcotest.(check int) "lost" 0 s.Soak.s_lost;
@@ -365,15 +363,15 @@ let golden_qos_digests =
     ("xenloop-duo/qos-baseline", 42, "8b95953fe7b1cf74bfb324e68f9cd70a");
     ("xenloop-duo/qos-baseline", 43, "8b95953fe7b1cf74bfb324e68f9cd70a");
     ("xenloop-duo/qos-baseline", 99, "8b95953fe7b1cf74bfb324e68f9cd70a");
-    ("xenloop-duo/qos-flood", 42, "630121b3abeb1fa9545c886511ddd743");
-    ("xenloop-duo/qos-flood", 43, "630121b3abeb1fa9545c886511ddd743");
-    ("xenloop-duo/qos-flood", 99, "630121b3abeb1fa9545c886511ddd743");
-    ("xenloop-duo/qos-flood-full", 42, "377f971f719eafcd3fa8f1058b7e6b75");
-    ("xenloop-duo/qos-flood-full", 43, "72ad116f4dc9536637c45e9605b3507a");
-    ("xenloop-duo/qos-flood-full", 99, "a81db7f5061741a362812c4509108130");
-    ("xenloop-duo/qos-flood-teardown", 42, "6ae36a64b0c09b77d1a3023910ffd684");
-    ("xenloop-duo/qos-flood-teardown", 43, "6ae36a64b0c09b77d1a3023910ffd684");
-    ("xenloop-duo/qos-flood-teardown", 99, "6ae36a64b0c09b77d1a3023910ffd684");
+    ("xenloop-duo/qos-flood", 42, "6d99667a0debc0ab37b15678aaaa60bb");
+    ("xenloop-duo/qos-flood", 43, "6d99667a0debc0ab37b15678aaaa60bb");
+    ("xenloop-duo/qos-flood", 99, "6d99667a0debc0ab37b15678aaaa60bb");
+    ("xenloop-duo/qos-flood-full", 42, "7ab790a5ba2b4b764b5b3b2e27e16b54");
+    ("xenloop-duo/qos-flood-full", 43, "2fe12231fc6bb469fc965578ec0928b3");
+    ("xenloop-duo/qos-flood-full", 99, "844979f43610f705dd69c25793bdbd32");
+    ("xenloop-duo/qos-flood-teardown", 42, "8c3aebe191ea74d50e1e2d3aa4f62971");
+    ("xenloop-duo/qos-flood-teardown", 43, "8c3aebe191ea74d50e1e2d3aa4f62971");
+    ("xenloop-duo/qos-flood-teardown", 99, "8c3aebe191ea74d50e1e2d3aa4f62971");
   ]
 
 let test_golden_qos_digests () =
@@ -394,13 +392,12 @@ let test_golden_qos_digests () =
 (* GSO chaos: corrupting a jumbo descriptor's scatter length vector must
    cost nothing — the receiver drops the frame loudly (accounted, never
    mis-delivered) and TCP retransmission repairs the bulk stream, which
-   still lands byte-identical.  Arming the new kind must not perturb any
-   pre-gso digest. *)
+   still lands byte-identical. *)
 
 let test_gso_truncate_clean () =
   let faults = [ Fault.default_spec Fault.Jumbo_truncate ] in
   let config =
-    Harness.default_config ~seed:13 ~faults ~gso:true Harness.Xenloop_duo
+    Harness.default_config ~seed:13 ~faults Harness.Xenloop_duo
   in
   let v, _ = Harness.run config in
   if not (Harness.ok v) then
@@ -410,44 +407,10 @@ let test_gso_truncate_clean () =
     (List.mem_assoc "jumbo-truncate" v.Harness.v_faults);
   Alcotest.(check int) "exactly-once: lost" 0 v.Harness.v_lost;
   Alcotest.(check int) "exactly-once: dups" 0 v.Harness.v_duplicates;
-  (* Determinism holds for gso worlds too. *)
+  (* Determinism holds for jumbo faults too. *)
   let v2, _ = Harness.run config in
   Alcotest.(check string) "digest stable" v.Harness.v_log_digest
     v2.Harness.v_log_digest
-
-let test_gso_off_digest_unperturbed () =
-  (* With gso off, Jumbo_truncate is inert: arming it must reproduce the
-     exact same run — the RNG split discipline means a new kind never
-     reseeds the streams existing kinds consume, and a gso-off world
-     never pushes a jumbo descriptor for the injector to consult. *)
-  let base =
-    Harness.default_config ~seed:29 ~faults:(storm Harness.Xenloop_duo)
-      Harness.Xenloop_duo
-  in
-  let armed =
-    {
-      base with
-      Harness.faults =
-        base.Harness.faults @ [ Fault.default_spec Fault.Jumbo_truncate ];
-    }
-  in
-  let v1, _ = Harness.run base in
-  let v2, _ = Harness.run armed in
-  Alcotest.(check string) "digest bit-for-bit" v1.Harness.v_log_digest
-    v2.Harness.v_log_digest;
-  Alcotest.(check int) "log length" v1.Harness.v_log_length
-    v2.Harness.v_log_length;
-  Alcotest.(check (list (pair string int)))
-    "per-kind counts" v1.Harness.v_faults v2.Harness.v_faults
-
-let test_gso_soak_subset_clean () =
-  let cases = Soak.gso_cases () in
-  Alcotest.(check bool) "gso cases exist" true (List.length cases >= 4);
-  let s = Soak.run ~cases ~seed:42 ~iters:1 () in
-  Alcotest.(check int) "violation runs" 0 s.Soak.s_violation_runs;
-  Alcotest.(check int) "lost" 0 s.Soak.s_lost;
-  Alcotest.(check int) "duplicates" 0 s.Soak.s_duplicates;
-  Alcotest.(check bool) "summary ok" true (Soak.ok s)
 
 (* ------------------------------------------------------------------ *)
 (* Sabotage: the checker must catch a deliberately broken invariant *)
@@ -615,15 +578,15 @@ let suites =
           test_different_seed_different_plan;
         Alcotest.test_case "storm digest matrix matches golden MD5s" `Quick
           test_golden_digest_matrix;
-        Alcotest.test_case "loans and gso storm digests match golden MD5s"
-          `Quick test_golden_receive_digests;
+        Alcotest.test_case "chaos world is the default configuration" `Quick
+          test_chaos_params_are_defaults;
         Alcotest.test_case "soak subset is clean" `Quick test_soak_subset_clean;
         Alcotest.test_case "replay line rebuilds every soak case" `Quick
           test_replay_line_rebuilds_every_case;
         Alcotest.test_case "loans-on chaos run is clean" `Quick
           test_loans_chaos_clean;
-        Alcotest.test_case "loans-on soak subset is clean" `Quick
-          test_loans_soak_subset_clean;
+        Alcotest.test_case "loan and jumbo soak cases are clean" `Quick
+          test_receive_kinds_soak_clean;
         Alcotest.test_case "qos tenant-flood run is clean" `Quick
           test_qos_flood_clean;
         Alcotest.test_case "qos-off digest unperturbed by new kind" `Quick
@@ -634,10 +597,6 @@ let suites =
           test_golden_qos_digests;
         Alcotest.test_case "gso truncate run is clean" `Quick
           test_gso_truncate_clean;
-        Alcotest.test_case "gso-off digest unperturbed by new kind" `Quick
-          test_gso_off_digest_unperturbed;
-        Alcotest.test_case "gso soak subset is clean" `Quick
-          test_gso_soak_subset_clean;
         Alcotest.test_case "sabotage is detected" `Quick test_sabotage_detected;
       ] );
     ( "chaos.softstate",

@@ -1,6 +1,6 @@
 (* Tests for the cluster-scale control plane (DESIGN.md §12): versioned
-   delta announcements with per-guest acks and suppression, version-gated
-   legacy interop, the bounded channel state (per-guest cap, idle LRU,
+   delta announcements with per-guest acks and suppression, convergence
+   despite stale reads of the ack node, the bounded channel state (per-guest cap, idle LRU,
    grant-balanced eviction, netfront fallback, re-establishment), and the
    parameterized mesh topology generator itself. *)
 
@@ -23,7 +23,6 @@ let ctl_params =
     Params.discovery_period = Sim.Time.ms 50;
     xenloop_softstate_ttl = Sim.Time.ms 400;
     xenloop_announce_refresh = Sim.Time.ms 100;
-    xenloop_delta_announce = true;
   }
 
 let with_mesh ?(params = ctl_params) ~guests ~hosts f =
@@ -102,76 +101,54 @@ let test_delta_leave_propagates () =
           (Gm.announce_epoch (module_of t i))
       done)
 
-(* Version gating: a Dom0 running delta announcements keeps feeding the
-   classic full list to a guest whose module predates the protocol (no
-   "dl" token in its advert), while delta-capable neighbours get epochs.
-   The two kinds interoperate on one machine, channels included. *)
-let test_legacy_guest_interop () =
-  let engine = Sim.Engine.create () in
-  let params = ctl_params in
-  let legacy_params = { ctl_params with Params.xenloop_delta_announce = false } in
-  let machine = Machine.create ~engine ~params ~id:0 () in
-  let dom0 = Machine.dom0 machine in
-  let bridge =
-    Xennet.Bridge.create ~engine ~params ~cpu:(Domain.cpu dom0) ~name:"xenbr0"
-  in
-  let dom0_ep =
-    Endpoint.make ~engine ~params ~cpu:(Domain.cpu dom0) ~name:"dom0"
-      ~ip:(Domain.ip dom0) ~mac:(Domain.mac dom0)
-  in
-  Setup.attach_stack_to_bridge ~params ~bridge ~stack:dom0_ep.Endpoint.stack
-    ~name:"dom0-vif";
-  let discovery =
-    Discovery.start ~machine ~dom0_stack:dom0_ep.Endpoint.stack ()
-  in
-  let make_guest ~params i =
-    let name = Printf.sprintf "guest%d" i in
-    let domain =
-      Machine.create_domain machine ~name ~ip:(Netcore.Ip.make ~subnet:2 ~host:i)
-    in
-    let ep =
-      Endpoint.make ~engine ~params ~cpu:(Domain.cpu domain) ~name
-        ~ip:(Domain.ip domain) ~mac:(Domain.mac domain)
-    in
-    let _vif =
-      Xennet.Vif.create ~machine ~guest:domain ~bridge ~stack:ep.Endpoint.stack ()
-    in
-    let m =
-      Gm.create ~domain ~stack:ep.Endpoint.stack
-        ~current_machine:(fun () -> machine)
-        ()
-    in
-    (domain, ep, m)
-  in
-  let da, ea, ma = make_guest ~params 1 in
-  let db, _eb, mb = make_guest ~params:legacy_params 2 in
-  Experiment.run_process engine (fun () ->
-      Discovery.scan_now discovery;
-      Sim.Engine.sleep (Sim.Time.ms 2);
-      let epoch = Discovery.current_epoch discovery in
-      Alcotest.(check bool) "delta-capable guest rides the epochs" true
-        (epoch >= 1 && Gm.announce_epoch ma = epoch);
-      Alcotest.(check bool) "delta-capable guest got delta messages" true
-        ((Gm.stats ma).Gm.delta_announces >= 1);
-      Alcotest.(check int) "legacy guest never sees an epoch" 0
-        (Gm.announce_epoch mb);
-      Alcotest.(check int) "legacy guest got no delta messages" 0
-        (Gm.stats mb).Gm.delta_announces;
-      Alcotest.(check int) "legacy guest still maps its neighbour" 1
-        (Gm.mapping_size mb);
-      Alcotest.(check int) "delta guest maps the legacy one" 1
-        (Gm.mapping_size ma);
-      (* And the data plane is indifferent to the gating: a channel comes
-         up between the two generations. *)
-      (match
-         Netstack.Stack.ping ea.Endpoint.stack ~dst:(Domain.ip db) ()
-       with
-      | Some _ -> ()
-      | None -> Alcotest.fail "ping across generations failed");
-      Sim.Engine.sleep (Sim.Time.ms 2);
-      Alcotest.(check bool) "channel established across generations" true
-        (Gm.has_channel_with ma ~domid:(Domain.domid db)
-        && Gm.has_channel_with mb ~domid:(Domain.domid da)))
+(* A stale XenStore read returns a node's previous value.  A guest whose
+   table expired acks epoch 0 over its old epoch, so a stale read of its
+   ack node tells Dom0 it is current: Dom0 heartbeats a base the guest
+   lacks and the guest drops it.  Dropping it must rewrite the guest's
+   real epoch — then the node's previous value is the real one too, and
+   Dom0's next scan resends from the right base even while every read of
+   the node stays stale.  Without that rewrite the guest hears nothing it
+   can apply until its ack node is read fresh. *)
+let test_stale_ack_reads_converge () =
+  with_mesh ~guests:3 ~hosts:1 (fun t ->
+      let h = t.Mesh.hosts.(0) in
+      let d = h.Mesh.h_discovery in
+      let victim = module_of t 0 and vid = domid t 0 in
+      let period = ctl_params.Params.discovery_period in
+      (* Starve the victim past its TTL: it drops its table and acks 0. *)
+      Discovery.set_announce_fault d (Some (fun ~domid -> domid = vid));
+      Sim.Engine.sleep (Sim.Time.ms 500);
+      Alcotest.(check int) "table expired" 0 (Gm.mapping_size victim);
+      Alcotest.(check int) "acked epoch 0" 0 (Gm.announce_epoch victim);
+      let xs = Machine.xenstore h.Mesh.h_machine in
+      let ack = Discovery.ack_path ~domid:vid in
+      Xenstore.set_fault_injector xs
+        (Some
+           (fun ~op ~path ->
+             if op = `Read && path = ack then Xenstore.Stale_read else Xenstore.Pass));
+      Discovery.set_announce_fault d None;
+      (* The first delta the victim hears is a heartbeat against the old
+         epoch, which it cannot apply. *)
+      let heard = (Gm.stats victim).Gm.delta_announces in
+      let deadline = Sim.Time.add (Sim.Engine.now t.Mesh.engine) (Sim.Time.sec 1) in
+      while
+        (Gm.stats victim).Gm.delta_announces = heard
+        && Sim.Time.(Sim.Engine.now t.Mesh.engine < deadline)
+      do
+        Sim.Engine.sleep (Sim.Time.us 100)
+      done;
+      Alcotest.(check bool) "heard a delta" true
+        ((Gm.stats victim).Gm.delta_announces > heard);
+      Alcotest.(check int) "out-of-base delta dropped" 0 (Gm.mapping_size victim);
+      Sim.Engine.sleep (Sim.Time.span_add period (Sim.Time.ms 1));
+      Alcotest.(check int) "converged within one period, reads still stale" 2
+        (Gm.mapping_size victim);
+      Xenstore.set_fault_injector xs None;
+      Sim.Engine.sleep (Sim.Time.span_scale 3 period);
+      Alcotest.(check int) "still converged once reads are fresh" 2
+        (Gm.mapping_size victim);
+      Alcotest.(check int) "acked the current epoch" (Discovery.current_epoch d)
+        (Gm.announce_epoch victim))
 
 (* --- Bounded channel state: cap, LRU, grant balance, re-establishment --- *)
 
@@ -363,8 +340,8 @@ let suites =
           test_delta_heartbeat_keeps_softstate;
         Alcotest.test_case "leave propagates as a delta" `Quick
           test_delta_leave_propagates;
-        Alcotest.test_case "legacy guest interop (version gating)" `Quick
-          test_legacy_guest_interop;
+        Alcotest.test_case "stale ack reads still converge" `Quick
+          test_stale_ack_reads_converge;
       ] );
     ( "xenloop.evict",
       [

@@ -543,12 +543,14 @@ let data_segment (packet : Netcore.Packet.t) =
 (* One write of [data] over a by-reference cable that drops the [nth]
    data segment once.  Checks that the server read every byte, and
    returns every data segment the client sent, in order. *)
+(* The data segments the sender emitted, in order, each with the
+   simulated time it left at. *)
 let stream_dropping_once engine ~nth data =
   let sent = ref [] and seen = ref 0 in
   let keep packet =
     match data_segment packet with
-    | Some seg ->
-        sent := seg :: !sent;
+    | Some (seq, v) ->
+        sent := (Sim.Engine.now engine, seq, v) :: !sent;
         incr seen;
         !seen <> nth
     | None -> true
@@ -575,12 +577,21 @@ let test_tcp_rto_resends_from_view () =
   run_sim (fun engine ->
       let data = Bytes.init 3_000 (fun i -> Char.chr (i * 7 land 0xff)) in
       match stream_dropping_once engine ~nth:1 data with
-      | (seq, first) :: rest ->
+      | (t0, seq, first) :: rest ->
           Alcotest.(check bool) "the segment is a view of the write" true
             (is_view_of data ~off:0 first);
-          (* Every timeout resends the very bytes of the caller's buffer. *)
-          let resent = List.filter (fun (s, _) -> Int32.equal s seq) rest in
-          Alcotest.(check bool) "resent" true (resent <> []);
+          (* The timeout resends the very bytes of the caller's buffer,
+             once: the resend fills the receiver's gap, which it
+             acknowledges at once, so the doubled timeout never fires. *)
+          let resent =
+            List.filter_map
+              (fun (t, s, v) ->
+                if Int32.equal s seq then
+                  Some (Float.to_int (Float.round (Sim.Time.to_ms_f (Sim.Time.diff t t0))), v)
+                else None)
+              rest
+          in
+          Alcotest.(check (list int)) "resent once, at 200 ms" [ 200 ] (List.map fst resent);
           List.iter
             (fun (_, v) ->
               Alcotest.(check bool) "resent from the same view" true
@@ -591,7 +602,9 @@ let test_tcp_rto_resends_from_view () =
 let test_tcp_partial_ack_prunes_by_sequence () =
   run_sim (fun engine ->
       let data = Bytes.init 3_000 (fun i -> Char.chr (i * 3 land 0xff)) in
-      match stream_dropping_once engine ~nth:2 data with
+      match
+        List.map (fun (_, s, v) -> (s, v)) (stream_dropping_once engine ~nth:2 data)
+      with
       | (seq1, _) :: (seq2, second) :: _ :: retransmitted ->
           (* The segment after the gap draws a duplicate ACK that covers
              the first segment: its view leaves the queue, so the timeout
