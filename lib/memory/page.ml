@@ -11,21 +11,26 @@
      every access to a generic C call with runtime kind dispatch (~7 ns
      per byte instead of a single load).  All call sites below apply the
      primitive directly.
-   - There is no stdlib Bytes<->Bigarray blit, so the bulk copies use the
-     unaligned 64-bit access builtins ([%caml_bytes_get64u],
-     [%caml_bigstring_set64u], ...) to move 8 bytes per load/store pair.
-     A 64-bit load+store is a raw byte move, so this is endian-agnostic;
-     only the named accessors encode byte order, and those stay as byte
-     composition. *)
+   - There is no stdlib Bytes<->Bigarray blit, so the bulk copies
+     ([write], [read]) call memcpy through two [@@noalloc] C stubs
+     (page_stubs.c).  Every pool, FIFO and grant byte moves through
+     them; an OCaml loop of 8-byte moves ran at about half of memcpy's
+     speed.  The stubs do no checking of their own: the bounds checks in
+     front of each call are what keep them inside both buffers. *)
 
 type buf = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type t = { page_id : int; data : buf }
 
 external ba_get64u : buf -> int -> int64 = "%caml_bigstring_get64u"
-external ba_set64u : buf -> int -> int64 -> unit = "%caml_bigstring_set64u"
-external bytes_get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
-external bytes_set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+external memcpy_to_page : buf -> int -> Bytes.t -> int -> int -> unit
+  = "xl_page_write"
+[@@noalloc]
+
+external memcpy_from_page : buf -> int -> Bytes.t -> int -> int -> unit
+  = "xl_page_read"
+[@@noalloc]
 
 let size = 4096
 
@@ -85,33 +90,13 @@ let write t ~off ~src ~src_off ~len =
   check_bounds ~what:"write" ~off ~len;
   if src_off < 0 || src_off + len > Bytes.length src then
     invalid_arg "Page.write: source range out of bounds";
-  let data = t.data in
-  let n8 = len land lnot 7 in
-  let i = ref 0 in
-  while !i < n8 do
-    let j = !i in
-    ba_set64u data (off + j) (bytes_get64u src (src_off + j));
-    i := j + 8
-  done;
-  for j = n8 to len - 1 do
-    Bigarray.Array1.unsafe_set data (off + j) (Bytes.unsafe_get src (src_off + j))
-  done
+  memcpy_to_page t.data off src src_off len
 
 let read t ~off ~dst ~dst_off ~len =
   check_bounds ~what:"read" ~off ~len;
   if dst_off < 0 || dst_off + len > Bytes.length dst then
     invalid_arg "Page.read: destination range out of bounds";
-  let data = t.data in
-  let n8 = len land lnot 7 in
-  let i = ref 0 in
-  while !i < n8 do
-    let j = !i in
-    bytes_set64u dst (dst_off + j) (ba_get64u data (off + j));
-    i := j + 8
-  done;
-  for j = n8 to len - 1 do
-    Bytes.unsafe_set dst (dst_off + j) (Bigarray.Array1.unsafe_get data (off + j))
-  done
+  memcpy_from_page t.data off dst dst_off len
 
 let get_u8 t off =
   check_bounds ~what:"get_u8" ~off ~len:1;

@@ -22,9 +22,14 @@ val id : t -> int
     number. *)
 
 val write : t -> off:int -> src:Bytes.t -> src_off:int -> len:int -> unit
-(** @raise Invalid_argument on out-of-bounds access (either side). *)
+(** Copy [len] bytes of [src] from [src_off] into the page at [off], with
+    one memcpy; allocates nothing.
+    @raise Invalid_argument on out-of-bounds access (either side), before
+    any byte moves. *)
 
 val read : t -> off:int -> dst:Bytes.t -> dst_off:int -> len:int -> unit
+(** The mirror of {!write}: [len] page bytes from [off] into [dst] at
+    [dst_off]. *)
 
 val get_u8 : t -> int -> int
 val set_u8 : t -> int -> int -> unit

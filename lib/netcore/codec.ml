@@ -43,8 +43,9 @@ let wmac w mac =
 
 let wip w ip = w32 w (Ip.to_int32 ip)
 
+(* A gathered payload (a TCP cork flush) is written run by run. *)
 let wview w (v : View.t) =
-  Bytes.blit v.buf v.off w.wdata w.wpos v.len;
+  View.blit v ~src_off:0 w.wdata ~dst_off:w.wpos ~len:v.len;
   w.wpos <- w.wpos + v.len
 
 let transport_header_length = function

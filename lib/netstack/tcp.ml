@@ -44,16 +44,25 @@ type conn = {
   mutable snd_una : int32;
   mutable peer_window : int;
   window_avail : Sim.Condition.t;
-  mutable cork : Bytes.t;
-      (** autocork buffer (DESIGN.md §11): sub-MSS writes issued while
-          data is in flight accumulate here instead of each becoming a
-          tinygram segment — and, on a XenLoop channel, each pinning a
-          whole pool slot.  Flushes on reaching the segment ceiling: one
-          MSS normally, the jumbo limit when segmentation offload is
-          negotiated (DESIGN.md §15) — the buffer is grown on demand so
-          the sub-MSS tail of one large write coalesces into the front
-          of the next jumbo instead of leaving as a runt segment. *)
+  cork : View.t array;
+      (** autocork (DESIGN.md §11): sub-MSS writes issued while data is
+          in flight accumulate here instead of each becoming a tinygram
+          segment — and, on a XenLoop channel, each pinning a whole pool
+          slot.  Flushes on reaching the segment ceiling: one MSS
+          normally, the jumbo limit when segmentation offload is
+          negotiated (DESIGN.md §15), so the sub-MSS tail of one large
+          write coalesces into the front of the next jumbo instead of
+          leaving as a runt segment.  The first [cork_runs] entries are
+          the corked bytes in order, as views of the application's
+          writes (which [send]'s contract pins until acknowledged) or of
+          [cork_own]; a flush sends them as one gathered view. *)
+  mutable cork_runs : int;
   mutable cork_len : int;
+  mutable cork_own : Bytes.t;
+      (** where short pieces are copied, so the cork holds few runs:
+          bytes [0, cork_own_used) belong to corked or sent runs and are
+          never written again; a full buffer is replaced, not reused *)
+  mutable cork_own_used : int;
   mutable nodelay : bool;
       (** TCP_NODELAY: latency-sensitive pipelined senders (MPI-style
           windowed workloads) opt out of autocorking entirely *)
@@ -179,20 +188,115 @@ let send_tracked c ~seq ~flags ~payload =
   arm_rto c;
   send_segment c ~seq ~flags ~payload
 
+(* --- The cork's runs --- *)
+
+(* A cork takes the runt of one write, whole writes that fit behind it
+   and the head of the write that fills it: a handful of runs.  The
+   bound keeps a flood of small writes from making a long gather. *)
+let max_cork_runs = 16
+
+(* Pieces shorter than this are copied into [cork_own] rather than kept
+   as runs of their own. *)
+let cork_copy_max = 256
+
+let last_run_is_own c =
+  c.cork_runs > 0
+  &&
+  let r = c.cork.(c.cork_runs - 1) in
+  r.View.buf == c.cork_own && r.View.off + r.View.len = c.cork_own_used
+
+(* Cork [n] bytes of [src] from [off] by copying them into [cork_own]:
+   they extend the last run when it already ends there, else they start
+   a run.  Views of writes take at most [max_cork_runs - 1] runs (see
+   [cork_append]), so a cork with every run taken ends in an own run,
+   and only when [cork_own] has no room left for it must that run be
+   carried, copied, into a new buffer.  A new buffer has room for twice
+   what it takes (at least 1 KiB, at most the segment ceiling [cap]), so
+   a run of short writes copies each byte about once. *)
+let cork_copy c ~cap src ~off n =
+  let room = Bytes.length c.cork_own - c.cork_own_used in
+  let extend = last_run_is_own c && room >= n in
+  let carry =
+    if extend || c.cork_runs < max_cork_runs then 0
+    else c.cork.(c.cork_runs - 1).View.len
+  in
+  if (not extend) && room < carry + n then begin
+    c.cork_own <- Bytes.create (max (carry + n) (min cap (max 1024 (2 * (carry + n)))));
+    c.cork_own_used <- 0
+  end;
+  let start =
+    if extend then c.cork.(c.cork_runs - 1).View.off
+    else begin
+      if carry > 0 then begin
+        c.cork_runs <- c.cork_runs - 1;
+        View.blit c.cork.(c.cork_runs) ~src_off:0 c.cork_own ~dst_off:c.cork_own_used
+          ~len:carry
+      end;
+      c.cork_runs <- c.cork_runs + 1;
+      c.cork_own_used
+    end
+  in
+  Bytes.blit src off c.cork_own (c.cork_own_used + carry) n;
+  c.cork_own_used <- c.cork_own_used + carry + n;
+  c.cork.(c.cork_runs - 1) <-
+    View.sub (View.of_bytes c.cork_own) ~off:start ~len:(c.cork_own_used - start)
+
+(* Cork the [n] bytes of the write [whole] from [off]: a view of them,
+   or a copy when they are short or the runs are taken. *)
+let cork_append c ~cap whole ~off n =
+  if n > 0 then begin
+    if n < cork_copy_max || c.cork_runs >= max_cork_runs - 1 then
+      cork_copy c ~cap whole.View.buf ~off n
+    else begin
+      c.cork.(c.cork_runs) <- View.sub whole ~off ~len:n;
+      c.cork_runs <- c.cork_runs + 1
+    end;
+    c.cork_len <- c.cork_len + n
+  end
+
+(* Take the first [len] corked bytes as one view; the runs keep the
+   rest. *)
+let cork_take c len =
+  let k = ref 0 and taken = ref 0 in
+  while !k < c.cork_runs && !taken + c.cork.(!k).View.len <= len do
+    taken := !taken + c.cork.(!k).View.len;
+    incr k
+  done;
+  let whole = !k and part = len - !taken in
+  let payload =
+    if part = 0 && whole = 1 then c.cork.(0)
+    else if whole = 0 then View.sub c.cork.(0) ~off:0 ~len:part
+    else
+      View.concat
+        (Array.init
+           (if part > 0 then whole + 1 else whole)
+           (fun i -> if i < whole then c.cork.(i) else View.sub c.cork.(i) ~off:0 ~len:part))
+  in
+  if part > 0 then begin
+    let r = c.cork.(whole) in
+    c.cork.(whole) <- View.sub r ~off:part ~len:(r.View.len - part)
+  end;
+  let left = c.cork_runs - whole in
+  Array.blit c.cork whole c.cork 0 left;
+  (* Drop the sent runs' references: the retransmission queue holds
+     them now. *)
+  Array.fill c.cork left (c.cork_runs - left) View.empty;
+  c.cork_runs <- left;
+  c.cork_len <- c.cork_len - len;
+  payload
+
 (* Send as much of the cork as the peer window admits.  The cork never
-   holds a full MSS, so this is at most one segment; PSH unconditionally —
-   corked bytes are always the tail of an application write, and the
-   immediate ACK it forces is what re-triggers the flush machinery. *)
+   holds a full segment, so this is at most one segment; PSH
+   unconditionally — corked bytes are always the tail of an application
+   write, and the immediate ACK it forces is what re-triggers the flush
+   machinery. *)
 let cork_flush_avail c =
   if c.cork_len > 0 && c.state = Established then begin
     let in_flight = seq_diff c.snd_nxt c.snd_una in
     let window_room = send_window c - in_flight in
     if window_room > 0 then begin
       let len = min c.cork_len window_room in
-      (* A copy: the cork buffer is reused by the next write. *)
-      let payload = View.of_bytes (Bytes.sub c.cork 0 len) in
-      if len < c.cork_len then Bytes.blit c.cork len c.cork 0 (c.cork_len - len);
-      c.cork_len <- c.cork_len - len;
+      let payload = cork_take c len in
       (* Advance [snd_nxt] before transmitting: [send_tracked] yields
          inside the CPU charge, and this flush may run in the receive
          fiber (handle_ack) concurrently with the app fiber sitting in
@@ -442,8 +546,11 @@ let make_conn t ~key ~mss ~state ~isn =
     snd_una = isn;
     peer_window = default_recv_capacity;
     window_avail = Sim.Condition.create ();
-    cork = Bytes.create (max 1 mss);
+    cork = Array.make max_cork_runs View.empty;
+    cork_runs = 0;
     cork_len = 0;
+    cork_own = Bytes.empty;
+    cork_own_used = 0;
     nodelay = false;
     congested = false;
     rcv_nxt = 0l;
@@ -596,8 +703,9 @@ let connect t ?src_port ~dst ~dst_port () =
   done;
   if c.state = Established then Ok c else Error Refused
 
-(* Segments are views of [data], kept for retransmission until
-   acknowledged: the caller must leave [data] unchanged. *)
+(* Segments, a corked tail included, are views of [data], kept for
+   retransmission until acknowledged: the caller must leave [data]
+   unchanged. *)
 let send c data =
   let p = params c in
   Sim.Resource.use (cpu c) p.Hypervisor.Params.syscall;
@@ -618,11 +726,6 @@ let send c data =
          (Stack.tx_jumbo_hint c.tcp.stack ~dst:c.key.peer_ip)
          (65535 - Netcore.Ipv4.header_length - 20))
   in
-  if Bytes.length c.cork < seg_limit then begin
-    let grown = Bytes.create seg_limit in
-    Bytes.blit c.cork 0 grown 0 c.cork_len;
-    c.cork <- grown
-  end;
   while !off < total do
     if c.state <> Established then raise (Tcp_error Closed);
     if c.cork_len > 0 then begin
@@ -632,8 +735,7 @@ let send c data =
          top up nothing and flush — the standard-path resegmenter cuts
          the oversized flush back to wire MSS. *)
       let n = max 0 (min (seg_limit - c.cork_len) (total - !off)) in
-      Bytes.blit data !off c.cork c.cork_len n;
-      c.cork_len <- c.cork_len + n;
+      cork_append c ~cap:seg_limit whole ~off:!off n;
       off := !off + n;
       if c.cork_len >= seg_limit then flush_cork_blocking c
     end
@@ -652,8 +754,7 @@ let send c data =
            mid-write siblings carry no PSH and a delayed-ACK receiver
            would otherwise sit on the ACK the corked tail is waiting
            for. *)
-        Bytes.blit data !off c.cork 0 remaining;
-        c.cork_len <- remaining;
+        cork_append c ~cap:seg_limit whole ~off:!off remaining;
         off := total
       end
       else if
@@ -668,8 +769,7 @@ let send c data =
            flight-drained autocork flush bounds its latency when the
            stream goes quiet.  Guarded on [seg_limit > conn_mss], so the
            per-MSS path never takes it. *)
-        Bytes.blit data !off c.cork 0 remaining;
-        c.cork_len <- remaining;
+        cork_append c ~cap:seg_limit whole ~off:!off remaining;
         off := total
       end
       else if window_room <= 0 then Sim.Condition.await c.window_avail

@@ -595,18 +595,23 @@ let alloc_chunks pool chunk_slots =
    the packet, or a waiting frame's bytes behind an empty head — and
    return the descriptor's protocol hint. *)
 let write_jumbo t pool frame ~chunk_slots ~chunk_lens =
+  let write ~pos src ~src_off ~len =
+    Payload_pool.write_scatter pool ~off:0 ~slots:chunk_slots ~lens:chunk_lens ~pos ~src
+      ~src_off ~len
+  in
   match frame with
   | Jumbo packet ->
       let head = t.tx_head in
       let head_len = Netcore.Codec.serialize_head packet head in
-      let tail = Netcore.Codec.tail packet in
-      Payload_pool.write_scatter pool ~off:0 ~slots:chunk_slots ~lens:chunk_lens
-        ~head ~head_len ~src:tail.Netcore.View.buf ~src_off:tail.Netcore.View.off
-        ~len:tail.Netcore.View.len;
+      write ~pos:0 head ~src_off:0 ~len:head_len;
+      (* A corked TCP segment's payload gathers runs of several writes. *)
+      let pos = ref head_len in
+      Netcore.View.iter (Netcore.Codec.tail packet) (fun buf off len ->
+          write ~pos:!pos buf ~src_off:off ~len;
+          pos := !pos + len);
       proto_hint_of head
   | Raw raw ->
-      Payload_pool.write_scatter pool ~off:0 ~slots:chunk_slots ~lens:chunk_lens
-        ~head:Bytes.empty ~head_len:0 ~src:raw ~src_off:0 ~len:(Bytes.length raw);
+      write ~pos:0 raw ~src_off:0 ~len:(Bytes.length raw);
       proto_hint_of raw
 
 (* Push one frame as a jumbo descriptor: allocate the scatter vector,
@@ -2615,9 +2620,11 @@ let send_app_payload t ~dst_ip ~src_port ~dst_port payload =
                           (Netcore.Ip.to_int32 (Stack.ip_addr t.stack));
                         Bytes.set_uint16_be head 4 src_port;
                         Bytes.set_uint16_be head 6 0;
-                        Payload_pool.write_scatter pool ~off:0 ~slots:[| slot |]
-                          ~lens:[| total |] ~head ~head_len:8 ~src:payload
-                          ~src_off:0 ~len:(Bytes.length payload);
+                        let slots = [| slot |] and lens = [| total |] in
+                        Payload_pool.write_scatter pool ~off:0 ~slots ~lens ~pos:0
+                          ~src:head ~src_off:0 ~len:8;
+                        Payload_pool.write_scatter pool ~off:0 ~slots ~lens ~pos:8
+                          ~src:payload ~src_off:0 ~len:(Bytes.length payload);
                         if
                           Fifo.try_push_desc q.out_fifo ~flags:Fifo.flag_app
                             ~slot ~offset:0 ~len:total ~proto_hint:dst_port ()

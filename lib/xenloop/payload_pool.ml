@@ -287,29 +287,23 @@ let read_scatter t ~off chunks ~pos ~len ~dst ~dst_off =
     incr i
   done
 
-(* The transmit mirror of [read_scatter]: frame byte [i] is [head.(i)]
-   below [head_len] and [src.(src_off + i - head_len)] above it.  Each
-   chunk takes its share of the head, then of [src]; the loop keeps the
-   per-chunk step allocation-free. *)
-let write_scatter t ~off ~slots ~lens ~head ~head_len ~src ~src_off ~len =
-  if head_len < 0 || head_len > Bytes.length head then
-    invalid_arg "Payload_pool.write_scatter: out of head bounds";
-  let h = ref 0 and s = ref src_off and left = ref (head_len + len) in
-  let i = ref 0 in
+(* The transmit mirror of [read_scatter]: the [len] bytes of [src] at
+   [src_off] become frame bytes [pos ..].  A frame is written by one call
+   per contiguous piece (its headers, then each run of its payload); the
+   loop keeps the per-chunk step allocation-free. *)
+let write_scatter t ~off ~slots ~lens ~pos ~src ~src_off ~len =
+  let skip = ref pos and s = ref src_off and left = ref len and i = ref 0 in
   while !left > 0 do
-    let slot = slots.(!i) in
-    let n = min lens.(!i) !left in
-    let hn = min n (head_len - !h) in
-    if hn > 0 then begin
-      write_into t ~what:"write_scatter" ~slot ~off ~src:head ~src_off:!h ~len:hn;
-      h := !h + hn
+    let chunk_len = lens.(!i) in
+    if !skip >= chunk_len then skip := !skip - chunk_len
+    else begin
+      let n = min !left (chunk_len - !skip) in
+      write_into t ~what:"write_scatter" ~slot:slots.(!i) ~off:(off + !skip) ~src
+        ~src_off:!s ~len:n;
+      skip := 0;
+      s := !s + n;
+      left := !left - n
     end;
-    if n > hn then begin
-      write_into t ~what:"write_scatter" ~slot ~off:(off + hn) ~src ~src_off:!s
-        ~len:(n - hn);
-      s := !s + (n - hn)
-    end;
-    left := !left - n;
     incr i
   done
 

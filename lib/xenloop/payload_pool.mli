@@ -150,21 +150,19 @@ val write_scatter :
   off:int ->
   slots:int array ->
   lens:int array ->
-  head:Bytes.t ->
-  head_len:int ->
+  pos:int ->
   src:Bytes.t ->
   src_off:int ->
   len:int ->
   unit
-(** The transmit mirror of {!parse_scatter}: write a frame of
-    [head_len + len] bytes — the first [head_len] bytes of [head], then
-    the [len] bytes of [src] at [src_off] — across the vector whose
-    chunk [i] is [(slots.(i), lens.(i))], allocating nothing.  The head
-    may straddle chunks.  The sender builds a frame this way straight
-    from its packet ({!Netcore.Codec.serialize_head} and
-    {!Netcore.Codec.tail}), or from a serialized frame with an empty
-    head.  The vector is the sender's own allocation; it must cover the
-    frame.
+(** The transmit mirror of {!read_scatter}: write the [len] bytes of
+    [src] at [src_off] as frame bytes [pos .. pos + len - 1] of the
+    vector whose chunk [i] is [(slots.(i), lens.(i))], allocating
+    nothing.  The range may straddle chunks.  The sender builds a frame
+    straight from its packet with one call per contiguous piece: the
+    headers ({!Netcore.Codec.serialize_head}) at [pos] 0, then each run of
+    the payload ({!Netcore.Codec.tail}, {!Netcore.View.iter}) behind them.
+    The vector is the sender's own allocation; it must cover the range.
     @raise Invalid_argument on a slot, span or buffer out of bounds. *)
 
 val parse_scatter :

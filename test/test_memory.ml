@@ -34,6 +34,76 @@ let test_page_bounds () =
        false
      with Invalid_argument _ -> true)
 
+(* Every out-of-range argument of the memcpy-backed copies is refused
+   before a byte moves: neither the page nor the buffer changes. *)
+let test_page_copy_bounds_move_nothing () =
+  let p = Page.create () in
+  for i = 0 to Page.size - 1 do
+    Page.set_u8 p i (i land 0xff)
+  done;
+  let snapshot () =
+    let b = Bytes.create Page.size in
+    Page.read p ~off:0 ~dst:b ~dst_off:0 ~len:Page.size;
+    b
+  in
+  let before = snapshot () in
+  let buf = Bytes.make 64 'b' in
+  let cases =
+    (* off, len, buffer offset *)
+    [
+      ("off < 0", -1, 8, 0);
+      ("off past the page", Page.size, 1, 0);
+      ("off + len past the page", Page.size - 4, 8, 0);
+      ("len < 0", 0, -1, 0);
+      ("buffer offset < 0", 0, 8, -1);
+      ("buffer offset + len past the buffer", 0, 8, 60);
+      ("buffer offset past the buffer", 0, 1, 64);
+      ("len past the buffer", 0, 65, 0);
+    ]
+  in
+  List.iter
+    (fun (what, off, len, boff) ->
+      let raises f = try f (); false with Invalid_argument _ -> true in
+      Alcotest.(check bool) ("write, " ^ what) true
+        (raises (fun () -> Page.write p ~off ~src:buf ~src_off:boff ~len));
+      Alcotest.(check bool) ("read, " ^ what) true
+        (raises (fun () -> Page.read p ~off ~dst:buf ~dst_off:boff ~len));
+      Alcotest.(check bytes) ("page unchanged, " ^ what) before (snapshot ());
+      Alcotest.(check bytes) ("buffer unchanged, " ^ what) (Bytes.make 64 'b') buf)
+    cases
+
+(* In-range copies agree with a byte-at-a-time reference, and touch no
+   byte outside their range on either side. *)
+let prop_page_copy_matches_byte_loop =
+  QCheck.Test.make ~name:"page copies match a byte loop" ~count:500
+    QCheck.(quad (int_range 0 Page.size) (int_range 0 Page.size) (int_range 0 64) small_nat)
+    (fun (off, len, boff, seed) ->
+      let off = min off (Page.size - 1) in
+      let len = min len (Page.size - off) in
+      let p = Page.create () in
+      let st = Random.State.make [| seed |] in
+      let src = Bytes.init (boff + len + 7) (fun _ -> Char.chr (Random.State.int st 256)) in
+      let reference = Array.make Page.size 0 in
+      Page.write p ~off ~src ~src_off:boff ~len;
+      for i = 0 to len - 1 do
+        reference.(off + i) <- Char.code (Bytes.get src (boff + i))
+      done;
+      let page_ok = ref true in
+      for i = 0 to Page.size - 1 do
+        if Page.get_u8 p i <> reference.(i) then page_ok := false
+      done;
+      let dst = Bytes.make (boff + len + 7) '.' in
+      Page.read p ~off ~dst ~dst_off:boff ~len;
+      let dst_ok = ref true in
+      Bytes.iteri
+        (fun i c ->
+          let want =
+            if i >= boff && i < boff + len then Char.chr reference.(off + i - boff) else '.'
+          in
+          if c <> want then dst_ok := false)
+        dst;
+      !page_ok && !dst_ok)
+
 let test_page_integers () =
   let p = Page.create () in
   Page.set_u8 p 0 0x7f;
@@ -294,10 +364,13 @@ let suites =
       [
         Alcotest.test_case "read/write roundtrip" `Quick test_page_roundtrip;
         Alcotest.test_case "bounds checked" `Quick test_page_bounds;
+        Alcotest.test_case "out-of-range copies move nothing" `Quick
+          test_page_copy_bounds_move_nothing;
         Alcotest.test_case "integer accessors" `Quick test_page_integers;
         Alcotest.test_case "zeroing" `Quick test_page_zero;
         Alcotest.test_case "unique ids" `Quick test_page_ids_unique;
-      ] );
+      ]
+      @ qsuite [ prop_page_copy_matches_byte_loop ] );
     ( "memory.grant",
       [
         Alcotest.test_case "map shares memory" `Quick test_grant_map_shares_memory;

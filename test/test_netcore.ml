@@ -890,13 +890,14 @@ let prop_write_scatter_matches_serialize =
          let head = Bytes.make Codec.max_header_length '\xAA' in
          let head_len = Codec.serialize_head p head in
          let tail = Codec.tail p in
-         Pool.write_scatter pool ~off ~slots ~lens ~head ~head_len
-           ~src:tail.Netcore.View.buf ~src_off:tail.Netcore.View.off
-           ~len:tail.Netcore.View.len
+         Pool.write_scatter pool ~off ~slots ~lens ~pos:0 ~src:head ~src_off:0
+           ~len:head_len;
+         let pos = ref head_len in
+         Netcore.View.iter tail (fun buf src_off n ->
+             Pool.write_scatter pool ~off ~slots ~lens ~pos:!pos ~src:buf ~src_off ~len:n;
+             pos := !pos + n)
        end
-       else
-         Pool.write_scatter pool ~off ~slots ~lens ~head:Bytes.empty ~head_len:0
-           ~src:expected ~src_off:0 ~len);
+       else Pool.write_scatter pool ~off ~slots ~lens ~pos:0 ~src:expected ~src_off:0 ~len);
       let chunks = Array.mapi (fun i slot -> (slot, lens.(i))) slots in
       let got = Bytes.create len in
       Pool.read_scatter pool ~off chunks ~pos:0 ~len ~dst:got ~dst_off:0;
@@ -929,7 +930,8 @@ let test_write_scatter_head_straddles () =
   let head = Bytes.create Codec.max_header_length in
   let head_len = Codec.serialize_head p head in
   Alcotest.(check int) "TCP head" Codec.max_header_length head_len;
-  Pool.write_scatter pool ~off:0 ~slots ~lens ~head ~head_len ~src:payload ~src_off:0
+  Pool.write_scatter pool ~off:0 ~slots ~lens ~pos:0 ~src:head ~src_off:0 ~len:head_len;
+  Pool.write_scatter pool ~off:0 ~slots ~lens ~pos:head_len ~src:payload ~src_off:0
     ~len:(Bytes.length payload);
   let chunks = Array.mapi (fun i slot -> (slot, lens.(i))) slots in
   let got = Bytes.create len in
@@ -1102,6 +1104,116 @@ let prop_fragment_roundtrip =
 
 (* ------------------------------------------------------------------ *)
 
+(* ------------------------------------------------------------------ *)
+(* Gathered views *)
+
+module View = Netcore.View
+
+(* A run is [body] inside a buffer with [pre] and [post] bytes of filler
+   around it, so every run is a window, not a whole buffer. *)
+let view_of_run (pre, body, post) =
+  let buf = Bytes.make (pre + String.length body + post) '#' in
+  Bytes.blit_string body 0 buf pre (String.length body);
+  View.sub (View.of_bytes buf) ~off:pre ~len:(String.length body)
+
+let runs_gen ~max_body =
+  QCheck.Gen.(
+    list_size (1 -- 4)
+      (let* pre = 0 -- 5 and* body = string_size (0 -- max_body) and* post = 0 -- 5 in
+       return (pre, body, post)))
+
+let prop_view_gather_matches_concat =
+  QCheck.Test.make ~name:"a gathered view reads as its runs laid end to end" ~count:500
+    (QCheck.make
+       ~print:(fun (runs, a, b, d) ->
+         Printf.sprintf "runs=[%s] a=%d b=%d d=%d"
+           (String.concat "; " (List.map (fun (_, body, _) -> String.escaped body) runs))
+           a b d)
+       QCheck.Gen.(quad (runs_gen ~max_body:40) (0 -- 200) (0 -- 200) (0 -- 3)))
+    (fun (runs, a, b, d) ->
+      let v = View.concat (Array.of_list (List.map view_of_run runs)) in
+      let r = Bytes.of_string (String.concat "" (List.map (fun (_, body, _) -> body) runs)) in
+      let n = Bytes.length r in
+      let off = a mod (n + 1) in
+      let len = b mod (n - off + 1) in
+      let s = View.sub v ~off ~len and expected = Bytes.sub r off len in
+      let dst = Bytes.make (len + d) '.' in
+      View.blit v ~src_off:off dst ~dst_off:d ~len;
+      let pieces = Buffer.create n in
+      View.iter v (fun buf o k -> Buffer.add_subbytes pieces buf o k);
+      let runs_of v =
+        match v.View.kind with View.Gather rs -> Array.length rs | View.Plain | View.Fresh -> 1
+      in
+      let changed () =
+        let c = Bytes.copy r in
+        Bytes.set c (off mod n) (Char.chr (Char.code (Bytes.get c (off mod n)) lxor 1));
+        not (View.equal v (View.of_bytes c))
+      in
+      v.View.len = n
+      && Bytes.equal (View.to_bytes v) r
+      && Bytes.equal (View.to_bytes s) expected
+      && Bytes.equal (Bytes.sub dst d len) expected
+      && Bytes.equal (Bytes.sub dst 0 d) (Bytes.make d '.')
+      && String.equal (Buffer.contents pieces) (Bytes.to_string r)
+      && View.equal v (View.of_bytes r)
+      && View.equal s (View.of_bytes expected)
+      && View.equal (View.of_bytes r) v
+      && runs_of v <= List.length runs
+      && (n = 0 || changed ()))
+
+let test_view_gather_bounds () =
+  let v = View.concat [| View.of_bytes (Bytes.of_string "abc"); View.of_bytes (Bytes.of_string "de") |] in
+  let raises f = try f (); false with Invalid_argument _ -> true in
+  Alcotest.(check bool) "sub past the end" true (raises (fun () -> ignore (View.sub v ~off:3 ~len:3)));
+  Alcotest.(check bool) "blit past the end" true
+    (raises (fun () -> View.blit v ~src_off:1 (Bytes.create 9) ~dst_off:0 ~len:5));
+  Alcotest.(check bool) "blit past the destination" true
+    (raises (fun () -> View.blit v ~src_off:0 (Bytes.create 4) ~dst_off:0 ~len:5));
+  (* A range inside one run is that run's own view. *)
+  let inside = View.sub v ~off:3 ~len:2 in
+  Alcotest.(check bool) "one run" true (inside.View.kind = View.Plain);
+  Alcotest.(check string) "its bytes" "de" (Bytes.to_string (View.to_bytes inside))
+
+(* A TCP segment whose payload gathers runs of odd lengths serializes to
+   the bytes of the same segment with a contiguous payload: the transport
+   checksum runs across the run boundaries, where a 16-bit word may be
+   split between two runs. *)
+let prop_serialize_gathered_payload =
+  QCheck.Test.make ~name:"serialize of a gathered payload is serialize of the contiguous one"
+    ~count:300
+    (QCheck.make
+       ~print:(fun runs ->
+         String.concat "; " (List.map (fun (_, body, _) -> string_of_int (String.length body)) runs))
+       (runs_gen ~max_body:3_000))
+    (fun runs ->
+      let header =
+        {
+          Transport.tcp_src_port = 7;
+          tcp_dst_port = 9;
+          seq = 0x01020304l;
+          ack_seq = 0x0A0B0C0Dl;
+          flags = { Transport.no_flags with Transport.ack = true; psh = true };
+          window = 4096;
+        }
+      in
+      let contiguous = String.concat "" (List.map (fun (_, body, _) -> body) runs) in
+      let p =
+        Packet.tcp ~src_mac:mac_a ~dst_mac:mac_b ~src_ip:ip_a ~dst_ip:ip_b ~header
+          (Bytes.of_string contiguous)
+      in
+      let gathered =
+        match p.Packet.body with
+        | Packet.Ipv4_body { header; content = Packet.Full { transport; _ } } ->
+            let payload = View.concat (Array.of_list (List.map view_of_run runs)) in
+            { p with Packet.body = Packet.Ipv4_body { header; content = Packet.Full { transport; payload } } }
+        | _ -> assert false
+      in
+      let raw = Codec.serialize gathered in
+      Bytes.equal raw (Codec.serialize p)
+      && Bytes.equal (Codec.serialize ~csum:false gathered) (Codec.serialize ~csum:false p)
+      && Packet.equal gathered p
+      && match Codec.parse raw with Ok q -> Packet.equal q p | Error _ -> false)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suites =
@@ -1157,6 +1269,9 @@ let suites =
             prop_restore_transport_checksum;
             prop_write_scatter_matches_serialize;
           ] );
+    ( "netcore.view",
+      [ Alcotest.test_case "gather bounds and one-run ranges" `Quick test_view_gather_bounds ]
+      @ qsuite [ prop_view_gather_matches_concat; prop_serialize_gathered_payload ] );
     ( "netcore.fragment",
       [
         Alcotest.test_case "small packet untouched" `Quick

@@ -13,7 +13,7 @@ type host = { stack : Stack.t; udp : Udp.t; tcp : Tcp.t; dev : Netdevice.t }
 (* Two hosts joined by a constant-latency cable.  The cable transfers the
    serialized bytes, so everything below the socket API is exercised
    end-to-end through the codec. *)
-let make_pair ?(cable_latency = Sim.Time.us 2) ?(mtu = 1500) ?(on_deliver = ignore)
+let make_pair ?(cable_latency = Sim.Time.us 2) ?(mtu = 1500) ?gso_size ?(on_deliver = ignore)
     engine =
   let params = Hypervisor.Params.default in
   let make i =
@@ -21,7 +21,7 @@ let make_pair ?(cable_latency = Sim.Time.us 2) ?(mtu = 1500) ?(on_deliver = igno
     let ip = Ip.make ~subnet:9 ~host:i in
     let cpu = Sim.Resource.create ~name:(Printf.sprintf "host%d.cpu" i) in
     let stack = Stack.create ~engine ~params ~cpu ~ip ~mac () in
-    let dev = Netdevice.create ~name:(Printf.sprintf "eth%d" i) ~mtu ~mac () in
+    let dev = Netdevice.create ~name:(Printf.sprintf "eth%d" i) ~mtu ?gso_size ~mac () in
     Stack.attach_device stack dev;
     let udp = Udp.attach stack in
     let tcp = Tcp.attach stack in
@@ -619,6 +619,49 @@ let test_tcp_partial_ack_prunes_by_sequence () =
           | [] -> Alcotest.fail "nothing retransmitted")
       | _ -> Alcotest.fail "expected three data segments")
 
+(* A jumbo hint with no xenloop hook to take the jumbos: every segment
+   the sender cuts at the 65495-byte ceiling is cut back to the device's
+   wire MSS, as when a channel dies under a stream.  The runt of the
+   first write is corked and topped up from the second, so the second
+   jumbo's payload gathers views of both writes; its resegmented pieces,
+   one of them across the two runs, serialize to the right bytes. *)
+let test_tcp_gathered_jumbo_resegmented () =
+  run_sim (fun engine ->
+      let a, b = make_pair ~gso_size:16384 engine in
+      Stack.set_tx_jumbo_hint a.stack (Some (fun ~dst:_ -> 65535));
+      let gathered = ref 0 in
+      let _hook =
+        Netfilter.register (Stack.post_routing a.stack) (fun packet ->
+            (match data_segment packet with
+            | Some (_, { Netcore.View.kind = Netcore.View.Gather _; len; _ }) ->
+                gathered := len
+            | _ -> ());
+            Netfilter.Accept)
+      in
+      let listener =
+        match Tcp.listen b.tcp ~port:80 with Ok l -> l | Error _ -> Alcotest.fail "listen"
+      in
+      let first = Bytes.init (65_495 + 700) (fun i -> Char.chr (i * 7 land 0xff)) in
+      let second = Bytes.init 65_495 (fun i -> Char.chr (((i * 13) + 1) land 0xff)) in
+      let total = Bytes.length first + Bytes.length second in
+      let got = ref Bytes.empty in
+      Sim.Engine.spawn engine (fun () ->
+          let conn = Tcp.accept listener in
+          got := Tcp.recv_exact conn total);
+      let segmented = (Stack.stats a.stack).Stack.sw_segmented in
+      (match Tcp.connect a.tcp ~dst:(Stack.ip_addr b.stack) ~dst_port:80 () with
+      | Ok conn ->
+          Tcp.send conn first;
+          Tcp.send conn second;
+          Tcp.close conn
+      | Error _ -> Alcotest.fail "connect");
+      Sim.Engine.sleep (Sim.Time.sec 1);
+      Alcotest.(check int) "a jumbo gathers the runt and the top-up" 65_495 !gathered;
+      Alcotest.(check bool) "jumbos cut to the wire MSS" true
+        ((Stack.stats a.stack).Stack.sw_segmented > segmented);
+      Alcotest.(check bool) "every byte, in order" true
+        (Bytes.equal (Bytes.cat first second) !got))
+
 let test_tcp_recv_copies_slices () =
   run_sim (fun engine ->
       let a, b = make_ref_pair engine ~keep:(fun _ -> true) in
@@ -904,6 +947,8 @@ let suites =
           test_tcp_rto_resends_from_view;
         Alcotest.test_case "partial ack prunes views by sequence" `Quick
           test_tcp_partial_ack_prunes_by_sequence;
+        Alcotest.test_case "a gathered jumbo is resegmented intact" `Quick
+          test_tcp_gathered_jumbo_resegmented;
         Alcotest.test_case "recv copies a slice and a by-reference buffer" `Quick
           test_tcp_recv_copies_slices;
         Alcotest.test_case "recv hands a xenloop chunk over" `Quick

@@ -637,6 +637,74 @@ let test_migration_no_stream_loss () =
       Alcotest.(check bool) "transfer completed" true !finished;
       Alcotest.(check bool) "no bytes lost or corrupted" true (Bytes.equal data !got))
 
+(* A corked runt topped up from the next write leaves as one jumbo whose
+   payload gathers views of both writes.  That jumbo is lost on the
+   channel (a corrupted scatter vector, which the receiver drops) and the
+   channel is torn down while it waits in the retransmission queue: the
+   timeout resends the gathered view through netfront.  It exceeds the
+   vif's 16 KiB segmentation budget, so the stack cuts its serialized
+   transport blob into IP fragments, and every byte arrives in order. *)
+let test_gathered_segment_survives_teardown () =
+  let duo = Setup.build Setup.Xenloop_path in
+  let m1, m2 = modules_of duo in
+  let client = host_of duo.Setup.client and server = host_of duo.Setup.server in
+  Experiment.execute duo (fun () ->
+      let engine = duo.Setup.engine in
+      let listener =
+        match Netstack.Tcp.listen server.Workloads.Host.tcp ~port:906 with
+        | Ok l -> l
+        | Error _ -> Alcotest.fail "listen"
+      in
+      (* One jumbo and a 700-byte runt, then a write that fills the cork
+         up to the next jumbo. *)
+      let a = Bytes.init (65_495 + 700) (fun i -> Char.chr ((i * 7) land 0xff)) in
+      let b = Bytes.init 65_495 (fun i -> Char.chr ((i * 13 + 5) land 0xff)) in
+      let total = Bytes.length a + Bytes.length b in
+      let got = ref Bytes.empty in
+      Sim.Engine.spawn engine (fun () ->
+          let conn = Netstack.Tcp.accept listener in
+          got := Netstack.Tcp.recv_exact conn total);
+      let jumbos = ref 0 in
+      let drop_second () =
+        incr jumbos;
+        !jumbos = 2
+      in
+      Gm.set_jumbo_fault_injector m1 (Some drop_second);
+      (* The fragment bytes the client hands netfront: the xenloop hook,
+         registered first, steals whatever the channel carries. *)
+      let fragment_bytes = ref 0 in
+      let _hook =
+        Netstack.Netfilter.register
+          (Stack.post_routing client.Workloads.Host.stack)
+          (fun packet ->
+            (match packet.Netcore.Packet.body with
+            | Netcore.Packet.Ipv4_body { content = Netcore.Packet.Fragment blob; _ } ->
+                fragment_bytes := !fragment_bytes + blob.Netcore.View.len
+            | _ -> ());
+            Netstack.Netfilter.Accept)
+      in
+      Sim.Engine.spawn engine (fun () ->
+          match
+            Netstack.Tcp.connect client.Workloads.Host.tcp ~dst:duo.Setup.server_ip
+              ~dst_port:906 ()
+          with
+          | Ok conn ->
+              Netstack.Tcp.send conn a;
+              Netstack.Tcp.send conn b;
+              Netstack.Tcp.close conn
+          | Error _ -> Alcotest.fail "connect");
+      Sim.Engine.sleep (Sim.Time.ms 5);
+      Alcotest.(check int) "two jumbos pushed" 2 !jumbos;
+      Alcotest.(check int) "the gathered jumbo dropped" 1 (Gm.stats m2).Gm.jumbo_drops;
+      Alcotest.(check int) "nothing through netfront yet" 0 !fragment_bytes;
+      Gm.unload m1;
+      Gm.unload m2;
+      Sim.Engine.sleep (Sim.Time.sec 2);
+      Alcotest.(check int) "the gathered segment resent in fragments" (20 + 65_495)
+        !fragment_bytes;
+      Alcotest.(check bool) "every byte, in order" true
+        (Bytes.equal (Bytes.cat a b) !got))
+
 let suites =
   [
     ( "xenloop.integration",
@@ -657,6 +725,8 @@ let suites =
           test_unload_restores_standard_path;
         Alcotest.test_case "channel memory balanced" `Quick test_channel_memory_balanced;
         Alcotest.test_case "teardown notifies peer" `Quick test_teardown_notifies_peer;
+        Alcotest.test_case "a gathered segment survives teardown" `Quick
+          test_gathered_segment_survives_teardown;
         Alcotest.test_case "oversize packets fall back" `Quick
           test_large_packets_fall_back;
         Alcotest.test_case "waiting list under pressure" `Quick
