@@ -94,8 +94,19 @@ type conn = {
      segment is a view of the application's write (or of a cork flush),
      so keeping it copies nothing. *)
   retx_queue : (int32 * View.t * Netcore.Transport.tcp_flags) Queue.t;
-  mutable rto_armed : bool;
+  mutable rto_deadline : Sim.Time.t;
+      (** when the retransmission timer expires; it runs while
+          [retx_queue] holds a segment *)
+  mutable rto_pending : bool;
+  mutable rto_pending_at : Sim.Time.t;
+      (** the one engine callback that acts for the timer, and when it
+          fires *)
   mutable rto_backoff : int;
+  mutable recovering : bool;
+  mutable recover : int32;
+      (** after a timeout, [snd_nxt] at the time: an ACK below it is
+          partial, and the segment it leaves first is lost too
+          (RFC 6582) *)
   data_arrived : Sim.Condition.t;
   state_changed : Sim.Condition.t;
   mutable sent_bytes : int;
@@ -149,27 +160,7 @@ let prune_retx c =
   done;
   if !pruned then c.rto_backoff <- 1
 
-let rec arm_rto c =
-  if not c.rto_armed then begin
-    c.rto_armed <- true;
-    let delay = Sim.Time.span_scale c.rto_backoff initial_rto in
-    Sim.Engine.after (conn_engine c) delay (fun () ->
-        c.rto_armed <- false;
-        if c.state <> Conn_closed then begin
-          prune_retx c;
-          match Queue.peek_opt c.retx_queue with
-          | None -> ()
-          | Some (seq, payload, flags) ->
-              (* Timeout: resend the oldest unacknowledged segment. *)
-              if c.rto_backoff < max_rto_backoff then
-                c.rto_backoff <- c.rto_backoff * 2;
-              (try send_segment c ~seq ~flags ~payload with
-              | Stack.Unreachable _ | Stack.No_route _ -> ());
-              arm_rto c
-        end)
-  end
-
-and send_segment c ~seq ~flags ~payload =
+let send_segment c ~seq ~flags ~payload =
   let header =
     {
       T.tcp_src_port = c.key.local_port;
@@ -182,10 +173,57 @@ and send_segment c ~seq ~flags ~payload =
   in
   Stack.ip_send c.tcp.stack ~dst:c.key.peer_ip ~transport:(T.Tcp header) ~payload
 
-(* Transmit a sequence-consuming segment and keep it for retransmission. *)
+(* Resend the oldest unacknowledged segment. *)
+let resend_head c =
+  match Queue.peek_opt c.retx_queue with
+  | None -> ()
+  | Some (seq, payload, flags) -> (
+      try send_segment c ~seq ~flags ~payload
+      with Stack.Unreachable _ | Stack.No_route _ -> ())
+
+(* The retransmission timer (RFC 6298).  Starting or restarting it only
+   moves [rto_deadline]; one engine callback at a time acts for it, and
+   one that fires before the deadline waits again for it, so an ACK
+   costs no timer event.  A callback that a nearer deadline superseded
+   does nothing. *)
+let rec schedule_rto c at =
+  c.rto_pending <- true;
+  c.rto_pending_at <- at;
+  Sim.Engine.at (conn_engine c) at (fun () ->
+      if c.rto_pending && Sim.Time.equal at c.rto_pending_at then begin
+        c.rto_pending <- false;
+        if c.state <> Conn_closed then begin
+          prune_retx c;
+          if not (Queue.is_empty c.retx_queue) then
+            if Sim.Time.(Sim.Engine.now (conn_engine c) < c.rto_deadline) then
+              schedule_rto c c.rto_deadline
+            else begin
+              (* Timeout (§5.4–5.6): resend the oldest segment, back off
+                 and restart; the partial ACKs that follow resend the
+                 rest of what was in flight. *)
+              if c.rto_backoff < max_rto_backoff then c.rto_backoff <- c.rto_backoff * 2;
+              c.recovering <- true;
+              c.recover <- c.snd_nxt;
+              resend_head c;
+              restart_rto c
+            end
+        end
+      end)
+
+and restart_rto c =
+  let deadline =
+    Sim.Time.add (Sim.Engine.now (conn_engine c))
+      (Sim.Time.span_scale c.rto_backoff initial_rto)
+  in
+  c.rto_deadline <- deadline;
+  if (not c.rto_pending) || Sim.Time.(deadline < c.rto_pending_at) then
+    schedule_rto c deadline
+
+(* Transmit a sequence-consuming segment and keep it for retransmission;
+   the first one in flight starts the timer (§5.1). *)
 let send_tracked c ~seq ~flags ~payload =
+  if Queue.is_empty c.retx_queue then restart_rto c;
   Queue.push (seq, payload, flags) c.retx_queue;
-  arm_rto c;
   send_segment c ~seq ~flags ~payload
 
 (* --- The cork's runs --- *)
@@ -412,9 +450,21 @@ let abort c =
 
 let handle_ack c (h : T.tcp) =
   if h.T.flags.T.ack then begin
-    if seq_lt c.snd_una h.T.ack_seq then c.snd_una <- h.T.ack_seq;
+    let acked_new = seq_lt c.snd_una h.T.ack_seq in
+    if acked_new then c.snd_una <- h.T.ack_seq;
     c.peer_window <- h.T.window * window_scale;
     prune_retx c;
+    (* An ACK of new data restarts the timer (RFC 6298 §5.3).  After a
+       timeout, one that stops short of [recover] is partial: the
+       segment it leaves first was lost with the one the timeout
+       resent, so it goes now, not a timeout later (RFC 6582). *)
+    if acked_new then begin
+      if c.recovering && not (seq_lt c.snd_una c.recover) then c.recovering <- false;
+      if not (Queue.is_empty c.retx_queue) then begin
+        restart_rto c;
+        if c.recovering then resend_head c
+      end
+    end;
     (* Autocork: the flight just drained — a corked tail must not sit
        waiting for application bytes that may never come.  Under a
        congestion signal the flush is deferred: the tail waits for the
@@ -495,10 +545,11 @@ let handle_segment_for_conn c ~release (h : T.tcp) (payload : View.t) =
             in
             let filled = drain false in
             Sim.Condition.broadcast c.data_arrived;
-            (* A segment that fills a gap is acknowledged at once
-               (RFC 5681 §4.2): the sender is waiting on its RTO for
-               exactly this, and the held data behind it is ours. *)
-            if filled then send_pure_ack c
+            (* A segment that fills all or part of a gap is acknowledged
+               at once (RFC 5681 §4.2): the sender is recovering the
+               gap, one segment per ACK, and the held data behind it is
+               ours. *)
+            if filled || c.ooo_segments <> [] then send_pure_ack c
             else ack_received_data c ~pushed:h.T.flags.T.psh
           end
           else if seq_lt h.T.seq c.rcv_nxt then
@@ -563,8 +614,12 @@ let make_conn t ~key ~mss ~state ~isn =
     unacked_segments = 0;
     ooo_segments = [];
     retx_queue = Queue.create ();
-    rto_armed = false;
+    rto_deadline = Sim.Time.zero;
+    rto_pending = false;
+    rto_pending_at = Sim.Time.zero;
     rto_backoff = 1;
+    recovering = false;
+    recover = isn;
     data_arrived = Sim.Condition.create ();
     state_changed = Sim.Condition.create ();
     sent_bytes = 0;

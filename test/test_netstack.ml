@@ -764,6 +764,84 @@ let test_tcp_survives_total_blackout () =
       Alcotest.(check bool) "stream completed after blackout" true
         (Bytes.equal data !got))
 
+(* A stream over a by-reference cable that drops the data segments
+   [drop] (counted from 1) and records when each data segment left and
+   whether its sequence space had been sent before.  Returns the
+   simulated time the server had read all of [writes], counted from the
+   first write, and the sequence numbers resent. *)
+let stream_with_drops engine ~drop writes =
+  let seen = ref 0 and sent_end = ref None and resent = ref [] in
+  let keep packet =
+    match data_segment packet with
+    | Some (seq, v) ->
+        incr seen;
+        (match !sent_end with
+        | Some e when Tcp.seq_lt seq e -> resent := seq :: !resent
+        | _ -> ());
+        let e = Tcp.seq_add seq v.Netcore.View.len in
+        (match !sent_end with
+        | Some prev when not (Tcp.seq_lt prev e) -> ()
+        | _ -> sent_end := Some e);
+        not (drop !seen)
+    | None -> true
+  in
+  let a, b = make_ref_pair engine ~keep in
+  let listener =
+    match Tcp.listen b.tcp ~port:80 with Ok l -> l | Error _ -> Alcotest.fail "listen"
+  in
+  let total = List.fold_left (fun n w -> n + Bytes.length w) 0 writes in
+  let done_at = ref None in
+  Sim.Engine.spawn engine (fun () ->
+      let conn = Tcp.accept listener in
+      let got = ref 0 in
+      while !got < total do
+        let chunk = Tcp.recv conn ~max:65536 in
+        if Bytes.length chunk = 0 then Alcotest.fail "stream ended early";
+        got := !got + Bytes.length chunk
+      done;
+      done_at := Some (Sim.Engine.now engine));
+  let conn =
+    match Tcp.connect a.tcp ~dst:(Stack.ip_addr b.stack) ~dst_port:80 () with
+    | Ok c -> c
+    | Error _ -> Alcotest.fail "connect"
+  in
+  let t0 = Sim.Engine.now engine in
+  List.iter (Tcp.send conn) writes;
+  while !done_at = None do
+    Sim.Engine.sleep (Sim.Time.ms 1)
+  done;
+  (Sim.Time.to_ms_f (Sim.Time.diff (Option.get !done_at) t0), List.rev !resent)
+
+(* The retransmission timer restarts on every ACK of new data (RFC 6298
+   §5.3), so a stream that never loses a frame never times out, however
+   long it runs.  Armed once at the first segment, it fired 200 ms into
+   the stream and resent data that was merely in flight. *)
+let test_tcp_lossless_stream_no_timeout () =
+  run_sim (fun engine ->
+      let write = Bytes.init 65_536 (fun i -> Char.chr (i land 0xff)) in
+      let ms, resent =
+        stream_with_drops engine ~drop:(fun _ -> false) (List.init 2000 (fun _ -> write))
+      in
+      Alcotest.(check bool) (Printf.sprintf "the stream outlasts the RTO (%.0f ms)" ms) true
+        (ms > 250.);
+      Alcotest.(check int) "no segment resent" 0 (List.length resent))
+
+(* A blackout that drops K consecutive segments: the timeout resends the
+   first, and each partial ACK that follows resends the next hole at
+   once (RFC 6582), so the stream completes one timeout and about K
+   round trips after the loss, not K doubled timeouts later. *)
+let test_tcp_blackout_recovers_per_round_trip () =
+  run_sim (fun engine ->
+      let k = 8 in
+      let write = Bytes.init (30 * 1460) (fun i -> Char.chr (i * 3 land 0xff)) in
+      let ms, resent =
+        stream_with_drops engine ~drop:(fun n -> n >= 3 && n < 3 + k) [ write ]
+      in
+      Alcotest.(check int) "each lost segment resent once" k (List.length resent);
+      Alcotest.(check bool)
+        (Printf.sprintf "done within one RTO and a few ms (%.1f ms)" ms)
+        true (ms < 210.))
+
 let prop_tcp_random_loss =
   QCheck.Test.make ~name:"tcp stream survives random frame loss" ~count:12
     QCheck.(pair (int_range 0 10_000) (int_range 5 25))
@@ -955,6 +1033,10 @@ let suites =
           test_tcp_recv_hands_over_xenloop_chunk;
         Alcotest.test_case "survives total blackout" `Quick
           test_tcp_survives_total_blackout;
+        Alcotest.test_case "a lossless stream never times out" `Quick
+          test_tcp_lossless_stream_no_timeout;
+        Alcotest.test_case "a blackout recovers one hole per round trip" `Quick
+          test_tcp_blackout_recovers_per_round_trip;
       ]
       @ [ QCheck_alcotest.to_alcotest prop_tcp_random_loss ]
       @ [ QCheck_alcotest.to_alcotest prop_tcp_stream_integrity ] );
