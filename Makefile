@@ -78,14 +78,15 @@ soak-wide: build
 
 # Paired benchmark comparison, opt-in and not part of `ci`: export
 # PARENT (default HEAD^, the commit before the current one; PARENT=HEAD
-# compares uncommitted changes) into _build/pair/, then run workload W
-# N times in each tree, alternating which tree goes first, with seed
-# 1000+i for pair i and the benchmark's own run length
+# compares uncommitted changes) into _build/pair/, then run each
+# workload listed in W N times in each tree, alternating which tree goes
+# first, with seed 1000+i for pair i and the benchmark's own run length
 # (benchmark/README.md, "Comparing two commits").  Runs append to
 # _build/pair/parent.jsonl and _build/pair/child.jsonl; `run.exe
-# --compare` judges them at the end.  Each run takes about half a
-# minute, so N=10 takes about ten minutes.
+# --compare` judges every workload in them at the end.  Each run takes
+# about half a minute, so N=10 takes about ten minutes per workload.
 #   make bench-pair W=bulk N=10
+#   make bench-pair W="bulk mixed rpc netfront mesh" N=10
 W ?= bulk
 N ?= 10
 PARENT ?= HEAD^
@@ -94,17 +95,19 @@ bench-pair:
 	git archive $(PARENT) | tar -x -C _build/pair
 	@set -e; \
 	run() { \
-	  (cd $$1 && bash benchmark/run.sh --workload $(W) --seed $$2 \
-	     --json $(CURDIR)/_build/pair/$$3.jsonl > /dev/null); \
+	  (cd $$1 && bash benchmark/run.sh --workload $$2 --seed $$3 \
+	     --json $(CURDIR)/_build/pair/$$4.jsonl > /dev/null); \
 	}; \
 	for i in $$(seq 1 $(N)); do \
 	  seed=$$((1000 + i)); \
-	  echo "pair $$i/$(N): $(W) seed $$seed"; \
-	  if [ $$((i % 2)) = 1 ]; then \
-	    run _build/pair $$seed parent; run . $$seed child; \
-	  else \
-	    run . $$seed child; run _build/pair $$seed parent; \
-	  fi; \
+	  for w in $(W); do \
+	    echo "pair $$i/$(N): $$w seed $$seed"; \
+	    if [ $$((i % 2)) = 1 ]; then \
+	      run _build/pair $$w $$seed parent; run . $$w $$seed child; \
+	    else \
+	      run . $$w $$seed child; run _build/pair $$w $$seed parent; \
+	    fi; \
+	  done; \
 	done
 	./_build/default/benchmark/run.exe --compare _build/pair/parent.jsonl _build/pair/child.jsonl
 

@@ -4,10 +4,14 @@
     three-way handshake, MSS segmentation against the path MTU, sliding
     window flow control with a 16-bit advertised window, cumulative ACKs,
     window-update ACKs on receive-buffer drain, FIN/RST teardown.
-    Simplified where the substrate guarantees make machinery moot: all
-    simulated channels are lossless and ordered, so there is no
-    retransmission, reordering queue, or congestion control (the paper's
-    testbed is a single switched LAN).  Sequence numbers use serial
+    Simplified where the substrate guarantees make machinery moot: the
+    simulated channels are lossless and ordered unless a fault drops
+    frames (vif detach, migration blackout, chaos), so loss recovery is
+    a retransmission timer that restarts on every ACK of new data
+    (RFC 6298) and resends each further hole on a partial ACK after a
+    timeout (RFC 6582), with out-of-order reassembly at the receiver and
+    no congestion control (the paper's testbed is a single switched
+    LAN).  Sequence numbers use serial
     (wrap-around) arithmetic and are exercised across the wrap in tests. *)
 
 type t
@@ -45,9 +49,12 @@ val send : conn -> Bytes.t -> unit
 
     Segments are views of the buffer, not copies, and the stack keeps
     them for retransmission until they are acknowledged, as
-    {!Udp.sendto} keeps its datagram: the caller must not change the
-    buffer after the call.  Sending the same unchanged buffer again is
-    fine.
+    {!Udp.sendto} keeps its datagram.  A corked tail is a view too: it
+    leaves later, gathered with the bytes of the next write into one
+    segment.  So the caller must leave [data] unchanged until every byte
+    of it is acknowledged, a corked tail included, which in practice
+    means never changing it after the call.  Sending the same unchanged
+    buffer again is fine.
     @raise Tcp_error if the connection is closed under us. *)
 
 val set_nodelay : conn -> bool -> unit
