@@ -30,18 +30,29 @@ let iter_range v ~pos ~len f =
 
 let iter v f = iter_range v ~pos:0 ~len:v.len f
 
+(* The usual case (a TCP cork flush: two or three one-run views, none
+   empty) takes one array and one record. *)
 let concat views =
-  match List.filter (fun v -> v.len > 0) (Array.to_list views) with
-  | [] -> empty
-  | [ v ] -> v
-  | vs ->
-      let runs = ref [] in
-      List.iter
-        (fun v -> iter v (fun buf off len -> runs := { buf; off; len; kind = Plain } :: !runs))
-        vs;
-      let runs = Array.of_list (List.rev !runs) in
-      let len = Array.fold_left (fun n r -> n + r.len) 0 runs in
-      { buf = Bytes.empty; off = 0; len; kind = Gather runs }
+  let nonempty = ref 0 and flat = ref true and len = ref 0 and last = ref empty in
+  for i = 0 to Array.length views - 1 do
+    let v = views.(i) in
+    if v.len > 0 then begin
+      incr nonempty;
+      len := !len + v.len;
+      last := v;
+      match v.kind with Plain -> () | Fresh | Gather _ -> flat := false
+    end
+  done;
+  if !nonempty <= 1 then !last
+  else if !flat && !nonempty = Array.length views then
+    { buf = Bytes.empty; off = 0; len = !len; kind = Gather (Array.copy views) }
+  else begin
+    let runs = ref [] in
+    Array.iter
+      (fun v -> iter v (fun buf off len -> runs := { buf; off; len; kind = Plain } :: !runs))
+      views;
+    { buf = Bytes.empty; off = 0; len = !len; kind = Gather (Array.of_list (List.rev !runs)) }
+  end
 
 (* A range that lies inside one run of a gather is that run's own view,
    so whatever reads it next takes the contiguous path. *)

@@ -12,7 +12,7 @@ let pp_error fmt = function
 exception Tcp_error of error
 
 let ephemeral_base = 32768
-let initial_rto = Sim.Time.ms 200
+let initial_rto_ns = 200_000_000
 let max_rto_backoff = 16
 
 (* 256 KiB receive buffer with a fixed window scale of 4 (RFC 1323 style:
@@ -94,11 +94,12 @@ type conn = {
      segment is a view of the application's write (or of a cork flush),
      so keeping it copies nothing. *)
   retx_queue : (int32 * View.t * Netcore.Transport.tcp_flags) Queue.t;
-  mutable rto_deadline : Sim.Time.t;
-      (** when the retransmission timer expires; it runs while
-          [retx_queue] holds a segment *)
+  mutable rto_deadline : int;
+      (** when the retransmission timer expires, in simulated ns (an
+          [int], so restarting it on an ACK allocates nothing); it runs
+          while [retx_queue] holds a segment *)
   mutable rto_pending : bool;
-  mutable rto_pending_at : Sim.Time.t;
+  mutable rto_pending_at : int;
       (** the one engine callback that acts for the timer, and when it
           fires *)
   mutable rto_backoff : int;
@@ -186,17 +187,18 @@ let resend_head c =
    one that fires before the deadline waits again for it, so an ACK
    costs no timer event.  A callback that a nearer deadline superseded
    does nothing. *)
+let now_ns c = Int64.to_int (Sim.Time.instant_to_ns (Sim.Engine.now (conn_engine c)))
+
 let rec schedule_rto c at =
   c.rto_pending <- true;
   c.rto_pending_at <- at;
-  Sim.Engine.at (conn_engine c) at (fun () ->
-      if c.rto_pending && Sim.Time.equal at c.rto_pending_at then begin
+  Sim.Engine.at (conn_engine c) (Sim.Time.instant_of_ns (Int64.of_int at)) (fun () ->
+      if c.rto_pending && at = c.rto_pending_at then begin
         c.rto_pending <- false;
         if c.state <> Conn_closed then begin
           prune_retx c;
           if not (Queue.is_empty c.retx_queue) then
-            if Sim.Time.(Sim.Engine.now (conn_engine c) < c.rto_deadline) then
-              schedule_rto c c.rto_deadline
+            if now_ns c < c.rto_deadline then schedule_rto c c.rto_deadline
             else begin
               (* Timeout (§5.4–5.6): resend the oldest segment, back off
                  and restart; the partial ACKs that follow resend the
@@ -211,13 +213,9 @@ let rec schedule_rto c at =
       end)
 
 and restart_rto c =
-  let deadline =
-    Sim.Time.add (Sim.Engine.now (conn_engine c))
-      (Sim.Time.span_scale c.rto_backoff initial_rto)
-  in
+  let deadline = now_ns c + (c.rto_backoff * initial_rto_ns) in
   c.rto_deadline <- deadline;
-  if (not c.rto_pending) || Sim.Time.(deadline < c.rto_pending_at) then
-    schedule_rto c deadline
+  if (not c.rto_pending) || deadline < c.rto_pending_at then schedule_rto c deadline
 
 (* Transmit a sequence-consuming segment and keep it for retransmission;
    the first one in flight starts the timer (§5.1). *)
@@ -302,18 +300,15 @@ let cork_take c len =
   done;
   let whole = !k and part = len - !taken in
   let payload =
-    if part = 0 && whole = 1 then c.cork.(0)
-    else if whole = 0 then View.sub c.cork.(0) ~off:0 ~len:part
-    else
-      View.concat
-        (Array.init
-           (if part > 0 then whole + 1 else whole)
-           (fun i -> if i < whole then c.cork.(i) else View.sub c.cork.(i) ~off:0 ~len:part))
+    if part = 0 then View.concat (Array.sub c.cork 0 whole)
+    else begin
+      let r = c.cork.(whole) in
+      c.cork.(whole) <- View.sub r ~off:0 ~len:part;
+      let payload = View.concat (Array.sub c.cork 0 (whole + 1)) in
+      c.cork.(whole) <- View.sub r ~off:part ~len:(r.View.len - part);
+      payload
+    end
   in
-  if part > 0 then begin
-    let r = c.cork.(whole) in
-    c.cork.(whole) <- View.sub r ~off:part ~len:(r.View.len - part)
-  end;
   let left = c.cork_runs - whole in
   Array.blit c.cork whole c.cork 0 left;
   (* Drop the sent runs' references: the retransmission queue holds
@@ -614,9 +609,9 @@ let make_conn t ~key ~mss ~state ~isn =
     unacked_segments = 0;
     ooo_segments = [];
     retx_queue = Queue.create ();
-    rto_deadline = Sim.Time.zero;
+    rto_deadline = 0;
     rto_pending = false;
-    rto_pending_at = Sim.Time.zero;
+    rto_pending_at = 0;
     rto_backoff = 1;
     recovering = false;
     recover = isn;

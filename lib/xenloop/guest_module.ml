@@ -595,23 +595,30 @@ let alloc_chunks pool chunk_slots =
    the packet, or a waiting frame's bytes behind an empty head — and
    return the descriptor's protocol hint. *)
 let write_jumbo t pool frame ~chunk_slots ~chunk_lens =
-  let write ~pos src ~src_off ~len =
-    Payload_pool.write_scatter pool ~off:0 ~slots:chunk_slots ~lens:chunk_lens ~pos ~src
-      ~src_off ~len
-  in
   match frame with
   | Jumbo packet ->
       let head = t.tx_head in
       let head_len = Netcore.Codec.serialize_head packet head in
-      write ~pos:0 head ~src_off:0 ~len:head_len;
-      (* A corked TCP segment's payload gathers runs of several writes. *)
-      let pos = ref head_len in
-      Netcore.View.iter (Netcore.Codec.tail packet) (fun buf off len ->
-          write ~pos:!pos buf ~src_off:off ~len;
-          pos := !pos + len);
+      Payload_pool.write_scatter pool ~off:0 ~slots:chunk_slots ~lens:chunk_lens ~pos:0
+        ~src:head ~src_off:0 ~len:head_len;
+      let tail = Netcore.Codec.tail packet in
+      (match tail.Netcore.View.kind with
+      | Netcore.View.Plain | Netcore.View.Fresh ->
+          Payload_pool.write_scatter pool ~off:0 ~slots:chunk_slots ~lens:chunk_lens
+            ~pos:head_len ~src:tail.Netcore.View.buf ~src_off:tail.Netcore.View.off
+            ~len:tail.Netcore.View.len
+      | Netcore.View.Gather _ ->
+          (* A corked TCP segment: its payload gathers runs of several
+             writes, each written where it lands in the frame. *)
+          let pos = ref head_len in
+          Netcore.View.iter tail (fun src src_off len ->
+              Payload_pool.write_scatter pool ~off:0 ~slots:chunk_slots ~lens:chunk_lens
+                ~pos:!pos ~src ~src_off ~len;
+              pos := !pos + len));
       proto_hint_of head
   | Raw raw ->
-      write ~pos:0 raw ~src_off:0 ~len:(Bytes.length raw);
+      Payload_pool.write_scatter pool ~off:0 ~slots:chunk_slots ~lens:chunk_lens ~pos:0
+        ~src:raw ~src_off:0 ~len:(Bytes.length raw);
       proto_hint_of raw
 
 (* Push one frame as a jumbo descriptor: allocate the scatter vector,
