@@ -662,6 +662,41 @@ let test_tcp_gathered_jumbo_resegmented () =
       Alcotest.(check bool) "every byte, in order" true
         (Bytes.equal (Bytes.cat first second) !got))
 
+(* A jumbo connection whose cork takes many writes between flushes:
+   after a runt, writes of 300 B (views) until the cork's runs run out,
+   then copies into the cork's own buffer, which fills and is carried
+   into a larger one; writes under 256 B are always copied.  The reader
+   starts late, so the first write fills the window and corked bytes
+   leave in window-sized parts.  Whatever the cork holds, the stream
+   arrives intact. *)
+let test_tcp_cork_of_many_writes_intact () =
+  run_sim (fun engine ->
+      let a, b = make_pair ~gso_size:16384 engine in
+      Stack.set_tx_jumbo_hint a.stack (Some (fun ~dst:_ -> 65535));
+      let listener =
+        match Tcp.listen b.tcp ~port:80 with Ok l -> l | Error _ -> Alcotest.fail "listen"
+      in
+      let writes =
+        Bytes.init ((3 * 65_495) + 500) (fun i -> Char.chr (i * 5 land 0xff))
+        :: List.init 400 (fun w ->
+               let len = if w mod 7 = 3 then 1 + (w mod 200) else 300 in
+               Bytes.init len (fun i -> Char.chr (((w * 31) + i) land 0xff)))
+      in
+      let total = List.fold_left (fun n w -> n + Bytes.length w) 0 writes in
+      let got = ref Bytes.empty in
+      Sim.Engine.spawn engine (fun () ->
+          let conn = Tcp.accept listener in
+          Sim.Engine.sleep (Sim.Time.ms 20);
+          got := Tcp.recv_exact conn total);
+      (match Tcp.connect a.tcp ~dst:(Stack.ip_addr b.stack) ~dst_port:80 () with
+      | Ok conn ->
+          List.iter (Tcp.send conn) writes;
+          Tcp.close conn
+      | Error _ -> Alcotest.fail "connect");
+      Sim.Engine.sleep (Sim.Time.sec 1);
+      Alcotest.(check bool) "every byte, in order" true
+        (Bytes.equal (Bytes.concat Bytes.empty writes) !got))
+
 let test_tcp_recv_copies_slices () =
   run_sim (fun engine ->
       let a, b = make_ref_pair engine ~keep:(fun _ -> true) in
@@ -1027,6 +1062,8 @@ let suites =
           test_tcp_partial_ack_prunes_by_sequence;
         Alcotest.test_case "a gathered jumbo is resegmented intact" `Quick
           test_tcp_gathered_jumbo_resegmented;
+        Alcotest.test_case "a cork of many writes stays intact" `Quick
+          test_tcp_cork_of_many_writes_intact;
         Alcotest.test_case "recv copies a slice and a by-reference buffer" `Quick
           test_tcp_recv_copies_slices;
         Alcotest.test_case "recv hands a xenloop chunk over" `Quick
