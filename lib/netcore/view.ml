@@ -2,8 +2,8 @@ type kind = Plain | Fresh | Gather of t array
 and t = { buf : Bytes.t; off : int; len : int; kind : kind }
 
 (* A gather is the bytes [off, off + len) of its runs laid end to end;
-   its [buf] is unused.  Runs are never gathers themselves, hold at
-   least one byte, and a gather has at least two of them. *)
+   its [buf] is unused.  Runs are never gathers themselves, and a gather
+   has at least two of them. *)
 
 let empty = { buf = Bytes.empty; off = 0; len = 0; kind = Plain }
 let of_bytes buf = { buf; off = 0; len = Bytes.length buf; kind = Plain }
@@ -30,29 +30,16 @@ let iter_range v ~pos ~len f =
 
 let iter v f = iter_range v ~pos:0 ~len:v.len f
 
-(* The usual case (a TCP cork flush: two or three one-run views, none
-   empty) takes one array and one record. *)
 let concat views =
-  let nonempty = ref 0 and flat = ref true and len = ref 0 and last = ref empty in
-  for i = 0 to Array.length views - 1 do
-    let v = views.(i) in
-    if v.len > 0 then begin
-      incr nonempty;
-      len := !len + v.len;
-      last := v;
-      match v.kind with Plain -> () | Fresh | Gather _ -> flat := false
-    end
-  done;
-  if !nonempty <= 1 then !last
-  else if !flat && !nonempty = Array.length views then
-    { buf = Bytes.empty; off = 0; len = !len; kind = Gather (Array.copy views) }
-  else begin
-    let runs = ref [] in
-    Array.iter
-      (fun v -> iter v (fun buf off len -> runs := { buf; off; len; kind = Plain } :: !runs))
-      views;
-    { buf = Bytes.empty; off = 0; len = !len; kind = Gather (Array.of_list (List.rev !runs)) }
-  end
+  match views with
+  | [||] -> empty
+  | [| v |] -> v
+  | _ ->
+      Array.iter
+        (fun v -> match v.kind with Gather _ -> invalid_arg "View.concat" | Plain | Fresh -> ())
+        views;
+      let len = Array.fold_left (fun n v -> n + v.len) 0 views in
+      { buf = Bytes.empty; off = 0; len; kind = Gather (Array.copy views) }
 
 (* A range that lies inside one run of a gather is that run's own view,
    so whatever reads it next takes the contiguous path. *)

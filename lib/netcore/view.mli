@@ -19,7 +19,7 @@ type kind =
   | Fresh  (** one run of a buffer made by {!of_fresh} *)
   | Gather of t array
       (** the view is bytes [off .. off + len - 1] of these runs laid end
-          to end, each a [Plain] view; [buf] is unused *)
+          to end, each a one-run view; [buf] is unused *)
 
 and t = private { buf : Bytes.t; off : int; len : int; kind : kind }
 
@@ -34,9 +34,9 @@ val of_fresh : Bytes.t -> t
     one else holds: the bytes a receive path parsed a frame into. *)
 
 val concat : t array -> t
-(** The bytes of the views one after another, without copying them: a
-    gather of their runs, or the one view itself when only one holds
-    any bytes. *)
+(** The bytes of one-run views one after another, without copying them:
+    a gather of them, or the view itself when there is one.
+    @raise Invalid_argument if one of them is a gather. *)
 
 val sub : t -> off:int -> len:int -> t
 (** [sub v ~off ~len] is the [len] bytes of [v] from [off] (relative to

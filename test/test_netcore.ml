@@ -1169,6 +1169,8 @@ let test_view_gather_bounds () =
     (raises (fun () -> View.blit v ~src_off:1 (Bytes.create 9) ~dst_off:0 ~len:5));
   Alcotest.(check bool) "blit past the destination" true
     (raises (fun () -> View.blit v ~src_off:0 (Bytes.create 4) ~dst_off:0 ~len:5));
+  Alcotest.(check bool) "a gather of gathers" true
+    (raises (fun () -> ignore (View.concat [| v; v |])));
   (* A range inside one run is that run's own view. *)
   let inside = View.sub v ~off:3 ~len:2 in
   Alcotest.(check bool) "one run" true (inside.View.kind = View.Plain);
