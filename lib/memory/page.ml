@@ -80,21 +80,23 @@ let create () =
 let id t = t.page_id
 
 let check_bounds ~what ~off ~len =
-  if off < 0 || len < 0 || off + len > size then
+  if off < 0 || len < 0 || off > size - len then
     invalid_arg (Printf.sprintf "Page.%s: out of bounds (off=%d len=%d)" what off len)
 
 (* After [check_bounds] every page index below is in range, so the bodies
-   use unchecked accessors. *)
+   use unchecked accessors.  The checks compare [off] with [size - len]
+   rather than [off + len] with [size]: the sum wraps for an [off] near
+   [max_int] and would let a copy through. *)
 
 let write t ~off ~src ~src_off ~len =
   check_bounds ~what:"write" ~off ~len;
-  if src_off < 0 || src_off + len > Bytes.length src then
+  if src_off < 0 || src_off > Bytes.length src - len then
     invalid_arg "Page.write: source range out of bounds";
   memcpy_to_page t.data off src src_off len
 
 let read t ~off ~dst ~dst_off ~len =
   check_bounds ~what:"read" ~off ~len;
-  if dst_off < 0 || dst_off + len > Bytes.length dst then
+  if dst_off < 0 || dst_off > Bytes.length dst - len then
     invalid_arg "Page.read: destination range out of bounds";
   memcpy_from_page t.data off dst dst_off len
 

@@ -59,6 +59,9 @@ let test_page_copy_bounds_move_nothing () =
       ("buffer offset + len past the buffer", 0, 8, 60);
       ("buffer offset past the buffer", 0, 1, 64);
       ("len past the buffer", 0, 65, 0);
+      ("off near max_int", max_int, 8, 0);
+      ("buffer offset near max_int", 0, 8, max_int);
+      ("len near max_int", 0, max_int, 0);
     ]
   in
   List.iter
