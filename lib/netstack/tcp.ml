@@ -54,15 +54,10 @@ type conn = {
           write coalesces into the front of the next jumbo instead of
           leaving as a runt segment.  The first [cork_runs] entries are
           the corked bytes in order, as views of the application's
-          writes (which [send]'s contract pins until acknowledged) or of
-          [cork_own]; a flush sends them as one gathered view. *)
+          writes (which [send]'s contract pins until acknowledged); a
+          flush sends them as one gathered view. *)
   mutable cork_runs : int;
   mutable cork_len : int;
-  mutable cork_own : Bytes.t;
-      (** where short pieces are copied, so the cork holds few runs:
-          bytes [0, cork_own_used) belong to corked or sent runs and are
-          never written again; a full buffer is replaced, not reused *)
-  mutable cork_own_used : int;
   mutable nodelay : bool;
       (** TCP_NODELAY: latency-sensitive pipelined senders (MPI-style
           windowed workloads) opt out of autocorking entirely *)
@@ -226,67 +221,29 @@ let send_tracked c ~seq ~flags ~payload =
 
 (* --- The cork's runs --- *)
 
-(* A cork takes the runt of one write, whole writes that fit behind it
-   and the head of the write that fills it: a handful of runs.  The
-   bound keeps a flood of small writes from making a long gather. *)
+(* A cork holds the runt of one write, the whole writes that fit behind
+   it and the head of the write that fills it, each a view of its write.
+   On the benchmark's TCP streams (writes of 1-256 KiB) a flush gathers
+   2-6 runs as a rule and never more than 15 (bulk, mixed and netfront at
+   seeds 1-3), so 16 runs hold every cork those streams make; a cork that
+   would take a 17th run is collapsed first, so a flood of small writes
+   cannot make a long gather. *)
 let max_cork_runs = 16
 
-(* Pieces shorter than this are copied into [cork_own] rather than kept
-   as runs of their own. *)
-let cork_copy_max = 256
+(* Copy the corked bytes into one buffer of their own, the cork's only
+   run. *)
+let cork_collapse c =
+  let one = View.to_bytes (View.concat (Array.sub c.cork 0 c.cork_runs)) in
+  Array.fill c.cork 1 (c.cork_runs - 1) View.empty;
+  c.cork.(0) <- View.of_bytes one;
+  c.cork_runs <- 1
 
-let last_run_is_own c =
-  c.cork_runs > 0
-  &&
-  let r = c.cork.(c.cork_runs - 1) in
-  r.View.buf == c.cork_own && r.View.off + r.View.len = c.cork_own_used
-
-(* Cork [n] bytes of [src] from [off] by copying them into [cork_own]:
-   they extend the last run when it already ends there, else they start
-   a run.  Views of writes take at most [max_cork_runs - 1] runs (see
-   [cork_append]), so a cork with every run taken ends in an own run,
-   and only when [cork_own] has no room left for it must that run be
-   carried, copied, into a new buffer.  A new buffer has room for twice
-   what it takes (at least 1 KiB, at most the segment ceiling [cap]), so
-   a run of short writes copies each byte about once. *)
-let cork_copy c ~cap src ~off n =
-  let room = Bytes.length c.cork_own - c.cork_own_used in
-  let extend = last_run_is_own c && room >= n in
-  let carry =
-    if extend || c.cork_runs < max_cork_runs then 0
-    else c.cork.(c.cork_runs - 1).View.len
-  in
-  if (not extend) && room < carry + n then begin
-    c.cork_own <- Bytes.create (max (carry + n) (min cap (max 1024 (2 * (carry + n)))));
-    c.cork_own_used <- 0
-  end;
-  let start =
-    if extend then c.cork.(c.cork_runs - 1).View.off
-    else begin
-      if carry > 0 then begin
-        c.cork_runs <- c.cork_runs - 1;
-        View.blit c.cork.(c.cork_runs) ~src_off:0 c.cork_own ~dst_off:c.cork_own_used
-          ~len:carry
-      end;
-      c.cork_runs <- c.cork_runs + 1;
-      c.cork_own_used
-    end
-  in
-  Bytes.blit src off c.cork_own (c.cork_own_used + carry) n;
-  c.cork_own_used <- c.cork_own_used + carry + n;
-  c.cork.(c.cork_runs - 1) <-
-    View.sub (View.of_bytes c.cork_own) ~off:start ~len:(c.cork_own_used - start)
-
-(* Cork the [n] bytes of the write [whole] from [off]: a view of them,
-   or a copy when they are short or the runs are taken. *)
-let cork_append c ~cap whole ~off n =
+(* Cork the [n] bytes of the write [whole] from [off], as a view. *)
+let cork_append c whole ~off n =
   if n > 0 then begin
-    if n < cork_copy_max || c.cork_runs >= max_cork_runs - 1 then
-      cork_copy c ~cap whole.View.buf ~off n
-    else begin
-      c.cork.(c.cork_runs) <- View.sub whole ~off ~len:n;
-      c.cork_runs <- c.cork_runs + 1
-    end;
+    if c.cork_runs = max_cork_runs then cork_collapse c;
+    c.cork.(c.cork_runs) <- View.sub whole ~off ~len:n;
+    c.cork_runs <- c.cork_runs + 1;
     c.cork_len <- c.cork_len + n
   end
 
@@ -595,8 +552,6 @@ let make_conn t ~key ~mss ~state ~isn =
     cork = Array.make max_cork_runs View.empty;
     cork_runs = 0;
     cork_len = 0;
-    cork_own = Bytes.empty;
-    cork_own_used = 0;
     nodelay = false;
     congested = false;
     rcv_nxt = 0l;
@@ -785,7 +740,7 @@ let send c data =
          top up nothing and flush — the standard-path resegmenter cuts
          the oversized flush back to wire MSS. *)
       let n = max 0 (min (seg_limit - c.cork_len) (total - !off)) in
-      cork_append c ~cap:seg_limit whole ~off:!off n;
+      cork_append c whole ~off:!off n;
       off := !off + n;
       if c.cork_len >= seg_limit then flush_cork_blocking c
     end
@@ -804,7 +759,7 @@ let send c data =
            mid-write siblings carry no PSH and a delayed-ACK receiver
            would otherwise sit on the ACK the corked tail is waiting
            for. *)
-        cork_append c ~cap:seg_limit whole ~off:!off remaining;
+        cork_append c whole ~off:!off remaining;
         off := total
       end
       else if
@@ -819,7 +774,7 @@ let send c data =
            flight-drained autocork flush bounds its latency when the
            stream goes quiet.  Guarded on [seg_limit > conn_mss], so the
            per-MSS path never takes it. *)
-        cork_append c ~cap:seg_limit whole ~off:!off remaining;
+        cork_append c whole ~off:!off remaining;
         off := total
       end
       else if window_room <= 0 then Sim.Condition.await c.window_avail

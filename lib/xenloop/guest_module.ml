@@ -591,9 +591,10 @@ let alloc_chunks pool chunk_slots =
   done;
   !allocated
 
-(* Write the frame across its vector — headers and payload straight from
-   the packet, or a waiting frame's bytes behind an empty head — and
-   return the descriptor's protocol hint. *)
+(* Write the frame across its vector — the packet's headers, then its
+   payload run by run (a corked TCP segment gathers several writes), or a
+   serialized frame's bytes whole — and return the descriptor's protocol
+   hint. *)
 let write_jumbo t pool frame ~chunk_slots ~chunk_lens =
   match frame with
   | Jumbo packet ->
@@ -601,20 +602,11 @@ let write_jumbo t pool frame ~chunk_slots ~chunk_lens =
       let head_len = Netcore.Codec.serialize_head packet head in
       Payload_pool.write_scatter pool ~off:0 ~slots:chunk_slots ~lens:chunk_lens ~pos:0
         ~src:head ~src_off:0 ~len:head_len;
-      let tail = Netcore.Codec.tail packet in
-      (match tail.Netcore.View.kind with
-      | Netcore.View.Plain | Netcore.View.Fresh ->
+      let pos = ref head_len in
+      Netcore.View.iter (Netcore.Codec.tail packet) (fun src src_off len ->
           Payload_pool.write_scatter pool ~off:0 ~slots:chunk_slots ~lens:chunk_lens
-            ~pos:head_len ~src:tail.Netcore.View.buf ~src_off:tail.Netcore.View.off
-            ~len:tail.Netcore.View.len
-      | Netcore.View.Gather _ ->
-          (* A corked TCP segment: its payload gathers runs of several
-             writes, each written where it lands in the frame. *)
-          let pos = ref head_len in
-          Netcore.View.iter tail (fun src src_off len ->
-              Payload_pool.write_scatter pool ~off:0 ~slots:chunk_slots ~lens:chunk_lens
-                ~pos:!pos ~src ~src_off ~len;
-              pos := !pos + len));
+            ~pos:!pos ~src ~src_off ~len;
+          pos := !pos + len);
       proto_hint_of head
   | Raw raw ->
       Payload_pool.write_scatter pool ~off:0 ~slots:chunk_slots ~lens:chunk_lens ~pos:0

@@ -663,12 +663,11 @@ let test_tcp_gathered_jumbo_resegmented () =
         (Bytes.equal (Bytes.cat first second) !got))
 
 (* A jumbo connection whose cork takes many writes between flushes:
-   after a runt, writes of 300 B (views) until the cork's runs run out,
-   then copies into the cork's own buffer, which fills and is carried
-   into a larger one; writes under 256 B are always copied.  The reader
-   starts late, so the first write fills the window and corked bytes
-   leave in window-sized parts.  Whatever the cork holds, the stream
-   arrives intact. *)
+   after a runt, hundreds of writes of 1-300 B, so the cork runs out of
+   runs again and again and each time collapses into one copied run.
+   The reader starts late, so the first write fills the window and
+   corked bytes leave in window-sized parts.  Whatever the cork holds,
+   the stream arrives intact. *)
 let test_tcp_cork_of_many_writes_intact () =
   run_sim (fun engine ->
       let a, b = make_pair ~gso_size:16384 engine in
