@@ -108,12 +108,12 @@ let wire_seg_max dev =
 
 (* Software GSO fallback (DESIGN.md §15): a jumbo TCP frame the xenloop
    hook declined — the channel died between the send decision and the
-   hook, or steering diverted the flow — must not reach netfront or the
-   physical wire oversized.  Re-segment it into exactly the wire-MSS
-   frames the sender would have emitted without the hint: sequence
-   numbers advance per chunk, PSH/FIN ride only on the last chunk, each
-   chunk gets its own IP ident, and its payload is a view of the jumbo's,
-   not a copy.  Checksums need no special care here: elision exists only
+   hook or before a retransmission, or steering diverted the flow — must
+   not reach netfront or the physical wire oversized.  Re-segment it
+   into exactly the wire-MSS frames the sender would have emitted
+   without the hint: sequence numbers advance per chunk, PSH/FIN ride
+   only on the last chunk, each chunk gets its own IP ident, and its
+   payload is a view of the jumbo's, not a copy.  Checksums need no special care here: elision exists only
    in the FIFO's serialized bytes, and every device-boundary
    serialization recomputes them from scratch. *)
 let resegment_tcp t ~mss frame =
@@ -215,17 +215,17 @@ let send_ip_packet t ~dst ~dst_mac ~dev ~transport ~payload =
   in
   t.s_stats.tx_datagrams <- t.s_stats.tx_datagrams + 1;
   (* TSO: TCP super-frames bypass IP fragmentation — the device (or its
-     backend) segments them where the real wire needs it.  A jumbo hint
-     for this destination (gso xenloop channel, DESIGN.md §15) widens
-     the bypass further; if the hook then declines the frame,
-     [transmit_fragments] software-segments it back to wire MSS. *)
-  let limit =
+     backend) segments them where the real wire needs it.  A frame wider
+     than the device's budget — a jumbo for a gso xenloop channel
+     (DESIGN.md §15), or one resent after that channel is gone — reaches
+     the hooks whole; if they decline it, [transmit_fragments]
+     software-segments it back to wire MSS. *)
+  let frags =
     match (transport, Netdevice.gso_size dev) with
-    | T.Tcp _, Some gso ->
-        max (max (Netdevice.mtu dev) gso) (tx_jumbo_hint t ~dst) + 60
-    | (T.Tcp _ | T.Udp _ | T.Icmp _), _ -> Netdevice.mtu dev
+    | T.Tcp _, Some _ -> [ packet ]
+    | (T.Tcp _ | T.Udp _ | T.Icmp _), _ ->
+        Netcore.Fragment.fragment ~mtu:(Netdevice.mtu dev) packet
   in
-  let frags = Netcore.Fragment.fragment ~mtu:limit packet in
   transmit_fragments t dev frags
 
 (* ------------------------------------------------------------------ *)
