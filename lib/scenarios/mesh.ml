@@ -90,8 +90,7 @@ let make_host ~engine ~params ~switch ~index =
 
 let host_of_guest ~guests ~hosts idx = idx * hosts / guests
 
-let build ?(params = Params.default) ?fifo_k ?queues ?zerocopy ?loans
-    ~guests:n ~hosts:m () =
+let build ?(params = Params.default) ?fifo_k ~guests:n ~hosts:m () =
   if n < 2 then invalid_arg "Mesh.build: need at least two guests";
   if m < 1 then invalid_arg "Mesh.build: need at least one host";
   if m > n then invalid_arg "Mesh.build: more hosts than guests";
@@ -119,7 +118,7 @@ let build ?(params = Params.default) ?fifo_k ?queues ?zerocopy ?loans
         let g_module =
           Gm.create ~domain ~stack:ep.Endpoint.stack
             ~current_machine:(fun () -> host.h_machine)
-            ?fifo_k ?max_queues:queues ?zerocopy ?loans ()
+            ?fifo_k ()
         in
         { g_index = idx; g_host = hi; g_domain = domain; g_endpoint = ep;
           g_module })

@@ -43,14 +43,14 @@ type t = {
 val build :
   ?params:Params.t ->
   ?fifo_k:int ->
-  ?queues:int ->
-  ?zerocopy:bool ->
-  ?loans:bool ->
   guests:int ->
   hosts:int ->
   unit ->
   t
-(** Raises [Invalid_argument] unless 2 <= hosts <= guests (hosts >= 1). *)
+(** Every guest's module runs with [params] (default
+    {!Hypervisor.Params.default}): its queue count and rung are
+    [params.xenloop_queues] and [params.xenloop_rung].  Raises
+    [Invalid_argument] unless 1 <= hosts <= guests and guests >= 2. *)
 
 val guest_ip : int -> Netcore.Ip.t
 (** Address of the guest with the given global index: 10.2.x.y, unique

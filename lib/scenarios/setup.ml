@@ -86,7 +86,7 @@ let build_inter_machine ~params =
 (* --- Scenarios 2 and 3: two guests on one Xen machine --- *)
 
 let build_xen_machine ~params ~with_xenloop ~fifo_k ~client_queues ~server_queues
-    ~client_zerocopy ~server_zerocopy ~trace ~cpu_model =
+    ~client_rung ~server_rung ~trace ~cpu_model =
   let engine = Sim.Engine.create () in
   let machine = Machine.create ~engine ~params ~id:0 ?cpu_model () in
   let dom0 = Machine.dom0 machine in
@@ -98,9 +98,15 @@ let build_xen_machine ~params ~with_xenloop ~fifo_k ~client_queues ~server_queue
       ~ip:(Domain.ip dom0) ~mac:(Domain.mac dom0)
   in
   attach_stack_to_bridge ~params ~bridge ~stack:dom0_ep.Endpoint.stack ~name:"dom0-vif";
-  let make_guest i =
+  let make_guest i rung =
     let name = Printf.sprintf "guest%d" i in
     let domain = Machine.create_domain machine ~name ~ip:(Netcore.Ip.make ~subnet:2 ~host:i) in
+    (* A module advertises its own stack's rung. *)
+    let params =
+      match rung with
+      | Some r -> { params with Params.xenloop_rung = r }
+      | None -> params
+    in
     let ep =
       Endpoint.make ~engine ~params ~cpu:(Domain.cpu domain) ~name
         ~ip:(Domain.ip domain) ~mac:(Domain.mac domain)
@@ -110,19 +116,19 @@ let build_xen_machine ~params ~with_xenloop ~fifo_k ~client_queues ~server_queue
     in
     (domain, ep)
   in
-  let _d1, client = make_guest 1 in
-  let _d2, server = make_guest 2 in
+  let _d1, client = make_guest 1 client_rung in
+  let _d2, server = make_guest 2 server_rung in
   let modules, discovery =
     if with_xenloop then begin
       let m1 =
         Xenloop.Guest_module.create ~domain:_d1 ~stack:client.Endpoint.stack
           ~current_machine:(fun () -> machine)
-          ?fifo_k ?max_queues:client_queues ?zerocopy:client_zerocopy ?trace ()
+          ?fifo_k ?max_queues:client_queues ?trace ()
       in
       let m2 =
         Xenloop.Guest_module.create ~domain:_d2 ~stack:server.Endpoint.stack
           ~current_machine:(fun () -> machine)
-          ?fifo_k ?max_queues:server_queues ?zerocopy:server_zerocopy ?trace ()
+          ?fifo_k ?max_queues:server_queues ?trace ()
       in
       let discovery =
         Xenloop.Discovery.start ~machine ~dom0_stack:dom0_ep.Endpoint.stack ()
@@ -247,14 +253,14 @@ let build_cluster ?(params = Params.default) ?fifo_k ?queues ?cpu_model ~guests:
     c_discovery = discovery; c_warmup }
 
 let build ?(params = Params.default) ?fifo_k ?client_queues ?server_queues
-    ?client_zerocopy ?server_zerocopy ?trace ?cpu_model kind =
+    ?client_rung ?server_rung ?trace ?cpu_model kind =
   match kind with
   | Inter_machine -> build_inter_machine ~params
   | Netfront_netback ->
       build_xen_machine ~params ~with_xenloop:false ~fifo_k:None ~client_queues:None
-        ~server_queues:None ~client_zerocopy:None ~server_zerocopy:None ~trace
+        ~server_queues:None ~client_rung:None ~server_rung:None ~trace
         ~cpu_model
   | Xenloop_path ->
       build_xen_machine ~params ~with_xenloop:true ~fifo_k ~client_queues
-        ~server_queues ~client_zerocopy ~server_zerocopy ~trace ~cpu_model
+        ~server_queues ~client_rung ~server_rung ~trace ~cpu_model
   | Native_loopback -> build_native_loopback ~params

@@ -39,8 +39,8 @@ val build :
   ?fifo_k:int ->
   ?client_queues:int ->
   ?server_queues:int ->
-  ?client_zerocopy:bool ->
-  ?server_zerocopy:bool ->
+  ?client_rung:Hypervisor.Params.rung ->
+  ?server_rung:Hypervisor.Params.rung ->
   ?trace:Sim.Trace.t ->
   ?cpu_model:Hypervisor.Machine.cpu_model ->
   kind ->
@@ -49,9 +49,9 @@ val build :
     the XenLoop scenario (paper Fig. 5); [client_queues]/[server_queues]
     override each module's advertised queue count (default
     {!Hypervisor.Params.xenloop_queues}), letting tests exercise asymmetric
-    negotiation; [client_zerocopy]/[server_zerocopy] override each module's
-    zero-copy advertisement (default {!Hypervisor.Params.xenloop_zerocopy}),
-    so tests can pit a zero-copy module against a copy-only peer; [trace] is
+    negotiation; [client_rung]/[server_rung] override each guest's
+    {!Hypervisor.Params.t.xenloop_rung}, so tests can pit modules on
+    different rungs of the feature ladder against each other; [trace] is
     handed to the XenLoop modules; [cpu_model]
     selects dedicated vCPUs (default) or the credit scheduler for the Xen
     scenarios. *)

@@ -192,9 +192,10 @@ let test_large_packets_fall_back () =
 let test_waiting_list_engages_under_pressure () =
   (* A 2 KiB FIFO holds a single MTU-sized frame: a back-to-back burst must
      overflow onto the waiting list, and everything still arrives in
-     order.  Zero-copy stays off so the frames really are inline copies
-     rather than two-slot descriptors into the payload pool. *)
-  let params = { Hypervisor.Params.default with xenloop_zerocopy = false } in
+     order.  The channel stays below rung [Zerocopy] so the frames really
+     are inline copies rather than two-slot descriptors into the payload
+     pool. *)
+  let params = { Hypervisor.Params.default with xenloop_rung = Notify } in
   let duo = Setup.build ~params ~fifo_k:8 Setup.Xenloop_path in
   let m1, _ = modules_of duo in
   let client = host_of duo.Setup.client and server = host_of duo.Setup.server in
@@ -229,15 +230,15 @@ let test_queued_frames_charged_once () =
   (* Every frame that crosses the channel costs its sender exactly one
      [xenloop_fifo_op] plus one copy, whether it lands at once or waits
      on the waiting list because the ring was full: a push the ring
-     refuses is not charged.  Every other sender-side cost is zeroed so
-     the sender's vCPU busy time is the channel's charges alone; a 2 KiB
-     ring holds one 1400-byte datagram, so a burst must queue. *)
+     refuses is not charged.  At rung [Paper] every frame is its own
+     inline push; every other sender-side cost is zeroed so the sender's
+     vCPU busy time is the channel's charges alone; a 2 KiB ring holds
+     one 1400-byte datagram, so a burst must queue. *)
   let zero = Sim.Time.span_zero in
   let params =
     {
       Hypervisor.Params.default with
-      xenloop_zerocopy = false;
-      xenloop_batch_tx = false;
+      xenloop_rung = Paper;
       hypercall = zero;
       syscall = zero;
       udp_tx = zero;

@@ -155,32 +155,6 @@ let test_credit_exhaustion_transparent_copyout () =
       Alcotest.(check int) "all delivered via shortcut" n
         (Shortcut.received_via_shortcut sc2))
 
-let test_loans_disabled_world_uses_copyout () =
-  let params =
-    { Hypervisor.Params.default with Hypervisor.Params.xenloop_loans = false }
-  in
-  with_shortcut_world ~params (fun ~duo ~m1 ~m2 ~client ~server ~sc1:_ ~sc2 ->
-      Alcotest.(check bool) "no loan credit negotiated" false
-        (Gm.loans_active m1 ~domid:2);
-      let server_sock = bind_exn server.Workloads.Host.udp ~port:4004 () in
-      let client_sock = bind_exn client.Workloads.Host.udp () in
-      let n = 5 in
-      for i = 0 to n - 1 do
-        Udp.sendto client_sock ~dst:duo.Setup.server_ip ~dst_port:4004
-          (big_payload i)
-      done;
-      for i = 0 to n - 1 do
-        let _, _, got = Udp.recvfrom server_sock in
-        Alcotest.(check bytes)
-          (Printf.sprintf "payload %d identical" i)
-          (big_payload i) got
-      done;
-      let rx = Gm.stats m2 in
-      Alcotest.(check int) "no loans" 0 rx.Gm.loan_rx;
-      Alcotest.(check int) "no views" 0 (Shortcut.received_as_view sc2);
-      Alcotest.(check int) "no stalls either (credit is zero, not dry)" 0
-        rx.Gm.loan_credit_stalls)
-
 (* ------------------------------------------------------------------ *)
 (* Teardown force-returns leaked loans *)
 
@@ -303,8 +277,6 @@ let suites =
           test_view_release_idempotent;
         Alcotest.test_case "credit exhaustion degrades to copy-out" `Quick
           test_credit_exhaustion_transparent_copyout;
-        Alcotest.test_case "loans-off world uses copy-out" `Quick
-          test_loans_disabled_world_uses_copyout;
         Alcotest.test_case "teardown force-returns leaked loans" `Quick
           test_leak_force_return_on_teardown;
       ] );

@@ -197,9 +197,9 @@ let test_teardown_drains_under_suppression () =
      must still deliver every frame — channel contents via the peer's
      teardown drain, waiting-list contents via the standard path.  The two
      paths race, so we check the delivered multiset, not global order.
-     Zero-copy stays off: the burst must overflow the {e inline} path's
-     2 KiB capacity, not ride the descriptor pool. *)
-  let params = { Hypervisor.Params.default with xenloop_zerocopy = false } in
+     Rung [Notify]: the burst must overflow the {e inline} path's 2 KiB
+     capacity, not ride the descriptor pool. *)
+  let params = { Hypervisor.Params.default with xenloop_rung = Notify } in
   let duo = Setup.build ~params ~fifo_k:8 Setup.Xenloop_path in
   let m1, m2 = modules_of duo in
   let client = host_of duo.Setup.client and server = host_of duo.Setup.server in
@@ -227,16 +227,9 @@ let test_teardown_drains_under_suppression () =
         ((Gm.stats m2).Gm.channels_torn_down >= 1))
 
 let test_suppression_off_is_seed_baseline () =
-  (* With every knob off, the module must ring one doorbell per handled
-     event exactly like the seed: no suppression, no polling. *)
-  let params =
-    {
-      Hypervisor.Params.default with
-      xenloop_notify_suppression = false;
-      xenloop_batch_tx = false;
-      xenloop_poll_window = Sim.Time.span_zero;
-    }
-  in
+  (* At rung [Paper] the module must ring one doorbell per handled event
+     exactly like the seed: no suppression, no polling, no batches. *)
+  let params = { Hypervisor.Params.default with xenloop_rung = Paper } in
   let duo = Setup.build ~params Setup.Xenloop_path in
   let m1, m2 = modules_of duo in
   let client = host_of duo.Setup.client and server = host_of duo.Setup.server in

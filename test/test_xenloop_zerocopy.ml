@@ -258,37 +258,6 @@ let test_negotiation_enables_pools () =
         ((Gm.stats m1).Gm.desc_tx > 0);
       Alcotest.(check int) "nothing degraded" 0 (Gm.stats m1).Gm.pool_fallbacks)
 
-let test_negotiation_falls_back_without_peer_support () =
-  (* The server module predates zero-copy (does not advertise "zc"): the
-     handshake must produce a pool-less PR-2-style channel, and traffic —
-     including frames far above the inline threshold — still flows on the
-     copy path. *)
-  let duo = Setup.build ~server_zerocopy:false Setup.Xenloop_path in
-  let m1, m2 = modules_of duo in
-  let client = host_of duo.Setup.client and server = host_of duo.Setup.server in
-  Experiment.execute duo (fun () ->
-      Alcotest.(check bool) "channel up" true (Gm.has_channel_with m1 ~domid:2);
-      Alcotest.(check bool) "no pools on the client" false
-        (Gm.zerocopy_active m1 ~domid:2);
-      Alcotest.(check bool) "no pools on the server" false
-        (Gm.zerocopy_active m2 ~domid:1);
-      let before_rx = (Gm.stats m2).Gm.via_channel_rx in
-      let got =
-        udp_burst ~client ~server ~dst:duo.Setup.server_ip ~port:922 ~count:20
-          ~size:2000
-      in
-      Alcotest.(check (list char)) "delivered in order"
-        (List.init 20 (fun i -> Char.chr i))
-        got;
-      Alcotest.(check bool) "traffic used the channel" true
-        ((Gm.stats m2).Gm.via_channel_rx > before_rx);
-      Alcotest.(check int) "no descriptors ever sent" 0 (Gm.stats m1).Gm.desc_tx;
-      Alcotest.(check int) "everything inline" 0
-        (Array.fold_left
-           (fun acc q -> acc + q.Gm.qs_desc_tx)
-           0
-           (Gm.queue_stats m1 ~domid:2)))
-
 let test_slot_starvation_degrades_to_inline () =
   (* Two pool slots per queue and a receiver pinned off-CPU: a burst of
      large datagrams must exhaust the pool, degrade the overflow to the
@@ -544,16 +513,18 @@ let test_corrupt_pool_payload_is_dropped () =
    (its first push refused) is held as bytes with the checksum elided,
    which is put back in place.  Without it the receiver drops the frame
    and the data waits for a TCP retransmission timeout.  Only the push
-   that lands is charged: on a copy channel ([loans = false]) the sender
-   copies the degraded frame once, not once for the refused jumbo and
-   again for the inline entry. *)
+   that lands is charged: on a copy channel ([loans = false], a gso
+   channel negotiated with no loan credit) the sender copies the degraded
+   frame once, not once for the refused jumbo and again for the inline
+   entry. *)
 let degraded_jumbo_delivered ?(loans = true) ~wait_first () =
   let params =
     {
       Hypervisor.Params.default with
       Hypervisor.Params.xenloop_queues = 1;
       xenloop_pool_slot_pages = 1;
-      xenloop_loans = loans;
+      xenloop_max_loans =
+        (if loans then Hypervisor.Params.default.xenloop_max_loans else 0);
     }
   in
   let duo = Setup.build ~params Setup.Xenloop_path in
@@ -651,8 +622,6 @@ let suites =
           test_push_burst_reports_paths;
         Alcotest.test_case "negotiation enables pools" `Quick
           test_negotiation_enables_pools;
-        Alcotest.test_case "fallback without peer support" `Quick
-          test_negotiation_falls_back_without_peer_support;
         Alcotest.test_case "starved jumbo degrades with its checksum" `Quick
           (degraded_jumbo_delivered ~wait_first:false);
         Alcotest.test_case "starved jumbo on a copy channel is copied once"
