@@ -309,7 +309,6 @@ let ctrl_label = function
   | Xenloop.Proto.Request_channel _ -> "request"
   | Xenloop.Proto.Create_channel _ -> "create"
   | Xenloop.Proto.Channel_ack _ -> "ack"
-  | Xenloop.Proto.Announce _ -> "announce"
   | Xenloop.Proto.Delta_announce _ -> "delta"
   | Xenloop.Proto.App_payload _ -> "payload"
 
@@ -427,8 +426,7 @@ let wire w plan rec_ =
                    Gm.Ctrl_delay d
                  end
                  else Gm.Ctrl_pass
-             | Xenloop.Proto.Announce _ | Xenloop.Proto.Delta_announce _
-             | Xenloop.Proto.App_payload _ ->
+             | Xenloop.Proto.Delta_announce _ | Xenloop.Proto.App_payload _ ->
                  Gm.Ctrl_pass));
       Gm.set_push_fault_injector m
         (Some

@@ -49,26 +49,15 @@ let scan t =
         match Xenstore.read xs ~caller:Xenstore.dom0 ~path:(advert_path ~domid) with
         | Error _ -> None
         | Ok advert -> (
-            (* The advert value is the guest's queue count, optionally
-               followed by capability tokens ("4 zc" for a zero-copy
-               guest).  The original single-queue module wrote "1", and
-               anything unparsable is treated the same way (version
-               gating); an old Dom0 reading "4 zc" likewise fails its
-               int parse and falls back to one queue, no pools. *)
-            let queues, zc, loans, gso =
+            (* The advert value is the guest's queue count and its rung
+               ("4 gso"); anything else reads as one queue at [Paper]. *)
+            let queues, rung =
               match String.split_on_char ' ' (String.trim advert) with
-              | count :: caps ->
-                  ( (match int_of_string_opt count with
-                    | Some q when q >= 1 -> q
-                    | Some _ | None -> 1),
-                    List.mem "zc" caps,
-                    (* Loans and gso ride on top of the descriptor
-                       channel; an advert claiming "ln" or "gs" without
-                       "zc" is malformed and version-gates down to plain
-                       zero-copy-off. *)
-                    List.mem "zc" caps && List.mem "ln" caps,
-                    List.mem "zc" caps && List.mem "gs" caps )
-              | [] -> (1, false, false, false)
+              | [ count; token ] -> (
+                  match (int_of_string_opt count, Hypervisor.Params.rung_of_name token) with
+                  | Some q, Some r when q >= 1 -> (q, r)
+                  | _ -> (1, Hypervisor.Params.Paper))
+              | _ -> (1, Hypervisor.Params.Paper)
             in
             match
               ( Xenstore.read xs ~caller:Xenstore.dom0
@@ -85,9 +74,7 @@ let scan t =
                         entry_mac = mac;
                         entry_ip = ip;
                         entry_queues = queues;
-                        entry_zc = zc;
-                        entry_loans = loans;
-                        entry_gso = gso;
+                        entry_rung = rung;
                       }
                 | _ -> None)
             | _ -> None))

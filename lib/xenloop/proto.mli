@@ -5,55 +5,30 @@
     bootstrap handshake between guests, carried over the standard
     netfront–netback path while the fast channel does not exist yet.
 
-    {b Queue-count negotiation.}  Multi-queue channels (an engineering
-    extension over the paper's single FIFO pair) negotiate their queue
-    count through this protocol: each guest advertises its
-    {!Hypervisor.Params.t.xenloop_queues} in its XenStore advert, Dom0
-    relays it in the {!Announce} entries, and the listener allocates
-    [min(own, peer's advertised)] queue pairs.  The wire format is
-    version-gated: the original single-queue tags are emitted bit-for-bit
-    whenever a count of 1 is being expressed, so a queues=1 peer
-    interoperates unchanged and a negotiated-to-1 handshake is exactly the
-    paper-faithful byte stream.
+    {b Negotiation.}  Each guest advertises its queue count and its rung
+    of the feature ladder ({!Hypervisor.Params.rung}) in its XenStore
+    advert; Dom0 relays both in its {!Delta_announce} entries, and the
+    connector repeats its own in {!Request_channel}.  The listener
+    allocates [min(own, peer's)] queue pairs and sets the channel up at
+    the lower of the two rungs: payload pools from [Zerocopy], and on
+    the pools' control pages a loan credit from [Loans] and a jumbo
+    ceiling from [Gso], so {!Create_channel} needs no capability of its
+    own.
 
-    {b Zero-copy negotiation} (DESIGN.md §7) gates the same way: the
-    zero-copy capability bit and the payload-pool grants ride dedicated
-    tags emitted only when the capability is actually being expressed, so
-    a [xenloop_zerocopy=off] guest — or an old binary — keeps producing
-    and consuming the earlier byte streams unchanged and the channel
-    falls back to the inline copy path.
-
-    {b Loan negotiation} (DESIGN.md §11) adds one more rung: the
-    loaned-slot-receive capability bit rides tags emitted only when a
-    guest actually advertises it ([xenloop_loans] and zero-copy both on),
-    so every earlier configuration keeps its exact byte streams.
-    [Create_channel] needs no loan variant — the negotiated loan credit is
-    stamped into the payload-pool control page, not the wire format.
-
-    {b Segmentation-offload negotiation} (DESIGN.md §15) is the next
-    rung: the gso capability bit rides tags emitted only when a guest
-    actually advertises it ([xenloop_gso] on top of zero-copy), and —
-    like the loan credit — the negotiated jumbo ceiling travels as a
-    payload-pool control-page stamp, so [Create_channel] again needs no
-    variant and every gso-off configuration keeps its exact byte
-    streams. *)
+    {b Wire format.}  Each message has one layout, named by its first
+    byte: 16 {!Delta_announce}, 17 {!Request_channel}, 11
+    {!Create_channel}, 4 {!Channel_ack}, 5 {!App_payload}; any other tag
+    decodes to [Error].  A rung travels as three capability bytes (rung at
+    least [Zerocopy], [Loans], [Gso]); [Notify] needs no agreement and
+    travels as [Paper].  A triple that is not monotone decodes to the
+    highest rung all of its bytes up to that rung claim. *)
 
 type entry = {
   entry_domid : int;
   entry_mac : Netcore.Mac.t;
   entry_ip : Netcore.Ip.t;
-  entry_queues : int;
-      (** queue pairs this guest advertises per channel (1 for a
-          single-queue peer, and when decoded from the legacy format) *)
-  entry_zc : bool;
-      (** the guest advertises the zero-copy descriptor channel (false
-          when decoded from any pre-zero-copy format) *)
-  entry_loans : bool;
-      (** the guest advertises loaned-slot receive on top of zero-copy
-          (false when decoded from any pre-loan format) *)
-  entry_gso : bool;
-      (** the guest advertises jumbo-descriptor segmentation offload on
-          top of zero-copy (false when decoded from any pre-gso format) *)
+  entry_queues : int;  (** queue pairs this guest advertises per channel *)
+  entry_rung : Hypervisor.Params.rung;  (** the rung this guest advertises *)
 }
 
 type queue_grant = {
@@ -70,9 +45,6 @@ type queue_grant = {
 }
 
 type t =
-  | Announce of entry list
-      (** Dom0's collated [guest-ID, MAC, queues, zc] list of willing
-          guests. *)
   | Delta_announce of {
       da_base : int;
           (** the epoch this delta starts from — the recipient's acked
@@ -92,14 +64,11 @@ type t =
   | Request_channel of {
       requester_domid : int;
       max_queues : int;
-      zerocopy : bool;
-      loans : bool;
-      gso : bool;
+      rung : Hypervisor.Params.rung;
     }
       (** Sent by the higher-ID guest to ask the lower-ID guest (the
           listener) to create the channel resources; carries the
-          requester's advertised queue count and zero-copy/loan/gso
-          capabilities. *)
+          requester's advertised queue count and rung. *)
   | Create_channel of { listener_domid : int; queues : queue_grant list }
       (** One grant/port triple per negotiated queue (never empty). *)
   | Channel_ack of { connector_domid : int }

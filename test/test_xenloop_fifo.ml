@@ -157,69 +157,52 @@ let prop_fifo_wrap_stream =
 (* ------------------------------------------------------------------ *)
 (* Control protocol *)
 
+let entry ?(queues = 4) ?(rung = Hypervisor.Params.Gso) domid =
+  {
+    Proto.entry_domid = domid;
+    entry_mac = Mac.of_domid ~machine:0 ~domid;
+    entry_ip = Netcore.Ip.make ~subnet:2 ~host:domid;
+    entry_queues = queues;
+    entry_rung = rung;
+  }
+
+let pooled_queue i =
+  {
+    Proto.qg_lc_gref = 100 + i;
+    qg_cl_gref = 200 + i;
+    qg_port = 3 + i;
+    qg_lc_pool = Some (300 + i);
+    qg_cl_pool = Some (400 + i);
+  }
+
 let sample_messages =
   [
-    Proto.Announce [];
-    Proto.Announce
-      [
-        {
-          Proto.entry_domid = 1;
-          entry_mac = Mac.of_domid ~machine:0 ~domid:1;
-          entry_ip = Netcore.Ip.make ~subnet:2 ~host:1;
-          entry_queues = 1;
-          entry_zc = false;
-          entry_loans = false;
-          entry_gso = false;
-        };
-        {
-          Proto.entry_domid = 2;
-          entry_mac = Mac.of_domid ~machine:0 ~domid:2;
-          entry_ip = Netcore.Ip.make ~subnet:2 ~host:2;
-          entry_queues = 4;
-          entry_zc = true;
-          entry_loans = true;
-          entry_gso = true;
-        };
-      ];
-    Proto.Request_channel
-      { requester_domid = 7; max_queues = 1; zerocopy = false; loans = false; gso = false };
-    Proto.Request_channel
-      { requester_domid = 7; max_queues = 8; zerocopy = true; loans = true; gso = true };
+    Proto.Delta_announce
+      { da_base = 5; da_epoch = 5; da_full = false; da_joins = []; da_leaves = [] };
+    Proto.Delta_announce
+      {
+        da_base = 0;
+        da_epoch = 9;
+        da_full = true;
+        da_joins = [ entry ~queues:1 ~rung:Paper 1; entry 2 ];
+        da_leaves = [];
+      };
+    Proto.Delta_announce
+      {
+        da_base = 3;
+        da_epoch = 4;
+        da_full = false;
+        da_joins = [ entry ~rung:Loans 6 ];
+        da_leaves = [ 2; 7 ];
+      };
+    Proto.Request_channel { requester_domid = 7; max_queues = 1; rung = Paper };
+    Proto.Request_channel { requester_domid = 7; max_queues = 8; rung = Gso };
     Proto.Create_channel
       {
         listener_domid = 1;
-        queues =
-          [
-            {
-              Proto.qg_lc_gref = 123;
-              qg_cl_gref = 456;
-              qg_port = 3;
-              qg_lc_pool = None;
-              qg_cl_pool = None;
-            };
-          ];
+        queues = [ { (pooled_queue 0) with qg_lc_pool = None; qg_cl_pool = None } ];
       };
-    Proto.Create_channel
-      {
-        listener_domid = 1;
-        queues =
-          [
-            {
-              Proto.qg_lc_gref = 123;
-              qg_cl_gref = 456;
-              qg_port = 3;
-              qg_lc_pool = Some 77;
-              qg_cl_pool = Some 88;
-            };
-            {
-              Proto.qg_lc_gref = 789;
-              qg_cl_gref = 1011;
-              qg_port = 4;
-              qg_lc_pool = Some 99;
-              qg_cl_pool = Some 111;
-            };
-          ];
-      };
+    Proto.Create_channel { listener_domid = 1; queues = [ pooled_queue 0; pooled_queue 1 ] };
     Proto.Channel_ack { connector_domid = 9 };
     Proto.App_payload
       {
@@ -248,109 +231,155 @@ let test_proto_roundtrip () =
       | Error e -> Alcotest.failf "decode failed: %s" e)
     sample_messages
 
+let of_hex h =
+  Bytes.init (String.length h / 2) (fun i ->
+      Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+
 let test_proto_rejects_garbage () =
   (match Proto.decode (Bytes.of_string "\xFFgarbage") with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "decoded garbage tag");
-  match Proto.decode (Bytes.of_string "\x03\x00") with
+  (match Proto.decode (of_hex "0b0001") with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "decoded truncated message"
+  | Ok _ -> Alcotest.fail "decoded truncated message");
+  (* Every tag a message layout no longer uses is an error, however much
+     input follows it. *)
+  List.iter
+    (fun tag ->
+      let msg = Bytes.make 64 '\001' in
+      Bytes.set msg 0 (Char.chr tag);
+      match Proto.decode msg with
+      | Error _ -> ()
+      | Ok m -> Alcotest.failf "retired tag %d decoded as %a" tag Proto.pp m)
+    [ 1; 2; 3; 6; 7; 8; 9; 10; 12; 13; 14; 15 ];
+  (* Capability bytes that are not monotone read as the highest rung
+     every byte up to it agrees with. *)
+  List.iter
+    (fun (caps, rung) ->
+      match Proto.decode (of_hex ("1100070004" ^ caps)) with
+      | Ok (Proto.Request_channel r) ->
+          Alcotest.(check string) ("capabilities " ^ caps)
+            (Hypervisor.Params.rung_name rung)
+            (Hypervisor.Params.rung_name r.rung)
+      | Ok _ | Error _ -> Alcotest.failf "capabilities %s did not decode" caps)
+    Hypervisor.Params.
+      [ ("000101", Paper); ("010001", Zerocopy); ("000001", Paper); ("010100", Loans) ]
 
-(* Version gating: every message a single-queue endpoint can produce must
-   encode to exactly the original wire format — same tags, same bytes — so
-   a negotiated-to-1 handshake is indistinguishable from the paper-faithful
-   module on the wire. *)
-let test_proto_legacy_wire_format () =
-  let check_bytes name expect msg =
-    Alcotest.(check string) name expect (Bytes.to_string (Proto.encode msg))
+(* The default configuration's control bytes, pinned: what the module and
+   Dom0 emit at rung [Gso] with four queues.  The empty heartbeat changed
+   tag when the delta announcement lost its second layout (14 -> 16, same
+   length); every other message is byte-for-byte what it was when
+   several layouts per message existed. *)
+let test_proto_default_wire_bytes () =
+  let check name hex msg =
+    Alcotest.(check string) name hex
+      (String.concat ""
+         (List.map
+            (fun c -> Printf.sprintf "%02x" (Char.code c))
+            (List.of_seq (Bytes.to_seq (Proto.encode msg)))))
   in
-  check_bytes "request_channel q=1 is legacy tag 2" "\x02\x00\x07"
-    (Proto.Request_channel
-       { requester_domid = 7; max_queues = 1; zerocopy = false; loans = false; gso = false });
-  check_bytes "create_channel single queue is legacy tag 3"
-    "\x03\x00\x01\x00\x00\x00\x7b\x00\x00\x01\xc8\x00\x03"
-    (Proto.Create_channel
-       {
-         listener_domid = 1;
-         queues =
-           [
-             {
-               Proto.qg_lc_gref = 123;
-               qg_cl_gref = 456;
-               qg_port = 3;
-               qg_lc_pool = None;
-               qg_cl_pool = None;
-             };
-           ];
-       });
-  let entry =
-    {
-      Proto.entry_domid = 1;
-      entry_mac = Mac.of_domid ~machine:0 ~domid:1;
-      entry_ip = Netcore.Ip.make ~subnet:2 ~host:1;
-      entry_queues = 1;
-      entry_zc = false;
-      entry_loans = false;
-      entry_gso = false;
-    }
-  in
-  let tag_of msg = Char.code (Bytes.get (Proto.encode msg) 0) in
-  Alcotest.(check int) "announce all-q1 is legacy tag 1" 1
-    (tag_of (Proto.Announce [ entry ]));
-  Alcotest.(check int) "announce with q>1 uses tag 6" 6
-    (tag_of (Proto.Announce [ { entry with Proto.entry_queues = 4 } ]));
-  Alcotest.(check int) "request q>1 uses tag 7" 7
-    (tag_of
-       (Proto.Request_channel
-          { requester_domid = 7; max_queues = 4; zerocopy = false; loans = false; gso = false }));
-  Alcotest.(check int) "multi-queue create uses tag 8" 8
-    (tag_of
-       (Proto.Create_channel
-          {
-            listener_domid = 1;
-            queues =
-              [
-                {
-                  Proto.qg_lc_gref = 1;
-                  qg_cl_gref = 2;
-                  qg_port = 3;
-                  qg_lc_pool = None;
-                  qg_cl_pool = None;
-                };
-                {
-                  Proto.qg_lc_gref = 4;
-                  qg_cl_gref = 5;
-                  qg_port = 6;
-                  qg_lc_pool = None;
-                  qg_cl_pool = None;
-                };
-              ];
-          }))
+  check "request_channel" "1100070004010101"
+    (Proto.Request_channel { requester_domid = 7; max_queues = 4; rung = Gso });
+  check "4-queue pooled create_channel"
+    ("0b00010004"
+    ^ "00000064000000c80003010000012c00000190"
+    ^ "00000065000000c90004010000012d00000191"
+    ^ "00000066000000ca0005010000012e00000192"
+    ^ "00000067000000cb0006010000012f00000193")
+    (Proto.Create_channel { listener_domid = 1; queues = List.init 4 pooled_queue });
+  check "join delta_announce" "100000000300000004000001000200163e0000020a02000200040101010000"
+    (Proto.Delta_announce
+       { da_base = 3; da_epoch = 4; da_full = false; da_joins = [ entry 2 ]; da_leaves = [] });
+  check "empty heartbeat (tag 14 -> 16)" "1000000005000000050000000000"
+    (Proto.Delta_announce
+       { da_base = 5; da_epoch = 5; da_full = false; da_joins = []; da_leaves = [] })
 
-let prop_proto_announce_roundtrip =
-  QCheck.Test.make ~name:"announce roundtrips for arbitrary entry lists" ~count:100
-    QCheck.(
-      list_of_size
-        Gen.(0 -- 20)
-        (triple (int_bound 0xFFFF) (int_bound 1000) (int_range 1 16)))
-    (fun raw_entries ->
-      let entries =
-        List.map
-          (fun (domid, m, queues) ->
+(* [Notify] is not on the wire: it decodes as [Paper]. *)
+let wire_rung r = if r = Hypervisor.Params.Notify then Hypervisor.Params.Paper else r
+
+let gen_message =
+  let open QCheck.Gen in
+  let rung = oneofl Hypervisor.Params.[ Paper; Notify; Zerocopy; Loans; Gso ] in
+  let domid = int_bound 0xFFFF in
+  let gen_entry =
+    map3
+      (fun d (m, q) rung ->
+        {
+          Proto.entry_domid = d;
+          entry_mac = Mac.of_domid ~machine:m ~domid:d;
+          entry_ip = Netcore.Ip.make ~subnet:(m land 0xff) ~host:(d land 0xff);
+          entry_queues = q;
+          entry_rung = rung;
+        })
+      domid
+      (pair (int_bound 1000) (int_range 1 16))
+      rung
+  in
+  let gen_queue =
+    map3
+      (fun (lc, cl) port pools ->
+        {
+          Proto.qg_lc_gref = lc;
+          qg_cl_gref = cl;
+          qg_port = port;
+          qg_lc_pool = Option.map fst pools;
+          qg_cl_pool = Option.map snd pools;
+        })
+      (pair (int_bound 0xFFFFFF) (int_bound 0xFFFFFF))
+      (int_bound 0xFFFF)
+      (opt (pair (int_bound 0xFFFFFF) (int_bound 0xFFFFFF)))
+  in
+  oneof
+    [
+      map3
+        (fun (da_base, da_epoch) (da_full, da_joins) da_leaves ->
+          Proto.Delta_announce { da_base; da_epoch; da_full; da_joins; da_leaves })
+        (pair (int_bound 0xFFFFFF) (int_bound 0xFFFFFF))
+        (pair bool (list_size (0 -- 20) gen_entry))
+        (list_size (0 -- 10) domid);
+      map3
+        (fun requester_domid max_queues rung ->
+          Proto.Request_channel { requester_domid; max_queues; rung })
+        domid (int_range 1 16) rung;
+      map2
+        (fun listener_domid queues -> Proto.Create_channel { listener_domid; queues })
+        domid
+        (list_size (1 -- 8) gen_queue);
+      map (fun connector_domid -> Proto.Channel_ack { connector_domid }) domid;
+      map3
+        (fun src_port dst_port payload ->
+          Proto.App_payload
             {
-              Proto.entry_domid = domid;
-              entry_mac = Mac.of_domid ~machine:m ~domid;
-              entry_ip = Netcore.Ip.make ~subnet:(m land 0xff) ~host:(domid land 0xff);
-              entry_queues = queues;
-              entry_zc = queues land 1 = 0;
-              entry_loans = queues land 3 = 0;
-              entry_gso = queues land 5 = 0;
+              src_ip = Netcore.Ip.make ~subnet:2 ~host:1;
+              src_port;
+              dst_port;
+              payload = Bytes.of_string payload;
             })
-          raw_entries
+        domid domid
+        (string_size (0 -- 64));
+    ]
+
+let prop_proto_roundtrip =
+  QCheck.Test.make ~name:"every message roundtrips, at every rung" ~count:200
+    (QCheck.make ~print:(Format.asprintf "%a" Proto.pp) gen_message)
+    (fun msg ->
+      let expected =
+        match msg with
+        | Proto.Delta_announce d ->
+            Proto.Delta_announce
+              {
+                d with
+                da_joins =
+                  List.map
+                    (fun e -> { e with Proto.entry_rung = wire_rung e.Proto.entry_rung })
+                    d.da_joins;
+              }
+        | Proto.Request_channel r -> Proto.Request_channel { r with rung = wire_rung r.rung }
+        | m -> m
       in
-      match Proto.decode (Proto.encode (Proto.Announce entries)) with
-      | Ok (Proto.Announce got) -> got = entries
-      | Ok _ | Error _ -> false)
+      match Proto.decode (Proto.encode msg) with
+      | Ok got -> Proto.equal got expected
+      | Error _ -> false)
 
 (* ------------------------------------------------------------------ *)
 (* Mapping table *)
@@ -368,18 +397,14 @@ let test_mapping_soft_state () =
         entry_mac = mac1;
         entry_ip = ip1;
         entry_queues = 1;
-        entry_zc = false;
-        entry_loans = false;
-        entry_gso = false;
+        entry_rung = Hypervisor.Params.Paper;
       };
       {
         Proto.entry_domid = 2;
         entry_mac = mac2;
         entry_ip = ip2;
         entry_queues = 4;
-        entry_zc = false;
-        entry_loans = false;
-        entry_gso = false;
+        entry_rung = Hypervisor.Params.Paper;
       };
     ];
   Alcotest.(check (option int)) "lookup 1" (Some 1) (Mapping.lookup t mac1);
@@ -397,9 +422,7 @@ let test_mapping_soft_state () =
         entry_mac = mac2;
         entry_ip = ip2;
         entry_queues = 4;
-        entry_zc = false;
-        entry_loans = false;
-        entry_gso = false;
+        entry_rung = Hypervisor.Params.Paper;
       };
     ];
   Alcotest.(check (option int)) "1 gone" None (Mapping.lookup t mac1);
@@ -430,10 +453,9 @@ let suites =
       [
         Alcotest.test_case "roundtrip" `Quick test_proto_roundtrip;
         Alcotest.test_case "rejects garbage" `Quick test_proto_rejects_garbage;
-        Alcotest.test_case "legacy wire format at queues=1" `Quick
-          test_proto_legacy_wire_format;
+        Alcotest.test_case "default wire bytes" `Quick test_proto_default_wire_bytes;
       ]
-      @ qsuite [ prop_proto_announce_roundtrip ] );
+      @ qsuite [ prop_proto_roundtrip ] );
     ( "xenloop.mapping",
       [ Alcotest.test_case "soft state semantics" `Quick test_mapping_soft_state ] );
   ]
