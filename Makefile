@@ -6,7 +6,7 @@
 # against its own document and the committed BENCH_results.json, the
 # host-time engine gate, and the chaos soak.
 
-.PHONY: all build test surface-check bench-smoke bench perf engine-check soak soak-wide bench-pair ci check-tracked-artifacts clean
+.PHONY: all build test surface-check bench-smoke bench perf engine-check soak soak-wide pair-export bench-pair sim-same ci check-tracked-artifacts clean
 
 all: build
 
@@ -90,9 +90,11 @@ soak-wide: build
 W ?= bulk
 N ?= 10
 PARENT ?= HEAD^
-bench-pair:
+pair-export:
 	rm -rf _build/pair && mkdir -p _build/pair
 	git archive $(PARENT) | tar -x -C _build/pair
+
+bench-pair: pair-export
 	@set -e; \
 	run() { \
 	  (cd $$1 && bash benchmark/run.sh --workload $$2 --seed $$3 \
@@ -110,6 +112,23 @@ bench-pair:
 	  done; \
 	done
 	./_build/default/benchmark/run.exe --compare _build/pair/parent.jsonl _build/pair/child.jsonl
+
+# Simulated-values identity against PARENT, opt-in and not part of `ci`:
+# export PARENT as bench-pair does, run every workload at seeds 1-3 for
+# one host second each in both trees, and fail unless every sim_* value
+# of every run is exactly equal (tools/sim_same.ml).  Host-clock metrics
+# are not compared.  About two minutes.
+#   make sim-same PARENT=HEAD^
+sim-same: pair-export
+	@set -e; \
+	for seed in 1 2 3; do \
+	  echo "sim-same: seed $$seed, parent then child"; \
+	  (cd _build/pair && bash benchmark/run.sh --seed $$seed --seconds 1 \
+	     --json $(CURDIR)/_build/pair/parent.jsonl > /dev/null); \
+	  bash benchmark/run.sh --seed $$seed --seconds 1 \
+	    --json $(CURDIR)/_build/pair/child.jsonl > /dev/null; \
+	done
+	dune exec tools/sim_same.exe -- _build/pair/parent.jsonl _build/pair/child.jsonl
 
 ci: check-tracked-artifacts build test surface-check bench-smoke engine-check soak
 	@echo "ci: artifact check + build + tests + surface check + bench smoke (gate table: delivery, chaos, copies/byte, gso, mesh, fairness) + engine perf gate + chaos soak all green"

@@ -12,7 +12,10 @@
    - Doc references.  Every backticked [`Module.value`] in DESIGN.md,
      EXPERIMENTS.md and README.md must name a compilation unit of lib/
      and a value, type or record field its .mli declares (standard
-     library modules are skipped).
+     library modules are skipped).  Every backticked span that starts
+     with a [xenloop_] or [qos_] name must name a record field or value
+     of lib/ (a field of [Params.t], a [let] in an implementation), so a
+     retired knob cannot linger in the docs.
 
    A caller is a qualified use ([Fifo.pop], [Xenloop.Fifo.pop], or
    [Gm.stats] through a [module Gm = Xenloop.Guest_module] alias), or any
@@ -27,9 +30,10 @@
                                            test calls it
      surface_check.exe --self-test [ROOT]  copy the checked files to a
                                            temporary tree, add one unused
-                                           [val] and one stale doc
-                                           reference, and fail unless the
-                                           check catches each *)
+                                           [val], one stale doc
+                                           reference and one retired knob
+                                           name, and fail unless the check
+                                           catches each *)
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
@@ -405,6 +409,55 @@ let stale_doc_refs ~units root =
           (doc_spans (read_file path)))
     docs
 
+(* Every lowercase name lib/ defines: what its interfaces declare and
+   what its implementations bind. *)
+let lib_names ~units root =
+  let names = Hashtbl.create 1024 in
+  Hashtbl.iter
+    (fun _ info -> List.iter (fun n -> Hashtbl.replace names n ()) info.u_names)
+    units;
+  let rec bound = function
+    | Id [ ("let" | "and") ] :: Id [ "rec" ] :: Id [ x ] :: rest
+    | Id [ ("let" | "and") ] :: Id [ x ] :: rest ->
+        Hashtbl.replace names x ();
+        bound rest
+    | _ :: rest -> bound rest
+    | [] -> ()
+  in
+  List.iter
+    (fun ml -> bound (tokens (strip_code (read_file ml))))
+    (List.concat_map (files_in ~ext:[ ".ml" ]) (lib_dirs root));
+  names
+
+(* Knob spans: [`xenloop_queues`], [`qos_enabled = false`]. *)
+let knob_name span =
+  if String.starts_with ~prefix:"xenloop_" span || String.starts_with ~prefix:"qos_" span
+  then begin
+    let n = String.length span in
+    let i = ref 0 in
+    while !i < n && is_ident span.[!i] do incr i done;
+    Some (String.sub span 0 !i)
+  end
+  else None
+
+let stale_knob_refs ~units root =
+  let names = lib_names ~units root in
+  List.concat_map
+    (fun doc ->
+      let path = Filename.concat root doc in
+      if not (Sys.file_exists path) then []
+      else
+        List.filter_map
+          (fun (line, span) ->
+            match knob_name span with
+            | Some k when not (Hashtbl.mem names k) ->
+                Some
+                  (Printf.sprintf "%s:%d: `%s`: lib/ defines no field or value %s" doc
+                     line span k)
+            | Some _ | None -> None)
+          (doc_spans (read_file path)))
+    docs
+
 (* Every finding, as one line each. *)
 let findings root =
   let units = load_units root in
@@ -436,7 +489,7 @@ let findings root =
               (Printf.sprintf "%s: %s.%s names no exported value" allowlist_file m v))
       allow
   in
-  unlisted @ stale_allow @ stale_doc_refs ~units root
+  unlisted @ stale_allow @ stale_doc_refs ~units root @ stale_knob_refs ~units root
 
 (* Every export without a production caller, and whether a test calls it. *)
 let list_dead root =
@@ -521,7 +574,11 @@ let self_test root =
         caught "stale doc reference" ~path:(Filename.concat tmp "DESIGN.md")
           ~append:"\nSee `Fifo.surface_sabotage`.\n" ~needle:"Fifo.surface_sabotage"
       in
-      clean && dead && stale)
+      let knob =
+        caught "retired knob in a doc" ~path:(Filename.concat tmp "DESIGN.md")
+          ~append:"\nSet `xenloop_zerocopy` to false.\n" ~needle:"xenloop_zerocopy"
+      in
+      clean && dead && stale && knob)
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
