@@ -6,7 +6,7 @@
 # against its own document and the committed BENCH_results.json, the
 # host-time engine gate, and the chaos soak.
 
-.PHONY: all build test surface-check bench-smoke bench perf engine-check soak soak-wide pair-export bench-pair sim-same ci check-tracked-artifacts clean
+.PHONY: all build test surface-check bench-smoke bench perf hotspots engine-check soak soak-wide pair-export bench-pair sim-same ci check-tracked-artifacts clean
 
 all: build
 
@@ -49,6 +49,25 @@ bench: build
 # benchmark run: `bash benchmark/run.sh --workload bulk --trace 1`.
 perf: build
 	dune exec bench/main.exe -- --engine-bench
+
+# Host-time profile of one benchmark workload, opt-in and not part of
+# `ci`: run W (one workload) at seed 1 for HS_SECONDS host seconds under
+# the SIGPROF sampler tools/hotspots/sampler.so (LD_PRELOAD; one sample
+# per millisecond of CPU time, or per scheduler tick if that is
+# coarser), then print the top symbols by self time and the OCaml
+# callers of the write barrier (caml_modify, caml_darken), of
+# polymorphic compare and hash, and of caml_applyN (DESIGN.md §10).
+# Samples are kept in _build/hotspots/.
+#   make hotspots W=rpc
+HS_SECONDS ?= 20
+hotspots: build
+	rm -rf _build/hotspots && mkdir -p _build/hotspots
+	HOTSPOTS_OUT=$(CURDIR)/_build/hotspots/$(W) \
+	  LD_PRELOAD=$(CURDIR)/_build/default/tools/hotspots/sampler.so \
+	  ./_build/default/benchmark/run.exe --workload $(W) --seed 1 \
+	  --seconds $(HS_SECONDS) --trace 0 > /dev/null
+	./_build/default/tools/hotspots/symbolize.exe \
+	  _build/default/benchmark/run.exe _build/hotspots/$(W).*
 
 # Regression gate: re-measure the headline engine scenario in smoke mode
 # and fail loudly if it lost more than 25% against the committed

@@ -182,7 +182,7 @@ let parse_transport_at ~verify protocol head ~len ~t (payload : View.t) =
   if
     verify
     && Checksum.add
-         (Checksum.ones_complement_sum head ~off:t ~len:(min region header_len))
+         (Checksum.ones_complement_sum head ~off:t ~len:(Int.min region header_len))
          (Checksum.ones_complement_sum payload.buf ~off:payload.off ~len:payload.len)
        <> 0xFFFF
   then raise (Fail (Bad_checksum "transport"));
@@ -423,7 +423,7 @@ let parse_body ~verify_transport head ~len sub =
   | other -> raise (Fail (Bad_ethertype other))
 
 let parse_with ?(verify_transport = true) ~head ~len sub =
-  if Bytes.length head < min len max_header_length then
+  if Bytes.length head < Int.min len max_header_length then
     invalid_arg "Codec.parse_with: head shorter than the frame's headers";
   match parse_body ~verify_transport head ~len sub with
   | body ->

@@ -20,7 +20,7 @@ let iter_range v ~pos ~len f =
         let r = runs.(!i) in
         if !skip >= r.len then skip := !skip - r.len
         else begin
-          let n = min !left (r.len - !skip) in
+          let n = Int.min !left (r.len - !skip) in
           f r.buf (r.off + !skip) n;
           skip := 0;
           left := !left - n

@@ -1,21 +1,36 @@
+(* Both tables are keyed on the address's int32, with a monomorphic
+   equality and an int hash: a generic [Hashtbl] would compare and hash
+   the boxed int32 through the runtime on every lookup.  Neither table
+   is iterated, so the hash decides nothing but speed. *)
+module Ip_table = Hashtbl.Make (struct
+  type t = int32
+
+  let equal = Int32.equal
+
+  let hash v =
+    let h = (Int32.to_int v land 0xFFFF_FFFF) * 0x1E37_79B9_7F4A_7C15 in
+    (h lxor (h lsr 32)) land max_int
+end)
+
 type t = {
-  cache : (Netcore.Ip.t, Netcore.Mac.t) Hashtbl.t;
-  waiters : (Netcore.Ip.t, (Netcore.Mac.t -> unit) list) Hashtbl.t;
+  cache : Netcore.Mac.t Ip_table.t;
+  waiters : (Netcore.Mac.t -> unit) list Ip_table.t;
 }
 
-let create () = { cache = Hashtbl.create 16; waiters = Hashtbl.create 4 }
+let create () = { cache = Ip_table.create 16; waiters = Ip_table.create 4 }
 
-let lookup t ip = Hashtbl.find_opt t.cache ip
-let insert t ip mac = Hashtbl.replace t.cache ip mac
+let key = Netcore.Ip.to_int32
+let lookup t ip = Ip_table.find_opt t.cache (key ip)
+let insert t ip mac = Ip_table.replace t.cache (key ip) mac
 
 let add_waiter t ip f =
-  let existing = Option.value ~default:[] (Hashtbl.find_opt t.waiters ip) in
-  Hashtbl.replace t.waiters ip (f :: existing)
+  let existing = Option.value ~default:[] (Ip_table.find_opt t.waiters (key ip)) in
+  Ip_table.replace t.waiters (key ip) (f :: existing)
 
 let resolved t ip mac =
   insert t ip mac;
-  match Hashtbl.find_opt t.waiters ip with
+  match Ip_table.find_opt t.waiters (key ip) with
   | None -> ()
   | Some fs ->
-      Hashtbl.remove t.waiters ip;
+      Ip_table.remove t.waiters (key ip);
       List.iter (fun f -> f mac) (List.rev fs)

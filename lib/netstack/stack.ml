@@ -70,7 +70,7 @@ let use_cpu t span = Sim.Resource.use t.s_cpu span
 let set_tx_jumbo_hint t f = t.jumbo_hint <- f
 
 let tx_jumbo_hint t ~dst =
-  match t.jumbo_hint with None -> 0 | Some f -> max 0 (f ~dst)
+  match t.jumbo_hint with None -> 0 | Some f -> Int.max 0 (f ~dst)
 
 (* ------------------------------------------------------------------ *)
 (* Input path *)
@@ -102,7 +102,7 @@ let handle_arp t (msg : Netcore.Arp.t) =
    would have used without a jumbo hint. *)
 let wire_seg_max dev =
   (match Netdevice.gso_size dev with
-  | Some gso -> max (Netdevice.mtu dev) gso
+  | Some gso -> Int.max (Netdevice.mtu dev) gso
   | None -> Netdevice.mtu dev)
   - 40
 
@@ -121,12 +121,12 @@ let resegment_tcp t ~mss frame =
   | P.Ipv4_body { header; content = P.Full { transport = T.Tcp tcp; payload } }
     ->
       let total = payload.Netcore.View.len in
-      let mss = max 1 mss in
+      let mss = Int.max 1 mss in
       t.s_stats.sw_segmented <- t.s_stats.sw_segmented + 1;
       let rec chunks off acc =
         if off >= total then List.rev acc
         else begin
-          let len = min mss (total - off) in
+          let len = Int.min mss (total - off) in
           let last = off + len >= total in
           let transport =
             T.Tcp
@@ -164,7 +164,7 @@ let transmit_fragments t dev frags =
   let p = t.s_params in
   let hook_cost =
     Sim.Time.span_scale
-      (max 1 (Netfilter.hook_count t.s_post_routing))
+      (Int.max 1 (Netfilter.hook_count t.s_post_routing))
       p.Hypervisor.Params.netfilter_hook
   in
   (* The whole burst (all fragments of one datagram, or one TSO frame)
@@ -272,7 +272,7 @@ let tcp_mss t dst =
   let dev = egress_device t dst in
   let limit =
     match Netdevice.gso_size dev with
-    | Some gso -> max (Netdevice.mtu dev) gso
+    | Some gso -> Int.max (Netdevice.mtu dev) gso
     | None -> Netdevice.mtu dev
   in
   limit - 40

@@ -6,6 +6,17 @@ let receive_buffer_bytes = 212_992
 let ephemeral_base = 32768
 let ephemeral_limit = 61000
 
+(* The port table: a monomorphic equality in place of the runtime's
+   polymorphic compare.  The hash stays [Hashtbl.hash], the generic
+   table's own: a congestion signal for every port iterates the table,
+   and the order it visits sockets in must not change. *)
+module Port_table = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
 (* A queued datagram may be a borrowed view of a grant-mapped pool slot
    (loaned-slot receive, DESIGN.md §11): the release travels with it and
    fires when the datagram leaves the socket buffer. *)
@@ -30,7 +41,7 @@ type socket = {
 
 and t = {
   stack : Stack.t;
-  ports : (int, socket) Hashtbl.t;
+  ports : socket Port_table.t;
   mutable next_ephemeral : int;
   mutable tx_shortcut :
     (dst:Netcore.Ip.t -> dst_port:int -> src_port:int -> Bytes.t -> bool) option;
@@ -53,7 +64,7 @@ let handle_packet t (packet : P.t) =
   match packet.P.body with
   | P.Ipv4_body { header; content = P.Full { transport = T.Udp udp; payload } } -> (
       let release = Stack.take_rx_release t.stack in
-      match Hashtbl.find_opt t.ports udp.T.udp_dst_port with
+      match Port_table.find_opt t.ports udp.T.udp_dst_port with
       | None -> (
           (* No receiver: the borrow ends here, untouched. *)
           match release with Some r -> r ~copied:false | None -> ())
@@ -75,7 +86,7 @@ let attach stack =
   let t =
     {
       stack;
-      ports = Hashtbl.create 16;
+      ports = Port_table.create 16;
       next_ephemeral = ephemeral_base;
       tx_shortcut = None;
     }
@@ -92,9 +103,9 @@ let attach stack =
           end
         end
       in
-      if sport = 0 then Hashtbl.iter (fun _ sock -> apply sock) t.ports
+      if sport = 0 then Port_table.iter (fun _ sock -> apply sock) t.ports
       else
-        match Hashtbl.find_opt t.ports sport with
+        match Port_table.find_opt t.ports sport with
         | Some sock -> apply sock
         | None -> ());
   t
@@ -105,7 +116,7 @@ let clear_tx_shortcut t = t.tx_shortcut <- None
 let alloc_ephemeral t =
   let start = t.next_ephemeral in
   let rec scan port =
-    if not (Hashtbl.mem t.ports port) then begin
+    if not (Port_table.mem t.ports port) then begin
       t.next_ephemeral <-
         (if port + 1 > ephemeral_limit then ephemeral_base else port + 1);
       Some port
@@ -120,7 +131,7 @@ let alloc_ephemeral t =
 let bind t ?port () =
   let chosen =
     match port with
-    | Some p -> if Hashtbl.mem t.ports p then Error Port_in_use else Ok p
+    | Some p -> if Port_table.mem t.ports p then Error Port_in_use else Ok p
     | None -> ( match alloc_ephemeral t with Some p -> Ok p | None -> Error No_ports_left)
   in
   match chosen with
@@ -139,7 +150,7 @@ let bind t ?port () =
           send_avail = Sim.Condition.create ();
         }
       in
-      Hashtbl.replace t.ports p sock;
+      Port_table.replace t.ports p sock;
       Ok sock
 
 let port sock = sock.sock_port
@@ -247,7 +258,7 @@ let recvfrom_view sock =
   (src, src_port, payload, release)
 
 let deliver_local t ~src ~src_port ~dst_port payload =
-  match Hashtbl.find_opt t.ports dst_port with
+  match Port_table.find_opt t.ports dst_port with
   | None -> ()
   | Some sock ->
       let params = Stack.params t.stack in
@@ -256,7 +267,7 @@ let deliver_local t ~src ~src_port ~dst_port payload =
       enqueue sock ~src ~src_port payload None
 
 let deliver_local_borrowed t ~src ~src_port ~dst_port payload ~release =
-  match Hashtbl.find_opt t.ports dst_port with
+  match Port_table.find_opt t.ports dst_port with
   | None -> release ~copied:false
   | Some sock ->
       (* The datagram is parked in the pool slot, not copied into the
@@ -276,6 +287,6 @@ let close sock =
         drain ()
   in
   drain ();
-  Hashtbl.remove sock.layer.ports sock.sock_port
+  Port_table.remove sock.layer.ports sock.sock_port
 
 let drops sock = sock.dropped

@@ -29,8 +29,8 @@ module Dq = struct
   let push_back t v = t.back <- v :: t.back; t.len <- t.len + 1
 
   let normalize t =
-    match t.front with
-    | [] -> t.front <- List.rev t.back; t.back <- []
+    match (t.front, t.back) with
+    | [], (_ :: _ as back) -> t.front <- List.rev back; t.back <- []
     | _ -> ()
 
   let peek_front t =

@@ -1,19 +1,16 @@
-type t = { queue : (unit -> unit) Queue.t }
+type t = { queue : Engine.wait_queue }
 
-let create () = { queue = Queue.create () }
+let create () = { queue = Engine.wait_queue () }
 
-let await t = Engine.suspend ~register:(fun resume -> Queue.push resume t.queue)
+let await t = Engine.block t.queue
 
-let signal t =
-  match Queue.take_opt t.queue with
-  | None -> ()
-  | Some resume -> resume ()
+let signal t = ignore (Engine.unblock t.queue)
 
+(* Only the processes waiting now: an unblocked process continues in a
+   later event, so none of them can await again before the loop ends. *)
 let broadcast t =
-  (* Drain into a list first: a woken process scheduled at the current
-     instant must not be confused with processes that re-await later. *)
-  let resumers = List.of_seq (Queue.to_seq t.queue) in
-  Queue.clear t.queue;
-  List.iter (fun resume -> resume ()) resumers
+  for _ = 1 to Engine.blocked t.queue do
+    ignore (Engine.unblock t.queue)
+  done
 
-let waiters t = Queue.length t.queue
+let waiters t = Engine.blocked t.queue

@@ -8,7 +8,7 @@ module W = Wheel
 type t = {
   mutable clock_ns : int;
   queue : payload W.t;
-  mutable free : payload W.cell;  (* freelist chained through c_next *)
+  mutable free : int;  (* freelist: cell ids chained through c_next *)
   mutable next_seq : int;
   mutable cur_seq : int;
       (* key of the event running now ([max_int] between runs): tells
@@ -34,6 +34,9 @@ type t = {
   (* [Park] the same way: the waiter rides in [park_arg]. *)
   mutable park_arg : waiter option;
   mutable park_arm : ((unit, unit) Effect.Deep.continuation -> unit) option;
+  (* [Block] too: the queue rides in [blocking]. *)
+  mutable block_arm : ((unit, unit) Effect.Deep.continuation -> unit) option;
+  mutable self_some : t option;  (* [Some self], built once *)
 }
 
 and payload =
@@ -65,6 +68,23 @@ and waiter = {
   mutable w_woken : bool;  (* a wake came since the cell last went to expiry *)
   mutable w_missed : bool;
   w_some : waiter option;  (* [Some self], built once for [park_arg] *)
+  w_wait : payload;
+      (* [P_wait self], built once: the cell's payload while parked.  The
+         cell stays in the wheel's registry after the waiter dies, so it
+         holds the waiter (and whatever [w_ready] reaches) only while
+         parked. *)
+}
+
+(* Processes blocked on a resource or a condition, in arrival order: a
+   ring of their continuations, so a wait allocates no resume closure and
+   no queue cell, and a push is the one pointer store.  A taken slot is
+   not cleared; it holds a spent continuation until overwritten. *)
+and wait_queue = {
+  mutable q_ks : (unit, unit) Effect.Deep.continuation array;
+      (* power-of-two capacity; [[||]] until the first block *)
+  mutable q_head : int;
+  mutable q_len : int;
+  mutable q_engine : t option;  (* the engine of the processes queued *)
 }
 
 (* Handle returned by [every]; cold-path only.  [tmh_active] guards
@@ -80,6 +100,7 @@ type _ Effect.t +=
   | Sleep : Time.span -> unit Effect.t
   | Suspend : ((unit -> unit) -> unit) -> unit Effect.t
   | Park : unit Effect.t
+  | Block : unit Effect.t
 
 let null_handler : (unit, unit) Effect.Deep.handler =
   { retc = (fun () -> ()); exnc = raise; effc = (fun _ -> None) }
@@ -93,14 +114,14 @@ let now t =
 
 let rng t = t.engine_rng
 
+(* The payload is the one pointer an event stores: the freelist and the
+   wheel's links are ids (see wheel.ml). *)
 let alloc_cell t time_ns v =
-  let nil = W.nil t.queue in
+  let c = W.cell t.queue t.free in
   let c =
-    if t.free == nil then W.make_cell t.queue v
+    if c == W.nil t.queue then W.make_cell t.queue v
     else begin
-      let c = t.free in
       t.free <- c.W.c_next;
-      c.W.c_next <- nil;
       c.W.c_value <- v;
       c
     end
@@ -110,10 +131,17 @@ let alloc_cell t time_ns v =
   t.next_seq <- t.next_seq + 1;
   c
 
+(* A pooled cell keeps its last payload until reused, except where that
+   payload can hold on to something: [free_cell] drops it, [recycle]
+   (for a [P_resume] about to be continued, whose continuation is then
+   spent) does not, saving the event's second pointer store. *)
+let recycle t c =
+  c.W.c_next <- t.free;
+  t.free <- c.W.c_id
+
 let free_cell t c =
   c.W.c_value <- P_none;
-  c.W.c_next <- t.free;
-  t.free <- c
+  recycle t c
 
 let schedule t time_ns v = W.insert t.queue (alloc_cell t time_ns v)
 
@@ -136,13 +164,33 @@ let once name f =
     fired := true;
     f ()
 
+let push_blocked q k =
+  let cap = Array.length q.q_ks in
+  if q.q_len = cap then begin
+    let ring = Array.make (Int.max 4 (2 * cap)) k in
+    for i = 0 to q.q_len - 1 do
+      ring.(i) <- q.q_ks.((q.q_head + i) land (cap - 1))
+    done;
+    q.q_ks <- ring;
+    q.q_head <- 0
+  end;
+  q.q_ks.((q.q_head + q.q_len) land (Array.length q.q_ks - 1)) <- k;
+  q.q_len <- q.q_len + 1
+
+let wait_queue () = { q_ks = [||]; q_head = 0; q_len = 0; q_engine = None }
+
+(* The queue a [block] is joining, from the [perform] to the handler's
+   arm, which runs before anything else can.  It is not reset after: a
+   stale queue here is never read. *)
+let blocking = ref (wait_queue ())
+
 let create ?(seed = 42) () =
   let queue = W.create ~dummy:P_none in
   let t =
     {
       clock_ns = 0;
       queue;
-      free = W.nil queue;
+      free = (W.nil queue).W.c_id;
       next_seq = 0;
       cur_seq = max_int;
       events_run = 0;
@@ -156,8 +204,17 @@ let create ?(seed = 42) () =
       sleep_arm = None;
       park_arg = None;
       park_arm = None;
+      block_arm = None;
+      self_some = None;
     }
   in
+  t.self_some <- Some t;
+  t.block_arm <-
+    Some
+      (fun k ->
+        let q = !blocking in
+        if q.q_engine != t.self_some then q.q_engine <- t.self_some;
+        push_blocked q k);
   t.sleep_arm <-
     Some (fun k -> schedule t (t.clock_ns + t.sleep_ns_arg) (P_resume k));
   t.park_arm <-
@@ -169,6 +226,7 @@ let create ?(seed = 42) () =
             t.park_arg <- None;
             w.w_k <- Some k;
             let c = w.w_cell in
+            c.W.c_value <- w.w_wait;
             c.W.c_time <-
               w.w_start + ((if w.w_woken then 1 else w.w_max) * w.w_interval);
             c.W.c_seq <- tick_key t.next_seq;
@@ -194,6 +252,7 @@ let create ?(seed = 42) () =
                   in
                   register resume)
           | Park -> (t.park_arm : ((a, unit) continuation -> unit) option)
+          | Block -> (t.block_arm : ((a, unit) continuation -> unit) option)
           | _ -> None);
     };
   t
@@ -260,6 +319,25 @@ let sleep span =
 
 let suspend ~register = Effect.perform (Suspend register)
 
+let block q =
+  blocking := q;
+  Effect.perform Block
+
+let unblock q =
+  if q.q_len = 0 then false
+  else begin
+    let k = q.q_ks.(q.q_head) in
+    q.q_head <- (q.q_head + 1) land (Array.length q.q_ks - 1);
+    q.q_len <- q.q_len - 1;
+    match q.q_engine with
+    | Some t ->
+        schedule t t.clock_ns (P_resume k);
+        true
+    | None -> assert false
+  end
+
+let blocked q = q.q_len
+
 let waiter t =
   let cell = W.make_cell t.queue P_none in
   let rec w =
@@ -276,9 +354,9 @@ let waiter t =
       w_woken = false;
       w_missed = false;
       w_some = Some w;
+      w_wait = P_wait w;
     }
   in
-  cell.W.c_value <- P_wait w;
   w
 
 let park w span ~max_ticks ready =
@@ -339,6 +417,7 @@ let resume_waiter w tick =
   match w.w_k with
   | Some k ->
       w.w_k <- None;
+      w.w_cell.W.c_value <- P_none;
       k
   | None -> invalid_arg "Engine: waiter cell fired while not parked"
 
@@ -354,7 +433,7 @@ let exec t c =
       t.inline_ok <- true;
       f ()
   | P_resume k ->
-      free_cell t c;
+      recycle t c;
       t.inline_ok <- true;
       Effect.Deep.continue k ()
   | P_timer tm ->

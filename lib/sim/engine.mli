@@ -65,6 +65,28 @@ val suspend : register:((unit -> unit) -> unit) -> unit
     Invoking [resume] more than once is an error and raises
     [Invalid_argument]. *)
 
+(** {1 Blocking}
+
+    A FIFO of processes waiting for a resource or a condition.  The
+    process's continuation itself is queued, so a wait allocates no
+    resume closure. *)
+
+type wait_queue
+
+val wait_queue : unit -> wait_queue
+
+val block : wait_queue -> unit
+(** Park the calling process at the tail of the queue until an
+    {!unblock} takes it. *)
+
+val unblock : wait_queue -> bool
+(** Take the longest-blocked process and schedule it to continue at the
+    current instant, as a [suspend]'s [resume] would; [false] if the
+    queue is empty. *)
+
+val blocked : wait_queue -> int
+(** Processes in the queue. *)
+
 (** {1 Parking}
 
     A process that lingers on a condition — a receiver re-checking its

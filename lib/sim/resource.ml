@@ -1,6 +1,6 @@
 type serial = {
   mutable held : bool;
-  waiters : (unit -> unit) Queue.t;
+  waiters : Engine.wait_queue;
   mutable accumulated_ns : int;  (* an int, so a [use] boxes nothing *)
 }
 
@@ -14,7 +14,7 @@ let create ~name =
   {
     resource_name = name;
     backend =
-      Serial { held = false; waiters = Queue.create (); accumulated_ns = 0 };
+      Serial { held = false; waiters = Engine.wait_queue (); accumulated_ns = 0 };
   }
 
 let custom ~name ~use ~busy_time =
@@ -28,18 +28,16 @@ let acquire t =
   match t.backend with
   | Custom _ -> invalid_arg "Resource.acquire: custom resource"
   | Serial s ->
-      if (not s.held) && Queue.is_empty s.waiters then s.held <- true
-      else Engine.suspend ~register:(fun resume -> Queue.push resume s.waiters)
-(* When the suspend returns, ownership has been handed to us by release. *)
+      if (not s.held) && Engine.blocked s.waiters = 0 then s.held <- true
+      else Engine.block s.waiters
+(* When the block returns, ownership has been handed to us by release. *)
 
 let release t =
   match t.backend with
   | Custom _ -> invalid_arg "Resource.release: custom resource"
   | Serial s -> (
       if not s.held then invalid_arg "Resource.release: not held";
-      match Queue.take_opt s.waiters with
-      | None -> s.held <- false
-      | Some resume -> resume ())
+      if not (Engine.unblock s.waiters) then s.held <- false)
 
 let use t span =
   match t.backend with
@@ -53,7 +51,7 @@ let use t span =
 let is_busy t = match t.backend with Serial s -> s.held | Custom _ -> false
 
 let queue_length t =
-  match t.backend with Serial s -> Queue.length s.waiters | Custom _ -> 0
+  match t.backend with Serial s -> Engine.blocked s.waiters | Custom _ -> 0
 
 let busy_time t =
   match t.backend with

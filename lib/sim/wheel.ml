@@ -9,16 +9,26 @@
    exactly the binary-heap order the engine used before: time first, then
    insertion sequence.
 
-   Cells are caller-owned mutable records linked through [c_next] with the
-   wheel's own [nil] cell as the end-of-list marker, so steady-state
-   insert/remove/pop never allocates. *)
+   Cells are caller-owned mutable records, registered once in the
+   wheel's cell registry: [cells.(c.c_id) == c].  Every link — the next
+   cell in a slot, a slot head, a heap entry, the engine's freelist — is
+   a registry index, with the [nil] cell at index 0 ending lists.  A
+   link store is then an int store, not a pointer store, and pays
+   nothing for the GC's write barrier ([caml_modify], and [caml_darken]
+   while it marks): with pointer links the barrier on every relink was
+   7% of an rpc run's host time.  The slot links and a copy of each
+   queued cell's (time, seq) key live in int arrays beside the registry
+   ([nexts], [times], [seqs]), so a sorted-insert walk chases one load
+   per step, as a pointer list does, not an id then a cell.
+   Steady-state insert/remove/pop never allocates. *)
 
 type 'a cell = {
   mutable c_time : int;  (* ns *)
   mutable c_seq : int;
   mutable c_value : 'a;
-  mutable c_next : 'a cell;
+  mutable c_next : int;
   mutable c_loc : int;
+  c_id : int;
 }
 
 let tick_bits = 10 (* 1.024 us per tick *)
@@ -32,23 +42,41 @@ let group_count = slot_count lsr group_bits
 let loc_free = -1
 let loc_heap = -2
 
+let nil_id = 0
+
 type 'a t = {
-  nil : 'a cell;
-  heads : 'a cell array;
+  mutable cells : 'a cell array;  (* the registry; [cells.(0)] is nil *)
+  mutable n_cells : int;
+  (* Per registry id, for queued cells: *)
+  mutable nexts : int array;  (* the next cell in its slot *)
+  mutable times : int array;  (* its [c_time] and [c_seq] when inserted *)
+  mutable seqs : int array;
+  heads : int array;  (* per slot: the first cell's id, or [nil_id] *)
   group_fill : int array;  (* occupied-slot count per group, for fast scans *)
   mutable wheel_len : int;
   mutable cur_tick : int;
-  mutable heap : 'a cell array;
+  mutable heap : int array;  (* cell ids *)
   mutable heap_len : int;
 }
 
 let create ~dummy =
-  let rec nil =
-    { c_time = max_int; c_seq = max_int; c_value = dummy; c_next = nil; c_loc = loc_free }
+  let nil =
+    {
+      c_time = max_int;
+      c_seq = max_int;
+      c_value = dummy;
+      c_next = nil_id;
+      c_loc = loc_free;
+      c_id = nil_id;
+    }
   in
   {
-    nil;
-    heads = Array.make slot_count nil;
+    cells = Array.make 64 nil;
+    n_cells = 1;
+    nexts = Array.make 64 nil_id;
+    times = Array.make 64 max_int;
+    seqs = Array.make 64 max_int;
+    heads = Array.make slot_count nil_id;
     group_fill = Array.make group_count 0;
     wheel_len = 0;
     cur_tick = 0;
@@ -57,9 +85,26 @@ let create ~dummy =
   }
 
 let make_cell t v =
-  { c_time = 0; c_seq = 0; c_value = v; c_next = t.nil; c_loc = loc_free }
+  let id = t.n_cells in
+  if id = Array.length t.cells then begin
+    let grow a fill =
+      let bigger = Array.make (2 * id) fill in
+      Array.blit a 0 bigger 0 id;
+      bigger
+    in
+    t.cells <- grow t.cells t.cells.(nil_id);
+    t.nexts <- grow t.nexts nil_id;
+    t.times <- grow t.times max_int;
+    t.seqs <- grow t.seqs max_int
+  end;
+  let c = { c_time = 0; c_seq = 0; c_value = v; c_next = nil_id; c_loc = loc_free; c_id = id } in
+  t.cells.(id) <- c;
+  t.n_cells <- id + 1;
+  c
 
-let nil t = t.nil
+(* Ids come only from the registry, so the hot paths index it unchecked. *)
+let cell t id = Array.unsafe_get t.cells id
+let nil t = cell t nil_id
 let length t = t.wheel_len + t.heap_len
 let is_empty t = t.wheel_len = 0 && t.heap_len = 0
 
@@ -68,11 +113,14 @@ let before a b = a.c_time < b.c_time || (a.c_time = b.c_time && a.c_seq < b.c_se
 (* Slot indices are always masked into range and group indices derived from
    them, so the hot paths use unchecked array accesses. *)
 let head_get t s = Array.unsafe_get t.heads s
-let head_set t s c = Array.unsafe_set t.heads s c
+let head_set t s id = Array.unsafe_set t.heads s id
 let fill_incr t g d =
   Array.unsafe_set t.group_fill g (Array.unsafe_get t.group_fill g + d)
 
-(* Overflow heap: an array binary min-heap of cells ordered by [before]. *)
+(* Overflow heap: an array binary min-heap of cell ids ordered by
+   [before]. *)
+
+let heap_before t i j = before (cell t t.heap.(i)) (cell t t.heap.(j))
 
 let heap_swap t i j =
   let tmp = t.heap.(i) in
@@ -82,7 +130,7 @@ let heap_swap t i j =
 let rec heap_up t i =
   if i > 0 then begin
     let p = (i - 1) / 2 in
-    if before t.heap.(i) t.heap.(p) then begin
+    if heap_before t i p then begin
       heap_swap t i p;
       heap_up t p
     end
@@ -91,30 +139,33 @@ let rec heap_up t i =
 let rec heap_down t i =
   let l = (2 * i) + 1 in
   if l < t.heap_len then begin
-    let s = if l + 1 < t.heap_len && before t.heap.(l + 1) t.heap.(l) then l + 1 else l in
-    if before t.heap.(s) t.heap.(i) then begin
+    let s = if l + 1 < t.heap_len && heap_before t (l + 1) l then l + 1 else l in
+    if heap_before t s i then begin
       heap_swap t i s;
       heap_down t s
     end
   end
 
+(* Only ever read with [heap_len > 0]. *)
+let heap_top t = cell t (Array.unsafe_get t.heap 0)
+
 let heap_push t c =
   if t.heap_len = Array.length t.heap then begin
     let cap = max 16 (2 * t.heap_len) in
-    let bigger = Array.make cap t.nil in
+    let bigger = Array.make cap nil_id in
     Array.blit t.heap 0 bigger 0 t.heap_len;
     t.heap <- bigger
   end;
-  t.heap.(t.heap_len) <- c;
+  t.heap.(t.heap_len) <- c.c_id;
   t.heap_len <- t.heap_len + 1;
   heap_up t (t.heap_len - 1);
   c.c_loc <- loc_heap
 
 let heap_pop_top t =
-  let c = t.heap.(0) in
+  let c = heap_top t in
   t.heap_len <- t.heap_len - 1;
   t.heap.(0) <- t.heap.(t.heap_len);
-  t.heap.(t.heap_len) <- t.nil;
+  t.heap.(t.heap_len) <- nil_id;
   if t.heap_len > 0 then heap_down t 0;
   c.c_loc <- loc_free;
   c
@@ -123,7 +174,7 @@ let heap_remove t c =
   (* A loop, not a local recursive function: that would be a closure
      allocated on every call. *)
   let i = ref 0 in
-  while !i < t.heap_len && t.heap.(!i) != c do
+  while !i < t.heap_len && t.heap.(!i) <> c.c_id do
     incr i
   done;
   let i = !i in
@@ -131,7 +182,7 @@ let heap_remove t c =
   else begin
     t.heap_len <- t.heap_len - 1;
     let last = t.heap.(t.heap_len) in
-    t.heap.(t.heap_len) <- t.nil;
+    t.heap.(t.heap_len) <- nil_id;
     if i < t.heap_len then begin
       t.heap.(i) <- last;
       heap_up t i;
@@ -147,34 +198,39 @@ let tick_of_time time_ns = time_ns asr tick_bits
 
 let slot_insert t c tick =
   let s = tick land slot_mask in
-  let head = head_get t s in
-  if head == t.nil then begin
+  let id = c.c_id and ct = c.c_time and cs = c.c_seq in
+  Array.unsafe_set t.times id ct;
+  Array.unsafe_set t.seqs id cs;
+  let head_id = head_get t s in
+  if head_id = nil_id then begin
     fill_incr t (s lsr group_bits) 1;
-    c.c_next <- t.nil;
-    head_set t s c
+    Array.unsafe_set t.nexts id nil_id;
+    head_set t s id
   end
   else begin
     (* Sorted insertion keeps pop = list head; slots span ~1 us so lists
-       stay short.  [c]'s key is hoisted into locals so the walk reloads
-       only the scanned cell's fields (mutable loads are never CSEd). *)
-    let ct = c.c_time and cs = c.c_seq in
-    if ct < head.c_time || (ct = head.c_time && cs < head.c_seq) then begin
-      c.c_next <- head;
-      head_set t s c
+       stay short.  Ids index the arrays unchecked: they all come from
+       the registry, and the arrays grow with it. *)
+    let times = t.times and seqs = t.seqs and nexts = t.nexts in
+    let ht = Array.unsafe_get times head_id in
+    if ct < ht || (ct = ht && cs < Array.unsafe_get seqs head_id) then begin
+      Array.unsafe_set nexts id head_id;
+      head_set t s id
     end
     else begin
-      let nil = t.nil in
-      let prev = ref head in
-      let nxt = ref head.c_next in
+      let prev = ref head_id in
+      let nxt = ref (Array.unsafe_get nexts head_id) in
       while
-        let n = !nxt in
-        n != nil && (n.c_time < ct || (n.c_time = ct && n.c_seq < cs))
+        !nxt <> nil_id
+        &&
+        let nt = Array.unsafe_get times !nxt in
+        nt < ct || (nt = ct && Array.unsafe_get seqs !nxt < cs)
       do
         prev := !nxt;
-        nxt := !nxt.c_next
+        nxt := Array.unsafe_get nexts !nxt
       done;
-      c.c_next <- !nxt;
-      !prev.c_next <- c
+      Array.unsafe_set nexts id !nxt;
+      Array.unsafe_set nexts !prev id
     end
   end;
   c.c_loc <- s;
@@ -189,20 +245,20 @@ let insert t c =
   if tick - t.cur_tick >= slot_count then heap_push t c else slot_insert t c tick
 
 let slot_unlink t c =
-  let s = c.c_loc in
-  let head = t.heads.(s) in
-  if head == c then begin
-    t.heads.(s) <- c.c_next;
-    if c.c_next == t.nil then fill_incr t (s lsr group_bits) (-1)
+  let s = c.c_loc and id = c.c_id in
+  let next = t.nexts.(id) in
+  if head_get t s = id then begin
+    head_set t s next;
+    if next = nil_id then fill_incr t (s lsr group_bits) (-1)
   end
   else begin
-    let prev = ref head in
-    while !prev.c_next != c do
-      prev := !prev.c_next
+    let prev = ref (head_get t s) in
+    while t.nexts.(!prev) <> id do
+      prev := t.nexts.(!prev)
     done;
-    !prev.c_next <- c.c_next
+    t.nexts.(!prev) <- next
   end;
-  c.c_next <- t.nil;
+  t.nexts.(id) <- nil_id;
   c.c_loc <- loc_free;
   t.wheel_len <- t.wheel_len - 1
 
@@ -216,7 +272,7 @@ let remove t c =
 
 (* Promote overflow cells whose tick has entered the wheel window. *)
 let cascade t =
-  while t.heap_len > 0 && tick_of_time t.heap.(0).c_time - t.cur_tick < slot_count do
+  while t.heap_len > 0 && tick_of_time (heap_top t).c_time - t.cur_tick < slot_count do
     let c = heap_pop_top t in
     let tick = tick_of_time c.c_time in
     let tick = if tick < t.cur_tick then t.cur_tick else tick in
@@ -227,7 +283,6 @@ let cascade t =
    64-slot groups in one comparison each. *)
 let scan_to_next_occupied t =
   let base = t.cur_tick in
-  let nil = t.nil in
   let d = ref 0 in
   let found = ref (-1) in
   while !found < 0 do
@@ -235,31 +290,36 @@ let scan_to_next_occupied t =
     if s land ((1 lsl group_bits) - 1) = 0
        && Array.unsafe_get t.group_fill (s lsr group_bits) = 0
     then d := !d + (1 lsl group_bits)
-    else if head_get t s != nil then found := s
+    else if head_get t s <> nil_id then found := s
     else incr d
   done;
   t.cur_tick <- base + !d;
   !found
 
+(* Unlink and return the head of occupied slot [s]. *)
+let take_head t s =
+  let id = head_get t s in
+  let next = Array.unsafe_get t.nexts id in
+  head_set t s next;
+  if next = nil_id then fill_incr t (s lsr group_bits) (-1);
+  Array.unsafe_set t.nexts id nil_id;
+  let c = cell t id in
+  c.c_loc <- loc_free;
+  t.wheel_len <- t.wheel_len - 1;
+  c
+
 let pop t =
-  if t.wheel_len = 0 && t.heap_len = 0 then t.nil
+  if t.wheel_len = 0 && t.heap_len = 0 then nil t
   else begin
     if t.heap_len > 0 then cascade t;
     if t.wheel_len = 0 then begin
       (* Everything lives beyond the window: jump the cursor to the heap
          top.  Safe only here — pop advances the clock to the returned
          cell's time, so no later insert can land behind the new cursor. *)
-      t.cur_tick <- tick_of_time t.heap.(0).c_time;
+      t.cur_tick <- tick_of_time (heap_top t).c_time;
       cascade t
     end;
-    let s = scan_to_next_occupied t in
-    let c = head_get t s in
-    head_set t s c.c_next;
-    if c.c_next == t.nil then fill_incr t (s lsr group_bits) (-1);
-    c.c_next <- t.nil;
-    c.c_loc <- loc_free;
-    t.wheel_len <- t.wheel_len - 1;
-    c
+    take_head t (scan_to_next_occupied t)
   end
 
 (* [pop], but only if the minimum's time is <= [limit_ns]; otherwise [nil]
@@ -267,22 +327,15 @@ let pop t =
    This is the bounded run loop's single-scan fast path: peek-then-pop
    would walk the slots twice per event. *)
 let pop_before t limit_ns =
-  if t.wheel_len = 0 && t.heap_len = 0 then t.nil
+  if t.wheel_len = 0 && t.heap_len = 0 then nil t
   else begin
     if t.heap_len > 0 then cascade t;
     if t.wheel_len = 0 then begin
-      if t.heap.(0).c_time > limit_ns then t.nil
+      if (heap_top t).c_time > limit_ns then nil t
       else begin
-        t.cur_tick <- tick_of_time t.heap.(0).c_time;
+        t.cur_tick <- tick_of_time (heap_top t).c_time;
         cascade t;
-        let s = scan_to_next_occupied t in
-        let c = head_get t s in
-        head_set t s c.c_next;
-        if c.c_next == t.nil then fill_incr t (s lsr group_bits) (-1);
-        c.c_next <- t.nil;
-        c.c_loc <- loc_free;
-        t.wheel_len <- t.wheel_len - 1;
-        c
+        take_head t (scan_to_next_occupied t)
       end
     end
     else begin
@@ -291,16 +344,7 @@ let pop_before t limit_ns =
          caller's clock only moves to [limit_ns] (>= popped times seen so
          far), so later inserts still land at or after the cursor. *)
       let s = scan_to_next_occupied t in
-      let c = head_get t s in
-      if c.c_time > limit_ns then t.nil
-      else begin
-        head_set t s c.c_next;
-        if c.c_next == t.nil then fill_incr t (s lsr group_bits) (-1);
-        c.c_next <- t.nil;
-        c.c_loc <- loc_free;
-        t.wheel_len <- t.wheel_len - 1;
-        c
-      end
+      if Array.unsafe_get t.times (head_get t s) > limit_ns then nil t else take_head t s
     end
   end
 
@@ -313,32 +357,31 @@ let pop_before t limit_ns =
    at or past the new cursor, and the caller's clock only moves to
    [limit_ns] when the answer is yes, so the scan amortises like [pop]'s. *)
 let clear_through t limit_ns =
-  if t.heap_len > 0 && t.heap.(0).c_time <= limit_ns then false
+  if t.heap_len > 0 && (heap_top t).c_time <= limit_ns then false
   else if t.wheel_len = 0 then true
   else begin
-    let nil = t.nil in
     let head = head_get t (t.cur_tick land slot_mask) in
-    if head != nil then head.c_time > limit_ns
+    if head <> nil_id then Array.unsafe_get t.times head > limit_ns
     else begin
       let span = tick_of_time limit_ns - t.cur_tick in
-      let d = ref 1 and found = ref nil in
-      while !found == nil && !d <= span do
+      let d = ref 1 and found = ref nil_id in
+      while !found = nil_id && !d <= span do
         let s = (t.cur_tick + !d) land slot_mask in
         if s land ((1 lsl group_bits) - 1) = 0
            && Array.unsafe_get t.group_fill (s lsr group_bits) = 0
         then d := !d + (1 lsl group_bits)
         else begin
           let h = head_get t s in
-          if h != nil then found := h else incr d
+          if h <> nil_id then found := h else incr d
         end
       done;
-      if !found == nil then begin
+      if !found = nil_id then begin
         if span > 0 then t.cur_tick <- t.cur_tick + span;
         true
       end
       else begin
         t.cur_tick <- t.cur_tick + !d;
-        !found.c_time > limit_ns
+        Array.unsafe_get t.times !found > limit_ns
       end
     end
   end

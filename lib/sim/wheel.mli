@@ -2,9 +2,11 @@
     near-future window, a binary heap of the same cells as far-future
     overflow, preserving exact (time, seq) pop order.
 
-    Cells are caller-owned mutable records; the steady-state
+    Cells are caller-owned mutable records, each registered in the wheel
+    it was made for; every link between cells is an int index into that
+    registry, so relinking stores no pointer.  The steady-state
     insert/remove/pop cycle performs no allocation, which is what lets
-    {!Engine} pool them.  A cell belongs to at most one wheel at a time.
+    {!Engine} pool them.
 
     Time is in plain [int] nanoseconds (63-bit — ±146 years of simulated
     time) so cell updates never box an [Int64]. *)
@@ -13,8 +15,11 @@ type 'a cell = {
   mutable c_time : int;  (** event time, ns *)
   mutable c_seq : int;  (** tie-break: insertion sequence *)
   mutable c_value : 'a;
-  mutable c_next : 'a cell;  (** intra-slot link; the wheel's {!nil} ends lists *)
+  mutable c_next : int;
+      (** not used by the wheel: the owner may chain free cells through
+          it by [c_id] (the engine's freelist), ending with {!nil}'s *)
   mutable c_loc : int;  (** where the cell currently lives (internal) *)
+  c_id : int;  (** this cell's index in its wheel's registry *)
 }
 
 type 'a t
@@ -23,18 +28,23 @@ val create : dummy:'a -> 'a t
 (** An empty wheel.  [dummy] fills the internal sentinel cell's value. *)
 
 val make_cell : 'a t -> 'a -> 'a cell
-(** A fresh unlinked cell usable with this wheel. *)
+(** A fresh unlinked cell usable with this wheel, registered in it for
+    the wheel's whole life. *)
+
+val cell : 'a t -> int -> 'a cell
+(** The registered cell with this [c_id] (unchecked: the id must come
+    from a cell of this wheel). *)
 
 val nil : 'a t -> 'a cell
-(** The wheel's sentinel: returned by {!pop} on an empty wheel, and the
-    list terminator for [c_next] chains (callers may reuse it as their own
-    freelist terminator). *)
+(** The wheel's sentinel: returned by {!pop} on an empty wheel; callers
+    may use its [c_id] to end their own [c_next] chains. *)
 
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 
 val insert : 'a t -> 'a cell -> unit
-(** Queue a cell at its [c_time]/[c_seq].  Times before the current cursor
+(** Queue a cell at its [c_time]/[c_seq], which must not change while it
+    is queued.  Times before the current cursor
     are admitted (they pop at the cursor position, still in (time, seq)
     order relative to their slot). *)
 

@@ -146,7 +146,7 @@ let write_ring t ~at ~src ~src_off ~len =
     let a = !at mod size in
     let page = t.data.(a / Page.size) in
     let page_off = a mod Page.size in
-    let chunk = min !left (Page.size - page_off) in
+    let chunk = Int.min !left (Page.size - page_off) in
     Page.write page ~off:page_off ~src ~src_off:!src_off ~len:chunk;
     at := a + chunk;
     src_off := !src_off + chunk;
@@ -160,7 +160,7 @@ let read_ring t ~at ~dst ~dst_off ~len =
     let a = !at mod size in
     let page = t.data.(a / Page.size) in
     let page_off = a mod Page.size in
-    let chunk = min !left (Page.size - page_off) in
+    let chunk = Int.min !left (Page.size - page_off) in
     Page.read page ~off:page_off ~dst ~dst_off:!dst_off ~len:chunk;
     at := a + chunk;
     dst_off := !dst_off + chunk;

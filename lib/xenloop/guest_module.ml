@@ -165,7 +165,7 @@ type t = {
   qos : qos_state option;
   mapping : Mapping_table.t;
   peers : (int, peer_state) Hashtbl.t;
-  flow_cache : (Steering.flow_key, cache_entry) Hashtbl.t;
+  flow_cache : cache_entry Steering.Flow_table.t;
   mutable epoch : int;
   mutable hook : Netstack.Netfilter.hook_handle option;
   mutable saved_frames : Bytes.t list;
@@ -234,7 +234,8 @@ let max_queues t = t.max_queues
    without limit. *)
 let bump_epoch t =
   t.epoch <- t.epoch + 1;
-  if Hashtbl.length t.flow_cache > flow_cache_max then Hashtbl.reset t.flow_cache
+  if Steering.Flow_table.length t.flow_cache > flow_cache_max then
+    Steering.Flow_table.reset t.flow_cache
 
 let connected_peer_ids t =
   Hashtbl.fold
@@ -2428,7 +2429,7 @@ let classify_slow t (packet : P.t) key =
   | None ->
       (* Not co-resident (as of this epoch's announcements): remember the
          negative result too, so external flows skip the table lookup. *)
-      Hashtbl.replace t.flow_cache key
+      Steering.Flow_table.replace t.flow_cache key
         { ce_epoch = t.epoch; ce_decision = Cache_standard };
       `Standard_path
   | Some peer_domid -> (
@@ -2436,7 +2437,7 @@ let classify_slow t (packet : P.t) key =
       | Some (Active ch) when ch.connected ->
           let qi = Steering.queue_index key ~queues:(Array.length ch.queues) in
           let q = ch.queues.(qi) in
-          Hashtbl.replace t.flow_cache key
+          Steering.Flow_table.replace t.flow_cache key
             { ce_epoch = t.epoch; ce_decision = Cache_queue (ch, q) };
           ch.ch_last_active <- Sim.Engine.now (engine t);
           frame_for_queue t q packet
@@ -2469,7 +2470,7 @@ let classify t (packet : P.t) =
   | P.Arp_body _ | P.Xenloop_body _ -> `Standard_path
   | P.Ipv4_body _ -> (
       let key = Steering.flow_key packet in
-      match Hashtbl.find_opt t.flow_cache key with
+      match Steering.Flow_table.find_opt t.flow_cache key with
       | Some { ce_epoch; ce_decision } when ce_epoch = t.epoch -> (
           match ce_decision with
           | Cache_standard ->
@@ -2486,7 +2487,7 @@ let classify t (packet : P.t) =
               (* The channel died since this was cached (the epoch bump and
                  this packet raced); recompute. *)
               t.s.flow_cache_misses <- t.s.flow_cache_misses + 1;
-              Hashtbl.remove t.flow_cache key;
+              Steering.Flow_table.remove t.flow_cache key;
               classify_slow t packet key)
       | Some _ | None ->
           t.s.flow_cache_misses <- t.s.flow_cache_misses + 1;
@@ -2858,7 +2859,7 @@ let create ~domain ~stack ~current_machine ?(fifo_k = Fifo.default_k) ?max_queue
       qos = qos_state;
       mapping = Mapping_table.create ();
       peers = Hashtbl.create 8;
-      flow_cache = Hashtbl.create 64;
+      flow_cache = Steering.Flow_table.create 64;
       epoch = 0;
       hook = None;
       saved_frames = [];

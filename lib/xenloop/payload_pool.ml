@@ -83,8 +83,8 @@ let init ?(max_loans = 0) ?(gso_max = 0) ~ctrl ~data ~slots ~slot_pages
   Page.set_u32 ctrl off_slots slots;
   Page.set_u32 ctrl off_slot_pages slot_pages;
   Page.set_u32 ctrl off_inline_max inline_max;
-  Page.set_u32 ctrl off_max_loans (max 0 max_loans);
-  Page.set_u32 ctrl off_gso_max (max 0 gso_max);
+  Page.set_u32 ctrl off_max_loans (Int.max 0 max_loans);
+  Page.set_u32 ctrl off_gso_max (Int.max 0 gso_max);
   (* Free ring starts full: every slot is available to the sender. *)
   for i = 0 to slots - 1 do
     Page.set_u32 ctrl (off_ring + (4 * i)) i
@@ -226,7 +226,7 @@ let write_into t ~what ~slot ~off ~src ~src_off ~len =
   while !left > 0 do
     let page = t.data.(base + (!at / Page.size)) in
     let page_off = !at mod Page.size in
-    let chunk = min !left (Page.size - page_off) in
+    let chunk = Int.min !left (Page.size - page_off) in
     Page.write page ~off:page_off ~src ~src_off:!src_off ~len:chunk;
     at := !at + chunk;
     src_off := !src_off + chunk;
@@ -244,7 +244,7 @@ let read t ~slot ~off ~len =
     if len > 0 then begin
       let page = t.data.(base + (at / Page.size)) in
       let page_off = at mod Page.size in
-      let chunk = min len (Page.size - page_off) in
+      let chunk = Int.min len (Page.size - page_off) in
       Page.read page ~off:page_off ~dst ~dst_off ~len:chunk;
       go (at + chunk) (dst_off + chunk) (len - chunk)
     end
@@ -263,7 +263,7 @@ let read_into t ~slot ~off ~len ~dst ~dst_off =
   while !left > 0 do
     let page = t.data.(base + (!at / Page.size)) in
     let page_off = !at mod Page.size in
-    let chunk = min !left (Page.size - page_off) in
+    let chunk = Int.min !left (Page.size - page_off) in
     Page.read page ~off:page_off ~dst ~dst_off:!d ~len:chunk;
     at := !at + chunk;
     d := !d + chunk;
@@ -278,7 +278,7 @@ let read_scatter t ~off chunks ~pos ~len ~dst ~dst_off =
     let slot, chunk_len = chunks.(!i) in
     if !skip >= chunk_len then skip := !skip - chunk_len
     else begin
-      let n = min !left (chunk_len - !skip) in
+      let n = Int.min !left (chunk_len - !skip) in
       read_into t ~slot ~off:(off + !skip) ~len:n ~dst ~dst_off:!d;
       skip := 0;
       d := !d + n;
@@ -297,7 +297,7 @@ let write_scatter t ~off ~slots ~lens ~pos ~src ~src_off ~len =
     let chunk_len = lens.(!i) in
     if !skip >= chunk_len then skip := !skip - chunk_len
     else begin
-      let n = min !left (chunk_len - !skip) in
+      let n = Int.min !left (chunk_len - !skip) in
       write_into t ~what:"write_scatter" ~slot:slots.(!i) ~off:(off + !skip) ~src
         ~src_off:!s ~len:n;
       skip := 0;
@@ -310,7 +310,7 @@ let write_scatter t ~off ~slots ~lens ~pos ~src ~src_off ~len =
 let parse_scatter ?verify_transport t ~off ~len chunks =
   let head = t.pl_head in
   read_scatter t ~off chunks ~pos:0
-    ~len:(min len (Bytes.length head))
+    ~len:(Int.min len (Bytes.length head))
     ~dst:head ~dst_off:0;
   Netcore.Codec.parse_with ?verify_transport ~head ~len (fun pos n ->
       let dst = Bytes.create n in

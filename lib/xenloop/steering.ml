@@ -117,3 +117,20 @@ let hash key =
 
 let queue_index key ~queues =
   if queues <= 1 then 0 else hash key mod queues
+
+(* The flow cache's table: a field-by-field equality, and the steering
+   hash above; a generic [Hashtbl] would walk the key through the
+   runtime's polymorphic compare and hash on every packet. *)
+module Flow_table = Hashtbl.Make (struct
+  type t = flow_key
+
+  let equal a b =
+    match (a, b) with
+    | Ip_flow a, Ip_flow b ->
+        a.sport = b.sport && a.dport = b.dport && Int32.equal a.src b.src
+        && Int32.equal a.dst b.dst && a.proto = b.proto
+    | Mac_flow a, Mac_flow b -> Int64.equal a b
+    | Ip_flow _, Mac_flow _ | Mac_flow _, Ip_flow _ -> false
+
+  let hash = hash
+end)

@@ -37,3 +37,7 @@ val describe_key : flow_key -> string
 
 val queue_index : flow_key -> queues:int -> int
 (** [hash key mod queues]; always 0 when [queues <= 1]. *)
+
+module Flow_table : Hashtbl.S with type key = flow_key
+(** Hash tables keyed on flows, with a monomorphic equality and the
+    steering hash. *)

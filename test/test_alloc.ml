@@ -87,6 +87,46 @@ let test_page_copy_zero_alloc () =
   in
   check_words "page write+read" ~bound:0.0 per
 
+(* The per-frame accessors: a FIFO index or descriptor field is one
+   load or store behind the bounds check, and a transport checksum one
+   [@@noalloc] stub call behind its own. *)
+let test_page_word_and_checksum_zero_alloc () =
+  let module Page = Memory.Page in
+  let page = Page.create () and frame = Bytes.make 1_500 '\x5a' in
+  let off = ref 0 and acc = ref 0 in
+  let per =
+    minor_per_iter ~iters:50_000 (fun () ->
+        off := (!off + 4) land 4092;
+        Page.set_u32 page !off (!acc + 1);
+        acc := !acc + Page.get_u32 page !off;
+        acc := !acc + Netcore.Checksum.compute frame ~off:(!off land 7) ~len:1_400)
+  in
+  ignore (Sys.opaque_identity !acc);
+  check_words "page get_u32+set_u32, checksum" ~bound:0.0 per
+
+(* A process blocked on a condition queues its own continuation: a
+   signal/await round trip pays the effects runtime (5.5 minor words per
+   event as of OCaml 5.1) and nothing for the wait itself.  A resume
+   closure and a queue cell per wait, as before, cost 23 words per
+   event. *)
+let test_condition_wait_slack () =
+  let e = Sim.Engine.create () in
+  let c = Sim.Condition.create () in
+  Sim.Engine.spawn e (fun () ->
+      while true do
+        Sim.Condition.await c
+      done);
+  Sim.Engine.spawn e (fun () ->
+      while true do
+        Sim.Condition.signal c;
+        Sim.Engine.sleep (Sim.Time.us 1)
+      done);
+  for _ = 1 to 100 do
+    ignore (Sim.Engine.step e)
+  done;
+  let per = minor_per_iter ~iters:50_000 (fun () -> ignore (Sim.Engine.step e)) in
+  check_words "engine step, condition await/signal" ~bound:6.0 per
+
 let test_engine_sleep_wake_slack () =
   let e = Sim.Engine.create () in
   Sim.Engine.spawn e (fun () ->
@@ -430,6 +470,10 @@ let suites =
           test_fifo_push_entry_zero_alloc;
         Alcotest.test_case "page write and read allocate nothing" `Quick
           test_page_copy_zero_alloc;
+        Alcotest.test_case "page words and checksum allocate nothing" `Quick
+          test_page_word_and_checksum_zero_alloc;
+        Alcotest.test_case "condition wait within effect slack" `Quick
+          test_condition_wait_slack;
         Alcotest.test_case "engine sleep/wake within effect slack" `Quick
           test_engine_sleep_wake_slack;
         Alcotest.test_case "engine timer fire within fiber slack" `Quick

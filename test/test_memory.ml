@@ -116,6 +116,89 @@ let test_page_integers () =
   Alcotest.(check int) "u32" 0xdeadbeef (Page.get_u32 p 4);
   Alcotest.(check int64) "u64" 0x0123456789abcdefL (Page.get_u64 p 8)
 
+(* Each multi-byte accessor is one native load or store behind the bounds
+   check: at every offset it may take, the value is laid out
+   little-endian, reads back what the bytes say, and leaves the
+   neighbouring bytes alone; one offset further raises. *)
+let test_page_le_layout_every_offset () =
+  let p = Page.create () in
+  let st = Random.State.make [| 7 |] in
+  let widths =
+    [
+      (2, (fun off v -> Page.set_u16 p off v), fun off -> Page.get_u16 p off);
+      (4, (fun off v -> Page.set_u32 p off v), fun off -> Page.get_u32 p off);
+      ( 8,
+        (fun off v -> Page.set_u64 p off (Int64.of_int v)),
+        fun off -> Int64.to_int (Page.get_u64 p off) );
+    ]
+  in
+  List.iter
+    (fun (width, set, get) ->
+      let mask = if width = 8 then -1 else (1 lsl (8 * width)) - 1 in
+      for off = 0 to Page.size - width do
+        Page.zero p;
+        let v = Random.State.bits st lor (Random.State.bits st lsl 30) lor (Random.State.bits st lsl 60) in
+        set off v;
+        let from_bytes = ref 0 in
+        for i = width - 1 downto 0 do
+          from_bytes := (!from_bytes lsl 8) lor Page.get_u8 p (off + i)
+        done;
+        if !from_bytes land mask <> v land mask then
+          Alcotest.failf "u%d at %d: stored %x, bytes say %x" (8 * width) off (v land mask) !from_bytes;
+        if off > 0 && Page.get_u8 p (off - 1) <> 0 then
+          Alcotest.failf "u%d at %d wrote the byte before" (8 * width) off;
+        if off + width < Page.size && Page.get_u8 p (off + width) <> 0 then
+          Alcotest.failf "u%d at %d wrote the byte after" (8 * width) off;
+        for i = 0 to width - 1 do
+          Page.set_u8 p (off + i) ((v lsr (8 * ((i + 3) mod width))) land 0xff)
+        done;
+        let want = ref 0 in
+        for i = width - 1 downto 0 do
+          want := (!want lsl 8) lor Page.get_u8 p (off + i)
+        done;
+        if get off land mask <> !want land mask then
+          Alcotest.failf "u%d at %d reads %x, bytes say %x" (8 * width) off (get off) !want
+      done;
+      List.iter
+        (fun off ->
+          match get off with
+          | _ -> Alcotest.failf "u%d at %d did not raise" (8 * width) off
+          | exception Invalid_argument _ -> ())
+        [ Page.size - width + 1; -1; max_int ])
+    widths
+
+(* Pages are windows of one arena chunk: writes, stores and zeroing of
+   one never reach its neighbours, up to the last byte of each. *)
+let test_page_chunk_neighbours_apart () =
+  (* Four consecutive pages: at most one chunk boundary falls among
+     them, so at least two neighbouring pairs share a chunk. *)
+  let pages = Array.init 4 (fun _ -> Page.create ()) in
+  let fill i = Char.chr (0xa0 + i) in
+  Array.iteri
+    (fun i p -> Page.write p ~off:0 ~src:(Bytes.make Page.size (fill i)) ~src_off:0 ~len:Page.size)
+    pages;
+  let expect i =
+    let b = Bytes.make Page.size (fill i) in
+    if i = 1 then begin
+      Bytes.set_int32_le b 0 0x01020304l;
+      Bytes.set_int32_le b (Page.size - 4) 0x05060708l
+    end;
+    if i = 2 then Bytes.fill b 0 Page.size '\000';
+    b
+  in
+  Page.set_u32 pages.(1) 0 0x01020304;
+  Page.set_u32 pages.(1) (Page.size - 4) 0x05060708;
+  Page.zero pages.(2);
+  Array.iteri
+    (fun i p ->
+      let b = Bytes.create Page.size in
+      Page.read p ~off:0 ~dst:b ~dst_off:0 ~len:Page.size;
+      Alcotest.(check bytes) (Printf.sprintf "page %d" i) (expect i) b)
+    pages;
+  Alcotest.(check bool) "zeroed page reads zero" true (Page.is_zeroed pages.(2));
+  Alcotest.(check bool) "its neighbours do not" false
+    (Page.is_zeroed pages.(1) || Page.is_zeroed pages.(3))
+
 let test_page_zero () =
   let p = Page.create () in
   Alcotest.(check bool) "fresh page zeroed" true (Page.is_zeroed p);
@@ -371,6 +454,10 @@ let suites =
           test_page_copy_bounds_move_nothing;
         Alcotest.test_case "integer accessors" `Quick test_page_integers;
         Alcotest.test_case "zeroing" `Quick test_page_zero;
+        Alcotest.test_case "little-endian at every offset" `Quick
+          test_page_le_layout_every_offset;
+        Alcotest.test_case "pages of one chunk never alias" `Quick
+          test_page_chunk_neighbours_apart;
         Alcotest.test_case "unique ids" `Quick test_page_ids_unique;
       ]
       @ qsuite [ prop_page_copy_matches_byte_loop ] );

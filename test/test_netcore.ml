@@ -98,9 +98,10 @@ let prop_checksum_detects_single_bit_flips =
       Bytes.set_uint8 data idx corrupted;
       Checksum.compute data ~off:0 ~len <> ck)
 
-(* The production sum is accumulated 32 bits at a time in native byte
-   order; this reference is the textbook big-endian byte-pair fold.  They
-   must agree bit-for-bit on every input, offset, and length parity. *)
+(* The production sum is a C stub that adds 64-bit native-order words;
+   this reference is the textbook big-endian byte-pair fold.  They must
+   agree bit-for-bit on every input, at every offset modulo 8 and every
+   length up to a jumbo frame's first pages, odd lengths included. *)
 let reference_checksum data ~off ~len =
   let sum = ref 0 in
   let i = ref off in
@@ -121,12 +122,25 @@ let reference_checksum data ~off ~len =
 
 let prop_checksum_matches_reference =
   QCheck.Test.make ~name:"wide checksum matches byte-pair reference" ~count:500
-    QCheck.(pair (string_of_size Gen.(0 -- 80)) (int_bound 7))
-    (fun (s, off) ->
-      let data = Bytes.of_string s in
-      QCheck.assume (off <= Bytes.length data);
-      let len = Bytes.length data - off in
+    QCheck.(triple (int_bound 7) (int_bound 2000) (int_bound 9))
+    (fun (off, len, slack) ->
+      let rng = Random.State.make [| off; len; slack |] in
+      let data = Bytes.init (off + len + slack) (fun _ -> Char.chr (Random.State.int rng 256)) in
       Checksum.compute data ~off ~len = reference_checksum data ~off ~len)
+
+(* The sum is a C stub that checks nothing: the OCaml bounds check in
+   front of it must turn away every out-of-range request, including an
+   offset so large that [off + len] wraps negative. *)
+let test_checksum_out_of_range () =
+  let data = Bytes.make 64 '\xff' in
+  List.iter
+    (fun (off, len) ->
+      match Checksum.ones_complement_sum data ~off ~len with
+      | _ -> Alcotest.failf "off=%d len=%d was summed" off len
+      | exception Invalid_argument _ -> ())
+    [ (max_int - 2, 10); (max_int, 1); (1, max_int); (-1, 4); (0, -1); (60, 5); (65, 0) ];
+  Alcotest.(check int) "the whole buffer" 0xffff (Checksum.ones_complement_sum data ~off:0 ~len:64);
+  Alcotest.(check int) "an empty range at the end" 0 (Checksum.ones_complement_sum data ~off:64 ~len:0)
 
 let prop_checksum_incremental_matches_full =
   QCheck.Test.make ~name:"incremental update matches recomputation" ~count:200
@@ -1234,6 +1248,7 @@ let suites =
         Alcotest.test_case "known vector" `Quick test_checksum_known_vector;
         Alcotest.test_case "verify embedded" `Quick test_checksum_verify;
         Alcotest.test_case "odd length" `Quick test_checksum_odd_length;
+        Alcotest.test_case "out-of-range sum raises" `Quick test_checksum_out_of_range;
       ]
       @ qsuite
           [

@@ -866,6 +866,25 @@ let test_engine_timer_callback_sleep_keeps_rearm_order () =
     ]
     (List.rev !log)
 
+(* A waiter's cell stays in the wheel's registry for the engine's life;
+   once the waiter has resumed and is dropped, the cell must not keep
+   its [ready] predicate (and what that reaches) alive. *)
+let test_engine_dead_waiter_pins_nothing () =
+  let e = Sim.Engine.create () in
+  let collected = ref false in
+  let () =
+    let state = Bytes.make 4096 'w' in
+    Gc.finalise_last (fun () -> collected := true) state;
+    let w = Sim.Engine.waiter e in
+    Sim.Engine.spawn e (fun () ->
+        Sim.Engine.park w (Sim.Time.us 1) ~max_ticks:3 (fun () -> Bytes.length state = 0))
+  in
+  Sim.Engine.run e;
+  Gc.full_major ();
+  Gc.full_major ();
+  Alcotest.(check bool) "the ready closure's state was collected" true !collected;
+  Alcotest.(check int) "the engine is still usable" 0 (Sim.Engine.pending_events e)
+
 let test_engine_sleep_outside_process_unhandled () =
   let e = Sim.Engine.create () in
   let outside () =
@@ -954,6 +973,26 @@ let test_resource_fifo_no_barging () =
   Sim.Engine.run e;
   Alcotest.(check (list int)) "completion order = arrival order" [ 5; 4; 3; 2; 1 ]
     !order
+
+(* The wait queue is a ring of continuations that grows as processes
+   pile up and wraps as they leave: handoff order must stay arrival
+   order through both, with new arrivals joining while the queue drains. *)
+let test_resource_fifo_through_ring_growth () =
+  let e = Sim.Engine.create () in
+  let r = Sim.Resource.create ~name:"cpu" in
+  let order = ref [] in
+  let arrive i =
+    Sim.Engine.after e (Sim.Time.ns (i * 3)) (fun () ->
+        Sim.Resource.use r (Sim.Time.ns 5);
+        order := i :: !order)
+  in
+  for i = 1 to 40 do
+    arrive i
+  done;
+  Sim.Engine.run e;
+  Alcotest.(check (list int)) "completion order = arrival order" (List.init 40 (fun i -> i + 1))
+    (List.rev !order);
+  Alcotest.(check int) "nobody left waiting" 0 (Sim.Resource.queue_length r)
 
 let test_resource_release_unheld () =
   let r = Sim.Resource.create ~name:"cpu" in
@@ -1121,6 +1160,8 @@ let suites =
           test_engine_timer_callback_sleep_keeps_rearm_order;
         Alcotest.test_case "sleep outside a process is unhandled" `Quick
           test_engine_sleep_outside_process_unhandled;
+        Alcotest.test_case "a dead waiter pins nothing" `Quick
+          test_engine_dead_waiter_pins_nothing;
       ]
       @ qsuite
           [
@@ -1138,6 +1179,8 @@ let suites =
       [
         Alcotest.test_case "serializes users" `Quick test_resource_serializes;
         Alcotest.test_case "strict FIFO, no barging" `Quick test_resource_fifo_no_barging;
+        Alcotest.test_case "FIFO through wait-ring growth" `Quick
+          test_resource_fifo_through_ring_growth;
         Alcotest.test_case "release unheld rejected" `Quick test_resource_release_unheld;
         Alcotest.test_case "queue length" `Quick test_resource_queue_length;
       ] );
