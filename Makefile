@@ -84,10 +84,8 @@ soak: build
 
 # Wide chaos soak, opt-in and not part of `ci`: 40 iterations of the
 # full fault matrix at base seeds 0 and 100.  Both sweeps run; the target
-# exits nonzero if either fails.  It currently reports one known
-# exactly-once loss (one datagram of 250): the base-0 sweep is clean and
-# the base-100 sweep fails only cluster3/evict-storm at seed 117, replay
-# `xenloopsim chaos --case cluster3/evict-storm --seed 117`.
+# exits nonzero if either fails.  Every seed that ever failed here is
+# pinned as a named replay in test/test_chaos.ml (chaos.replay).
 soak-wide: build
 	@status=0; \
 	for seed in 0 100; do \

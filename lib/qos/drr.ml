@@ -223,8 +223,6 @@ let drain_all t =
   t.total_bytes <- 0;
   List.rev !out
 
-let clear t = ignore (drain_all t)
-
 let fold_flows f t init =
   (* Ring order: only active (non-empty) flows are folded, in service
      order, which keeps the result deterministic across runs. *)

@@ -57,8 +57,6 @@ val is_empty : ('k, 'v) t -> bool
     zeroed.  Used at channel teardown to flush or save the backlog. *)
 val drain_all : ('k, 'v) t -> ('k * 'v * int) list
 
-val clear : ('k, 'v) t -> unit
-
 (** Fold over active (non-empty) flows in service order. *)
 val fold_flows :
   ('a -> 'k -> items:int -> bytes:int -> 'a) -> ('k, 'v) t -> 'a -> 'a

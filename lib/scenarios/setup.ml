@@ -86,7 +86,7 @@ let build_inter_machine ~params =
 (* --- Scenarios 2 and 3: two guests on one Xen machine --- *)
 
 let build_xen_machine ~params ~with_xenloop ~fifo_k ~client_queues ~server_queues
-    ~client_rung ~server_rung ~trace ~cpu_model =
+    ~client_rung ~server_rung ~cpu_model =
   let engine = Sim.Engine.create () in
   let machine = Machine.create ~engine ~params ~id:0 ?cpu_model () in
   let dom0 = Machine.dom0 machine in
@@ -123,12 +123,12 @@ let build_xen_machine ~params ~with_xenloop ~fifo_k ~client_queues ~server_queue
       let m1 =
         Xenloop.Guest_module.create ~domain:_d1 ~stack:client.Endpoint.stack
           ~current_machine:(fun () -> machine)
-          ?fifo_k ?max_queues:client_queues ?trace ()
+          ?fifo_k ?max_queues:client_queues ()
       in
       let m2 =
         Xenloop.Guest_module.create ~domain:_d2 ~stack:server.Endpoint.stack
           ~current_machine:(fun () -> machine)
-          ?fifo_k ?max_queues:server_queues ?trace ()
+          ?fifo_k ?max_queues:server_queues ()
       in
       let discovery =
         Xenloop.Discovery.start ~machine ~dom0_stack:dom0_ep.Endpoint.stack ()
@@ -253,14 +253,14 @@ let build_cluster ?(params = Params.default) ?fifo_k ?queues ?cpu_model ~guests:
     c_discovery = discovery; c_warmup }
 
 let build ?(params = Params.default) ?fifo_k ?client_queues ?server_queues
-    ?client_rung ?server_rung ?trace ?cpu_model kind =
+    ?client_rung ?server_rung ?cpu_model kind =
   match kind with
   | Inter_machine -> build_inter_machine ~params
   | Netfront_netback ->
       build_xen_machine ~params ~with_xenloop:false ~fifo_k:None ~client_queues:None
-        ~server_queues:None ~client_rung:None ~server_rung:None ~trace
+        ~server_queues:None ~client_rung:None ~server_rung:None
         ~cpu_model
   | Xenloop_path ->
       build_xen_machine ~params ~with_xenloop:true ~fifo_k ~client_queues
-        ~server_queues ~client_rung ~server_rung ~trace ~cpu_model
+        ~server_queues ~client_rung ~server_rung ~cpu_model
   | Native_loopback -> build_native_loopback ~params

@@ -41,7 +41,6 @@ val build :
   ?server_queues:int ->
   ?client_rung:Hypervisor.Params.rung ->
   ?server_rung:Hypervisor.Params.rung ->
-  ?trace:Sim.Trace.t ->
   ?cpu_model:Hypervisor.Machine.cpu_model ->
   kind ->
   duo
@@ -51,8 +50,7 @@ val build :
     {!Hypervisor.Params.xenloop_queues}), letting tests exercise asymmetric
     negotiation; [client_rung]/[server_rung] override each guest's
     {!Hypervisor.Params.t.xenloop_rung}, so tests can pit modules on
-    different rungs of the feature ladder against each other; [trace] is
-    handed to the XenLoop modules; [cpu_model]
+    different rungs of the feature ladder against each other; [cpu_model]
     selects dedicated vCPUs (default) or the credit scheduler for the Xen
     scenarios. *)
 

@@ -89,6 +89,10 @@ type queue = {
   mutable q_tx_draining : bool;
       (** some process is inside [drain_backlog]; CPU charges yield, so the
           handler and a sender batch-flush could otherwise double-pop *)
+  mutable q_closed : bool;
+      (** the channel is closing or closed ({!close_channel}): module
+          state, not shared memory, so a sender resuming from a CPU charge
+          can check it without reading pages the close may have released *)
   mutable q_notifies_sent : int;
   mutable q_notifies_suppressed : int;
   mutable q_steered : int;
@@ -179,7 +183,6 @@ type t = {
     release:(copied:bool -> unit) ->
     unit)
     option;
-  trace : Sim.Trace.t option;
   s : stats;
   mutable loaded : bool;
   mutable next_token : int;  (** Requested_from_listener incarnations *)
@@ -189,7 +192,6 @@ type t = {
       (** the Dom0 announce epoch this guest has applied and acked
           (delta announcements only; 0 otherwise) *)
   mutable expiry_timer : Sim.Engine.timer option;
-  mutable lingering : queue list;  (** queues whose handler is parked now *)
   tx_head : Bytes.t;
       (** the head of a frame being written into pool slots — a jumbo's
           serialized headers, an app descriptor's 8-byte header — with the
@@ -216,11 +218,19 @@ let ack_timeout = Sim.Time.ms 500
 let flow_cache_max = 4096
 
 (* A lingering handler's ticks are counted when it resumes; a read in
-   between counts the ticks elapsed so far. *)
+   between counts the ticks elapsed so far (a waiter that is not parked
+   has none left to hand out). *)
 let stats t =
-  List.iter
-    (fun q -> t.s.poll_rounds <- t.s.poll_rounds + Sim.Engine.take_ticks q.q_waiter)
-    t.lingering;
+  Hashtbl.iter
+    (fun _ state ->
+      match state with
+      | Active ch ->
+          Array.iter
+            (fun q ->
+              t.s.poll_rounds <- t.s.poll_rounds + Sim.Engine.take_ticks q.q_waiter)
+            ch.queues
+      | Bootstrapping _ | Failed_until _ -> ())
+    t.peers;
   t.s
 
 let is_loaded t = t.loaded
@@ -332,12 +342,6 @@ let outstanding_loans t =
         | Bootstrapping (Requested_from_listener _) | Failed_until _ -> acc)
       t.peers 0
 
-let trace t cat fmt =
-  match t.trace with
-  | Some tr ->
-      Sim.Trace.emitf tr cat ~time:(Sim.Engine.now (Stack.engine t.stack)) fmt
-  | None -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
-
 let my_domid t = Domain.domid t.domain
 let cpu t = Stack.cpu t.stack
 let params t = Stack.params t.stack
@@ -426,27 +430,30 @@ let mark_queue_inactive t q =
   wake_self q;
   wake_peer t q
 
-let notify_peer ?(force = false) t q =
-  (* Doorbell suppression: a consumer that has published "actively
-     draining" in this queue's shared descriptor will see our data on its
-     next poll round, so the hypercall is pure overhead.  Teardown and
-     quarantine pass [~force:true] — liveness signals must never be
-     elided.  Suppression state is per queue: a peer busily draining the
-     bulk queue says nothing about its attention to the rr queue. *)
-  let p = params t in
+(* One doorbell: the hypercall, never elided.  A close rings every
+   queue this way, since a liveness signal must not be suppressed. *)
+let ring_peer t q =
   wake_peer t q;
-  if (not force) && t.notify && Fifo.consumer_active q.out_fifo then begin
-    t.s.notifies_suppressed <- t.s.notifies_suppressed + 1;
-    q.q_notifies_suppressed <- q.q_notifies_suppressed + 1
-  end
-  else begin
-    t.s.notifies_sent <- t.s.notifies_sent + 1;
-    q.q_notifies_sent <- q.q_notifies_sent + 1;
-    Sim.Resource.use (cpu t) p.Params.hypercall;
-    ignore
-      (Ec.notify (Machine.evtchn (t.current_machine ())) ~dom:(my_domid t)
-         ~port:q.q_port ~meter:(meter t))
-  end
+  t.s.notifies_sent <- t.s.notifies_sent + 1;
+  q.q_notifies_sent <- q.q_notifies_sent + 1;
+  Sim.Resource.use (cpu t) (params t).Params.hypercall;
+  ignore
+    (Ec.notify (Machine.evtchn (t.current_machine ())) ~dom:(my_domid t)
+       ~port:q.q_port ~meter:(meter t))
+
+(* Doorbell suppression: a consumer that has published "actively
+   draining" in this queue's shared descriptor will see our data on its
+   next poll round, so the hypercall is pure overhead.  Suppression state
+   is per queue: a peer busily draining the bulk queue says nothing about
+   its attention to the rr queue.  A closed queue has nobody to tell. *)
+let notify_peer t q =
+  if not q.q_closed then
+    if t.notify && Fifo.consumer_active q.out_fifo then begin
+      wake_peer t q;
+      t.s.notifies_suppressed <- t.s.notifies_suppressed + 1;
+      q.q_notifies_suppressed <- q.q_notifies_suppressed + 1
+    end
+    else ring_peer t q
 
 (* The IP protocol number straight out of the serialized frame (Ethernet
    header + IPv4 protocol byte) — a descriptor hint only, so 0 for
@@ -608,7 +615,8 @@ let write_jumbo t pool frame ~chunk_slots ~chunk_lens =
    fault mid-vector) rolls the allocations back and reports [false], so
    the caller queues the frame exactly as it would on a full ring.
    [amortized] skips the per-push [xenloop_fifo_op] when the caller
-   already charged it for the whole batch.
+   already charged it for the whole batch.  A close during the charge
+   also refuses: the slots die with the pool pages, untouched.
 
    The descriptor always carries [flag_csum_ok]: frames on the channel
    come from a trusted co-resident sender, so the receiver may skip
@@ -640,33 +648,36 @@ let push_jumbo ?(amortized = false) t q frame =
           (* Like the loaned descriptor path, on a loan channel the slots
              are the frame's only resting place — no sender copy charged or
              recorded; a plain gso channel pays the one real copy. *)
-          if q.q_max_loans = 0 then begin
+          if q.q_max_loans = 0 then
             Sim.Resource.use (cpu t) (Params.xenloop_copy_cost p len);
-            record_copy t len
-          end;
-          let chunk_lens = Array.make nchunks sb in
-          chunk_lens.(nchunks - 1) <- len - ((nchunks - 1) * sb);
-          let proto_hint = write_jumbo t pool frame ~chunk_slots ~chunk_lens in
-          (* Chaos hook: corrupt one chunk length in the published vector
-             — [total_len] stays honest and the payload was written
-             intact, so the receiver must catch the sum mismatch and drop
-             this frame loudly rather than mis-deliver it. *)
-          (match t.jumbo_fault with
-          | Some f when chunk_lens.(0) > 1 && f () ->
-              chunk_lens.(0) <- chunk_lens.(0) - 1
-          | _ -> ());
-          if
-            Fifo.try_push_jumbo q.out_fifo ~flags:Fifo.flag_csum_ok ~chunk_slots
-              ~chunk_lens ~nchunks ~total_len:len ~proto_hint ()
-          then begin
-            t.s.jumbo_tx <- t.s.jumbo_tx + 1;
-            t.s.jumbo_chunks_tx <- t.s.jumbo_chunks_tx + nchunks;
-            note_outcome t q Fifo.pushed_desc
-          end
-          else begin
-            unalloc_chunks pool chunk_slots nchunks;
-            false
-          end
+          (not q.q_closed)
+          && begin
+               if q.q_max_loans = 0 then record_copy t len;
+               let chunk_lens = Array.make nchunks sb in
+               chunk_lens.(nchunks - 1) <- len - ((nchunks - 1) * sb);
+               let proto_hint = write_jumbo t pool frame ~chunk_slots ~chunk_lens in
+               (* Chaos hook: corrupt one chunk length in the published
+                  vector — [total_len] stays honest and the payload was
+                  written intact, so the receiver must catch the sum
+                  mismatch and drop this frame loudly rather than
+                  mis-deliver it. *)
+               (match t.jumbo_fault with
+               | Some f when chunk_lens.(0) > 1 && f () ->
+                   chunk_lens.(0) <- chunk_lens.(0) - 1
+               | _ -> ());
+               if
+                 Fifo.try_push_jumbo q.out_fifo ~flags:Fifo.flag_csum_ok ~chunk_slots
+                   ~chunk_lens ~nchunks ~total_len:len ~proto_hint ()
+               then begin
+                 t.s.jumbo_tx <- t.s.jumbo_tx + 1;
+                 t.s.jumbo_chunks_tx <- t.s.jumbo_chunks_tx + nchunks;
+                 note_outcome t q Fifo.pushed_desc
+               end
+               else begin
+                 unalloc_chunks pool chunk_slots nchunks;
+                 false
+               end
+             end
         end
       end
 
@@ -684,11 +695,16 @@ let push_jumbo ?(amortized = false) t q frame =
    degrades to the chunked inline copy with its transport checksum
    (an inline entry carries no [flag_csum_ok], so the receiver verifies
    it): a gso sender never parks frames behind an empty ring, where no
-   peer notification would come to flush them. *)
+   peer notification would come to flush them.
+
+   The charges yield the CPU, so every step after one first checks
+   [q_closed]: a channel closed meanwhile refuses the frame, and its
+   pages are not read or written again. *)
 let push_frame ?(amortized = false) t q frame =
   let entry_fits len =
-    Fifo.can_accept_entry q.out_fifo ?pool:q.q_tx_pool
-      ~inline_max:q.q_inline_max len
+    (not q.q_closed)
+    && Fifo.can_accept_entry q.out_fifo ?pool:q.q_tx_pool
+         ~inline_max:q.q_inline_max len
   in
   let push_entry raw =
     let p = params t in
@@ -700,6 +716,8 @@ let push_frame ?(amortized = false) t q frame =
     if not amortized then
       Sim.Resource.use (cpu t) (Sim.Time.span_add p.Params.xenloop_fifo_op copy)
     else if not loan_desc then Sim.Resource.use (cpu t) copy;
+    (not q.q_closed)
+    &&
     let outcome =
       Fifo.push_entry q.out_fifo ~pool:q.q_tx_pool ~inline_max:q.q_inline_max
         ~proto_hint:(proto_hint_of raw) raw
@@ -709,7 +727,8 @@ let push_frame ?(amortized = false) t q frame =
       record_copy t len;
     ok
   in
-  (amortized || not (push_refused t))
+  (not q.q_closed)
+  && (amortized || not (push_refused t))
   &&
   match frame with
   | Raw raw when not (jumbo_eligible q (Bytes.length raw)) ->
@@ -830,20 +849,22 @@ let qos_overflowed t ~key =
       let flow = Qos.Flow_table.lookup qs.qt_flows key in
       flow.Qos.Flow_table.f_overflows <- flow.Qos.Flow_table.f_overflows + 1
 
+(* A frame the ring refused waits on the backlog — unless the channel
+   closed while its sender had yielded in the send path: the close has
+   already taken the backlog, so the frame leaves through netfront like
+   the rest of the unsent. *)
 let enqueue_backlog t q ~key frame =
   let raw = frame_bytes frame in
-  let flow =
-    match t.qos with
-    | None -> None
-    | Some qs -> Some (qs, Qos.Flow_table.lookup qs.qt_flows key)
-  in
-  if Qos.Drr.enqueue q.backlog ~key ~weight:1 ~len:(Bytes.length raw) raw then begin
+  if q.q_closed then transmit_standard t raw
+  else if Qos.Drr.enqueue q.backlog ~key ~weight:1 ~len:(Bytes.length raw) raw then begin
     t.s.queued_to_waiting <- t.s.queued_to_waiting + 1;
     (* Published through the shared descriptor so the peer knows freed
        space on this queue is worth a notification back to us. *)
     Fifo.set_producer_waiting q.out_fifo true;
     wake_self q;
-    match flow with Some (qs, f) -> qos_update_watermark t qs q f | None -> ()
+    match t.qos with
+    | Some qs -> qos_update_watermark t qs q (Qos.Flow_table.lookup qs.qt_flows key)
+    | None -> ()
   end
   else begin
     qos_overflowed t ~key;
@@ -877,12 +898,13 @@ let drain_backlog t q =
     let continue_draining = ref true in
     while !continue_draining do
       match Qos.Drr.peek q.backlog with
-      | Some (key, raw, len) when queue_can_accept q len ->
+      | Some (key, raw, len) when (not q.q_closed) && queue_can_accept q len ->
           if push_sent ~queued:true t q ~key (Raw raw) then incr pushed
           else continue_draining := false
       | Some _ | None -> continue_draining := false
     done;
-    if Qos.Drr.is_empty q.backlog then Fifo.set_producer_waiting q.out_fifo false;
+    if (not q.q_closed) && Qos.Drr.is_empty q.backlog then
+      Fifo.set_producer_waiting q.out_fifo false;
     q.q_tx_draining <- false;
     !pushed
   end
@@ -935,7 +957,8 @@ let send_batch t q steals =
          frame still pays its copy before becoming visible to the
          consumer. *)
       let direct =
-        Qos.Drr.is_empty q.backlog
+        (not q.q_closed)
+        && Qos.Drr.is_empty q.backlog
         && (not (push_refused t))
         && queue_can_accept q (frame_length first)
       in
@@ -953,7 +976,7 @@ let send_batch t q steals =
       notify_peer t q
 
 (* ------------------------------------------------------------------ *)
-(* Teardown *)
+(* Receive path and closing a channel *)
 
 (* Channel death must not leave sockets clamped behind a congestion
    signal that will never clear: reset every latched flow watermark and
@@ -969,25 +992,6 @@ let qos_release_congestion t =
             qos_signal t qs flow ~congested:false
           end)
         (Qos.Flow_table.flows qs.qt_flows)
-
-(* Every queue's unsent frames in queue order — per queue, the frames
-   [stranded] reclaims from its FIFO, then its backlog — leaving each
-   backlog empty. *)
-let take_unsent ?(stranded = fun _ -> []) ch =
-  Array.fold_left
-    (fun acc q ->
-      let reclaimed = stranded q in
-      let backlog = List.map (fun (_, raw, _) -> raw) (Qos.Drr.drain_all q.backlog) in
-      acc @ reclaimed @ backlog)
-    [] ch.queues
-
-(* Transparent fallback: packets that never made it into any queue's FIFO
-   leave through the standard netfront path instead of being dropped.
-   Every queue is emptied before the first transmit: each transmit yields
-   the CPU, and a handler waking mid-flush must find the queues already
-   empty rather than race the iteration. *)
-let flush_waiting_via_standard_path ?stranded t ch =
-  List.iter (transmit_standard t) (take_unsent ?stranded ch)
 
 exception Corrupt_channel
 
@@ -1038,9 +1042,9 @@ type scatter =
   | Scatter_bad_framing
       (** an out-of-range or repeated slot: the shared state itself cannot
           be trusted *)
-  | Scatter_bad_lengths of int
-      (** the chunk lengths (their sum is carried) do not account for the
-          frame: this frame alone is undeliverable *)
+  | Scatter_bad_lengths
+      (** the chunk lengths do not account for the frame: this frame alone
+          is undeliverable *)
   | Scatter_ok  (** the vector may be read *)
 
 let check_scatter pool ~off ~len chunks =
@@ -1062,7 +1066,7 @@ let check_scatter pool ~off ~len chunks =
       len > 0 && sum = len && off >= 0
       && Array.for_all (fun (_, l) -> l > 0 && off + l <= sb) chunks
     then Scatter_ok
-    else Scatter_bad_lengths sum
+    else Scatter_bad_lengths
   end
 
 (* The frame's raw bytes, for a vector [check_scatter] accepted. *)
@@ -1138,7 +1142,7 @@ let drain_incoming t q =
   let deliver_pool_frame pool ~off ~len ~flags chunks =
     match check_scatter pool ~off ~len chunks with
     | Scatter_bad_framing -> raise Corrupt_channel
-    | Scatter_bad_lengths sum ->
+    | Scatter_bad_lengths ->
         (* A corrupted scatter length (chaos [Jumbo_truncate]) makes
            exactly this frame undeliverable — return the slots, account
            the drop loudly, keep the channel.  Never deliver bytes the
@@ -1146,9 +1150,6 @@ let drain_incoming t q =
         Array.iter (fun (s, _) -> Payload_pool.free pool s) chunks;
         space_freed t q;
         t.s.jumbo_drops <- t.s.jumbo_drops + 1;
-        trace t Sim.Trace.Channel
-          "dom%d: dropped corrupt jumbo on q%d (len=%d chunk-sum=%d chunks=%d)"
-          (my_domid t) q.q_index len sum (Array.length chunks);
         incr consumed
     | Scatter_ok ->
         let result =
@@ -1236,16 +1237,13 @@ let drain_incoming t q =
   done;
   !consumed
 
-let drain_all_incoming t ch =
-  Array.iter
-    (fun q -> try ignore (drain_incoming t q) with Corrupt_channel -> ())
-    ch.queues
-
-(* Channel teardown must not wait for application releases: every loan
-   still in flight is force-returned to the free ring now (the pool pages
-   are about to be unmapped) and the rx views go dead, so a late release
-   from a socket buffer that outlives the channel is a harmless no-op. *)
-let force_return_channel_loans t ch =
+(* The last step of {!close_channel}.  It does not wait for application
+   releases: every loan still in flight is force-returned to the free
+   ring (the pool pages are about to be unmapped) and the rx views go
+   dead, so a late release from a socket buffer that outlives the channel
+   is a harmless no-op.  Then pages, grants and ports are released and
+   the close is counted. *)
+let release_channel t ch =
   Array.iter
     (fun q ->
       match q.q_rx_pool with
@@ -1254,44 +1252,11 @@ let force_return_channel_loans t ch =
           let n = Payload_pool.force_return_loans pool in
           if n > 0 then begin
             space_freed t q;
-            t.s.loans_force_returned <- t.s.loans_force_returned + n;
-            trace t Sim.Trace.Teardown
-              "dom%d: force-returned %d in-flight loan(s) on q%d to dom%d"
-              (my_domid t) n q.q_index ch.peer_domid
+            t.s.loans_force_returned <- t.s.loans_force_returned + n
           end)
-    ch.queues
-
-(* The last step of every channel teardown: outstanding loans
-   force-returned, pages, grants and ports released, the teardown
-   counted. *)
-let release_channel t ch =
-  force_return_channel_loans t ch;
+    ch.queues;
   ch.cleanup ();
   t.s.channels_torn_down <- t.s.channels_torn_down + 1
-
-(* Abandon a channel whose shared state can no longer be trusted.  One
-   corrupt queue poisons the whole channel: the queues share their page
-   pool and their cleanup, so they go together or not at all. *)
-let quarantine t peer_domid ch =
-  t.s.corrupt_channels <- t.s.corrupt_channels + 1;
-  trace t Sim.Trace.Teardown "dom%d: quarantining corrupt channel to dom%d"
-    (my_domid t) peer_domid;
-  Array.iter
-    (fun q ->
-      Qos.Drr.clear q.backlog;
-      (try Fifo.mark_inactive q.out_fifo with Invalid_argument _ -> ());
-      (try Fifo.mark_inactive q.in_fifo with Invalid_argument _ -> ());
-      wake_self q;
-      wake_peer t q)
-    ch.queues;
-  qos_release_congestion t;
-  (* Tell the peer on every queue so it disengages too. *)
-  Array.iter
-    (fun q -> try notify_peer ~force:true t q with Invalid_argument _ -> ())
-    ch.queues;
-  release_channel t ch;
-  Hashtbl.remove t.peers peer_domid;
-  bump_epoch t
 
 (* The frames queue [q]'s peer never popped from its FIFO, in FIFO
    order, read back out of the ring and our own tx pool. *)
@@ -1351,7 +1316,7 @@ let reclaim_stranded t ch q =
                    stranded :=
                      gather_scatter pool ~off:0 ~len:j_len j_chunks
                      :: !stranded
-               | Scatter_bad_framing | Scatter_bad_lengths _ ->
+               | Scatter_bad_framing | Scatter_bad_lengths ->
                    t.s.jumbo_drops <- t.s.jumbo_drops + 1)
            | None -> t.s.jumbo_drops <- t.s.jumbo_drops + 1)
        | None -> reclaiming := false
@@ -1359,51 +1324,78 @@ let reclaim_stranded t ch q =
    with Invalid_argument _ -> ());
   List.rev !stranded
 
-let teardown_channel t ~save ch =
-  trace t Sim.Trace.Teardown "dom%d: tearing down channel to dom%d (save=%b, queues=%d)"
-    (my_domid t) ch.peer_domid save (Array.length ch.queues);
-  (* Receive anything still pending on every queue, kill the shared state
-     so concurrent senders bounce off, save or flush the unsent packets,
-     tell the peer, disengage. *)
-  if ch.connected then drain_all_incoming t ch;
-  (* Every queue goes inactive before any queue's frames are reclaimed: a
-     handler that was mid-push on {e any} queue when we got here must see
-     try_push fail, not feed frames into pages this function is about to
-     reclaim and release.  This is what makes multi-queue teardown
-     atomic. *)
-  Array.iter (mark_queue_inactive t) ch.queues;
-  (* Any latched congestion signal is released so no socket stays
-     clamped behind a dead channel. *)
-  qos_release_congestion t;
-  (* Frames the peer has not yet popped would be stranded once the FIFO
-     pages go back to the frame pool (the peer reads them only after its
-     event latency, by which time the pages may be reused).  Reclaim them
-     per queue and let the save/flush carry them, in order, ahead of that
-     queue's backlog. *)
-  let stranded = if ch.connected then reclaim_stranded t ch else fun _ -> [] in
-  if save then t.saved_frames <- t.saved_frames @ take_unsent ~stranded ch
-  else flush_waiting_via_standard_path ~stranded t ch;
-  if ch.connected then Array.iter (fun q -> notify_peer ~force:true t q) ch.queues;
-  release_channel t ch
+(* What a close does with the frames the channel never delivered: keep
+   them for the resend after migration (paper Sect. 3.4), send them now
+   through netfront, or — on a channel whose shared state cannot be
+   trusted — drop them, reading nothing back out of its pages. *)
+type unsent = Save | Flush | Drop
 
-let disengage_peer t peer_domid ~save =
+(* Every queue's unsent frames in queue order — per queue, the frames
+   reclaimed from its out-FIFO (when [reclaim]), then its backlog in
+   service order — leaving each backlog empty.  Every queue is emptied
+   before the first frame is sent on: each transmit yields the CPU. *)
+let take_unsent t ch ~reclaim =
+  Array.fold_left
+    (fun acc q ->
+      let reclaimed = if reclaim then reclaim_stranded t ch q else [] in
+      let backlog = List.map (fun (_, raw, _) -> raw) (Qos.Drr.drain_all q.backlog) in
+      acc @ reclaimed @ backlog)
+    [] ch.queues
+
+(* The one way a channel ends (DESIGN.md §6, "Closing a channel"), for
+   unload, migration, stale announcements and delta leaves, the zombie
+   re-Create, eviction, the peer's own close, quarantine, and a handshake
+   that is given up or abandoned.  [entry] is what the peer's state
+   becomes ([None]: forgotten).  [tell_peer]: ring every queue so the peer
+   closes its side; a close the peer started skips it, as its ports are
+   already gone.
+
+   Everything up to the first yield happens at once: the queues are
+   closed module-side, the peer entry changes and the epoch moves, so no
+   handler, packet or later close finds the channel again, and a sender
+   resuming from a CPU charge sends through netfront instead of touching
+   the pages.  Closing a closed channel does nothing. *)
+let close_channel t ch ~entry ~unsent ~tell_peer =
+  if not (Array.exists (fun q -> q.q_closed) ch.queues) then begin
+    (* [q_closed] makes a lingering handler's [q_ready] true. *)
+    Array.iter
+      (fun q ->
+        q.q_closed <- true;
+        wake_self q)
+      ch.queues;
+    (match entry with
+    | None -> Hashtbl.remove t.peers ch.peer_domid
+    | Some state -> Hashtbl.replace t.peers ch.peer_domid state);
+    bump_epoch t;
+    let trusted = ch.connected && unsent <> Drop in
+    if trusted then
+      Array.iter
+        (fun q -> try ignore (drain_incoming t q) with Corrupt_channel -> ())
+        ch.queues;
+    (* Every FIFO goes inactive before any frame is reclaimed, so the peer
+       stops pushing into pages about to be read back and released. *)
+    Array.iter (mark_queue_inactive t) ch.queues;
+    qos_release_congestion t;
+    let frames = take_unsent t ch ~reclaim:trusted in
+    (match unsent with
+    | Save -> t.saved_frames <- t.saved_frames @ frames
+    | Flush -> List.iter (transmit_standard t) frames
+    | Drop -> ());
+    if tell_peer then Array.iter (ring_peer t) ch.queues;
+    release_channel t ch
+  end
+
+let disengage_peer t peer_domid ~unsent =
   match Hashtbl.find_opt t.peers peer_domid with
-  | Some (Active ch) ->
-      (* Unregister before the teardown yields the CPU, so a concurrently
-         waking handler cannot find the channel and tear it down twice. *)
-      Hashtbl.remove t.peers peer_domid;
-      bump_epoch t;
-      teardown_channel t ~save ch
-  | Some (Bootstrapping (Awaiting_ack ba)) ->
-      ba.ba_channel.cleanup ();
-      Hashtbl.remove t.peers peer_domid
-  | Some (Bootstrapping (Requested_from_listener _)) | Some (Failed_until _) ->
+  | Some (Active ch | Bootstrapping (Awaiting_ack { ba_channel = ch; _ })) ->
+      close_channel t ch ~entry:None ~unsent ~tell_peer:true
+  | Some (Bootstrapping (Requested_from_listener _) | Failed_until _) ->
       Hashtbl.remove t.peers peer_domid
   | None -> ()
 
-let teardown_all t ~save =
+let teardown_all t ~unsent =
   let peer_ids = Hashtbl.fold (fun id _ acc -> id :: acc) t.peers [] in
-  List.iter (fun id -> disengage_peer t id ~save) peer_ids;
+  List.iter (fun id -> disengage_peer t id ~unsent) peer_ids;
   Mapping_table.clear t.mapping;
   bump_epoch t
 
@@ -1449,29 +1441,23 @@ let lru_active_peer t ~excluding =
       | _ -> best)
     t.peers None
 
-(* Evict one Active channel: the peer state flips to a short cooldown
-   {e before} the teardown runs (teardown yields the CPU, and a
-   concurrently waking handler or the very next packet must not race a new
-   bootstrap into the slot being freed).  The teardown itself is the
-   ordinary grant-balanced one — pending receives drained, stranded frames
-   reclaimed, unsent traffic flushed over netfront exactly once — so
-   eviction is transparent to the flows riding the channel; they fall back
-   to netfront until traffic re-establishes it.  Not a bootstrap failure:
-   the peer is fine, we just chose to shed the state. *)
+(* A peer entry that refuses new bootstraps until [span] from now. *)
+let cooldown t span = Failed_until (Sim.Time.add (Sim.Engine.now (engine t)) span)
+
+(* Evict one Active channel: the peer entry becomes a short cooldown as
+   the close begins, so the very next packet cannot race a new bootstrap
+   into the slot being freed.  The close flushes the unsent traffic over
+   netfront exactly once, so eviction is transparent to the flows riding
+   the channel; they fall back to netfront until traffic re-establishes
+   it.  Not a bootstrap failure: the peer is fine, we just chose to shed
+   the state. *)
 let evict_channel t peer_domid =
   match Hashtbl.find_opt t.peers peer_domid with
   | Some (Active ch) ->
-      let deadline =
-        Sim.Time.add
-          (Sim.Engine.now (engine t))
-          (params t).Params.xenloop_evict_cooldown
-      in
-      Hashtbl.replace t.peers peer_domid (Failed_until deadline);
-      bump_epoch t;
       t.s.channels_evicted <- t.s.channels_evicted + 1;
-      trace t Sim.Trace.Teardown "dom%d: evicting channel to dom%d (LRU)"
-        (my_domid t) peer_domid;
-      teardown_channel t ~save:false ch;
+      close_channel t ch
+        ~entry:(Some (cooldown t (params t).Params.xenloop_evict_cooldown))
+        ~unsent:Flush ~tell_peer:true;
       true
   | Some (Bootstrapping _) | Some (Failed_until _) | None -> false
 
@@ -1569,23 +1555,11 @@ let announce_epoch t = t.announce_epoch
 (* ------------------------------------------------------------------ *)
 (* Event-channel handler: packets arrived, or space was freed *)
 
-(* Peer marked the channel inactive: drain what's left on every queue,
-   then disengage (paper Sect. 3.3, "Channel teardown").  Seeing any one
-   queue inactive means the whole channel is going — the peer marks them
-   all before notifying. *)
-let handle_peer_teardown t peer_domid ch =
-  (* A handler parked in its poll window can wake after [unload] already
-     disengaged this very channel; only the first teardown may clean up. *)
-  match Hashtbl.find_opt t.peers peer_domid with
-  | Some (Active ch') when ch' == ch ->
-      (* Unregister first: the drain below yields, and only the first
-         teardown may run the cleanup. *)
-      Hashtbl.remove t.peers peer_domid;
-      bump_epoch t;
-      drain_all_incoming t ch;
-      flush_waiting_via_standard_path t ch;
-      release_channel t ch
-  | _ -> ()
+(* The peer closed the channel (paper Sect. 3.3, "Channel teardown"): it
+   marks every queue inactive before it rings, so one inactive queue means
+   the whole channel is going.  Its ports are gone; nothing is rung
+   back. *)
+let peer_closed t ch = close_channel t ch ~entry:None ~unsent:Flush ~tell_peer:false
 
 (* One quiescence round on one queue: receive everything pending, then
    service our own backlog into the space that popping just freed. *)
@@ -1601,7 +1575,8 @@ let drain_round t q =
   done;
   (!total_consumed, !total_pushed)
 
-let queue_live q = Fifo.is_active q.in_fifo && Fifo.is_active q.out_fifo
+let queue_live q =
+  (not q.q_closed) && Fifo.is_active q.in_fifo && Fifo.is_active q.out_fifo
 
 (* Work a handler can do on this queue right now: a frame to receive, or
    a backlog head the ring and pool can now take. *)
@@ -1613,7 +1588,7 @@ let queue_has_work q =
   | None -> false
 
 (* A lingering handler's [q_ready]: work, or the channel going down (never
-   poll across a teardown: the disengage path must run).  A pure read;
+   poll across a close: the peer's close must be handled).  A pure read;
    everything that can make it true wakes the queue's waiter. *)
 let queue_ready q = (not (queue_live q)) || queue_has_work q
 
@@ -1634,11 +1609,9 @@ let poll_for_more t q =
   else begin
     let window_ns = Int64.to_int (Sim.Time.to_ns window) in
     let interval_ns = Int64.to_int (Sim.Time.to_ns poll_interval) in
-    t.lingering <- q :: t.lingering;
     Sim.Engine.park q.q_waiter poll_interval
       ~max_ticks:((window_ns + interval_ns - 1) / interval_ns)
       q.q_ready;
-    t.lingering <- List.filter (fun q' -> q' != q) t.lingering;
     t.s.poll_rounds <- t.s.poll_rounds + Sim.Engine.take_ticks q.q_waiter;
     if Sim.Engine.missed_wake q.q_waiter then
       t.s.poll_missed_wakes <- t.s.poll_missed_wakes + 1;
@@ -1651,8 +1624,7 @@ let on_event t peer_domid qi () =
     | Some (Active ch) when qi < Array.length ch.queues -> (
         let q = ch.queues.(qi) in
         if not q.q_busy then begin
-          if not (queue_live q) then
-            handle_peer_teardown t peer_domid ch
+          if not (queue_live q) then peer_closed t ch
           else begin
             q.q_busy <- true;
             let suppressing = t.notify in
@@ -1665,7 +1637,10 @@ let on_event t peer_domid qi () =
                 let pushed = drain_backlog t q in
                 total_consumed := !total_consumed + consumed;
                 total_pushed := !total_pushed + pushed;
-                if suppressing then begin
+                (* The channel closed while we were charged: stop serving
+                   it, and leave its pages alone. *)
+                if q.q_closed then serving := false
+                else if suppressing then begin
                   (* Signal per round, not once at handler exit: the peer
                      must refill (or drain) {e while} we are still serving,
                      or the two endpoints alternate in lockstep, one
@@ -1682,7 +1657,7 @@ let on_event t peer_domid qi () =
                 else if consumed = 0 && pushed = 0 then serving := false
               done;
               let final_consumed = ref 0 and final_pushed = ref 0 in
-              if suppressing then begin
+              if suppressing && not q.q_closed then begin
                 Fifo.set_consumer_active q.in_fifo false;
                 (* Close the suppression race: a push that saw the flag
                    still set stayed silent, so look one last time after
@@ -1696,19 +1671,23 @@ let on_event t peer_domid qi () =
               (!total_consumed, !total_pushed, !final_consumed, !final_pushed)
             with
             | exception Corrupt_channel ->
-                (try Fifo.set_consumer_active q.in_fifo false
-                 with Invalid_argument _ -> ());
                 q.q_busy <- false;
-                quarantine t peer_domid ch
+                (* Quarantine: one corrupt queue poisons the whole channel,
+                   as the queues share their page pool and cleanup. *)
+                if not q.q_closed then begin
+                  Fifo.set_consumer_active q.in_fifo false;
+                  t.s.corrupt_channels <- t.s.corrupt_channels + 1;
+                  close_channel t ch ~entry:None ~unsent:Drop ~tell_peer:true
+                end
             | total_consumed, total_pushed, final_consumed, final_pushed ->
                 q.q_busy <- false;
                 if total_consumed > 0 || total_pushed > 0 then
                   ch.ch_last_active <- Sim.Engine.now (engine t);
                 if not (queue_live q) then
-                  (* The peer tore the channel down while we were busy; its
-                     notify was swallowed by the busy guard, so disengage
-                     now. *)
-                  handle_peer_teardown t peer_domid ch
+                  (* The peer closed the channel while we were busy; its
+                     notify was swallowed by the busy guard, so close our
+                     side now (nothing, if we closed it ourselves). *)
+                  peer_closed t ch
                 else if suppressing then begin
                   (* In-loop rounds already signalled; only the race-closing
                      final drain still needs its notification. *)
@@ -1758,6 +1737,7 @@ let new_queue t ~index ~out_fifo ~in_fifo ~port ~tx_pool ~rx_pool ~inline_max
     q_gso_max = gso_max;
     q_busy = false;
     q_tx_draining = false;
+    q_closed = false;
     q_notifies_sent = 0;
     q_notifies_suppressed = 0;
     q_steered = 0;
@@ -1805,16 +1785,10 @@ let send_ctrl t ~dst_mac msg =
    bootstrap, and a dead or deaf peer turns the fast path into a retry
    storm of Create_channel grants and frame allocations. *)
 let mark_bootstrap_failed t peer_domid =
-  let deadline =
-    Sim.Time.add
-      (Sim.Engine.now (engine t))
-      (params t).Params.xenloop_bootstrap_cooldown
-  in
-  Hashtbl.replace t.peers peer_domid (Failed_until deadline);
+  Hashtbl.replace t.peers peer_domid
+    (cooldown t (params t).Params.xenloop_bootstrap_cooldown);
   t.s.bootstrap_failures <- t.s.bootstrap_failures + 1;
-  bump_epoch t;
-  trace t Sim.Trace.Bootstrap "dom%d: bootstrap to dom%d failed; cooling down"
-    (my_domid t) peer_domid
+  bump_epoch t
 
 let rec send_create_with_retry t ~peer_domid ~peer_mac ~msg ba =
   send_ctrl t ~dst_mac:peer_mac msg;
@@ -1826,18 +1800,15 @@ let rec send_create_with_retry t ~peer_domid ~peer_mac ~msg ba =
             send_create_with_retry t ~peer_domid ~peer_mac ~msg ba
           end
           else begin
-            (* Give up (paper: resend 3 times).  Poison the offered queues
-               before releasing anything: a connector that mapped the
+            (* Give up (paper: resend 3 times).  The close poisons the
+               offered queues and rings them: a connector that mapped the
                grants and whose ack is still in flight must find the FIFOs
                inactive and disengage, not keep feeding a channel whose
                listener end no longer exists. *)
-            Array.iter
-              (fun q ->
-                mark_queue_inactive t q;
-                try notify_peer ~force:true t q with Invalid_argument _ -> ())
-              ba.ba_channel.queues;
-            ba.ba_channel.cleanup ();
-            mark_bootstrap_failed t peer_domid
+            t.s.bootstrap_failures <- t.s.bootstrap_failures + 1;
+            close_channel t ba.ba_channel
+              ~entry:(Some (cooldown t (params t).Params.xenloop_bootstrap_cooldown))
+              ~unsent:Flush ~tell_peer:true
           end
       | _ -> ())
 
@@ -2032,14 +2003,11 @@ let listener_create t ~peer_domid ~peer_mac ~peer_queues ~peer_rung =
           let ba = { ba_channel = ch; retries = 0 } in
           Hashtbl.replace t.peers peer_domid (Bootstrapping (Awaiting_ack ba));
           t.s.bootstraps_started <- t.s.bootstraps_started + 1;
-          trace t Sim.Trace.Bootstrap "dom%d: offering %d queue(s) to dom%d"
-            domid nq peer_domid;
           let msg = Proto.Create_channel { listener_domid = domid; queues = grants } in
           send_create_with_retry t ~peer_domid ~peer_mac ~msg ba)
   end
 
 let start_bootstrap t ~peer_domid ~peer_mac =
-  trace t Sim.Trace.Bootstrap "dom%d: bootstrap towards dom%d" (my_domid t) peer_domid;
   if my_domid t < peer_domid then begin
     (* The listener learns the peer's advertised queue count and rung
        from the announcement entry that put the peer in the mapping
@@ -2225,9 +2193,6 @@ let connector_accept t ~listener_domid ~listener_mac ~queue_grants =
           Hashtbl.replace t.peers listener_domid (Active ch);
           bump_epoch t;
           t.s.channels_established <- t.s.channels_established + 1;
-          trace t Sim.Trace.Channel
-            "dom%d: channel to dom%d connected (connector, %d queue(s))" domid
-            listener_domid (Array.length queues);
           send_ctrl t ~dst_mac:listener_mac
             (Proto.Channel_ack { connector_domid = domid });
           (* Anything already in the FIFOs must not wait for another
@@ -2250,7 +2215,7 @@ let on_announce t entries =
       (fun id _ acc -> if Mapping_table.mem_domid t.mapping id then acc else id :: acc)
       t.peers []
   in
-  List.iter (fun id -> disengage_peer t id ~save:false) stale
+  List.iter (fun id -> disengage_peer t id ~unsent:Flush) stale
 
 (* Soft-state TTL (paper Sect. 3.5: state refreshed by the periodic
    announcements, never explicitly invalidated).  A guest that has heard
@@ -2266,12 +2231,8 @@ let softstate_expire t =
       && Mapping_table.size t.mapping > 0
       && Sim.Time.(Sim.Engine.now (engine t) >= Sim.Time.add t.last_announce ttl)
     then begin
-      let evicted = Mapping_table.size t.mapping in
-      t.s.softstate_evictions <- t.s.softstate_evictions + evicted;
-      trace t Sim.Trace.Teardown
-        "dom%d: soft-state TTL expired; evicting %d mapping entr%s" (my_domid t)
-        evicted
-        (if evicted = 1 then "y" else "ies");
+      t.s.softstate_evictions <-
+        t.s.softstate_evictions + Mapping_table.size t.mapping;
       on_announce t [];
       (* We just threw the whole table away: under delta announcements our
          acked epoch must go back to zero, or Dom0 would keep treating us
@@ -2313,7 +2274,7 @@ let on_ctrl_packet t (packet : P.t) =
                 List.iter
                   (fun id ->
                     if not (Mapping_table.mem_domid t.mapping id) then
-                      disengage_peer t id ~save:false)
+                      disengage_peer t id ~unsent:Flush)
                   da_leaves
               end;
               write_ack t da_epoch
@@ -2357,7 +2318,7 @@ let on_ctrl_packet t (packet : P.t) =
                    incarnation (our ack was too late) and is starting over.
                    Disengage the zombie — its pages are going or gone on
                    the listener side — and accept the new offer. *)
-                disengage_peer t listener_domid ~save:false;
+                disengage_peer t listener_domid ~unsent:Flush;
                 connector_accept t ~listener_domid
                   ~listener_mac:packet.P.src_mac ~queue_grants:queues
             | Some (Active _) -> ()
@@ -2381,10 +2342,6 @@ let on_ctrl_packet t (packet : P.t) =
                 Hashtbl.replace t.peers connector_domid (Active ba.ba_channel);
                 bump_epoch t;
                 t.s.channels_established <- t.s.channels_established + 1;
-                trace t Sim.Trace.Channel
-                  "dom%d: channel to dom%d connected (listener, %d queue(s))"
-                  (my_domid t) connector_domid
-                  (Array.length ba.ba_channel.queues);
                 (* The connector may have pushed data before its ack reached
                    us; the matching notification was consumed while we were
                    still awaiting the ack, so drain every queue now. *)
@@ -2650,14 +2607,10 @@ let send_app_payload t ~dst_ip ~src_port ~dst_port payload =
 (* Lifecycle *)
 
 let prepare_migration t =
-  trace t Sim.Trace.Migration "dom%d: pre-migrate (saving %d peers' channels)"
-    (my_domid t) (Hashtbl.length t.peers);
   unadvertise t;
-  teardown_all t ~save:true
+  teardown_all t ~unsent:Save
 
 let restore_after_migration t =
-  trace t Sim.Trace.Migration "dom%d: restored; re-advertising, %d saved frame(s)"
-    (my_domid t) (List.length t.saved_frames);
   advertise t;
   (* Resend packets saved from the backlogs (paper Sect. 3.4). *)
   List.iter (transmit_standard t) t.saved_frames;
@@ -2667,7 +2620,7 @@ let unload t =
   if t.loaded then begin
     unadvertise t;
     Stack.set_tx_jumbo_hint t.stack None;
-    teardown_all t ~save:false;
+    teardown_all t ~unsent:Flush;
     (match t.hook with
     | Some handle -> Netstack.Netfilter.unregister (Stack.post_routing t.stack) handle
     | None -> ());
@@ -2830,7 +2783,7 @@ let jumbo_hint_for t ~dst =
         | Some _ | None -> 0)
 
 let create ~domain ~stack ~current_machine ?(fifo_k = Fifo.default_k) ?max_queues
-    ?trace () =
+    () =
   let p = Stack.params stack in
   let mq =
     match max_queues with
@@ -2865,7 +2818,6 @@ let create ~domain ~stack ~current_machine ?(fifo_k = Fifo.default_k) ?max_queue
       saved_frames = [];
       app_handler = None;
       app_view_handler = None;
-      trace;
       s =
         {
           via_channel_tx = 0;
@@ -2908,7 +2860,6 @@ let create ~domain ~stack ~current_machine ?(fifo_k = Fifo.default_k) ?max_queue
       last_announce = Sim.Engine.now (Stack.engine stack);
       announce_epoch = 0;
       expiry_timer = None;
-      lingering = [];
       tx_head = Bytes.create Netcore.Codec.max_header_length;
       ctrl_fault = None;
       push_fault = None;

@@ -38,6 +38,8 @@ type stats = {
   mutable too_big_fallback : int;
   mutable channels_established : int;
   mutable channels_torn_down : int;
+      (** channels closed for any reason, an offered channel whose
+          handshake was given up or abandoned included *)
   mutable bootstraps_started : int;
   mutable corrupt_channels : int;
       (** channels torn down because the peer corrupted the shared FIFO
@@ -134,7 +136,6 @@ val create :
   current_machine:(unit -> Hypervisor.Machine.t) ->
   ?fifo_k:int ->
   ?max_queues:int ->
-  ?trace:Sim.Trace.t ->
   unit ->
   t
 (** Load the module into a guest.  [current_machine] is consulted whenever
@@ -151,9 +152,7 @@ val create :
     keeps the rung below bit-for-bit).  {!Hypervisor.Params.t.qos_enabled}
     turns on per-flow accounting, DRR service of the waiting list by flow
     and watermark backpressure into the socket layer (DESIGN.md §14); off,
-    every frame is one flow and the waiting list is served in FIFO order.
-    [trace] receives bootstrap/channel/teardown/migration events when its
-    categories are enabled. *)
+    every frame is one flow and the waiting list is served in FIFO order. *)
 
 val unload : t -> unit
 (** Remove the module: tears down all channels (flushing waiting packets

@@ -413,6 +413,32 @@ let test_gso_truncate_clean () =
     v2.Harness.v_log_digest
 
 (* ------------------------------------------------------------------ *)
+(* Replays: every soak case and seed that ever lost or duplicated a
+   datagram.  Seed 117 lost one when a sender that had yielded inside the
+   push resumed after its own module evicted the channel and queued the
+   frame on a backlog the eviction had already taken. *)
+
+let replay name seed () =
+  match Soak.find_case name with
+  | None -> Alcotest.failf "unknown soak case %s" name
+  | Some case ->
+      let v, _ = Harness.run (Soak.case_config case ~seed) in
+      Alcotest.(check int) "lost" 0 v.Harness.v_lost;
+      Alcotest.(check int) "duplicated" 0 v.Harness.v_duplicates;
+      Alcotest.(check int) "every datagram delivered" v.Harness.v_sent
+        v.Harness.v_delivered;
+      Alcotest.(check (list string)) "no violation" [] v.Harness.v_violations
+
+let replays =
+  [
+    ("cluster3/evict-storm", 117);
+    ("cluster3/evict-storm", 47);
+    ("cluster3/evict-teardown", 3);
+    ("cluster3/evict-teardown", 25);
+    ("cluster3/evict-teardown", 129);
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Sabotage: the checker must catch a deliberately broken invariant *)
 
 let test_sabotage_detected () =
@@ -599,6 +625,12 @@ let suites =
           test_gso_truncate_clean;
         Alcotest.test_case "sabotage is detected" `Quick test_sabotage_detected;
       ] );
+    ( "chaos.replay",
+      List.map
+        (fun (name, seed) ->
+          Alcotest.test_case (Printf.sprintf "%s seed %d" name seed) `Quick
+            (replay name seed))
+        replays );
     ( "chaos.softstate",
       [
         Alcotest.test_case "ttl eviction and recovery" `Quick

@@ -901,47 +901,6 @@ let test_engine_sleep_outside_process_unhandled () =
     (Sim.Time.instant_to_ns (Sim.Engine.now e))
 
 (* ------------------------------------------------------------------ *)
-(* Trace *)
-
-let t0 = Sim.Time.zero
-let t_us n = Sim.Time.add Sim.Time.zero (Sim.Time.us n)
-
-let test_trace_enable_disable () =
-  let tr = Sim.Trace.create () in
-  Sim.Trace.emit tr Sim.Trace.Channel ~time:t0 "dropped";
-  Alcotest.(check int) "disabled drops" 0 (Sim.Trace.count tr);
-  Sim.Trace.enable tr Sim.Trace.Channel;
-  Sim.Trace.emit tr Sim.Trace.Channel ~time:t0 "kept";
-  Sim.Trace.emit tr Sim.Trace.Bootstrap ~time:t0 "still dropped";
-  Alcotest.(check int) "only enabled kept" 1 (Sim.Trace.count tr);
-  Sim.Trace.disable tr Sim.Trace.Channel;
-  Sim.Trace.emit tr Sim.Trace.Channel ~time:t0 "dropped again";
-  Alcotest.(check int) "disable works" 1 (Sim.Trace.count tr)
-
-let test_trace_ring_overwrites () =
-  let tr = Sim.Trace.create ~capacity:3 () in
-  Sim.Trace.enable_all tr;
-  for i = 1 to 5 do
-    Sim.Trace.emit tr Sim.Trace.Channel ~time:(t_us i) (string_of_int i)
-  done;
-  Alcotest.(check int) "retains capacity" 3 (Sim.Trace.count tr);
-  Alcotest.(check int) "counts all" 5 (Sim.Trace.total_emitted tr);
-  Alcotest.(check (list string)) "oldest evicted" [ "3"; "4"; "5" ]
-    (List.map (fun r -> r.Sim.Trace.message) (Sim.Trace.records tr))
-
-let test_trace_emitf_lazy () =
-  let tr = Sim.Trace.create () in
-  (* Disabled category: format args must not be evaluated into a record. *)
-  Sim.Trace.emitf tr Sim.Trace.Discovery ~time:t0 "guest %d" 7;
-  Alcotest.(check int) "nothing recorded" 0 (Sim.Trace.count tr);
-  Sim.Trace.enable tr Sim.Trace.Discovery;
-  Sim.Trace.emitf tr Sim.Trace.Discovery ~time:t0 "guest %d" 7;
-  Alcotest.(check (list string)) "formatted" [ "guest 7" ]
-    (List.map (fun r -> r.Sim.Trace.message) (Sim.Trace.records tr));
-  Sim.Trace.clear tr;
-  Alcotest.(check int) "cleared" 0 (Sim.Trace.count tr)
-
-(* ------------------------------------------------------------------ *)
 (* Resource *)
 
 let test_resource_serializes () =
@@ -1169,12 +1128,6 @@ let suites =
             prop_park_overwake_is_invisible;
             prop_run_matches_step;
           ] );
-    ( "sim.trace",
-      [
-        Alcotest.test_case "enable/disable" `Quick test_trace_enable_disable;
-        Alcotest.test_case "bounded ring" `Quick test_trace_ring_overwrites;
-        Alcotest.test_case "lazy formatting" `Quick test_trace_emitf_lazy;
-      ] );
     ( "sim.resource",
       [
         Alcotest.test_case "serializes users" `Quick test_resource_serializes;

@@ -395,21 +395,103 @@ let test_corrupt_peer_is_quarantined () =
       | Some _ -> ()
       | None -> Alcotest.fail "connectivity lost after quarantine")
 
-let test_trace_narrates_lifecycle () =
-  let tr = Sim.Trace.create () in
-  Sim.Trace.enable_all tr;
-  let duo = Setup.build ~trace:tr Setup.Xenloop_path in
+let bind_udp (ep : Scenarios.Endpoint.t) ?port () =
+  match Netstack.Udp.bind ep.Scenarios.Endpoint.udp ?port () with
+  | Ok sock -> sock
+  | Error _ -> Alcotest.fail "udp bind"
+
+let rec recv_all sock acc =
+  match Netstack.Udp.recv_opt sock with
+  | None -> List.rev acc
+  | Some (_, _, payload) -> recv_all sock (Bytes.to_string payload :: acc)
+
+(* A sender parked in the push's CPU charge while its own module evicts
+   the channel.  The eviction takes the backlog before the sender
+   resumes, so the frame must leave through netfront, once, and the
+   sender must leave the closed queue's shared descriptor alone. *)
+let test_late_sender_after_close () =
+  let duo = Setup.build Setup.Xenloop_path in
   let m1, _ = modules_of duo in
   Experiment.execute duo (fun () ->
-      Gm.unload m1;
-      Sim.Engine.sleep (Sim.Time.ms 1));
-  let messages = List.map (fun r -> r.Sim.Trace.message) (Sim.Trace.records tr) in
-  let has_containing needle =
-    List.exists (fun m -> Testutil.contains m needle) messages
+      Sim.Engine.sleep (Sim.Time.ms 1);
+      let fifos =
+        List.init (Gm.queue_count m1 ~domid:2) (fun queue ->
+            Option.get (Gm.tx_fifo m1 ~domid:2 ~queue))
+      in
+      let server = bind_udp duo.Setup.server ~port:7100 () in
+      let client = bind_udp duo.Setup.client () in
+      let armed = ref true in
+      Gm.set_push_fault_injector m1
+        (Some
+           (fun () ->
+             (* The push draws this just before its charge: evict one
+                nanosecond into it. *)
+             if !armed then begin
+               armed := false;
+               Sim.Engine.after duo.Setup.engine (Sim.Time.ns 1) (fun () ->
+                   ignore (Gm.evict_lru m1))
+             end;
+             false));
+      let sent = (Gm.stats m1).Gm.via_channel_tx in
+      Netstack.Udp.sendto client ~dst:duo.Setup.server_ip ~dst_port:7100
+        (Bytes.of_string "late sender");
+      Sim.Engine.sleep (Sim.Time.ms 5);
+      Alcotest.(check int) "evicted under the sender" 1
+        (Gm.stats m1).Gm.channels_evicted;
+      Alcotest.(check int) "not sent on the channel" sent
+        (Gm.stats m1).Gm.via_channel_tx;
+      Alcotest.(check (list string)) "delivered once, through netfront"
+        [ "late sender" ] (recv_all server []);
+      List.iter
+        (fun fifo ->
+          Alcotest.(check bool) "producer-waiting never published" false
+            (Xenloop.Fifo.producer_waiting fifo);
+          Alcotest.(check int) "nothing pushed" 0 (Xenloop.Fifo.used_slots fifo))
+        fifos)
+
+(* QoS on, one flow latched congested behind a stalled receiver, and
+   then the receiver evicts the channel: the sender's side of the close
+   must emit the clear edge, or the socket stays clamped on netfront. *)
+let test_peer_teardown_clears_congestion () =
+  let params =
+    {
+      Hypervisor.Params.default with
+      qos_enabled = true;
+      xenloop_waiting_list_max = 16;
+    }
   in
-  Alcotest.(check bool) "bootstrap traced" true (has_containing "bootstrap");
-  Alcotest.(check bool) "connection traced" true (has_containing "connected");
-  Alcotest.(check bool) "teardown traced" true (has_containing "tearing down")
+  let duo = Setup.build ~params ~fifo_k:8 Setup.Xenloop_path in
+  let m1, m2 = modules_of duo in
+  Experiment.execute duo (fun () ->
+      Sim.Engine.sleep (Sim.Time.ms 1);
+      let server = bind_udp duo.Setup.server ~port:7200 () in
+      let client = bind_udp duo.Setup.client () in
+      (* The edges as the client's UDP layer would see them. *)
+      let edges = ref [] in
+      Stack.set_congestion_handler duo.Setup.client.Scenarios.Endpoint.stack
+        ~proto:17 (fun ~sport:_ ~dst:_ ~dport ~congested ->
+          if dport = 7200 then edges := congested :: !edges);
+      (* Hog the receiver's vCPU so nothing is consumed while the burst
+         fills the ring and then the flow's backlog. *)
+      Sim.Engine.spawn duo.Setup.engine (fun () ->
+          Sim.Resource.use
+            (Stack.cpu duo.Setup.server.Scenarios.Endpoint.stack)
+            (Sim.Time.ms 5));
+      let n = 40 in
+      for seq = 0 to n - 1 do
+        Netstack.Udp.sendto client ~dst:duo.Setup.server_ip ~dst_port:7200
+          (Bytes.of_string (Printf.sprintf "%04d%s" seq (String.make 96 'q')))
+      done;
+      Alcotest.(check (list bool)) "the flow latched" [ true ] !edges;
+      Alcotest.(check bool) "the receiver evicted" true (Gm.evict_lru m2);
+      Sim.Engine.sleep (Sim.Time.ms 10);
+      Alcotest.(check (list bool)) "the clear edge arrived" [ false; true ] !edges;
+      Alcotest.(check bool) "no flow left congested" false
+        (List.exists (fun f -> f.Gm.fs_congested) (Gm.flow_stats m1));
+      Alcotest.(check (list int)) "every datagram once"
+        (List.init n Fun.id)
+        (List.sort compare
+           (List.map (fun s -> int_of_string (String.sub s 0 4)) (recv_all server []))))
 
 let test_module_reload_reforms_channels () =
   (* Unload the module (rmmod) and load a fresh instance (insmod): after
@@ -749,8 +831,10 @@ let suites =
           test_queued_frames_charged_once;
         Alcotest.test_case "corrupt peer quarantined" `Quick
           test_corrupt_peer_is_quarantined;
-        Alcotest.test_case "trace narrates lifecycle" `Quick
-          test_trace_narrates_lifecycle;
+        Alcotest.test_case "a late sender leaves through netfront" `Quick
+          test_late_sender_after_close;
+        Alcotest.test_case "peer teardown clears congestion" `Quick
+          test_peer_teardown_clears_congestion;
         Alcotest.test_case "module reload re-forms channels" `Slow
           test_module_reload_reforms_channels;
         Alcotest.test_case "randomized chaos soak" `Slow test_chaos_soak;
