@@ -133,6 +133,7 @@ type world = {
   w_discoveries : Discovery.t list;
   w_warmup : unit -> unit;
   w_flows : (Endpoint.t * Endpoint.t) list;  (* (sender, receiver) *)
+  w_netfronts : (string * Stack.t) list;  (* every guest's stack, by name *)
   w_stir : unit -> unit;  (* traffic nudge that re-triggers bootstrap *)
   w_recovered : unit -> bool;
   w_expected_peers : unit -> (string * int * int) list;
@@ -190,6 +191,7 @@ let build_duo ~params ~xenloop =
     w_discoveries = Option.to_list duo.Setup.discovery;
     w_warmup = duo.Setup.warmup;
     w_flows = [ (client, server); (server, client) ];
+    w_netfronts = [ ("guest1", client.Endpoint.stack); ("guest2", server.Endpoint.stack) ];
     w_stir = stir;
     w_recovered = recovered;
     w_expected_peers = expected_peers_colocated modules;
@@ -239,6 +241,8 @@ let build_cluster3 ~params () =
     w_discoveries = [ c.Setup.c_discovery ];
     w_warmup = c.Setup.c_warmup;
     w_flows = [ (ep_of 0, ep_of 1); (ep_of 1, ep_of 0) ];
+    w_netfronts = List.mapi (fun i ep -> (Printf.sprintf "guest%d" (i + 1), ep.Endpoint.stack))
+        (List.init 3 ep_of);
     w_stir = stir;
     w_recovered = recovered;
     w_expected_peers = expected_peers_colocated modules;
@@ -288,6 +292,7 @@ let build_migration_world ~params () =
     w_discoveries = [ w.Mw.m1.Mw.discovery; w.Mw.m2.Mw.discovery ];
     w_warmup = warmup;
     w_flows = [ (g1.Mw.ep, g2.Mw.ep); (g2.Mw.ep, g1.Mw.ep) ];
+    w_netfronts = [ ("guest1", g1.Mw.ep.Endpoint.stack); ("guest2", g2.Mw.ep.Endpoint.stack) ];
     w_stir = stir;
     w_recovered = recovered;
     w_expected_peers = expected_peers;
@@ -717,9 +722,13 @@ let run ?sabotage config =
           rec_ ("VIOLATION " ^ msg)
         end
       in
+      let fit = Invariant.fit_watch () in
       let ctx () =
-        { Invariant.iv_machines = w.w_machines; iv_modules = !(w.w_modules) }
+        { Invariant.iv_machines = w.w_machines; iv_modules = !(w.w_modules);
+          iv_netfronts = w.w_netfronts; iv_fit = fit }
       in
+      (* The first check taps every netfront before the flows start. *)
+      List.iter note_violation (Invariant.check_runtime (ctx ()));
       let checks = ref 0 in
       let checker =
         Sim.Engine.every engine config.check_period (fun () ->

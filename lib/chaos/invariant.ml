@@ -1,9 +1,18 @@
 module Machine = Hypervisor.Machine
 module Domain = Hypervisor.Domain
 
+type fit_watch = {
+  mutable fw_tapped : Netstack.Netdevice.t list;
+  mutable fw_misfits : string list;
+}
+
+let fit_watch () = { fw_tapped = []; fw_misfits = [] }
+
 type ctx = {
   iv_machines : (string * Machine.t) list;
   iv_modules : (string * Xenloop.Guest_module.t) list;
+  iv_netfronts : (string * Netstack.Stack.t) list;
+  iv_fit : fit_watch;
 }
 
 let frame_conservation name machine acc =
@@ -29,11 +38,38 @@ let missed_wakes name m acc =
     :: acc
   else acc
 
+(* Tap [name]'s netfront the first time a check sees it (a migrated
+   guest gets a new one): a TCP frame wider than the device's budget, or
+   a TCP fragment, left without {!Netstack.Stack.egress} (DESIGN.md §15). *)
+let watch_fit fw (name, stack) =
+  match Netstack.Stack.device stack with
+  | Some dev when not (List.memq dev fw.fw_tapped) ->
+      fw.fw_tapped <- dev :: fw.fw_tapped;
+      let mtu = Netstack.Netdevice.mtu dev in
+      let budget = Option.fold ~none:mtu ~some:(max mtu) (Netstack.Netdevice.gso_size dev) - 40 in
+      let misfit what =
+        let now = Sim.Time.instant_to_sec_f (Sim.Engine.now (Netstack.Stack.engine stack)) in
+        fw.fw_misfits <-
+          Printf.sprintf "%s: netfront sent %s (budget %d B) at %.3f ms" name what budget
+            (now *. 1e3)
+          :: fw.fw_misfits
+      in
+      Netstack.Netdevice.add_tap dev (fun direction packet ->
+          match (direction, packet.Netcore.Packet.body) with
+          | Tx, Ipv4_body { content = Full { transport = Tcp _; payload = { len; _ } }; _ }
+            when len > budget ->
+              misfit (Printf.sprintf "a %d B TCP payload" len)
+          | Tx, Ipv4_body { header = { protocol = Tcp; _ }; content = Fragment _ } ->
+              misfit "a TCP fragment"
+          | _ -> ())
+  | Some _ | None -> ()
+
 let check_runtime ctx =
+  List.iter (watch_fit ctx.iv_fit) ctx.iv_netfronts;
   let acc =
     List.fold_left
       (fun acc (name, machine) -> frame_conservation name machine acc)
-      [] ctx.iv_machines
+      ctx.iv_fit.fw_misfits ctx.iv_machines
   in
   let acc =
     List.fold_left (fun acc (name, m) -> missed_wakes name m acc) acc ctx.iv_modules

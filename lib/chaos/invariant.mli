@@ -6,6 +6,11 @@
     additionally assume the world has been quiesced and every XenLoop
     module unloaded. *)
 
+type fit_watch
+(** The netfront taps of the device-fit check, and what they saw. *)
+
+val fit_watch : unit -> fit_watch
+
 type ctx = {
   iv_machines : (string * Hypervisor.Machine.t) list;
       (** every Xen machine in the scenario, with a display name *)
@@ -14,6 +19,9 @@ type ctx = {
           removed by the harness — their shared pages are reclaimed by the
           hypervisor and by the surviving peers, so reading them would be
           inspecting reused memory) *)
+  iv_netfronts : (string * Netstack.Stack.t) list;
+      (** every guest's stack, whose netfront the device-fit check taps *)
+  iv_fit : fit_watch;
 }
 
 val check_runtime : ctx -> string list
@@ -25,7 +33,12 @@ val check_runtime : ctx -> string list
       distinct and valid);
     - every backlog flow within {!Hypervisor.Params.xenloop_waiting_list_max};
     - no module's lingering receive handler ever expired on work that no
-      wake announced ([poll_missed_wakes] = 0).
+      wake announced ([poll_missed_wakes] = 0);
+    - device fit: no guest's netfront has sent a TCP frame wider than
+      its budget (gso size or MTU, less 40 bytes) or a TCP fragment,
+      each misfit with its instant.  A netfront is tapped when a check
+      first sees it: a migrated guest's new one is unchecked until the
+      next check.
 
     Empty list = healthy; messages are deterministic and sorted by
     machine/module name. *)

@@ -392,23 +392,6 @@ let serialize ?(csum = true) (p : Packet.t) =
   | _ -> ());
   w.wdata
 
-(* The frames [serialize] checksums: IPv4, not a fragment, a known
-   transport whose header fits.  Anything else is left as it is. *)
-let restore_transport_checksum raw =
-  let len = Bytes.length raw in
-  if
-    len >= transport_start
-    && r16 raw 12 = 0x0800
-    && r8 raw ethernet_header_length = 0x45
-    && r16 raw (ethernet_header_length + 6) land 0x3FFF = 0
-  then
-    match Ipv4.protocol_of_number (r8 raw (ethernet_header_length + 9)) with
-    | Some protocol
-      when len >= transport_start + checksum_field_offset protocol + 2 ->
-        set_transport_checksum raw ~start:transport_start
-          ~len:(len - transport_start) protocol
-    | Some _ | None -> ()
-
 let parse_body ~verify_transport head ~len sub =
   need len 0 ethernet_header_length;
   match r16 head 12 with

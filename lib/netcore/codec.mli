@@ -37,14 +37,6 @@ val tail : Packet.t -> View.t
     The frame is [serialize_head]'s bytes followed by these; the tail is
     a view of the packet's own buffer, not a copy. *)
 
-val restore_transport_checksum : Bytes.t -> unit
-(** Compute the transport checksum of a serialized frame and store it in
-    place: [restore_transport_checksum (serialize ~csum:false p)] leaves
-    exactly the bytes of [serialize p].  A frame that already carries its
-    checksum is unchanged; one [serialize] does not checksum (not IPv4, a
-    fragment, an unknown protocol, a truncated header) is left as it
-    is. *)
-
 val parse : ?verify_transport:bool -> Bytes.t -> (Packet.t, error) result
 (** [~verify_transport:false] skips the transport-checksum check (GRO on
     a channel whose descriptor carries the [csum_ok] flag); IPv4 header

@@ -11,8 +11,8 @@ type stats = {
   mutable dropped_not_mine : int;
   mutable echo_requests_served : int;
   mutable sw_segmented : int;
-      (** jumbo TCP frames software-segmented back to wire MSS because a
-          netfilter hook declined them (DESIGN.md §15 fallback) *)
+      (** TCP frames wider than their device's budget that {!egress}
+          software-segmented back to wire MSS (DESIGN.md §15 fallback) *)
 }
 
 type t = {
@@ -106,16 +106,16 @@ let wire_seg_max dev =
   | None -> Netdevice.mtu dev)
   - 40
 
-(* Software GSO fallback (DESIGN.md §15): a jumbo TCP frame the xenloop
-   hook declined — the channel died between the send decision and the
-   hook or before a retransmission, or steering diverted the flow — must
-   not reach netfront or the physical wire oversized.  Re-segment it
-   into exactly the wire-MSS frames the sender would have emitted
-   without the hint: sequence numbers advance per chunk, PSH/FIN ride
-   only on the last chunk, each chunk gets its own IP ident, and its
-   payload is a view of the jumbo's, not a copy.  Checksums need no special care here: elision exists only
-   in the FIFO's serialized bytes, and every device-boundary
-   serialization recomputes them from scratch. *)
+(* Software GSO fallback (DESIGN.md §15): a jumbo TCP frame that leaves
+   the trusted channel — the xenloop hook declined it, or the module
+   sends it out itself (overflow, a late sender, a close, the resend
+   after migration) — must not reach netfront or the physical wire
+   oversized.  Re-segment it into exactly the wire-MSS frames the sender
+   would have emitted without the hint: sequence numbers advance per
+   chunk, PSH/FIN ride only on the last chunk, each chunk gets its own IP
+   ident, and its payload is a view of the jumbo's, not a copy.
+   Checksums need no care here: every device-boundary serialization
+   computes them. *)
 let resegment_tcp t ~mss frame =
   match frame.P.body with
   | P.Ipv4_body { header; content = P.Full { transport = T.Tcp tcp; payload } }
@@ -160,6 +160,17 @@ let resegment_tcp t ~mss frame =
       chunks 0 []
   | _ -> [ frame ]
 
+let egress t dev frame =
+  let wire_max = wire_seg_max dev in
+  match frame.P.body with
+  | P.Ipv4_body { content = P.Full { transport = T.Tcp _; payload }; _ }
+    when payload.Netcore.View.len > wire_max ->
+      (* Extra per-segment tx work the jumbo send skipped. *)
+      let n = (payload.Netcore.View.len + wire_max - 1) / wire_max in
+      use_cpu t (Sim.Time.span_scale (n - 1) t.s_params.Hypervisor.Params.tcp_tx);
+      List.iter (Netdevice.transmit dev) (resegment_tcp t ~mss:wire_max frame)
+  | _ -> Netdevice.transmit dev frame
+
 let transmit_fragments t dev frags =
   let p = t.s_params in
   let hook_cost =
@@ -173,23 +184,11 @@ let transmit_fragments t dev frags =
      hook cost is unchanged. *)
   use_cpu t (Sim.Time.span_scale (List.length frags) hook_cost);
   let verdicts = Netfilter.run_batch t.s_post_routing frags in
-  let wire_max = wire_seg_max dev in
   List.iter2
     (fun frag verdict ->
       match verdict with
       | Netfilter.Steal -> t.s_stats.stolen_by_hook <- t.s_stats.stolen_by_hook + 1
-      | Netfilter.Accept -> (
-          match frag.P.body with
-          | P.Ipv4_body
-              { content = P.Full { transport = T.Tcp _; payload }; _ }
-            when payload.Netcore.View.len > wire_max ->
-              (* Extra per-segment tx work the jumbo send skipped. *)
-              let n = (payload.Netcore.View.len + wire_max - 1) / wire_max in
-              use_cpu t
-                (Sim.Time.span_scale (n - 1) p.Hypervisor.Params.tcp_tx);
-              List.iter (Netdevice.transmit dev)
-                (resegment_tcp t ~mss:wire_max frag)
-          | _ -> Netdevice.transmit dev frag))
+      | Netfilter.Accept -> egress t dev frag)
     frags verdicts
 
 let send_ip_packet t ~dst ~dst_mac ~dev ~transport ~payload =
@@ -218,8 +217,8 @@ let send_ip_packet t ~dst ~dst_mac ~dev ~transport ~payload =
      backend) segments them where the real wire needs it.  A frame wider
      than the device's budget — a jumbo for a gso xenloop channel
      (DESIGN.md §15), or one resent after that channel is gone — reaches
-     the hooks whole; if they decline it, [transmit_fragments]
-     software-segments it back to wire MSS. *)
+     the hooks whole; if they decline it, [egress] software-segments it
+     back to wire MSS. *)
   let frags =
     match (transport, Netdevice.gso_size dev) with
     | T.Tcp _, Some _ -> [ packet ]
@@ -268,14 +267,7 @@ let egress_device t dst =
   if Netcore.Ip.equal dst t.s_ip || Netcore.Ip.equal dst Netcore.Ip.localhost then t.lo
   else match t.eth with Some dev -> dev | None -> raise (No_route dst)
 
-let tcp_mss t dst =
-  let dev = egress_device t dst in
-  let limit =
-    match Netdevice.gso_size dev with
-    | Some gso -> Int.max (Netdevice.mtu dev) gso
-    | None -> Netdevice.mtu dev
-  in
-  limit - 40
+let tcp_mss t dst = wire_seg_max (egress_device t dst)
 
 let ip_send t ~dst ~transport ~payload =
   if Netcore.Ip.equal dst t.s_ip || Netcore.Ip.equal dst Netcore.Ip.localhost then

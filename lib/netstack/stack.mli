@@ -50,6 +50,15 @@ val ip_send :
     @raise No_route when the destination is off-host and no device is
     attached. *)
 
+val egress : t -> Netdevice.t -> Netcore.Packet.t -> unit
+(** The one hand-off of an IP frame to a device: the output path calls it
+    for every frame its POST_ROUTING hooks accept, and the XenLoop module
+    for every frame that leaves its channel for netfront (DESIGN.md §15).
+    A TCP frame whose payload is wider than the device's budget — its gso
+    size or MTU, less 40 header bytes — is software-segmented into
+    frames of exactly that budget, charging the per-segment TCP tx work
+    the jumbo send skipped; every other frame goes as it is. *)
+
 val tcp_mss : t -> Netcore.Ip.t -> int
 (** Segment size for TCP towards this destination: on a TSO-capable egress
     device TCP may emit GSO super-frames up to the device's gso size;
@@ -63,9 +72,8 @@ val set_tx_jumbo_hint : t -> (dst:Netcore.Ip.t -> int) option -> unit
     of an active gso-capable channel, or 0 (no jumbo path; the per-MSS
     sender is untouched).  The hint is consulted per send, so a channel
     tearing down mid-stream simply stops coalescing; a jumbo frame
-    already in flight that the xenloop hook then declines is
-    software-segmented back to wire-exact MSS before it reaches
-    netfront or the physical device. *)
+    already in flight that then leaves by netfront or the physical
+    device is software-segmented back to wire-exact MSS by {!egress}. *)
 
 val tx_jumbo_hint : t -> dst:Netcore.Ip.t -> int
 (** The current hint for [dst] (0 when none is registered). *)
@@ -159,8 +167,8 @@ type stats = {
   mutable dropped_not_mine : int;
   mutable echo_requests_served : int;
   mutable sw_segmented : int;
-      (** jumbo TCP frames software-segmented back to wire MSS because a
-          netfilter hook declined them (DESIGN.md §15 fallback) *)
+      (** TCP frames wider than their device's budget that {!egress}
+          software-segmented back to wire MSS (DESIGN.md §15 fallback) *)
 }
 
 val stats : t -> stats

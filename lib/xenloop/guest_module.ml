@@ -59,9 +59,9 @@ type queue = {
   out_fifo : Fifo.t;
   in_fifo : Fifo.t;
   q_port : Ec.port;  (** this endpoint's event-channel port for this queue *)
-  backlog : (Steering.flow_key, Bytes.t) Qos.Drr.t;
-      (** serialized frames awaiting FIFO space (the paper's waiting
-          list), in per-flow sub-queues served by deficit round robin
+  backlog : (Steering.flow_key, P.t) Qos.Drr.t;
+      (** frames awaiting FIFO space (the paper's waiting list), still
+          packets, in per-flow sub-queues served by deficit round robin
           (DESIGN.md §14); with QoS off every frame has the one key
           {!one_flow}, so the backlog is a FIFO *)
   q_tx_pool : Payload_pool.t option;
@@ -172,7 +172,7 @@ type t = {
   flow_cache : cache_entry Steering.Flow_table.t;
   mutable epoch : int;
   mutable hook : Netstack.Netfilter.hook_handle option;
-  mutable saved_frames : Bytes.t list;
+  mutable saved_frames : P.t list;
   mutable app_handler :
     (src_ip:Netcore.Ip.t -> src_port:int -> dst_port:int -> Bytes.t -> unit) option;
   mutable app_view_handler :
@@ -550,22 +550,6 @@ let jumbo_eligible q len =
       && jumbo_nchunks pool len <= Fifo.max_jumbo_chunks
   | None -> false
 
-(* A frame on its way into a queue.  A gso-bound super-frame stays a
-   packet until {!push_jumbo} writes it straight into its pool slots; it
-   is serialized only if it must wait in the backlog or leave by netfront
-   ({!frame_bytes}).  Everything else is serialized when it is steered. *)
-type tx_frame = Raw of Bytes.t | Jumbo of P.t
-
-let frame_length = function
-  | Raw raw -> Bytes.length raw
-  | Jumbo packet -> P.wire_length packet
-
-(* A jumbo's bytes keep their transport checksum elided, as the jumbo
-   descriptor they are bound for carries [flag_csum_ok]. *)
-let frame_bytes = function
-  | Raw raw -> raw
-  | Jumbo packet -> Netcore.Codec.serialize ~csum:false packet
-
 (* [unalloc] rewinds only the most recent allocation, so a rollback walks
    the vector most-recent-first. *)
 let unalloc_chunks pool chunk_slots n =
@@ -587,27 +571,20 @@ let alloc_chunks pool chunk_slots =
   done;
   !allocated
 
-(* Write the frame across its vector — the packet's headers, then its
-   payload run by run (a corked TCP segment gathers several writes), or a
-   serialized frame's bytes whole — and return the descriptor's protocol
-   hint. *)
-let write_jumbo t pool frame ~chunk_slots ~chunk_lens =
-  match frame with
-  | Jumbo packet ->
-      let head = t.tx_head in
-      let head_len = Netcore.Codec.serialize_head packet head in
-      Payload_pool.write_scatter pool ~off:0 ~slots:chunk_slots ~lens:chunk_lens ~pos:0
-        ~src:head ~src_off:0 ~len:head_len;
-      let pos = ref head_len in
-      Netcore.View.iter (Netcore.Codec.tail packet) (fun src src_off len ->
-          Payload_pool.write_scatter pool ~off:0 ~slots:chunk_slots ~lens:chunk_lens
-            ~pos:!pos ~src ~src_off ~len;
-          pos := !pos + len);
-      proto_hint_of head
-  | Raw raw ->
-      Payload_pool.write_scatter pool ~off:0 ~slots:chunk_slots ~lens:chunk_lens ~pos:0
-        ~src:raw ~src_off:0 ~len:(Bytes.length raw);
-      proto_hint_of raw
+(* Write the packet across its vector — its headers, transport checksum
+   elided, then its payload run by run (a corked TCP segment gathers
+   several writes) — and return the descriptor's protocol hint. *)
+let write_jumbo t pool packet ~chunk_slots ~chunk_lens =
+  let head = t.tx_head in
+  let head_len = Netcore.Codec.serialize_head packet head in
+  Payload_pool.write_scatter pool ~off:0 ~slots:chunk_slots ~lens:chunk_lens ~pos:0
+    ~src:head ~src_off:0 ~len:head_len;
+  let pos = ref head_len in
+  Netcore.View.iter (Netcore.Codec.tail packet) (fun src src_off len ->
+      Payload_pool.write_scatter pool ~off:0 ~slots:chunk_slots ~lens:chunk_lens
+        ~pos:!pos ~src ~src_off ~len;
+      pos := !pos + len);
+  proto_hint_of head
 
 (* Push one frame as a jumbo descriptor: allocate the scatter vector,
    write the frame across the slots, publish one descriptor covering all
@@ -618,16 +595,14 @@ let write_jumbo t pool frame ~chunk_slots ~chunk_lens =
    already charged it for the whole batch.  A close during the charge
    also refuses: the slots die with the pool pages, untouched.
 
-   The descriptor always carries [flag_csum_ok]: frames on the channel
-   come from a trusted co-resident sender, so the receiver may skip
-   transport-checksum verification whether or not this particular frame
-   had its checksum elided at serialization time. *)
-let push_jumbo ?(amortized = false) t q frame =
+   The descriptor carries [flag_csum_ok]: the frame comes from a trusted
+   co-resident sender and its transport checksum is elided, so the
+   receiver skips verification. *)
+let push_jumbo ?(amortized = false) t q packet ~len =
   match q.q_tx_pool with
   | None -> false
   | Some pool ->
       let p = params t in
-      let len = frame_length frame in
       let sb = Payload_pool.slot_bytes pool in
       let nchunks = jumbo_nchunks pool len in
       if not (jumbo_room q pool nchunks) then false
@@ -655,7 +630,7 @@ let push_jumbo ?(amortized = false) t q frame =
                if q.q_max_loans = 0 then record_copy t len;
                let chunk_lens = Array.make nchunks sb in
                chunk_lens.(nchunks - 1) <- len - ((nchunks - 1) * sb);
-               let proto_hint = write_jumbo t pool frame ~chunk_slots ~chunk_lens in
+               let proto_hint = write_jumbo t pool packet ~chunk_slots ~chunk_lens in
                (* Chaos hook: corrupt one chunk length in the published
                   vector — [total_len] stays honest and the payload was
                   written intact, so the receiver must catch the sum
@@ -692,23 +667,24 @@ let push_jumbo ?(amortized = false) t q frame =
    on the descriptor and jumbo paths — except on a loan channel, where a
    descriptor or jumbo is built in the slots the receiver borrows
    ({!tx_loan_desc}).  A jumbo-eligible frame the pool or ring refuses
-   degrades to the chunked inline copy with its transport checksum
-   (an inline entry carries no [flag_csum_ok], so the receiver verifies
-   it): a gso sender never parks frames behind an empty ring, where no
-   peer notification would come to flush them.
+   degrades to the chunked inline copy: a gso sender never parks frames
+   behind an empty ring, where no peer notification would come to flush
+   them.  The frame is a packet up to here; an inline or plain-descriptor
+   entry is its serialization with the transport checksum (such an entry
+   carries no [flag_csum_ok], so the receiver verifies it).
 
    The charges yield the CPU, so every step after one first checks
    [q_closed]: a channel closed meanwhile refuses the frame, and its
    pages are not read or written again. *)
-let push_frame ?(amortized = false) t q frame =
-  let entry_fits len =
+let push_frame ?(amortized = false) t q packet =
+  let len = P.wire_length packet in
+  let entry_fits () =
     (not q.q_closed)
     && Fifo.can_accept_entry q.out_fifo ?pool:q.q_tx_pool
          ~inline_max:q.q_inline_max len
   in
-  let push_entry raw =
+  let push_entry () =
     let p = params t in
-    let len = Bytes.length raw in
     let loan_desc = tx_loan_desc q len in
     let copy =
       if loan_desc then Sim.Time.span_zero else Params.xenloop_copy_cost p len
@@ -718,6 +694,7 @@ let push_frame ?(amortized = false) t q frame =
     else if not loan_desc then Sim.Resource.use (cpu t) copy;
     (not q.q_closed)
     &&
+    let raw = Netcore.Codec.serialize packet in
     let outcome =
       Fifo.push_entry q.out_fifo ~pool:q.q_tx_pool ~inline_max:q.q_inline_max
         ~proto_hint:(proto_hint_of raw) raw
@@ -729,21 +706,8 @@ let push_frame ?(amortized = false) t q frame =
   in
   (not q.q_closed)
   && (amortized || not (push_refused t))
-  &&
-  match frame with
-  | Raw raw when not (jumbo_eligible q (Bytes.length raw)) ->
-      entry_fits (Bytes.length raw) && push_entry raw
-  | Raw raw ->
-      push_jumbo ~amortized t q frame
-      || entry_fits (Bytes.length raw)
-         && begin
-           Netcore.Codec.restore_transport_checksum raw;
-           push_entry raw
-         end
-  | Jumbo packet ->
-      push_jumbo ~amortized t q frame
-      || entry_fits (P.wire_length packet)
-         && push_entry (Netcore.Codec.serialize packet)
+  && ((jumbo_eligible q len && push_jumbo ~amortized t q packet ~len)
+     || (entry_fits () && push_entry ()))
 
 (* Whether a frame of this size would enter the queue right now —
    {!Fifo.can_accept} generalized over this queue's descriptor path,
@@ -760,27 +724,13 @@ let queue_can_accept q len =
        ~inline_max:q.q_inline_max len
 
 (* Bypass the channel entirely: the frame leaves through the standard
-   netfront path (overflow reroute, teardown flush,
-   post-migration resend).
-   These are always frames this guest serialized itself, and a
-   gso-bound frame may carry an elided (zeroed) transport checksum —
-   parse without verifying it; the device codec recomputes a correct
-   checksum when the structured packet is next serialized, which is
-   what the checksum-elision equivalence property pins down. *)
-let transmit_standard t raw =
+   netfront path (overflow reroute, a late sender, teardown flush,
+   post-migration resend) by the stack's one egress, which fits it to
+   the device exactly as if the hook had declined it (DESIGN.md §15). *)
+let transmit_standard t packet =
   match Stack.device t.stack with
   | None -> ()
-  | Some dev -> (
-      match Netcore.Codec.parse ~verify_transport:false raw with
-      | Ok packet -> Netstack.Netdevice.transmit dev packet
-      | Error _ -> ())
-
-(* A frame the bounded backlog cannot hold leaves through the standard
-   netfront path instead: the fast path degrades to the baseline, it never
-   drops or queues without bound. *)
-let route_overflow_standard t raw =
-  t.s.waiting_overflows <- t.s.waiting_overflows + 1;
-  transmit_standard t raw
+  | Some dev -> Stack.egress t.stack dev packet
 
 (* ------------------------------------------------------------------ *)
 (* Transmit backlog: a frame that does not fit in the FIFO waits and is
@@ -822,12 +772,12 @@ let qos_update_watermark t qs q flow =
   | `None -> ()
 
 (* Admission hook: account the frame to its flow. *)
-let qos_admit t ~key frame =
+let qos_admit t ~key packet =
   match t.qos with
   | None -> ()
   | Some qs ->
       let flow = Qos.Flow_table.lookup qs.qt_flows key in
-      flow.Qos.Flow_table.f_bytes <- flow.Qos.Flow_table.f_bytes + frame_length frame;
+      flow.Qos.Flow_table.f_bytes <- flow.Qos.Flow_table.f_bytes + P.wire_length packet;
       flow.Qos.Flow_table.f_frames <- flow.Qos.Flow_table.f_frames + 1
 
 (* Push hook: the frame is in the FIFO (and out of the backlog). *)
@@ -853,10 +803,11 @@ let qos_overflowed t ~key =
    closed while its sender had yielded in the send path: the close has
    already taken the backlog, so the frame leaves through netfront like
    the rest of the unsent. *)
-let enqueue_backlog t q ~key frame =
-  let raw = frame_bytes frame in
-  if q.q_closed then transmit_standard t raw
-  else if Qos.Drr.enqueue q.backlog ~key ~weight:1 ~len:(Bytes.length raw) raw then begin
+let enqueue_backlog t q ~key packet =
+  if q.q_closed then transmit_standard t packet
+  else if
+    Qos.Drr.enqueue q.backlog ~key ~weight:1 ~len:(P.wire_length packet) packet
+  then begin
     t.s.queued_to_waiting <- t.s.queued_to_waiting + 1;
     (* Published through the shared descriptor so the peer knows freed
        space on this queue is worth a notification back to us. *)
@@ -867,17 +818,20 @@ let enqueue_backlog t q ~key frame =
     | None -> ()
   end
   else begin
+    (* The bounded backlog is full: the fast path degrades to the
+       baseline, it never drops or queues without bound. *)
+    t.s.waiting_overflows <- t.s.waiting_overflows + 1;
     qos_overflowed t ~key;
-    route_overflow_standard t raw
+    transmit_standard t packet
   end
 
 (* [push_frame] for a frame of [key]'s flow, counted as sent once it is
    in.  [queued]: the frame is the backlog's peeked head, popped only
    after the push succeeds — the push yields the CPU, and a concurrent
    sender must still find the frame queued, or it would overtake it. *)
-let push_sent ?amortized ?(queued = false) t q ~key frame =
+let push_sent ?amortized ?(queued = false) t q ~key packet =
   let descs = q.q_desc_tx in
-  push_frame ?amortized t q frame
+  push_frame ?amortized t q packet
   && begin
        if queued then begin
          Qos.Drr.pop q.backlog;
@@ -898,8 +852,8 @@ let drain_backlog t q =
     let continue_draining = ref true in
     while !continue_draining do
       match Qos.Drr.peek q.backlog with
-      | Some (key, raw, len) when (not q.q_closed) && queue_can_accept q len ->
-          if push_sent ~queued:true t q ~key (Raw raw) then incr pushed
+      | Some (key, packet, len) when (not q.q_closed) && queue_can_accept q len ->
+          if push_sent ~queued:true t q ~key packet then incr pushed
           else continue_draining := false
       | Some _ | None -> continue_draining := false
     done;
@@ -909,7 +863,7 @@ let drain_backlog t q =
     !pushed
   end
 
-let send_via_channel t q ~key frame =
+let send_via_channel t q ~key packet =
   (* Packets behind a non-empty backlog must queue too (per-queue
      ordering).  Like the batch path, the backlog is first serviced
      from the sending context: forward progress must not depend solely
@@ -921,9 +875,9 @@ let send_via_channel t q ~key frame =
      what makes the FIFO size matter (Fig. 5): a small FIFO forces an
      event-channel round trip per FIFO-full of packets. *)
   if not (Qos.Drr.is_empty q.backlog) then ignore (drain_backlog t q);
-  qos_admit t ~key frame;
-  if (not (Qos.Drr.is_empty q.backlog)) || not (push_sent t q ~key frame) then
-    enqueue_backlog t q ~key frame;
+  qos_admit t ~key packet;
+  if (not (Qos.Drr.is_empty q.backlog)) || not (push_sent t q ~key packet) then
+    enqueue_backlog t q ~key packet;
   (* Signal the receiver; also when we only queued, so the peer's next
      consumption round notifies us back to drain the backlog. *)
   notify_peer t q
@@ -932,8 +886,8 @@ let send_via_channel t q ~key frame =
 let key_of_packet t pkt =
   match t.qos with None -> one_flow | Some _ -> Steering.qos_flow_key pkt
 
-let send_steal t q (_, frame, pkt) =
-  send_via_channel t q ~key:(key_of_packet t pkt) frame
+let send_steal t q (_, packet) =
+  send_via_channel t q ~key:(key_of_packet t packet) packet
 
 let send_batch t q steals =
   (* One burst — all fragments of one datagram, or several back-to-back
@@ -944,7 +898,7 @@ let send_batch t q steals =
   | [] -> ()
   | [ steal ] -> send_steal t q steal
   | steals when not t.notify -> List.iter (send_steal t q) steals
-  | (_, first, _) :: _ ->
+  | (_, first) :: _ ->
       t.s.batches <- t.s.batches + 1;
       (* Service the backlog from the sending context first: leaving it
          to the event handler alone starves it behind this process's own
@@ -960,17 +914,17 @@ let send_batch t q steals =
         (not q.q_closed)
         && Qos.Drr.is_empty q.backlog
         && (not (push_refused t))
-        && queue_can_accept q (frame_length first)
+        && queue_can_accept q (P.wire_length first)
       in
       if direct then Sim.Resource.use (cpu t) p.Params.xenloop_fifo_op;
       let overflowed = ref (not direct) in
       List.iter
-        (fun (_, frame, pkt) ->
-          let key = key_of_packet t pkt in
-          qos_admit t ~key frame;
-          if !overflowed || not (push_sent ~amortized:true t q ~key frame) then begin
+        (fun (_, packet) ->
+          let key = key_of_packet t packet in
+          qos_admit t ~key packet;
+          if !overflowed || not (push_sent ~amortized:true t q ~key packet) then begin
             overflowed := true;
-            enqueue_backlog t q ~key frame
+            enqueue_backlog t q ~key packet
           end)
         steals;
       notify_peer t q
@@ -979,15 +933,23 @@ let send_batch t q steals =
 (* Receive path and closing a channel *)
 
 (* Channel death must not leave sockets clamped behind a congestion
-   signal that will never clear: reset every latched flow watermark and
-   emit the clear edge. *)
-let qos_release_congestion t =
+   signal that will never clear: reset the closing channel's latched flow
+   watermarks and emit the clear edge.  A latched flow always has frames
+   in the sub-queue that latched it (the push that empties a sub-queue
+   clears its watermark), so the channel's flows are exactly those with
+   frames in its backlogs; a flow latched on another channel keeps its
+   signal. *)
+let qos_release_congestion t ch =
   match t.qos with
   | None -> ()
   | Some qs ->
       List.iter
         (fun flow ->
-          if Qos.Watermark.congested flow.Qos.Flow_table.f_mark then begin
+          let key = flow.Qos.Flow_table.f_key in
+          if
+            Qos.Watermark.congested flow.Qos.Flow_table.f_mark
+            && Array.exists (fun q -> Qos.Drr.flow_length q.backlog key > 0) ch.queues
+          then begin
             Qos.Watermark.reset flow.Qos.Flow_table.f_mark;
             qos_signal t qs flow ~congested:false
           end)
@@ -1068,12 +1030,6 @@ let check_scatter pool ~off ~len chunks =
     then Scatter_ok
     else Scatter_bad_lengths
   end
-
-(* The frame's raw bytes, for a vector [check_scatter] accepted. *)
-let gather_scatter pool ~off ~len chunks =
-  let raw = Bytes.create len in
-  Payload_pool.read_scatter pool ~off chunks ~pos:0 ~len ~dst:raw ~dst_off:0;
-  raw
 
 (* A [flag_app] descriptor: a socket-shortcut datagram living in the pool
    slot behind an 8-byte app header, delivered to the application layer
@@ -1259,66 +1215,62 @@ let release_channel t ch =
   t.s.channels_torn_down <- t.s.channels_torn_down + 1
 
 (* The frames queue [q]'s peer never popped from its FIFO, in FIFO
-   order, read back out of the ring and our own tx pool. *)
+   order, parsed back out of the ring and our own tx pool before the
+   pages are released with the channel (no slot return needed — the free
+   ring dies with them).  The frames are ours, so their transport
+   checksums (elided on a jumbo) are not verified.  A frame that does not
+   parse is dropped, and so is a jumbo whose scatter vector we cannot
+   trust — a chaos fault corrupted it before teardown — rather than read
+   out of range. *)
 let reclaim_stranded t ch q =
   let stranded = ref [] in
+  let keep = function
+    | Ok packet -> stranded := packet :: !stranded
+    | Error _ -> ()
+  in
   (try
      let reclaiming = ref true in
      while !reclaiming do
        match Fifo.pop_entry q.out_fifo with
-       | Some (Fifo.Inline raw) -> stranded := raw :: !stranded
+       | Some (Fifo.Inline raw) ->
+           keep (Netcore.Codec.parse ~verify_transport:false raw)
        | Some (Fifo.Desc { d_slot; d_off; d_len; d_proto; d_flags }) -> (
-           (* A descriptor the peer never consumed: we wrote the
-              payload, so we can read it back out of our own tx pool
-              before the pool pages are released with the channel.
-              No slot return needed — the free ring dies with the
-              pages. *)
            match q.q_tx_pool with
-           | Some pool ->
-               let raw =
-                 Payload_pool.read pool ~slot:d_slot ~off:d_off ~len:d_len
-               in
-               if d_flags land Fifo.flag_app <> 0 && d_len > 8 then begin
-                 (* App descriptor: the slot holds [app header |
-                    datagram], not a serialized frame.  Rebuild the
-                    equivalent control frame so the save/flush path
-                    can carry it over netfront. *)
+           | Some pool when d_flags land Fifo.flag_app <> 0 ->
+               (* App descriptor: the slot holds [app header | datagram].
+                  It leaves as the control frame the shortcut sends when
+                  no descriptor fits. *)
+               if d_len > 8 then begin
+                 let hdr = Payload_pool.read pool ~slot:d_slot ~off:d_off ~len:8 in
                  let msg =
                    Proto.App_payload
                      {
-                       src_ip =
-                         Netcore.Ip.of_int32 (Bytes.get_int32_be raw 0);
-                       src_port = Bytes.get_uint16_be raw 4;
+                       src_ip = Netcore.Ip.of_int32 (Bytes.get_int32_be hdr 0);
+                       src_port = Bytes.get_uint16_be hdr 4;
                        dst_port = d_proto;
-                       payload = Bytes.sub raw 8 (d_len - 8);
+                       payload =
+                         Payload_pool.read pool ~slot:d_slot ~off:(d_off + 8)
+                           ~len:(d_len - 8);
                      }
                  in
                  stranded :=
-                   Netcore.Codec.serialize
-                     (Netcore.Packet.xenloop_ctrl
-                        ~src_mac:(Stack.mac_addr t.stack)
-                        ~dst_mac:ch.peer_mac (Proto.encode msg))
+                   P.xenloop_ctrl ~src_mac:(Stack.mac_addr t.stack)
+                     ~dst_mac:ch.peer_mac (Proto.encode msg)
                    :: !stranded
                end
-               else stranded := raw :: !stranded
+           | Some pool ->
+               keep
+                 (Payload_pool.parse_scatter ~verify_transport:false pool ~off:d_off
+                    ~len:d_len [| (d_slot, d_len) |])
            | None -> ())
        | Some (Fifo.Jumbo { j_len; j_chunks; _ }) -> (
-           (* A jumbo the peer never consumed: gather it back out
-              of our own tx pool so the save/flush can carry
-              it (it re-enters as one frame; netfront re-segments).
-              A scatter vector we cannot trust — a chaos fault
-              corrupted it before teardown — is dropped rather
-              than read out of range. *)
            match q.q_tx_pool with
-           | Some pool -> (
-               match check_scatter pool ~off:0 ~len:j_len j_chunks with
-               | Scatter_ok ->
-                   stranded :=
-                     gather_scatter pool ~off:0 ~len:j_len j_chunks
-                     :: !stranded
-               | Scatter_bad_framing | Scatter_bad_lengths ->
-                   t.s.jumbo_drops <- t.s.jumbo_drops + 1)
-           | None -> t.s.jumbo_drops <- t.s.jumbo_drops + 1)
+           | Some pool when check_scatter pool ~off:0 ~len:j_len j_chunks = Scatter_ok
+             ->
+               keep
+                 (Payload_pool.parse_scatter ~verify_transport:false pool ~off:0
+                    ~len:j_len j_chunks)
+           | Some _ | None -> t.s.jumbo_drops <- t.s.jumbo_drops + 1)
        | None -> reclaiming := false
      done
    with Invalid_argument _ -> ());
@@ -1338,7 +1290,9 @@ let take_unsent t ch ~reclaim =
   Array.fold_left
     (fun acc q ->
       let reclaimed = if reclaim then reclaim_stranded t ch q else [] in
-      let backlog = List.map (fun (_, raw, _) -> raw) (Qos.Drr.drain_all q.backlog) in
+      let backlog =
+        List.map (fun (_, packet, _) -> packet) (Qos.Drr.drain_all q.backlog)
+      in
       acc @ reclaimed @ backlog)
     [] ch.queues
 
@@ -1375,7 +1329,7 @@ let close_channel t ch ~entry ~unsent ~tell_peer =
     (* Every FIFO goes inactive before any frame is reclaimed, so the peer
        stops pushing into pages about to be read back and released. *)
     Array.iter (mark_queue_inactive t) ch.queues;
-    qos_release_congestion t;
+    qos_release_congestion t ch;
     let frames = take_unsent t ch ~reclaim:trusted in
     (match unsent with
     | Save -> t.saved_frames <- t.saved_frames @ frames
@@ -2202,13 +2156,17 @@ let connector_accept t ~listener_domid ~listener_mac ~queue_grants =
 (* ------------------------------------------------------------------ *)
 (* Control-plane input *)
 
-let on_announce t entries =
+(* A complete mapping table, acked as epoch [ack] as soon as it is
+   applied: the closes below yield, and a Dom0 scan in between must read
+   the epoch the table already holds, not resend it. *)
+let on_announce t entries ~ack =
   let domid = my_domid t in
   t.last_announce <- Sim.Engine.now (engine t);
   let others = List.filter (fun e -> e.Proto.entry_domid <> domid) entries in
   Mapping_table.update t.mapping others;
   (* Soft-state replacement invalidates every memoized flow decision. *)
   bump_epoch t;
+  write_ack t ack;
   (* Soft state: peers absent from the announcement are gone. *)
   let stale =
     Hashtbl.fold
@@ -2233,11 +2191,10 @@ let softstate_expire t =
     then begin
       t.s.softstate_evictions <-
         t.s.softstate_evictions + Mapping_table.size t.mapping;
-      on_announce t [];
       (* We just threw the whole table away: under delta announcements our
          acked epoch must go back to zero, or Dom0 would keep treating us
          as up to date and never resend what we dropped. *)
-      write_ack t 0
+      on_announce t [] ~ack:0
     end
   end
 
@@ -2254,8 +2211,7 @@ let on_ctrl_packet t (packet : P.t) =
               (* Resync: our acked base fell out of Dom0's delta log (or we
                  just advertised) — the joins are the complete list, so this
                  is exactly a classic announcement plus an ack. *)
-              on_announce t da_joins;
-              write_ack t da_epoch
+              on_announce t da_joins ~ack:da_epoch
             end
             else if da_base = t.announce_epoch then begin
               (* In-order delta: even an empty one is the keep-alive
@@ -2267,17 +2223,18 @@ let on_ctrl_packet t (packet : P.t) =
                   List.filter (fun e -> e.Proto.entry_domid <> domid) da_joins
                 in
                 Mapping_table.apply_delta t.mapping ~joins ~leaves:da_leaves;
-                bump_epoch t;
-                (* Soft state under deltas: leaves are the explicit
-                   departures, so disengage exactly those (a rejoined guest
-                   never appears in the aggregated leaves). *)
-                List.iter
-                  (fun id ->
-                    if not (Mapping_table.mem_domid t.mapping id) then
-                      disengage_peer t id ~unsent:Flush)
-                  da_leaves
+                bump_epoch t
               end;
-              write_ack t da_epoch
+              (* Acked before the closes, which yield (see {!on_announce}). *)
+              write_ack t da_epoch;
+              (* Soft state under deltas: leaves are the explicit
+                 departures, so disengage exactly those (a rejoined guest
+                 never appears in the aggregated leaves). *)
+              List.iter
+                (fun id ->
+                  if not (Mapping_table.mem_domid t.mapping id) then
+                    disengage_peer t id ~unsent:Flush)
+                da_leaves
             end
             else
               (* A delta against a base we do not hold is dropped whole —
@@ -2356,13 +2313,11 @@ let on_ctrl_packet t (packet : P.t) =
 (* The netfilter hook: the guest-specific software bridge *)
 
 let frame_for_queue t q (packet : P.t) =
-  (* Jumbo intent is decided from the packet ({!Packet.wire_length}
-     sizes without building), and a jumbo is written into its pool
-     slots straight from the packet, its transport checksum elided — the
-     jumbo descriptor carries [flag_csum_ok] and the trusted receiver
-     skips verification (DESIGN.md §15).  If the push later degrades to
-     the inline path the checksum is computed then; on netfront the
-     device codec recomputes it when the packet is next serialized. *)
+  (* The frame stays a packet until it is written into shared memory
+     (DESIGN.md §15); {!Packet.wire_length} sizes it without building.
+     A jumbo is written into its pool slots with its transport checksum
+     elided — the jumbo descriptor carries [flag_csum_ok] and the
+     trusted receiver skips verification. *)
   let len = P.wire_length packet in
   let jumbo = jumbo_eligible q len in
   if (not jumbo) && len > Fifo.max_packet q.out_fifo then begin
@@ -2372,11 +2327,8 @@ let frame_for_queue t q (packet : P.t) =
   else begin
     q.q_steered <- q.q_steered + 1;
     t.s.steered_packets <- t.s.steered_packets + 1;
-    if jumbo then begin
-      t.s.csum_elided <- t.s.csum_elided + 1;
-      `Channel (q, Jumbo packet, packet)
-    end
-    else `Channel (q, Raw (Netcore.Codec.serialize packet), packet)
+    if jumbo then t.s.csum_elided <- t.s.csum_elided + 1;
+    `Channel (q, packet)
   end
 
 (* Slow path of the routing decision: mapping-table lookup plus steering
@@ -2461,7 +2413,7 @@ let hook_fn t (packets : P.t list) =
     let flush group =
       match List.rev group with
       | [] -> ()
-      | (q, _, _) :: _ as steals -> send_batch t q steals
+      | (q, _) :: _ as steals -> send_batch t q steals
     in
     let pending =
       List.fold_left
@@ -2470,7 +2422,7 @@ let hook_fn t (packets : P.t list) =
           | `Standard_path, pending ->
               flush pending;
               []
-          | `Channel ((q, _, _) as steal), ((q', _, _) :: _ as pending)
+          | `Channel ((q, _) as steal), ((q', _) :: _ as pending)
             when q == q' ->
               steal :: pending
           | `Channel steal, pending ->
@@ -2581,8 +2533,7 @@ let send_app_payload t ~dst_ip ~src_port ~dst_port payload =
                 Netcore.Packet.xenloop_ctrl ~src_mac:(Stack.mac_addr t.stack)
                   ~dst_mac:entry.Proto.entry_mac (Proto.encode msg)
               in
-              let raw = Netcore.Codec.serialize frame in
-              if Bytes.length raw > Fifo.max_packet q.out_fifo then begin
+              if P.wire_length frame > Fifo.max_packet q.out_fifo then begin
                 t.s.too_big_fallback <- t.s.too_big_fallback + 1;
                 false
               end
@@ -2591,7 +2542,7 @@ let send_app_payload t ~dst_ip ~src_port ~dst_port payload =
                 t.s.steered_packets <- t.s.steered_packets + 1;
                 send_via_channel t q
                   ~key:(match t.qos with None -> one_flow | Some _ -> key)
-                  (Raw raw);
+                  frame;
                 true
               end
             end
@@ -2612,9 +2563,11 @@ let prepare_migration t =
 
 let restore_after_migration t =
   advertise t;
-  (* Resend packets saved from the backlogs (paper Sect. 3.4). *)
-  List.iter (transmit_standard t) t.saved_frames;
-  t.saved_frames <- []
+  (* Resend packets saved from the backlogs (paper Sect. 3.4); taken
+     first, as the egress may yield. *)
+  let frames = t.saved_frames in
+  t.saved_frames <- [];
+  List.iter (transmit_standard t) frames
 
 let unload t =
   if t.loaded then begin

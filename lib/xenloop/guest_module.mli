@@ -8,9 +8,9 @@
     through suspend, shutdown, and live migration.
 
     The data path: an outgoing packet whose next-hop MAC belongs to a
-    co-resident, XenLoop-willing guest is serialized and copied into the
-    outgoing FIFO (or onto the waiting list when the FIFO is full), and the
-    peer is signalled over the event channel; everything else — unknown
+    co-resident, XenLoop-willing guest is copied into the outgoing FIFO
+    (or waits, still a packet, on the waiting list when the FIFO is full),
+    and the peer is signalled over the event channel; everything else — unknown
     destinations, packets larger than the FIFO, traffic during bootstrap —
     takes the standard netfront path untouched.  User applications never
     see any of this: full transparency.

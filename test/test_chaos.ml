@@ -72,8 +72,8 @@ let golden_digests =
     (Harness.Netfront_duo, 43, "1d3053ce15a2a2eecb56e7fde0bd45c5");
     (Harness.Netfront_duo, 99, "1d3053ce15a2a2eecb56e7fde0bd45c5");
     (Harness.Cluster3, 42, "1ad10a2a691f91f7413f3ea4b3f0cece");
-    (Harness.Cluster3, 43, "b67739a4111ca4219200b4327f82d8e8");
-    (Harness.Cluster3, 99, "0a78f648d176a22f01f00f717a7694a1");
+    (Harness.Cluster3, 43, "d48b465584cc669ac6cddc58fdc3dfdc");
+    (Harness.Cluster3, 99, "e8fa0e0ec8aa44496577ff6e7802d341");
     (Harness.Migration_world, 42, "cb0a044a1dc7d55a66783db628392b1f");
     (Harness.Migration_world, 43, "b9a920cee77680d25a409907b179f3b8");
     (Harness.Migration_world, 99, "cee9a67ca40022541c642acb8da08575");

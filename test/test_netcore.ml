@@ -829,38 +829,6 @@ let prop_parse_scatter_matches_parse =
                ~len:(Bytes.length raw) chunks))
         [ true; false ])
 
-(* Frames of every kind whose payload length is often odd or zero, the
-   lengths where a checksum's trailing byte and empty range show. *)
-let odd_payload_gen =
-  QCheck.Gen.(
-    let* n =
-      frequency
-        [
-          (1, return 0);
-          (1, return 1);
-          (3, map (fun k -> (2 * k) + 1) (0 -- 800));
-          (1, 0 -- 65_495);
-        ]
-    in
-    map Bytes.of_string (string_size (return n)))
-
-let arbitrary_odd_frame_packet =
-  QCheck.make
-    ~print:(fun p -> Format.asprintf "%a" Packet.pp p)
-    QCheck.Gen.(
-      int_bound (frame_kinds - 1) >>= frame_of_kind ~payload_gen:odd_payload_gen)
-
-let prop_restore_transport_checksum =
-  QCheck.Test.make
-    ~name:"restoring the checksum of an elided frame gives serialize"
-    ~count:400 arbitrary_odd_frame_packet (fun p ->
-      let baseline = Codec.serialize p in
-      let elided = Codec.serialize ~csum:false p in
-      Codec.restore_transport_checksum elided;
-      let again = Bytes.copy baseline in
-      Codec.restore_transport_checksum again;
-      Bytes.equal elided baseline && Bytes.equal again baseline)
-
 (* The transmit half of the pool path: a frame written across a scatter
    vector of small slots — headers straight from the packet with its
    payload behind them, or a serialized frame behind an empty head — is
@@ -1283,7 +1251,6 @@ let suites =
             prop_csum_elision_fallback;
             prop_parse_matches_blob_parser;
             prop_parse_scatter_matches_parse;
-            prop_restore_transport_checksum;
             prop_write_scatter_matches_serialize;
           ] );
     ( "netcore.view",

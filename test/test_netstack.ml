@@ -1015,6 +1015,124 @@ let test_capture_filters_and_stop () =
       Alcotest.(check bool) "rendered" true (String.length rendered > 0))
 
 (* ------------------------------------------------------------------ *)
+(* Egress: the one hand-off of an IP frame to a device *)
+
+type egress_case = {
+  e_mtu : int;
+  e_gso : int option;
+  e_tcp : bool;
+  e_len : int;
+  e_psh : bool;
+  e_fin : bool;
+}
+
+let egress_case_gen =
+  QCheck.Gen.(
+    let* e_mtu = oneofl [ 1500; 9000; 16436 ] in
+    let* e_gso = oneofl [ None; Some 16384; Some 65536 ] in
+    let* e_tcp = bool in
+    let* e_len = frequency [ (1, return 0); (1, 0 -- 2000); (3, 0 -- 65_495) ] in
+    let* e_psh = bool in
+    let+ e_fin = bool in
+    { e_mtu; e_gso; e_tcp; e_len; e_psh; e_fin })
+
+let print_egress_case c =
+  Printf.sprintf "mtu %d gso %s %s %d B psh %b fin %b" c.e_mtu
+    (match c.e_gso with Some g -> string_of_int g | None -> "none")
+    (if c.e_tcp then "tcp" else "udp")
+    c.e_len c.e_psh c.e_fin
+
+(* Whatever {!Stack.egress} hands the device: no TCP payload wider than
+   the device's budget and no TCP fragment; the payloads put back
+   together in sequence order are the input, PSH and FIN only on the
+   last piece, every piece a frame that parses with its checksum
+   verified; anything not TCP goes through as it is. *)
+let prop_egress_fits_device =
+  QCheck.Test.make ~name:"egress fits every frame to its device" ~count:150
+    (QCheck.make ~print:print_egress_case egress_case_gen) (fun c ->
+      run_sim (fun engine ->
+          let mac = Mac.of_domid ~machine:9 ~domid:1 in
+          let stack =
+            Stack.create ~engine ~params:Hypervisor.Params.default
+              ~cpu:(Sim.Resource.create ~name:"cpu") ~ip:(Ip.make ~subnet:9 ~host:1)
+              ~mac ()
+          in
+          let dev = Netdevice.create ~name:"eth0" ~mtu:c.e_mtu ?gso_size:c.e_gso ~mac () in
+          let sent = ref [] in
+          Netdevice.set_transmit dev (fun p -> sent := p :: !sent);
+          let budget =
+            (match c.e_gso with Some g -> max c.e_mtu g | None -> c.e_mtu) - 40
+          in
+          let payload = Bytes.init c.e_len (fun i -> Char.chr ((i * 7) land 0xff)) in
+          let seq = 0xFFFF_F000l in
+          let frame =
+            let src_ip = Ip.make ~subnet:9 ~host:1 and dst_ip = Ip.make ~subnet:9 ~host:2 in
+            let dst_mac = Mac.of_domid ~machine:9 ~domid:2 in
+            if c.e_tcp then
+              Netcore.Packet.tcp ~src_mac:mac ~dst_mac ~src_ip ~dst_ip
+                ~header:
+                  {
+                    Netcore.Transport.tcp_src_port = 1000;
+                    tcp_dst_port = 80;
+                    seq;
+                    ack_seq = 7l;
+                    flags =
+                      {
+                        Netcore.Transport.no_flags with
+                        ack = true;
+                        psh = c.e_psh;
+                        fin = c.e_fin;
+                      };
+                    window = 4096;
+                  }
+                payload
+            else
+              Netcore.Packet.udp ~src_mac:mac ~dst_mac ~src_ip ~dst_ip ~src_port:1000
+                ~dst_port:80 payload
+          in
+          Stack.egress stack dev frame;
+          let sent = List.rev !sent in
+          let parses p =
+            Result.is_ok
+              (Netcore.Codec.parse ~verify_transport:true (Netcore.Codec.serialize p))
+          in
+          if not c.e_tcp then sent = [ frame ]
+          else
+            let pieces =
+              List.filter_map
+                (fun p ->
+                  match p.Netcore.Packet.body with
+                  | Netcore.Packet.Ipv4_body
+                      {
+                        content =
+                          Netcore.Packet.Full
+                            { transport = Netcore.Transport.Tcp h; payload };
+                        _;
+                      } ->
+                      Some (h, payload)
+                  | _ -> None)
+                sent
+            in
+            let n = List.length pieces in
+            let next = ref seq in
+            List.length sent = n
+            && n = max 1 ((c.e_len + budget - 1) / budget)
+            && List.for_all parses sent
+            && List.for_all2
+                 (fun i (h, v) ->
+                   let last = i = n - 1 in
+                   let ok =
+                     v.Netcore.View.len <= budget
+                     && Int32.equal h.Netcore.Transport.seq !next
+                     && h.Netcore.Transport.flags.psh = (c.e_psh && last)
+                     && h.Netcore.Transport.flags.fin = (c.e_fin && last)
+                   in
+                   next := Int32.add !next (Int32.of_int v.Netcore.View.len);
+                   ok)
+                 (List.init n Fun.id) pieces
+            && Bytes.equal payload
+                 (Bytes.concat Bytes.empty
+                    (List.map (fun (_, v) -> Netcore.View.to_bytes v) pieces))))
 
 let suites =
   [
@@ -1090,4 +1208,5 @@ let suites =
         Alcotest.test_case "hooks run in order, steal short-circuits" `Quick
           test_netfilter_hooks_run_in_order;
       ] );
+    ("netstack.egress", [ QCheck_alcotest.to_alcotest prop_egress_fits_device ]);
   ]

@@ -493,6 +493,109 @@ let test_peer_teardown_clears_congestion () =
         (List.sort compare
            (List.map (fun s -> int_of_string (String.sub s 0 4)) (recv_all server []))))
 
+(* Three guests, QoS on: guest1's flow to guest2 latched behind guest2's
+   stalled vCPU, and then guest1's channel to guest3 evicted.  That close
+   releases only its own flows: the guest1->guest2 flow keeps its signal
+   while its frames still wait, and clears when they drain. *)
+let test_eviction_keeps_other_channels_congested () =
+  let params =
+    {
+      Hypervisor.Params.default with
+      qos_enabled = true;
+      xenloop_waiting_list_max = 16;
+    }
+  in
+  let c = Setup.build_cluster ~params ~fifo_k:8 ~guests:3 () in
+  Experiment.run_process c.Setup.c_engine (fun () ->
+      c.Setup.c_warmup ();
+      let ep i =
+        let _, ep, _ = List.nth c.Setup.guests i in
+        ep
+      in
+      let _, _, m1 = List.hd c.Setup.guests in
+      let server = bind_udp (ep 1) ~port:7300 () in
+      let client = bind_udp (ep 0) () in
+      let edges = ref [] in
+      Stack.set_congestion_handler (ep 0).Scenarios.Endpoint.stack ~proto:17
+        (fun ~sport:_ ~dst:_ ~dport ~congested ->
+          if dport = 7300 then edges := congested :: !edges);
+      Sim.Engine.spawn c.Setup.c_engine (fun () ->
+          Sim.Resource.use (Stack.cpu (ep 1).Scenarios.Endpoint.stack) (Sim.Time.ms 5));
+      let n = 40 in
+      for seq = 0 to n - 1 do
+        Netstack.Udp.sendto client ~dst:(Scenarios.Endpoint.ip (ep 1)) ~dst_port:7300
+          (Bytes.of_string (Printf.sprintf "%04d%s" seq (String.make 96 'q')))
+      done;
+      Alcotest.(check (list bool)) "the flow latched" [ true ] !edges;
+      (* The channel to guest2 was just used, so the least recently active
+         one is guest3's. *)
+      Alcotest.(check bool) "guest1 evicted a channel" true (Gm.evict_lru m1);
+      Alcotest.(check (list int)) "the channel to guest2 stays" [ 2 ]
+        (Gm.connected_peer_ids m1);
+      Alcotest.(check (list bool)) "no clear edge while the frames wait" [ true ] !edges;
+      Sim.Engine.sleep (Sim.Time.ms 20);
+      Alcotest.(check (list bool)) "cleared once drained" [ false; true ] !edges;
+      Alcotest.(check (list int)) "every datagram once"
+        (List.init n Fun.id)
+        (List.sort compare
+           (List.map (fun s -> int_of_string (String.sub s 0 4)) (recv_all server []))))
+
+(* Push faults park a 4 x 65,495 B TCP write on a gso channel's backlog
+   as four jumbos, and then the module unloads: the flush hands them to
+   netfront, which must get frames no wider than its budget (gso size
+   16,384, so 16,344 B of payload), resegmented, every byte once and in
+   order. *)
+let test_unload_flush_fits_netfront () =
+  let duo = Setup.build Setup.Xenloop_path in
+  let m1, _ = modules_of duo in
+  let client = host_of duo.Setup.client and server = host_of duo.Setup.server in
+  Experiment.execute duo (fun () ->
+      let engine = duo.Setup.engine in
+      let listener =
+        match Netstack.Tcp.listen server.Workloads.Host.tcp ~port:907 with
+        | Ok l -> l
+        | Error _ -> Alcotest.fail "listen"
+      in
+      let data = Bytes.init (4 * 65_495) (fun i -> Char.chr ((i * 11 + 3) land 0xff)) in
+      let got = ref Bytes.empty in
+      Sim.Engine.spawn engine (fun () ->
+          let conn = Netstack.Tcp.accept listener in
+          got := Netstack.Tcp.recv_exact conn (Bytes.length data));
+      let conn =
+        match
+          Netstack.Tcp.connect client.Workloads.Host.tcp ~dst:duo.Setup.server_ip
+            ~dst_port:907 ()
+        with
+        | Ok conn -> conn
+        | Error _ -> Alcotest.fail "connect"
+      in
+      let netfront = Option.get (Stack.device client.Workloads.Host.stack) in
+      let widest = ref 0 in
+      Netstack.Netdevice.add_tap netfront (fun direction packet ->
+          match (direction, packet.Netcore.Packet.body) with
+          | ( Netstack.Netdevice.Tx,
+              Netcore.Packet.Ipv4_body
+                {
+                  content =
+                    Netcore.Packet.Full { transport = Netcore.Transport.Tcp _; payload };
+                  _;
+                } ) ->
+              widest := max !widest payload.Netcore.View.len
+          | _ -> ());
+      Gm.set_push_fault_injector m1 (Some (fun () -> true));
+      let parked = (Gm.stats m1).Gm.queued_to_waiting in
+      Sim.Engine.spawn engine (fun () -> Netstack.Tcp.send conn data);
+      Sim.Engine.sleep (Sim.Time.ms 1);
+      Alcotest.(check int) "four jumbos parked" 4
+        ((Gm.stats m1).Gm.queued_to_waiting - parked);
+      let segmented = (Stack.stats client.Workloads.Host.stack).Stack.sw_segmented in
+      Gm.unload m1;
+      Sim.Engine.sleep (Sim.Time.sec 1);
+      Alcotest.(check int) "the widest frame fills the netfront budget" 16_344 !widest;
+      Alcotest.(check bool) "resegmented" true
+        ((Stack.stats client.Workloads.Host.stack).Stack.sw_segmented > segmented);
+      Alcotest.(check bool) "every byte, once and in order" true (Bytes.equal data !got))
+
 let test_module_reload_reforms_channels () =
   (* Unload the module (rmmod) and load a fresh instance (insmod): after
      the next discovery round and traffic, the fast path must re-form. *)
@@ -835,6 +938,10 @@ let suites =
           test_late_sender_after_close;
         Alcotest.test_case "peer teardown clears congestion" `Quick
           test_peer_teardown_clears_congestion;
+        Alcotest.test_case "an eviction keeps other channels' congestion" `Quick
+          test_eviction_keeps_other_channels_congested;
+        Alcotest.test_case "an unload flush fits netfront" `Quick
+          test_unload_flush_fits_netfront;
         Alcotest.test_case "module reload re-forms channels" `Slow
           test_module_reload_reforms_channels;
         Alcotest.test_case "randomized chaos soak" `Slow test_chaos_soak;
