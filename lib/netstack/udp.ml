@@ -266,14 +266,6 @@ let deliver_local t ~src ~src_port ~dst_port payload =
         (Hypervisor.Params.copy_cost params (Bytes.length payload));
       enqueue sock ~src ~src_port payload None
 
-let deliver_local_borrowed t ~src ~src_port ~dst_port payload ~release =
-  match Port_table.find_opt t.ports dst_port with
-  | None -> release ~copied:false
-  | Some sock ->
-      (* The datagram is parked in the pool slot, not copied into the
-         socket buffer: no copy charge at all on this edge. *)
-      enqueue sock ~src ~src_port payload (Some release)
-
 let close sock =
   sock.closed <- true;
   (* Drain borrowed datagrams still parked in the buffer: their slots must

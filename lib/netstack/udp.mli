@@ -76,16 +76,3 @@ val deliver_local :
 (** Deliver a payload straight into the socket bound to [dst_port], as the
     shortcut's receive side.  Charges only the copy into the socket buffer
     (no transport processing — that is the point). *)
-
-val deliver_local_borrowed :
-  t ->
-  src:Netcore.Ip.t ->
-  src_port:int ->
-  dst_port:int ->
-  Bytes.t ->
-  release:(copied:bool -> unit) ->
-  unit
-(** {!deliver_local} for a payload that is a borrowed pool-slot view: the
-    datagram parks in the socket buffer without any copy charge and
-    [release ~copied:false] fires when it leaves (received, dropped, or
-    the socket closes).  [release] must be idempotent. *)

@@ -44,6 +44,8 @@ let loc_heap = -2
 
 let nil_id = 0
 
+let tick_of_time time_ns = time_ns asr tick_bits
+
 type 'a t = {
   mutable cells : 'a cell array;  (* the registry; [cells.(0)] is nil *)
   mutable n_cells : int;
@@ -57,6 +59,9 @@ type 'a t = {
   mutable cur_tick : int;
   mutable heap : int array;  (* cell ids *)
   mutable heap_len : int;
+  mutable heap_due : int;
+      (* the cursor tick at which the heap top enters the window, so
+         [cascade] has work; [max_int] while the heap is empty *)
 }
 
 let create ~dummy =
@@ -82,6 +87,7 @@ let create ~dummy =
     cur_tick = 0;
     heap = [||];
     heap_len = 0;
+    heap_due = max_int;
   }
 
 let make_cell t v =
@@ -149,6 +155,15 @@ let rec heap_down t i =
 (* Only ever read with [heap_len > 0]. *)
 let heap_top t = cell t (Array.unsafe_get t.heap 0)
 
+(* Kept current by every heap insert, pop and removal: the pops test one
+   int against the cursor instead of re-reading the top through the
+   registry.  A top at tick [k] is in the window once
+   [k - cur_tick < slot_count]. *)
+let refresh_due t =
+  t.heap_due <-
+    (if t.heap_len = 0 then max_int
+     else tick_of_time (heap_top t).c_time - slot_count + 1)
+
 let heap_push t c =
   if t.heap_len = Array.length t.heap then begin
     let cap = max 16 (2 * t.heap_len) in
@@ -159,7 +174,8 @@ let heap_push t c =
   t.heap.(t.heap_len) <- c.c_id;
   t.heap_len <- t.heap_len + 1;
   heap_up t (t.heap_len - 1);
-  c.c_loc <- loc_heap
+  c.c_loc <- loc_heap;
+  refresh_due t
 
 let heap_pop_top t =
   let c = heap_top t in
@@ -168,6 +184,7 @@ let heap_pop_top t =
   t.heap.(t.heap_len) <- nil_id;
   if t.heap_len > 0 then heap_down t 0;
   c.c_loc <- loc_free;
+  refresh_due t;
   c
 
 let heap_remove t c =
@@ -189,12 +206,11 @@ let heap_remove t c =
       heap_down t i
     end;
     c.c_loc <- loc_free;
+    refresh_due t;
     true
   end
 
 (* Wheel slots. *)
-
-let tick_of_time time_ns = time_ns asr tick_bits
 
 let slot_insert t c tick =
   let s = tick land slot_mask in
@@ -272,7 +288,7 @@ let remove t c =
 
 (* Promote overflow cells whose tick has entered the wheel window. *)
 let cascade t =
-  while t.heap_len > 0 && tick_of_time (heap_top t).c_time - t.cur_tick < slot_count do
+  while t.cur_tick >= t.heap_due do
     let c = heap_pop_top t in
     let tick = tick_of_time c.c_time in
     let tick = if tick < t.cur_tick then t.cur_tick else tick in
@@ -311,7 +327,7 @@ let take_head t s =
 let pop t =
   if t.wheel_len = 0 && t.heap_len = 0 then nil t
   else begin
-    if t.heap_len > 0 then cascade t;
+    if t.cur_tick >= t.heap_due then cascade t;
     if t.wheel_len = 0 then begin
       (* Everything lives beyond the window: jump the cursor to the heap
          top.  Safe only here — pop advances the clock to the returned
@@ -329,7 +345,7 @@ let pop t =
 let pop_before t limit_ns =
   if t.wheel_len = 0 && t.heap_len = 0 then nil t
   else begin
-    if t.heap_len > 0 then cascade t;
+    if t.cur_tick >= t.heap_due then cascade t;
     if t.wheel_len = 0 then begin
       if (heap_top t).c_time > limit_ns then nil t
       else begin

@@ -57,11 +57,6 @@ let carve_queue ~pool ~k ~index =
 let entry_magic = 0x584C (* "XL" *)
 let flag_desc = 1
 
-(* Descriptor carries a socket-shortcut app datagram instead of an Ethernet
-   frame: the slot payload starts with an 8-byte app header (src ip u32,
-   src port u16, 2 pad) and [proto_hint] is the destination port. *)
-let flag_app = 2
-
 (* Jumbo descriptor (GSO, DESIGN.md §15): the entry scatter-gathers one
    oversized frame across several pool slots.  Layout after the metadata
    word (which carries the total frame length): one header word
@@ -208,7 +203,7 @@ let try_push t payload =
    the descriptor flag set, then one payload word carrying
    {slot, proto_hint, offset} into the channel's payload pool. *)
 
-let try_push_desc t ?(flags = 0) ~slot ~offset ~len ~proto_hint () =
+let try_push_desc t ~slot ~offset ~len ~proto_hint () =
   if len <= 0 || not (is_active t) then false
   else if free_slots t < 2 then false
   else begin
@@ -219,7 +214,7 @@ let try_push_desc t ?(flags = 0) ~slot ~offset ~len ~proto_hint () =
     let moff = byte_at mod Page.size in
     Page.set_u32 mpage moff len;
     Page.set_u16 mpage (moff + 4) entry_magic;
-    Page.set_u16 mpage (moff + 6) (flag_desc lor flags);
+    Page.set_u16 mpage (moff + 6) flag_desc;
     let at2 = (byte_at + slot_bytes) mod ring_bytes t in
     let ppage = t.data.(at2 / Page.size) in
     let poff = at2 mod Page.size in

@@ -119,26 +119,11 @@ val push_entry :
     their single copy into it, and publish a descriptor.  A refused push
     never consumes a pool slot. *)
 
-val flag_app : int
-(** Descriptor-flag bit: the slot payload is a socket-shortcut app datagram
-    (8-byte app header — src ip u32, src port u16, 2 pad — then the datagram
-    bytes) and [proto_hint] carries the destination port, not an
-    EtherType/protocol hint. *)
-
 val try_push_desc :
-  t ->
-  ?flags:int ->
-  slot:int ->
-  offset:int ->
-  len:int ->
-  proto_hint:int ->
-  unit ->
-  bool
+  t -> slot:int -> offset:int -> len:int -> proto_hint:int -> unit -> bool
 (** Publish a descriptor for a payload already written to the pool
-    (two FIFO slots).  [flags] (default none) is OR-ed into the entry's
-    flag word next to the descriptor bit — {!flag_app} and
-    {!flag_csum_ok} are the defined extra bits.  {!push_entry} is the
-    normal caller for plain frames. *)
+    (two FIFO slots), with only the descriptor bit in its flag word.
+    {!push_entry} is the normal caller. *)
 
 (** {2 Jumbo descriptors (segmentation offload, DESIGN.md §15)}
 

@@ -97,12 +97,7 @@ type queue = {
   mutable q_notifies_suppressed : int;
   mutable q_steered : int;
   mutable q_desc_tx : int;
-  mutable q_inline_tx : int;
   mutable q_pool_fallbacks : int;
-  mutable q_loan_tx : int;
-  mutable q_loan_rx : int;
-  mutable q_loan_returns : int;
-  mutable q_loan_credit_stalls : int;
   q_waiter : Sim.Engine.waiter;
       (** where this queue's handler parks while it lingers (DESIGN.md §5) *)
   q_ready : unit -> bool;  (** what the lingering handler waits for *)
@@ -175,14 +170,6 @@ type t = {
   mutable saved_frames : P.t list;
   mutable app_handler :
     (src_ip:Netcore.Ip.t -> src_port:int -> dst_port:int -> Bytes.t -> unit) option;
-  mutable app_view_handler :
-    (src_ip:Netcore.Ip.t ->
-    src_port:int ->
-    dst_port:int ->
-    Bytes.t ->
-    release:(copied:bool -> unit) ->
-    unit)
-    option;
   s : stats;
   mutable loaded : bool;
   mutable next_token : int;  (** Requested_from_listener incarnations *)
@@ -193,9 +180,8 @@ type t = {
           (delta announcements only; 0 otherwise) *)
   mutable expiry_timer : Sim.Engine.timer option;
   tx_head : Bytes.t;
-      (** the head of a frame being written into pool slots — a jumbo's
-          serialized headers, an app descriptor's 8-byte header — with the
-          payload written behind it; filled and consumed within one push *)
+      (** a jumbo's serialized headers, written into its pool slots with
+          the payload behind them; filled and consumed within one push *)
   (* Chaos-harness hooks (lib/chaos); [None] in production. *)
   mutable ctrl_fault : (Proto.t -> ctrl_fault) option;
   mutable push_fault : (unit -> bool) option;
@@ -281,14 +267,8 @@ type queue_stat = {
   qs_notifies_sent : int;
   qs_notifies_suppressed : int;
   qs_steered : int;
-  qs_waiting : int;
   qs_desc_tx : int;
-  qs_inline_tx : int;
   qs_pool_fallbacks : int;
-  qs_loan_tx : int;
-  qs_loan_rx : int;
-  qs_loan_returns : int;
-  qs_loan_credit_stalls : int;
 }
 
 let queue_stats t ~domid =
@@ -300,14 +280,8 @@ let queue_stats t ~domid =
             qs_notifies_sent = q.q_notifies_sent;
             qs_notifies_suppressed = q.q_notifies_suppressed;
             qs_steered = q.q_steered;
-            qs_waiting = Qos.Drr.length q.backlog;
             qs_desc_tx = q.q_desc_tx;
-            qs_inline_tx = q.q_inline_tx;
             qs_pool_fallbacks = q.q_pool_fallbacks;
-            qs_loan_tx = q.q_loan_tx;
-            qs_loan_rx = q.q_loan_rx;
-            qs_loan_returns = q.q_loan_returns;
-            qs_loan_credit_stalls = q.q_loan_credit_stalls;
           })
         ch.queues
   | Some (Bootstrapping _ | Failed_until _) | None -> [||]
@@ -484,15 +458,9 @@ let note_outcome t q outcome =
       (* Every descriptor on a loan-negotiated channel is loan-eligible at
          the receiver (which may still degrade it to copy-out under credit
          pressure — that shows up in its loan_credit_stalls, not here). *)
-      if q.q_max_loans > 0 then begin
-        q.q_loan_tx <- q.q_loan_tx + 1;
-        t.s.loan_tx <- t.s.loan_tx + 1
-      end
+      if q.q_max_loans > 0 then t.s.loan_tx <- t.s.loan_tx + 1
     end
-    else begin
-      q.q_inline_tx <- q.q_inline_tx + 1;
-      t.s.inline_tx <- t.s.inline_tx + 1
-    end;
+    else t.s.inline_tx <- t.s.inline_tx + 1;
     if outcome = Fifo.pushed_inline_fallback then begin
       q.q_pool_fallbacks <- q.q_pool_fallbacks + 1;
       t.s.pool_fallbacks <- t.s.pool_fallbacks + 1
@@ -971,7 +939,6 @@ let make_release t q pool ~chunks ~len =
   let finish ~copied =
     if not !released then begin
       released := true;
-      q.q_loan_returns <- q.q_loan_returns + 1;
       t.s.loan_returns <- t.s.loan_returns + 1;
       if copied then record_copy t len;
       Array.iter (fun (slot, _) -> Payload_pool.release pool slot) chunks;
@@ -993,7 +960,6 @@ let make_release t q pool ~chunks ~len =
    copy is recorded. *)
 let note_copy_out t q len =
   if q.q_max_loans > 0 then begin
-    q.q_loan_credit_stalls <- q.q_loan_credit_stalls + 1;
     t.s.loan_credit_stalls <- t.s.loan_credit_stalls + 1;
     record_copy t len
   end
@@ -1029,41 +995,6 @@ let check_scatter pool ~off ~len chunks =
       && Array.for_all (fun (_, l) -> l > 0 && off + l <= sb) chunks
     then Scatter_ok
     else Scatter_bad_lengths
-  end
-
-(* A [flag_app] descriptor: a socket-shortcut datagram living in the pool
-   slot behind an 8-byte app header, delivered to the application layer
-   directly — as a borrowed view with an explicit release when credit
-   allows, by copy-out to the plain handler otherwise. *)
-let consume_app_desc t q pool ~slot ~off ~len ~dst_port =
-  if len <= 8 then
-    (* No room for the app header: off-protocol. *)
-    raise Corrupt_channel
-  else begin
-    let hdr = Payload_pool.read pool ~slot ~off ~len:8 in
-    let src_ip = Netcore.Ip.of_int32 (Bytes.get_int32_be hdr 0) in
-    let src_port = Bytes.get_uint16_be hdr 4 in
-    let plen = len - 8 in
-    match t.app_view_handler with
-    | Some handler
-      when q.q_max_loans > 0
-           && Payload_pool.outstanding_loans pool < q.q_max_loans ->
-        Payload_pool.loan pool slot;
-        q.q_loan_rx <- q.q_loan_rx + 1;
-        t.s.loan_rx <- t.s.loan_rx + 1;
-        let payload = Payload_pool.read pool ~slot ~off:(off + 8) ~len:plen in
-        let release = make_release t q pool ~chunks:[| (slot, plen) |] ~len:plen in
-        t.s.via_channel_rx <- t.s.via_channel_rx + 1;
-        handler ~src_ip ~src_port ~dst_port payload ~release
-    | Some _ | None ->
-        let payload = Payload_pool.read pool ~slot ~off:(off + 8) ~len:plen in
-        Payload_pool.free pool slot;
-        space_freed t q;
-        note_copy_out t q plen;
-        t.s.via_channel_rx <- t.s.via_channel_rx + 1;
-        (match t.app_handler with
-        | Some handler -> handler ~src_ip ~src_port ~dst_port payload
-        | None -> ())
   end
 
 let drain_incoming t q =
@@ -1123,7 +1054,6 @@ let drain_incoming t q =
              free-ring return waits for the application's release — no
              copy charged, none recorded. *)
           Array.iter (fun (s, _) -> Payload_pool.loan pool s) chunks;
-          q.q_loan_rx <- q.q_loan_rx + 1;
           t.s.loan_rx <- t.s.loan_rx + 1;
           let release = make_release t q pool ~chunks ~len in
           match result with
@@ -1169,7 +1099,7 @@ let drain_incoming t q =
               (Sim.Time.span_add bookkeeping (Params.xenloop_copy_cost p len));
             record_copy t len;
             inject (parsed ~flags:0 (Netcore.Codec.parse raw))
-        | Fifo.Desc { d_slot; d_off; d_len; d_proto; d_flags } ->
+        | Fifo.Desc { d_slot; d_off; d_len; d_flags; _ } ->
             let pool = rx_pool () in
             if
               d_slot < 0
@@ -1178,14 +1108,8 @@ let drain_incoming t q =
               || d_off + d_len > Payload_pool.slot_bytes pool
             then raise Corrupt_channel;
             Sim.Resource.use (cpu t) bookkeeping;
-            if d_flags land Fifo.flag_app <> 0 then begin
-              incr consumed;
-              consume_app_desc t q pool ~slot:d_slot ~off:d_off ~len:d_len
-                ~dst_port:d_proto
-            end
-            else
-              deliver_pool_frame pool ~off:d_off ~len:d_len ~flags:d_flags
-                [| (d_slot, d_len) |]
+            deliver_pool_frame pool ~off:d_off ~len:d_len ~flags:d_flags
+              [| (d_slot, d_len) |]
         | Fifo.Jumbo { j_len; j_proto = _; j_flags; j_chunks } ->
             let pool = rx_pool () in
             Sim.Resource.use (cpu t) bookkeeping;
@@ -1222,7 +1146,7 @@ let release_channel t ch =
    parse is dropped, and so is a jumbo whose scatter vector we cannot
    trust — a chaos fault corrupted it before teardown — rather than read
    out of range. *)
-let reclaim_stranded t ch q =
+let reclaim_stranded t q =
   let stranded = ref [] in
   let keep = function
     | Ok packet -> stranded := packet :: !stranded
@@ -1234,30 +1158,8 @@ let reclaim_stranded t ch q =
        match Fifo.pop_entry q.out_fifo with
        | Some (Fifo.Inline raw) ->
            keep (Netcore.Codec.parse ~verify_transport:false raw)
-       | Some (Fifo.Desc { d_slot; d_off; d_len; d_proto; d_flags }) -> (
+       | Some (Fifo.Desc { d_slot; d_off; d_len; _ }) -> (
            match q.q_tx_pool with
-           | Some pool when d_flags land Fifo.flag_app <> 0 ->
-               (* App descriptor: the slot holds [app header | datagram].
-                  It leaves as the control frame the shortcut sends when
-                  no descriptor fits. *)
-               if d_len > 8 then begin
-                 let hdr = Payload_pool.read pool ~slot:d_slot ~off:d_off ~len:8 in
-                 let msg =
-                   Proto.App_payload
-                     {
-                       src_ip = Netcore.Ip.of_int32 (Bytes.get_int32_be hdr 0);
-                       src_port = Bytes.get_uint16_be hdr 4;
-                       dst_port = d_proto;
-                       payload =
-                         Payload_pool.read pool ~slot:d_slot ~off:(d_off + 8)
-                           ~len:(d_len - 8);
-                     }
-                 in
-                 stranded :=
-                   P.xenloop_ctrl ~src_mac:(Stack.mac_addr t.stack)
-                     ~dst_mac:ch.peer_mac (Proto.encode msg)
-                   :: !stranded
-               end
            | Some pool ->
                keep
                  (Payload_pool.parse_scatter ~verify_transport:false pool ~off:d_off
@@ -1289,7 +1191,7 @@ type unsent = Save | Flush | Drop
 let take_unsent t ch ~reclaim =
   Array.fold_left
     (fun acc q ->
-      let reclaimed = if reclaim then reclaim_stranded t ch q else [] in
+      let reclaimed = if reclaim then reclaim_stranded t q else [] in
       let backlog =
         List.map (fun (_, packet, _) -> packet) (Qos.Drr.drain_all q.backlog)
       in
@@ -1696,12 +1598,7 @@ let new_queue t ~index ~out_fifo ~in_fifo ~port ~tx_pool ~rx_pool ~inline_max
     q_notifies_suppressed = 0;
     q_steered = 0;
     q_desc_tx = 0;
-    q_inline_tx = 0;
     q_pool_fallbacks = 0;
-    q_loan_tx = 0;
-    q_loan_rx = 0;
-    q_loan_returns = 0;
-    q_loan_credit_stalls = 0;
     q_waiter = waiter;
     q_ready = (fun () -> queue_ready q);
     q_peer_ep = None;
@@ -2442,7 +2339,6 @@ let hook_fn t (packets : P.t list) =
 (* Transport-level shortcut (paper Sect. 6 future work) *)
 
 let set_app_payload_handler t handler = t.app_handler <- Some handler
-let set_app_view_handler t handler = t.app_view_handler <- Some handler
 
 let send_app_payload t ~dst_ip ~src_port ~dst_port payload =
   if not t.loaded then false
@@ -2462,89 +2358,30 @@ let send_app_payload t ~dst_ip ~src_port ~dst_port payload =
             in
             let qi = Steering.queue_index key ~queues:(Array.length ch.queues) in
             let q = ch.queues.(qi) in
-            (* App-descriptor fast path (DESIGN.md §11): on a
-               loan-negotiated queue the datagram is written once into a
-               pool slot behind the 8-byte app header and the FIFO carries
-               only a two-slot descriptor the receiver's socket layer
-               borrows in place — no Proto encode, no inline copy, no
-               copy-out.  Ordering demands an empty backlog; any
-               refusal falls through to the ctrl-frame path unchanged. *)
-            let app_desc_sent =
-              q.q_max_loans > 0
-              && Qos.Drr.is_empty q.backlog
-              &&
-              match q.q_tx_pool with
-              | None -> false
-              | Some pool -> (
-                  let total = Bytes.length payload + 8 in
-                  if
-                    total <= q.q_inline_max
-                    || total > Payload_pool.slot_bytes pool
-                    || total > Fifo.max_packet q.out_fifo
-                  then false
-                  else
-                    match Payload_pool.alloc_slot pool with
-                    | -1 -> false
-                    | slot ->
-                        let head = t.tx_head in
-                        Bytes.set_int32_be head 0
-                          (Netcore.Ip.to_int32 (Stack.ip_addr t.stack));
-                        Bytes.set_uint16_be head 4 src_port;
-                        Bytes.set_uint16_be head 6 0;
-                        let slots = [| slot |] and lens = [| total |] in
-                        Payload_pool.write_scatter pool ~off:0 ~slots ~lens ~pos:0
-                          ~src:head ~src_off:0 ~len:8;
-                        Payload_pool.write_scatter pool ~off:0 ~slots ~lens ~pos:8
-                          ~src:payload ~src_off:0 ~len:(Bytes.length payload);
-                        if
-                          Fifo.try_push_desc q.out_fifo ~flags:Fifo.flag_app
-                            ~slot ~offset:0 ~len:total ~proto_hint:dst_port ()
-                        then begin
-                          wake_peer t q;
-                          let p = params t in
-                          Sim.Resource.use (cpu t) p.Params.xenloop_fifo_op;
-                          q.q_steered <- q.q_steered + 1;
-                          t.s.steered_packets <- t.s.steered_packets + 1;
-                          q.q_desc_tx <- q.q_desc_tx + 1;
-                          t.s.desc_tx <- t.s.desc_tx + 1;
-                          q.q_loan_tx <- q.q_loan_tx + 1;
-                          t.s.loan_tx <- t.s.loan_tx + 1;
-                          t.s.via_channel_tx <- t.s.via_channel_tx + 1;
-                          notify_peer t q;
-                          true
-                        end
-                        else begin
-                          Payload_pool.unalloc pool slot;
-                          false
-                        end)
+            let msg =
+              Proto.App_payload
+                {
+                  src_ip = Stack.ip_addr t.stack;
+                  src_port;
+                  dst_port;
+                  payload;
+                }
             in
-            if app_desc_sent then true
+            let frame =
+              Netcore.Packet.xenloop_ctrl ~src_mac:(Stack.mac_addr t.stack)
+                ~dst_mac:entry.Proto.entry_mac (Proto.encode msg)
+            in
+            if P.wire_length frame > Fifo.max_packet q.out_fifo then begin
+              t.s.too_big_fallback <- t.s.too_big_fallback + 1;
+              false
+            end
             else begin
-              let msg =
-                Proto.App_payload
-                  {
-                    src_ip = Stack.ip_addr t.stack;
-                    src_port;
-                    dst_port;
-                    payload;
-                  }
-              in
-              let frame =
-                Netcore.Packet.xenloop_ctrl ~src_mac:(Stack.mac_addr t.stack)
-                  ~dst_mac:entry.Proto.entry_mac (Proto.encode msg)
-              in
-              if P.wire_length frame > Fifo.max_packet q.out_fifo then begin
-                t.s.too_big_fallback <- t.s.too_big_fallback + 1;
-                false
-              end
-              else begin
-                q.q_steered <- q.q_steered + 1;
-                t.s.steered_packets <- t.s.steered_packets + 1;
-                send_via_channel t q
-                  ~key:(match t.qos with None -> one_flow | Some _ -> key)
-                  frame;
-                true
-              end
+              q.q_steered <- q.q_steered + 1;
+              t.s.steered_packets <- t.s.steered_packets + 1;
+              send_via_channel t q
+                ~key:(match t.qos with None -> one_flow | Some _ -> key)
+                frame;
+              true
             end
         | Some (Active _) | Some (Bootstrapping _) | Some (Failed_until _) ->
             false
@@ -2770,7 +2607,6 @@ let create ~domain ~stack ~current_machine ?(fifo_k = Fifo.default_k) ?max_queue
       hook = None;
       saved_frames = [];
       app_handler = None;
-      app_view_handler = None;
       s =
         {
           via_channel_tx = 0;

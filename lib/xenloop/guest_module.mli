@@ -220,14 +220,8 @@ type queue_stat = {
   qs_notifies_sent : int;
   qs_notifies_suppressed : int;
   qs_steered : int;
-  qs_waiting : int;
   qs_desc_tx : int;
-  qs_inline_tx : int;
   qs_pool_fallbacks : int;
-  qs_loan_tx : int;
-  qs_loan_rx : int;
-  qs_loan_returns : int;
-  qs_loan_credit_stalls : int;
 }
 
 val queue_stats : t -> domid:int -> queue_stat array
@@ -286,7 +280,11 @@ val set_congestion_fault_injector :
     socket and transport layers eliminates network protocol processing from
     the inter-VM data path entirely.  These two entry points let a socket
     layer ship raw application payloads over an established channel; see
-    {!Socket_shortcut} for the glue. *)
+    {!Socket_shortcut} for the glue.  A payload always travels as one
+    {!Proto.App_payload} control frame through the queue's ordinary
+    transmit path, so it meets the same push refusal, backlog, QoS key,
+    CPU charge and counters as any frame, and the receiver copies it out
+    of the FIFO or pool slot into the socket buffer. *)
 
 val send_app_payload :
   t -> dst_ip:Netcore.Ip.t -> src_port:int -> dst_port:int -> Bytes.t -> bool
@@ -300,24 +298,7 @@ val set_app_payload_handler :
   t ->
   (src_ip:Netcore.Ip.t -> src_port:int -> dst_port:int -> Bytes.t -> unit) ->
   unit
-
-val set_app_view_handler :
-  t ->
-  (src_ip:Netcore.Ip.t ->
-  src_port:int ->
-  dst_port:int ->
-  Bytes.t ->
-  release:(copied:bool -> unit) ->
-  unit) ->
-  unit
-(** Loaned-slot delivery of transport-shortcut datagrams (DESIGN.md §11):
-    on a loan-negotiated queue with available credit the handler receives a
-    borrowed view of the pool slot and must call [release] exactly once
-    when done — [~copied:false] for a pure zero-copy consume/drop,
-    [~copied:true] if the datagram had to be duplicated into private
-    memory first.  [release] is idempotent (extra calls no-op).  Without
-    this handler — or without credit — delivery transparently degrades to
-    the copy-out {!set_app_payload_handler} path. *)
+(** Where arriving {!Proto.App_payload} datagrams go. *)
 
 (** {1 Fault injection and invariant checking}
 

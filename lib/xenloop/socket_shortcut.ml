@@ -4,7 +4,6 @@ type t = {
   mutable enabled : bool;
   mutable sent : int;
   mutable received : int;
-  mutable received_views : int;
 }
 
 let enable ~xl_module ~udp () =
@@ -15,7 +14,6 @@ let enable ~xl_module ~udp () =
       enabled = true;
       sent = 0;
       received = 0;
-      received_views = 0;
     }
   in
   Netstack.Udp.set_tx_shortcut udp (fun ~dst ~dst_port ~src_port payload ->
@@ -33,19 +31,6 @@ let enable ~xl_module ~udp () =
         t.received <- t.received + 1;
         Netstack.Udp.deliver_local udp ~src:src_ip ~src_port ~dst_port payload
       end);
-  (* Loaned-slot receive (DESIGN.md §11): when the channel negotiated loan
-     credit, the datagram arrives as a borrowed view of the pool slot and
-     parks in the socket buffer copy-free; the borrow ends when the app
-     reads it out.  A disabled shortcut hands the slot straight back. *)
-  Guest_module.set_app_view_handler xl_module
-    (fun ~src_ip ~src_port ~dst_port payload ~release ->
-      if not t.enabled then release ~copied:false
-      else begin
-        t.received <- t.received + 1;
-        t.received_views <- t.received_views + 1;
-        Netstack.Udp.deliver_local_borrowed udp ~src:src_ip ~src_port ~dst_port
-          payload ~release
-      end);
   t
 
 let disable t =
@@ -54,4 +39,3 @@ let disable t =
 
 let sent_via_shortcut t = t.sent
 let received_via_shortcut t = t.received
-let received_as_view t = t.received_views

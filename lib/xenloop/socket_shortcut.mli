@@ -7,10 +7,12 @@
     from the inter-VM data path".  This module is that prototype for UDP:
 
     - outgoing datagrams whose destination IP belongs to a co-resident,
-      channel-connected guest are shipped as {!Proto.App_payload} messages
-      over the existing XenLoop channel — no IP header, no UDP header, no
-      checksums, no fragmentation;
-    - arriving payloads are placed directly into the destination socket's
+      channel-connected guest are shipped as {!Proto.App_payload} control
+      frames over the existing XenLoop channel — no IP header, no UDP
+      header, no checksums, no fragmentation.  Each is one frame on the
+      queue's ordinary transmit path ({!Guest_module.send_app_payload}),
+      inline, pooled or waiting on the backlog like any other;
+    - arriving payloads are copied directly into the destination socket's
       buffer.
 
     Everything else (discovery, bootstrap, teardown, migration) is the
@@ -30,8 +32,3 @@ val disable : t -> unit
 val sent_via_shortcut : t -> int
 
 val received_via_shortcut : t -> int
-(** All shortcut deliveries, loaned views included. *)
-
-val received_as_view : t -> int
-(** The subset of {!received_via_shortcut} delivered as borrowed pool-slot
-    views (loaned-slot receive, DESIGN.md §11) rather than copied out. *)

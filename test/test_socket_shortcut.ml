@@ -49,6 +49,54 @@ let test_shortcut_roundtrip () =
       Alcotest.(check string) "reply" "ack" (Bytes.to_string reply);
       Alcotest.(check int) "reply rode the shortcut" 1 (Shortcut.sent_via_shortcut sc2))
 
+(* Every size class a shortcut datagram can take rides one control frame
+   on the ordinary transmit path: inline (1 B), a pool descriptor
+   (1,400 B and 20,000 B) and a jumbo descriptor wider than a pool slot
+   (61,440 B).  A refused push parks the frame on the backlog like any
+   other, and the next send drains it in order. *)
+let test_shortcut_size_classes () =
+  with_shortcut_world (fun ~duo ~client ~server ~sc1 ~sc2:_ ->
+      let m1 = List.hd duo.Setup.modules in
+      let payload len tag = Bytes.init len (fun j -> Char.chr ((tag + (j * 7)) land 0xff)) in
+      let server_sock = bind_exn server.Workloads.Host.udp ~port:2005 () in
+      let client_sock = bind_exn client.Workloads.Host.udp () in
+      let send p = Udp.sendto client_sock ~dst:duo.Setup.server_ip ~dst_port:2005 p in
+      let expect what sent =
+        List.iteri
+          (fun i p ->
+            let _, _, got = Udp.recvfrom server_sock in
+            Alcotest.(check bytes) (Printf.sprintf "%s %d intact, in order" what i) p got)
+          sent;
+        Alcotest.(check bool) (what ^ ": nothing more") true
+          (Udp.recv_opt server_sock = None)
+      in
+      let classes = List.mapi (fun i len -> payload len i) [ 1; 1400; 20_000; 61_440 ] in
+      let desc_before = (Gm.stats m1).Gm.desc_tx
+      and jumbo_before = (Gm.stats m1).Gm.jumbo_tx in
+      List.iter send classes;
+      expect "size class" classes;
+      Alcotest.(check int) "all four via shortcut" 4 (Shortcut.sent_via_shortcut sc1);
+      Alcotest.(check int) "all but 1 B rode descriptors" 3
+        ((Gm.stats m1).Gm.desc_tx - desc_before);
+      Alcotest.(check int) "61,440 B rode a jumbo" 1
+        ((Gm.stats m1).Gm.jumbo_tx - jumbo_before);
+      (* Refused pushes: the frames wait on the backlog, none is lost. *)
+      let waiting_before = (Gm.stats m1).Gm.queued_to_waiting in
+      Gm.set_push_fault_injector m1 (Some (fun () -> true));
+      let parked = List.init 3 (fun i -> payload 20_000 (10 + i)) in
+      List.iter send parked;
+      Sim.Engine.sleep (Sim.Time.ms 1);
+      Alcotest.(check int) "three parked on the backlog" 3
+        ((Gm.stats m1).Gm.queued_to_waiting - waiting_before);
+      Alcotest.(check bool) "nothing delivered while refused" true
+        (Udp.recv_opt server_sock = None);
+      Gm.set_push_fault_injector m1 None;
+      let last = payload 1 20 in
+      send last;
+      expect "after the fault" (parked @ [ last ]);
+      Alcotest.(check int) "every datagram via shortcut" 8
+        (Shortcut.sent_via_shortcut sc1))
+
 let test_shortcut_skips_protocol_processing () =
   with_shortcut_world (fun ~duo ~client ~server ~sc1 ~sc2 ->
       ignore sc2;
@@ -167,6 +215,8 @@ let suites =
     ( "xenloop.socket_shortcut",
       [
         Alcotest.test_case "roundtrip with addressing" `Quick test_shortcut_roundtrip;
+        Alcotest.test_case "size classes and refused pushes" `Quick
+          test_shortcut_size_classes;
         Alcotest.test_case "skips protocol processing" `Quick
           test_shortcut_skips_protocol_processing;
         Alcotest.test_case "faster than packet-level xenloop" `Slow

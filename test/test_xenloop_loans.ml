@@ -7,7 +7,6 @@
 module Setup = Scenarios.Setup
 module Experiment = Scenarios.Experiment
 module Gm = Xenloop.Guest_module
-module Shortcut = Xenloop.Socket_shortcut
 module Pool = Xenloop.Payload_pool
 module Page = Memory.Page
 module Udp = Netstack.Udp
@@ -28,28 +27,29 @@ let bind_exn udp ?port () =
 let big_payload i =
   Bytes.init 1400 (fun j -> Char.chr ((i + (j * 7)) land 0xff))
 
-let with_shortcut_world ?params f =
+(* A two-guest XenLoop world.  The datagrams the tests send ride the
+   packet path: a 1,400 B payload is above the inline threshold, so each
+   frame takes a pool descriptor the receiver may lend to its socket
+   layer. *)
+let with_loan_world ?params f =
   let duo =
     match params with
     | Some params -> Setup.build ~params Setup.Xenloop_path
     | None -> Setup.build Setup.Xenloop_path
   in
   let m1, m2 = modules_of duo in
-  let sc1 =
-    Shortcut.enable ~xl_module:m1 ~udp:duo.Setup.client.Scenarios.Endpoint.udp ()
-  in
-  let sc2 =
-    Shortcut.enable ~xl_module:m2 ~udp:duo.Setup.server.Scenarios.Endpoint.udp ()
-  in
   Experiment.execute duo (fun () ->
       f ~duo ~m1 ~m2 ~client:(host_of duo.Setup.client)
-        ~server:(host_of duo.Setup.server) ~sc1 ~sc2)
+        ~server:(host_of duo.Setup.server))
 
 (* ------------------------------------------------------------------ *)
-(* Loaned delivery over the transport shortcut *)
+(* Loaned delivery on the packet path *)
 
-let test_loaned_delivery_roundtrip () =
-  with_shortcut_world (fun ~duo ~m1 ~m2 ~client ~server ~sc1:_ ~sc2 ->
+let test_packet_path_loaned_delivery () =
+  (* Every frame rides a descriptor; the receiver borrows the slot for the
+     whole netstack traversal and the borrow ends when the app reads the
+     datagram out. *)
+  with_loan_world (fun ~duo ~m1 ~m2 ~client ~server ->
       Alcotest.(check bool) "loans negotiated" true (Gm.loans_active m1 ~domid:2);
       let server_sock = bind_exn server.Workloads.Host.udp ~port:4000 () in
       let client_sock = bind_exn client.Workloads.Host.udp () in
@@ -68,39 +68,11 @@ let test_loaned_delivery_roundtrip () =
       Alcotest.(check int) "all rode loan descriptors" n tx.Gm.loan_tx;
       Alcotest.(check int) "all delivered as loans" n rx.Gm.loan_rx;
       Alcotest.(check int) "every borrow returned" n rx.Gm.loan_returns;
-      Alcotest.(check int) "delivered as views" n (Shortcut.received_as_view sc2);
       Alcotest.(check int) "no credit stalls" 0 rx.Gm.loan_credit_stalls;
       Alcotest.(check int) "no loans outstanding" 0 (Gm.outstanding_loans m2))
 
-let test_packet_path_loaned_delivery () =
-  (* Without the transport shortcut, large frames still ride descriptors;
-     the receiver borrows the slot for the whole netstack traversal and
-     the borrow ends when the app reads the datagram out. *)
-  let duo = Setup.build Setup.Xenloop_path in
-  let _, m2 = modules_of duo in
-  let client = host_of duo.Setup.client and server = host_of duo.Setup.server in
-  Experiment.execute duo (fun () ->
-      let server_sock = bind_exn server.Workloads.Host.udp ~port:4001 () in
-      let client_sock = bind_exn client.Workloads.Host.udp () in
-      let n = 6 in
-      for i = 0 to n - 1 do
-        Udp.sendto client_sock ~dst:duo.Setup.server_ip ~dst_port:4001
-          (big_payload i)
-      done;
-      for i = 0 to n - 1 do
-        let _, _, got = Udp.recvfrom server_sock in
-        Alcotest.(check bytes)
-          (Printf.sprintf "payload %d intact" i)
-          (big_payload i) got
-      done;
-      let rx = Gm.stats m2 in
-      Alcotest.(check bool) "frames delivered as loans" true (rx.Gm.loan_rx > 0);
-      Alcotest.(check int) "every borrow returned" rx.Gm.loan_rx
-        rx.Gm.loan_returns;
-      Alcotest.(check int) "no loans outstanding" 0 (Gm.outstanding_loans m2))
-
 let test_view_release_idempotent () =
-  with_shortcut_world (fun ~duo ~m1:_ ~m2 ~client ~server ~sc1:_ ~sc2:_ ->
+  with_loan_world (fun ~duo ~m1:_ ~m2 ~client ~server ->
       let server_sock = bind_exn server.Workloads.Host.udp ~port:4002 () in
       let client_sock = bind_exn client.Workloads.Host.udp () in
       Udp.sendto client_sock ~dst:duo.Setup.server_ip ~dst_port:4002
@@ -122,10 +94,11 @@ let test_credit_exhaustion_transparent_copyout () =
   let params =
     { Hypervisor.Params.default with Hypervisor.Params.xenloop_max_loans = 2 }
   in
-  with_shortcut_world ~params (fun ~duo ~m1:_ ~m2 ~client ~server ~sc1:_ ~sc2 ->
+  with_loan_world ~params (fun ~duo ~m1:_ ~m2 ~client ~server ->
       let server_sock = bind_exn server.Workloads.Host.udp ~port:4003 () in
       let client_sock = bind_exn client.Workloads.Host.udp () in
       let n = 10 in
+      let rx_before = (Gm.stats m2).Gm.via_channel_rx in
       (* The receiver never runs while the burst lands: the first two
          datagrams park as views and pin the whole loan credit, so the
          rest must degrade to copy-out — delivery itself must not care. *)
@@ -151,15 +124,14 @@ let test_credit_exhaustion_transparent_copyout () =
       Alcotest.(check int) "borrows returned on read" 2
         (Gm.stats m2).Gm.loan_returns;
       Alcotest.(check int) "no loans outstanding" 0 (Gm.outstanding_loans m2);
-      Alcotest.(check int) "views counted" 2 (Shortcut.received_as_view sc2);
-      Alcotest.(check int) "all delivered via shortcut" n
-        (Shortcut.received_via_shortcut sc2))
+      Alcotest.(check int) "all delivered via the channel" n
+        ((Gm.stats m2).Gm.via_channel_rx - rx_before))
 
 (* ------------------------------------------------------------------ *)
 (* Teardown force-returns leaked loans *)
 
 let test_leak_force_return_on_teardown () =
-  with_shortcut_world (fun ~duo ~m1 ~m2 ~client ~server ~sc1:_ ~sc2:_ ->
+  with_loan_world (fun ~duo ~m1 ~m2 ~client ~server ->
       (* A leaky application: every borrowed view is kept forever. *)
       Gm.set_loan_fault_injector m2 (Some (fun () -> Gm.Loan_leak));
       let server_sock = bind_exn server.Workloads.Host.udp ~port:4005 () in
@@ -269,8 +241,6 @@ let suites =
   [
     ( "xenloop.loans",
       [
-        Alcotest.test_case "loaned delivery roundtrip" `Quick
-          test_loaned_delivery_roundtrip;
         Alcotest.test_case "packet path loaned delivery" `Quick
           test_packet_path_loaned_delivery;
         Alcotest.test_case "view release is idempotent" `Quick
