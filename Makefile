@@ -57,16 +57,19 @@ perf: build
 # coarser), then print the top symbols by self time and the OCaml
 # callers of the write barrier (caml_modify, caml_darken), of
 # polymorphic compare and hash, and of caml_applyN (DESIGN.md §10).
-# Samples are kept in _build/hotspots/.
+# HS_TOP sets how many symbols the flat profile lists.  Samples are kept
+# in _build/hotspots/.
 #   make hotspots W=rpc
+#   make hotspots W=mesh HS_TOP=400
 HS_SECONDS ?= 20
+HS_TOP ?= 25
 hotspots: build
 	rm -rf _build/hotspots && mkdir -p _build/hotspots
 	HOTSPOTS_OUT=$(CURDIR)/_build/hotspots/$(W) \
 	  LD_PRELOAD=$(CURDIR)/_build/default/tools/hotspots/sampler.so \
 	  ./_build/default/benchmark/run.exe --workload $(W) --seed 1 \
 	  --seconds $(HS_SECONDS) --trace 0 > /dev/null
-	./_build/default/tools/hotspots/symbolize.exe \
+	./_build/default/tools/hotspots/symbolize.exe --top $(HS_TOP) \
 	  _build/default/benchmark/run.exe _build/hotspots/$(W).*
 
 # Regression gate: re-measure the headline engine scenario in smoke mode

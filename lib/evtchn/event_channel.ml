@@ -114,7 +114,7 @@ let deliver ?(extra = Sim.Time.span_zero) t ep =
       end)
 
 let notify t ~dom ~port ~meter =
-  Memory.Cost_meter.record meter (Memory.Cost_meter.Hypercall "evtchn_send");
+  Memory.Cost_meter.record meter (Memory.Cost_meter.Hypercall Evtchn_send);
   Memory.Cost_meter.record meter Memory.Cost_meter.Event_notify;
   match find t ~dom ~port with
   | None -> Error Bad_port

@@ -1,5 +1,21 @@
+type hypercall =
+  | Gnttab_map_grant_ref
+  | Gnttab_unmap_grant_ref
+  | Gnttab_copy
+  | Gnttab_transfer
+  | Evtchn_send
+
+let slot = function
+  | Gnttab_map_grant_ref -> 0
+  | Gnttab_unmap_grant_ref -> 1
+  | Gnttab_copy -> 2
+  | Gnttab_transfer -> 3
+  | Evtchn_send -> 4
+
+let hypercall_kinds = 5
+
 type op =
-  | Hypercall of string
+  | Hypercall of hypercall
   | Page_copy of int
   | Page_zero
   | Event_notify
@@ -8,7 +24,7 @@ type op =
   | Grant_unmap
 
 type t = {
-  by_hypercall : (string, int) Hashtbl.t;
+  by_hypercall : int array;  (* [slot] -> count *)
   mutable total_hypercalls : int;
   mutable copied : int;
   mutable zeroes : int;
@@ -20,7 +36,7 @@ type t = {
 
 let create () =
   {
-    by_hypercall = Hashtbl.create 16;
+    by_hypercall = Array.make hypercall_kinds 0;
     total_hypercalls = 0;
     copied = 0;
     zeroes = 0;
@@ -31,10 +47,10 @@ let create () =
   }
 
 let record t = function
-  | Hypercall name ->
+  | Hypercall h ->
       t.total_hypercalls <- t.total_hypercalls + 1;
-      let cur = Option.value ~default:0 (Hashtbl.find_opt t.by_hypercall name) in
-      Hashtbl.replace t.by_hypercall name (cur + 1)
+      let i = slot h in
+      t.by_hypercall.(i) <- t.by_hypercall.(i) + 1
   | Page_copy bytes -> t.copied <- t.copied + bytes
   | Page_zero -> t.zeroes <- t.zeroes + 1
   | Event_notify -> t.notifies <- t.notifies + 1
@@ -44,8 +60,7 @@ let record t = function
 
 let hypercalls t = t.total_hypercalls
 
-let hypercall_count t name =
-  Option.value ~default:0 (Hashtbl.find_opt t.by_hypercall name)
+let hypercall_count t h = t.by_hypercall.(slot h)
 
 let bytes_copied t = t.copied
 let page_zeroes t = t.zeroes
@@ -54,7 +69,7 @@ let domain_switches t = t.switches
 let grant_maps t = t.maps
 
 let reset t =
-  Hashtbl.reset t.by_hypercall;
+  Array.fill t.by_hypercall 0 hypercall_kinds 0;
   t.total_hypercalls <- 0;
   t.copied <- 0;
   t.zeroes <- 0;
@@ -64,11 +79,7 @@ let reset t =
   t.unmaps <- 0
 
 let merge_into ~src ~dst =
-  Hashtbl.iter
-    (fun name n ->
-      let cur = Option.value ~default:0 (Hashtbl.find_opt dst.by_hypercall name) in
-      Hashtbl.replace dst.by_hypercall name (cur + n))
-    src.by_hypercall;
+  Array.iteri (fun i n -> dst.by_hypercall.(i) <- dst.by_hypercall.(i) + n) src.by_hypercall;
   dst.total_hypercalls <- dst.total_hypercalls + src.total_hypercalls;
   dst.copied <- dst.copied + src.copied;
   dst.zeroes <- dst.zeroes + src.zeroes;

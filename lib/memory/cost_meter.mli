@@ -8,8 +8,16 @@
 
 type t
 
+(** The hypercalls the substrate issues, each counted in a fixed slot. *)
+type hypercall =
+  | Gnttab_map_grant_ref
+  | Gnttab_unmap_grant_ref
+  | Gnttab_copy
+  | Gnttab_transfer
+  | Evtchn_send
+
 type op =
-  | Hypercall of string  (** e.g. "gnttab_grant_foreign_access" *)
+  | Hypercall of hypercall
   | Page_copy of int  (** bytes copied *)
   | Page_zero
   | Event_notify
@@ -22,7 +30,7 @@ val create : unit -> t
 val record : t -> op -> unit
 
 val hypercalls : t -> int
-val hypercall_count : t -> string -> int
+val hypercall_count : t -> hypercall -> int
 val bytes_copied : t -> int
 (** Per-packet data-path copies.  Kept distinct from {!grant_maps} so a
     copies-per-byte figure never smears one-time connect costs over the

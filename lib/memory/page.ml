@@ -23,7 +23,17 @@
 
 type buf = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-type t = { page_id : int; chunk : buf; base : int }
+(* The lease fields belong to [Frame_allocator]: a page carries the
+   ownership record it was handed out under, so returning it is a field
+   read, not a lookup in a table keyed by page. *)
+type lease = {
+  allocator : int;
+  domid : int;
+  mutable frames : int;
+  mutable revoked : bool;
+}
+
+type t = { page_id : int; chunk : buf; base : int; mutable lease : lease }
 
 external ba_get16u : buf -> int -> int = "%caml_bigstring_get16u"
 external ba_set16u : buf -> int -> int -> unit = "%caml_bigstring_set16u"
@@ -79,6 +89,8 @@ let new_chunk () =
     (Unix.map_file (Lazy.force dev_zero) Bigarray.char Bigarray.c_layout false
        [| chunk_pages * size |])
 
+let no_lease = { allocator = -1; domid = -1; frames = 0; revoked = true }
+
 let chunk = ref (new_chunk ())
 let chunk_used = ref 0
 
@@ -91,9 +103,19 @@ let create () =
   end;
   let base = !chunk_used * size in
   incr chunk_used;
-  { page_id; chunk = !chunk; base }
+  { page_id; chunk = !chunk; base; lease = no_lease }
+
+(* Outside the id sequence and the arenas, so making it at start-up
+   shifts no page id; its bytes are real, so a stray access through it
+   stays inside its own 4 KiB. *)
+let placeholder =
+  let chunk = Bigarray.Array1.create Bigarray.char Bigarray.c_layout size in
+  Bigarray.Array1.fill chunk '\000';
+  { page_id = -1; chunk; base = 0; lease = no_lease }
 
 let id t = t.page_id
+let lease t = t.lease
+let set_lease t l = t.lease <- l
 
 let out_of_bounds what off len =
   invalid_arg (Printf.sprintf "Page.%s: out of bounds (off=%d len=%d)" what off len)

@@ -21,6 +21,29 @@ val id : t -> int
 (** Unique identity (monotonically assigned), usable as a pseudo frame
     number. *)
 
+val placeholder : t
+(** A page that is never handed out (id [-1]): it fills the unused slots
+    of page arrays, so they need no option boxes. *)
+
+(** {2 Frame ownership}
+
+    A page handed out by a {!Frame_allocator} carries the lease it was
+    allocated under: which allocator, which domain, and that domain's live
+    balance with it.  Only {!Frame_allocator} reads or writes these. *)
+
+type lease = {
+  allocator : int;  (** the allocator's identity; [-1] for {!no_lease} *)
+  domid : int;
+  mutable frames : int;  (** live pages under this lease *)
+  mutable revoked : bool;  (** its domain's frames were reclaimed wholesale *)
+}
+
+val no_lease : lease
+(** The lease of a page no allocator currently has out. *)
+
+val lease : t -> lease
+val set_lease : t -> lease -> unit
+
 val write : t -> off:int -> src:Bytes.t -> src_off:int -> len:int -> unit
 (** Copy [len] bytes of [src] from [src_off] into the page at [off], with
     one memcpy; allocates nothing.

@@ -125,13 +125,10 @@ let flow_length t key =
   | None -> 0
   | Some c -> Dq.length c.c_items
 
-let head_len t =
+let head t =
   match Dq.peek_front t.ring with
   | None -> None
-  | Some c -> (
-      match Dq.peek_front c.c_items with
-      | None -> None (* unreachable: on-ring classes are non-empty *)
-      | Some (_, len) -> Some len)
+  | Some c -> Dq.peek_front c.c_items
 
 let head_fits c =
   match Dq.peek_front c.c_items with

@@ -41,11 +41,11 @@ val pop : ('k, 'v) t -> unit
     serving flow's visit, as [(key, items)].  [None] iff empty. *)
 val select : ('k, 'v) t -> ('k * ('v * int) list) option
 
-(** Byte length of the ring-head flow's head item, or [None] when empty.
-    A pure read: unlike [peek] it opens no visit, so it may name an item
-    [peek] would skip this round.  Used by the "does the head fit in the
-    FIFO" check. *)
-val head_len : ('k, 'v) t -> int option
+(** The ring-head flow's head item and its byte length, or [None] when
+    empty.  A pure read: unlike [peek] it opens no visit, so it may name
+    an item [peek] would skip this round.  Used by the "does the head fit
+    in the FIFO" check. *)
+val head : ('k, 'v) t -> ('v * int) option
 
 val flow_length : ('k, 'v) t -> 'k -> int
 val length : ('k, 'v) t -> int

@@ -84,11 +84,11 @@ let init ~desc ~data ~k =
   Page.set_u32 desc off_npages (Array.length data)
 
 let write_grefs ~desc grefs =
-  List.iteri (fun i gref -> Page.set_u32 desc (off_grefs + (4 * i)) gref) grefs
+  Array.iteri (fun i gref -> Page.set_u32 desc (off_grefs + (4 * i)) gref) grefs
 
 let read_grefs ~desc =
   let n = Page.get_u32 desc off_npages in
-  List.init n (fun i -> Page.get_u32 desc (off_grefs + (4 * i)))
+  Array.init n (fun i -> Page.get_u32 desc (off_grefs + (4 * i)))
 
 type t = { desc : Page.t; data : Page.t array; fifo_slots : int }
 

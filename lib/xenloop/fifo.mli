@@ -45,8 +45,8 @@ val init : desc:Memory.Page.t -> data:Memory.Page.t array -> k:int -> unit
     @raise Invalid_argument if the page count does not match [k] or [k]
     exceeds the largest the descriptor page's gref table supports. *)
 
-val write_grefs : desc:Memory.Page.t -> Memory.Grant_table.gref list -> unit
-val read_grefs : desc:Memory.Page.t -> Memory.Grant_table.gref list
+val write_grefs : desc:Memory.Page.t -> Memory.Grant_table.gref array -> unit
+val read_grefs : desc:Memory.Page.t -> Memory.Grant_table.gref array
 
 (** {1 Views}
 

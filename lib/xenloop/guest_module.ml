@@ -508,9 +508,19 @@ let jumbo_room q pool nchunks =
   Fifo.can_accept_jumbo q.out_fifo ~nchunks
   && Payload_pool.free_slots pool >= nchunks
 
-let jumbo_eligible q len =
+(* Only a TCP super-frame rides a jumbo descriptor: its transport
+   checksum is the one a trusted receiver may skip ([flag_csum_ok]), and
+   [jumbo_tx] counts GSO segments.  Any other wide frame (a shortcut
+   control frame) takes the pool or chunked inline path. *)
+let is_tcp (packet : P.t) =
+  match packet.P.body with
+  | P.Ipv4_body { content = P.Full { transport = Netcore.Transport.Tcp _; _ }; _ } -> true
+  | P.Ipv4_body _ | P.Arp_body _ | P.Xenloop_body _ -> false
+
+let jumbo_eligible q packet len =
   q.q_gso_max > 0
   && len <= q.q_gso_max + jumbo_header_slack
+  && is_tcp packet
   &&
   match q.q_tx_pool with
   | Some pool ->
@@ -674,14 +684,14 @@ let push_frame ?(amortized = false) t q packet =
   in
   (not q.q_closed)
   && (amortized || not (push_refused t))
-  && ((jumbo_eligible q len && push_jumbo ~amortized t q packet ~len)
+  && ((jumbo_eligible q packet len && push_jumbo ~amortized t q packet ~len)
      || (entry_fits () && push_entry ()))
 
 (* Whether a frame of this size would enter the queue right now —
    {!Fifo.can_accept} generalized over this queue's descriptor path,
    and over the jumbo path for gso-eligible lengths. *)
-let queue_can_accept q len =
-  (jumbo_eligible q len
+let queue_can_accept q packet len =
+  (jumbo_eligible q packet len
   &&
   match q.q_tx_pool with
   | Some pool -> jumbo_room q pool (jumbo_nchunks pool len)
@@ -820,7 +830,7 @@ let drain_backlog t q =
     let continue_draining = ref true in
     while !continue_draining do
       match Qos.Drr.peek q.backlog with
-      | Some (key, packet, len) when (not q.q_closed) && queue_can_accept q len ->
+      | Some (key, packet, len) when (not q.q_closed) && queue_can_accept q packet len ->
           if push_sent ~queued:true t q ~key packet then incr pushed
           else continue_draining := false
       | Some _ | None -> continue_draining := false
@@ -882,7 +892,7 @@ let send_batch t q steals =
         (not q.q_closed)
         && Qos.Drr.is_empty q.backlog
         && (not (push_refused t))
-        && queue_can_accept q (P.wire_length first)
+        && queue_can_accept q first (P.wire_length first)
       in
       if direct then Sim.Resource.use (cpu t) p.Params.xenloop_fifo_op;
       let overflowed = ref (not direct) in
@@ -1439,8 +1449,8 @@ let queue_live q =
 let queue_has_work q =
   (not (Fifo.is_empty q.in_fifo))
   ||
-  match Qos.Drr.head_len q.backlog with
-  | Some len -> queue_can_accept q len
+  match Qos.Drr.head q.backlog with
+  | Some (packet, len) -> queue_can_accept q packet len
   | None -> false
 
 (* A lingering handler's [q_ready]: work, or the channel going down (never
@@ -1606,16 +1616,45 @@ let new_queue t ~index ~out_fifo ~in_fifo ~port ~tx_pool ~rx_pool ~inline_max
   in
   q
 
+(* A run of pages the listener granted to its peer: [g_pages.(i)] is
+   shared under [g_grefs.(i)].  Teardown releases pages one by one as
+   their grants become endable, writing -1 over each gref it ended.  A
+   channel keeps one run per FIFO and per payload pool, the descriptor
+   or control page first. *)
+type granted = { g_grefs : Gt.gref array; g_pages : Memory.Page.t array }
+
+let grant_run ~gt ~peer pages =
+  {
+    g_grefs = Array.map (fun page -> Gt.grant_access gt ~to_dom:peer ~page ~writable:true) pages;
+    g_pages = pages;
+  }
+
+(* The data pages' grefs go into the granted run's first page. *)
+let data_grefs run = Array.sub run.g_grefs 1 (Array.length run.g_grefs - 1)
+
 let grant_fifo_pages ~gt ~peer ~desc ~data =
-  let desc_gref = Gt.grant_access gt ~to_dom:peer ~page:desc ~writable:true in
-  let data_grefs =
-    Array.to_list
-      (Array.map (fun page -> Gt.grant_access gt ~to_dom:peer ~page ~writable:true) data)
-  in
-  Fifo.write_grefs ~desc data_grefs;
-  (* Pair every gref with its page so teardown can release pages
-     one-by-one as their grants become endable. *)
-  (desc_gref, (desc_gref, desc) :: List.combine data_grefs (Array.to_list data))
+  let run = grant_run ~gt ~peer (Array.append [| desc |] data) in
+  Fifo.write_grefs ~desc (data_grefs run);
+  run
+
+(* End every grant in [runs] that the peer no longer maps and release its
+   page; the result is how many are still mapped. *)
+let end_grants ~gt ~frames ~domid runs =
+  List.fold_left
+    (fun pending run ->
+      let pending = ref pending in
+      Array.iteri
+        (fun i gref ->
+          if gref >= 0 then
+            match Gt.end_access gt gref with
+            | Ok () ->
+                Memory.Frame_allocator.release frames ~owner:domid run.g_pages.(i);
+                run.g_grefs.(i) <- -1;
+                run.g_pages.(i) <- Memory.Page.placeholder
+            | Error _ -> incr pending)
+        run.g_grefs;
+      !pending)
+    0 runs
 
 let send_ctrl t ~dst_mac msg =
   let deliver () = Stack.send_ctrl t.stack ~dst_mac (Proto.encode msg) in
@@ -1671,28 +1710,19 @@ let rec send_create_with_retry t ~peer_domid ~peer_mac ~msg ba =
    reaps them: end the grant, then release the page. *)
 let reap_period = Sim.Time.of_us_f 100.0
 
-let reap_grants t ~machine ~domid ~gt pending =
+let reap_grants t ~machine ~domid ~gt runs =
   let frames = Machine.frame_allocator machine in
-  let rec reap pending () =
+  let rec reap () =
     match Machine.grant_table machine domid with
     | Some gt' when gt' == gt ->
-        let left =
-          List.filter_map
-            (fun (gref, page) ->
-              match Gt.end_access gt gref with
-              | Ok () ->
-                  Memory.Frame_allocator.release frames ~owner:domid page;
-                  None
-              | Error _ -> Some (gref, page))
-            pending
-        in
-        if left <> [] then Sim.Engine.after (engine t) reap_period (reap left)
+        if end_grants ~gt ~frames ~domid runs > 0 then
+          Sim.Engine.after (engine t) reap_period reap
     | Some _ | None ->
         (* The domain is gone (migration or death): the hypervisor already
            reclaimed its frames and dropped its grant table. *)
         ()
   in
-  Sim.Engine.after (engine t) reap_period (reap pending)
+  Sim.Engine.after (engine t) reap_period reap
 
 (* Largest TCP payload one jumbo descriptor may carry; each side uses
    min(own, peer's control-page stamp). *)
@@ -1743,47 +1773,36 @@ let listener_create t ~peer_domid ~peer_mac ~peer_queues ~peer_rung =
       | Error Memory.Frame_allocator.Out_of_frames -> ()
       | Ok pool ->
           let ec = Machine.evtchn machine in
-          let all_grefs = ref [] in
+          let runs = ref [] in
           let all_ports = ref [] in
           let build_pool ~qi ~dir =
             (* Pool pages sit after the FIFO stripes: [lc | cl] per queue,
-               in queue order. *)
+               in queue order, the control page first. *)
             let base = fifo_pages + (((qi * 2) + dir) * pool_pages_each) in
-            let ctrl = pool.(base) in
-            let data = Array.sub pool (base + 1) (slots * slot_pages) in
+            let pages = Array.sub pool base pool_pages_each in
             let pp =
-              Payload_pool.init ~max_loans ~gso_max ~ctrl ~data ~slots
-                ~slot_pages ~inline_max ()
+              Payload_pool.init ~max_loans ~gso_max ~ctrl:pages.(0)
+                ~data:(Array.sub pages 1 (pool_pages_each - 1))
+                ~slots ~slot_pages ~inline_max ()
             in
-            let ctrl_gref =
-              Gt.grant_access gt ~to_dom:peer_domid ~page:ctrl ~writable:true
-            in
-            let data_grefs =
-              Array.map
-                (fun page ->
-                  Gt.grant_access gt ~to_dom:peer_domid ~page ~writable:true)
-                data
-            in
-            Payload_pool.write_grefs pp data_grefs;
-            all_grefs :=
-              ((ctrl_gref, ctrl)
-              :: List.combine (Array.to_list data_grefs) (Array.to_list data))
-              @ !all_grefs;
-            (pp, ctrl_gref)
+            let run = grant_run ~gt ~peer:peer_domid pages in
+            Payload_pool.write_grefs pp (data_grefs run);
+            runs := run :: !runs;
+            (pp, run.g_grefs.(0))
           in
           let make_queue qi =
             let qp = Fifo.carve_queue ~pool ~k:t.k ~index:qi in
             Fifo.init ~desc:qp.Fifo.qp_desc_lc ~data:qp.Fifo.qp_data_lc ~k:t.k;
             Fifo.init ~desc:qp.Fifo.qp_desc_cl ~data:qp.Fifo.qp_data_cl ~k:t.k;
-            let lc_gref, lc_pairs =
+            let lc_run =
               grant_fifo_pages ~gt ~peer:peer_domid ~desc:qp.Fifo.qp_desc_lc
                 ~data:qp.Fifo.qp_data_lc
             in
-            let cl_gref, cl_pairs =
+            let cl_run =
               grant_fifo_pages ~gt ~peer:peer_domid ~desc:qp.Fifo.qp_desc_cl
                 ~data:qp.Fifo.qp_data_cl
             in
-            all_grefs := (lc_pairs @ cl_pairs) @ !all_grefs;
+            runs := cl_run :: lc_run :: !runs;
             let pools =
               if use_pools then
                 Some (build_pool ~qi ~dir:0, build_pool ~qi ~dir:1)
@@ -1810,8 +1829,8 @@ let listener_create t ~peer_domid ~peer_mac ~peer_queues ~peer_rung =
             in
             ( q,
               {
-                Proto.qg_lc_gref = lc_gref;
-                qg_cl_gref = cl_gref;
+                Proto.qg_lc_gref = lc_run.g_grefs.(0);
+                qg_cl_gref = cl_run.g_grefs.(0);
                 qg_port = port;
                 qg_lc_pool;
                 qg_cl_pool;
@@ -1820,24 +1839,15 @@ let listener_create t ~peer_domid ~peer_mac ~peer_queues ~peer_rung =
           let built = Array.init nq make_queue in
           let queues = Array.map fst built in
           let grants = Array.to_list (Array.map snd built) in
-          let grefs = !all_grefs and ports = !all_ports in
+          let runs = !runs and ports = !all_ports in
           let cleanup () =
             (* The connector may still hold mappings when teardown runs
                (its unmap rides the teardown notification, a few event
                latencies away), so a page is only returned to the free
                pool once its grant actually ends; the rest are parked
                with the reaper. *)
-            let pending =
-              List.filter_map
-                (fun (gref, page) ->
-                  match Gt.end_access gt gref with
-                  | Ok () ->
-                      Memory.Frame_allocator.release frames ~owner:domid page;
-                      None
-                  | Error _ -> Some (gref, page))
-                grefs
-            in
-            if pending <> [] then reap_grants t ~machine ~domid ~gt pending;
+            if end_grants ~gt ~frames ~domid runs > 0 then
+              reap_grants t ~machine ~domid ~gt runs;
             List.iter (fun port -> Ec.close ec ~dom:domid ~port) ports
           in
           let ch =
@@ -1897,6 +1907,18 @@ let start_bootstrap t ~peer_domid ~peer_mac =
 (* ------------------------------------------------------------------ *)
 (* Bootstrap: connector side *)
 
+(* The grefs a connector has mapped, oldest at the bottom. *)
+type gref_stack = { mutable stack : Gt.gref array; mutable depth : int }
+
+let push_gref s gref =
+  if s.depth = Array.length s.stack then begin
+    let grown = Array.make (max 64 (2 * s.depth)) 0 in
+    Array.blit s.stack 0 grown 0 s.depth;
+    s.stack <- grown
+  end;
+  s.stack.(s.depth) <- gref;
+  s.depth <- s.depth + 1
+
 let connector_accept t ~listener_domid ~listener_mac ~queue_grants =
   let machine = t.current_machine () in
   let domid = my_domid t in
@@ -1909,30 +1931,42 @@ let connector_accept t ~listener_domid ~listener_mac ~queue_grants =
       (* All queues map, or none do: on any failure every page mapped and
          every port bound so far is rolled back, leaving no half-attached
          channel behind. *)
-      let mapped = ref [] in
+      let mapped = { stack = [||]; depth = 0 } in
       let bound = ref [] in
-      let unmap_all grefs =
-        List.iter
-          (fun gref -> ignore (Gt.unmap listener_gt gref ~by:domid ~meter:(meter t)))
-          grefs
+      (* Newest first, as the mappings are rolled back. *)
+      let unmap_all () =
+        for i = mapped.depth - 1 downto 0 do
+          ignore (Gt.unmap listener_gt mapped.stack.(i) ~by:domid ~meter:(meter t))
+        done
       in
+      (* A failed map yields [Page.placeholder]. *)
       let map_page gref =
         Sim.Resource.use (cpu t) p.Params.page_map;
         match Gt.map listener_gt gref ~by:domid ~meter:(meter t) with
         | Ok page ->
-            mapped := gref :: !mapped;
-            Some page
-        | Error _ -> None
+            push_gref mapped gref;
+            page
+        | Error _ -> Memory.Page.placeholder
+      in
+      (* Every gref is mapped, and charged, even past a failed one. *)
+      let map_pages grefs =
+        let pages = Array.make (Array.length grefs) Memory.Page.placeholder in
+        let ok = ref true in
+        Array.iteri
+          (fun i gref ->
+            let page = map_page gref in
+            if page == Memory.Page.placeholder then ok := false else pages.(i) <- page)
+          grefs;
+        if !ok then Some pages else None
       in
       let map_fifo desc_gref =
-        match map_page desc_gref with
-        | None -> None
-        | Some desc -> (
-            let data_grefs = Fifo.read_grefs ~desc in
-            let data = List.filter_map map_page data_grefs in
-            if List.length data <> List.length data_grefs then None
-            else
-              match Fifo.attach ~desc ~data:(Array.of_list data) with
+        let desc = map_page desc_gref in
+        if desc == Memory.Page.placeholder then None
+        else
+          match map_pages (Fifo.read_grefs ~desc) with
+          | None -> None
+          | Some data -> (
+              match Fifo.attach ~desc ~data with
               | fifo -> Some fifo
               | exception Invalid_argument _ -> None)
       in
@@ -1942,19 +1976,16 @@ let connector_accept t ~listener_domid ~listener_mac ~queue_grants =
          metered as per-connect costs), so pushing a descriptor later
          costs no mapping at all. *)
       let map_payload_pool ctrl_gref =
-        match map_page ctrl_gref with
-        | None -> None
-        | Some ctrl -> (
-            match Payload_pool.read_grefs ~ctrl with
-            | exception Invalid_argument _ -> None
-            | data_grefs -> (
-                let data = Array.map map_page data_grefs in
-                if Array.exists Option.is_none data then None
-                else
-                  match
-                    Payload_pool.attach ~ctrl
-                      ~data:(Array.map Option.get data)
-                  with
+        let ctrl = map_page ctrl_gref in
+        if ctrl == Memory.Page.placeholder then None
+        else
+          match Payload_pool.read_grefs ~ctrl with
+          | exception Invalid_argument _ -> None
+          | data_grefs -> (
+              match map_pages data_grefs with
+              | None -> None
+              | Some data -> (
+                  match Payload_pool.attach ~ctrl ~data with
                   | pp -> Some pp
                   | exception Invalid_argument _ -> None))
       in
@@ -2021,13 +2052,13 @@ let connector_accept t ~listener_domid ~listener_mac ~queue_grants =
       in
       match build 0 [] queue_grants with
       | None ->
-          unmap_all !mapped;
+          unmap_all ();
           List.iter (fun port -> Ec.close ec ~dom:domid ~port) !bound
       | Some queues ->
           let queues = Array.of_list queues in
-          let mapped_grefs = !mapped and bound_ports = !bound in
+          let bound_ports = !bound in
           let cleanup () =
-            unmap_all mapped_grefs;
+            unmap_all ();
             List.iter (fun port -> Ec.close ec ~dom:domid ~port) bound_ports
           in
           let ch =
@@ -2216,7 +2247,7 @@ let frame_for_queue t q (packet : P.t) =
      elided — the jumbo descriptor carries [flag_csum_ok] and the
      trusted receiver skips verification. *)
   let len = P.wire_length packet in
-  let jumbo = jumbo_eligible q len in
+  let jumbo = jumbo_eligible q packet len in
   if (not jumbo) && len > Fifo.max_packet q.out_fifo then begin
     t.s.too_big_fallback <- t.s.too_big_fallback + 1;
     `Standard_path

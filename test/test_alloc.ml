@@ -461,6 +461,45 @@ let test_xenloop_stream_unaligned_one_copy () =
        per_byte)
     true (per_byte <= 1.1)
 
+(* Host words allocated per granted page while a duo brings up its
+   XenLoop channel: the listener allocates, formats and grants every FIFO
+   and payload-pool page, and the connector maps each one.  The warmup
+   around it (ARP, discovery, the handshake, the first pings) costs the
+   same whatever the pool's size, so two bring-ups whose pools differ
+   only in pages per slot isolate the cost of one more granted page.
+   That page costs its own [Page.t], a boxed map result and a cell in
+   each page and gref array that holds it; per-page list cells, option
+   boxes or hash buckets would show here: hashed frame and grant
+   bookkeeping with lists of [(gref, page)] pairs read 63.4 words per
+   page, the lease-and-ring bookkeeping 26.8. *)
+let bringup_words ~slot_pages =
+  let module Setup = Scenarios.Setup in
+  let params = { Hypervisor.Params.default with xenloop_pool_slot_pages = slot_pages } in
+  let duo = Setup.build ~params Setup.Xenloop_path in
+  let machine = Option.get duo.Setup.machine in
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  Scenarios.Experiment.execute duo (fun () -> ());
+  Gc.minor ();
+  let words = (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) in
+  let granted =
+    List.fold_left
+      (fun acc d ->
+        match Hypervisor.Machine.grant_table machine (Hypervisor.Domain.domid d) with
+        | Some gt -> acc + Memory.Grant_table.active_grants gt
+        | None -> acc)
+      0 (Hypervisor.Machine.guests machine)
+  in
+  (words, granted)
+
+let test_channel_bringup_words_per_page () =
+  let w5, g5 = bringup_words ~slot_pages:5 and w10, g10 = bringup_words ~slot_pages:10 in
+  Alcotest.(check bool) "the larger pool grants more pages" true (g10 > g5 && g5 > 2_000);
+  let per = (w10 -. w5) /. float_of_int (g10 - g5) in
+  Alcotest.(check bool)
+    (Printf.sprintf "channel bring-up: %.1f words per granted page (bound %.0f)" per 32.)
+    true (per <= 32.)
+
 let suites =
   [
     ( "sim.alloc",
@@ -496,5 +535,7 @@ let suites =
           `Quick test_xenloop_stream_jumbo_aligned_one_copy;
         Alcotest.test_case "xenloop tcp stream of unaligned writes copies each byte once"
           `Quick test_xenloop_stream_unaligned_one_copy;
+        Alcotest.test_case "channel bring-up words per granted page" `Quick
+          test_channel_bringup_words_per_page;
       ] );
   ]

@@ -36,7 +36,7 @@ let test_bind_and_notify () =
       Alcotest.(check int64) "fired after delivery latency" 4_000L
         (Sim.Time.instant_to_ns t));
   Alcotest.(check int) "notify is a hypercall" 1
-    (Cm.hypercall_count meter "evtchn_send")
+    (Cm.hypercall_count meter Evtchn_send)
 
 let test_notify_is_bidirectional () =
   let engine, ec = make_system () in

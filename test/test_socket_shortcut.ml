@@ -51,9 +51,10 @@ let test_shortcut_roundtrip () =
 
 (* Every size class a shortcut datagram can take rides one control frame
    on the ordinary transmit path: inline (1 B), a pool descriptor
-   (1,400 B and 20,000 B) and a jumbo descriptor wider than a pool slot
-   (61,440 B).  A refused push parks the frame on the backlog like any
-   other, and the next send drains it in order. *)
+   (1,400 B and 20,000 B) and, wider than a pool slot (61,440 B), a
+   chunked inline copy: jumbo descriptors carry TCP super-frames only.
+   A refused push parks the frame on the backlog like any other, and the
+   next send drains it in order. *)
 let test_shortcut_size_classes () =
   with_shortcut_world (fun ~duo ~client ~server ~sc1 ~sc2:_ ->
       let m1 = List.hd duo.Setup.modules in
@@ -76,9 +77,9 @@ let test_shortcut_size_classes () =
       List.iter send classes;
       expect "size class" classes;
       Alcotest.(check int) "all four via shortcut" 4 (Shortcut.sent_via_shortcut sc1);
-      Alcotest.(check int) "all but 1 B rode descriptors" 3
+      Alcotest.(check int) "1,400 B and 20,000 B rode descriptors" 2
         ((Gm.stats m1).Gm.desc_tx - desc_before);
-      Alcotest.(check int) "61,440 B rode a jumbo" 1
+      Alcotest.(check int) "no jumbo for a control frame" 0
         ((Gm.stats m1).Gm.jumbo_tx - jumbo_before);
       (* Refused pushes: the frames wait on the backlog, none is lost. *)
       let waiting_before = (Gm.stats m1).Gm.queued_to_waiting in

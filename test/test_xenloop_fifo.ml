@@ -109,9 +109,9 @@ let test_fifo_grefs_roundtrip () =
   let k = 6 in
   let data = Array.init (Fifo.data_pages_for ~k) (fun _ -> Page.create ()) in
   Fifo.init ~desc ~data ~k;
-  let grefs = [ 17 ] in
+  let grefs = [| 17 |] in
   Fifo.write_grefs ~desc grefs;
-  Alcotest.(check (list int)) "grefs" grefs (Fifo.read_grefs ~desc)
+  Alcotest.(check (array int)) "grefs" grefs (Fifo.read_grefs ~desc)
 
 let prop_fifo_order_and_content =
   QCheck.Test.make ~name:"fifo preserves order and content under random ops"

@@ -1,13 +1,14 @@
 (* symbolize: turn the samples of sampler.so into a flat profile.
 
-   Usage: symbolize.exe [--callers SYMBOL]... EXE SAMPLES...
+   Usage: symbolize.exe [--top N] [--callers SYMBOL]... EXE SAMPLES...
 
    EXE is the profiled executable; each SAMPLES file is one process's
    output of sampler.so (HOTSPOTS_OUT.<pid>).  Program counters inside
    EXE are named with `nm -n`; counters in a shared object are charged
    to that object as a whole.  Prints:
 
-   - the top 25 symbols by self samples, with their share of all samples;
+   - the top N symbols (default 25) by self samples, with their share of
+     all samples;
    - for the write barrier (caml_modify, caml_darken), for polymorphic
      comparison and hashing (compare_val, caml_compare, caml_equal,
      caml_hash, ...) and for the generic application functions
@@ -135,15 +136,23 @@ let default_groups =
     ("caml_applyN/caml_curryN", is_apply);
   ]
 
-let rec parse_args groups = function
-  | "--callers" :: sym :: rest ->
-      parse_args (groups @ [ (sym, fun n -> demangle n = sym) ]) rest
-  | rest -> (groups, rest)
+let usage () =
+  prerr_endline "usage: symbolize.exe [--top N] [--callers SYMBOL]... EXE SAMPLES...";
+  exit 2
 
-let top = 25
+let rec parse_args ~top groups = function
+  | "--callers" :: sym :: rest ->
+      parse_args ~top (groups @ [ (sym, fun n -> demangle n = sym) ]) rest
+  | "--top" :: n :: rest -> (
+      match int_of_string_opt n with
+      | Some n when n > 0 -> parse_args ~top:n groups rest
+      | _ -> usage ())
+  | rest -> (top, groups, rest)
 
 let () =
-  let groups, args = parse_args default_groups (List.tl (Array.to_list Sys.argv)) in
+  let top, groups, args =
+    parse_args ~top:25 default_groups (List.tl (Array.to_list Sys.argv))
+  in
   match args with
   | exe :: (_ :: _ as files) ->
       let syms = text_symbols exe in
@@ -208,6 +217,4 @@ let () =
             (fun i ((_, caller), n) -> if i < 12 then Printf.printf "%5.1f  %7d  %s\n" (pct n) n caller)
             (List.filter (fun ((g', _), _) -> g' = g) (sorted callers)))
         groups
-  | _ ->
-      prerr_endline "usage: symbolize.exe [--callers SYMBOL]... EXE SAMPLES...";
-      exit 2
+  | _ -> usage ()
